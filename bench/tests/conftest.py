@@ -1,0 +1,10 @@
+import os
+import sys
+
+BENCH_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+if BENCH_DIR not in sys.path:
+    sys.path.insert(0, BENCH_DIR)
+
+import run  # noqa: E402
+
+run.import_program()
