@@ -21,6 +21,7 @@ from .algebra import (
     validate_xmorphism,
 )
 from .errors import (
+    ArgumentError,
     CapacityError,
     CellError,
     CompatibilityError,
@@ -42,6 +43,7 @@ from .simplicial import (
     HornTuple,
     KanRecord,
     KanReport,
+    Levels,
     audit_simplicial,
     beta,
     boundary,

@@ -5,8 +5,10 @@
 
 Commands: validate, classify, enumerate, audit, coskeletal, kan, fill,
 homotopy.  Exit codes: 0 all requested checks pass, 1 structural error in
-the input, 2 a property fails or an operation refuses (a witness is
-reported), 3 an enumeration exceeded the cell budget.
+the input, 2 a property fails, an operation refuses (a witness is reported)
+or an argument is out of range, 3 an enumeration exceeded the cell budget.
+Every error ends in one ``ERROR (kind): ...`` line on stderr and an
+``error`` block in the JSON report.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from . import homotopy as H
 from . import simplicial as S
 from .algebra import classify_structure, validate_crossed_monoid
 from .errors import (
+    ArgumentError,
     CapacityError,
     DEFAULT_CAPACITY,
     NotCrossedModuleError,
@@ -37,14 +40,19 @@ EXIT_PROPERTY = 2
 EXIT_CAPACITY = 3
 
 
-def _parse_dims(text: str, default: tuple[int, int]) -> tuple[int, int]:
+def _parse_dims(text: str | None, default: tuple[int, int], lowest: int = 0) -> tuple[int, int]:
+    """``A..B`` or ``A`` as an inclusive range with lowest <= A <= B."""
     if text is None:
         return default
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    v = int(text)
-    return v, v
+    lo_text, sep, hi_text = text.partition("..")
+    try:
+        lo = int(lo_text)
+        hi = int(hi_text if sep else lo_text)
+    except ValueError:
+        raise ArgumentError(f"--dims expects A..B or A with integers, got {text!r}") from None
+    if not lowest <= lo <= hi:
+        raise ArgumentError(f"--dims {text} must satisfy {lowest} <= A <= B for this command")
+    return lo, hi
 
 
 def _cell_text(c) -> str:
@@ -125,7 +133,7 @@ def cmd_audit(xm, args) -> tuple[int, list[dict]]:
 
 
 def cmd_coskeletal(xm, args) -> tuple[int, list[dict]]:
-    lo, hi = _parse_dims(args.dims, (4, 5))
+    lo, hi = _parse_dims(args.dims, (4, 5), lowest=1)
     records = S.check_coskeletal(Nerve(xm), lo - 1, hi, cap=args.max_cells)
     checks = []
     ok = True
@@ -143,7 +151,7 @@ def cmd_coskeletal(xm, args) -> tuple[int, list[dict]]:
 
 
 def cmd_kan(xm, args) -> tuple[int, list[dict]]:
-    lo, hi = _parse_dims(args.dims, (1, 3))
+    lo, hi = _parse_dims(args.dims, (1, 3), lowest=1)
     report = S.check_kan(Nerve(xm), upto=hi, from_dim=lo, cap=args.max_cells)
     checks = []
     for r in report.records:
@@ -163,13 +171,14 @@ def cmd_fill(xm, args) -> tuple[int, list[dict]]:
     lo, hi = _parse_dims(args.dims, (2, 3))
     filler = HornFiller(xm)
     nerve = filler.nerve
+    levels = S.Levels(nerve)
     rng = random.Random(args.seed)
     checks = []
     for n in range(max(lo, 2), hi + 1):
         count = nerve.count_cells(n)
         for l in range(n + 1):
             if count <= args.max_cells:
-                horn_list = S.horns(nerve, n, l, cap=args.max_cells)
+                horn_list = S.horns(nerve, n, l, cap=args.max_cells, levels=levels)
                 mode = "exhaustive"
             else:
                 sample = min(1000, args.max_cells)
@@ -191,8 +200,20 @@ def cmd_fill(xm, args) -> tuple[int, list[dict]]:
 
 
 def cmd_homotopy(xm, args) -> tuple[int, list[dict]]:
-    wanted = [int(v) for v in (args.pi or "1,2").split(",") if v != ""]
+    try:
+        wanted = [int(v) for v in (args.pi or "1,2").split(",") if v != ""]
+    except ValueError:
+        raise ArgumentError(f"--pi expects comma-separated integers, got {args.pi!r}") from None
+    bad = [n for n in wanted if not 0 <= n <= 3]
+    if bad:
+        raise ArgumentError(f"--pi supports 0..3, got {bad[0]}")
     t = args.basepoint
+    cls = levels = None
+    if any(n > 0 for n in wanted):
+        if not 0 <= t < xm.cat.num_objects:
+            raise ArgumentError(f"--basepoint {t} is not an object id (0..{xm.cat.num_objects - 1})")
+        cls = classify_structure(xm)
+        levels = S.Levels(Nerve(xm))
     checks = []
     ok = True
     for n in wanted:
@@ -207,7 +228,7 @@ def cmd_homotopy(xm, args) -> tuple[int, list[dict]]:
                 }
             )
         elif n in (1, 2):
-            comparison = H.pi_compare(xm, n, t, cap=args.max_cells)
+            comparison = H.pi_compare(xm, n, t, cap=args.max_cells, classification=cls, levels=levels)
             passed = comparison.isomorphic
             ok = ok and passed
             g = comparison.algebraic
@@ -223,8 +244,8 @@ def cmd_homotopy(xm, args) -> tuple[int, list[dict]]:
                     "isomorphism": list(comparison.isomorphism) if comparison.isomorphism else None,
                 }
             )
-        elif n == 3:
-            v = H.higher_vanishing(xm, t, cap=args.max_cells)
+        else:
+            v = H.higher_vanishing(xm, t, cap=args.max_cells, classification=cls, levels=levels)
             ok = ok and v.trivial
             checks.append(
                 {
@@ -233,8 +254,6 @@ def cmd_homotopy(xm, args) -> tuple[int, list[dict]]:
                     "detail": "trivial" if v.trivial else f"{v.classes} classes over {v.based_cells} cells",
                 }
             )
-        else:
-            raise XNerveError(f"--pi supports 0..3, got {n}")
     return (EXIT_OK if ok else EXIT_PROPERTY), checks
 
 
@@ -289,6 +308,10 @@ def run(argv: list[str] | None = None) -> int:
     except NotKanError as exc:
         report.update(passed=False, exit_code=EXIT_PROPERTY,
                       error={"kind": "not-kan", "dim": exc.dim, "omitted": exc.omitted})
+        code, checks = EXIT_PROPERTY, None
+    except XNerveError as exc:
+        kind = "argument" if isinstance(exc, ArgumentError) else "error"
+        report.update(passed=False, exit_code=EXIT_PROPERTY, error={"kind": kind, "message": str(exc)})
         code, checks = EXIT_PROPERTY, None
     if checks is not None:
         report.update(passed=code == EXIT_OK, exit_code=code, checks=checks)

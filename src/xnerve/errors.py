@@ -30,6 +30,10 @@ class CompatibilityError(XNerveError):
     """Faces handed to a reconstruction do not fit together."""
 
 
+class ArgumentError(XNerveError):
+    """A command argument is malformed or out of range for its input."""
+
+
 class CapacityError(XNerveError):
     """Predicted enumeration size exceeds the configured budget."""
 

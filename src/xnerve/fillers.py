@@ -101,19 +101,32 @@ class HornFiller:
     def _edge_mor(self, c: NerveCell) -> int:
         return c.rows[0][0]
 
-    def _result(self, h: HornTuple, filler: NerveCell) -> FillResult:
+    def _result(self, h: HornTuple, filler: NerveCell, boundary: tuple | None = None) -> FillResult:
+        """Check the filler's faces at the horn's slots.  ``boundary`` is its
+        whole face tuple when a reconstruction has already computed it."""
+        face = self.nerve.face
         checks = tuple(
-            FaceCheck(slot, face, self.nerve.face(filler, slot))
-            for slot, face in zip(h.slots(), h.faces)
+            FaceCheck(slot, expected, face(filler, slot) if boundary is None else boundary[slot])
+            for slot, expected in zip(h.slots(), h.faces)
         )
         result = FillResult(filler, checks)
         if not result.verified:
             bad = next(c for c in result.checks if not c.ok)
-            raise RuntimeError(
+            raise CompatibilityError(
                 f"filler face mismatch at slot {bad.slot}: "
                 f"expected {bad.expected.text()}, got {bad.actual.text()}"
             )
         return result
+
+    def _checked_boundary(self, cell: NerveCell, faces: tuple[NerveCell, ...]) -> tuple[NerveCell, ...]:
+        """The face tuple of a reconstructed cell, refused unless it is
+        ``faces``."""
+        face = self.nerve.face
+        got = tuple([face(cell, j) for j in range(len(faces))])
+        for j, expected in enumerate(faces):
+            if got[j] != expected:
+                raise CompatibilityError(f"boundary reconstruction failed at face {j}")
+        return got
 
     # -- dimension dispatch ----------------------------------------------
 
@@ -124,10 +137,8 @@ class HornFiller:
             return self.fill_dim2(h)
         if h.dim == 3:
             return self.fill_dim3(h)
-        if h.dim == 4:
-            return self.fill_dim4(h)
-        if h.dim >= 5:
-            return self.fill_high(h)
+        if h.dim >= 4:
+            return self.fill_collapse(h)
         raise CompatibilityError(f"no constructive filler in dimension {h.dim}")
 
     def fill_dim2(self, h: HornTuple) -> FillResult:
@@ -162,8 +173,8 @@ class HornFiller:
         missing = self._missing_2face(h)
         faces = list(h.faces)
         faces.insert(h.omitted, missing)
-        filler = self._cell_from_boundary3(tuple(faces))
-        return self._result(h, filler)
+        filler, boundary = self._cell_from_boundary3(tuple(faces))
+        return self._result(h, filler, boundary)
 
     def _missing_2face(self, h: HornTuple) -> NerveCell:
         """Reconstruct the omitted 2-cell of a dimension-3 horn.
@@ -225,47 +236,32 @@ class HornFiller:
             ((upper, cval), (lower,)),
         )
 
-    def _cell_from_boundary3(self, faces: tuple[NerveCell, ...]) -> NerveCell:
-        """Unique 3-cell with the given boundary; the tuple must satisfy
-        rule eq:image (asserted: callers guarantee it)."""
-        assert image_b3(self.xm, BoundaryTuple(faces)), "boundary tuple fails eq:image"
+    def _cell_from_boundary3(self, faces: tuple[NerveCell, ...]) -> tuple[NerveCell, tuple[NerveCell, ...]]:
+        """Unique 3-cell with the given boundary, and that boundary as
+        recomputed from it; refuses a tuple that fails rule eq:image."""
+        if not image_b3(self.xm, BoundaryTuple(faces)):
+            raise CompatibilityError("boundary tuple fails eq:image")
         m0, m3 = faces[0], faces[3]
         x1 = m3.objects[1]
         corner = self._mul(x1, self._inv(x1, faces[3].rows[0][1]), faces[2].rows[0][1])
         cell = self.nerve.corner_assemble(CornerTriple(m0, m3, corner))
-        for j, face in enumerate(faces):
-            got = self.nerve.face(cell, j)
-            if got != face:
-                raise CompatibilityError(f"boundary reconstruction failed at face {j}")
-        return cell
+        return cell, self._checked_boundary(cell, faces)
 
-    def _cell_from_boundary(self, faces: tuple[NerveCell, ...]) -> NerveCell:
-        """Cell with the given boundary in dimensions >= 4, via the corner
-        bijection; faces are re-verified."""
-        n = len(faces) - 1
-        if n == 3:
+    def _cell_from_boundary(self, faces: tuple[NerveCell, ...]) -> tuple[NerveCell, tuple[NerveCell, ...]]:
+        """Cell with the given boundary in dimensions >= 3 (>= 4 via the
+        corner bijection), and that boundary as recomputed from it."""
+        if len(faces) == 4:
             return self._cell_from_boundary3(faces)
         cell = self.nerve.corner_assemble(self.nerve.corner_project(faces))
-        for j, face in enumerate(faces):
-            if self.nerve.face(cell, j) != face:
-                raise CompatibilityError(f"boundary reconstruction failed at face {j}")
-        return cell
+        return cell, self._checked_boundary(cell, faces)
 
-    def fill_dim4(self, h: HornTuple) -> FillResult:
-        collapsed = beta(self.nerve, h)
-        assert image_b3(self.xm, collapsed), "collapsed dimension-4 horn fails eq:image"
-        missing = self._cell_from_boundary3(collapsed.faces)
+    def fill_collapse(self, h: HornTuple) -> FillResult:
+        """Dimensions >= 4: collapse the horn with beta, rebuild the missing
+        face from that boundary, then the filler from the completed one."""
+        if h.dim < 4:
+            raise CompatibilityError("the collapse path starts at dimension 4")
+        missing, _ = self._cell_from_boundary(beta(self.nerve, h).faces)
         faces = list(h.faces)
         faces.insert(h.omitted, missing)
-        filler = self._cell_from_boundary(tuple(faces))
-        return self._result(h, filler)
-
-    def fill_high(self, h: HornTuple) -> FillResult:
-        if h.dim < 5:
-            raise CompatibilityError("fill_high starts at dimension 5")
-        collapsed = beta(self.nerve, h)
-        missing = self._cell_from_boundary(collapsed.faces)
-        faces = list(h.faces)
-        faces.insert(h.omitted, missing)
-        filler = self._cell_from_boundary(tuple(faces))
-        return self._result(h, filler)
+        filler, boundary = self._cell_from_boundary(tuple(faces))
+        return self._result(h, filler, boundary)

@@ -15,7 +15,6 @@ class GroupPresentation:
     labels: tuple[str, ...]
     unit: int
     table: tuple[tuple[int, ...], ...]
-    tag: str | None = None
 
     @property
     def order(self) -> int:

@@ -15,29 +15,20 @@ from .algebra import Classification, CrossedMonoid, classify_structure
 from .errors import CompatibilityError, DEFAULT_CAPACITY, NotCrossedModuleError, XNerveError
 from .groups import GroupPresentation, find_isomorphism, subgroup_presentation
 from .nerve import Nerve
-from .simplicial import pi_bruteforce
+from .simplicial import Levels, UnionFind, based_classes, pi_bruteforce
 
 
 def pi0(xm: CrossedMonoid) -> tuple[tuple[int, ...], ...]:
     """Zig-zag connected components of the objects, each sorted, in order of
     their smallest member."""
     cat = xm.cat
-    parent = list(range(cat.num_objects))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(cat.num_objects)
     for m in cat.morphisms():
-        a, b = find(cat.src[m]), find(cat.tgt[m])
-        if a != b:
-            parent[max(a, b)] = min(a, b)
+        uf.union(cat.src[m], cat.tgt[m])
     buckets: dict[int, list[int]] = {}
     for x in cat.objects():
-        buckets.setdefault(find(x), []).append(x)
-    return tuple(tuple(sorted(v)) for _, v in sorted(buckets.items()))
+        buckets.setdefault(uf.find(x), []).append(x)
+    return tuple(tuple(v) for _, v in sorted(buckets.items()))
 
 
 def _require_module(xm: CrossedMonoid, classification: Classification | None) -> Classification:
@@ -135,14 +126,20 @@ def pi_compare(
     cap: int = DEFAULT_CAPACITY,
     verify_kan: bool = True,
     classification: Classification | None = None,
+    levels: Levels | None = None,
 ) -> PiComparison:
-    """Compute the homotopy group both ways and search for an isomorphism."""
+    """Compute the homotopy group both ways and search for an isomorphism.
+
+    ``levels``, if given, must be built over a ``Nerve`` of ``xm``; passing
+    the same instance to several calls enumerates each level once.
+    """
     if n not in (1, 2):
         raise CompatibilityError("closed forms exist for dimensions 1 and 2 only")
     cls = _require_module(xm, classification)
     algebraic = pi1(xm, t, cls) if n == 1 else pi2(xm, t, cls)
-    nerve = Nerve(xm)
-    brute = pi_bruteforce(nerve, n, nerve.point(t), cap=cap, verify_kan=verify_kan)
+    levels = levels or Levels(Nerve(xm))
+    nerve = levels.p
+    brute = pi_bruteforce(nerve, n, nerve.point(t), cap=cap, verify_kan=verify_kan, levels=levels)
     iso = find_isomorphism(algebraic, brute)
     return PiComparison(n=n, basepoint=t, algebraic=algebraic, bruteforce=brute, isomorphism=iso)
 
@@ -165,42 +162,17 @@ def higher_vanishing(
     n: int = 3,
     cap: int = DEFAULT_CAPACITY,
     classification: Classification | None = None,
+    levels: Levels | None = None,
 ) -> VanishingReport:
     """Check that the homotopy group above dimension 2 is trivial.
 
-    Counts cells of dimension n whose whole boundary is the degenerate
-    basepoint and merges them through (n+1)-cells, exactly as the brute
-    force does, but asserts the Kan property instead of re-deriving it:
-    crossed-module nerves are Kan, and enumerating every dimension-(n+2)
-    horn just to re-prove that would blow the budget on large fibers.
+    Counts the classes of the brute force (``based_classes``) without its
+    Kan pre-check: crossed-module nerves are Kan, and enumerating every
+    dimension-(n+2) horn just to re-prove that would blow the budget on
+    large fibers.
     """
     _require_module(xm, classification)
-    nerve = Nerve(xm)
-    base = nerve.point(t)
-    tower = [base]
-    for _ in range(n + 1):
-        tower.append(nerve.degeneracy(tower[-1], 0))
-    x_below, x_level = tower[n - 1], tower[n]
-
-    members = [
-        c for c in nerve.cells(n, cap=cap)
-        if all(nerve.face(c, j) == x_below for j in range(n + 1))
-    ]
-    member_set = set(members)
-    parent = {c: c for c in members}
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    for w in nerve.cells(n + 1, cap=cap):
-        if all(nerve.face(w, j) == x_level for j in range(n)):
-            y, z = nerve.face(w, n), nerve.face(w, n + 1)
-            if y in member_set and z in member_set:
-                ry, rz = find(y), find(z)
-                if ry != rz:
-                    parent[ry] = rz
-    classes = len({find(c) for c in members})
-    return VanishingReport(n=n, basepoint=t, based_cells=len(members), classes=classes)
+    levels = levels or Levels(Nerve(xm))
+    nerve = levels.p
+    classes = based_classes(nerve, n, nerve.point(t), cap=cap, levels=levels)
+    return VanishingReport(n=n, basepoint=t, based_cells=len(classes.members), classes=len(classes.reps))

@@ -33,14 +33,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from functools import partial
+from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import CrossedMonoid, XMorphism
 from .errors import CapacityError, CellError, CompatibilityError, DEFAULT_CAPACITY
 
 
-@dataclass(frozen=True)
-class NerveCell:
+class NerveCell(NamedTuple):
+    """A cell as a plain tuple ``(dim, objects, rows)``: hashing, equality
+    and ordering run on the tuple itself."""
+
     dim: int
     objects: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]
@@ -64,6 +67,12 @@ class NerveCell:
         return f"{self.dim}|{objs}|{rows}"
 
 
+# NerveCell from one (dim, objects, rows) tuple, built in C without the
+# Python-level __new__ of a NamedTuple; the structure maps and the
+# enumeration make every cell through it.
+_cell = partial(tuple.__new__, NerveCell)
+
+
 @dataclass(frozen=True)
 class CornerTriple:
     """A cell split as (first face, last face, upper-right corner element)."""
@@ -71,6 +80,10 @@ class CornerTriple:
     first: NerveCell
     last: NerveCell
     corner: int
+
+
+# (object sequence, row-major candidate list per matrix position, block size)
+_Block = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]
 
 
 class Nerve:
@@ -84,6 +97,7 @@ class Nerve:
     def __init__(self, xm: CrossedMonoid, validate_outputs: bool = False):
         self.xm = xm
         self.validate_outputs = validate_outputs
+        self._blocks_by_dim: dict[int, tuple[_Block, ...]] = {}
 
     # -- construction -------------------------------------------------
 
@@ -168,13 +182,13 @@ class Nerve:
         if n == 1:
             mor = M.rows[0][0]
             obj = xm.cat.src[mor] if j == 0 else xm.cat.tgt[mor]
-            return NerveCell(0, (obj,), ())
+            return _cell((0, (obj,), ()))
         objs = M.objects
         rows = M.rows
         if j == 0:
-            return self._out(NerveCell(n - 1, objs[1:], rows[1:]))
+            return self._out(_cell((n - 1, objs[1:], rows[1:])))
         if j == n:
-            return self._out(NerveCell(n - 1, objs[:-1], tuple(r[:-1] for r in rows[:-1])))
+            return self._out(_cell((n - 1, objs[:-1], tuple([r[:-1] for r in rows[:-1]]))))
 
         new_rows: list[tuple[int, ...]] = []
         for i in range(1, j):
@@ -200,7 +214,7 @@ class Nerve:
             merged.append(mul_low[twisted][lower[c - j]])
         new_rows.append(tuple(merged))
         new_rows.extend(rows[j + 1:])
-        return self._out(NerveCell(n - 1, objs[:j] + objs[j + 1:], tuple(new_rows)))
+        return self._out(_cell((n - 1, objs[:j] + objs[j + 1:], tuple(new_rows))))
 
     def degeneracy(self, M: NerveCell, j: int) -> NerveCell:
         n = M.dim
@@ -209,7 +223,7 @@ class Nerve:
         xm = self.xm
         if n == 0:
             p = M.objects[0]
-            return NerveCell(1, (p, p), ((xm.cat.identity[p],),))
+            return _cell((1, (p, p), ((xm.cat.identity[p],),)))
         objs = M.objects
         rows = M.rows
         new_rows: list[tuple[int, ...]] = []
@@ -222,7 +236,7 @@ class Nerve:
         new_rows.append((xm.cat.identity[objs[j]],) + (unit,) * (n - j))
         new_rows.extend(rows[j:])
         new_objs = objs[: j + 1] + (objs[j],) + objs[j + 1:]
-        return self._out(NerveCell(n + 1, new_objs, tuple(new_rows)))
+        return self._out(_cell((n + 1, new_objs, tuple(new_rows))))
 
     # -- corner bijection ----------------------------------------------
 
@@ -232,10 +246,6 @@ class Nerve:
         if n < 2:
             raise CompatibilityError("corner splitting needs dimension >= 2")
         return CornerTriple(self.face(M, 0), self.face(M, n), M.rows[0][n - 1])
-
-    def corner_fiber(self, t: CornerTriple) -> int:
-        """Object whose fiber hosts the corner: x1 of the assembled cell."""
-        return t.first.objects[0]
 
     def corner_assemble(self, t: CornerTriple) -> NerveCell:
         """Inverse of corner_split: glue the two faces around the corner."""
@@ -250,7 +260,7 @@ class Nerve:
             raise CompatibilityError(f"corner {t.corner} outside the fiber over object {m0.objects[0]}")
         objs = mn.objects + (m0.objects[-1],)
         rows = (mn.rows[0] + (t.corner,),) + m0.rows
-        return self._out(NerveCell(n, objs, rows))
+        return self._out(_cell((n, objs, rows)))
 
     def corner_face(self, t: CornerTriple, j: int) -> CornerTriple:
         """Split of d_j(assemble(t)) computed by closed corner formulas.
@@ -302,35 +312,49 @@ class Nerve:
 
     # -- enumeration -----------------------------------------------------
 
-    def _object_sequences(self, n: int) -> Iterator[tuple[int, ...]]:
-        cat = self.xm.cat
-        for seq in itertools.product(cat.objects(), repeat=n + 1):
-            if all(cat.hom(seq[i], seq[i - 1]) for i in range(1, n + 1)):
-                yield seq
+    def _blocks(self, n: int) -> tuple[_Block, ...]:
+        """Enumeration blocks of dimension n >= 1, built once per dimension.
 
-    def _position_domains(self, seq: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """Row-major candidate lists for every matrix position."""
-        cat = self.xm.cat
-        n = len(seq) - 1
-        domains: list[tuple[int, ...]] = []
-        for i in range(1, n + 1):
-            domains.append(cat.hom(seq[i], seq[i - 1]))
-            fiber = tuple(self.xm.fibers[seq[i]].elements())
-            domains.extend([fiber] * (n - i))
-        return domains
+        One block per object sequence (x0, ..., xn) with a morphism in every
+        C(x_i, x_{i-1}), sequences lexicographic: the sequence, the row-major
+        candidate list of every matrix position, and the block size, the
+        product of the candidate counts.  A cell's index within its block is
+        the mixed-radix number whose digits are its positions in those lists.
+        """
+        blocks = self._blocks_by_dim.get(n)
+        if blocks is None:
+            xm = self.xm
+            cat = xm.cat
+            out = []
+            for seq in itertools.product(cat.objects(), repeat=n + 1):
+                if not all(cat.hom(seq[i], seq[i - 1]) for i in range(1, n + 1)):
+                    continue
+                domains: list[tuple[int, ...]] = []
+                for i in range(1, n + 1):
+                    domains.append(cat.hom(seq[i], seq[i - 1]))
+                    domains.extend([tuple(xm.fibers[seq[i]].elements())] * (n - i))
+                size = 1
+                for dom in domains:
+                    size *= len(dom)
+                out.append((seq, tuple(domains), size))
+            blocks = self._blocks_by_dim[n] = tuple(out)
+        return blocks
+
+    @staticmethod
+    def _row_bounds(n: int) -> list[tuple[int, int]]:
+        """Slice bounds of rows 1..n in a row-major entry list."""
+        bounds, pos = [], 0
+        for ln in range(n, 0, -1):
+            bounds.append((pos, pos + ln))
+            pos += ln
+        return bounds
 
     def count_cells(self, n: int) -> int:
         if n < 0:
             return 0
         if n == 0:
             return self.xm.cat.num_objects
-        total = 0
-        for seq in self._object_sequences(n):
-            block = 1
-            for dom in self._position_domains(seq):
-                block *= len(dom)
-            total += block
-        return total
+        return sum(size for _, _, size in self._blocks(n))
 
     def cells(self, n: int, cap: int = DEFAULT_CAPACITY) -> Iterator[NerveCell]:
         """All cells of dimension n, object sequences lexicographic, then
@@ -344,18 +368,12 @@ class Nerve:
             )
         if n == 0:
             for x in self.xm.cat.objects():
-                yield NerveCell(0, (x,), ())
+                yield _cell((0, (x,), ()))
             return
-        for seq in self._object_sequences(n):
-            domains = self._position_domains(seq)
-            lengths = [n - i + 1 for i in range(1, n + 1)]
+        bounds = self._row_bounds(n)
+        for seq, domains, _ in self._blocks(n):
             for flat in itertools.product(*domains):
-                rows = []
-                pos = 0
-                for ln in lengths:
-                    rows.append(flat[pos:pos + ln])
-                    pos += ln
-                yield NerveCell(n, seq, tuple(rows))
+                yield _cell((n, seq, tuple([flat[a:b] for a, b in bounds])))
 
     def cell_at(self, n: int, index: int) -> NerveCell:
         """The index-th cell in enumeration order, without materializing."""
@@ -364,28 +382,17 @@ class Nerve:
         if n == 0:
             if index >= self.xm.cat.num_objects:
                 raise IndexError(index)
-            return NerveCell(0, (index,), ())
-        for seq in self._object_sequences(n):
-            domains = self._position_domains(seq)
-            block = 1
-            for dom in domains:
-                block *= len(dom)
-            if index >= block:
-                index -= block
+            return _cell((0, (index,), ()))
+        for seq, domains, size in self._blocks(n):
+            if index >= size:
+                index -= size
                 continue
-            flat = []
-            rem = index
+            digits = []
             for dom in reversed(domains):
-                rem, digit = divmod(rem, len(dom))
-                flat.append(dom[digit])
-            flat.reverse()
-            rows = []
-            pos = 0
-            for i in range(1, n + 1):
-                ln = n - i + 1
-                rows.append(tuple(flat[pos:pos + ln]))
-                pos += ln
-            return NerveCell(n, seq, tuple(rows))
+                index, digit = divmod(index, len(dom))
+                digits.append(dom[digit])
+            flat = tuple(reversed(digits))
+            return _cell((n, seq, tuple([flat[a:b] for a, b in self._row_bounds(n)])))
         raise IndexError(index)
 
 

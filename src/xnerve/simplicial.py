@@ -6,15 +6,25 @@ main instance.  On top of that this module builds boundary tuples, the
 compatibility kernel of each dimension, horns, the horn-to-boundary map,
 coskeletality and Kan checks, and brute-force homotopy groups.
 
-Kernels and horns are assembled by a hash join on shared faces: position k
-is added by indexing candidate cells on their first k faces, never by
-filtering the full product.
+Whole-level work runs on integer cell ids.  ``Levels`` enumerates each
+dimension once into a ``Level``: the cell list, whose positions are the ids
+(so ids follow ``cells(n)`` order), the ``cell -> id`` map, and the face
+table, whose row ``i`` holds the ids of d_0 .. d_n of cell ``i``.  Kernels
+and horns are one hash join over the face table of the level below: slot k
+is added by indexing candidate ids on the faces they must share with the
+slots already placed, never by filtering the full product.  The Kan and
+coskeletal checks and brute-force pi compare face-id rows; ids turn back
+into cells only in witnesses, group labels and the tuples handed out by
+``simplicial_kernel`` and ``horns``.  The identity audit works on cells,
+since the degeneracies it checks land in dimensions that are never
+enumerated.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Protocol
+from typing import Hashable, Iterable, NamedTuple, Protocol
 
 from .algebra import ValidationReport, Violation
 from .errors import CapacityError, CompatibilityError, DEFAULT_CAPACITY, NotKanError
@@ -61,13 +71,52 @@ class HornTuple:
         return self.faces[slot if slot < self.omitted else slot - 1]
 
 
-def _cells_list(p: LevelProvider, n: int, cap: int) -> list:
-    out = []
-    for c in p.cells(n, cap=cap):
-        out.append(c)
-        if len(out) > cap:
-            raise CapacityError(f"more than {cap} cells in dimension {n}", cap=cap)
-    return out
+class Level(NamedTuple):
+    """One enumerated dimension: ``cells[i]`` is the cell with id ``i``,
+    ``ids`` maps cells back to ids, and ``faces[i][j]`` is the id of
+    ``d_j cells[i]`` in the level below (rows are empty in dimension 0)."""
+
+    cells: list
+    ids: dict
+    faces: list[tuple[int, ...]]
+
+
+class Levels:
+    """The ``Level`` tables of one provider, each built on first use from
+    ``p.cells`` and ``p.face`` and then shared by every check handed this
+    instance.  A level is refused with CapacityError whenever it holds more
+    cells than the caller's ``cap``."""
+
+    def __init__(self, p: LevelProvider):
+        self.p = p
+        self._built: dict[int, Level] = {}
+
+    def level(self, n: int, cap: int = DEFAULT_CAPACITY) -> Level:
+        lv = self._built.get(n)
+        if lv is not None:
+            if len(lv.cells) > cap:
+                raise CapacityError(f"more than {cap} cells in dimension {n}", cap=cap)
+            return lv
+        cells = []
+        for c in self.p.cells(n, cap=cap):
+            cells.append(c)
+            if len(cells) > cap:
+                raise CapacityError(f"more than {cap} cells in dimension {n}", cap=cap)
+        ids = {c: i for i, c in enumerate(cells)}
+        if n == 0:
+            faces = [()] * len(cells)
+        else:
+            below = self.level(n - 1, cap).ids
+            face = self.p.face
+            js = range(n + 1)
+            try:
+                faces = [tuple([below[face(c, j)] for j in js]) for c in cells]
+            except KeyError:
+                raise CompatibilityError(
+                    f"a face of a {n}-cell is not a {n - 1}-cell; provider is broken"
+                ) from None
+        lv = self._built[n] = Level(cells, ids, faces)
+        return lv
 
 
 def boundary(p: LevelProvider, cell, n: int | None = None) -> BoundaryTuple:
@@ -103,61 +152,90 @@ def is_compatible_horn(p: LevelProvider, h: HornTuple) -> bool:
     return True
 
 
-def simplicial_kernel(p: LevelProvider, n: int, cap: int = DEFAULT_CAPACITY) -> list[BoundaryTuple]:
+def _join(lower: Level, n: int, omitted: int | None, cap: int) -> list[tuple[int, ...]]:
+    """Id tuples (x_0, ..., x_n) over the (n-1)-cells of ``lower`` with
+    d_j x_k == d_{k-1} x_j for every pair of slots j < k, slot ``omitted``
+    left out (``None`` keeps all slots, giving the kernel).  Slots are
+    added in order, each by a hash join on the faces it shares with the
+    slots already placed."""
+    fv = lower.faces
+    everyone = range(len(fv))
+    what = "kernel" if omitted is None else f"horns without slot {omitted}"
+    partial: list[tuple[int, ...]] = [()]
+    placed: list[int] = []
+    for k in range(n + 1):
+        if k == omitted:
+            continue
+        grown: list[tuple[int, ...]] = []
+        if n < 2 or not placed:
+            for tup in partial:
+                grown.extend([tup + (c,) for c in everyone])
+                if len(grown) > cap:
+                    break
+        else:
+            index: dict[tuple[int, ...], list[int]] = {}
+            for c, row in enumerate(fv):
+                index.setdefault(tuple(map(row.__getitem__, placed)), []).append(c)
+            column = [row[k - 1] for row in fv]
+            for tup in partial:
+                for c in index.get(tuple(map(column.__getitem__, tup)), ()):
+                    grown.append(tup + (c,))
+                if len(grown) > cap:
+                    break
+        if len(grown) > cap:
+            raise CapacityError(f"{what} of dimension {n} exceed {cap} at slot {k}", cap=cap)
+        partial = grown
+        placed.append(k)
+    return partial
+
+
+class CellTuples(Sequence):
+    """The id tuples of a join, read as ``BoundaryTuple`` (no omitted slot)
+    or ``HornTuple`` values whose faces are cells of ``lower``; ``ids``
+    keeps the raw tuples, and decoding happens per item on access."""
+
+    def __init__(self, lower: Level, dim: int, omitted: int | None, ids: list[tuple[int, ...]]):
+        self.lower = lower
+        self.dim = dim
+        self.omitted = omitted
+        self.ids = ids
+
+    def decode(self, tup: tuple[int, ...]):
+        faces = tuple(map(self.lower.cells.__getitem__, tup))
+        if self.omitted is None:
+            return BoundaryTuple(faces)
+        return HornTuple(self.dim, self.omitted, faces)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i: int):
+        return self.decode(self.ids[i])
+
+    def __iter__(self):
+        return map(self.decode, self.ids)
+
+
+def simplicial_kernel(
+    p: LevelProvider, n: int, cap: int = DEFAULT_CAPACITY, levels: Levels | None = None
+) -> CellTuples:
     """All compatible face tuples in dimension n, by hash join."""
     if n < 1:
         raise CompatibilityError("kernel needs dimension >= 1")
-    lower = _cells_list(p, n - 1, cap)
-    if n == 1:
-        pairs = [(a, b) for a in lower for b in lower]
-        if len(pairs) > cap:
-            raise CapacityError(f"kernel of dimension 1 exceeds {cap}", cap=cap)
-        return [BoundaryTuple(t) for t in pairs]
-    fv = {c: tuple(p.face(c, j) for j in range(n)) for c in lower}
-    partial: list[tuple] = [(c,) for c in lower]
-    for k in range(1, n + 1):
-        index: dict[tuple, list] = {}
-        for c in lower:
-            index.setdefault(fv[c][:k], []).append(c)
-        grown: list[tuple] = []
-        for tup in partial:
-            key = tuple(fv[tup[j]][k - 1] for j in range(k))
-            for c in index.get(key, ()):
-                grown.append(tup + (c,))
-        if len(grown) > cap:
-            raise CapacityError(f"kernel of dimension {n} exceeds {cap} at stage {k}", cap=cap)
-        partial = grown
-    return [BoundaryTuple(t) for t in partial]
+    lower = (levels or Levels(p)).level(n - 1, cap)
+    return CellTuples(lower, n, None, _join(lower, n, None, cap))
 
 
-def horns(p: LevelProvider, n: int, l: int, cap: int = DEFAULT_CAPACITY) -> list[HornTuple]:
+def horns(
+    p: LevelProvider, n: int, l: int, cap: int = DEFAULT_CAPACITY, levels: Levels | None = None
+) -> CellTuples:
     """All horns of dimension n with slot l omitted, by hash join."""
     if not 0 <= l <= n:
         raise CompatibilityError(f"horn position {l} out of range for dimension {n}")
     if n < 1:
         raise CompatibilityError("horns need dimension >= 1")
-    lower = _cells_list(p, n - 1, cap)
-    positions = [k for k in range(n + 1) if k != l]
-    if n == 1:
-        return [HornTuple(1, l, (c,)) for c in lower]
-    fv = {c: tuple(p.face(c, j) for j in range(n)) for c in lower}
-    partial: list[tuple] = [()]
-    seen: list[int] = []
-    for k in positions:
-        relevant = [j for j in seen if j < k]
-        index: dict[tuple, list] = {}
-        for c in lower:
-            index.setdefault(tuple(fv[c][j] for j in relevant), []).append(c)
-        grown: list[tuple] = []
-        for tup in partial:
-            key = tuple(fv[tup[seen.index(j)]][k - 1] for j in relevant)
-            for c in index.get(key, ()):
-                grown.append(tup + (c,))
-        if len(grown) > cap:
-            raise CapacityError(f"horns of dimension {n} exceed {cap} at slot {k}", cap=cap)
-        partial = grown
-        seen.append(k)
-    return [HornTuple(n, l, t) for t in partial]
+    lower = (levels or Levels(p)).level(n - 1, cap)
+    return CellTuples(lower, n, l, _join(lower, n, l, cap))
 
 
 def beta(p: LevelProvider, h: HornTuple) -> BoundaryTuple:
@@ -278,41 +356,38 @@ class CoskeletalRecord:
         return self.injective and self.surjective
 
 
-def check_coskeletal(p: LevelProvider, n: int, upto: int, cap: int = DEFAULT_CAPACITY) -> list[CoskeletalRecord]:
-    """Decide bijectivity of the boundary map in each dimension n < k <= upto."""
+def check_coskeletal(
+    p: LevelProvider, n: int, upto: int, cap: int = DEFAULT_CAPACITY, levels: Levels | None = None
+) -> list[CoskeletalRecord]:
+    """Decide bijectivity of the boundary map in each dimension n < k <= upto.
+
+    The image is the set of face-id rows of the k-cells; the surjectivity
+    witness is the smallest missing kernel tuple, ids comparing like cells.
+    """
+    levels = levels or Levels(p)
     records = []
     for k in range(n + 1, upto + 1):
-        kernel = simplicial_kernel(p, k, cap=cap)
-        kernel_set = set(kernel)
-        image: dict[BoundaryTuple, object] = {}
-        injective = True
+        kernel = simplicial_kernel(p, k, cap=cap, levels=levels)
+        kernel_set = set(kernel.ids)
+        level = levels.level(k, cap)
+        image: dict[tuple[int, ...], int] = {}
         inj_witness = None
-        count = 0
-        for cell in p.cells(k, cap=cap):
-            count += 1
-            bt = boundary(p, cell, k)
-            other = image.get(bt)
-            if other is not None and other != cell:
-                if injective:
-                    injective = False
-                    inj_witness = (other, cell)
-            else:
-                image[bt] = cell
-        missing = kernel_set - image.keys()
-        surjective = not missing
-        surj_witness = min(missing, key=lambda t: tuple(f.sort_key() for f in t.faces)) if missing else None
-        extra = image.keys() - kernel_set
-        if extra:
+        for i, row in enumerate(level.faces):
+            first = image.setdefault(row, i)
+            if first != i and inj_witness is None:
+                inj_witness = (level.cells[first], level.cells[i])
+        if not image.keys() <= kernel_set:
             raise CompatibilityError(f"boundary of a {k}-cell escaped the kernel; provider is broken")
+        missing = kernel_set - image.keys()
         records.append(
             CoskeletalRecord(
                 dim=k,
-                cell_count=count,
+                cell_count=len(level.cells),
                 kernel_size=len(kernel_set),
-                injective=injective,
-                surjective=surjective,
+                injective=inj_witness is None,
+                surjective=not missing,
                 injectivity_witness=inj_witness,
-                surjectivity_witness=surj_witness,
+                surjectivity_witness=kernel.decode(min(missing)) if missing else None,
             )
         )
     return records
@@ -348,49 +423,86 @@ class KanReport:
         return None
 
 
-def check_kan(p: LevelProvider, upto: int, from_dim: int = 1, cap: int = DEFAULT_CAPACITY) -> KanReport:
-    """Brute-force fillability of every horn in dimensions from_dim..upto."""
+def check_kan(
+    p: LevelProvider, upto: int, from_dim: int = 1, cap: int = DEFAULT_CAPACITY, levels: Levels | None = None
+) -> KanReport:
+    """Brute-force fillability of every horn in dimensions from_dim..upto:
+    a horn fills when it is the face-id row of some n-cell with entry l
+    dropped."""
+    levels = levels or Levels(p)
     records = []
     for n in range(from_dim, upto + 1):
-        cells_n = _cells_list(p, n, cap)
-        fv = [tuple(p.face(c, j) for j in range(n + 1)) for c in cells_n]
+        rows = levels.level(n, cap).faces
         for l in range(n + 1):
-            filled = {tuple(v[j] for j in range(n + 1) if j != l) for v in fv}
-            all_horns = horns(p, n, l, cap=cap)
-            bad = 0
-            witness = None
-            for h in all_horns:
-                if h.faces not in filled:
-                    bad += 1
-                    if witness is None:
-                        witness = h
-            records.append(KanRecord(n, l, horn_count=len(all_horns), unfillable=bad, witness=witness))
+            filled = {row[:l] + row[l + 1:] for row in rows}
+            all_horns = horns(p, n, l, cap=cap, levels=levels)
+            unfilled = [h for h in all_horns.ids if h not in filled]
+            witness = all_horns.decode(unfilled[0]) if unfilled else None
+            records.append(KanRecord(n, l, horn_count=len(all_horns), unfillable=len(unfilled), witness=witness))
     return KanReport(tuple(records))
 
 
 # -- homotopy groups by brute force -----------------------------------------
 
-def _degenerate_tower(p: LevelProvider, basepoint, upto: int) -> list:
-    tower = [basepoint]
-    for _ in range(upto):
-        tower.append(p.degeneracy(tower[-1], 0))
-    return tower
+class UnionFind:
+    """Disjoint sets over 0..size-1.  Every root is the smallest member of
+    its set."""
 
+    def __init__(self, size: int):
+        self.parent = list(range(size))
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            x, p[x] = p[x], p[p[x]]
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
         return x
 
-    def union(self, a, b):
+    def union(self, a: int, b: int) -> None:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
-            self.parent[ra] = rb
+            self.parent[max(ra, rb)] = min(ra, rb)
+
+
+class BasedClasses(NamedTuple):
+    """The n-cells whose whole boundary is the degenerate basepoint
+    (``members``, ids in ``level``), and each member's class, named by its
+    smallest member id (``rep_of``).  Two members share a class when some
+    (n+1)-cell has boundary (x, ..., x, y, z) with x the degenerate
+    basepoint n-cell (id ``unit``)."""
+
+    level: Level
+    members: list[int]
+    rep_of: dict[int, int]
+    unit: int
+
+    @property
+    def reps(self) -> list[int]:
+        return sorted(set(self.rep_of.values()))
+
+
+def based_classes(
+    p: LevelProvider, n: int, basepoint, cap: int = DEFAULT_CAPACITY, levels: Levels | None = None
+) -> BasedClasses:
+    """Group the based n-cells into classes; assumes the Kan property, which
+    makes the relation an equivalence."""
+    levels = levels or Levels(p)
+    tower = [basepoint]
+    for _ in range(n):
+        tower.append(p.degeneracy(tower[-1], 0))
+    level = levels.level(n, cap)
+    based = (levels.level(n - 1, cap).ids.get(tower[n - 1]),) * (n + 1)
+    members = [i for i, row in enumerate(level.faces) if row == based]
+    member_set = set(members)
+    unit = level.ids.get(tower[n])
+    if unit not in member_set:
+        raise CompatibilityError("degenerate basepoint cell missing from its own level")
+    uf = UnionFind(len(level.cells))
+    prefix = (unit,) * n
+    for row in levels.level(n + 1, cap).faces:
+        if row[:n] == prefix and row[n] in member_set and row[n + 1] in member_set:
+            uf.union(row[n], row[n + 1])
+    return BasedClasses(level, members, {c: uf.find(c) for c in members}, unit)
 
 
 def pi_bruteforce(
@@ -399,79 +511,51 @@ def pi_bruteforce(
     basepoint,
     cap: int = DEFAULT_CAPACITY,
     verify_kan: bool = True,
+    levels: Levels | None = None,
 ) -> GroupPresentation:
     """Homotopy group in dimension n >= 1 at a 0-cell, by exhaustive search.
 
-    Elements are cells whose whole boundary is the degenerate basepoint,
-    identified when some (n+1)-cell has boundary (x, ..., x, y, z); the
-    product of two classes is read off a filler of the horn that puts the
-    representatives at slots n-1 and n+1.  Requires the provider to be Kan
-    through dimension n+2; with ``verify_kan`` the check is run first and a
-    failure raises NotKanError with the witness horn.
+    Elements are the classes of ``based_classes``; the product of two
+    classes is read off a filler of the horn that puts the representatives
+    at slots n-1 and n+1: the first (n+1)-cell with faces (x, ..., x, y, _, z)
+    gives face n.  Requires the provider to be Kan through dimension n+2;
+    with ``verify_kan`` the check is run first and a failure raises
+    NotKanError with the witness horn.
     """
     if n < 1:
         raise CompatibilityError("brute-force homotopy groups start at dimension 1")
+    levels = levels or Levels(p)
     if verify_kan:
-        report = check_kan(p, upto=n + 2, cap=cap)
+        report = check_kan(p, upto=n + 2, cap=cap, levels=levels)
         failure = report.first_failure()
         if failure is not None:
             raise NotKanError(failure.dim, failure.omitted, failure.witness)
 
-    tower = _degenerate_tower(p, basepoint, n + 1)
-    x_below, x_level = tower[n - 1], tower[n]
-
-    members = [
-        c
-        for c in _cells_list(p, n, cap)
-        if all(p.face(c, j) == x_below for j in range(n + 1))
-    ]
-    if not members:
-        raise CompatibilityError("degenerate basepoint cell missing from its own level")
-
-    uf = _UnionFind(members)
-    member_set = set(members)
-    upper = _cells_list(p, n + 1, cap)
-    for w in upper:
-        if all(p.face(w, j) == x_level for j in range(n)):
-            y = p.face(w, n)
-            z = p.face(w, n + 1)
-            if y in member_set and z in member_set:
-                uf.union(y, z)
-
-    classes: dict = {}
-    for c in members:
-        root = uf.find(c)
-        cur = classes.get(root)
-        if cur is None or c.sort_key() < cur.sort_key():
-            classes[root] = c
-    reps = sorted(classes.values(), key=lambda c: c.sort_key())
-    rep_of = {c: classes[uf.find(c)] for c in members}
+    classes = based_classes(p, n, basepoint, cap=cap, levels=levels)
+    cells = classes.level.cells
+    rep_of = classes.rep_of
+    reps = classes.reps
     index_of = {rep: i for i, rep in enumerate(reps)}
 
-    def fill_product(y, z):
-        for w in upper:
-            if (
-                all(p.face(w, j) == x_level for j in range(n - 1))
-                and p.face(w, n - 1) == y
-                and p.face(w, n + 1) == z
-            ):
-                return p.face(w, n)
-        return None
+    prefix = (classes.unit,) * (n - 1)
+    product: dict[tuple[int, int], int] = {}
+    for row in levels.level(n + 1, cap).faces:
+        if row[:n - 1] == prefix:
+            product.setdefault((row[n - 1], row[n + 1]), row[n])
 
     table = []
     for y in reps:
-        row = []
+        out = []
         for z in reps:
-            d = fill_product(y, z)
+            d = product.get((y, z))
             if d is None:
-                raise NotKanError(n + 1, n, witness=(y, z))
+                raise NotKanError(n + 1, n, witness=(cells[y], cells[z]))
             if d not in rep_of:
                 raise CompatibilityError("product landed outside the based cells; provider is broken")
-            row.append(index_of[rep_of[d]])
-        table.append(tuple(row))
+            out.append(index_of[rep_of[d]])
+        table.append(tuple(out))
 
-    unit = index_of[rep_of[x_level]]
-    labels = tuple(rep.text() if hasattr(rep, "text") else repr(rep) for rep in reps)
-    g = GroupPresentation(labels=labels, unit=unit, table=tuple(table))
+    labels = tuple(cells[r].text() if hasattr(cells[r], "text") else repr(cells[r]) for r in reps)
+    g = GroupPresentation(labels=labels, unit=index_of[rep_of[classes.unit]], table=tuple(table))
     g.verify()
     return g

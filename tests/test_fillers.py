@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -245,3 +249,28 @@ def test_w_matrix_oracle(xm_z2_z3, xm_z2_z3_twisted):
                 assert lhs == rhs, (l,)
 
                 assert image_b3(xm, beta(nv, h))
+
+
+def test_eq_image_refusal_survives_python_dash_O():
+    import xnerve
+
+    script = textwrap.dedent(
+        """
+        from xnerve import fixtures
+        from xnerve.errors import CompatibilityError
+        from xnerve.fillers import HornFiller
+
+        print("debug", __debug__)
+        hf = HornFiller(fixtures.z2_with_z3_fiber())
+        mk = lambda c: hf.nerve.cell((0, 0, 0), ((0, c), (0,)))
+        try:
+            hf._cell_from_boundary3((mk(0), mk(1), mk(0), mk(0)))
+        except CompatibilityError as exc:
+            print("refused:", exc)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(xnerve.__file__)))
+    res = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["debug False", "refused: boundary tuple fails eq:image"]

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -160,3 +163,52 @@ def test_cli_json_report_is_deterministic(file_z2_z3, tmp_path):
     assert out1.read_text() == out2.read_text()
     payload = json.loads(out1.read_text())
     assert payload["passed"] is True and payload["exit_code"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["homotopy", "--pi", "5"],
+        ["homotopy", "--pi", "1,x"],
+        ["homotopy", "--pi", "1", "--basepoint", "7"],
+        ["kan", "--dims", "x..y"],
+        ["kan", "--dims", "3..1"],
+        ["coskeletal", "--dims", "0..1"],
+    ],
+)
+def test_cli_bad_arguments_end_in_an_error_report(file_z2_z3, tmp_path, capsys, argv):
+    out = tmp_path / "report.json"
+    assert run([argv[0], str(file_z2_z3), *argv[1:], "--json", str(out)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("ERROR (argument): ")
+    assert "Traceback" not in captured.err and captured.out == ""
+    report = json.loads(out.read_text())
+    assert report["exit_code"] == 2 and report["passed"] is False
+    assert report["error"]["kind"] == "argument" and report["error"]["message"]
+
+
+def test_cli_reports_package_errors_without_traceback(tmp_path, capsys):
+    # the exchange law fails, so some 4-cell boundary is not in the kernel
+    path = tmp_path / "broken.json"
+    path.write_text(serialize(from_crossed_monoid(fixtures.broken_exchange())))
+    out = tmp_path / "report.json"
+    assert run(["coskeletal", str(path), "--dims", "4..4", "--json", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["ERROR (error): boundary of a 4-cell escaped the kernel; provider is broken"]
+    report = json.loads(out.read_text())
+    assert report["exit_code"] == 2 and report["error"]["kind"] == "error"
+
+
+def test_python_dash_m_runs_the_cli(file_z2_z3):
+    import xnerve
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(xnerve.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    ok = subprocess.run([sys.executable, "-m", "xnerve", "validate", str(file_z2_z3)],
+                        capture_output=True, text=True, env=env, timeout=60)
+    assert ok.returncode == 0 and "PASS axioms" in ok.stdout
+    bad = subprocess.run([sys.executable, "-m", "xnerve", "homotopy", str(file_z2_z3), "--pi", "5"],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert bad.returncode == 2
+    assert bad.stderr.startswith("ERROR (argument): ") and "Traceback" not in bad.stderr

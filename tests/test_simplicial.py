@@ -1,12 +1,17 @@
 import itertools
+import re
 
 import pytest
 
 from xnerve import fixtures
-from xnerve.errors import CapacityError, NotKanError
+from xnerve.errors import CapacityError, CompatibilityError, NotKanError
 from xnerve.nerve import Nerve
 from xnerve.simplicial import (
     BoundaryTuple,
+    CoskeletalRecord,
+    HornTuple,
+    KanRecord,
+    Levels,
     audit_simplicial,
     beta,
     boundary,
@@ -199,3 +204,184 @@ def test_pi_bruteforce_refuses_non_kan(nv_idempotent):
     with pytest.raises(NotKanError) as err:
         pi_bruteforce(nv_idempotent, 1, nv_idempotent.point(0))
     assert err.value.dim == 3
+
+
+# -- level tables against an object-level reference ------------------------
+
+
+def ref_join(p, n, omitted=None):
+    """Object-level hash join over whole cells: the kernel (``omitted`` None)
+    or the horns without slot ``omitted``, in join order."""
+    lower = list(p.cells(n - 1))
+    slots = [k for k in range(n + 1) if k != omitted]
+    fv = {c: tuple(p.face(c, j) for j in range(n)) if n >= 2 else () for c in lower}
+    partial = [()]
+    for pos, k in enumerate(slots):
+        placed = slots[:pos] if n >= 2 else []
+        index = {}
+        for c in lower:
+            index.setdefault(tuple(fv[c][j] for j in placed), []).append(c)
+        partial = [
+            tup + (c,)
+            for tup in partial
+            for c in index.get(tuple(fv[x][k - 1] for x in tup[: len(placed)]), ())
+        ]
+    return partial
+
+
+def ref_check_kan(p, upto, from_dim=1):
+    records = []
+    for n in range(from_dim, upto + 1):
+        rows = [tuple(p.face(c, j) for j in range(n + 1)) for c in p.cells(n)]
+        for l in range(n + 1):
+            filled = {r[:l] + r[l + 1:] for r in rows}
+            hs = ref_join(p, n, l)
+            bad = [h for h in hs if h not in filled]
+            records.append(KanRecord(n, l, len(hs), len(bad), HornTuple(n, l, bad[0]) if bad else None))
+    return records
+
+
+def ref_check_coskeletal(p, n, upto):
+    records = []
+    for k in range(n + 1, upto + 1):
+        kernel = set(ref_join(p, k))
+        image, inj, count = {}, None, 0
+        for cell in p.cells(k):
+            count += 1
+            other = image.setdefault(tuple(p.face(cell, j) for j in range(k + 1)), cell)
+            if other != cell and inj is None:
+                inj = (other, cell)
+        if image.keys() - kernel:
+            raise CompatibilityError(f"boundary of a {k}-cell escaped the kernel; provider is broken")
+        missing = kernel - image.keys()
+        witness = min(missing, key=lambda t: [f.sort_key() for f in t]) if missing else None
+        records.append(CoskeletalRecord(
+            k, count, len(kernel), inj is None, not missing, inj,
+            BoundaryTuple(witness) if witness else None,
+        ))
+    return records
+
+
+def ref_pi(p, n, basepoint):
+    """Labels, unit and table of the brute-force group: classes merged as
+    plain sets, products found by scanning every (n+1)-cell."""
+    tower = [basepoint]
+    for _ in range(n):
+        tower.append(p.degeneracy(tower[-1], 0))
+    below, level = tower[n - 1], tower[n]
+    members = [c for c in p.cells(n) if all(p.face(c, j) == below for j in range(n + 1))]
+    upper = list(p.cells(n + 1))
+    cls = {c: frozenset([c]) for c in members}
+    for w in upper:
+        if all(p.face(w, j) == level for j in range(n)):
+            y, z = p.face(w, n), p.face(w, n + 1)
+            if y in cls and z in cls:
+                merged = cls[y] | cls[z]
+                for c in merged:
+                    cls[c] = merged
+    rep_of = {c: min(cls[c], key=lambda x: x.sort_key()) for c in members}
+    reps = sorted(set(rep_of.values()), key=lambda x: x.sort_key())
+    index = {r: i for i, r in enumerate(reps)}
+
+    def product(y, z):
+        for w in upper:
+            if (all(p.face(w, j) == level for j in range(n - 1))
+                    and p.face(w, n - 1) == y and p.face(w, n + 1) == z):
+                return p.face(w, n)
+
+    table = tuple(tuple(index[rep_of[product(y, z)]] for z in reps) for y in reps)
+    return tuple(r.text() for r in reps), index[rep_of[level]], table
+
+
+def _corrupted_f4():
+    nv = Nerve(fixtures.z2_with_z3_fiber())
+    victim = list(nv.cells(2))[5]
+    wrong = nv.morphism_cell(1) if nv.face(victim, 0) == nv.morphism_cell(0) else nv.morphism_cell(0)
+    return CorruptedFace(nv, victim, wrong)
+
+
+PROVIDERS = {
+    "F4": lambda: Nerve(fixtures.z2_with_z3_fiber()),
+    "F6": lambda: Nerve(fixtures.z2_with_z3_fiber_twisted()),
+    "pair": lambda: Nerve(fixtures.pair_groupoid_z3()),
+    "idempotent": lambda: Nerve(fixtures.idempotent_fiber()),
+    "corrupted-F4": _corrupted_f4,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROVIDERS))
+def test_level_tables_match_face_and_sort_order(name):
+    p = PROVIDERS[name]()
+    levels = Levels(p)
+    for n in range(4):
+        lv = levels.level(n)
+        assert lv.cells == list(p.cells(n))
+        assert [c.sort_key() for c in lv.cells] == sorted(c.sort_key() for c in lv.cells)
+        assert all(lv.ids[c] == i for i, c in enumerate(lv.cells))
+        if n == 0:
+            assert all(row == () for row in lv.faces)
+            continue
+        below = levels.level(n - 1)
+        for i, c in enumerate(lv.cells):
+            assert lv.faces[i] == tuple(below.ids[p.face(c, j)] for j in range(n + 1))
+        if isinstance(p, Nerve):
+            assert [p.cell_at(n, i) for i in range(len(lv.cells))] == lv.cells
+
+
+def test_corrupted_provider_shows_in_its_table():
+    p = _corrupted_f4()
+    levels = Levels(p)
+    lv = levels.level(2)
+    row = lv.faces[lv.ids[p.victim]]
+    assert levels.level(1).cells[row[0]] == p.replacement
+    assert row[0] != levels.level(1).ids[p.base.face(p.victim, 0)]
+
+
+@pytest.mark.parametrize("name", sorted(PROVIDERS))
+def test_kan_and_coskeletal_records_match_reference(name):
+    p = PROVIDERS[name]()
+    levels = Levels(p)
+    assert list(check_kan(p, upto=3, levels=levels).records) == ref_check_kan(p, 3)
+    try:
+        expected = ref_check_coskeletal(p, 0, 3)
+    except CompatibilityError as exc:
+        with pytest.raises(CompatibilityError, match=re.escape(str(exc))):
+            check_coskeletal(p, 0, 3, levels=levels)
+    else:
+        assert check_coskeletal(p, 0, 3, levels=levels) == expected
+
+
+def test_kan_and_coskeletal_dim4_match_reference():
+    p = PROVIDERS["F6"]()
+    assert list(check_kan(p, upto=4, from_dim=4).records) == ref_check_kan(p, 4, from_dim=4)
+    p = PROVIDERS["F4"]()
+    assert check_coskeletal(p, 3, 4) == ref_check_coskeletal(p, 3, 4)
+
+
+@pytest.mark.parametrize("name,basepoints", [("F4", (0,)), ("F6", (0,)), ("pair", (0, 1))])
+def test_pi_bruteforce_matches_reference(name, basepoints):
+    p = PROVIDERS[name]()
+    levels = Levels(p)
+    for t in basepoints:
+        for n in (1, 2):
+            g = pi_bruteforce(p, n, p.point(t), levels=levels)
+            assert (g.labels, g.unit, g.table) == ref_pi(p, n, p.point(t))
+
+
+def test_kernel_and_horn_lists_match_reference(nv_z2_z3, nv_pair):
+    for p, n in ((nv_z2_z3, 3), (nv_pair, 3), (nv_pair, 1)):
+        assert [t.faces for t in simplicial_kernel(p, n)] == ref_join(p, n)
+        for l in range(n + 1):
+            hs = horns(p, n, l)
+            assert [h.faces for h in hs] == ref_join(p, n, l)
+            assert hs[len(hs) - 1] == list(hs)[-1]
+
+
+def test_level_cap_applies_to_built_levels_and_join_stages(nv_z2_z3):
+    levels = Levels(nv_z2_z3)
+    assert len(levels.level(3).cells) == 216
+    with pytest.raises(CapacityError):
+        levels.level(3, cap=100)
+    with pytest.raises(CapacityError) as err:
+        horns(nv_z2_z3, 3, 0, cap=100, levels=levels)
+    assert "at slot" in str(err.value)
