@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import NotComposableError, StructureError
@@ -24,6 +25,75 @@ Table = tuple[tuple[int, ...], ...]
 
 def _as_table(rows) -> Table:
     return tuple(tuple(int(v) for v in row) for row in rows)
+
+
+def generating_set(table) -> tuple[int, ...]:
+    """Greedy generators of a (partial) multiplication table.
+
+    Takes the smallest id not yet reached as a left-bracketed product
+    ``((g1*g2)*...)*gk`` of the generators taken so far; undefined products
+    (None) are skipped.  Each (element, generator) product is formed once,
+    so this costs O(n*|G|).
+    """
+    reached = [False] * len(table)
+    found: list[int] = []
+    gens: list[int] = []
+    for x in range(len(table)):
+        if reached[x]:
+            continue
+        gens.append(x)
+        todo = [x] + [table[y][x] for y in found]
+        while todo:
+            z = todo.pop()
+            if z is None or reached[z]:
+                continue
+            reached[z] = True
+            found.append(z)
+            row = table[z]
+            todo.extend(row[g] for g in gens)
+    return tuple(gens)
+
+
+def _assoc_on_generators(table, gens) -> bool:
+    """Light's test: ``(a*g)*c == a*(g*c)`` for every generator g.
+
+    The middle elements for which the law holds are closed under products,
+    so checking the generators decides associativity of the whole table.
+    With partial products this needs composites to have the right endpoints
+    (``cat.endpoints``).  Every comparison made is one instance of the law,
+    so a False is always a real failure.
+    """
+    for g in gens:
+        row_g = table[g]
+        cs = [c for c, gc in enumerate(row_g) if gc is not None]
+        pick_c = itemgetter(*cs)
+        pick_gc = itemgetter(*[row_g[c] for c in cs])
+        for row_a in table:
+            ag = row_a[g]
+            if ag is not None and pick_c(table[ag]) != pick_gc(row_a):
+                return False
+    return True
+
+
+def first_nonassociative(table, gens: tuple[int, ...] | None = None) -> tuple[int, int, int] | None:
+    """First ``(a, b, c)`` in ascending order with ``(a*b)*c != a*(b*c)``,
+    over the triples whose inner products are defined; None if there is none.
+
+    With ``gens`` (a generating set that Light's test may rely on) the
+    answer is decided in O(n^2*|G|), and the O(n^3) scan runs only to locate
+    the witness of a failure.
+    """
+    if gens is not None and _assoc_on_generators(table, gens):
+        return None
+    for a, row_a in enumerate(table):
+        for b, ab in enumerate(row_a):
+            if ab is None:
+                continue
+            row_ab = table[ab]
+            for c, bc in enumerate(table[b]):
+                if bc is not None and row_ab[c] != row_a[bc]:
+                    return a, b, c
+    return None
 
 
 @dataclass(frozen=True)
@@ -88,6 +158,10 @@ class FiniteMonoid:
 
     def elements(self) -> range:
         return range(self.size)
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        return generating_set(self.table)
 
     @cached_property
     def inverse(self) -> tuple[int | None, ...]:
@@ -173,6 +247,10 @@ class FiniteCategory:
                 f"cannot compose {a} ({self.src[a]}->{self.tgt[a]}) with {b} ({self.src[b]}->{self.tgt[b]})"
             )
         return v
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        return generating_set(self.compose_table)
 
     def hom(self, src_obj: int, tgt_obj: int) -> tuple[int, ...]:
         """Morphism ids with the given source and target, ascending."""
@@ -287,12 +365,19 @@ class _Collector:
 
 
 def validate_crossed_monoid(xm: CrossedMonoid) -> ValidationReport:
-    """Check every axiom instance; table shapes were enforced at construction.
+    """Decide every axiom; table shapes were enforced at construction.
 
     Rule ids: mon.assoc, mon.unit, cat.assoc, cat.id, act.id, act.comp,
     act.hom, cr1 (boundary typing and multiplicativity), cr2 (equivariance),
     cr3 (the exchange rule ab = b * a^d(b)).  The first witness per rule is
-    reported, scanning ids in ascending order, so runs are reproducible.
+    reported, scanning ids in ascending order, so runs are reproducible.  An
+    instance that runs past a table, because a boundary or a composite has
+    the wrong endpoints, fails its rule.
+
+    The four cubic rules are decided over generating sets (Light's test,
+    and its analogues for the action), each only once the rules it relies
+    on are known to hold; otherwise, and to locate the witness of a
+    failure, the ascending scan over every instance runs.
     """
     cat = xm.cat
     out = _Collector()
@@ -304,48 +389,26 @@ def validate_crossed_monoid(xm: CrossedMonoid) -> ValidationReport:
                 out.hit("mon.unit", (x, a), f"unit not neutral on {a} in fiber {x}")
                 break
         if not out.done("mon.assoc"):
-            for a in mon.elements():
-                for b in mon.elements():
-                    for c in mon.elements():
-                        if t[t[a][b]][c] != t[a][t[b][c]]:
-                            out.hit("mon.assoc", (x, a, b, c), "fiber multiplication not associative")
-                            break
-                    if out.done("mon.assoc"):
-                        break
-                if out.done("mon.assoc"):
-                    break
+            witness = first_nonassociative(t, mon.generators)
+            if witness is not None:
+                out.hit("mon.assoc", (x, *witness), "fiber multiplication not associative")
 
     comp = cat.compose_table
+    bad_endpoints = next(
+        ((a, b) for a in cat.morphisms() for b, v in enumerate(comp[a])
+         if v is not None and (cat.src[v] != cat.src[b] or cat.tgt[v] != cat.tgt[a])),
+        None,
+    )
     for a in cat.morphisms():
         ta, sa = cat.identity[cat.tgt[a]], cat.identity[cat.src[a]]
         if comp[ta][a] != a or comp[a][sa] != a:
             out.hit("cat.id", (a,), "identity morphism not neutral")
             break
-    for a in cat.morphisms():
-        if out.done("cat.assoc"):
-            break
-        for b in cat.morphisms():
-            if comp[a][b] is None:
-                continue
-            if out.done("cat.assoc"):
-                break
-            for c in cat.morphisms():
-                if comp[b][c] is None:
-                    continue
-                if comp[comp[a][b]][c] != comp[a][comp[b][c]]:
-                    out.hit("cat.assoc", (a, b, c), "composition not associative")
-                    break
-    for a in cat.morphisms():
-        ab = comp[a]
-        for b in cat.morphisms():
-            v = ab[b]
-            if v is None:
-                continue
-            if cat.src[v] != cat.src[b] or cat.tgt[v] != cat.tgt[a]:
-                out.hit("cat.endpoints", (a, b), "composite has wrong endpoints")
-                break
-        if out.done("cat.endpoints"):
-            break
+    witness = first_nonassociative(comp, cat.generators if bad_endpoints is None else None)
+    if witness is not None:
+        out.hit("cat.assoc", witness, "composition not associative")
+    if bad_endpoints is not None:
+        out.hit("cat.endpoints", bad_endpoints, "composite has wrong endpoints")
 
     act = xm.action
     for x in cat.objects():
@@ -356,39 +419,45 @@ def validate_crossed_monoid(xm: CrossedMonoid) -> ValidationReport:
                 break
         if out.done("act.id"):
             break
-    for a in cat.morphisms():
-        if out.done("act.comp"):
-            break
-        for b in cat.morphisms():
-            v = comp[a][b]
-            if v is None:
-                continue
-            rows_match = True
-            for m in xm.fibers[cat.tgt[a]].elements():
-                if act[v][m] != act[b][act[a][m]]:
-                    out.hit("act.comp", (a, b, m), "action not functorial on a composite")
-                    rows_match = False
-                    break
-            if not rows_match:
-                break
+    # With an associative category and well-typed composites, the b for
+    # which act(a*b) == act(b) o act(a) holds for every a are closed under
+    # composition, so the category generators decide the rule.
+    comp_gate = bad_endpoints is None and not out.done("cat.assoc") and all(
+        act[v] == tuple(map(act[b].__getitem__, act[a]))
+        for a in cat.morphisms()
+        for b in cat.generators
+        if (v := comp[a][b]) is not None
+    )
+    if not comp_gate:
+        witness = next(
+            ((a, b, m) for a in cat.morphisms() for b, v in enumerate(comp[a]) if v is not None
+             for m in xm.fibers[cat.tgt[a]].elements()
+             # a composite with wrong endpoints may not act on m at all
+             if m >= len(act[v]) or act[v][m] != act[b][act[a][m]]),
+            None,
+        )
+        if witness is not None:
+            out.hit("act.comp", witness, "action not functorial on a composite")
+    # With associative fibers, the b for which f(a*b) == f(a)*f(b) holds for
+    # every a are closed under products, so the fiber generators decide it.
+    hom_gate = not out.done("mon.assoc")
+    columns = [tuple(zip(*f.table)) for f in xm.fibers] if hom_gate else None
     for m in cat.morphisms():
         fib_t = xm.fibers[cat.tgt[m]]
         fib_s = xm.fibers[cat.src[m]]
         row = act[m]
         if row[fib_t.unit] != fib_s.unit:
             out.hit("act.hom", (m, fib_t.unit), "action does not preserve the unit")
-        if out.done("act.hom"):
             break
-        stop = False
-        for a in fib_t.elements():
-            for b in fib_t.elements():
-                if row[fib_t.mul(a, b)] != fib_s.mul(row[a], row[b]):
-                    out.hit("act.hom", (m, a, b), "action not multiplicative")
-                    stop = True
-                    break
-            if stop:
-                break
-        if stop:
+        if hom_gate:
+            cols_t, cols_s = columns[cat.tgt[m]], columns[cat.src[m]]
+            pick = itemgetter(*row)
+            if all(itemgetter(*cols_t[b])(row) == pick(cols_s[row[b]]) for b in fib_t.generators):
+                continue
+        witness = next(((a, b) for a in fib_t.elements() for b in fib_t.elements()
+                        if row[fib_t.mul(a, b)] != fib_s.mul(row[a], row[b])), None)
+        if witness is not None:
+            out.hit("act.hom", (m, *witness), "action not multiplicative")
             break
 
     for x in cat.objects():
@@ -438,8 +507,14 @@ def validate_crossed_monoid(xm: CrossedMonoid) -> ValidationReport:
         stop = False
         for a in mon.elements():
             for b in mon.elements():
-                if mon.mul(a, b) != mon.mul(b, act[drow[b]][a]):
-                    lhs, rhs = mon.mul(a, b), mon.mul(b, act[drow[b]][a])
+                row = act[drow[b]]
+                if a >= len(row) or row[a] >= mon.size:
+                    # d(b) is not an endomorphism of x (see cr1), and a^d(b) is undefined
+                    out.hit("cr3", (x, a, b), f"exchange rule undefined: {drow[b]} does not act on fiber {x}")
+                    stop = True
+                    break
+                if mon.mul(a, b) != mon.mul(b, row[a]):
+                    lhs, rhs = mon.mul(a, b), mon.mul(b, row[a])
                     out.hit("cr3", (x, a, b), f"exchange rule fails: {lhs} != {rhs}")
                     stop = True
                     break
@@ -506,21 +581,14 @@ def classify_structure(xm: CrossedMonoid) -> Classification:
 
     fibers_cancellative = True
     for x, mon in enumerate(xm.fibers):
-        t = mon.table
-        found = None
-        for c in mon.elements():
-            for a in mon.elements():
-                for b in mon.elements():
-                    if a < b and (t[c][a] == t[c][b] or t[a][c] == t[b][c]):
-                        found = (x, c, a, b)
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found:
+        t, n = mon.table, mon.size
+        columns = tuple(zip(*t))
+        c = next((c for c in range(n) if len(set(t[c])) < n or len(set(columns[c])) < n), None)
+        if c is not None:
+            a, b = next((a, b) for a in range(n) for b in range(a + 1, n)
+                        if t[c][a] == t[c][b] or t[a][c] == t[b][c])
             fibers_cancellative = False
-            witnesses.append(("fibers_cancellative", found))
+            witnesses.append(("fibers_cancellative", (x, c, a, b)))
             break
 
     action_injective = True

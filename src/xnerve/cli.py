@@ -8,7 +8,10 @@ homotopy.  Exit codes: 0 all requested checks pass, 1 structural error in
 the input, 2 a property fails, an operation refuses (a witness is reported)
 or an argument is out of range, 3 an enumeration exceeded the cell budget.
 Every error ends in one ``ERROR (kind): ...`` line on stderr and an
-``error`` block in the JSON report.
+``error`` block in the JSON report.  The commands that work on the nerve
+validate their input first: an input that fails the axioms gets the failed
+``axioms`` check in front of its report (or under ``axioms`` beside an
+error) and exit code 2.
 """
 
 from __future__ import annotations
@@ -67,21 +70,23 @@ def _report_lines(checks: list[dict]) -> list[str]:
     return lines
 
 
-def cmd_validate(xm, args) -> tuple[int, list[dict]]:
+def _axioms_check(xm) -> dict:
     report = validate_crossed_monoid(xm)
-    checks = [
-        {
-            "label": "axioms",
-            "passed": report.passed,
-            "detail": "all axiom instances hold"
-            if report.passed
-            else "; ".join(f"{v.axiom} witness {v.witness} ({v.detail})" for v in report.violations),
-            "violations": [
-                {"axiom": v.axiom, "witness": list(v.witness), "detail": v.detail} for v in report.violations
-            ],
-        }
-    ]
-    return (EXIT_OK if report.passed else EXIT_PROPERTY), checks
+    return {
+        "label": "axioms",
+        "passed": report.passed,
+        "detail": "all axiom instances hold"
+        if report.passed
+        else "; ".join(f"{v.axiom} witness {v.witness} ({v.detail})" for v in report.violations),
+        "violations": [
+            {"axiom": v.axiom, "witness": list(v.witness), "detail": v.detail} for v in report.violations
+        ],
+    }
+
+
+def cmd_validate(xm, args) -> tuple[int, list[dict]]:
+    check = _axioms_check(xm)
+    return (EXIT_OK if check["passed"] else EXIT_PROPERTY), [check]
 
 
 def cmd_classify(xm, args) -> tuple[int, list[dict]]:
@@ -257,6 +262,10 @@ def cmd_homotopy(xm, args) -> tuple[int, list[dict]]:
     return (EXIT_OK if ok else EXIT_PROPERTY), checks
 
 
+# Commands that run on the nerve: each validates its input first, and on an
+# input that fails the axioms reports the failed ``axioms`` check up front.
+_NERVE_COMMANDS = frozenset({"enumerate", "audit", "coskeletal", "kan", "fill", "homotopy"})
+
 _COMMANDS = {
     "validate": cmd_validate,
     "classify": cmd_classify,
@@ -286,11 +295,18 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     report: dict = {"tool": "xnerve", "command": args.command, "input": args.file}
+    failed_axioms = None
     try:
         with open(args.file, "rb") as fh:
             doc = parse_input(fh.read())
         xm = to_crossed_monoid(doc)
+        if args.command in _NERVE_COMMANDS:
+            check = _axioms_check(xm)
+            if not check["passed"]:
+                failed_axioms = check
         code, checks = _COMMANDS[args.command](xm, args)
+        if failed_axioms is not None:
+            code, checks = EXIT_PROPERTY, [failed_axioms, *checks]
     except FileNotFoundError:
         report.update(passed=False, exit_code=EXIT_STRUCTURAL, error={"kind": "io", "message": f"no such file: {args.file}"})
         code, checks = EXIT_STRUCTURAL, None
@@ -318,6 +334,9 @@ def run(argv: list[str] | None = None) -> int:
         for line in _report_lines(checks):
             print(line)
     else:
+        if failed_axioms is not None:
+            report["axioms"] = failed_axioms
+            print(_report_lines([failed_axioms])[0])
         err = report["error"]
         print(f"ERROR ({err['kind']}): " + err.get("message", json.dumps(err)), file=sys.stderr)
     if args.json_out:

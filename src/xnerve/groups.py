@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .algebra import first_nonassociative, generating_set
 from .errors import StructureError
 
 
@@ -33,11 +34,9 @@ class GroupPresentation:
         for a in range(n):
             if t[self.unit][a] != a or t[a][self.unit] != a:
                 raise StructureError(f"unit not neutral on {a}")
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    if t[t[a][b]][c] != t[a][t[b][c]]:
-                        raise StructureError(f"not associative at ({a},{b},{c})")
+        bad = first_nonassociative(t, generating_set(t))
+        if bad is not None:
+            raise StructureError("not associative at ({},{},{})".format(*bad))
         for a in range(n):
             if all(t[a][b] != self.unit or t[b][a] != self.unit for b in range(n)):
                 raise StructureError(f"element {a} has no inverse")

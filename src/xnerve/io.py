@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 from .algebra import CrossedMonoid, FiniteCategory, FiniteMonoid
 from .errors import StructureError
@@ -77,6 +78,47 @@ def _expect_dict(v, path: str) -> dict:
     if not isinstance(v, dict):
         _fail(path, f"expected an object, found {type(v).__name__}")
     return v
+
+
+def _all_ints(values) -> bool:
+    """Every value is a JSON integer; ``type(v) is int`` also rejects bools."""
+    return set(map(type, values)) <= {int}
+
+
+def _int_row(row, prefix: str, r: int) -> tuple[int, ...]:
+    """The array at ``prefix[r]`` as a tuple of integers.
+
+    The whole row is checked at once; JSON paths are formatted only when it
+    fails, by the per-entry check that names the first bad entry.
+    """
+    if type(row) is list and _all_ints(row):
+        return tuple(row)
+    path = f"{prefix}[{r}]"
+    return tuple(_expect_int(v, f"{path}[{c}]") for c, v in enumerate(_expect_list(row, path)))
+
+
+def _compose_triples(entries: list, num_morphisms: int) -> list[tuple[int, int, int]]:
+    """``$.compose`` as checked triples of morphism ids.
+
+    The whole list is checked at once; only when that fails does the
+    per-triple check run, which raises with the path of the first bad one.
+    """
+    if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {3}:
+        flat = list(chain.from_iterable(entries))
+        if _all_ints(flat) and (not flat or 0 <= min(flat) and max(flat) < num_morphisms):
+            return list(map(tuple, entries))
+    compose = []
+    for i, entry in enumerate(entries):
+        path = f"$.compose[{i}]"
+        trip = _expect_list(entry, path)
+        if len(trip) != 3:
+            _fail(path, f"expected a triple, found {len(trip)} entries")
+        a, b, c = (_expect_int(v, f"{path}[{k}]") for k, v in enumerate(trip))
+        for v in (a, b, c):
+            if not 0 <= v < num_morphisms:
+                _fail(path, f"morphism {v} does not exist")
+        compose.append((a, b, c))
+    return compose
 
 
 def _dense_keyed(d: dict, count: int, path: str) -> list:
@@ -152,18 +194,7 @@ def parse_input(data: bytes | str) -> InputDocument:
         if not 0 <= m < num_morphisms:
             _fail(f"$.identity[{x}]", f"morphism {m} does not exist")
 
-    compose_raw = _expect_list(root["compose"], "$.compose")
-    compose: list[tuple[int, int, int]] = []
-    for i, entry in enumerate(compose_raw):
-        path = f"$.compose[{i}]"
-        trip = _expect_list(entry, path)
-        if len(trip) != 3:
-            _fail(path, f"expected a triple, found {len(trip)} entries")
-        a, b, c = (_expect_int(v, f"{path}[{k}]") for k, v in enumerate(trip))
-        for v in (a, b, c):
-            if not 0 <= v < num_morphisms:
-                _fail(path, f"morphism {v} does not exist")
-        compose.append((a, b, c))
+    compose = _compose_triples(_expect_list(root["compose"], "$.compose"), num_morphisms)
 
     monoid_raw = _dense_keyed(_expect_dict(root["monoids"], "$.monoids"), num_objects, "$.monoids")
     monoids: list[MonoidEntry] = []
@@ -178,23 +209,14 @@ def parse_input(data: bytes | str) -> InputDocument:
             _fail(path + ".elements", "element ids must be exactly 0..k-1 in order")
         unit = _expect_int(e["unit"], path + ".unit")
         mul_rows = _expect_list(e["mul"], path + ".mul")
-        mul = tuple(
-            tuple(_expect_int(v, f"{path}.mul[{r}][{c}]") for c, v in enumerate(_expect_list(row, f"{path}.mul[{r}]")))
-            for r, row in enumerate(mul_rows)
-        )
+        mul = tuple(_int_row(row, path + ".mul", r) for r, row in enumerate(mul_rows))
         monoids.append(MonoidEntry(elements, unit, mul))
 
     action_raw = _dense_keyed(_expect_dict(root["action"], "$.action"), num_morphisms, "$.action")
-    action = tuple(
-        tuple(_expect_int(v, f"$.action[{m}][{i}]") for i, v in enumerate(_expect_list(row, f"$.action[{m}]")))
-        for m, row in enumerate(action_raw)
-    )
+    action = tuple(_int_row(row, "$.action", m) for m, row in enumerate(action_raw))
 
     boundary_raw = _dense_keyed(_expect_dict(root["boundary"], "$.boundary"), num_objects, "$.boundary")
-    boundary = tuple(
-        tuple(_expect_int(v, f"$.boundary[{x}][{i}]") for i, v in enumerate(_expect_list(row, f"$.boundary[{x}]")))
-        for x, row in enumerate(boundary_raw)
-    )
+    boundary = tuple(_int_row(row, "$.boundary", x) for x, row in enumerate(boundary_raw))
 
     metadata = root.get("metadata")
     if metadata is not None:

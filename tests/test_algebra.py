@@ -1,17 +1,25 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xnerve import fixtures
 from xnerve.algebra import (
+    Classification,
     CrossedMonoid,
     FiniteCategory,
     FiniteMonoid,
+    Violation,
     XMorphism,
+    _Collector,
     classify_structure,
+    generating_set,
     identity_xmorphism,
     validate_crossed_monoid,
     validate_xmorphism,
 )
 from xnerve.errors import NotComposableError, StructureError
+from xnerve.groups import GroupPresentation
 
 
 def test_monoid_shape_errors():
@@ -185,3 +193,463 @@ def test_crossed_monoid_shape_errors():
         CrossedMonoid(cat=cat, fibers=(z3,), action=((0, 1, 2), (0, 1)), boundary=((0, 0, 0),))  # action row short
     with pytest.raises(StructureError):
         CrossedMonoid(cat=cat, fibers=(z3,), action=((0, 1, 2), (0, 1, 2)), boundary=((0, 0, 7),))  # dangling morphism
+
+
+# -- full-scan references ---------------------------------------------------
+# The validator, the classifier and GroupPresentation.verify as they were
+# before the generator-reduced scans: every instance of every rule, in
+# ascending order.  The fast versions must agree with them exactly.
+
+
+def ref_validate(xm: CrossedMonoid):
+    cat = xm.cat
+    out = _Collector()
+
+    for x, mon in enumerate(xm.fibers):
+        t = mon.table
+        for a in mon.elements():
+            if t[mon.unit][a] != a or t[a][mon.unit] != a:
+                out.hit("mon.unit", (x, a), f"unit not neutral on {a} in fiber {x}")
+                break
+        if not out.done("mon.assoc"):
+            for a in mon.elements():
+                for b in mon.elements():
+                    for c in mon.elements():
+                        if t[t[a][b]][c] != t[a][t[b][c]]:
+                            out.hit("mon.assoc", (x, a, b, c), "fiber multiplication not associative")
+                            break
+                    if out.done("mon.assoc"):
+                        break
+                if out.done("mon.assoc"):
+                    break
+
+    comp = cat.compose_table
+    for a in cat.morphisms():
+        ta, sa = cat.identity[cat.tgt[a]], cat.identity[cat.src[a]]
+        if comp[ta][a] != a or comp[a][sa] != a:
+            out.hit("cat.id", (a,), "identity morphism not neutral")
+            break
+    for a in cat.morphisms():
+        if out.done("cat.assoc"):
+            break
+        for b in cat.morphisms():
+            if comp[a][b] is None:
+                continue
+            if out.done("cat.assoc"):
+                break
+            for c in cat.morphisms():
+                if comp[b][c] is None:
+                    continue
+                if comp[comp[a][b]][c] != comp[a][comp[b][c]]:
+                    out.hit("cat.assoc", (a, b, c), "composition not associative")
+                    break
+    for a in cat.morphisms():
+        ab = comp[a]
+        for b in cat.morphisms():
+            v = ab[b]
+            if v is None:
+                continue
+            if cat.src[v] != cat.src[b] or cat.tgt[v] != cat.tgt[a]:
+                out.hit("cat.endpoints", (a, b), "composite has wrong endpoints")
+                break
+        if out.done("cat.endpoints"):
+            break
+
+    act = xm.action
+    for x in cat.objects():
+        e = cat.identity[x]
+        for a in xm.fibers[x].elements():
+            if act[e][a] != a:
+                out.hit("act.id", (x, a), "identity morphism must act trivially")
+                break
+        if out.done("act.id"):
+            break
+    for a in cat.morphisms():
+        if out.done("act.comp"):
+            break
+        for b in cat.morphisms():
+            v = comp[a][b]
+            if v is None:
+                continue
+            rows_match = True
+            for m in xm.fibers[cat.tgt[a]].elements():
+                if act[v][m] != act[b][act[a][m]]:
+                    out.hit("act.comp", (a, b, m), "action not functorial on a composite")
+                    rows_match = False
+                    break
+            if not rows_match:
+                break
+    for m in cat.morphisms():
+        fib_t = xm.fibers[cat.tgt[m]]
+        fib_s = xm.fibers[cat.src[m]]
+        row = act[m]
+        if row[fib_t.unit] != fib_s.unit:
+            out.hit("act.hom", (m, fib_t.unit), "action does not preserve the unit")
+        if out.done("act.hom"):
+            break
+        stop = False
+        for a in fib_t.elements():
+            for b in fib_t.elements():
+                if row[fib_t.mul(a, b)] != fib_s.mul(row[a], row[b]):
+                    out.hit("act.hom", (m, a, b), "action not multiplicative")
+                    stop = True
+                    break
+            if stop:
+                break
+        if stop:
+            break
+
+    for x in cat.objects():
+        mon = xm.fibers[x]
+        drow = xm.boundary[x]
+        one = cat.identity[x]
+        for a in mon.elements():
+            d = drow[a]
+            if cat.src[d] != x or cat.tgt[d] != x:
+                out.hit("cr1", (x, a), f"boundary of {a} is not an endomorphism of {x}")
+                break
+        if drow[mon.unit] != one and not out.done("cr1"):
+            out.hit("cr1", (x, mon.unit), "boundary of the unit is not the identity")
+        if not out.done("cr1"):
+            stop = False
+            for a in mon.elements():
+                for b in mon.elements():
+                    lhs = drow[mon.mul(a, b)]
+                    rhs = comp[drow[a]][drow[b]]
+                    if rhs is None or lhs != rhs:
+                        out.hit("cr1", (x, a, b), "boundary not multiplicative")
+                        stop = True
+                        break
+                if stop:
+                    break
+        if out.done("cr1"):
+            break
+
+    for m in cat.morphisms():
+        s, t = cat.src[m], cat.tgt[m]
+        dmrow_s = xm.boundary[s]
+        dmrow_t = xm.boundary[t]
+        stop = False
+        for a in xm.fibers[t].elements():
+            lhs = comp[m][dmrow_s[act[m][a]]]
+            rhs = comp[dmrow_t[a]][m]
+            if lhs is None or rhs is None or lhs != rhs:
+                out.hit("cr2", (m, a), "equivariance fails")
+                stop = True
+                break
+        if stop:
+            break
+
+    for x in cat.objects():
+        mon = xm.fibers[x]
+        drow = xm.boundary[x]
+        stop = False
+        for a in mon.elements():
+            for b in mon.elements():
+                if mon.mul(a, b) != mon.mul(b, act[drow[b]][a]):
+                    lhs, rhs = mon.mul(a, b), mon.mul(b, act[drow[b]][a])
+                    out.hit("cr3", (x, a, b), f"exchange rule fails: {lhs} != {rhs}")
+                    stop = True
+                    break
+            if stop:
+                break
+        if stop:
+            break
+
+    return out.report()
+
+
+def ref_classify(xm: CrossedMonoid) -> Classification:
+    cat = xm.cat
+    witnesses = []
+
+    is_groupoid = True
+    for m, inv in enumerate(cat.morphism_inverse):
+        if inv is None:
+            is_groupoid = False
+            witnesses.append(("category_is_groupoid", (m,)))
+            break
+
+    fibers_are_groups = True
+    for x, mon in enumerate(xm.fibers):
+        bad = next((a for a, i in enumerate(mon.inverse) if i is None), None)
+        if bad is not None:
+            fibers_are_groups = False
+            witnesses.append(("fibers_are_groups", (x, bad)))
+            break
+
+    fibers_cancellative = True
+    for x, mon in enumerate(xm.fibers):
+        t = mon.table
+        found = None
+        for c in mon.elements():
+            for a in mon.elements():
+                for b in mon.elements():
+                    if a < b and (t[c][a] == t[c][b] or t[a][c] == t[b][c]):
+                        found = (x, c, a, b)
+                        break
+                if found:
+                    break
+            if found:
+                break
+        if found:
+            fibers_cancellative = False
+            witnesses.append(("fibers_cancellative", found))
+            break
+
+    action_injective = True
+    for m in cat.morphisms():
+        row = xm.action[m]
+        seen = {}
+        for a, v in enumerate(row):
+            if v in seen:
+                action_injective = False
+                witnesses.append(("action_injective", (m, seen[v], a)))
+                break
+            seen[v] = a
+        if not action_injective:
+            break
+
+    return Classification(
+        is_groupoid=is_groupoid,
+        fibers_are_groups=fibers_are_groups,
+        fibers_cancellative=fibers_cancellative,
+        action_injective=action_injective,
+        witnesses=tuple(witnesses),
+    )
+
+
+def ref_group_verify(g: GroupPresentation) -> None:
+    n = g.order
+    if len(g.table) != n or any(len(r) != n for r in g.table):
+        raise StructureError("group table is not square")
+    if any(not 0 <= v < n for r in g.table for v in r):
+        raise StructureError("group table entry out of range")
+    t = g.table
+    for a in range(n):
+        if t[g.unit][a] != a or t[a][g.unit] != a:
+            raise StructureError(f"unit not neutral on {a}")
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if t[t[a][b]][c] != t[a][t[b][c]]:
+                    raise StructureError(f"not associative at ({a},{b},{c})")
+    for a in range(n):
+        if all(t[a][b] != g.unit or t[b][a] != g.unit for b in range(n)):
+            raise StructureError(f"element {a} has no inverse")
+
+
+# -- structures beyond the fixtures -------------------------------------------
+
+
+def permutation_module(n: int, even_fiber: bool) -> CrossedMonoid:
+    """N -> S_n with the conjugation action a^g = g^-1 a g and the inclusion
+    as boundary; N is S_n itself or the alternating group A_n."""
+    group = list(itertools.permutations(range(n)))
+    g_index = {p: i for i, p in enumerate(group)}
+
+    def compose(p, q):
+        return tuple(p[i] for i in q)
+
+    def inverse(p):
+        return tuple(sorted(range(n), key=p.__getitem__))
+
+    def even(p):
+        return sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n)) % 2 == 0
+
+    normal = [p for p in group if even(p)] if even_fiber else group
+    n_index = {p: i for i, p in enumerate(normal)}
+    unit = tuple(range(n))
+    cat = FiniteCategory(1, (0,) * len(group), (0,) * len(group), (g_index[unit],),
+                         tuple(tuple(g_index[compose(a, b)] for b in group) for a in group))
+    fiber = FiniteMonoid(len(normal), n_index[unit],
+                         tuple(tuple(n_index[compose(a, b)] for b in normal) for a in normal))
+    action = tuple(tuple(n_index[compose(compose(inverse(g), a), g)] for a in normal) for g in group)
+    return CrossedMonoid(cat, (fiber,), action, (tuple(g_index[a] for a in normal),))
+
+
+def null_monoid_with_unit(n: int) -> FiniteMonoid:
+    """Unit 0, zero 1 and elements 2..n-1, where every product of two
+    non-units is the zero: every generating set needs the unit and 2..n-1,
+    and the greedy one also takes the zero, which precedes them."""
+    return FiniteMonoid(n, 0, tuple(tuple(b if a == 0 else a if b == 0 else 1 for b in range(n))
+                                    for a in range(n)))
+
+
+STRUCTURES = {
+    **{build.__name__: build for build in (
+        fixtures.trivial_point, fixtures.group_z2, fixtures.z3_fiber_only, fixtures.z2_with_z3_fiber,
+        fixtures.z2_with_z3_fiber_twisted, fixtures.idempotent_fiber, fixtures.broken_exchange,
+        fixtures.z3_identity_boundary, fixtures.idempotent_endo_category, fixtures.pair_groupoid_z3,
+        fixtures.empty_crossed_monoid,
+    )},
+    "s3_s3": lambda: permutation_module(3, even_fiber=False),
+    "s4_s4": lambda: permutation_module(4, even_fiber=False),
+    "a4_s4": lambda: permutation_module(4, even_fiber=True),
+    "null_with_unit": lambda: fixtures.one_object_crossed_monoid(
+        fixtures.idempotent_pair_monoid(), null_monoid_with_unit(7)),
+    "union_f6_idempotent": lambda: fixtures.disjoint_union(
+        fixtures.z2_with_z3_fiber_twisted(), fixtures.idempotent_fiber()),
+}
+BUILT = {name: build() for name, build in STRUCTURES.items()}
+
+
+def _group_verdict(g: GroupPresentation, verify) -> str | None:
+    try:
+        verify(g)
+    except StructureError as exc:
+        return str(exc)
+    return None
+
+
+def assert_matches_reference(xm: CrossedMonoid) -> None:
+    try:
+        expected = ref_validate(xm)
+    except IndexError:
+        # The full scans evaluate a^d(b) and act(a*b) even where a boundary or
+        # a composite has the wrong endpoints, and crash when that runs past
+        # a table.  The validator must report such an input instead.
+        axioms = validate_crossed_monoid(xm).axioms()
+        assert "cr1" in axioms or "cat.endpoints" in axioms, axioms
+        assert "cr3" in axioms or "act.comp" in axioms, axioms
+    else:
+        assert validate_crossed_monoid(xm) == expected
+    assert classify_structure(xm) == ref_classify(xm)
+    for mon in xm.fibers:
+        g = GroupPresentation(tuple(map(str, mon.elements())), mon.unit, mon.table)
+        assert _group_verdict(g, GroupPresentation.verify) == _group_verdict(g, ref_group_verify)
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURES))
+def test_fast_scans_match_reference_on_every_structure(name):
+    assert_matches_reference(BUILT[name])
+
+
+def _closure(table, gens):
+    reached, todo = set(), list(gens)
+    while todo:
+        z = todo.pop()
+        if z is not None and z not in reached:
+            reached.add(z)
+            todo.extend(table[z][g] for g in gens)
+    return reached
+
+
+@pytest.mark.parametrize("name", ["s4_s4", "a4_s4", "pair_groupoid_z3", "null_with_unit", "idempotent_endo_category"])
+def test_generating_sets_generate(name):
+    xm = BUILT[name]
+    for table, gens in [(f.table, f.generators) for f in xm.fibers] + [(xm.cat.compose_table, xm.cat.generators)]:
+        assert gens == generating_set(table) and list(gens) == sorted(gens)
+        assert _closure(table, gens) == set(range(len(table)))
+        # greedy: no generator is reached from the ones before it
+        assert all(g not in _closure(table, gens[:i]) for i, g in enumerate(gens))
+
+
+def test_worst_case_needs_every_element_as_a_generator():
+    assert null_monoid_with_unit(7).generators == tuple(range(7))
+    assert validate_crossed_monoid(BUILT["null_with_unit"]).passed
+
+
+def _replace(rows, i, j, value):
+    rows = [list(r) for r in rows]
+    rows[i][j] = value
+    return tuple(tuple(r) for r in rows)
+
+
+def _corruption_sites(xm: CrossedMonoid) -> dict:
+    """Per table kind, every entry that has at least one other allowed value,
+    with those values.  Composites are only moved within their hom-set."""
+    cat = xm.cat
+    sites = {
+        "mul": [(x, a, b, [v for v in f.elements() if v != f.table[a][b]])
+                for x, f in enumerate(xm.fibers) for a in f.elements() for b in f.elements()],
+        "compose": [(a, b, [v for v in cat.hom(cat.src[b], cat.tgt[a]) if v != c])
+                    for a in cat.morphisms() for b, c in enumerate(cat.compose_table[a]) if c is not None],
+        "action": [(m, a, [v for v in xm.fibers[cat.src[m]].elements() if v != xm.action[m][a]])
+                   for m in cat.morphisms() for a in range(len(xm.action[m]))],
+        "boundary": [(x, a, [v for v in cat.morphisms() if v != xm.boundary[x][a]])
+                     for x in cat.objects() for a in xm.fibers[x].elements()],
+    }
+    return {kind: [s for s in entries if s[-1]] for kind, entries in sites.items() if any(s[-1] for s in entries)}
+
+
+def _corrupt(xm: CrossedMonoid, kind: str, site: tuple, value: int) -> CrossedMonoid:
+    cat, fibers, action, boundary = xm.cat, xm.fibers, xm.action, xm.boundary
+    if kind == "mul":
+        x, a, b = site
+        f = fibers[x]
+        fibers = fibers[:x] + (FiniteMonoid(f.size, f.unit, _replace(f.table, a, b, value)),) + fibers[x + 1:]
+    elif kind == "compose":
+        a, b = site
+        cat = FiniteCategory(cat.num_objects, cat.src, cat.tgt, cat.identity,
+                             _replace(cat.compose_table, a, b, value))
+    elif kind == "action":
+        action = _replace(action, *site, value)
+    else:
+        boundary = _replace(boundary, *site, value)
+    return CrossedMonoid(cat, fibers, action, boundary)
+
+
+SITES = {name: _corruption_sites(xm) for name, xm in BUILT.items()}
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.data())
+def test_fast_scans_match_reference_on_single_entry_corruptions(data):
+    name = data.draw(st.sampled_from(sorted(n for n in SITES if SITES[n])), label="structure")
+    kind = data.draw(st.sampled_from(sorted(SITES[name])), label="kind")
+    *site, values = data.draw(st.sampled_from(SITES[name][kind]), label="site")
+    value = data.draw(st.sampled_from(values), label="value")
+    assert_matches_reference(_corrupt(BUILT[name], kind, tuple(site), value))
+
+
+@pytest.mark.parametrize("kind", ["mul", "compose"])
+def test_every_single_entry_corruption_of_s3_matches_reference(kind):
+    # exhaustive on S3 -> S3: most of these break mon.assoc or cat.assoc, so
+    # act.hom and act.comp take their full-scan fallbacks
+    s3 = BUILT["s3_s3"]
+    seen = set()
+    for *site, values in SITES["s3_s3"][kind]:
+        for value in values:
+            xm = _corrupt(s3, kind, tuple(site), value)
+            assert_matches_reference(xm)
+            seen.update(validate_crossed_monoid(xm).axioms())
+    assert {"mul": "mon.assoc", "compose": "cat.assoc"}[kind] in seen
+
+
+@pytest.mark.parametrize("name", ["pair_groupoid_z3", "union_f6_idempotent"])
+def test_every_composite_moved_across_hom_sets_matches_reference(name):
+    # cat.endpoints fails, so cat.assoc and act.comp take their full scans
+    xm0 = BUILT[name]
+    cat = xm0.cat
+    seen = set()
+    for a, b in itertools.product(cat.morphisms(), repeat=2):
+        c = cat.compose_table[a][b]
+        for value in () if c is None else set(cat.morphisms()) - {c}:
+            xm = _corrupt(xm0, "compose", (a, b), value)
+            assert_matches_reference(xm)
+            seen.update(validate_crossed_monoid(xm).axioms())
+    assert {"cat.endpoints", "cat.assoc"} <= seen
+
+
+def test_ill_typed_boundary_or_composite_is_reported_not_raised():
+    union = BUILT["union_f6_idempotent"]  # fibers of sizes 3 and 2
+    boundary = _corrupt(union, "boundary", (0, 0), 2)  # d(0) is the other object's identity
+    assert ref_validate_raises(boundary)
+    report = validate_crossed_monoid(boundary)
+    assert report.find("cr1").witness == (0, 0)
+    assert report.find("cr3") == Violation("cr3", (0, 2, 0), "exchange rule undefined: 2 does not act on fiber 0")
+    composite = _corrupt(union, "compose", (1, 1), 2)  # g*g lands on the other object
+    assert ref_validate_raises(composite)
+    report = validate_crossed_monoid(composite)
+    assert report.find("cat.endpoints").witness == (1, 1)
+    assert report.find("act.comp").witness == (1, 1, 2)
+
+
+def ref_validate_raises(xm: CrossedMonoid) -> bool:
+    try:
+        ref_validate(xm)
+    except IndexError:
+        return True
+    return False
+

@@ -82,6 +82,35 @@ def test_partial_compose_list_is_structural(doc_z2_z3):
         to_crossed_monoid(parse_input(json.dumps(raw)))
 
 
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda raw: raw["monoids"]["0"]["mul"][1].__setitem__(2, True),
+         "$.monoids[0].mul[1][2]: expected an integer, found bool"),
+        (lambda raw: raw["monoids"]["0"]["mul"].__setitem__(2, 7),
+         "$.monoids[0].mul[2]: expected an array, found int"),
+        (lambda raw: raw["action"]["1"].__setitem__(0, 1.0),
+         "$.action[1][0]: expected an integer, found float"),
+        (lambda raw: raw["boundary"]["0"].__setitem__(2, "1"),
+         "$.boundary[0][2]: expected an integer, found str"),
+        (lambda raw: raw["compose"][3].append(0),
+         "$.compose[3]: expected a triple, found 4 entries"),
+        (lambda raw: raw["compose"][2].__setitem__(1, None),
+         "$.compose[2][1]: expected an integer, found NoneType"),
+        (lambda raw: raw["compose"][1].__setitem__(2, 2),
+         "$.compose[1]: morphism 2 does not exist"),
+        (lambda raw: raw["compose"].__setitem__(0, {"a": 0}),
+         "$.compose[0]: expected an array, found dict"),
+    ],
+)
+def test_bad_table_entries_name_their_json_path(doc_z2_z3, corrupt, message):
+    raw = json.loads(serialize(doc_z2_z3))
+    corrupt(raw)
+    with pytest.raises(StructureError) as err:
+        parse_input(json.dumps(raw))
+    assert str(err.value) == message
+
+
 def test_invalid_json_is_structural():
     with pytest.raises(StructureError):
         parse_input(b"{not json")
@@ -212,3 +241,47 @@ def test_python_dash_m_runs_the_cli(file_z2_z3):
                          capture_output=True, text=True, env=env, timeout=60)
     assert bad.returncode == 2
     assert bad.stderr.startswith("ERROR (argument): ") and "Traceback" not in bad.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kan", "--dims", "1..3"],
+        ["audit", "--dims", "0..3"],
+        ["enumerate", "--dims", "0..2"],
+        ["homotopy", "--pi", "0"],
+    ],
+)
+def test_nerve_commands_flag_inputs_that_fail_the_axioms(tmp_path, capsys, argv):
+    path = tmp_path / "broken.json"
+    path.write_text(serialize(from_crossed_monoid(fixtures.broken_exchange())))
+    out = tmp_path / "report.json"
+    assert run([argv[0], str(path), *argv[1:], "--json", str(out)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "FAIL axioms: cr3 witness (0, 1, 1) (exchange rule fails: 2 != 0)"
+    report = json.loads(out.read_text())
+    assert report["exit_code"] == 2 and report["passed"] is False
+    assert report["checks"][0]["label"] == "axioms"
+    assert [v["axiom"] for v in report["checks"][0]["violations"]] == ["cr3"]
+    assert len(report["checks"]) == len(lines)
+
+
+def test_failing_axioms_are_reported_beside_a_command_error(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text(serialize(from_crossed_monoid(fixtures.broken_exchange())))
+    out = tmp_path / "report.json"
+    assert run(["fill", str(path), "--dims", "2..4", "--max-cells", "300", "--json", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["ERROR (error): tuple is not a horn: faces do not match up"]
+    assert captured.out.startswith("FAIL axioms: cr3 ")
+    report = json.loads(out.read_text())
+    assert report["error"]["kind"] == "error" and "checks" not in report
+    assert report["axioms"]["passed"] is False and report["axioms"]["violations"][0]["axiom"] == "cr3"
+
+
+def test_nerve_commands_on_valid_input_add_no_axioms_check(file_z2_z3, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run(["kan", str(file_z2_z3), "--dims", "1..2", "--json", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert "axioms" not in report
+    assert [c["label"] for c in report["checks"]][:1] == ["horn-fillable[1,0]"]
