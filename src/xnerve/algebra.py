@@ -18,7 +18,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Iterable
 
-from .errors import NotComposableError, StructureError
+from .errors import NotComposableError, NotCrossedModuleError, StructureError
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -553,6 +553,15 @@ class Classification:
             if not ok:
                 return name, found.get(name, ())
         return None
+
+    def require_module(self) -> "Classification":
+        """Raise NotCrossedModuleError naming the first failed hypothesis and
+        its witness; returns ``self`` when the structure is a crossed
+        module."""
+        failed = self.failed_module_hypothesis()
+        if failed is not None:
+            raise NotCrossedModuleError(*failed)
+        return self
 
 
 def classify_structure(xm: CrossedMonoid) -> Classification:

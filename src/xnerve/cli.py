@@ -217,7 +217,7 @@ def cmd_homotopy(xm, args) -> tuple[int, list[dict]]:
     if any(n > 0 for n in wanted):
         if not 0 <= t < xm.cat.num_objects:
             raise ArgumentError(f"--basepoint {t} is not an object id (0..{xm.cat.num_objects - 1})")
-        cls = classify_structure(xm)
+        cls = classify_structure(xm).require_module()
         levels = S.Levels(Nerve(xm))
     checks = []
     ok = True

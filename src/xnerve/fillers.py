@@ -1,10 +1,12 @@
 """Constructive horn fillers for crossed-module nerves.
 
-Dimension 2 fills by groupoid inverses with a unit corner, dimension 3 by
-reconstructing the missing face (its diagonal is forced by the given faces,
-its corner is solved out of the boundary-image equation), dimensions 4 and
-up by collapsing the horn one level, rebuilding the missing face from that
-boundary, and reassembling through the corner bijection.
+Dimension 2 fills by groupoid inverses with a unit corner.  Every dimension
+n >= 3 takes one path: collapse the horn one level with ``beta``, rebuild
+the missing face from that boundary, and reassemble the filler through the
+corner bijection.  For n >= 4 the missing face is itself rebuilt through
+the corner bijection; for n = 3 it is a 2-cell whose diagonal is the
+boundary's outer edges and whose corner is solved out of the
+boundary-image equation.
 
 The boundary-image equation for a compatible 4-tuple (M0, M1, M2, M3) of
 2-cells reads, with g the lower diagonal of M3 and c_j the corner of M_j:
@@ -71,12 +73,8 @@ class HornFiller:
     """
 
     def __init__(self, xm: CrossedMonoid, classification: Classification | None = None):
-        cls = classification if classification is not None else classify_structure(xm)
-        failed = cls.failed_module_hypothesis()
-        if failed is not None:
-            raise NotCrossedModuleError(failed[0], failed[1])
         self.xm = xm
-        self.classification = cls
+        self.classification = (classification or classify_structure(xm)).require_module()
         self.nerve = Nerve(xm)
         self.mor_inv = tuple(xm.cat.morphism_inverse)
         self.fiber_inv = tuple(f.inverse for f in xm.fibers)
@@ -97,9 +95,6 @@ class HornFiller:
         if v is None:
             raise NotCrossedModuleError("fibers_are_groups", (obj, a))
         return v
-
-    def _edge_mor(self, c: NerveCell) -> int:
-        return c.rows[0][0]
 
     def _result(self, h: HornTuple, filler: NerveCell, boundary: tuple | None = None) -> FillResult:
         """Check the filler's faces at the horn's slots.  ``boundary`` is its
@@ -135,16 +130,14 @@ class HornFiller:
             raise CompatibilityError("tuple is not a horn: faces do not match up")
         if h.dim == 2:
             return self.fill_dim2(h)
-        if h.dim == 3:
-            return self.fill_dim3(h)
-        if h.dim >= 4:
+        if h.dim >= 3:
             return self.fill_collapse(h)
         raise CompatibilityError(f"no constructive filler in dimension {h.dim}")
 
     def fill_dim2(self, h: HornTuple) -> FillResult:
         cat = self.xm.cat
         l = h.omitted
-        mors = [self._edge_mor(c) for c in h.faces]
+        mors = [c.rows[0][0] for c in h.faces]
         if l == 1:
             lower, upper = mors[0], mors[1]
         elif l == 2:
@@ -169,72 +162,28 @@ class HornFiller:
             raise NotCrossedModuleError("category_is_groupoid", (m,))
         return v
 
-    def fill_dim3(self, h: HornTuple) -> FillResult:
-        missing = self._missing_2face(h)
-        faces = list(h.faces)
-        faces.insert(h.omitted, missing)
-        filler, boundary = self._cell_from_boundary3(tuple(faces))
-        return self._result(h, filler, boundary)
-
-    def _missing_2face(self, h: HornTuple) -> NerveCell:
-        """Reconstruct the omitted 2-cell of a dimension-3 horn.
-
-        Both diagonal entries are forced by matching faces; the corner is the
-        unique solution of rule eq:image, using fiber inverses and the
-        inverse action.
-        """
-        l = h.omitted
-        nv = self.nerve
+    def _missing_2face(self, h: HornTuple, b: BoundaryTuple) -> NerveCell:
+        """The omitted 2-face of a dimension-3 horn, whose boundary is
+        ``b = beta(h)``: the diagonal is read off b[2] and b[0], the corner
+        solves rule eq:image, with g the lower diagonal of the completed
+        face 3."""
         cat = self.xm.cat
-
-        def diag1(c: NerveCell) -> int:
-            return c.rows[0][0]
-
-        def diag2(c: NerveCell) -> int:
-            return c.rows[1][0]
-
-        def corner(c: NerveCell) -> int:
-            return c.rows[0][1]
-
-        def d1_mor(c: NerveCell) -> int:
-            return nv.face(c, 1).rows[0][0]
-
+        l = h.omitted
+        upper, lower = b.faces[2].rows[0][0], b.faces[0].rows[0][0]
+        g = lower if l == 3 else h.faces[-1].rows[1][0]
+        x1, x2 = cat.tgt[g], cat.src[g]
+        c = [f.rows[0][1] for f in h.faces]
+        c.insert(l, None)
+        mul, act, inv = self._mul, self._act, self._inv
         if l == 0:
-            m1, m2, m3 = h.face_at(1), h.face_at(2), h.face_at(3)
-            upper, lower = diag2(m3), diag2(m1)
-            g = diag2(m3)
-            x1 = cat.tgt[g]
-            x2 = cat.src[g]
-            twisted = self._act(g, self._mul(x1, self._inv(x1, corner(m2)), corner(m3)))
-            cval = self._mul(x2, twisted, corner(m1))
+            corner = mul(x2, act(g, mul(x1, inv(x1, c[2]), c[3])), c[1])
         elif l == 1:
-            m0, m2, m3 = h.face_at(0), h.face_at(2), h.face_at(3)
-            upper, lower = d1_mor(m3), diag2(m0)
-            g = diag2(m3)
-            x1 = cat.tgt[g]
-            x2 = cat.src[g]
-            twisted = self._act(g, self._mul(x1, self._inv(x1, corner(m3)), corner(m2)))
-            cval = self._mul(x2, twisted, corner(m0))
+            corner = mul(x2, act(g, mul(x1, inv(x1, c[3]), c[2])), c[0])
         elif l == 2:
-            m0, m1, m3 = h.face_at(0), h.face_at(1), h.face_at(3)
-            upper, lower = diag1(m3), d1_mor(m0)
-            g = diag2(m3)
-            x2 = cat.src[g]
-            rhs = self._mul(x2, self._act(g, corner(m3)), corner(m1), self._inv(x2, corner(m0)))
-            cval = self._act_inv(g, rhs)
+            corner = self._act_inv(g, mul(x2, act(g, c[3]), c[1], inv(x2, c[0])))
         else:
-            m0, m1, m2 = h.face_at(0), h.face_at(1), h.face_at(2)
-            upper, lower = diag1(m2), diag1(m0)
-            g = diag1(m0)
-            x2 = cat.src[g]
-            rhs = self._mul(x2, self._act(g, corner(m2)), corner(m0), self._inv(x2, corner(m1)))
-            cval = self._act_inv(g, rhs)
-        x_mid = cat.src[upper]
-        return NerveCell(
-            2,
-            (cat.tgt[upper], x_mid, cat.src[lower]),
-            ((upper, cval), (lower,)),
-        )
+            corner = self._act_inv(g, mul(x2, act(g, c[2]), c[0], inv(x2, c[1])))
+        return NerveCell(2, (cat.tgt[upper], cat.src[upper], cat.src[lower]), ((upper, corner), (lower,)))
 
     def _cell_from_boundary3(self, faces: tuple[NerveCell, ...]) -> tuple[NerveCell, tuple[NerveCell, ...]]:
         """Unique 3-cell with the given boundary, and that boundary as
@@ -256,11 +205,12 @@ class HornFiller:
         return cell, self._checked_boundary(cell, faces)
 
     def fill_collapse(self, h: HornTuple) -> FillResult:
-        """Dimensions >= 4: collapse the horn with beta, rebuild the missing
+        """Dimensions >= 3: collapse the horn with beta, rebuild the missing
         face from that boundary, then the filler from the completed one."""
-        if h.dim < 4:
-            raise CompatibilityError("the collapse path starts at dimension 4")
-        missing, _ = self._cell_from_boundary(beta(self.nerve, h).faces)
+        if h.dim < 3:
+            raise CompatibilityError("the collapse path starts at dimension 3")
+        b = beta(self.nerve, h)
+        missing = self._missing_2face(h, b) if h.dim == 3 else self._cell_from_boundary(b.faces)[0]
         faces = list(h.faces)
         faces.insert(h.omitted, missing)
         filler, boundary = self._cell_from_boundary(tuple(faces))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Classification, CrossedMonoid, classify_structure
-from .errors import CompatibilityError, DEFAULT_CAPACITY, NotCrossedModuleError, XNerveError
+from .errors import CompatibilityError, DEFAULT_CAPACITY, XNerveError
 from .groups import GroupPresentation, find_isomorphism, subgroup_presentation
 from .nerve import Nerve
 from .simplicial import Levels, UnionFind, based_classes, pi_bruteforce
@@ -31,20 +31,12 @@ def pi0(xm: CrossedMonoid) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(v) for _, v in sorted(buckets.items()))
 
 
-def _require_module(xm: CrossedMonoid, classification: Classification | None) -> Classification:
-    cls = classification if classification is not None else classify_structure(xm)
-    failed = cls.failed_module_hypothesis()
-    if failed is not None:
-        raise NotCrossedModuleError(failed[0], failed[1])
-    return cls
-
-
 def pi1(xm: CrossedMonoid, t: int, classification: Classification | None = None) -> GroupPresentation:
     """C(t,t) modulo the image of the boundary, with [g][h] = [g*h].
 
     Verifies that the image really is normal before forming cosets.
     """
-    _require_module(xm, classification)
+    (classification or classify_structure(xm)).require_module()
     cat = xm.cat
     loops = list(cat.hom(t, t))
     image = sorted({xm.boundary[t][a] for a in xm.fibers[t].elements()})
@@ -90,7 +82,7 @@ def pi1(xm: CrossedMonoid, t: int, classification: Classification | None = None)
 
 def pi2(xm: CrossedMonoid, t: int, classification: Classification | None = None) -> GroupPresentation:
     """Kernel of the boundary at t, as a group; commutativity is asserted."""
-    _require_module(xm, classification)
+    (classification or classify_structure(xm)).require_module()
     fiber = xm.fibers[t]
     one = xm.cat.identity[t]
     kernel = [a for a in fiber.elements() if xm.boundary[t][a] == one]
@@ -124,7 +116,6 @@ def pi_compare(
     n: int,
     t: int,
     cap: int = DEFAULT_CAPACITY,
-    verify_kan: bool = True,
     classification: Classification | None = None,
     levels: Levels | None = None,
 ) -> PiComparison:
@@ -135,11 +126,11 @@ def pi_compare(
     """
     if n not in (1, 2):
         raise CompatibilityError("closed forms exist for dimensions 1 and 2 only")
-    cls = _require_module(xm, classification)
+    cls = (classification or classify_structure(xm)).require_module()
     algebraic = pi1(xm, t, cls) if n == 1 else pi2(xm, t, cls)
     levels = levels or Levels(Nerve(xm))
     nerve = levels.p
-    brute = pi_bruteforce(nerve, n, nerve.point(t), cap=cap, verify_kan=verify_kan, levels=levels)
+    brute = pi_bruteforce(nerve, n, nerve.point(t), cap=cap, levels=levels)
     iso = find_isomorphism(algebraic, brute)
     return PiComparison(n=n, basepoint=t, algebraic=algebraic, bruteforce=brute, isomorphism=iso)
 
@@ -171,7 +162,7 @@ def higher_vanishing(
     dimension-(n+2) horn just to re-prove that would blow the budget on
     large fibers.
     """
-    _require_module(xm, classification)
+    (classification or classify_structure(xm)).require_module()
     levels = levels or Levels(Nerve(xm))
     nerve = levels.p
     classes = based_classes(nerve, n, nerve.point(t), cap=cap, levels=levels)

@@ -89,14 +89,18 @@ _Block = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]
 class Nerve:
     """Level provider for the nerve of one crossed monoid.
 
-    With ``validate_outputs=True`` every cell produced by face/degeneracy is
-    re-checked against the typing invariants; tests run in that mode, normal
-    use skips it for speed.
+    Refuses at construction, with CompatibilityError naming ``(x, a)``, a
+    boundary that is not an endomorphism of its object: the face maps
+    compose with boundary values and need them to be.
     """
 
-    def __init__(self, xm: CrossedMonoid, validate_outputs: bool = False):
+    def __init__(self, xm: CrossedMonoid):
+        cat = xm.cat
+        for x, row in enumerate(xm.boundary):
+            a = next((a for a, d in enumerate(row) if cat.src[d] != x or cat.tgt[d] != x), None)
+            if a is not None:
+                raise CompatibilityError(f"boundary at (x, a) = ({x}, {a}) is not an endomorphism of object {x}")
         self.xm = xm
-        self.validate_outputs = validate_outputs
         self._blocks_by_dim: dict[int, tuple[_Block, ...]] = {}
 
     # -- construction -------------------------------------------------
@@ -147,11 +151,6 @@ class Nerve:
                 if not 0 <= v < size:
                     raise CellError(f"entry ({i},{k}) = {v} outside the fiber over object {c.objects[i]}")
 
-    def _out(self, c: NerveCell) -> NerveCell:
-        if self.validate_outputs:
-            self.validate_cell(c)
-        return c
-
     # -- structure maps ------------------------------------------------
 
     def eta(self, M: NerveCell, j: int, k: int) -> int:
@@ -186,9 +185,9 @@ class Nerve:
         objs = M.objects
         rows = M.rows
         if j == 0:
-            return self._out(_cell((n - 1, objs[1:], rows[1:])))
+            return _cell((n - 1, objs[1:], rows[1:]))
         if j == n:
-            return self._out(_cell((n - 1, objs[:-1], tuple([r[:-1] for r in rows[:-1]]))))
+            return _cell((n - 1, objs[:-1], tuple([r[:-1] for r in rows[:-1]])))
 
         new_rows: list[tuple[int, ...]] = []
         for i in range(1, j):
@@ -214,7 +213,7 @@ class Nerve:
             merged.append(mul_low[twisted][lower[c - j]])
         new_rows.append(tuple(merged))
         new_rows.extend(rows[j + 1:])
-        return self._out(_cell((n - 1, objs[:j] + objs[j + 1:], tuple(new_rows))))
+        return _cell((n - 1, objs[:j] + objs[j + 1:], tuple(new_rows)))
 
     def degeneracy(self, M: NerveCell, j: int) -> NerveCell:
         n = M.dim
@@ -236,7 +235,7 @@ class Nerve:
         new_rows.append((xm.cat.identity[objs[j]],) + (unit,) * (n - j))
         new_rows.extend(rows[j:])
         new_objs = objs[: j + 1] + (objs[j],) + objs[j + 1:]
-        return self._out(_cell((n + 1, new_objs, tuple(new_rows))))
+        return _cell((n + 1, new_objs, tuple(new_rows)))
 
     # -- corner bijection ----------------------------------------------
 
@@ -260,7 +259,7 @@ class Nerve:
             raise CompatibilityError(f"corner {t.corner} outside the fiber over object {m0.objects[0]}")
         objs = mn.objects + (m0.objects[-1],)
         rows = (mn.rows[0] + (t.corner,),) + m0.rows
-        return self._out(_cell((n, objs, rows)))
+        return _cell((n, objs, rows))
 
     def corner_face(self, t: CornerTriple, j: int) -> CornerTriple:
         """Split of d_j(assemble(t)) computed by closed corner formulas.

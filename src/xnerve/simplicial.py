@@ -17,7 +17,9 @@ coskeletal checks and brute-force pi compare face-id rows; ids turn back
 into cells only in witnesses, group labels and the tuples handed out by
 ``simplicial_kernel`` and ``horns``.  The identity audit works on cells,
 since the degeneracies it checks land in dimensions that are never
-enumerated.
+enumerated: it runs one loop over a table of the six identity families,
+computing each cell's face and degeneracy rows once and handing them to
+every family.
 """
 
 from __future__ import annotations
@@ -262,81 +264,57 @@ def horn_of_cell(p: LevelProvider, cell, l: int, n: int | None = None) -> HornTu
 
 # -- identity audit ------------------------------------------------------
 
-_FAMILIES = ("simp1", "simp2", "simp3", "simp4", "simp5", "simp6")
+def _identity_families(face, degen) -> tuple:
+    """(name, lowest dimension, failing instances, detail) per identity
+    family.  ``failing(n, cell, fs, degs)`` yields the index part of each
+    failing instance on one cell, k outer and j inner, given the rows
+    ``fs[j] = d_j cell`` and ``degs[j] = s_j cell``."""
+    return (
+        ("simp1", 2, lambda n, c, fs, degs: ((j, k) for k in range(1, n + 1) for j in range(k)
+                                              if face(fs[k], j) != face(fs[j], k - 1)),
+         "d_j d_k != d_{k-1} d_j"),
+        ("simp2", 1, lambda n, c, fs, degs: ((j, k) for k in range(1, n + 1) for j in range(k)
+                                              if face(degs[k], j) != degen(fs[j], k - 1)),
+         "d_j s_k != s_{k-1} d_j"),
+        ("simp3", 0, lambda n, c, fs, degs: ((j,) for j in range(n + 1) if face(degs[j], j) != c),
+         "d_j s_j != id"),
+        ("simp4", 0, lambda n, c, fs, degs: ((j,) for j in range(n + 1) if face(degs[j], j + 1) != c),
+         "d_{j+1} s_j != id"),
+        ("simp5", 1, lambda n, c, fs, degs: ((j, k) for k in range(2, n + 2) for j in range(k - 1)
+                                              if face(degs[j], k) != degen(fs[k - 1], j)),
+         "d_k s_j != s_j d_{k-1}"),
+        ("simp6", 0, lambda n, c, fs, degs: ((j, k) for k in range(1, n + 2) for j in range(k)
+                                              if degen(degs[k - 1], j) != degen(degs[j], k)),
+         "s_j s_{k-1} != s_k s_j"),
+    )
 
 
 def audit_simplicial(p: LevelProvider, maxdim: int, cap: int = DEFAULT_CAPACITY) -> ValidationReport:
     """Exhaustively check the six face/degeneracy identity families on all
-    cells of dimension <= maxdim; first witness per family.
+    cells of dimension <= maxdim; first witness per family, families in
+    name order.  A witness is (n, j, cell) for simp3/simp4 and
+    (n, j, k, cell) otherwise.
 
     simp1: d_j d_k = d_{k-1} d_j (j < k)        simp2: d_j s_k = s_{k-1} d_j (j < k)
     simp3: d_j s_j = id                          simp4: d_{j+1} s_j = id
     simp5: d_k s_j = s_j d_{k-1} (j < k-1)       simp6: s_j s_{k-1} = s_k s_j (j < k)
     """
     face, degen = p.face, p.degeneracy
+    families = _identity_families(face, degen)
     found: dict[str, Violation] = {}
-
-    def hit(family: str, witness: tuple, detail: str) -> None:
-        if family not in found:
-            found[family] = Violation(family, witness, detail)
-
     for n in range(maxdim + 1):
+        js = range(n + 1)
         for cell in p.cells(n, cap=cap):
-            if n >= 2 and "simp1" not in found:
-                stop = False
-                for k in range(1, n + 1):
-                    for j in range(k):
-                        if face(face(cell, k), j) != face(face(cell, j), k - 1):
-                            hit("simp1", (n, j, k, cell), "d_j d_k != d_{k-1} d_j")
-                            stop = True
-                            break
-                    if stop:
-                        break
-            degs = [degen(cell, j) for j in range(n + 1)]
-            if "simp3" not in found:
-                for j in range(n + 1):
-                    if face(degs[j], j) != cell:
-                        hit("simp3", (n, j, cell), "d_j s_j != id")
-                        break
-            if "simp4" not in found:
-                for j in range(n + 1):
-                    if face(degs[j], j + 1) != cell:
-                        hit("simp4", (n, j, cell), "d_{j+1} s_j != id")
-                        break
-            if n >= 1 and "simp2" not in found:
-                stop = False
-                for k in range(1, n + 1):
-                    for j in range(k):
-                        if face(degs[k], j) != degen(face(cell, j), k - 1):
-                            hit("simp2", (n, j, k, cell), "d_j s_k != s_{k-1} d_j")
-                            stop = True
-                            break
-                    if stop:
-                        break
-            if n >= 1 and "simp5" not in found:
-                stop = False
-                for k in range(2, n + 2):
-                    for j in range(k - 1):
-                        if face(degs[j], k) != degen(face(cell, k - 1), j):
-                            hit("simp5", (n, j, k, cell), "d_k s_j != s_j d_{k-1}")
-                            stop = True
-                            break
-                    if stop:
-                        break
-            if "simp6" not in found:
-                stop = False
-                for k in range(1, n + 2):
-                    for j in range(k):
-                        if degen(degs[k - 1], j) != degen(degs[j], k):
-                            hit("simp6", (n, j, k, cell), "s_j s_{k-1} != s_k s_j")
-                            stop = True
-                            break
-                    if stop:
-                        break
-        if len(found) == len(_FAMILIES):
+            fs = [face(cell, j) for j in js] if n else []
+            degs = [degen(cell, j) for j in js]
+            for name, lowest, failing, detail in families:
+                if n >= lowest and name not in found:
+                    bad = next(failing(n, cell, fs, degs), None)
+                    if bad is not None:
+                        found[name] = Violation(name, (n, *bad, cell), detail)
+        if len(found) == len(families):
             break
-    ordered = tuple(found[f] for f in _FAMILIES if f in found)
-    return ValidationReport(ordered)
+    return ValidationReport(tuple(found[name] for name, *_ in families if name in found))
 
 
 # -- coskeletality ---------------------------------------------------------
@@ -510,7 +488,6 @@ def pi_bruteforce(
     n: int,
     basepoint,
     cap: int = DEFAULT_CAPACITY,
-    verify_kan: bool = True,
     levels: Levels | None = None,
 ) -> GroupPresentation:
     """Homotopy group in dimension n >= 1 at a 0-cell, by exhaustive search.
@@ -519,17 +496,15 @@ def pi_bruteforce(
     classes is read off a filler of the horn that puts the representatives
     at slots n-1 and n+1: the first (n+1)-cell with faces (x, ..., x, y, _, z)
     gives face n.  Requires the provider to be Kan through dimension n+2;
-    with ``verify_kan`` the check is run first and a failure raises
-    NotKanError with the witness horn.
+    that is checked first, and a failure raises NotKanError with the
+    witness horn.
     """
     if n < 1:
         raise CompatibilityError("brute-force homotopy groups start at dimension 1")
     levels = levels or Levels(p)
-    if verify_kan:
-        report = check_kan(p, upto=n + 2, cap=cap, levels=levels)
-        failure = report.first_failure()
-        if failure is not None:
-            raise NotKanError(failure.dim, failure.omitted, failure.witness)
+    failure = check_kan(p, upto=n + 2, cap=cap, levels=levels).first_failure()
+    if failure is not None:
+        raise NotKanError(failure.dim, failure.omitted, failure.witness)
 
     classes = based_classes(p, n, basepoint, cap=cap, levels=levels)
     cells = classes.level.cells

@@ -4,6 +4,24 @@ from xnerve import fixtures
 from xnerve.nerve import Nerve
 
 
+class CheckedNerve(Nerve):
+    """A nerve that re-checks every face, degeneracy and corner_assemble
+    result against the cell typing invariants."""
+
+    def face(self, M, j):
+        return self._checked(super().face(M, j))
+
+    def degeneracy(self, M, j):
+        return self._checked(super().degeneracy(M, j))
+
+    def corner_assemble(self, t):
+        return self._checked(super().corner_assemble(t))
+
+    def _checked(self, c):
+        self.validate_cell(c)
+        return c
+
+
 @pytest.fixture(scope="session")
 def xm_trivial():
     return fixtures.trivial_point()
@@ -39,38 +57,38 @@ def xm_pair():
     return fixtures.pair_groupoid_z3()
 
 
-# Nerves with output re-validation on: every face/degeneracy result is
+# Checked nerves: every face/degeneracy/corner_assemble result is
 # checked against the cell typing invariants while the suite runs.
 @pytest.fixture(scope="session")
 def nv_trivial(xm_trivial):
-    return Nerve(xm_trivial, validate_outputs=True)
+    return CheckedNerve(xm_trivial)
 
 
 @pytest.fixture(scope="session")
 def nv_z2(xm_z2):
-    return Nerve(xm_z2, validate_outputs=True)
+    return CheckedNerve(xm_z2)
 
 
 @pytest.fixture(scope="session")
 def nv_z3_fiber(xm_z3_fiber):
-    return Nerve(xm_z3_fiber, validate_outputs=True)
+    return CheckedNerve(xm_z3_fiber)
 
 
 @pytest.fixture(scope="session")
 def nv_z2_z3(xm_z2_z3):
-    return Nerve(xm_z2_z3, validate_outputs=True)
+    return CheckedNerve(xm_z2_z3)
 
 
 @pytest.fixture(scope="session")
 def nv_z2_z3_twisted(xm_z2_z3_twisted):
-    return Nerve(xm_z2_z3_twisted, validate_outputs=True)
+    return CheckedNerve(xm_z2_z3_twisted)
 
 
 @pytest.fixture(scope="session")
 def nv_idempotent(xm_idempotent):
-    return Nerve(xm_idempotent, validate_outputs=True)
+    return CheckedNerve(xm_idempotent)
 
 
 @pytest.fixture(scope="session")
 def nv_pair(xm_pair):
-    return Nerve(xm_pair, validate_outputs=True)
+    return CheckedNerve(xm_pair)

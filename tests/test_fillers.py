@@ -94,6 +94,15 @@ def test_fill_dim3_all_degenerate(xm_z2_z3):
     assert hf.fill(h).filler == deg
 
 
+def test_fill_dim3_returns_the_cell_a_horn_came_from(xm_z2_z3, xm_z2_z3_twisted, xm_pair):
+    for xm in (xm_z2_z3, xm_z2_z3_twisted, xm_pair):
+        hf = HornFiller(xm)
+        nv = hf.nerve
+        for c in nv.cells(3):
+            for l in range(4):
+                assert hf.fill(horn_of_cell(nv, c, l)).filler == c
+
+
 def test_fill_dim4_exhaustive_small_and_sampled_large(xm_z2, xm_z2_z3):
     nv2 = Nerve(xm_z2)
     hf2 = HornFiller(xm_z2)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -285,3 +286,24 @@ def test_nerve_commands_on_valid_input_add_no_axioms_check(file_z2_z3, tmp_path,
     report = json.loads(out.read_text())
     assert "axioms" not in report
     assert [c["label"] for c in report["checks"]][:1] == ["horn-fillable[1,0]"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["kan", "--dims", "1..2"], ["audit", "--dims", "0..2"], ["coskeletal", "--dims", "2..3"]],
+)
+def test_boundary_that_is_not_an_endomorphism_is_refused(tmp_path, capsys, argv):
+    union = fixtures.disjoint_union(fixtures.z2_with_z3_fiber_twisted(), fixtures.idempotent_fiber())
+    row0 = (union.cat.identity[1],) + union.boundary[0][1:]  # d(0) is the other object's identity
+    xm = dataclasses.replace(union, boundary=(row0,) + union.boundary[1:])
+    path = tmp_path / "nonendo.json"
+    path.write_text(serialize(from_crossed_monoid(xm)))
+    out = tmp_path / "report.json"
+    assert run([argv[0], str(path), *argv[1:], "--json", str(out)]) == 2
+    captured = capsys.readouterr()
+    message = "boundary at (x, a) = (0, 0) is not an endomorphism of object 0"
+    assert captured.err.splitlines() == [f"ERROR (error): {message}"]
+    assert captured.out.startswith("FAIL axioms: cr1 witness (0, 0) ")
+    report = json.loads(out.read_text())
+    assert report["error"] == {"kind": "error", "message": message} and "checks" not in report
+    assert [v["axiom"] for v in report["axioms"]["violations"]][:1] == ["cr1"]

@@ -3,7 +3,6 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xnerve import fixtures
 from xnerve.algebra import XMorphism, identity_xmorphism
 from xnerve.errors import CapacityError, CellError, CompatibilityError
 from xnerve.nerve import CornerTriple, Nerve, NerveCell, induced_cell
@@ -231,8 +230,8 @@ def test_cell_text_roundtrip_format(nv_z2_z3):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.data())
-def test_identities_spot_checked_above_the_exhaustive_range(data):
-    nv = Nerve(fixtures.z2_with_z3_fiber_twisted(), validate_outputs=True)
+def test_identities_spot_checked_above_the_exhaustive_range(nv_z2_z3_twisted, data):
+    nv = nv_z2_z3_twisted
     n = data.draw(st.integers(min_value=5, max_value=6), label="dim")
     cell = nv.cell_at(n, data.draw(st.integers(min_value=0, max_value=nv.count_cells(n) - 1), label="idx"))
     k = data.draw(st.integers(min_value=1, max_value=n), label="k")

@@ -1,10 +1,12 @@
 import itertools
 import re
+from typing import NamedTuple
 
 import pytest
 
 from xnerve import fixtures
-from xnerve.errors import CapacityError, CompatibilityError, NotKanError
+from xnerve.algebra import ValidationReport, Violation
+from xnerve.errors import CapacityError, CompatibilityError, DEFAULT_CAPACITY, NotKanError
 from xnerve.nerve import Nerve
 from xnerve.simplicial import (
     BoundaryTuple,
@@ -385,3 +387,180 @@ def test_level_cap_applies_to_built_levels_and_join_stages(nv_z2_z3):
     with pytest.raises(CapacityError) as err:
         horns(nv_z2_z3, 3, 0, cap=100, levels=levels)
     assert "at slot" in str(err.value)
+
+
+# -- identity audit against the pre-table reference --------------------------
+
+
+_REF_FAMILIES = ("simp1", "simp2", "simp3", "simp4", "simp5", "simp6")
+
+
+def ref_audit_simplicial(p, maxdim, cap=DEFAULT_CAPACITY):
+    """The identity audit as it was before the family table: six inline
+    loops, first witness per family.
+
+    simp1: d_j d_k = d_{k-1} d_j (j < k)        simp2: d_j s_k = s_{k-1} d_j (j < k)
+    simp3: d_j s_j = id                          simp4: d_{j+1} s_j = id
+    simp5: d_k s_j = s_j d_{k-1} (j < k-1)       simp6: s_j s_{k-1} = s_k s_j (j < k)
+    """
+    face, degen = p.face, p.degeneracy
+    found: dict[str, Violation] = {}
+
+    def hit(family: str, witness: tuple, detail: str) -> None:
+        if family not in found:
+            found[family] = Violation(family, witness, detail)
+
+    for n in range(maxdim + 1):
+        for cell in p.cells(n, cap=cap):
+            if n >= 2 and "simp1" not in found:
+                stop = False
+                for k in range(1, n + 1):
+                    for j in range(k):
+                        if face(face(cell, k), j) != face(face(cell, j), k - 1):
+                            hit("simp1", (n, j, k, cell), "d_j d_k != d_{k-1} d_j")
+                            stop = True
+                            break
+                    if stop:
+                        break
+            degs = [degen(cell, j) for j in range(n + 1)]
+            if "simp3" not in found:
+                for j in range(n + 1):
+                    if face(degs[j], j) != cell:
+                        hit("simp3", (n, j, cell), "d_j s_j != id")
+                        break
+            if "simp4" not in found:
+                for j in range(n + 1):
+                    if face(degs[j], j + 1) != cell:
+                        hit("simp4", (n, j, cell), "d_{j+1} s_j != id")
+                        break
+            if n >= 1 and "simp2" not in found:
+                stop = False
+                for k in range(1, n + 1):
+                    for j in range(k):
+                        if face(degs[k], j) != degen(face(cell, j), k - 1):
+                            hit("simp2", (n, j, k, cell), "d_j s_k != s_{k-1} d_j")
+                            stop = True
+                            break
+                    if stop:
+                        break
+            if n >= 1 and "simp5" not in found:
+                stop = False
+                for k in range(2, n + 2):
+                    for j in range(k - 1):
+                        if face(degs[j], k) != degen(face(cell, k - 1), j):
+                            hit("simp5", (n, j, k, cell), "d_k s_j != s_j d_{k-1}")
+                            stop = True
+                            break
+                    if stop:
+                        break
+            if "simp6" not in found:
+                stop = False
+                for k in range(1, n + 2):
+                    for j in range(k):
+                        if degen(degs[k - 1], j) != degen(degs[j], k):
+                            hit("simp6", (n, j, k, cell), "s_j s_{k-1} != s_k s_j")
+                            stop = True
+                            break
+                    if stop:
+                        break
+        if len(found) == len(_REF_FAMILIES):
+            break
+    ordered = tuple(found[f] for f in _REF_FAMILIES if f in found)
+    return ValidationReport(ordered)
+
+
+class Alias(NamedTuple):
+    """Stands in for ``real``; a ``Scripted`` provider can give it its own
+    faces and degeneracies."""
+
+    real: object
+    tag: str
+
+
+JUNK = "junk"
+
+
+class Scripted:
+    """Wraps a provider; ``table`` maps (cell, "face" or "degeneracy", j) to
+    the value returned instead.  Other calls on an ``Alias`` go to its real
+    cell, and every call on JUNK returns JUNK."""
+
+    def __init__(self, base, table):
+        self.base, self.table = base, table
+
+    def cells(self, n, cap=DEFAULT_CAPACITY):
+        return self.base.cells(n, cap=cap)
+
+    def _call(self, op, cell, j):
+        if (cell, op, j) in self.table:
+            return self.table[cell, op, j]
+        if cell == JUNK:
+            return JUNK
+        return getattr(self.base, op)(cell.real if isinstance(cell, Alias) else cell, j)
+
+    def face(self, cell, j):
+        return self._call("face", cell, j)
+
+    def degeneracy(self, cell, j):
+        return self._call("degeneracy", cell, j)
+
+
+def corrupted_providers(nv, maxdim):
+    """For the first and last cell of each dimension <= maxdim, two cells in
+    between, and every index j: the provider with d_j (dimension >= 1) or
+    s_j replaced by another cell of the right dimension, picked by
+    rotating through that level."""
+    for n in range(maxdim + 1):
+        cells = list(nv.cells(n))
+        for i in sorted({0, len(cells) // 3, 2 * len(cells) // 3, len(cells) - 1}):
+            victim = cells[i]
+            for op, dim in (("face", n - 1), ("degeneracy", n + 1)):
+                if dim < 0:
+                    continue
+                count = nv.count_cells(dim)
+                for j in range(n + 1):
+                    true = getattr(nv, op)(victim, j)
+                    k = (7 * i + j + 1) % count
+                    wrong = nv.cell_at(dim, k)
+                    if wrong == true:
+                        wrong = nv.cell_at(dim, (k + 1) % count)
+                    if wrong != true:
+                        yield Scripted(nv, {(victim, op, j): wrong})
+
+
+@pytest.mark.parametrize("build", [fixtures.group_z2, fixtures.z2_with_z3_fiber, fixtures.idempotent_fiber])
+def test_audit_matches_reference_on_corrupted_providers(build):
+    nv = Nerve(build())
+    providers = list(corrupted_providers(nv, 3))
+    for p in providers:
+        report = audit_simplicial(p, 3)
+        assert report == ref_audit_simplicial(p, 3), p.table
+        assert not report.passed
+    assert audit_simplicial(nv, 3) == ref_audit_simplicial(nv, 3)
+    assert {op for p in providers for _, op, _ in p.table} == {"face", "degeneracy"}
+
+
+def test_audit_witness_is_the_first_failure_with_k_outer_and_j_inner():
+    # Each family below fails exactly at (j, k) = (1, 2) or (1, 3) and at
+    # (0, 3) or (0, 4) on one 3-cell: k outer reports the first, j outer
+    # would report the second.
+    nv = Nerve(fixtures.z2_with_z3_fiber())
+    v = list(nv.cells(3))[-1]
+    d2, d3 = (Alias(nv.face(v, j), f"d{j}") for j in (2, 3))
+    s0, s1, s2, s3 = (Alias(nv.degeneracy(v, j), f"s{j}") for j in range(4))
+    table = {
+        (v, "face", 2): d2, (d2, "face", 1): JUNK,  # simp1 at (1, 2)
+        (v, "face", 3): d3, (d3, "face", 0): JUNK,  # simp1 at (0, 3)
+        (v, "degeneracy", 2): s2, (s2, "face", 1): JUNK,  # simp2 at (1, 2)
+        (v, "degeneracy", 3): s3, (s3, "face", 0): JUNK,  # simp2 at (0, 3)
+        (v, "degeneracy", 1): s1, (s1, "face", 3): JUNK,  # simp5 at (1, 3)
+        (s1, "degeneracy", 1): JUNK,  # simp6 at (1, 2)
+        (v, "degeneracy", 0): s0, (s0, "face", 4): JUNK,  # simp5 at (0, 4)
+        (s0, "degeneracy", 3): JUNK,  # simp6 at (0, 3)
+    }
+    p = Scripted(nv, table)
+    report = audit_simplicial(p, 3)
+    assert report == ref_audit_simplicial(p, 3)
+    assert [(w.axiom, w.witness) for w in report.violations] == [
+        ("simp1", (3, 1, 2, v)), ("simp2", (3, 1, 2, v)), ("simp5", (3, 1, 3, v)), ("simp6", (3, 1, 2, v)),
+    ]
