@@ -5,8 +5,8 @@ n >= 3 takes one path: collapse the horn one level with ``beta``, rebuild
 the missing face from that boundary, and reassemble the filler through the
 corner bijection.  For n >= 4 the missing face is itself rebuilt through
 the corner bijection; for n = 3 it is a 2-cell whose diagonal is the
-boundary's outer edges and whose corner is solved out of the
-boundary-image equation.
+boundary's outer edges, the only two entries of ``beta`` computed, and whose
+corner is solved out of the boundary-image equation.
 
 The boundary-image equation for a compatible 4-tuple (M0, M1, M2, M3) of
 2-cells reads, with g the lower diagonal of M3 and c_j the corner of M_j:
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .algebra import Classification, CrossedMonoid, classify_structure
 from .errors import CompatibilityError, NotCrossedModuleError
 from .nerve import CornerTriple, Nerve, NerveCell
-from .simplicial import BoundaryTuple, HornTuple, beta, is_compatible_horn
+from .simplicial import BoundaryTuple, HornTuple, beta, beta_face, is_compatible_horn
 
 
 def image_b3(xm: CrossedMonoid, t: BoundaryTuple) -> bool:
@@ -162,14 +162,15 @@ class HornFiller:
             raise NotCrossedModuleError("category_is_groupoid", (m,))
         return v
 
-    def _missing_2face(self, h: HornTuple, b: BoundaryTuple) -> NerveCell:
+    def _missing_2face(self, h: HornTuple) -> NerveCell:
         """The omitted 2-face of a dimension-3 horn, whose boundary is
-        ``b = beta(h)``: the diagonal is read off b[2] and b[0], the corner
-        solves rule eq:image, with g the lower diagonal of the completed
-        face 3."""
+        ``beta(h)``: the diagonal is read off entries 2 and 0 of beta(h),
+        the only two computed, and the corner solves rule eq:image, with g
+        the lower diagonal of the completed face 3."""
         cat = self.xm.cat
         l = h.omitted
-        upper, lower = b.faces[2].rows[0][0], b.faces[0].rows[0][0]
+        upper = beta_face(self.nerve, h, 2).rows[0][0]
+        lower = beta_face(self.nerve, h, 0).rows[0][0]
         g = lower if l == 3 else h.faces[-1].rows[1][0]
         x1, x2 = cat.tgt[g], cat.src[g]
         c = [f.rows[0][1] for f in h.faces]
@@ -209,8 +210,10 @@ class HornFiller:
         face from that boundary, then the filler from the completed one."""
         if h.dim < 3:
             raise CompatibilityError("the collapse path starts at dimension 3")
-        b = beta(self.nerve, h)
-        missing = self._missing_2face(h, b) if h.dim == 3 else self._cell_from_boundary(b.faces)[0]
+        if h.dim == 3:
+            missing = self._missing_2face(h)
+        else:
+            missing = self._cell_from_boundary(beta(self.nerve, h).faces)[0]
         faces = list(h.faces)
         faces.insert(h.omitted, missing)
         filler, boundary = self._cell_from_boundary(tuple(faces))

@@ -277,15 +277,31 @@ class Nerve:
         d_first = self.face(m0, j - 1)
         d_last = self.face(mn, j)
         if j == 1:
-            g = self.eta(m0, 0, n - 2)
-            fiber = self.xm.fibers[m0.objects[1]]
-            corner = fiber.mul(self.xm.action[g][t.corner], m0.rows[0][n - 2])
+            corner = self._corner_map(1, m0)[t.corner]
         elif j == n - 1:
-            fiber = self.xm.fibers[m0.objects[0]]
-            corner = fiber.mul(mn.rows[0][n - 2], t.corner)
+            corner = self._corner_map(j, mn)[t.corner]
         else:
             corner = t.corner
         return CornerTriple(d_first, d_last, corner)
+
+    def _corner_map(self, j: int, side: NerveCell) -> tuple[int, ...]:
+        """Corner of d_j M indexed by the corner of M, for an n-cell M with
+        n = side.dim + 1 >= 3 and j = 1 or j = n-1.
+
+        For j = 1 the map depends only on ``side = d_0 M``: the corner is
+        twisted by eta(d_0 M, 0, n-2) and multiplied by the corner of d_0 M
+        in the fiber over x2.  For j = n-1 it depends only on
+        ``side = d_n M``: the corner of d_n M times the corner, in the fiber
+        over x1.
+        """
+        n = side.dim + 1
+        xm = self.xm
+        if j == 1:
+            act = xm.action[self.eta(side, 0, n - 2)]
+            row = side.rows[0][n - 2]
+            mul = xm.fibers[side.objects[1]].table
+            return tuple([mul[a][row] for a in act])
+        return xm.fibers[side.objects[1]].table[side.rows[0][n - 2]]
 
     def corner_project(self, faces: Sequence[NerveCell]) -> CornerTriple:
         """Triple (first, last, corner of the third face) of a face tuple."""
@@ -312,7 +328,7 @@ class Nerve:
     # -- enumeration -----------------------------------------------------
 
     def _blocks(self, n: int) -> tuple[_Block, ...]:
-        """Enumeration blocks of dimension n >= 1, built once per dimension.
+        """Enumeration blocks of dimension n >= 0, built once per dimension.
 
         One block per object sequence (x0, ..., xn) with a morphism in every
         C(x_i, x_{i-1}), sequences lexicographic: the sequence, the row-major
@@ -393,6 +409,85 @@ class Nerve:
             flat = tuple(reversed(digits))
             return _cell((n, seq, tuple([flat[a:b] for a, b in self._row_bounds(n)])))
         raise IndexError(index)
+
+    # -- whole-level face tables -------------------------------------------
+
+    def face_rows(self, n: int, below) -> list[tuple[int, ...]]:
+        """Row ``(id of d_0 c, ..., id of d_n c)`` of every n-cell c, n >= 1,
+        in ``cells(n)`` order, made without a ``face`` call.
+
+        ``below`` is the level of ``cells(n-1)``: its ``cells``, its
+        ``cell -> id`` map ``ids`` and its face table ``faces``.  The rows
+        equal ``below.ids[face(c, j)]`` on every crossed monoid this nerve
+        accepts; a KeyError is raised where ``face`` would give a cell
+        missing from ``below``.  The rows hold the ints of ``below.ids``.
+
+        Each enumeration block is built column by column.  d_0 and d_n
+        delete digits of a cell's rank in its block: d_0 drops row 1, d_n
+        the last entry of every row.  The corner is the digit at position
+        n-1.  For n = 2, d_1 is the composite diagonal.  For n >= 3, d_j is
+        the (n-1)-cell with corner triple ``(d_{j-1} d_0 c, d_j d_n c,
+        corner)``, the corner mapped by ``_corner_map`` for j = 1 and
+        j = n-1.
+        """
+        ids = below.ids
+        id_of = list(ids.values())
+        block_ids = {}
+        pos = 0
+        for seq, _, size in self._blocks(n - 1):
+            block_ids[seq] = id_of[pos:pos + size]
+            pos += size
+        row_ends = {b - 1 for _, b in self._row_bounds(n)}
+        flat = range(n * (n + 1) // 2)
+        keep_first = set(flat[n:])
+        keep_last = set(flat) - row_ends
+        if n == 2:
+            cat = self.xm.cat
+            compose = cat.compose_table
+            mor_id = {c.rows[0][0]: i for c, i in ids.items()}
+        elif n >= 3:
+            cols = [[row[j] for row in below.faces] for j in range(n)]
+            triple = dict(zip(zip(cols[0], cols[n - 1], [c.rows[0][-1] for c in below.cells]), id_of))
+            first_map = [self._corner_map(1, c) for c in below.cells]
+            last_map = [self._corner_map(n - 1, c) for c in below.cells]
+
+        rows: list[tuple[int, ...]] = []
+        for seq, domains, _ in self._blocks(n):
+            lens = [len(dom) for dom in domains]
+            first = list(map(block_ids[seq[1:]].__getitem__, _ranks(lens, keep_first)))
+            last = list(map(block_ids[seq[:-1]].__getitem__, _ranks(lens, keep_last)))
+            inner = []
+            if n == 2:
+                d_up = self.xm.boundary[seq[1]]
+                ups = [compose[u][d_up[a]] for u in domains[0] for a in domains[1]]
+                diag = {g: mor_id[g] for g in cat.hom(seq[2], seq[0])}
+                inner.append([diag[compose[u][v]] for u in ups for v in domains[2]])
+            elif n >= 3:
+                # fiber candidates are range(size), so a digit is its element
+                corner = _ranks(lens, {n - 1})
+                fa, fb = cols[0], cols[1]
+                inner.append([triple[fa[a], fb[b], first_map[a][c]] for a, b, c in zip(first, last, corner)])
+                for j in range(2, n - 1):
+                    fa, fb = cols[j - 1], cols[j]
+                    inner.append([triple[fa[a], fb[b], c] for a, b, c in zip(first, last, corner)])
+                fa, fb = cols[n - 2], cols[n - 1]
+                inner.append([triple[fa[a], fb[b], last_map[b][c]] for a, b, c in zip(first, last, corner)])
+            rows.extend(zip(first, *inner, last))
+        return rows
+
+
+def _ranks(lens: Sequence[int], keep: set[int]) -> list[int]:
+    """For every digit tuple of the mixed radix ``lens``, in product order,
+    the number that its digits at the positions in ``keep`` spell in their
+    own mixed radix."""
+    col, weight = [0], 1
+    for p in range(len(lens) - 1, -1, -1):
+        if p in keep:
+            col = [d * weight + r for d in range(lens[p]) for r in col]
+            weight *= lens[p]
+        else:
+            col *= lens[p]
+    return col
 
 
 def induced_cell(m: XMorphism, M: NerveCell) -> NerveCell:

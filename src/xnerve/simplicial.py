@@ -9,7 +9,10 @@ coskeletality and Kan checks, and brute-force homotopy groups.
 Whole-level work runs on integer cell ids.  ``Levels`` enumerates each
 dimension once into a ``Level``: the cell list, whose positions are the ids
 (so ids follow ``cells(n)`` order), the ``cell -> id`` map, and the face
-table, whose row ``i`` holds the ids of d_0 .. d_n of cell ``i``.  Kernels
+table, whose row ``i`` holds the ids of d_0 .. d_n of cell ``i``.  A
+provider with a ``face_rows`` method (``Nerve``) fills the face table
+itself, from the level below and without per-cell ``face`` calls; any
+other provider gets one ``face`` call per face.  Kernels
 and horns are one hash join over the face table of the level below: slot k
 is added by indexing candidate ids on the faces they must share with the
 slots already placed, never by filtering the full product.  The Kan and
@@ -34,6 +37,13 @@ from .groups import GroupPresentation
 
 
 class LevelProvider(Protocol):
+    """What the generic checks call.  A provider may also offer
+    ``face_rows(n, below)``, the face-id rows of all its n-cells in
+    ``cells(n)`` order given the ``Level`` of dimension n-1, which
+    ``Levels`` then uses in place of ``face``.  It must agree with
+    ``face``: a ``Nerve`` subclass that overrides ``face`` to give other
+    cells must override ``face_rows`` too."""
+
     def cells(self, n: int, cap: int = ...) -> Iterable[Hashable]: ...
 
     def face(self, cell, j: int): ...
@@ -84,10 +94,13 @@ class Level(NamedTuple):
 
 
 class Levels:
-    """The ``Level`` tables of one provider, each built on first use from
-    ``p.cells`` and ``p.face`` and then shared by every check handed this
-    instance.  A level is refused with CapacityError whenever it holds more
-    cells than the caller's ``cap``."""
+    """The ``Level`` tables of one provider, each built on first use and
+    then shared by every check handed this instance.  The cells come from
+    ``p.cells``; the face table from ``p.face_rows`` where the provider has
+    it, else from one ``p.face`` call per face.  Either way a face missing
+    from the level below refuses the level with CompatibilityError, and a
+    level is refused with CapacityError whenever it holds more cells than
+    the caller's ``cap``."""
 
     def __init__(self, p: LevelProvider):
         self.p = p
@@ -108,11 +121,14 @@ class Levels:
         if n == 0:
             faces = [()] * len(cells)
         else:
-            below = self.level(n - 1, cap).ids
-            face = self.p.face
-            js = range(n + 1)
+            below = self.level(n - 1, cap)
+            face_rows = getattr(self.p, "face_rows", None)
             try:
-                faces = [tuple([below[face(c, j)] for j in js]) for c in cells]
+                if face_rows is not None:
+                    faces = face_rows(n, below)
+                else:
+                    face, below_ids, js = self.p.face, below.ids, range(n + 1)
+                    faces = [tuple([below_ids[face(c, j)] for j in js]) for c in cells]
             except KeyError:
                 raise CompatibilityError(
                     f"a face of a {n}-cell is not a {n - 1}-cell; provider is broken"
@@ -247,11 +263,14 @@ def beta(p: LevelProvider, h: HornTuple) -> BoundaryTuple:
     (d_{l-1} x_0, ..., d_{l-1} x_{l-1}, d_l x_{l+1}, ..., d_l x_n), which is
     always a compatible boundary tuple.
     """
+    return BoundaryTuple(tuple([beta_face(p, h, i) for i in range(len(h.faces))]))
+
+
+def beta_face(p: LevelProvider, h: HornTuple, i: int):
+    """Entry i of ``beta(h)`` alone: face l-1 of the horn's i-th present
+    face when that face sits before slot l, face l otherwise."""
     l = h.omitted
-    parts = []
-    for slot, x in zip(h.slots(), h.faces):
-        parts.append(p.face(x, l - 1) if slot < l else p.face(x, l))
-    return BoundaryTuple(tuple(parts))
+    return p.face(h.faces[i], l - 1 if i < l else l)
 
 
 def horn_of_cell(p: LevelProvider, cell, l: int, n: int | None = None) -> HornTuple:

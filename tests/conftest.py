@@ -1,7 +1,27 @@
 import pytest
 
 from xnerve import fixtures
+from xnerve.algebra import CrossedMonoid, FiniteMonoid
 from xnerve.nerve import Nerve
+
+
+def pair_groupoid_z3_relabelled() -> CrossedMonoid:
+    """``pair_groupoid_z3`` with the elements of the fiber over object 1
+    renamed by k -> (k + 2) % 3, so the two fibers have different unit ids
+    and tables, and a formula that reads the wrong fiber shows."""
+    xm = fixtures.pair_groupoid_z3()
+    rename = (2, 0, 1)
+    back = tuple(sorted(range(3), key=rename.__getitem__))
+    z3 = xm.fibers[0]
+    fiber1 = FiniteMonoid(3, rename[z3.unit], tuple(
+        tuple(rename[z3.table[back[a]][back[b]]] for b in range(3)) for a in range(3)))
+    # action[m] maps the fiber over tgt(m) to the fiber over src(m)
+    action = tuple(
+        tuple(rename[xm.action[m][a]] if xm.cat.src[m] else xm.action[m][a]
+              for a in (back if xm.cat.tgt[m] else range(3)))
+        for m in xm.cat.morphisms()
+    )
+    return CrossedMonoid(cat=xm.cat, fibers=(z3, fiber1), action=action, boundary=xm.boundary)
 
 
 class CheckedNerve(Nerve):
@@ -92,3 +112,8 @@ def nv_idempotent(xm_idempotent):
 @pytest.fixture(scope="session")
 def nv_pair(xm_pair):
     return CheckedNerve(xm_pair)
+
+
+@pytest.fixture(scope="session")
+def nv_pair_relabelled():
+    return CheckedNerve(pair_groupoid_z3_relabelled())

@@ -183,8 +183,9 @@ def test_corner_assemble_rejects_incompatible(nv_z2_z3):
         nv_z2_z3.corner_assemble(CornerTriple(first, good, 9))  # corner outside the fiber
 
 
-def test_corner_face_against_composed_path(nv_z2_z3, nv_z2_z3_twisted, nv_pair):
-    for nv in (nv_z2_z3, nv_z2_z3_twisted, nv_pair):
+def test_corner_face_against_composed_path(nv_z2_z3, nv_z2_z3_twisted, nv_pair, nv_pair_relabelled):
+    # the relabelled pair groupoid tells the fibers over x0 and x1 apart
+    for nv in (nv_z2_z3, nv_z2_z3_twisted, nv_pair, nv_pair_relabelled):
         for n in (3, 4):
             for t in nv.corner_triples(n):
                 cell = nv.corner_assemble(t)

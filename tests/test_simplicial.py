@@ -3,7 +3,10 @@ import re
 from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import pair_groupoid_z3_relabelled
+from test_algebra import _corrupt, permutation_module
 from xnerve import fixtures
 from xnerve.algebra import ValidationReport, Violation
 from xnerve.errors import CapacityError, CompatibilityError, DEFAULT_CAPACITY, NotKanError
@@ -311,11 +314,67 @@ PROVIDERS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PROVIDERS))
-def test_level_tables_match_face_and_sort_order(name):
-    p = PROVIDERS[name]()
+FIXTURES = (
+    fixtures.trivial_point, fixtures.group_z2, fixtures.z3_fiber_only, fixtures.z2_with_z3_fiber,
+    fixtures.z2_with_z3_fiber_twisted, fixtures.idempotent_fiber, fixtures.broken_exchange,
+    fixtures.z3_identity_boundary, fixtures.idempotent_endo_category, fixtures.pair_groupoid_z3,
+    fixtures.empty_crossed_monoid,
+)
+
+
+def _union_f6_idempotent():
+    # fibers of sizes 3 and 2
+    return fixtures.disjoint_union(fixtures.z2_with_z3_fiber_twisted(), fixtures.idempotent_fiber())
+
+
+# name -> (provider builder, highest dimension checked)
+LEVEL_CASES = {
+    **{name: (build, 3) for name, build in PROVIDERS.items()},
+    **{f"fixture-{b.__name__}": (lambda b=b: Nerve(b()), 3) for b in FIXTURES},
+    "union-F6-idempotent": (lambda: Nerve(_union_f6_idempotent()), 3),
+    "S4": (lambda: Nerve(permutation_module(4, even_fiber=False)), 2),
+    "pair-relabelled": (lambda: Nerve(pair_groupoid_z3_relabelled()), 4),
+}
+
+
+class PerCell:
+    """Exposes only ``cells``, ``face`` and ``degeneracy`` of a provider, so
+    that ``Levels`` fills its face tables by per-cell ``face`` calls: the
+    reference for ``Nerve.face_rows``."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def cells(self, n, cap=DEFAULT_CAPACITY):
+        return self.base.cells(n, cap=cap)
+
+    def face(self, cell, j):
+        return self.base.face(cell, j)
+
+    def degeneracy(self, cell, j):
+        return self.base.degeneracy(cell, j)
+
+
+def face_tables_or_error(p, maxdim):
+    """The face tables of dimensions 0..maxdim, ending with the error text
+    at the first level refused with CompatibilityError."""
     levels = Levels(p)
-    for n in range(4):
+    out = []
+    for n in range(maxdim + 1):
+        try:
+            out.append(levels.level(n).faces)
+        except CompatibilityError as exc:
+            out.append(str(exc))
+            break
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_CASES))
+def test_level_tables_match_face_and_sort_order(name):
+    build, maxdim = LEVEL_CASES[name]
+    p = build()
+    levels = Levels(p)
+    for n in range(maxdim + 1):
         lv = levels.level(n)
         assert lv.cells == list(p.cells(n))
         assert [c.sort_key() for c in lv.cells] == sorted(c.sort_key() for c in lv.cells)
@@ -328,6 +387,72 @@ def test_level_tables_match_face_and_sort_order(name):
             assert lv.faces[i] == tuple(below.ids[p.face(c, j)] for j in range(n + 1))
         if isinstance(p, Nerve):
             assert [p.cell_at(n, i) for i in range(len(lv.cells))] == lv.cells
+    if isinstance(p, Nerve):
+        assert face_tables_or_error(p, maxdim) == face_tables_or_error(PerCell(p), maxdim)
+
+
+def test_level_tables_refuse_an_ill_typed_composite_like_the_reference():
+    # g*g lands on the other object, so a 2-cell's diagonal has no 1-cell
+    nv = Nerve(_corrupt(_union_f6_idempotent(), "compose", (1, 1), 2))
+    expected = face_tables_or_error(PerCell(nv), 3)
+    assert expected[-1] == "a face of a 2-cell is not a 1-cell; provider is broken"
+    assert face_tables_or_error(nv, 3) == expected
+
+
+def _level_corruption_sites(xm):
+    """Per table kind, (site, other values) for every entry of the tables
+    the nerve reads, restricted to the values ``Nerve(xm)`` accepts:
+    composites may leave their hom-set, boundary values stay endomorphisms."""
+    cat = xm.cat
+    sites = {
+        "mul": [((x, a, b), [v for v in f.elements() if v != f.table[a][b]])
+                for x, f in enumerate(xm.fibers) for a in f.elements() for b in f.elements()],
+        "compose": [((a, b), [v for v in cat.morphisms() if v != c])
+                    for a in cat.morphisms() for b, c in enumerate(cat.compose_table[a]) if c is not None],
+        "action": [((m, a), [v for v in xm.fibers[cat.src[m]].elements() if v != xm.action[m][a]])
+                   for m in cat.morphisms() for a in range(len(xm.action[m]))],
+        "boundary": [((x, a), [v for v in cat.hom(x, x) if v != xm.boundary[x][a]])
+                     for x in cat.objects() for a in xm.fibers[x].elements()],
+    }
+    return {kind: [s for s in entries if s[1]] for kind, entries in sites.items() if any(s[1] for s in entries)}
+
+
+CORRUPTIBLE = {
+    **{b.__name__: b() for b in FIXTURES},
+    "union_f6_idempotent": _union_f6_idempotent(),
+    "pair_groupoid_z3_relabelled": pair_groupoid_z3_relabelled(),
+}
+LEVEL_SITES = {name: _level_corruption_sites(xm) for name, xm in CORRUPTIBLE.items()}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_level_tables_match_reference_on_single_entry_corruptions(data):
+    name = data.draw(st.sampled_from(sorted(n for n in LEVEL_SITES if LEVEL_SITES[n])), label="structure")
+    kind = data.draw(st.sampled_from(sorted(LEVEL_SITES[name])), label="kind")
+    site, values = data.draw(st.sampled_from(LEVEL_SITES[name][kind]), label="site")
+    value = data.draw(st.sampled_from(values), label="value")
+    nv = Nerve(_corrupt(CORRUPTIBLE[name], kind, site, value))
+    maxdim = 4 if nv.count_cells(4) <= 2000 else 3
+    assert face_tables_or_error(nv, maxdim) == face_tables_or_error(PerCell(nv), maxdim)
+
+
+def test_nerve_levels_make_no_face_calls(monkeypatch):
+    calls = []
+    real_face = Nerve.face
+
+    def counted(self, cell, j):
+        calls.append((cell, j))
+        return real_face(self, cell, j)
+
+    monkeypatch.setattr(Nerve, "face", counted)
+    for build in (fixtures.z2_with_z3_fiber_twisted, fixtures.pair_groupoid_z3):
+        nv = Nerve(build())
+        levels = Levels(nv)
+        for n in range(5):
+            levels.level(n)
+        nv.face(levels.level(4).cells[0], 0)  # shows that the counter is live
+    assert len(calls) == 2
 
 
 def test_corrupted_provider_shows_in_its_table():
