@@ -182,23 +182,24 @@ def cmd_fill(xm, args) -> tuple[int, list[dict]]:
     for n in range(max(lo, 2), hi + 1):
         count = nerve.count_cells(n)
         for l in range(n + 1):
+            # horns as face ranks: a level's ids are ranks, and a sampled
+            # cell's face row drops slot l
             if count <= args.max_cells:
-                horn_list = S.horns(nerve, n, l, cap=args.max_cells, levels=levels)
+                horn_ids = S.horns(nerve, n, l, cap=args.max_cells, levels=levels).ids
                 mode = "exhaustive"
             else:
                 sample = min(1000, args.max_cells)
-                horn_list = [
-                    S.horn_of_cell(nerve, nerve.cell_at(n, rng.randrange(count)), l)
-                    for _ in range(sample)
-                ]
+                rows = [nerve.face_ids(n, rng.randrange(count)) for _ in range(sample)]
+                horn_ids = [row[:l] + row[l + 1:] for row in rows]
                 mode = f"sampled {sample} (seed {args.seed})"
-            for h in horn_list:
-                filler.fill(h)
+            for faces in horn_ids:
+                filler.fill_ids(n, l, faces)
+            nerve.clear_face_ids()
             checks.append(
                 {
                     "label": f"fill[{n},{l}]",
                     "passed": True,
-                    "detail": f"{len(horn_list)} horns filled and face-verified ({mode})",
+                    "detail": f"{len(horn_ids)} horns filled and face-verified ({mode})",
                 }
             )
     return EXIT_OK, checks

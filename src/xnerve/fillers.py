@@ -1,12 +1,20 @@
-"""Constructive horn fillers for crossed-module nerves.
+"""Constructive horn fillers for crossed-module nerves, on cell ranks.
 
-Dimension 2 fills by groupoid inverses with a unit corner.  Every dimension
-n >= 3 takes one path: collapse the horn one level with ``beta``, rebuild
-the missing face from that boundary, and reassemble the filler through the
-corner bijection.  For n >= 4 the missing face is itself rebuilt through
-the corner bijection; for n = 3 it is a 2-cell whose diagonal is the
-boundary's outer edges, the only two entries of ``beta`` computed, and whose
-corner is solved out of the boundary-image equation.
+``HornFiller.fill_ids`` takes a horn as the ranks of its faces (see
+``Nerve.face_ids``) and returns the filler's rank; ``fill`` is the cell
+form.  Dimension 2 fills by groupoid inverses with a unit corner.  Every
+dimension n >= 3 collapses the horn one level with beta, rebuilds the
+missing face from that boundary, and assembles the filler through the corner
+bijection (``Nerve.assemble_id``).  For n >= 4 the missing face is itself
+assembled that way; for n = 3 it is the 2-cell whose diagonal is entries 2
+and 0 of beta and whose corner solves the boundary-image equation.
+
+Nothing is assumed of the input; each check is an int comparison and a
+failure raises CompatibilityError: the faces match up as a horn, the n = 3
+completed tuple satisfies eq:image, the first and last faces overlap, and
+the whole face rows of the filler and, for n >= 4, of the missing face are
+the tuples they were built from (for n = 2, the filler's faces at the
+horn's slots).
 
 The boundary-image equation for a compatible 4-tuple (M0, M1, M2, M3) of
 2-cells reads, with g the lower diagonal of M3 and c_j the corner of M_j:
@@ -19,12 +27,13 @@ also sufficient over a crossed module.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .algebra import Classification, CrossedMonoid, classify_structure
 from .errors import CompatibilityError, NotCrossedModuleError
-from .nerve import CornerTriple, Nerve, NerveCell
-from .simplicial import BoundaryTuple, HornTuple, beta, beta_face, is_compatible_horn
+from .nerve import Nerve, NerveCell
+from .simplicial import BoundaryTuple, HornTuple, is_compatible_horn
 
 
 def image_b3(xm: CrossedMonoid, t: BoundaryTuple) -> bool:
@@ -33,13 +42,14 @@ def image_b3(xm: CrossedMonoid, t: BoundaryTuple) -> bool:
     Necessary over any crossed monoid; necessary and sufficient over a
     crossed module.
     """
-    m0, m1, m2, m3 = t.faces
-    g = m3.rows[1][0]
-    act = xm.action[g]
-    mul = xm.fibers[xm.cat.src[g]].table
-    lhs = mul[act[m3.rows[0][1]]][m1.rows[0][1]]
-    rhs = mul[act[m2.rows[0][1]]][m0.rows[0][1]]
-    return lhs == rhs
+    return _image_rule(xm, t.faces[3].rows[1][0], [m.rows[0][1] for m in t.faces])
+
+
+def _image_rule(xm: CrossedMonoid, g: int, c: Sequence[int]) -> bool:
+    """Rule eq:image on the corners ``c`` of a 4-tuple of 2-cells whose
+    face 3 has the lower diagonal g."""
+    act, mul = xm.action[g], xm.fibers[xm.cat.src[g]].table
+    return mul[act[c[3]]][c[1]] == mul[act[c[2]]][c[0]]
 
 
 @dataclass(frozen=True)
@@ -96,65 +106,64 @@ class HornFiller:
             raise NotCrossedModuleError("fibers_are_groups", (obj, a))
         return v
 
-    def _result(self, h: HornTuple, filler: NerveCell, boundary: tuple | None = None) -> FillResult:
-        """Check the filler's faces at the horn's slots.  ``boundary`` is its
-        whole face tuple when a reconstruction has already computed it."""
-        face = self.nerve.face
-        checks = tuple(
-            FaceCheck(slot, expected, face(filler, slot) if boundary is None else boundary[slot])
-            for slot, expected in zip(h.slots(), h.faces)
-        )
-        result = FillResult(filler, checks)
-        if not result.verified:
-            bad = next(c for c in result.checks if not c.ok)
-            raise CompatibilityError(
-                f"filler face mismatch at slot {bad.slot}: "
-                f"expected {bad.expected.text()}, got {bad.actual.text()}"
-            )
-        return result
-
-    def _checked_boundary(self, cell: NerveCell, faces: tuple[NerveCell, ...]) -> tuple[NerveCell, ...]:
-        """The face tuple of a reconstructed cell, refused unless it is
-        ``faces``."""
-        face = self.nerve.face
-        got = tuple([face(cell, j) for j in range(len(faces))])
-        for j, expected in enumerate(faces):
-            if got[j] != expected:
-                raise CompatibilityError(f"boundary reconstruction failed at face {j}")
-        return got
-
     # -- dimension dispatch ----------------------------------------------
 
     def fill(self, h: HornTuple) -> FillResult:
-        if not is_compatible_horn(self.nerve, h):
+        """Fill a horn given as cells: checked with ``is_compatible_horn``,
+        filled on ranks by ``fill_ids``, and decoded."""
+        nv = self.nerve
+        faces = [nv.rank_of(f) for f in h.faces]
+        if not is_compatible_horn(nv, h):
             raise CompatibilityError("tuple is not a horn: faces do not match up")
-        if h.dim == 2:
-            return self.fill_dim2(h)
-        if h.dim >= 3:
-            return self.fill_collapse(h)
-        raise CompatibilityError(f"no constructive filler in dimension {h.dim}")
+        filler = self.fill_ids(h.dim, h.omitted, faces)
+        row = nv.face_ids(h.dim, filler)
+        return FillResult(nv.cell_at(h.dim, filler), tuple(
+            FaceCheck(slot, expected, nv.cell_at(h.dim - 1, row[slot])) for slot, expected in zip(h.slots(), h.faces)))
 
-    def fill_dim2(self, h: HornTuple) -> FillResult:
-        cat = self.xm.cat
-        l = h.omitted
-        mors = [c.rows[0][0] for c in h.faces]
+    def fill_ids(self, n: int, l: int, faces: Sequence[int]) -> int:
+        """Rank of the filler of the dimension-n horn whose present faces,
+        in slot order with slot l omitted, have the ranks ``faces``.
+
+        Refuses with CompatibilityError unless the faces match up as a
+        horn, the filler's faces are the horn's, and for n >= 3 the whole
+        face rows of the filler and (n >= 4) of the missing face are the
+        tuples they were built from, the n = 3 tuple passing eq:image."""
+        if n < 2:
+            raise CompatibilityError(f"no constructive filler in dimension {n}")
+        face_ids = self.nerve.face_ids
+        rows = [face_ids(n - 1, f) for f in faces]
+        slots = [k for k in range(n + 1) if k != l]
+        for a, j in enumerate(slots):
+            for b in range(a + 1, n):
+                if rows[b][j] != rows[a][slots[b] - 1]:
+                    raise CompatibilityError("tuple is not a horn: faces do not match up")
+        if n == 2:
+            return self._fill_dim2(l, faces, slots)
+        beta = [row[l - 1 if i < l else l] for i, row in enumerate(rows)]
+        completed = list(faces)
+        completed.insert(l, self._missing_2face(l, faces, rows, beta) if n == 3 else self._cell_with_boundary(n - 1, beta))
+        return self._cell_with_boundary(n, completed)
+
+    def _fill_dim2(self, l: int, faces: Sequence[int], slots: list[int]) -> int:
+        """The 2-cell with d_0 = lower, d_2 = upper and a unit corner, the
+        missing edge made from groupoid inverses."""
+        cat, nv = self.xm.cat, self.nerve
+        f, g = [nv.mor_at[r] for r in faces]
         if l == 1:
-            lower, upper = mors[0], mors[1]
+            lower, upper = f, g
         elif l == 2:
-            f0, f1 = mors
-            upper = cat.compose(f1, self._mor_inverse(f0))
-            lower = f0
+            lower, upper = f, cat.compose(g, self._mor_inverse(f))
         else:
-            f1, f2 = mors
-            upper = f2
-            lower = cat.compose(self._mor_inverse(f2), f1)
-        x1 = cat.src[upper]
-        filler = NerveCell(
-            2,
-            (cat.tgt[upper], x1, cat.src[lower]),
-            ((upper, self.xm.fibers[x1].unit), (lower,)),
-        )
-        return self._result(h, filler)
+            lower, upper = cat.compose(self._mor_inverse(g), f), g
+        filler = nv.assemble_id(2, nv.mor_rank[lower], nv.mor_rank[upper], self.xm.fibers[cat.src[upper]].unit)
+        row = nv.face_ids(2, filler)
+        for slot, expected in zip(slots, faces):
+            if row[slot] != expected:
+                raise CompatibilityError(
+                    f"filler face mismatch at slot {slot}: "
+                    f"expected {nv.cell_at(1, expected).text()}, got {nv.cell_at(1, row[slot]).text()}"
+                )
+        return filler
 
     def _mor_inverse(self, m: int) -> int:
         v = self.mor_inv[m]
@@ -162,18 +171,14 @@ class HornFiller:
             raise NotCrossedModuleError("category_is_groupoid", (m,))
         return v
 
-    def _missing_2face(self, h: HornTuple) -> NerveCell:
-        """The omitted 2-face of a dimension-3 horn, whose boundary is
-        ``beta(h)``: the diagonal is read off entries 2 and 0 of beta(h),
-        the only two computed, and the corner solves rule eq:image, with g
-        the lower diagonal of the completed face 3."""
-        cat = self.xm.cat
-        l = h.omitted
-        upper = beta_face(self.nerve, h, 2).rows[0][0]
-        lower = beta_face(self.nerve, h, 0).rows[0][0]
-        g = lower if l == 3 else h.faces[-1].rows[1][0]
-        x1, x2 = cat.tgt[g], cat.src[g]
-        c = [f.rows[0][1] for f in h.faces]
+    def _missing_2face(self, l: int, faces: Sequence[int], rows: list[tuple[int, ...]], beta: list[int]) -> int:
+        """The omitted 2-face of a dimension-3 horn, with boundary ``beta``:
+        the diagonal is entries 2 and 0 of beta, and the corner solves rule
+        eq:image, with g the lower diagonal of face 3."""
+        nv = self.nerve
+        g = nv.mor_at[beta[0] if l == 3 else rows[-1][0]]
+        x1, x2 = self.xm.cat.tgt[g], self.xm.cat.src[g]
+        c = [nv.corner_at(2, f) for f in faces]
         c.insert(l, None)
         mul, act, inv = self._mul, self._act, self._inv
         if l == 0:
@@ -184,37 +189,29 @@ class HornFiller:
             corner = self._act_inv(g, mul(x2, act(g, c[3]), c[1], inv(x2, c[0])))
         else:
             corner = self._act_inv(g, mul(x2, act(g, c[2]), c[0], inv(x2, c[1])))
-        return NerveCell(2, (cat.tgt[upper], cat.src[upper], cat.src[lower]), ((upper, corner), (lower,)))
+        return nv.assemble_id(2, beta[0], beta[2], corner)
 
-    def _cell_from_boundary3(self, faces: tuple[NerveCell, ...]) -> tuple[NerveCell, tuple[NerveCell, ...]]:
-        """Unique 3-cell with the given boundary, and that boundary as
-        recomputed from it; refuses a tuple that fails rule eq:image."""
-        if not image_b3(self.xm, BoundaryTuple(faces)):
-            raise CompatibilityError("boundary tuple fails eq:image")
-        m0, m3 = faces[0], faces[3]
-        x1 = m3.objects[1]
-        corner = self._mul(x1, self._inv(x1, faces[3].rows[0][1]), faces[2].rows[0][1])
-        cell = self.nerve.corner_assemble(CornerTriple(m0, m3, corner))
-        return cell, self._checked_boundary(cell, faces)
-
-    def _cell_from_boundary(self, faces: tuple[NerveCell, ...]) -> tuple[NerveCell, tuple[NerveCell, ...]]:
-        """Cell with the given boundary in dimensions >= 3 (>= 4 via the
-        corner bijection), and that boundary as recomputed from it."""
-        if len(faces) == 4:
-            return self._cell_from_boundary3(faces)
-        cell = self.nerve.corner_assemble(self.nerve.corner_project(faces))
-        return cell, self._checked_boundary(cell, faces)
-
-    def fill_collapse(self, h: HornTuple) -> FillResult:
-        """Dimensions >= 3: collapse the horn with beta, rebuild the missing
-        face from that boundary, then the filler from the completed one."""
-        if h.dim < 3:
-            raise CompatibilityError("the collapse path starts at dimension 3")
-        if h.dim == 3:
-            missing = self._missing_2face(h)
+    def _cell_with_boundary(self, n: int, faces: Sequence[int]) -> int:
+        """Rank of the n-cell, n >= 3, with the face ranks ``faces``, built
+        through the corner bijection; the corner is that of face 2 for
+        n >= 4 and solves rule eq:image for n = 3.  Refuses a tuple that
+        fails eq:image, whose outer faces do not overlap, or whose cell has
+        another boundary."""
+        nv = self.nerve
+        face_ids = nv.face_ids
+        if n == 3:
+            c = [nv.corner_at(2, f) for f in faces]
+            g = nv.mor_at[face_ids(2, faces[3])[0]]
+            if not _image_rule(self.xm, g, c):
+                raise CompatibilityError("boundary tuple fails eq:image")
+            x1 = self.xm.cat.tgt[g]
+            corner = self._mul(x1, self._inv(x1, c[3]), c[2])
         else:
-            missing = self._cell_from_boundary(beta(self.nerve, h).faces)[0]
-        faces = list(h.faces)
-        faces.insert(h.omitted, missing)
-        filler, boundary = self._cell_from_boundary(tuple(faces))
-        return self._result(h, filler, boundary)
+            corner = nv.corner_at(n - 1, faces[2])
+        if face_ids(n - 1, faces[0])[n - 1] != face_ids(n - 1, faces[-1])[0]:
+            raise CompatibilityError("faces do not overlap: d_{n-1}(first) != d_0(last)")
+        cell = nv.assemble_id(n, faces[0], faces[-1], corner)
+        for j, (got, expected) in enumerate(zip(face_ids(n, cell), faces)):
+            if got != expected:
+                raise CompatibilityError(f"boundary reconstruction failed at face {j}")
+        return cell

@@ -27,11 +27,18 @@ d_0 deletes the first row, d_n the last column.  The degeneracy s_j inserts a
 unit column at j+1 above row j+1, a fresh row (1_{x_j}, e, ..., e) at j+1,
 and shifts the lower rows one step south-east (the insertion is skipped for
 j = 0, the shift for j = n).
+
+A cell's rank is its position in ``cells(n)``.  ``cell_at`` and ``rank_of``
+convert; ``face_ids``, ``assemble_id`` and ``corner_at`` work on ranks alone,
+in any dimension, with no cell built.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, NamedTuple, Sequence
@@ -82,8 +89,26 @@ class CornerTriple:
     corner: int
 
 
-# (object sequence, row-major candidate list per matrix position, block size)
-_Block = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], int]
+class _Block(NamedTuple):
+    """One object sequence with a morphism in every C(x_i, x_{i-1}): the
+    row-major candidate list of every matrix position, the block size (their
+    product) and the rank of its first cell."""
+
+    seq: tuple[int, ...]
+    domains: tuple[tuple[int, ...], ...]
+    size: int
+    start: int
+
+
+def _glue(glue: tuple[int, ...], first: int, last: int, corner: int) -> int:
+    """Rank of the cell with faces d_0 = ``first``, d_n = ``last`` (ranks)
+    and corner ``corner``: row 1 is the last face's row 1 and the corner,
+    the rows below are the first face's rows.  ``glue`` is the block's
+    start, the start and size of the first face's block, the start of the
+    last face's block, the size of the last face's rows below row 1 and the
+    size of the fiber over x1."""
+    start, fstart, fsize, lstart, ltail, fiber = glue
+    return start + ((last - lstart) // ltail * fiber + corner) * fsize + first - fstart
 
 
 class Nerve:
@@ -101,7 +126,15 @@ class Nerve:
             if a is not None:
                 raise CompatibilityError(f"boundary at (x, a) = ({x}, {a}) is not an endomorphism of object {x}")
         self.xm = xm
-        self._blocks_by_dim: dict[int, tuple[_Block, ...]] = {}
+        self._dims: dict[int, tuple[_Block, ...]] = {}
+        self._starts: dict[int, list[int]] = {}
+        self._block_of: dict[tuple[int, ...], _Block] = {}  # by object sequence, every dimension
+        self._glues: dict[tuple[int, ...], tuple[int, ...]] = {}  # by object sequence
+        self._face_plans: dict[tuple[int, ...], tuple] = {}  # by object sequence
+        self._face_id_rows: defaultdict[int, dict[int, tuple[int, ...]]] = defaultdict(dict)
+        # mor_at[r] is the morphism of the 1-cell of rank r; mor_rank inverts it
+        self.mor_at = [g for blk in self._dim(1) for g in blk.domains[0]]
+        self.mor_rank = sorted(range(len(self.mor_at)), key=self.mor_at.__getitem__)
 
     # -- construction -------------------------------------------------
 
@@ -303,13 +336,6 @@ class Nerve:
             return tuple([mul[a][row] for a in act])
         return xm.fibers[side.objects[1]].table[side.rows[0][n - 2]]
 
-    def corner_project(self, faces: Sequence[NerveCell]) -> CornerTriple:
-        """Triple (first, last, corner of the third face) of a face tuple."""
-        third = faces[2]
-        if third.dim < 2:
-            raise CompatibilityError("corner projection needs faces of dimension >= 2")
-        return CornerTriple(faces[0], faces[-1], third.rows[0][third.dim - 1])
-
     def corner_triples(self, n: int, cap: int = DEFAULT_CAPACITY) -> Iterator[CornerTriple]:
         """All valid (first, last, corner) triples in dimension n >= 2."""
         if n < 2:
@@ -327,20 +353,21 @@ class Nerve:
 
     # -- enumeration -----------------------------------------------------
 
-    def _blocks(self, n: int) -> tuple[_Block, ...]:
-        """Enumeration blocks of dimension n >= 0, built once per dimension.
+    def _dim(self, n: int) -> tuple[_Block, ...]:
+        """Enumeration blocks of dimension n >= 0 in rank order, built once.
 
-        One block per object sequence (x0, ..., xn) with a morphism in every
-        C(x_i, x_{i-1}), sequences lexicographic: the sequence, the row-major
-        candidate list of every matrix position, and the block size, the
-        product of the candidate counts.  A cell's index within its block is
-        the mixed-radix number whose digits are its positions in those lists.
+        One block per object sequence, sequences lexicographic.  A cell's
+        rank is its block's start plus its index in the block, the
+        mixed-radix number whose digits are its entries' positions in the
+        candidate lists; fiber candidates are range(size), so a fiber digit
+        is its element.  In dimension 0 an object's rank is its id; negative
+        dimensions have no blocks.
         """
-        blocks = self._blocks_by_dim.get(n)
+        blocks = () if n < 0 else self._dims.get(n)
         if blocks is None:
             xm = self.xm
             cat = xm.cat
-            out = []
+            blocks, start = [], 0
             for seq in itertools.product(cat.objects(), repeat=n + 1):
                 if not all(cat.hom(seq[i], seq[i - 1]) for i in range(1, n + 1)):
                     continue
@@ -348,11 +375,12 @@ class Nerve:
                 for i in range(1, n + 1):
                     domains.append(cat.hom(seq[i], seq[i - 1]))
                     domains.extend([tuple(xm.fibers[seq[i]].elements())] * (n - i))
-                size = 1
-                for dom in domains:
-                    size *= len(dom)
-                out.append((seq, tuple(domains), size))
-            blocks = self._blocks_by_dim[n] = tuple(out)
+                size = math.prod(map(len, domains))
+                blocks.append(_Block(seq, tuple(domains), size, start))
+                start += size
+            self._block_of.update((blk.seq, blk) for blk in blocks)
+            self._starts[n] = [blk.start for blk in blocks]
+            blocks = self._dims[n] = tuple(blocks)
         return blocks
 
     @staticmethod
@@ -365,11 +393,8 @@ class Nerve:
         return bounds
 
     def count_cells(self, n: int) -> int:
-        if n < 0:
-            return 0
-        if n == 0:
-            return self.xm.cat.num_objects
-        return sum(size for _, _, size in self._blocks(n))
+        blocks = self._dim(n)
+        return blocks[-1].start + blocks[-1].size if blocks else 0
 
     def cells(self, n: int, cap: int = DEFAULT_CAPACITY) -> Iterator[NerveCell]:
         """All cells of dimension n, object sequences lexicographic, then
@@ -381,34 +406,155 @@ class Nerve:
                 predicted=predicted,
                 cap=cap,
             )
-        if n == 0:
-            for x in self.xm.cat.objects():
-                yield _cell((0, (x,), ()))
-            return
         bounds = self._row_bounds(n)
-        for seq, domains, _ in self._blocks(n):
-            for flat in itertools.product(*domains):
-                yield _cell((n, seq, tuple([flat[a:b] for a, b in bounds])))
+        for blk in self._dim(n):
+            for flat in itertools.product(*blk.domains):
+                yield _cell((n, blk.seq, tuple([flat[a:b] for a, b in bounds])))
+
+    def _locate(self, n: int, r: int) -> tuple[_Block, int]:
+        """(block, index within the block) of rank r in dimension n."""
+        blocks = self._dims.get(n) or self._dim(n)
+        blk = blocks[bisect_right(self._starts[n], r) - 1] if r >= 0 and blocks else None
+        if blk is None or r - blk.start >= blk.size:
+            raise IndexError(r)
+        return blk, r - blk.start
 
     def cell_at(self, n: int, index: int) -> NerveCell:
         """The index-th cell in enumeration order, without materializing."""
-        if index < 0:
-            raise IndexError(index)
-        if n == 0:
-            if index >= self.xm.cat.num_objects:
-                raise IndexError(index)
-            return _cell((0, (index,), ()))
-        for seq, domains, size in self._blocks(n):
-            if index >= size:
-                index -= size
-                continue
-            digits = []
-            for dom in reversed(domains):
-                index, digit = divmod(index, len(dom))
-                digits.append(dom[digit])
-            flat = tuple(reversed(digits))
-            return _cell((n, seq, tuple([flat[a:b] for a, b in self._row_bounds(n)])))
-        raise IndexError(index)
+        blk, index = self._locate(n, index)
+        digits = []
+        for dom in reversed(blk.domains):
+            index, digit = divmod(index, len(dom))
+            digits.append(dom[digit])
+        flat = tuple(reversed(digits))
+        return _cell((n, blk.seq, tuple([flat[a:b] for a, b in self._row_bounds(n)])))
+
+    def rank_of(self, c: NerveCell) -> int:
+        """Position of a cell in ``cells(c.dim)`` order; the inverse of
+        ``cell_at``.  Refuses an invalid cell with CellError."""
+        self.validate_cell(c)
+        self._dim(c.dim)
+        blk = self._block_of[c.objects]
+        r = 0
+        for dom, v in zip(blk.domains, itertools.chain.from_iterable(c.rows)):
+            r = r * len(dom) + dom.index(v)
+        return blk.start + r
+
+    def corner_at(self, n: int, r: int) -> int:
+        """Corner, entry (1, n), of the n-cell of rank r, n >= 2."""
+        blk, index = self._locate(n, r)
+        glue = self._glue_of(blk)
+        return index // glue[2] % glue[5]
+
+    def assemble_id(self, n: int, first: int, last: int, corner: int) -> int:
+        """Rank form of ``corner_assemble``: the rank of the n-cell, n >= 2,
+        with first face, last face and corner ``(first, last, corner)``,
+        the faces given as ranks.  Their overlap is not compared; only a
+        pair with no common object sequence is refused."""
+        lseq, fseq = self._locate(n - 1, last)[0].seq, self._locate(n - 1, first)[0].seq
+        self._dim(n)
+        blk = self._block_of.get(lseq + fseq[-1:])
+        if blk is None or lseq[1:] != fseq[:-1]:
+            raise CompatibilityError("faces do not overlap: d_{n-1}(first) != d_0(last)")
+        glue = self._glue_of(blk)
+        if not 0 <= corner < glue[5]:
+            raise CompatibilityError(f"corner {corner} outside the fiber over object {lseq[1]}")
+        return _glue(glue, first, last, corner)
+
+    def _glue_of(self, blk: _Block) -> tuple[int, ...]:
+        """The constants of ``_glue`` for a block of dimension >= 2."""
+        glue = self._glues.get(blk.seq)
+        if glue is None:
+            seq = blk.seq
+            self._dim(len(seq) - 2)
+            self._dim(len(seq) - 3)
+            block_of = self._block_of
+            first, last = block_of[seq[1:]], block_of[seq[:-1]]
+            glue = self._glues[seq] = (blk.start, first.start, first.size, last.start, block_of[seq[1:-1]].size,
+                                       self.xm.fibers[seq[1]].size)
+        return glue
+
+    def face_ids(self, n: int, r: int) -> tuple[int, ...]:
+        """Ranks of d_0 .. d_n of the n-cell of rank r, n >= 1, in any
+        dimension; rows are cached per rank until ``clear_face_ids``."""
+        rows = self._face_id_rows[n]
+        row = rows.get(r)
+        if row is None:
+            row = rows[r] = self._face_row(n, r)
+        return row
+
+    def clear_face_ids(self) -> None:
+        self._face_id_rows.clear()
+
+    def _face_row(self, n: int, r: int) -> tuple[int, ...]:
+        """d_0 deletes row 1, so its rank keeps the low digits of r's index
+        in its block; d_n deletes the last digit of every row.  For n = 2,
+        d_1 is the composite diagonal.  For n >= 3, d_j is the cell with
+        first face d_{j-1} d_0, last face d_j d_n and r's corner, the corner
+        mapped as in ``_corner_map`` for j = 1 (the eta-twist of row 2) and
+        j = n-1 (the product in the fiber over x1)."""
+        if n < 1:
+            raise CellError("0-cells have no faces")
+        blk, index = self._locate(n, r)
+        first, last_start, last_row, drops, extra = self._face_plans.get(blk.seq) or self._face_plan(n, blk)
+        d0 = first.start + index % first.size
+        q, dn = index // last_row, last_start
+        for size, fiber, weight in drops:
+            q, v = divmod(q, size)
+            dn += v // fiber * weight
+        if n == 1:
+            return (d0, dn)
+        row1, rest = divmod(index, first.size)
+        if n == 2:
+            compose, d_x1, dom11, dom22, f1, diag = extra
+            m11, m12 = divmod(row1, f1)
+            d1 = diag.get(compose[compose[dom11[m11]][d_x1[m12]]][dom22[rest]])
+            if d1 is None:
+                raise CompatibilityError("a face of a 2-cell is not a 1-cell: its diagonal leaves its hom-set")
+            return (d0, d1, dn)
+        tail2, f1, f2, mul1, mul2, dom22, d_x2, action, compose, glues = extra
+        c = row1 % f1
+        v, m2n = divmod(rest // tail2, f2)
+        entries = []
+        for _ in range(n - 3):
+            v, e = divmod(v, f2)
+            entries.append(e)
+        eta = dom22[v]
+        for e in reversed(entries):
+            eta = compose[eta][d_x2[e]]
+        corners = [mul2[action[eta][c]][m2n], *[c] * (n - 3), mul1[row1 // f1 % f1][c]]
+        f0, fn = self.face_ids(n - 1, d0), self.face_ids(n - 1, dn)
+        return (d0, *map(_glue, glues, f0, fn[1:], corners), dn)
+
+    def _face_plan(self, n: int, blk: _Block) -> tuple:
+        """What ``_face_row`` reads for one block of dimension n >= 1: the
+        block of d_0, the start of d_n's block, the size of row n, the (size,
+        fiber size, weight) of rows n-1 .. 1 for d_n, and the tables the
+        inner faces need, with the glue of every d_j's block for n >= 3.
+        Refuses a block whose inner faces have no block."""
+        xm = self.xm
+        self._dim(n - 1)
+        self._dim(n - 2)
+        block_of = self._block_of
+        seq, domains = blk.seq, blk.domains
+        sizes = [math.prod(map(len, domains[a:b])) for a, b in self._row_bounds(n)]
+        fibers = [xm.fibers[x].size for x in seq[1:]]
+        drops, weight = [], 1
+        for size, fiber in zip(sizes[-2::-1], fibers[-2::-1]):
+            drops.append((size, fiber, weight))
+            weight *= size // fiber
+        extra = None
+        if n == 2:
+            diag = {g: self.mor_rank[g] for g in xm.cat.hom(seq[2], seq[0])}
+            extra = (xm.cat.compose_table, xm.boundary[seq[1]], domains[0], domains[2], fibers[0], diag)
+        elif n >= 3:
+            inner = [block_of.get(seq[:j] + seq[j + 1:]) for j in range(1, n)]
+            if None in inner:
+                raise CompatibilityError(f"a face of a {n}-cell is not a {n - 1}-cell: no cell has its objects")
+            extra = (block_of[seq[2:]].size, fibers[0], fibers[1], xm.fibers[seq[1]].table, xm.fibers[seq[2]].table,
+                     domains[n], xm.boundary[seq[2]], xm.action, xm.cat.compose_table, [self._glue_of(b) for b in inner])
+        plan = self._face_plans[seq] = (block_of[seq[1:]], block_of[seq[:-1]].start, sizes[-1], drops, extra)
+        return plan
 
     # -- whole-level face tables -------------------------------------------
 
@@ -432,11 +578,7 @@ class Nerve:
         """
         ids = below.ids
         id_of = list(ids.values())
-        block_ids = {}
-        pos = 0
-        for seq, _, size in self._blocks(n - 1):
-            block_ids[seq] = id_of[pos:pos + size]
-            pos += size
+        block_ids = {blk.seq: id_of[blk.start:blk.start + blk.size] for blk in self._dim(n - 1)}
         row_ends = {b - 1 for _, b in self._row_bounds(n)}
         flat = range(n * (n + 1) // 2)
         keep_first = set(flat[n:])
@@ -452,7 +594,7 @@ class Nerve:
             last_map = [self._corner_map(n - 1, c) for c in below.cells]
 
         rows: list[tuple[int, ...]] = []
-        for seq, domains, _ in self._blocks(n):
+        for seq, domains, *_ in self._dim(n):
             lens = [len(dom) for dom in domains]
             first = list(map(block_ids[seq[1:]].__getitem__, _ranks(lens, keep_first)))
             last = list(map(block_ids[seq[:-1]].__getitem__, _ranks(lens, keep_last)))

@@ -18,7 +18,8 @@ is added by indexing candidate ids on the faces they must share with the
 slots already placed, never by filtering the full product.  The Kan and
 coskeletal checks and brute-force pi compare face-id rows; ids turn back
 into cells only in witnesses, group labels and the tuples handed out by
-``simplicial_kernel`` and ``horns``.  The identity audit works on cells,
+``simplicial_kernel`` and ``horns``.  For a ``Nerve`` the ids are the cells'
+ranks, so ``horns(...).ids`` go straight to ``HornFiller.fill_ids``.  The identity audit works on cells,
 since the degeneracies it checks land in dimensions that are never
 enumerated: it runs one loop over a table of the six identity families,
 computing each cell's face and degeneracy rows once and handing them to
@@ -76,11 +77,6 @@ class HornTuple:
 
     def slots(self) -> tuple[int, ...]:
         return tuple(k for k in range(self.dim + 1) if k != self.omitted)
-
-    def face_at(self, slot: int):
-        if slot == self.omitted:
-            raise CompatibilityError(f"slot {slot} is the omitted one")
-        return self.faces[slot if slot < self.omitted else slot - 1]
 
 
 class Level(NamedTuple):
@@ -263,14 +259,8 @@ def beta(p: LevelProvider, h: HornTuple) -> BoundaryTuple:
     (d_{l-1} x_0, ..., d_{l-1} x_{l-1}, d_l x_{l+1}, ..., d_l x_n), which is
     always a compatible boundary tuple.
     """
-    return BoundaryTuple(tuple([beta_face(p, h, i) for i in range(len(h.faces))]))
-
-
-def beta_face(p: LevelProvider, h: HornTuple, i: int):
-    """Entry i of ``beta(h)`` alone: face l-1 of the horn's i-th present
-    face when that face sits before slot l, face l otherwise."""
     l = h.omitted
-    return p.face(h.faces[i], l - 1 if i < l else l)
+    return BoundaryTuple(tuple([p.face(x, l - 1 if i < l else l) for i, x in enumerate(h.faces)]))
 
 
 def horn_of_cell(p: LevelProvider, cell, l: int, n: int | None = None) -> HornTuple:

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -7,7 +8,9 @@ import textwrap
 import pytest
 
 from xnerve import fixtures
-from xnerve.errors import NotCrossedModuleError
+from xnerve.cli import run
+from xnerve.errors import CompatibilityError, NotCrossedModuleError
+from xnerve.io import from_crossed_monoid, serialize
 from xnerve.fillers import HornFiller, image_b3
 from xnerve.nerve import Nerve
 from xnerve.simplicial import (
@@ -271,9 +274,9 @@ def test_eq_image_refusal_survives_python_dash_O():
 
         print("debug", __debug__)
         hf = HornFiller(fixtures.z2_with_z3_fiber())
-        mk = lambda c: hf.nerve.cell((0, 0, 0), ((0, c), (0,)))
+        mk = lambda c: hf.nerve.rank_of(hf.nerve.cell((0, 0, 0), ((0, c), (0,))))
         try:
-            hf._cell_from_boundary3((mk(0), mk(1), mk(0), mk(0)))
+            hf._cell_with_boundary(3, (mk(0), mk(1), mk(0), mk(0)))
         except CompatibilityError as exc:
             print("refused:", exc)
         """
@@ -283,3 +286,63 @@ def test_eq_image_refusal_survives_python_dash_O():
                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines() == ["debug False", "refused: boundary tuple fails eq:image"]
+
+
+# -- the id path: verified, and free of cells ---------------------------------
+
+@pytest.fixture()
+def file_f6(tmp_path):
+    path = tmp_path / "f6.json"
+    path.write_text(serialize(from_crossed_monoid(fixtures.z2_with_z3_fiber_twisted())))
+    return path
+
+
+def _fill_is_refused(path, tmp_path, capsys, dim):
+    out = tmp_path / "report.json"
+    assert run(["fill", str(path), "--dims", "2..5", "--max-cells", "10000", "--json", str(out)]) == 2
+    report = json.loads(out.read_text())
+    assert report["error"]["kind"] == "error" and "checks" not in report
+    assert capsys.readouterr().err.startswith("ERROR (error): ")
+    hf = HornFiller(fixtures.z2_with_z3_fiber_twisted())
+    with pytest.raises(CompatibilityError):
+        hf.fill(horn_of_cell(hf.nerve, hf.nerve.cell_at(dim, 100), 1))
+    return report["error"]["message"]
+
+
+def test_a_wrong_corner_at_dimension_4_and_up_is_refused(monkeypatch, file_f6, tmp_path, capsys):
+    real = Nerve.assemble_id
+
+    def wrong_corner(self, n, first, last, corner):
+        return real(self, n, first, last, (corner + 1) % 3 if n >= 4 else corner)
+
+    monkeypatch.setattr(Nerve, "assemble_id", wrong_corner)
+    message = _fill_is_refused(file_f6, tmp_path, capsys, 4)
+    assert message.startswith("boundary reconstruction failed at face ")
+
+
+def test_a_wrong_eq_image_corner_at_dimension_3_is_refused(monkeypatch, file_f6, tmp_path, capsys):
+    real = HornFiller._missing_2face
+
+    def wrong_corner(self, *args):
+        # the same outer faces, and the next corner in F6's three-element fiber
+        nv, r = self.nerve, real(self, *args)
+        row = nv.face_ids(2, r)
+        return nv.assemble_id(2, row[0], row[2], (nv.corner_at(2, r) + 1) % 3)
+
+    monkeypatch.setattr(HornFiller, "_missing_2face", wrong_corner)
+    assert _fill_is_refused(file_f6, tmp_path, capsys, 3) == "boundary tuple fails eq:image"
+
+
+def test_cmd_fill_makes_no_face_or_cell_at_calls(monkeypatch, file_f6, capsys):
+    calls = {"face": 0, "cell_at": 0}
+    for name in calls:
+        def counted(self, *args, _real=getattr(Nerve, name), _name=name):
+            calls[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(Nerve, name, counted)
+    assert run(["fill", str(file_f6), "--dims", "2..5", "--max-cells", "10000"]) == 0
+    assert capsys.readouterr().out.count("face-verified") == 18
+    nv = Nerve(fixtures.z2_with_z3_fiber_twisted())
+    nv.face(nv.cell_at(2, 0), 0)  # shows that both counters are live
+    assert calls == {"face": 1, "cell_at": 1}

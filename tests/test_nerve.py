@@ -1,11 +1,15 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import pair_groupoid_z3_relabelled
+from xnerve import fixtures
 from xnerve.algebra import XMorphism, identity_xmorphism
 from xnerve.errors import CapacityError, CellError, CompatibilityError
 from xnerve.nerve import CornerTriple, Nerve, NerveCell, induced_cell
+from xnerve.simplicial import Levels
 
 
 def brute_cells(nv, n):
@@ -241,3 +245,73 @@ def test_identities_spot_checked_above_the_exhaustive_range(nv_z2_z3_twisted, da
     assert nv.face(nv.degeneracy(cell, k), j) == nv.degeneracy(nv.face(cell, j), k - 1)
     assert nv.face(nv.degeneracy(cell, j), j) == cell
     assert nv.face(nv.degeneracy(cell, j), j + 1) == cell
+
+
+# -- ranks: the oracle for face_ids, assemble_id and corner_at ----------------
+
+RANK_FIXTURES = {
+    **{name: getattr(fixtures, name) for name in (
+        "trivial_point", "group_z2", "z3_fiber_only", "z2_with_z3_fiber", "z2_with_z3_fiber_twisted",
+        "idempotent_fiber", "broken_exchange", "z3_identity_boundary", "idempotent_endo_category",
+        "pair_groupoid_z3", "empty_crossed_monoid")},
+    "pair_groupoid_z3_relabelled": pair_groupoid_z3_relabelled,
+    "f6_and_idempotent": lambda: fixtures.disjoint_union(fixtures.z2_with_z3_fiber_twisted(),
+                                                         fixtures.idempotent_fiber()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANK_FIXTURES))
+def test_face_ids_agree_with_levels_and_face(name):
+    nv = Nerve(RANK_FIXTURES[name]())
+    levels = Levels(nv)
+    for n in range(5):
+        lv = levels.level(n)
+        # level ids are ranks: rank_of inverts cell_at and the level's order
+        assert [nv.rank_of(c) for c in lv.cells] == list(range(len(lv.cells)))
+        assert all(nv.cell_at(n, i) == c for i, c in enumerate(lv.cells))
+        if n:
+            below = levels.level(n - 1).cells
+            for i, c in enumerate(lv.cells):
+                row = nv.face_ids(n, i)
+                assert row == lv.faces[i]
+                assert [below[k] for k in row] == [nv.face(c, j) for j in range(n + 1)]
+        nv.clear_face_ids()
+    with pytest.raises(IndexError):
+        nv.cell_at(4, nv.count_cells(4))
+
+
+@pytest.mark.parametrize("name", ["z2_with_z3_fiber", "z2_with_z3_fiber_twisted", "pair_groupoid_z3"])
+def test_face_ids_above_the_built_levels(name):
+    nv = Nerve(getattr(fixtures, name)())
+    rng = random.Random(11)
+    for n in (5, 6):
+        for r in rng.sample(range(nv.count_cells(n)), 200):
+            c = nv.cell_at(n, r)
+            assert nv.rank_of(c) == r
+            assert nv.face_ids(n, r) == tuple(nv.rank_of(nv.face(c, j)) for j in range(n + 1))
+            assert nv.corner_at(n, r) == c.corner
+
+
+def test_assemble_id_is_the_rank_form_of_corner_assemble(nv_z2_z3_twisted, nv_pair_relabelled):
+    for nv in (nv_z2_z3_twisted, nv_pair_relabelled):
+        rng = random.Random(5)
+        for n in (2, 3, 4, 5):
+            for r in rng.sample(range(nv.count_cells(n)), min(100, nv.count_cells(n))):
+                t = nv.corner_split(nv.cell_at(n, r))
+                assert nv.corner_at(n, r) == t.corner
+                assert nv.assemble_id(n, nv.rank_of(t.first), nv.rank_of(t.last), t.corner) == r
+
+
+def test_assemble_id_refusals(nv_pair):
+    # 1-cells 0 -> 0 and 1 -> 1 share no object, and the fiber has 3 elements
+    first, last = nv_pair.rank_of(nv_pair.cell((0, 0), ((0,),))), nv_pair.rank_of(nv_pair.cell((1, 1), ((1,),)))
+    with pytest.raises(CompatibilityError, match="faces do not overlap"):
+        nv_pair.assemble_id(2, first, last, 0)
+    with pytest.raises(CompatibilityError, match="corner 3 outside the fiber over object 0"):
+        nv_pair.assemble_id(2, first, first, 3)
+
+
+def test_a_high_dimension_is_built_without_the_ones_below():
+    # deeper than the default recursion limit: a dimension needs no lower one
+    nv = Nerve(fixtures.trivial_point())
+    assert nv.count_cells(1200) == 1 and nv.cell_at(1200, 0).dim == 1200
