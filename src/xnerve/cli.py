@@ -131,7 +131,7 @@ def cmd_audit(xm, args) -> tuple[int, list[dict]]:
             "passed": report.passed,
             "detail": "all identity instances hold"
             if report.passed
-            else "; ".join(f"{v.axiom} at {v.witness[:3]} on {_cell_text(v.witness[3])}" for v in report.violations),
+            else "; ".join(f"{v.axiom} at {v.witness[:-1]} on {_cell_text(v.witness[-1])}" for v in report.violations),
         }
     ]
     return (EXIT_OK if report.passed else EXIT_PROPERTY), checks

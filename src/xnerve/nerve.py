@@ -237,6 +237,8 @@ class Nerve:
         mul_low = xm.fibers[objs[j + 1]].table
         action = xm.action
         diag = compose[compose[upper[0]][d_upper[upper[1]]]][lower[0]]
+        if diag is None:
+            raise CompatibilityError(f"a face of a {n}-cell is not a {n - 1}-cell: its diagonal leaves its hom-set")
         merged = [diag]
         eta = lower[0]
         for c in range(j + 1, n):
@@ -307,34 +309,12 @@ class Nerve:
             raise CompatibilityError("corner_face needs dimension >= 3")
         if not 1 <= j <= n - 1:
             raise CompatibilityError(f"corner_face index {j} out of range")
-        d_first = self.face(m0, j - 1)
-        d_last = self.face(mn, j)
-        if j == 1:
-            corner = self._corner_map(1, m0)[t.corner]
-        elif j == n - 1:
-            corner = self._corner_map(j, mn)[t.corner]
-        else:
-            corner = t.corner
-        return CornerTriple(d_first, d_last, corner)
-
-    def _corner_map(self, j: int, side: NerveCell) -> tuple[int, ...]:
-        """Corner of d_j M indexed by the corner of M, for an n-cell M with
-        n = side.dim + 1 >= 3 and j = 1 or j = n-1.
-
-        For j = 1 the map depends only on ``side = d_0 M``: the corner is
-        twisted by eta(d_0 M, 0, n-2) and multiplied by the corner of d_0 M
-        in the fiber over x2.  For j = n-1 it depends only on
-        ``side = d_n M``: the corner of d_n M times the corner, in the fiber
-        over x1.
-        """
-        n = side.dim + 1
-        xm = self.xm
-        if j == 1:
-            act = xm.action[self.eta(side, 0, n - 2)]
-            row = side.rows[0][n - 2]
-            mul = xm.fibers[side.objects[1]].table
-            return tuple([mul[a][row] for a in act])
-        return xm.fibers[side.objects[1]].table[side.rows[0][n - 2]]
+        corner, xm = t.corner, self.xm
+        if j == 1:  # twisted by eta(d_0 M, 0, n-2), times the corner of d_0 M
+            corner = xm.fibers[m0.objects[1]].table[xm.action[self.eta(m0, 0, n - 2)][corner]][m0.rows[0][n - 2]]
+        elif j == n - 1:  # the corner of d_n M times the corner
+            corner = xm.fibers[mn.objects[1]].table[mn.rows[0][n - 2]][corner]
+        return CornerTriple(self.face(m0, j - 1), self.face(mn, j), corner)
 
     def corner_triples(self, n: int, cap: int = DEFAULT_CAPACITY) -> Iterator[CornerTriple]:
         """All valid (first, last, corner) triples in dimension n >= 2."""
@@ -491,7 +471,7 @@ class Nerve:
         in its block; d_n deletes the last digit of every row.  For n = 2,
         d_1 is the composite diagonal.  For n >= 3, d_j is the cell with
         first face d_{j-1} d_0, last face d_j d_n and r's corner, the corner
-        mapped as in ``_corner_map`` for j = 1 (the eta-twist of row 2) and
+        mapped as in ``corner_face`` for j = 1 (the eta-twist of row 2) and
         j = n-1 (the product in the fiber over x1)."""
         if n < 1:
             raise CellError("0-cells have no faces")
@@ -514,14 +494,7 @@ class Nerve:
             return (d0, d1, dn)
         tail2, f1, f2, mul1, mul2, dom22, d_x2, action, compose, glues = extra
         c = row1 % f1
-        v, m2n = divmod(rest // tail2, f2)
-        entries = []
-        for _ in range(n - 3):
-            v, e = divmod(v, f2)
-            entries.append(e)
-        eta = dom22[v]
-        for e in reversed(entries):
-            eta = compose[eta][d_x2[e]]
+        eta, m2n = _row2_twist(n, rest // tail2, f2, dom22, d_x2, compose)
         corners = [mul2[action[eta][c]][m2n], *[c] * (n - 3), mul1[row1 // f1 % f1][c]]
         f0, fn = self.face_ids(n - 1, d0), self.face_ids(n - 1, dn)
         return (d0, *map(_glue, glues, f0, fn[1:], corners), dn)
@@ -558,64 +531,66 @@ class Nerve:
 
     # -- whole-level face tables -------------------------------------------
 
-    def face_rows(self, n: int, below) -> list[tuple[int, ...]]:
-        """Row ``(id of d_0 c, ..., id of d_n c)`` of every n-cell c, n >= 1,
-        in ``cells(n)`` order, made without a ``face`` call.
+    def face_rows(self, n: int, below: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+        """Row ``(rank of d_0 c, ..., rank of d_n c)`` of every n-cell c,
+        n >= 1, in rank order, with no cell built.  ``below`` is the face
+        table of dimension n-1, read for n >= 3.  A 2-cell whose diagonal
+        leaves its hom-set raises KeyError.
 
-        ``below`` is the level of ``cells(n-1)``: its ``cells``, its
-        ``cell -> id`` map ``ids`` and its face table ``faces``.  The rows
-        equal ``below.ids[face(c, j)]`` on every crossed monoid this nerve
-        accepts; a KeyError is raised where ``face`` would give a cell
-        missing from ``below``.  The rows hold the ints of ``below.ids``.
-
-        Each enumeration block is built column by column.  d_0 and d_n
-        delete digits of a cell's rank in its block: d_0 drops row 1, d_n
-        the last entry of every row.  The corner is the digit at position
-        n-1.  For n = 2, d_1 is the composite diagonal.  For n >= 3, d_j is
-        the (n-1)-cell with corner triple ``(d_{j-1} d_0 c, d_j d_n c,
-        corner)``, the corner mapped by ``_corner_map`` for j = 1 and
-        j = n-1.
-        """
-        ids = below.ids
-        id_of = list(ids.values())
-        block_ids = {blk.seq: id_of[blk.start:blk.start + blk.size] for blk in self._dim(n - 1)}
+        Each block is built column by column with the formulas of
+        ``_face_row``: d_0 and d_n delete rank digits; for n = 2, d_1 is the
+        composite diagonal; for n >= 3, ``_glue`` makes d_j from
+        d_{j-1} d_0 c and d_j d_n c, read from ``below``, and c's corner
+        digit, mapped for j = 1 and j = n-1 as in ``corner_face``."""
         row_ends = {b - 1 for _, b in self._row_bounds(n)}
         flat = range(n * (n + 1) // 2)
-        keep_first = set(flat[n:])
-        keep_last = set(flat) - row_ends
-        if n == 2:
-            cat = self.xm.cat
-            compose = cat.compose_table
-            mor_id = {c.rows[0][0]: i for c, i in ids.items()}
-        elif n >= 3:
-            cols = [[row[j] for row in below.faces] for j in range(n)]
-            triple = dict(zip(zip(cols[0], cols[n - 1], [c.rows[0][-1] for c in below.cells]), id_of))
-            first_map = [self._corner_map(1, c) for c in below.cells]
-            last_map = [self._corner_map(n - 1, c) for c in below.cells]
-
+        keep_first, keep_last = set(flat[n:]), set(flat) - row_ends
         rows: list[tuple[int, ...]] = []
-        for seq, domains, *_ in self._dim(n):
-            lens = [len(dom) for dom in domains]
-            first = list(map(block_ids[seq[1:]].__getitem__, _ranks(lens, keep_first)))
-            last = list(map(block_ids[seq[:-1]].__getitem__, _ranks(lens, keep_last)))
+        for blk in self._dim(n):
+            first_blk, last_start, _, _, extra = self._face_plans.get(blk.seq) or self._face_plan(n, blk)
+            lens = [len(dom) for dom in blk.domains]
+            first = [first_blk.start + r for r in _ranks(lens, keep_first)]
+            last = [last_start + r for r in _ranks(lens, keep_last)]
             inner = []
             if n == 2:
-                d_up = self.xm.boundary[seq[1]]
-                ups = [compose[u][d_up[a]] for u in domains[0] for a in domains[1]]
-                diag = {g: mor_id[g] for g in cat.hom(seq[2], seq[0])}
-                inner.append([diag[compose[u][v]] for u in ups for v in domains[2]])
+                compose, d_x1, dom11, dom22, f1, diag = extra
+                ups = [compose[u][d_x1[a]] for u in dom11 for a in range(f1)]
+                inner.append([diag[compose[u][v]] for u in ups for v in dom22])
             elif n >= 3:
+                tail2, f1, f2, mul1, mul2, dom22, d_x2, action, compose, glues = extra
                 # fiber candidates are range(size), so a digit is its element
                 corner = _ranks(lens, {n - 1})
-                fa, fb = cols[0], cols[1]
-                inner.append([triple[fa[a], fb[b], first_map[a][c]] for a, b, c in zip(first, last, corner)])
-                for j in range(2, n - 1):
-                    fa, fb = cols[j - 1], cols[j]
-                    inner.append([triple[fa[a], fb[b], c] for a, b, c in zip(first, last, corner)])
-                fa, fb = cols[n - 2], cols[n - 1]
-                inner.append([triple[fa[a], fb[b], last_map[b][c]] for a, b, c in zip(first, last, corner)])
+                # d_1's corner map for every value of row 2, in row 2's own radix
+                twists = []
+                for row2 in range(len(dom22) * f2 ** (n - 2)):
+                    eta, m2n = _row2_twist(n, row2, f2, dom22, d_x2, compose)
+                    twists.append([mul2[a][m2n] for a in action[eta]])
+                corners = [
+                    [twists[r][c] for r, c in zip(_ranks(lens, set(flat[n:2 * n - 1])), corner)],
+                    *[corner] * (n - 3),
+                    [mul1[a][c] for a, c in zip(_ranks(lens, {n - 2}), corner)],
+                ]
+                fa, lb = [below[a] for a in first], [below[b] for b in last]
+                for j, glue, cs in zip(range(1, n), glues, corners):
+                    fs, ls = [r[j - 1] for r in fa], [r[j] for r in lb]
+                    inner.append(list(map(_glue, itertools.repeat(glue), fs, ls, cs)))
             rows.extend(zip(first, *inner, last))
         return rows
+
+
+def _row2_twist(n: int, row2: int, f2: int, dom22: Sequence[int], d_x2: Sequence[int], compose) -> tuple[int, int]:
+    """(eta, m[2][n]) of an n-cell, n >= 3, whose row 2 has index ``row2``
+    in its own radix: eta = m[2][2] * d(m[2][3] ... m[2][n-1]) twists the
+    corner of d_1, and m[2][n] multiplies it."""
+    v, m2n = divmod(row2, f2)
+    entries = []
+    for _ in range(n - 3):
+        v, e = divmod(v, f2)
+        entries.append(e)
+    eta = dom22[v]
+    for e in reversed(entries):
+        eta = compose[eta][d_x2[e]]
+    return eta, m2n
 
 
 def _ranks(lens: Sequence[int], keep: set[int]) -> list[int]:

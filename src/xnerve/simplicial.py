@@ -1,29 +1,27 @@
 """Generic machinery over any finite simplicial level provider.
 
-A *level provider* is anything with ``cells(n)``, ``face(cell, j)`` and
-``degeneracy(cell, j)`` whose cells are hashable values; ``Nerve`` is the
-main instance.  On top of that this module builds boundary tuples, the
-compatibility kernel of each dimension, horns, the horn-to-boundary map,
-coskeletality and Kan checks, and brute-force homotopy groups.
+A *level provider* numbers its cells of each dimension by rank and gives
+the face ranks of a whole dimension at once (see ``LevelProvider``);
+``Nerve`` is the main instance.  On top of that this module builds boundary
+tuples, the compatibility kernel of each dimension, horns, the
+horn-to-boundary map, coskeletality and Kan checks, and brute-force
+homotopy groups.
 
-Whole-level work runs on integer cell ids.  ``Levels`` enumerates each
-dimension once into a ``Level``: the cell list, whose positions are the ids
-(so ids follow ``cells(n)`` order), the ``cell -> id`` map, and the face
-table, whose row ``i`` holds the ids of d_0 .. d_n of cell ``i``.  A
-provider with a ``face_rows`` method (``Nerve``) fills the face table
-itself, from the level below and without per-cell ``face`` calls; any
-other provider gets one ``face`` call per face.  Kernels
-and horns are one hash join over the face table of the level below: slot k
-is added by indexing candidate ids on the faces they must share with the
+Whole-level work runs on ranks.  ``Levels`` builds each dimension once as
+its face table, which is all a level is: row ``i`` holds the ranks of
+d_0 .. d_n of the cell of rank ``i``.  The provider's ``face_rows`` makes it
+from the table of the level below, with no cell built.  Kernels and
+horns are one hash join over the face table of the level below: slot k is
+added by indexing candidate ranks on the faces they must share with the
 slots already placed, never by filtering the full product.  The Kan and
-coskeletal checks and brute-force pi compare face-id rows; ids turn back
-into cells only in witnesses, group labels and the tuples handed out by
-``simplicial_kernel`` and ``horns``.  For a ``Nerve`` the ids are the cells'
-ranks, so ``horns(...).ids`` go straight to ``HornFiller.fill_ids``.  The identity audit works on cells,
-since the degeneracies it checks land in dimensions that are never
-enumerated: it runs one loop over a table of the six identity families,
-computing each cell's face and degeneracy rows once and handing them to
-every family.
+coskeletal checks and brute-force pi compare face rows; ranks turn back
+into cells, through ``cell_at``, only in witnesses, group labels and the
+tuples handed out by ``simplicial_kernel`` and ``horns``, so
+``horns(...).ids`` go straight to ``HornFiller.fill_ids``.  The identity
+audit works on cells, since the degeneracies it checks land in dimensions
+that are never enumerated: it runs one loop over a table of the six
+identity families, computing each cell's face and degeneracy rows once and
+handing them to every family.
 """
 
 from __future__ import annotations
@@ -38,12 +36,24 @@ from .groups import GroupPresentation
 
 
 class LevelProvider(Protocol):
-    """What the generic checks call.  A provider may also offer
-    ``face_rows(n, below)``, the face-id rows of all its n-cells in
-    ``cells(n)`` order given the ``Level`` of dimension n-1, which
-    ``Levels`` then uses in place of ``face``.  It must agree with
-    ``face``: a ``Nerve`` subclass that overrides ``face`` to give other
-    cells must override ``face_rows`` too."""
+    """What the generic checks call.  Cells of dimension n are addressed by
+    rank, 0 .. ``count_cells(n)``-1 in ``cells(n)`` order.  ``face_rows(n,
+    below)`` gives the row (rank of d_0 c, ..., rank of d_n c) of every
+    n-cell c, in rank order, from ``below``, the face table of dimension
+    n-1, and raises KeyError for a face that is not an (n-1)-cell.  The
+    whole-level checks read ``count_cells`` and ``face_rows``, and
+    ``cell_at`` and ``rank_of`` for witnesses, labels and the basepoint; the
+    identity audit and the cell helpers read ``cells``, ``face`` and
+    ``degeneracy``.  ``face_rows`` must agree with ``face``: a ``Nerve``
+    subclass that overrides ``face`` must override ``face_rows`` too."""
+
+    def count_cells(self, n: int) -> int: ...
+
+    def face_rows(self, n: int, below: list[tuple[int, ...]]) -> list[tuple[int, ...]]: ...
+
+    def cell_at(self, n: int, rank: int): ...
+
+    def rank_of(self, cell) -> int: ...
 
     def cells(self, n: int, cap: int = ...) -> Iterable[Hashable]: ...
 
@@ -79,58 +89,36 @@ class HornTuple:
         return tuple(k for k in range(self.dim + 1) if k != self.omitted)
 
 
-class Level(NamedTuple):
-    """One enumerated dimension: ``cells[i]`` is the cell with id ``i``,
-    ``ids`` maps cells back to ids, and ``faces[i][j]`` is the id of
-    ``d_j cells[i]`` in the level below (rows are empty in dimension 0)."""
-
-    cells: list
-    ids: dict
-    faces: list[tuple[int, ...]]
-
-
 class Levels:
-    """The ``Level`` tables of one provider, each built on first use and
-    then shared by every check handed this instance.  The cells come from
-    ``p.cells``; the face table from ``p.face_rows`` where the provider has
-    it, else from one ``p.face`` call per face.  Either way a face missing
-    from the level below refuses the level with CompatibilityError, and a
-    level is refused with CapacityError whenever it holds more cells than
-    the caller's ``cap``."""
+    """The levels of one provider, each built on first use and then shared
+    by every check handed this instance.  A level is its face table:
+    ``level(n)[i][j]`` is the rank of d_j of the n-cell of rank ``i`` (rows
+    are empty in dimension 0), made by ``p.face_rows`` from the table below.
+    A level is refused with CapacityError, before anything is built,
+    whenever ``p.count_cells`` predicts more cells than the caller's
+    ``cap``, and with CompatibilityError when a face is not a cell of the
+    level below."""
 
     def __init__(self, p: LevelProvider):
         self.p = p
-        self._built: dict[int, Level] = {}
+        self._built: dict[int, list[tuple[int, ...]]] = {}
 
-    def level(self, n: int, cap: int = DEFAULT_CAPACITY) -> Level:
-        lv = self._built.get(n)
-        if lv is not None:
-            if len(lv.cells) > cap:
-                raise CapacityError(f"more than {cap} cells in dimension {n}", cap=cap)
-            return lv
-        cells = []
-        for c in self.p.cells(n, cap=cap):
-            cells.append(c)
-            if len(cells) > cap:
-                raise CapacityError(f"more than {cap} cells in dimension {n}", cap=cap)
-        ids = {c: i for i, c in enumerate(cells)}
-        if n == 0:
-            faces = [()] * len(cells)
-        else:
-            below = self.level(n - 1, cap)
-            face_rows = getattr(self.p, "face_rows", None)
-            try:
-                if face_rows is not None:
-                    faces = face_rows(n, below)
-                else:
-                    face, below_ids, js = self.p.face, below.ids, range(n + 1)
-                    faces = [tuple([below_ids[face(c, j)] for j in js]) for c in cells]
-            except KeyError:
-                raise CompatibilityError(
-                    f"a face of a {n}-cell is not a {n - 1}-cell; provider is broken"
-                ) from None
-        lv = self._built[n] = Level(cells, ids, faces)
-        return lv
+    def level(self, n: int, cap: int = DEFAULT_CAPACITY) -> list[tuple[int, ...]]:
+        count = self.p.count_cells(n)
+        if count > cap:
+            raise CapacityError(f"{count} cells of dimension {n} exceed the budget {cap}", predicted=count, cap=cap)
+        faces = self._built.get(n)
+        if faces is None:
+            if n == 0:
+                faces = [()] * count
+            else:
+                below = self.level(n - 1, cap)
+                try:
+                    faces = self.p.face_rows(n, below)
+                except KeyError:
+                    raise CompatibilityError(f"a face of a {n}-cell is not a {n - 1}-cell; provider is broken") from None
+            self._built[n] = faces
+        return faces
 
 
 def boundary(p: LevelProvider, cell, n: int | None = None) -> BoundaryTuple:
@@ -166,13 +154,12 @@ def is_compatible_horn(p: LevelProvider, h: HornTuple) -> bool:
     return True
 
 
-def _join(lower: Level, n: int, omitted: int | None, cap: int) -> list[tuple[int, ...]]:
-    """Id tuples (x_0, ..., x_n) over the (n-1)-cells of ``lower`` with
+def _join(fv: list[tuple[int, ...]], n: int, omitted: int | None, cap: int) -> list[tuple[int, ...]]:
+    """Id tuples (x_0, ..., x_n) over the (n-1)-cells of face table ``fv`` with
     d_j x_k == d_{k-1} x_j for every pair of slots j < k, slot ``omitted``
     left out (``None`` keeps all slots, giving the kernel).  Slots are
     added in order, each by a hash join on the faces it shares with the
     slots already placed."""
-    fv = lower.faces
     everyone = range(len(fv))
     what = "kernel" if omitted is None else f"horns without slot {omitted}"
     partial: list[tuple[int, ...]] = [()]
@@ -205,17 +192,18 @@ def _join(lower: Level, n: int, omitted: int | None, cap: int) -> list[tuple[int
 
 class CellTuples(Sequence):
     """The id tuples of a join, read as ``BoundaryTuple`` (no omitted slot)
-    or ``HornTuple`` values whose faces are cells of ``lower``; ``ids``
-    keeps the raw tuples, and decoding happens per item on access."""
+    or ``HornTuple`` values whose faces are the (dim-1)-cells of ``p`` with
+    those ranks; ``ids`` keeps the raw tuples, and decoding happens per item
+    on access."""
 
-    def __init__(self, lower: Level, dim: int, omitted: int | None, ids: list[tuple[int, ...]]):
-        self.lower = lower
+    def __init__(self, p: LevelProvider, dim: int, omitted: int | None, ids: list[tuple[int, ...]]):
+        self.p = p
         self.dim = dim
         self.omitted = omitted
         self.ids = ids
 
     def decode(self, tup: tuple[int, ...]):
-        faces = tuple(map(self.lower.cells.__getitem__, tup))
+        faces = tuple([self.p.cell_at(self.dim - 1, i) for i in tup])
         if self.omitted is None:
             return BoundaryTuple(faces)
         return HornTuple(self.dim, self.omitted, faces)
@@ -237,7 +225,7 @@ def simplicial_kernel(
     if n < 1:
         raise CompatibilityError("kernel needs dimension >= 1")
     lower = (levels or Levels(p)).level(n - 1, cap)
-    return CellTuples(lower, n, None, _join(lower, n, None, cap))
+    return CellTuples(p, n, None, _join(lower, n, None, cap))
 
 
 def horns(
@@ -249,7 +237,7 @@ def horns(
     if n < 1:
         raise CompatibilityError("horns need dimension >= 1")
     lower = (levels or Levels(p)).level(n - 1, cap)
-    return CellTuples(lower, n, l, _join(lower, n, l, cap))
+    return CellTuples(p, n, l, _join(lower, n, l, cap))
 
 
 def beta(p: LevelProvider, h: HornTuple) -> BoundaryTuple:
@@ -359,17 +347,17 @@ def check_coskeletal(
         level = levels.level(k, cap)
         image: dict[tuple[int, ...], int] = {}
         inj_witness = None
-        for i, row in enumerate(level.faces):
+        for i, row in enumerate(level):
             first = image.setdefault(row, i)
             if first != i and inj_witness is None:
-                inj_witness = (level.cells[first], level.cells[i])
+                inj_witness = (p.cell_at(k, first), p.cell_at(k, i))
         if not image.keys() <= kernel_set:
             raise CompatibilityError(f"boundary of a {k}-cell escaped the kernel; provider is broken")
         missing = kernel_set - image.keys()
         records.append(
             CoskeletalRecord(
                 dim=k,
-                cell_count=len(level.cells),
+                cell_count=len(level),
                 kernel_size=len(kernel_set),
                 injective=inj_witness is None,
                 surjective=not missing,
@@ -419,7 +407,7 @@ def check_kan(
     levels = levels or Levels(p)
     records = []
     for n in range(from_dim, upto + 1):
-        rows = levels.level(n, cap).faces
+        rows = levels.level(n, cap)
         for l in range(n + 1):
             filled = {row[:l] + row[l + 1:] for row in rows}
             all_horns = horns(p, n, l, cap=cap, levels=levels)
@@ -453,12 +441,11 @@ class UnionFind:
 
 class BasedClasses(NamedTuple):
     """The n-cells whose whole boundary is the degenerate basepoint
-    (``members``, ids in ``level``), and each member's class, named by its
-    smallest member id (``rep_of``).  Two members share a class when some
+    (``members``, ranks), and each member's class, named by its smallest
+    member rank (``rep_of``).  Two members share a class when some
     (n+1)-cell has boundary (x, ..., x, y, z) with x the degenerate
-    basepoint n-cell (id ``unit``)."""
+    basepoint n-cell (rank ``unit``)."""
 
-    level: Level
     members: list[int]
     rep_of: dict[int, int]
     unit: int
@@ -478,18 +465,18 @@ def based_classes(
     for _ in range(n):
         tower.append(p.degeneracy(tower[-1], 0))
     level = levels.level(n, cap)
-    based = (levels.level(n - 1, cap).ids.get(tower[n - 1]),) * (n + 1)
-    members = [i for i, row in enumerate(level.faces) if row == based]
+    based = (p.rank_of(tower[n - 1]),) * (n + 1)
+    members = [i for i, row in enumerate(level) if row == based]
     member_set = set(members)
-    unit = level.ids.get(tower[n])
+    unit = p.rank_of(tower[n])
     if unit not in member_set:
         raise CompatibilityError("degenerate basepoint cell missing from its own level")
-    uf = UnionFind(len(level.cells))
+    uf = UnionFind(len(level))
     prefix = (unit,) * n
-    for row in levels.level(n + 1, cap).faces:
+    for row in levels.level(n + 1, cap):
         if row[:n] == prefix and row[n] in member_set and row[n + 1] in member_set:
             uf.union(row[n], row[n + 1])
-    return BasedClasses(level, members, {c: uf.find(c) for c in members}, unit)
+    return BasedClasses(members, {c: uf.find(c) for c in members}, unit)
 
 
 def pi_bruteforce(
@@ -516,14 +503,13 @@ def pi_bruteforce(
         raise NotKanError(failure.dim, failure.omitted, failure.witness)
 
     classes = based_classes(p, n, basepoint, cap=cap, levels=levels)
-    cells = classes.level.cells
     rep_of = classes.rep_of
     reps = classes.reps
     index_of = {rep: i for i, rep in enumerate(reps)}
 
     prefix = (classes.unit,) * (n - 1)
     product: dict[tuple[int, int], int] = {}
-    for row in levels.level(n + 1, cap).faces:
+    for row in levels.level(n + 1, cap):
         if row[:n - 1] == prefix:
             product.setdefault((row[n - 1], row[n + 1]), row[n])
 
@@ -533,13 +519,14 @@ def pi_bruteforce(
         for z in reps:
             d = product.get((y, z))
             if d is None:
-                raise NotKanError(n + 1, n, witness=(cells[y], cells[z]))
+                raise NotKanError(n + 1, n, witness=(p.cell_at(n, y), p.cell_at(n, z)))
             if d not in rep_of:
                 raise CompatibilityError("product landed outside the based cells; provider is broken")
             out.append(index_of[rep_of[d]])
         table.append(tuple(out))
 
-    labels = tuple(cells[r].text() if hasattr(cells[r], "text") else repr(cells[r]) for r in reps)
+    cells = [p.cell_at(n, r) for r in reps]
+    labels = tuple(c.text() if hasattr(c, "text") else repr(c) for c in cells)
     g = GroupPresentation(labels=labels, unit=index_of[rep_of[classes.unit]], table=tuple(table))
     g.verify()
     return g

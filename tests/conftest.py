@@ -2,6 +2,7 @@ import pytest
 
 from xnerve import fixtures
 from xnerve.algebra import CrossedMonoid, FiniteMonoid
+from xnerve.errors import CompatibilityError
 from xnerve.nerve import Nerve
 
 
@@ -40,6 +41,40 @@ class CheckedNerve(Nerve):
     def _checked(self, c):
         self.validate_cell(c)
         return c
+
+
+class PerCellRanks:
+    """Reference adapter: gives a provider that has only ``cells``,
+    ``face`` and ``degeneracy`` the rank interface of the whole-level checks
+    (``count_cells``, ``face_rows``, ``cell_at``, ``rank_of``) by
+    materialising each dimension's cell list and ``cell -> rank`` map.
+    ``face_rows`` makes one ``face`` call per face and raises KeyError for
+    a face that is not a cell of the level below, whether it is missing from
+    the level or ``face`` refuses to build it: the reference for
+    ``Nerve.face_rows``."""
+
+    def _listed(self, n):
+        listing = self.__dict__.setdefault("_listing", {})
+        if n not in listing:
+            cells = list(self.cells(n))
+            listing[n] = (cells, {c: i for i, c in enumerate(cells)})
+        return listing[n]
+
+    def count_cells(self, n):
+        return len(self._listed(n)[0])
+
+    def cell_at(self, n, rank):
+        return self._listed(n)[0][rank]
+
+    def rank_of(self, cell):
+        return self._listed(cell.dim)[1][cell]
+
+    def face_rows(self, n, below):
+        face, ids, js = self.face, self._listed(n - 1)[1], range(n + 1)
+        try:
+            return [tuple([ids[face(c, j)] for j in js]) for c in self._listed(n)[0]]
+        except CompatibilityError as exc:
+            raise KeyError(str(exc)) from None
 
 
 @pytest.fixture(scope="session")

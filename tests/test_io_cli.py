@@ -307,3 +307,38 @@ def test_boundary_that_is_not_an_endomorphism_is_refused(tmp_path, capsys, argv)
     report = json.loads(out.read_text())
     assert report["error"] == {"kind": "error", "message": message} and "checks" not in report
     assert [v["axiom"] for v in report["axioms"]["violations"]][:1] == ["cr1"]
+
+
+def _write_pair_with_composite(tmp_path, site, value):
+    from test_algebra import _corrupt
+
+    path = tmp_path / "pair.json"
+    path.write_text(serialize(from_crossed_monoid(_corrupt(fixtures.pair_groupoid_z3(), "compose", site, value))))
+    return path
+
+
+def test_audit_reports_three_entry_witnesses(tmp_path, capsys):
+    # simp3/simp4 witnesses are (n, j, cell); the others are (n, j, k, cell)
+    path = _write_pair_with_composite(tmp_path, (1, 2), 1)
+    out = tmp_path / "report.json"
+    assert run(["audit", str(path), "--dims", "0..3", "--json", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[0].startswith("FAIL axioms: ") and len(lines) == 2
+    assert lines[1] == "FAIL simplicial-identities<= 3: simp1 at (2, 0, 1) on 2|1,1,0|1,0;2; simp4 at (1, 0) on 1|1,0|2"
+    report = json.loads(out.read_text())
+    assert report["exit_code"] == 2 and report["checks"][1]["detail"] == lines[1].split(": ", 1)[1]
+
+
+def test_audit_refuses_a_diagonal_that_leaves_its_hom_set(tmp_path, capsys):
+    path = _write_pair_with_composite(tmp_path, (2, 0), 3)
+    out = tmp_path / "report.json"
+    assert run(["audit", str(path), "--dims", "0..3", "--json", str(out)]) == 2
+    captured = capsys.readouterr()
+    message = "a face of a 2-cell is not a 1-cell: its diagonal leaves its hom-set"
+    assert captured.err.splitlines() == [f"ERROR (error): {message}"]
+    assert captured.out.startswith("FAIL axioms: ") and len(captured.out.splitlines()) == 1
+    report = json.loads(out.read_text())
+    assert report["error"] == {"kind": "error", "message": message} and "checks" not in report
+    assert "cat.endpoints" in [v["axiom"] for v in report["axioms"]["violations"]]

@@ -266,14 +266,16 @@ def test_face_ids_agree_with_levels_and_face(name):
     levels = Levels(nv)
     for n in range(5):
         lv = levels.level(n)
+        cells = list(nv.cells(n))
+        assert len(lv) == len(cells)
         # level ids are ranks: rank_of inverts cell_at and the level's order
-        assert [nv.rank_of(c) for c in lv.cells] == list(range(len(lv.cells)))
-        assert all(nv.cell_at(n, i) == c for i, c in enumerate(lv.cells))
+        assert [nv.rank_of(c) for c in cells] == list(range(len(cells)))
+        assert all(nv.cell_at(n, i) == c for i, c in enumerate(cells))
         if n:
-            below = levels.level(n - 1).cells
-            for i, c in enumerate(lv.cells):
+            below = list(nv.cells(n - 1))
+            for i, c in enumerate(cells):
                 row = nv.face_ids(n, i)
-                assert row == lv.faces[i]
+                assert row == lv[i]
                 assert [below[k] for k in row] == [nv.face(c, j) for j in range(n + 1)]
         nv.clear_face_ids()
     with pytest.raises(IndexError):

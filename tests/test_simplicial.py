@@ -5,7 +5,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import pair_groupoid_z3_relabelled
+from conftest import PerCellRanks, pair_groupoid_z3_relabelled
 from test_algebra import _corrupt, permutation_module
 from xnerve import fixtures
 from xnerve.algebra import ValidationReport, Violation
@@ -49,7 +49,7 @@ def naive_kernel(nv, n):
     return out
 
 
-class CorruptedFace:
+class CorruptedFace(PerCellRanks):
     """Wraps a provider, overriding d_0 on one chosen cell."""
 
     def __init__(self, base, victim, replacement):
@@ -337,10 +337,10 @@ LEVEL_CASES = {
 }
 
 
-class PerCell:
+class PerCell(PerCellRanks):
     """Exposes only ``cells``, ``face`` and ``degeneracy`` of a provider, so
-    that ``Levels`` fills its face tables by per-cell ``face`` calls: the
-    reference for ``Nerve.face_rows``."""
+    that ``Levels`` fills its face tables through the reference adapter, by
+    per-cell ``face`` calls: the reference for ``Nerve.face_rows``."""
 
     def __init__(self, base):
         self.base = base
@@ -362,7 +362,7 @@ def face_tables_or_error(p, maxdim):
     out = []
     for n in range(maxdim + 1):
         try:
-            out.append(levels.level(n).faces)
+            out.append(levels.level(n))
         except CompatibilityError as exc:
             out.append(str(exc))
             break
@@ -376,17 +376,15 @@ def test_level_tables_match_face_and_sort_order(name):
     levels = Levels(p)
     for n in range(maxdim + 1):
         lv = levels.level(n)
-        assert lv.cells == list(p.cells(n))
-        assert [c.sort_key() for c in lv.cells] == sorted(c.sort_key() for c in lv.cells)
-        assert all(lv.ids[c] == i for i, c in enumerate(lv.cells))
+        cells = [p.cell_at(n, i) for i in range(len(lv))]
+        assert cells == list(p.cells(n))
+        assert [c.sort_key() for c in cells] == sorted(c.sort_key() for c in cells)
+        assert [p.rank_of(c) for c in cells] == list(range(len(cells)))
         if n == 0:
-            assert all(row == () for row in lv.faces)
+            assert all(row == () for row in lv)
             continue
-        below = levels.level(n - 1)
-        for i, c in enumerate(lv.cells):
-            assert lv.faces[i] == tuple(below.ids[p.face(c, j)] for j in range(n + 1))
-        if isinstance(p, Nerve):
-            assert [p.cell_at(n, i) for i in range(len(lv.cells))] == lv.cells
+        for i, c in enumerate(cells):
+            assert lv[i] == tuple(p.rank_of(p.face(c, j)) for j in range(n + 1))
     if isinstance(p, Nerve):
         assert face_tables_or_error(p, maxdim) == face_tables_or_error(PerCell(p), maxdim)
 
@@ -438,30 +436,36 @@ def test_level_tables_match_reference_on_single_entry_corruptions(data):
 
 
 def test_nerve_levels_make_no_face_calls(monkeypatch):
-    calls = []
-    real_face = Nerve.face
+    calls = dict.fromkeys(("face", "cells", "cell_at"), 0)
+    for name in calls:
+        def counted(self, *args, _real=getattr(Nerve, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(self, *args, **kwargs)
 
-    def counted(self, cell, j):
-        calls.append((cell, j))
-        return real_face(self, cell, j)
-
-    monkeypatch.setattr(Nerve, "face", counted)
+        monkeypatch.setattr(Nerve, name, counted)
+    built = []
     for build in (fixtures.z2_with_z3_fiber_twisted, fixtures.pair_groupoid_z3):
         nv = Nerve(build())
         levels = Levels(nv)
         for n in range(5):
             levels.level(n)
-        nv.face(levels.level(4).cells[0], 0)  # shows that the counter is live
-    assert len(calls) == 2
+        built.append((nv, levels))
+    (f6, f6_levels), (pair, pair_levels) = built
+    assert check_kan(f6, upto=4, levels=f6_levels).is_kan
+    assert all(r.bijective for r in check_coskeletal(pair, 3, 4, levels=pair_levels))
+    assert calls == {"face": 0, "cells": 0, "cell_at": 0}
+    # the probe shows that the counters are live
+    f6.face(next(f6.cells(4)), 0)
+    f6.cell_at(4, 0)
+    assert calls == {"face": 1, "cells": 1, "cell_at": 1}
 
 
 def test_corrupted_provider_shows_in_its_table():
     p = _corrupted_f4()
     levels = Levels(p)
-    lv = levels.level(2)
-    row = lv.faces[lv.ids[p.victim]]
-    assert levels.level(1).cells[row[0]] == p.replacement
-    assert row[0] != levels.level(1).ids[p.base.face(p.victim, 0)]
+    row = levels.level(2)[p.rank_of(p.victim)]
+    assert p.cell_at(1, row[0]) == p.replacement
+    assert row[0] != p.rank_of(p.base.face(p.victim, 0))
 
 
 @pytest.mark.parametrize("name", sorted(PROVIDERS))
@@ -506,7 +510,7 @@ def test_kernel_and_horn_lists_match_reference(nv_z2_z3, nv_pair):
 
 def test_level_cap_applies_to_built_levels_and_join_stages(nv_z2_z3):
     levels = Levels(nv_z2_z3)
-    assert len(levels.level(3).cells) == 216
+    assert len(levels.level(3)) == 216
     with pytest.raises(CapacityError):
         levels.level(3, cap=100)
     with pytest.raises(CapacityError) as err:
