@@ -43,7 +43,6 @@ from .simplicial import (
     HornTuple,
     KanRecord,
     KanReport,
-    Levels,
     audit_simplicial,
     beta,
     boundary,

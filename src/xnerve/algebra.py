@@ -321,6 +321,11 @@ class CrossedMonoid:
         """Image of fiber element a under the map induced by morphism m."""
         return self.action[m][a]
 
+    @cached_property
+    def classification(self) -> "Classification":
+        """``classify_structure(self)``, computed once."""
+        return classify_structure(self)
+
 
 @dataclass(frozen=True)
 class XMorphism:

@@ -23,7 +23,7 @@ import sys
 
 from . import homotopy as H
 from . import simplicial as S
-from .algebra import classify_structure, validate_crossed_monoid
+from .algebra import validate_crossed_monoid
 from .errors import (
     ArgumentError,
     CapacityError,
@@ -90,7 +90,7 @@ def cmd_validate(xm, args) -> tuple[int, list[dict]]:
 
 
 def cmd_classify(xm, args) -> tuple[int, list[dict]]:
-    cls = classify_structure(xm)
+    cls = xm.classification
     flags = {
         "category_is_groupoid": cls.is_groupoid,
         "fibers_are_groups": cls.fibers_are_groups,
@@ -110,15 +110,10 @@ def cmd_enumerate(xm, args) -> tuple[int, list[dict]]:
     nerve = Nerve(xm)
     checks = []
     for n in range(lo, hi + 1):
-        count = nerve.count_cells(n)
-        detail = f"{count} cells"
-        listing = None
-        if count <= 50:
-            listing = [_cell_text(c) for c in nerve.cells(n, cap=args.max_cells)]
-        elif count > args.max_cells:
-            raise CapacityError(f"{count} cells of dimension {n} exceed --max-cells {args.max_cells}",
-                                predicted=count, cap=args.max_cells)
-        checks.append({"label": f"cells[{n}]", "passed": True, "detail": detail, "count": count, "cells": listing})
+        count = nerve.count_within(n, args.max_cells)
+        listing = [_cell_text(c) for c in nerve.cells(n)] if count <= 50 else None
+        checks.append({"label": f"cells[{n}]", "passed": True, "detail": f"{count} cells", "count": count,
+                       "cells": listing})
     return EXIT_OK, checks
 
 
@@ -173,19 +168,18 @@ def cmd_kan(xm, args) -> tuple[int, list[dict]]:
 
 
 def cmd_fill(xm, args) -> tuple[int, list[dict]]:
-    lo, hi = _parse_dims(args.dims, (2, 3))
+    lo, hi = _parse_dims(args.dims, (2, 3), lowest=2)
     filler = HornFiller(xm)
     nerve = filler.nerve
-    levels = S.Levels(nerve)
     rng = random.Random(args.seed)
     checks = []
-    for n in range(max(lo, 2), hi + 1):
+    for n in range(lo, hi + 1):
         count = nerve.count_cells(n)
         for l in range(n + 1):
             # horns as face ranks: a level's ids are ranks, and a sampled
             # cell's face row drops slot l
             if count <= args.max_cells:
-                horn_ids = S.horns(nerve, n, l, cap=args.max_cells, levels=levels).ids
+                horn_ids = S.horns(nerve, n, l, cap=args.max_cells).ids
                 mode = "exhaustive"
             else:
                 sample = min(1000, args.max_cells)
@@ -214,12 +208,12 @@ def cmd_homotopy(xm, args) -> tuple[int, list[dict]]:
     if bad:
         raise ArgumentError(f"--pi supports 0..3, got {bad[0]}")
     t = args.basepoint
-    cls = levels = None
+    nerve = None
     if any(n > 0 for n in wanted):
         if not 0 <= t < xm.cat.num_objects:
             raise ArgumentError(f"--basepoint {t} is not an object id (0..{xm.cat.num_objects - 1})")
-        cls = classify_structure(xm).require_module()
-        levels = S.Levels(Nerve(xm))
+        xm.classification.require_module()
+        nerve = Nerve(xm)
     checks = []
     ok = True
     for n in wanted:
@@ -234,7 +228,7 @@ def cmd_homotopy(xm, args) -> tuple[int, list[dict]]:
                 }
             )
         elif n in (1, 2):
-            comparison = H.pi_compare(xm, n, t, cap=args.max_cells, classification=cls, levels=levels)
+            comparison = H.pi_compare(nerve, n, t, cap=args.max_cells)
             passed = comparison.isomorphic
             ok = ok and passed
             g = comparison.algebraic
@@ -251,7 +245,7 @@ def cmd_homotopy(xm, args) -> tuple[int, list[dict]]:
                 }
             )
         else:
-            v = H.higher_vanishing(xm, t, cap=args.max_cells, classification=cls, levels=levels)
+            v = H.higher_vanishing(nerve, t, cap=args.max_cells)
             ok = ok and v.trivial
             checks.append(
                 {
@@ -298,6 +292,8 @@ def run(argv: list[str] | None = None) -> int:
     report: dict = {"tool": "xnerve", "command": args.command, "input": args.file}
     failed_axioms = None
     try:
+        if args.max_cells < 1:
+            raise ArgumentError(f"--max-cells must be at least 1, got {args.max_cells}")
         with open(args.file, "rb") as fh:
             doc = parse_input(fh.read())
         xm = to_crossed_monoid(doc)

@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .algebra import Classification, CrossedMonoid, classify_structure
+from .algebra import CrossedMonoid
 from .errors import CompatibilityError, NotCrossedModuleError
 from .nerve import Nerve, NerveCell
 from .simplicial import BoundaryTuple, HornTuple, is_compatible_horn
@@ -77,17 +77,15 @@ class HornFiller:
     """Fillers for the nerve of one crossed module.
 
     Refuses at construction, naming the first failed hypothesis, when the
-    input is not a crossed module.  Inverse lookups (morphisms, fiber
-    elements, action maps) are precomputed here so the fill paths never
-    search.
+    input is not a crossed module.  Inverses are read from the cached
+    ``morphism_inverse`` and fiber ``inverse`` tables, so the fill paths
+    never search.
     """
 
-    def __init__(self, xm: CrossedMonoid, classification: Classification | None = None):
+    def __init__(self, xm: CrossedMonoid):
         self.xm = xm
-        self.classification = (classification or classify_structure(xm)).require_module()
+        xm.classification.require_module()
         self.nerve = Nerve(xm)
-        self.mor_inv = tuple(xm.cat.morphism_inverse)
-        self.fiber_inv = tuple(f.inverse for f in xm.fibers)
 
     # -- small helpers -------------------------------------------------
 
@@ -95,13 +93,13 @@ class HornFiller:
         return self.xm.action[g][a]
 
     def _act_inv(self, g: int, a: int) -> int:
-        return self.xm.action[self.mor_inv[g]][a]
+        return self.xm.action[self.xm.cat.morphism_inverse[g]][a]
 
     def _mul(self, obj: int, *items: int) -> int:
         return self.xm.fibers[obj].product(items)
 
     def _inv(self, obj: int, a: int) -> int:
-        v = self.fiber_inv[obj][a]
+        v = self.xm.fibers[obj].inverse[a]
         if v is None:
             raise NotCrossedModuleError("fibers_are_groups", (obj, a))
         return v
@@ -166,7 +164,7 @@ class HornFiller:
         return filler
 
     def _mor_inverse(self, m: int) -> int:
-        v = self.mor_inv[m]
+        v = self.xm.cat.morphism_inverse[m]
         if v is None:
             raise NotCrossedModuleError("category_is_groupoid", (m,))
         return v

@@ -3,19 +3,22 @@
 For a crossed module the fundamental group at an object t is the quotient of
 the endomorphism group C(t,t) by the (normal) image of the boundary, and the
 second homotopy group is the kernel of the boundary, a commutative group.
-``pi_compare`` recomputes both through the generic simplicial brute force
-and exhibits an explicit isomorphism between the two answers.
+``pi_compare`` takes the ``Nerve`` of a crossed module, reads the closed
+forms from its ``xm``, recomputes both groups through the generic simplicial
+brute force on that nerve's face tables, and exhibits an explicit
+isomorphism between the two answers.  Several calls on one nerve share its
+tables, and every check shares the crossed monoid's ``classification``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Classification, CrossedMonoid, classify_structure
+from .algebra import CrossedMonoid
 from .errors import CompatibilityError, DEFAULT_CAPACITY, XNerveError
 from .groups import GroupPresentation, find_isomorphism, subgroup_presentation
 from .nerve import Nerve
-from .simplicial import Levels, UnionFind, based_classes, pi_bruteforce
+from .simplicial import UnionFind, based_classes, pi_bruteforce
 
 
 def pi0(xm: CrossedMonoid) -> tuple[tuple[int, ...], ...]:
@@ -31,12 +34,12 @@ def pi0(xm: CrossedMonoid) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(v) for _, v in sorted(buckets.items()))
 
 
-def pi1(xm: CrossedMonoid, t: int, classification: Classification | None = None) -> GroupPresentation:
+def pi1(xm: CrossedMonoid, t: int) -> GroupPresentation:
     """C(t,t) modulo the image of the boundary, with [g][h] = [g*h].
 
     Verifies that the image really is normal before forming cosets.
     """
-    (classification or classify_structure(xm)).require_module()
+    xm.classification.require_module()
     cat = xm.cat
     loops = list(cat.hom(t, t))
     image = sorted({xm.boundary[t][a] for a in xm.fibers[t].elements()})
@@ -80,9 +83,9 @@ def pi1(xm: CrossedMonoid, t: int, classification: Classification | None = None)
     return g
 
 
-def pi2(xm: CrossedMonoid, t: int, classification: Classification | None = None) -> GroupPresentation:
+def pi2(xm: CrossedMonoid, t: int) -> GroupPresentation:
     """Kernel of the boundary at t, as a group; commutativity is asserted."""
-    (classification or classify_structure(xm)).require_module()
+    xm.classification.require_module()
     fiber = xm.fibers[t]
     one = xm.cat.identity[t]
     kernel = [a for a in fiber.elements() if xm.boundary[t][a] == one]
@@ -111,26 +114,14 @@ class PiComparison:
         return self.isomorphism is not None
 
 
-def pi_compare(
-    xm: CrossedMonoid,
-    n: int,
-    t: int,
-    cap: int = DEFAULT_CAPACITY,
-    classification: Classification | None = None,
-    levels: Levels | None = None,
-) -> PiComparison:
-    """Compute the homotopy group both ways and search for an isomorphism.
-
-    ``levels``, if given, must be built over a ``Nerve`` of ``xm``; passing
-    the same instance to several calls enumerates each level once.
-    """
+def pi_compare(nv: Nerve, n: int, t: int, cap: int = DEFAULT_CAPACITY) -> PiComparison:
+    """Compute the homotopy group of ``nv`` at object t both ways, in closed
+    form from ``nv.xm`` and by brute force on ``nv``'s face tables, and
+    search for an isomorphism."""
     if n not in (1, 2):
         raise CompatibilityError("closed forms exist for dimensions 1 and 2 only")
-    cls = (classification or classify_structure(xm)).require_module()
-    algebraic = pi1(xm, t, cls) if n == 1 else pi2(xm, t, cls)
-    levels = levels or Levels(Nerve(xm))
-    nerve = levels.p
-    brute = pi_bruteforce(nerve, n, nerve.point(t), cap=cap, levels=levels)
+    algebraic = pi1(nv.xm, t) if n == 1 else pi2(nv.xm, t)
+    brute = pi_bruteforce(nv, n, nv.point(t), cap=cap)
     iso = find_isomorphism(algebraic, brute)
     return PiComparison(n=n, basepoint=t, algebraic=algebraic, bruteforce=brute, isomorphism=iso)
 
@@ -147,14 +138,7 @@ class VanishingReport:
         return self.classes == 1
 
 
-def higher_vanishing(
-    xm: CrossedMonoid,
-    t: int,
-    n: int = 3,
-    cap: int = DEFAULT_CAPACITY,
-    classification: Classification | None = None,
-    levels: Levels | None = None,
-) -> VanishingReport:
+def higher_vanishing(nv: Nerve, t: int, n: int = 3, cap: int = DEFAULT_CAPACITY) -> VanishingReport:
     """Check that the homotopy group above dimension 2 is trivial.
 
     Counts the classes of the brute force (``based_classes``) without its
@@ -162,8 +146,6 @@ def higher_vanishing(
     dimension-(n+2) horn just to re-prove that would blow the budget on
     large fibers.
     """
-    (classification or classify_structure(xm)).require_module()
-    levels = levels or Levels(Nerve(xm))
-    nerve = levels.p
-    classes = based_classes(nerve, n, nerve.point(t), cap=cap, levels=levels)
+    nv.xm.classification.require_module()
+    classes = based_classes(nv, n, nv.point(t), cap=cap)
     return VanishingReport(n=n, basepoint=t, based_cells=len(classes.members), classes=len(classes.reps))

@@ -44,7 +44,8 @@ from functools import partial
 from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import CrossedMonoid, XMorphism
-from .errors import CapacityError, CellError, CompatibilityError, DEFAULT_CAPACITY
+from .errors import CellError, CompatibilityError, DEFAULT_CAPACITY
+from .simplicial import LevelProvider
 
 
 class NerveCell(NamedTuple):
@@ -111,12 +112,17 @@ def _glue(glue: tuple[int, ...], first: int, last: int, corner: int) -> int:
     return start + ((last - lstart) // ltail * fiber + corner) * fsize + first - fstart
 
 
-class Nerve:
+class Nerve(LevelProvider):
     """Level provider for the nerve of one crossed monoid.
 
     Refuses at construction, with CompatibilityError naming ``(x, a)``, a
     boundary that is not an endomorphism of its object: the face maps
     compose with boundary values and need them to be.
+
+    The nerve keeps every face table that ``level`` builds for as long as it
+    lives, so the checks run on one ``Nerve`` share them and none builds a
+    table twice: a second ``check_kan(nv, 4)`` builds nothing.  Build a fresh
+    ``Nerve`` to let the tables go.
     """
 
     def __init__(self, xm: CrossedMonoid):
@@ -379,13 +385,7 @@ class Nerve:
     def cells(self, n: int, cap: int = DEFAULT_CAPACITY) -> Iterator[NerveCell]:
         """All cells of dimension n, object sequences lexicographic, then
         entries row-major lexicographic."""
-        predicted = self.count_cells(n)
-        if cap is not None and predicted > cap:
-            raise CapacityError(
-                f"{predicted} cells of dimension {n} exceed the budget {cap}",
-                predicted=predicted,
-                cap=cap,
-            )
+        self.count_within(n, cap)
         bounds = self._row_bounds(n)
         for blk in self._dim(n):
             for flat in itertools.product(*blk.domains):

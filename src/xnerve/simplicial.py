@@ -7,59 +7,77 @@ tuples, the compatibility kernel of each dimension, horns, the
 horn-to-boundary map, coskeletality and Kan checks, and brute-force
 homotopy groups.
 
-Whole-level work runs on ranks.  ``Levels`` builds each dimension once as
-its face table, which is all a level is: row ``i`` holds the ranks of
-d_0 .. d_n of the cell of rank ``i``.  The provider's ``face_rows`` makes it
-from the table of the level below, with no cell built.  Kernels and
-horns are one hash join over the face table of the level below: slot k is
-added by indexing candidate ranks on the faces they must share with the
-slots already placed, never by filtering the full product.  The Kan and
-coskeletal checks and brute-force pi compare face rows; ranks turn back
-into cells, through ``cell_at``, only in witnesses, group labels and the
-tuples handed out by ``simplicial_kernel`` and ``horns``, so
-``horns(...).ids`` go straight to ``HornFiller.fill_ids``.  The identity
-audit works on cells, since the degeneracies it checks land in dimensions
-that are never enumerated: it runs one loop over a table of the six
-identity families, computing each cell's face and degeneracy rows once and
-handing them to every family.
+Whole-level work runs on ranks.  A provider owns its levels: ``level(n)``
+builds dimension n once as its face table, which is all a level is: row
+``i`` holds the ranks of d_0 .. d_n of the cell of rank ``i``.  The
+provider's ``face_rows`` makes it from the table of the level below, with no
+cell built, and every later check on the same provider reads the kept
+table.  Kernels and horns are one hash join over the face table of the
+level below: slot k is added by indexing candidate ranks on the faces they
+must share with the slots already placed, never by filtering the full
+product.  The Kan and coskeletal checks and brute-force pi compare face
+rows; ranks turn back into cells, through ``cell_at``, only in witnesses,
+group labels and the tuples handed out by ``simplicial_kernel`` and
+``horns``, so ``horns(...).ids`` go straight to ``HornFiller.fill_ids``.
+The identity audit works on cells, since the degeneracies it checks land in
+dimensions that are never enumerated: it runs one loop over a table of the
+six identity families, computing each cell's face and degeneracy rows once
+and handing them to every family.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Hashable, Iterable, NamedTuple, Protocol
+from typing import NamedTuple
 
 from .algebra import ValidationReport, Violation
 from .errors import CapacityError, CompatibilityError, DEFAULT_CAPACITY, NotKanError
 from .groups import GroupPresentation
 
 
-class LevelProvider(Protocol):
-    """What the generic checks call.  Cells of dimension n are addressed by
-    rank, 0 .. ``count_cells(n)``-1 in ``cells(n)`` order.  ``face_rows(n,
-    below)`` gives the row (rank of d_0 c, ..., rank of d_n c) of every
-    n-cell c, in rank order, from ``below``, the face table of dimension
-    n-1, and raises KeyError for a face that is not an (n-1)-cell.  The
-    whole-level checks read ``count_cells`` and ``face_rows``, and
-    ``cell_at`` and ``rank_of`` for witnesses, labels and the basepoint; the
-    identity audit and the cell helpers read ``cells``, ``face`` and
-    ``degeneracy``.  ``face_rows`` must agree with ``face``: a ``Nerve``
-    subclass that overrides ``face`` must override ``face_rows`` too."""
+class LevelProvider:
+    """Base of the providers the generic checks run on.  Cells of dimension
+    n are addressed by rank, 0 .. ``count_cells(n)``-1 in ``cells(n)``
+    order.  A subclass gives ``face_rows(n, below)``: the row (rank of d_0
+    c, ..., rank of d_n c) of every n-cell c, in rank order, from ``below``,
+    the face table of dimension n-1, raising KeyError for a face that is
+    not an (n-1)-cell.  The whole-level checks read ``level``,
+    ``count_cells``, and ``cell_at`` and ``rank_of`` for witnesses, labels
+    and the basepoint; the identity audit and the cell helpers read
+    ``cells``, ``face`` and ``degeneracy``.  ``face_rows`` must agree with
+    ``face``: a ``Nerve`` subclass that overrides ``face`` must override
+    ``face_rows`` too."""
 
-    def count_cells(self, n: int) -> int: ...
+    def count_within(self, n: int, cap: int) -> int:
+        """``count_cells(n)``, refused with CapacityError above ``cap``."""
+        count = self.count_cells(n)
+        if count > cap:
+            raise CapacityError(f"{count} cells of dimension {n} exceed the budget {cap}", predicted=count, cap=cap)
+        return count
 
-    def face_rows(self, n: int, below: list[tuple[int, ...]]) -> list[tuple[int, ...]]: ...
-
-    def cell_at(self, n: int, rank: int): ...
-
-    def rank_of(self, cell) -> int: ...
-
-    def cells(self, n: int, cap: int = ...) -> Iterable[Hashable]: ...
-
-    def face(self, cell, j: int): ...
-
-    def degeneracy(self, cell, j: int): ...
+    def level(self, n: int, cap: int = DEFAULT_CAPACITY) -> list[tuple[int, ...]]:
+        """The face table of dimension n: ``level(n)[i][j]`` is the rank of
+        d_j of the n-cell of rank ``i`` (rows are empty in dimension 0).
+        Each table is built once per provider and then kept.  Refuses with
+        CapacityError, before anything is built, whenever ``count_cells``
+        predicts more cells than ``cap``, and with CompatibilityError when a
+        face is not a cell of the level below."""
+        count = self.count_within(n, cap)
+        # made here, not in __init__, so a subclass need not call it
+        built = self.__dict__.setdefault("_levels", {})
+        faces = built.get(n)
+        if faces is None:
+            if n == 0:
+                faces = [()] * count
+            else:
+                below = self.level(n - 1, cap)
+                try:
+                    faces = self.face_rows(n, below)
+                except KeyError:
+                    raise CompatibilityError(f"a face of a {n}-cell is not a {n - 1}-cell; provider is broken") from None
+            built[n] = faces
+        return faces
 
 
 @dataclass(frozen=True)
@@ -87,38 +105,6 @@ class HornTuple:
 
     def slots(self) -> tuple[int, ...]:
         return tuple(k for k in range(self.dim + 1) if k != self.omitted)
-
-
-class Levels:
-    """The levels of one provider, each built on first use and then shared
-    by every check handed this instance.  A level is its face table:
-    ``level(n)[i][j]`` is the rank of d_j of the n-cell of rank ``i`` (rows
-    are empty in dimension 0), made by ``p.face_rows`` from the table below.
-    A level is refused with CapacityError, before anything is built,
-    whenever ``p.count_cells`` predicts more cells than the caller's
-    ``cap``, and with CompatibilityError when a face is not a cell of the
-    level below."""
-
-    def __init__(self, p: LevelProvider):
-        self.p = p
-        self._built: dict[int, list[tuple[int, ...]]] = {}
-
-    def level(self, n: int, cap: int = DEFAULT_CAPACITY) -> list[tuple[int, ...]]:
-        count = self.p.count_cells(n)
-        if count > cap:
-            raise CapacityError(f"{count} cells of dimension {n} exceed the budget {cap}", predicted=count, cap=cap)
-        faces = self._built.get(n)
-        if faces is None:
-            if n == 0:
-                faces = [()] * count
-            else:
-                below = self.level(n - 1, cap)
-                try:
-                    faces = self.p.face_rows(n, below)
-                except KeyError:
-                    raise CompatibilityError(f"a face of a {n}-cell is not a {n - 1}-cell; provider is broken") from None
-            self._built[n] = faces
-        return faces
 
 
 def boundary(p: LevelProvider, cell, n: int | None = None) -> BoundaryTuple:
@@ -218,26 +204,20 @@ class CellTuples(Sequence):
         return map(self.decode, self.ids)
 
 
-def simplicial_kernel(
-    p: LevelProvider, n: int, cap: int = DEFAULT_CAPACITY, levels: Levels | None = None
-) -> CellTuples:
+def simplicial_kernel(p: LevelProvider, n: int, cap: int = DEFAULT_CAPACITY) -> CellTuples:
     """All compatible face tuples in dimension n, by hash join."""
     if n < 1:
         raise CompatibilityError("kernel needs dimension >= 1")
-    lower = (levels or Levels(p)).level(n - 1, cap)
-    return CellTuples(p, n, None, _join(lower, n, None, cap))
+    return CellTuples(p, n, None, _join(p.level(n - 1, cap), n, None, cap))
 
 
-def horns(
-    p: LevelProvider, n: int, l: int, cap: int = DEFAULT_CAPACITY, levels: Levels | None = None
-) -> CellTuples:
+def horns(p: LevelProvider, n: int, l: int, cap: int = DEFAULT_CAPACITY) -> CellTuples:
     """All horns of dimension n with slot l omitted, by hash join."""
     if not 0 <= l <= n:
         raise CompatibilityError(f"horn position {l} out of range for dimension {n}")
     if n < 1:
         raise CompatibilityError("horns need dimension >= 1")
-    lower = (levels or Levels(p)).level(n - 1, cap)
-    return CellTuples(p, n, l, _join(lower, n, l, cap))
+    return CellTuples(p, n, l, _join(p.level(n - 1, cap), n, l, cap))
 
 
 def beta(p: LevelProvider, h: HornTuple) -> BoundaryTuple:
@@ -331,20 +311,17 @@ class CoskeletalRecord:
         return self.injective and self.surjective
 
 
-def check_coskeletal(
-    p: LevelProvider, n: int, upto: int, cap: int = DEFAULT_CAPACITY, levels: Levels | None = None
-) -> list[CoskeletalRecord]:
+def check_coskeletal(p: LevelProvider, n: int, upto: int, cap: int = DEFAULT_CAPACITY) -> list[CoskeletalRecord]:
     """Decide bijectivity of the boundary map in each dimension n < k <= upto.
 
     The image is the set of face-id rows of the k-cells; the surjectivity
     witness is the smallest missing kernel tuple, ids comparing like cells.
     """
-    levels = levels or Levels(p)
     records = []
     for k in range(n + 1, upto + 1):
-        kernel = simplicial_kernel(p, k, cap=cap, levels=levels)
+        kernel = simplicial_kernel(p, k, cap=cap)
         kernel_set = set(kernel.ids)
-        level = levels.level(k, cap)
+        level = p.level(k, cap)
         image: dict[tuple[int, ...], int] = {}
         inj_witness = None
         for i, row in enumerate(level):
@@ -398,19 +375,16 @@ class KanReport:
         return None
 
 
-def check_kan(
-    p: LevelProvider, upto: int, from_dim: int = 1, cap: int = DEFAULT_CAPACITY, levels: Levels | None = None
-) -> KanReport:
+def check_kan(p: LevelProvider, upto: int, from_dim: int = 1, cap: int = DEFAULT_CAPACITY) -> KanReport:
     """Brute-force fillability of every horn in dimensions from_dim..upto:
     a horn fills when it is the face-id row of some n-cell with entry l
     dropped."""
-    levels = levels or Levels(p)
     records = []
     for n in range(from_dim, upto + 1):
-        rows = levels.level(n, cap)
+        rows = p.level(n, cap)
         for l in range(n + 1):
             filled = {row[:l] + row[l + 1:] for row in rows}
-            all_horns = horns(p, n, l, cap=cap, levels=levels)
+            all_horns = horns(p, n, l, cap=cap)
             unfilled = [h for h in all_horns.ids if h not in filled]
             witness = all_horns.decode(unfilled[0]) if unfilled else None
             records.append(KanRecord(n, l, horn_count=len(all_horns), unfillable=len(unfilled), witness=witness))
@@ -455,16 +429,13 @@ class BasedClasses(NamedTuple):
         return sorted(set(self.rep_of.values()))
 
 
-def based_classes(
-    p: LevelProvider, n: int, basepoint, cap: int = DEFAULT_CAPACITY, levels: Levels | None = None
-) -> BasedClasses:
+def based_classes(p: LevelProvider, n: int, basepoint, cap: int = DEFAULT_CAPACITY) -> BasedClasses:
     """Group the based n-cells into classes; assumes the Kan property, which
     makes the relation an equivalence."""
-    levels = levels or Levels(p)
     tower = [basepoint]
     for _ in range(n):
         tower.append(p.degeneracy(tower[-1], 0))
-    level = levels.level(n, cap)
+    level = p.level(n, cap)
     based = (p.rank_of(tower[n - 1]),) * (n + 1)
     members = [i for i, row in enumerate(level) if row == based]
     member_set = set(members)
@@ -473,19 +444,13 @@ def based_classes(
         raise CompatibilityError("degenerate basepoint cell missing from its own level")
     uf = UnionFind(len(level))
     prefix = (unit,) * n
-    for row in levels.level(n + 1, cap):
+    for row in p.level(n + 1, cap):
         if row[:n] == prefix and row[n] in member_set and row[n + 1] in member_set:
             uf.union(row[n], row[n + 1])
     return BasedClasses(members, {c: uf.find(c) for c in members}, unit)
 
 
-def pi_bruteforce(
-    p: LevelProvider,
-    n: int,
-    basepoint,
-    cap: int = DEFAULT_CAPACITY,
-    levels: Levels | None = None,
-) -> GroupPresentation:
+def pi_bruteforce(p: LevelProvider, n: int, basepoint, cap: int = DEFAULT_CAPACITY) -> GroupPresentation:
     """Homotopy group in dimension n >= 1 at a 0-cell, by exhaustive search.
 
     Elements are the classes of ``based_classes``; the product of two
@@ -497,19 +462,18 @@ def pi_bruteforce(
     """
     if n < 1:
         raise CompatibilityError("brute-force homotopy groups start at dimension 1")
-    levels = levels or Levels(p)
-    failure = check_kan(p, upto=n + 2, cap=cap, levels=levels).first_failure()
+    failure = check_kan(p, upto=n + 2, cap=cap).first_failure()
     if failure is not None:
         raise NotKanError(failure.dim, failure.omitted, failure.witness)
 
-    classes = based_classes(p, n, basepoint, cap=cap, levels=levels)
+    classes = based_classes(p, n, basepoint, cap=cap)
     rep_of = classes.rep_of
     reps = classes.reps
     index_of = {rep: i for i, rep in enumerate(reps)}
 
     prefix = (classes.unit,) * (n - 1)
     product: dict[tuple[int, int], int] = {}
-    for row in levels.level(n + 1, cap):
+    for row in p.level(n + 1, cap):
         if row[:n - 1] == prefix:
             product.setdefault((row[n - 1], row[n + 1]), row[n])
 

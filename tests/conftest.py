@@ -4,6 +4,7 @@ from xnerve import fixtures
 from xnerve.algebra import CrossedMonoid, FiniteMonoid
 from xnerve.errors import CompatibilityError
 from xnerve.nerve import Nerve
+from xnerve.simplicial import LevelProvider
 
 
 def pair_groupoid_z3_relabelled() -> CrossedMonoid:
@@ -43,7 +44,7 @@ class CheckedNerve(Nerve):
         return c
 
 
-class PerCellRanks:
+class PerCellRanks(LevelProvider):
     """Reference adapter: gives a provider that has only ``cells``,
     ``face`` and ``degeneracy`` the rank interface of the whole-level checks
     (``count_cells``, ``face_rows``, ``cell_at``, ``rank_of``) by

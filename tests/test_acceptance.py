@@ -168,13 +168,13 @@ def test_criterion_09_homotopy_groups():
     ok = True
     details = []
     for build, (o1, o2) in expected.items():
-        xm = build()
-        c1 = pi_compare(xm, 1, 0)
-        c2 = pi_compare(xm, 2, 0)
+        nv = Nerve(build())
+        c1 = pi_compare(nv, 1, 0)
+        c2 = pi_compare(nv, 2, 0)
         ok = ok and c1.isomorphic and c1.algebraic.order == o1
         ok = ok and c2.isomorphic and c2.algebraic.order == o2 and c2.algebraic.is_abelian
         details.append(f"{build.__name__}: pi1={c1.algebraic.order} pi2={c2.algebraic.order}")
-    vanish = higher_vanishing(F2(), 0)
+    vanish = higher_vanishing(Nerve(F2()), 0)
     ok = ok and vanish.trivial
     report(9, ok, "; ".join(details) + f"; pi3 trivial={vanish.trivial}")
 

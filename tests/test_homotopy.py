@@ -4,6 +4,7 @@ from xnerve import fixtures
 from xnerve.errors import NotCrossedModuleError
 from xnerve.groups import GroupPresentation, find_isomorphism
 from xnerve.homotopy import higher_vanishing, pi0, pi1, pi2, pi_compare
+from xnerve.nerve import Nerve
 
 
 def test_pi0_examples(xm_z2_z3):
@@ -40,9 +41,9 @@ def test_pi_refuses_non_modules(xm_idempotent):
     with pytest.raises(NotCrossedModuleError):
         pi2(xm_idempotent, 0)
     with pytest.raises(NotCrossedModuleError):
-        pi_compare(xm_idempotent, 1, 0)
+        pi_compare(Nerve(xm_idempotent), 1, 0)
     with pytest.raises(NotCrossedModuleError):
-        higher_vanishing(xm_idempotent, 0)
+        higher_vanishing(Nerve(xm_idempotent), 0)
 
 
 def test_pi_compare_fixtures(xm_z2, xm_z3_fiber, xm_z2_z3, xm_z2_z3_twisted, xm_trivial):
@@ -55,22 +56,22 @@ def test_pi_compare_fixtures(xm_z2, xm_z3_fiber, xm_z2_z3, xm_z2_z3_twisted, xm_
     ]
     for xm, o1, o2 in expectations:
         for n, expected in ((1, o1), (2, o2)):
-            c = pi_compare(xm, n, 0)
+            c = pi_compare(Nerve(xm), n, 0)
             assert c.isomorphic, (n, c)
             assert c.algebraic.order == expected
             assert c.bruteforce.order == expected
 
 
 def test_pi_compare_multi_object():
-    xm = fixtures.pair_groupoid_z3()
+    nv = Nerve(fixtures.pair_groupoid_z3())
     for t in (0, 1):
-        c = pi_compare(xm, 2, t)
+        c = pi_compare(nv, 2, t)
         assert c.isomorphic and c.algebraic.order == 3
 
 
 def test_higher_vanishing(xm_z2, xm_z2_z3, xm_trivial):
     for xm in (xm_z2, xm_z2_z3, xm_trivial):
-        report = higher_vanishing(xm, 0)
+        report = higher_vanishing(Nerve(xm), 0)
         assert report.trivial, report
 
 

@@ -3,14 +3,17 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-from xnerve import fixtures
+from xnerve import algebra, fixtures
 from xnerve.algebra import validate_crossed_monoid
 from xnerve.cli import run
 from xnerve.errors import StructureError
 from xnerve.io import from_crossed_monoid, parse_input, serialize, to_crossed_monoid
+from xnerve.nerve import Nerve
+from xnerve.simplicial import check_kan
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +207,8 @@ def test_cli_json_report_is_deterministic(file_z2_z3, tmp_path):
         ["kan", "--dims", "x..y"],
         ["kan", "--dims", "3..1"],
         ["coskeletal", "--dims", "0..1"],
+        ["fill", "--dims", "0..1"],
+        ["fill", "--dims", "1..2"],
     ],
 )
 def test_cli_bad_arguments_end_in_an_error_report(file_z2_z3, tmp_path, capsys, argv):
@@ -216,6 +221,66 @@ def test_cli_bad_arguments_end_in_an_error_report(file_z2_z3, tmp_path, capsys, 
     report = json.loads(out.read_text())
     assert report["exit_code"] == 2 and report["passed"] is False
     assert report["error"]["kind"] == "argument" and report["error"]["message"]
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_cli_refuses_a_cell_budget_below_one_for_every_command(file_z2_z3, tmp_path, capsys, value):
+    for command in ("validate", "classify", "enumerate", "audit", "coskeletal", "kan", "fill", "homotopy"):
+        out = tmp_path / f"{command}.json"
+        assert run([command, str(file_z2_z3), "--max-cells", value, "--json", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ERROR (argument): --max-cells must be at least 1, got {value}\n"
+        report = json.loads(out.read_text())
+        assert report["exit_code"] == 2 and report["error"]["kind"] == "argument"
+
+
+@pytest.mark.parametrize("dims,cap,message", [
+    ("3", "100", "216 cells of dimension 3 exceed the budget 100"),
+    ("2", "5", "12 cells of dimension 2 exceed the budget 5"),
+])
+def test_cli_enumerate_has_one_capacity_check(file_z2_z3, tmp_path, capsys, dims, cap, message):
+    out = tmp_path / "report.json"
+    assert run(["enumerate", str(file_z2_z3), "--dims", dims, "--max-cells", cap, "--json", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"ERROR (capacity): {message}\n"
+    assert json.loads(out.read_text())["error"] == {"kind": "capacity", "message": message,
+                                                    "predicted": int(message.split()[0]), "cap": int(cap)}
+
+
+def test_each_command_builds_each_level_and_classifies_once(tmp_path, capsys, monkeypatch):
+    built, classified = Counter(), []
+
+    def face_rows(self, n, below, _real=Nerve.face_rows):
+        built[n] += 1
+        return _real(self, n, below)
+
+    def classify(xm, _real=algebra.classify_structure):
+        classified.append(xm)
+        return _real(xm)
+
+    monkeypatch.setattr(Nerve, "face_rows", face_rows)
+    monkeypatch.setattr(algebra, "classify_structure", classify)
+    path = tmp_path / "f6.json"
+    path.write_text(serialize(from_crossed_monoid(fixtures.z2_with_z3_fiber_twisted())))
+    for argv, dims in (
+        (["homotopy", "--pi", "0,1,2,3"], {1, 2, 3, 4}),
+        (["fill", "--dims", "2..5", "--max-cells", "10000"], {1, 2}),
+    ):
+        built.clear()
+        classified.clear()
+        assert run([argv[0], str(path), *argv[1:]]) == 0
+        assert built == dict.fromkeys(dims, 1), argv
+        assert len(classified) == 1, argv
+    capsys.readouterr()
+
+    # a library caller keeps the tables between calls on one nerve
+    nv = Nerve(fixtures.z2_with_z3_fiber_twisted())
+    built.clear()
+    assert check_kan(nv, 4).is_kan
+    assert built == dict.fromkeys(range(1, 5), 1)
+    assert check_kan(nv, 4).is_kan
+    assert built == dict.fromkeys(range(1, 5), 1)
 
 
 def test_cli_reports_package_errors_without_traceback(tmp_path, capsys):

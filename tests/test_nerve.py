@@ -9,7 +9,6 @@ from xnerve import fixtures
 from xnerve.algebra import XMorphism, identity_xmorphism
 from xnerve.errors import CapacityError, CellError, CompatibilityError
 from xnerve.nerve import CornerTriple, Nerve, NerveCell, induced_cell
-from xnerve.simplicial import Levels
 
 
 def brute_cells(nv, n):
@@ -263,9 +262,8 @@ RANK_FIXTURES = {
 @pytest.mark.parametrize("name", sorted(RANK_FIXTURES))
 def test_face_ids_agree_with_levels_and_face(name):
     nv = Nerve(RANK_FIXTURES[name]())
-    levels = Levels(nv)
     for n in range(5):
-        lv = levels.level(n)
+        lv = nv.level(n)
         cells = list(nv.cells(n))
         assert len(lv) == len(cells)
         # level ids are ranks: rank_of inverts cell_at and the level's order

@@ -16,7 +16,6 @@ from xnerve.simplicial import (
     CoskeletalRecord,
     HornTuple,
     KanRecord,
-    Levels,
     audit_simplicial,
     beta,
     boundary,
@@ -339,7 +338,7 @@ LEVEL_CASES = {
 
 class PerCell(PerCellRanks):
     """Exposes only ``cells``, ``face`` and ``degeneracy`` of a provider, so
-    that ``Levels`` fills its face tables through the reference adapter, by
+    that ``level`` fills its face tables through the reference adapter, by
     per-cell ``face`` calls: the reference for ``Nerve.face_rows``."""
 
     def __init__(self, base):
@@ -358,11 +357,10 @@ class PerCell(PerCellRanks):
 def face_tables_or_error(p, maxdim):
     """The face tables of dimensions 0..maxdim, ending with the error text
     at the first level refused with CompatibilityError."""
-    levels = Levels(p)
     out = []
     for n in range(maxdim + 1):
         try:
-            out.append(levels.level(n))
+            out.append(p.level(n))
         except CompatibilityError as exc:
             out.append(str(exc))
             break
@@ -373,9 +371,8 @@ def face_tables_or_error(p, maxdim):
 def test_level_tables_match_face_and_sort_order(name):
     build, maxdim = LEVEL_CASES[name]
     p = build()
-    levels = Levels(p)
     for n in range(maxdim + 1):
-        lv = levels.level(n)
+        lv = p.level(n)
         cells = [p.cell_at(n, i) for i in range(len(lv))]
         assert cells == list(p.cells(n))
         assert [c.sort_key() for c in cells] == sorted(c.sort_key() for c in cells)
@@ -446,13 +443,12 @@ def test_nerve_levels_make_no_face_calls(monkeypatch):
     built = []
     for build in (fixtures.z2_with_z3_fiber_twisted, fixtures.pair_groupoid_z3):
         nv = Nerve(build())
-        levels = Levels(nv)
         for n in range(5):
-            levels.level(n)
-        built.append((nv, levels))
-    (f6, f6_levels), (pair, pair_levels) = built
-    assert check_kan(f6, upto=4, levels=f6_levels).is_kan
-    assert all(r.bijective for r in check_coskeletal(pair, 3, 4, levels=pair_levels))
+            nv.level(n)
+        built.append(nv)
+    f6, pair = built
+    assert check_kan(f6, upto=4).is_kan
+    assert all(r.bijective for r in check_coskeletal(pair, 3, 4))
     assert calls == {"face": 0, "cells": 0, "cell_at": 0}
     # the probe shows that the counters are live
     f6.face(next(f6.cells(4)), 0)
@@ -462,8 +458,7 @@ def test_nerve_levels_make_no_face_calls(monkeypatch):
 
 def test_corrupted_provider_shows_in_its_table():
     p = _corrupted_f4()
-    levels = Levels(p)
-    row = levels.level(2)[p.rank_of(p.victim)]
+    row = p.level(2)[p.rank_of(p.victim)]
     assert p.cell_at(1, row[0]) == p.replacement
     assert row[0] != p.rank_of(p.base.face(p.victim, 0))
 
@@ -471,15 +466,14 @@ def test_corrupted_provider_shows_in_its_table():
 @pytest.mark.parametrize("name", sorted(PROVIDERS))
 def test_kan_and_coskeletal_records_match_reference(name):
     p = PROVIDERS[name]()
-    levels = Levels(p)
-    assert list(check_kan(p, upto=3, levels=levels).records) == ref_check_kan(p, 3)
+    assert list(check_kan(p, upto=3).records) == ref_check_kan(p, 3)
     try:
         expected = ref_check_coskeletal(p, 0, 3)
     except CompatibilityError as exc:
         with pytest.raises(CompatibilityError, match=re.escape(str(exc))):
-            check_coskeletal(p, 0, 3, levels=levels)
+            check_coskeletal(p, 0, 3)
     else:
-        assert check_coskeletal(p, 0, 3, levels=levels) == expected
+        assert check_coskeletal(p, 0, 3) == expected
 
 
 def test_kan_and_coskeletal_dim4_match_reference():
@@ -492,10 +486,9 @@ def test_kan_and_coskeletal_dim4_match_reference():
 @pytest.mark.parametrize("name,basepoints", [("F4", (0,)), ("F6", (0,)), ("pair", (0, 1))])
 def test_pi_bruteforce_matches_reference(name, basepoints):
     p = PROVIDERS[name]()
-    levels = Levels(p)
     for t in basepoints:
         for n in (1, 2):
-            g = pi_bruteforce(p, n, p.point(t), levels=levels)
+            g = pi_bruteforce(p, n, p.point(t))
             assert (g.labels, g.unit, g.table) == ref_pi(p, n, p.point(t))
 
 
@@ -509,12 +502,11 @@ def test_kernel_and_horn_lists_match_reference(nv_z2_z3, nv_pair):
 
 
 def test_level_cap_applies_to_built_levels_and_join_stages(nv_z2_z3):
-    levels = Levels(nv_z2_z3)
-    assert len(levels.level(3)) == 216
+    assert len(nv_z2_z3.level(3)) == 216
     with pytest.raises(CapacityError):
-        levels.level(3, cap=100)
+        nv_z2_z3.level(3, cap=100)
     with pytest.raises(CapacityError) as err:
-        horns(nv_z2_z3, 3, 0, cap=100, levels=levels)
+        horns(nv_z2_z3, 3, 0, cap=100)
     assert "at slot" in str(err.value)
 
 
