@@ -58,10 +58,6 @@ def _parse_dims(text: str | None, default: tuple[int, int], lowest: int = 0) -> 
     return lo, hi
 
 
-def _cell_text(c) -> str:
-    return c.text() if hasattr(c, "text") else repr(c)
-
-
 def _report_lines(checks: list[dict]) -> list[str]:
     lines = []
     for c in checks:
@@ -111,7 +107,7 @@ def cmd_enumerate(xm, args) -> tuple[int, list[dict]]:
     checks = []
     for n in range(lo, hi + 1):
         count = nerve.count_within(n, args.max_cells)
-        listing = [_cell_text(c) for c in nerve.cells(n)] if count <= 50 else None
+        listing = [c.text() for c in nerve.cells(n)] if count <= 50 else None
         checks.append({"label": f"cells[{n}]", "passed": True, "detail": f"{count} cells", "count": count,
                        "cells": listing})
     return EXIT_OK, checks
@@ -126,7 +122,7 @@ def cmd_audit(xm, args) -> tuple[int, list[dict]]:
             "passed": report.passed,
             "detail": "all identity instances hold"
             if report.passed
-            else "; ".join(f"{v.axiom} at {v.witness[:-1]} on {_cell_text(v.witness[-1])}" for v in report.violations),
+            else "; ".join(f"{v.axiom} at {v.witness[:-1]} on {v.witness[-1].text()}" for v in report.violations),
         }
     ]
     return (EXIT_OK if report.passed else EXIT_PROPERTY), checks
@@ -143,9 +139,9 @@ def cmd_coskeletal(xm, args) -> tuple[int, list[dict]]:
         detail = f"cells={r.cell_count} kernel={r.kernel_size} injective={r.injective} surjective={r.surjective}"
         entry = {"label": f"boundary-bijective[{r.dim}]", "passed": passed, "detail": detail}
         if r.surjectivity_witness is not None:
-            entry["witness"] = [_cell_text(f) for f in r.surjectivity_witness.faces]
+            entry["witness"] = [f.text() for f in r.surjectivity_witness.faces]
         if r.injectivity_witness is not None:
-            entry["witness_cells"] = [_cell_text(c) for c in r.injectivity_witness]
+            entry["witness_cells"] = [c.text() for c in r.injectivity_witness]
         checks.append(entry)
     return (EXIT_OK if ok else EXIT_PROPERTY), checks
 
@@ -161,7 +157,7 @@ def cmd_kan(xm, args) -> tuple[int, list[dict]]:
             "detail": f"{r.horn_count - r.unfillable}/{r.horn_count} horns fillable",
         }
         if r.witness is not None:
-            entry["witness"] = [_cell_text(f) for f in r.witness.faces]
+            entry["witness"] = [f.text() for f in r.witness.faces]
             entry["witness_omitted"] = r.witness.omitted
         checks.append(entry)
     return (EXIT_OK if report.is_kan else EXIT_PROPERTY), checks

@@ -1,20 +1,23 @@
 """Constructive horn fillers for crossed-module nerves, on cell ranks.
 
 ``HornFiller.fill_ids`` takes a horn as the ranks of its faces (see
-``Nerve.face_ids``) and returns the filler's rank; ``fill`` is the cell
-form.  Dimension 2 fills by groupoid inverses with a unit corner.  Every
-dimension n >= 3 collapses the horn one level with beta, rebuilds the
-missing face from that boundary, and assembles the filler through the corner
-bijection (``Nerve.assemble_id``).  For n >= 4 the missing face is itself
-assembled that way; for n = 3 it is the 2-cell whose diagonal is entries 2
-and 0 of beta and whose corner solves the boundary-image equation.
+``Nerve.face_ids``) and returns the filler's rank.  ``fill`` is the cell
+form: ranks carry no dimension, so it refuses faces that are not
+(n-1)-cells, then converts with ``rank_of`` and ``cell_at`` and leaves every
+other check to ``fill_ids``.  Dimension 2 fills by groupoid inverses with a
+unit corner.  Every dimension n >= 3 collapses the horn one level with beta,
+rebuilds the missing face from that boundary, and assembles the filler
+through the corner bijection (``Nerve.assemble_id``).  For n >= 4 the
+missing face is itself assembled that way; for n = 3 it is the 2-cell whose
+diagonal is entries 2 and 0 of beta and whose corner solves the
+boundary-image equation.
 
 Nothing is assumed of the input; each check is an int comparison and a
-failure raises CompatibilityError: the faces match up as a horn, the n = 3
-completed tuple satisfies eq:image, the first and last faces overlap, and
-the whole face rows of the filler and, for n >= 4, of the missing face are
-the tuples they were built from (for n = 2, the filler's faces at the
-horn's slots).
+failure raises CompatibilityError: the horn has n faces and a slot in 0..n,
+the faces match up as a horn, the n = 3 completed tuple satisfies eq:image,
+the first and last faces overlap, and the whole face rows of the filler and,
+for n >= 4, of the missing face are the tuples they were built from (for
+n = 2, the filler's faces at the horn's slots).
 
 The boundary-image equation for a compatible 4-tuple (M0, M1, M2, M3) of
 2-cells reads, with g the lower diagonal of M3 and c_j the corner of M_j:
@@ -28,12 +31,11 @@ also sufficient over a crossed module.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .algebra import CrossedMonoid
 from .errors import CompatibilityError, NotCrossedModuleError
 from .nerve import Nerve, NerveCell
-from .simplicial import BoundaryTuple, HornTuple, is_compatible_horn
+from .simplicial import BoundaryTuple, HornTuple
 
 
 def image_b3(xm: CrossedMonoid, t: BoundaryTuple) -> bool:
@@ -50,27 +52,6 @@ def _image_rule(xm: CrossedMonoid, g: int, c: Sequence[int]) -> bool:
     face 3 has the lower diagonal g."""
     act, mul = xm.action[g], xm.fibers[xm.cat.src[g]].table
     return mul[act[c[3]]][c[1]] == mul[act[c[2]]][c[0]]
-
-
-@dataclass(frozen=True)
-class FaceCheck:
-    slot: int
-    expected: NerveCell
-    actual: NerveCell
-
-    @property
-    def ok(self) -> bool:
-        return self.expected == self.actual
-
-
-@dataclass(frozen=True)
-class FillResult:
-    filler: NerveCell
-    checks: tuple[FaceCheck, ...]
-
-    @property
-    def verified(self) -> bool:
-        return all(c.ok for c in self.checks)
 
 
 class HornFiller:
@@ -106,17 +87,13 @@ class HornFiller:
 
     # -- dimension dispatch ----------------------------------------------
 
-    def fill(self, h: HornTuple) -> FillResult:
-        """Fill a horn given as cells: checked with ``is_compatible_horn``,
-        filled on ranks by ``fill_ids``, and decoded."""
-        nv = self.nerve
-        faces = [nv.rank_of(f) for f in h.faces]
-        if not is_compatible_horn(nv, h):
-            raise CompatibilityError("tuple is not a horn: faces do not match up")
-        filler = self.fill_ids(h.dim, h.omitted, faces)
-        row = nv.face_ids(h.dim, filler)
-        return FillResult(nv.cell_at(h.dim, filler), tuple(
-            FaceCheck(slot, expected, nv.cell_at(h.dim - 1, row[slot])) for slot, expected in zip(h.slots(), h.faces)))
+    def fill(self, h: HornTuple) -> NerveCell:
+        """The filler of a horn given as cells, which must be of dimension
+        n-1: converted to ranks, filled by ``fill_ids`` and decoded."""
+        n, nv = h.dim, self.nerve
+        if any(f.dim != n - 1 for f in h.faces):
+            raise CompatibilityError(f"a horn of dimension {n} has faces of dimension {n - 1}")
+        return nv.cell_at(n, self.fill_ids(n, h.omitted, [nv.rank_of(f) for f in h.faces]))
 
     def fill_ids(self, n: int, l: int, faces: Sequence[int]) -> int:
         """Rank of the filler of the dimension-n horn whose present faces,
@@ -128,6 +105,9 @@ class HornFiller:
         tuples they were built from, the n = 3 tuple passing eq:image."""
         if n < 2:
             raise CompatibilityError(f"no constructive filler in dimension {n}")
+        if not 0 <= l <= n or len(faces) != n:
+            raise CompatibilityError(f"a horn of dimension {n} has {n} faces and a slot in 0..{n}, "
+                                     f"got {len(faces)} faces and slot {l}")
         face_ids = self.nerve.face_ids
         rows = [face_ids(n - 1, f) for f in faces]
         slots = [k for k in range(n + 1) if k != l]

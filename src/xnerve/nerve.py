@@ -29,8 +29,11 @@ and shifts the lower rows one step south-east (the insertion is skipped for
 j = 0, the shift for j = n).
 
 A cell's rank is its position in ``cells(n)``.  ``cell_at`` and ``rank_of``
-convert; ``face_ids``, ``assemble_id`` and ``corner_at`` work on ranks alone,
-in any dimension, with no cell built.
+convert.  The corner bijection ``M <-> (d_0 M, d_n M, m[1][n])``, n >= 2, and
+its closed inner-face formulas work on ranks alone, in any dimension, with no
+cell built: ``face_ids``, ``assemble_id`` and ``corner_at``.  On cells,
+``face``, ``degeneracy``, ``eta`` and ``corner_assemble`` are the matrix
+definitions the rank forms are tested against.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ import itertools
 import math
 from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import partial
 from typing import Iterator, NamedTuple, Sequence
 
@@ -65,9 +67,6 @@ class NerveCell(NamedTuple):
         """The fiber element at position (1, n); needs dim >= 2."""
         return self.rows[0][self.dim - 1]
 
-    def sort_key(self):
-        return (self.dim, self.objects, self.rows)
-
     def text(self) -> str:
         """Canonical serialization: dim | object ids | row-major entries."""
         objs = ",".join(str(x) for x in self.objects)
@@ -79,15 +78,6 @@ class NerveCell(NamedTuple):
 # Python-level __new__ of a NamedTuple; the structure maps and the
 # enumeration make every cell through it.
 _cell = partial(tuple.__new__, NerveCell)
-
-
-@dataclass(frozen=True)
-class CornerTriple:
-    """A cell split as (first face, last face, upper-right corner element)."""
-
-    first: NerveCell
-    last: NerveCell
-    corner: int
 
 
 class _Block(NamedTuple):
@@ -280,62 +270,21 @@ class Nerve(LevelProvider):
 
     # -- corner bijection ----------------------------------------------
 
-    def corner_split(self, M: NerveCell) -> CornerTriple:
-        """Split M as (first face, last face, corner); needs dim >= 2."""
-        n = M.dim
-        if n < 2:
-            raise CompatibilityError("corner splitting needs dimension >= 2")
-        return CornerTriple(self.face(M, 0), self.face(M, n), M.rows[0][n - 1])
-
-    def corner_assemble(self, t: CornerTriple) -> NerveCell:
-        """Inverse of corner_split: glue the two faces around the corner."""
-        m0, mn = t.first, t.last
-        if m0.dim != mn.dim or m0.dim < 1:
+    def corner_assemble(self, first: NerveCell, last: NerveCell, corner: int) -> NerveCell:
+        """The cell with d_0 = ``first``, d_n = ``last`` and corner
+        ``corner``: row 1 is the last face's row 1 and the corner, the rows
+        below are the first face's rows."""
+        if first.dim != last.dim or first.dim < 1:
             raise CompatibilityError("corner faces must share a dimension >= 1")
-        n = m0.dim + 1
-        if self.face(m0, n - 1) != self.face(mn, 0):
+        n = first.dim + 1
+        if self.face(first, n - 1) != self.face(last, 0):
             raise CompatibilityError("faces do not overlap: d_{n-1}(first) != d_0(last)")
-        fiber = self.xm.fibers[m0.objects[0]]
-        if not 0 <= t.corner < fiber.size:
-            raise CompatibilityError(f"corner {t.corner} outside the fiber over object {m0.objects[0]}")
-        objs = mn.objects + (m0.objects[-1],)
-        rows = (mn.rows[0] + (t.corner,),) + m0.rows
+        fiber = self.xm.fibers[first.objects[0]]
+        if not 0 <= corner < fiber.size:
+            raise CompatibilityError(f"corner {corner} outside the fiber over object {first.objects[0]}")
+        objs = last.objects + (first.objects[-1],)
+        rows = (last.rows[0] + (corner,),) + first.rows
         return _cell((n, objs, rows))
-
-    def corner_face(self, t: CornerTriple, j: int) -> CornerTriple:
-        """Split of d_j(assemble(t)) computed by closed corner formulas.
-
-        The corner is unchanged for 2 <= j <= n-2, twisted by the first row
-        of the first face for j = 1, and multiplied by the last face's
-        corner for j = n-1.
-        """
-        m0, mn = t.first, t.last
-        n = m0.dim + 1
-        if n < 3:
-            raise CompatibilityError("corner_face needs dimension >= 3")
-        if not 1 <= j <= n - 1:
-            raise CompatibilityError(f"corner_face index {j} out of range")
-        corner, xm = t.corner, self.xm
-        if j == 1:  # twisted by eta(d_0 M, 0, n-2), times the corner of d_0 M
-            corner = xm.fibers[m0.objects[1]].table[xm.action[self.eta(m0, 0, n - 2)][corner]][m0.rows[0][n - 2]]
-        elif j == n - 1:  # the corner of d_n M times the corner
-            corner = xm.fibers[mn.objects[1]].table[mn.rows[0][n - 2]][corner]
-        return CornerTriple(self.face(m0, j - 1), self.face(mn, j), corner)
-
-    def corner_triples(self, n: int, cap: int = DEFAULT_CAPACITY) -> Iterator[CornerTriple]:
-        """All valid (first, last, corner) triples in dimension n >= 2."""
-        if n < 2:
-            raise CompatibilityError("corner triples exist from dimension 2 up")
-        lower = list(self.cells(n - 1, cap=cap))
-        by_first_face: dict[NerveCell, list[NerveCell]] = {}
-        for c in lower:
-            by_first_face.setdefault(self.face(c, 0), []).append(c)
-        for first in lower:
-            key = self.face(first, n - 1)
-            fiber = self.xm.fibers[first.objects[0]]
-            for last in by_first_face.get(key, ()):
-                for m in fiber.elements():
-                    yield CornerTriple(first, last, m)
 
     # -- enumeration -----------------------------------------------------
 
@@ -422,6 +371,8 @@ class Nerve(LevelProvider):
 
     def corner_at(self, n: int, r: int) -> int:
         """Corner, entry (1, n), of the n-cell of rank r, n >= 2."""
+        if n < 2:
+            raise CompatibilityError("corner splitting needs dimension >= 2")
         blk, index = self._locate(n, r)
         glue = self._glue_of(blk)
         return index // glue[2] % glue[5]
@@ -431,6 +382,8 @@ class Nerve(LevelProvider):
         with first face, last face and corner ``(first, last, corner)``,
         the faces given as ranks.  Their overlap is not compared; only a
         pair with no common object sequence is refused."""
+        if n < 2:
+            raise CompatibilityError("corner splitting needs dimension >= 2")
         lseq, fseq = self._locate(n - 1, last)[0].seq, self._locate(n - 1, first)[0].seq
         self._dim(n)
         blk = self._block_of.get(lseq + fseq[-1:])
@@ -470,9 +423,10 @@ class Nerve(LevelProvider):
         """d_0 deletes row 1, so its rank keeps the low digits of r's index
         in its block; d_n deletes the last digit of every row.  For n = 2,
         d_1 is the composite diagonal.  For n >= 3, d_j is the cell with
-        first face d_{j-1} d_0, last face d_j d_n and r's corner, the corner
-        mapped as in ``corner_face`` for j = 1 (the eta-twist of row 2) and
-        j = n-1 (the product in the fiber over x1)."""
+        first face d_{j-1} d_0, last face d_j d_n and a corner c' made from
+        r's corner c by the paper's closed formulas: c' = c for
+        2 <= j <= n-2, c' = c^eta(M, 1, n-1) m[2][n] for j = 1, and
+        c' = m[1][n-1] c in the fiber over x1 for j = n-1."""
         if n < 1:
             raise CellError("0-cells have no faces")
         blk, index = self._locate(n, r)
@@ -541,7 +495,7 @@ class Nerve(LevelProvider):
         ``_face_row``: d_0 and d_n delete rank digits; for n = 2, d_1 is the
         composite diagonal; for n >= 3, ``_glue`` makes d_j from
         d_{j-1} d_0 c and d_j d_n c, read from ``below``, and c's corner
-        digit, mapped for j = 1 and j = n-1 as in ``corner_face``."""
+        digit, mapped for j = 1 and j = n-1 as there."""
         row_ends = {b - 1 for _, b in self._row_bounds(n)}
         flat = range(n * (n + 1) // 2)
         keep_first, keep_last = set(flat[n:]), set(flat) - row_ends

@@ -36,12 +36,27 @@ class CheckedNerve(Nerve):
     def degeneracy(self, M, j):
         return self._checked(super().degeneracy(M, j))
 
-    def corner_assemble(self, t):
-        return self._checked(super().corner_assemble(t))
+    def corner_assemble(self, first, last, corner):
+        return self._checked(super().corner_assemble(first, last, corner))
 
     def _checked(self, c):
         self.validate_cell(c)
         return c
+
+
+def corner_triples(nv, n):
+    """Every valid ``(first, last, corner)`` on ranks in dimension n >= 2:
+    (n-1)-cells with d_{n-1} first == d_0 last, and a corner in the fiber
+    over first's object 0, found from the face table and by decoding first."""
+    below = nv.level(n - 1)
+    by_first_face = {}
+    for last, row in enumerate(below):
+        by_first_face.setdefault(row[0], []).append(last)
+    for first, row in enumerate(below):
+        fiber = nv.xm.fibers[nv.cell_at(n - 1, first).objects[0]]
+        for last in by_first_face.get(row[n - 1], ()):
+            for corner in range(fiber.size):
+                yield first, last, corner
 
 
 class PerCellRanks(LevelProvider):

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from conftest import corner_triples
 from xnerve import fixtures
 from xnerve.errors import NotCrossedModuleError
 from xnerve.fillers import HornFiller, image_b3
@@ -54,12 +55,19 @@ def test_criterion_02_corner_bijection_roundtrips():
     for build in (F2, F4, F6):
         nv = Nerve(build())
         for n in (2, 3, 4):
-            for cell in nv.cells(n):
-                exact = exact and nv.corner_assemble(nv.corner_split(cell)) == cell
+            for r, cell in enumerate(nv.cells(n)):
+                row = nv.face_ids(n, r)
+                exact = exact and nv.assemble_id(n, row[0], row[n], nv.corner_at(n, r)) == r
+                exact = exact and nv.corner_assemble(nv.face(cell, 0), nv.face(cell, n), cell.corner) == cell
                 checked += 1
-            for t in nv.corner_triples(n):
-                exact = exact and nv.corner_split(nv.corner_assemble(t)) == t
-                checked += 1
+            triples = 0
+            for first, last, corner in corner_triples(nv, n):
+                r = nv.assemble_id(n, first, last, corner)
+                row = nv.face_ids(n, r)
+                exact = exact and (row[0], row[n], nv.corner_at(n, r)) == (first, last, corner)
+                triples += 1
+            exact = exact and triples == nv.count_cells(n)
+            checked += triples
     report(2, exact, f"corner split/assemble round trips exact on {checked} instances across dimensions 2..4")
 
 
@@ -68,10 +76,11 @@ def test_criterion_03_corner_face_closed_formulas():
     exact = True
     for build in (F4, F6):
         nv = Nerve(build())
-        for t in nv.corner_triples(3):
-            cell = nv.corner_assemble(t)
+        table = nv.level(3)
+        for r in range(nv.count_cells(3)):
+            cell = nv.cell_at(3, r)
             for j in (1, 2):
-                exact = exact and nv.corner_face(t, j) == nv.corner_split(nv.face(cell, j))
+                exact = exact and table[r][j] == nv.face_ids(3, r)[j] == nv.rank_of(nv.face(cell, j))
                 checked += 1
     report(3, exact, f"closed corner-face formulas equal the composed path on {checked} instances")
 

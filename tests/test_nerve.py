@@ -4,11 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import pair_groupoid_z3_relabelled
+from conftest import corner_triples, pair_groupoid_z3_relabelled
 from xnerve import fixtures
 from xnerve.algebra import XMorphism, identity_xmorphism
 from xnerve.errors import CapacityError, CellError, CompatibilityError
-from xnerve.nerve import CornerTriple, Nerve, NerveCell, induced_cell
+from xnerve.nerve import Nerve, NerveCell, induced_cell
 
 
 def brute_cells(nv, n):
@@ -148,60 +148,60 @@ def test_cell_at_matches_enumeration(nv_z2_z3, nv_pair):
 
 def test_corner_split_examples(nv_z2_z3, nv_trivial):
     m = nv_z2_z3.cell((0, 0, 0), ((1, 1), (1,)))
-    t = nv_z2_z3.corner_split(m)
-    assert t.first == nv_z2_z3.morphism_cell(1)
-    assert t.last == nv_z2_z3.morphism_cell(1)
-    assert t.corner == 1
-    only = next(iter(nv_trivial.cells(2)))
-    tt = nv_trivial.corner_split(only)
-    assert tt.first == tt.last == nv_trivial.morphism_cell(0)
+    r, g = nv_z2_z3.rank_of(m), nv_z2_z3.rank_of(nv_z2_z3.morphism_cell(1))
+    row = nv_z2_z3.face_ids(2, r)
+    assert (row[0], row[2], nv_z2_z3.corner_at(2, r)) == (g, g, 1)
+    only = nv_trivial.rank_of(next(iter(nv_trivial.cells(2))))
+    row = nv_trivial.face_ids(2, only)
+    assert row[0] == row[2] == nv_trivial.rank_of(nv_trivial.morphism_cell(0))
 
 
 def test_corner_assemble_example(nv_z2):
-    t = CornerTriple(nv_z2.morphism_cell(1), nv_z2.morphism_cell(1), 0)
-    assert nv_z2.corner_assemble(t) == nv_z2.cell((0, 0, 0), ((1, 0), (1,)))
+    g = nv_z2.morphism_cell(1)
+    cell = nv_z2.cell((0, 0, 0), ((1, 0), (1,)))
+    assert nv_z2.corner_assemble(g, g, 0) == cell
+    assert nv_z2.assemble_id(2, nv_z2.rank_of(g), nv_z2.rank_of(g), 0) == nv_z2.rank_of(cell)
 
 
 def test_corner_bijection_roundtrips(nv_z2, nv_z2_z3, nv_z2_z3_twisted, nv_pair):
     for nv in (nv_z2, nv_z2_z3, nv_z2_z3_twisted, nv_pair):
         for n in (2, 3):
-            for cell in nv.cells(n):
-                assert nv.corner_assemble(nv.corner_split(cell)) == cell
-            for t in nv.corner_triples(n):
-                assert nv.corner_split(nv.corner_assemble(t)) == t
+            for r, cell in enumerate(nv.cells(n)):
+                row, corner = nv.face_ids(n, r), nv.corner_at(n, r)
+                assert nv.assemble_id(n, row[0], row[n], corner) == r
+                assert nv.corner_assemble(nv.face(cell, 0), nv.face(cell, n), cell.corner) == cell
+            triples = list(corner_triples(nv, n))
+            assert len(triples) == nv.count_cells(n)
+            for first, last, corner in triples:
+                r = nv.assemble_id(n, first, last, corner)
+                row = nv.face_ids(n, r)
+                assert (row[0], row[n], nv.corner_at(n, r)) == (first, last, corner)
+                assert nv.corner_assemble(nv.cell_at(n - 1, first), nv.cell_at(n - 1, last), corner) == nv.cell_at(n, r)
 
 
 def test_corner_split_needs_dim_two(nv_z2_z3):
-    with pytest.raises(CompatibilityError):
-        nv_z2_z3.corner_split(nv_z2_z3.morphism_cell(0))
+    for split in (lambda: nv_z2_z3.corner_at(1, 0), lambda: nv_z2_z3.corner_at(0, 0),
+                  lambda: nv_z2_z3.assemble_id(1, 0, 0, 0)):
+        with pytest.raises(CompatibilityError, match="corner splitting needs dimension >= 2"):
+            split()
 
 
 def test_corner_assemble_rejects_incompatible(nv_z2_z3):
     first = nv_z2_z3.cell((0, 0, 0), ((1, 0), (1,)))  # d_2 = [g]
     last = nv_z2_z3.cell((0, 0, 0), ((1, 0), (0,)))  # d_0 = [1]
     with pytest.raises(CompatibilityError):
-        nv_z2_z3.corner_assemble(CornerTriple(first, last, 0))
+        nv_z2_z3.corner_assemble(first, last, 0)
     good = nv_z2_z3.cell((0, 0, 0), ((0, 0), (1,)))
     with pytest.raises(CompatibilityError):
-        nv_z2_z3.corner_assemble(CornerTriple(first, good, 9))  # corner outside the fiber
-
-
-def test_corner_face_against_composed_path(nv_z2_z3, nv_z2_z3_twisted, nv_pair, nv_pair_relabelled):
-    # the relabelled pair groupoid tells the fibers over x0 and x1 apart
-    for nv in (nv_z2_z3, nv_z2_z3_twisted, nv_pair, nv_pair_relabelled):
-        for n in (3, 4):
-            for t in nv.corner_triples(n):
-                cell = nv.corner_assemble(t)
-                for j in range(1, n):
-                    assert nv.corner_face(t, j) == nv.corner_split(nv.face(cell, j))
+        nv_z2_z3.corner_assemble(first, good, 9)  # corner outside the fiber
 
 
 def test_corner_face_units_stay_units(nv_z2_z3):
     nv = nv_z2_z3
-    deg = nv.degeneracy(nv.degeneracy(nv.morphism_cell(0), 0), 0)
-    t = nv.corner_split(deg)
+    deg = nv.rank_of(nv.degeneracy(nv.degeneracy(nv.morphism_cell(0), 0), 0))
+    row = nv.face_ids(3, deg)
     for j in range(1, 3):
-        assert nv.corner_face(t, j).corner == 0
+        assert nv.corner_at(2, row[j]) == 0
 
 
 def test_induced_map_identity_and_inclusion(nv_z3_fiber, nv_z2_z3, xm_z3_fiber, xm_z2_z3):
@@ -297,9 +297,11 @@ def test_assemble_id_is_the_rank_form_of_corner_assemble(nv_z2_z3_twisted, nv_pa
         rng = random.Random(5)
         for n in (2, 3, 4, 5):
             for r in rng.sample(range(nv.count_cells(n)), min(100, nv.count_cells(n))):
-                t = nv.corner_split(nv.cell_at(n, r))
-                assert nv.corner_at(n, r) == t.corner
-                assert nv.assemble_id(n, nv.rank_of(t.first), nv.rank_of(t.last), t.corner) == r
+                cell = nv.cell_at(n, r)
+                first, last = nv.face(cell, 0), nv.face(cell, n)
+                assert nv.corner_at(n, r) == cell.corner
+                assert nv.assemble_id(n, nv.rank_of(first), nv.rank_of(last), cell.corner) == r
+                assert nv.corner_assemble(first, last, cell.corner) == cell
 
 
 def test_assemble_id_refusals(nv_pair):

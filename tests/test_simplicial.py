@@ -258,7 +258,7 @@ def ref_check_coskeletal(p, n, upto):
         if image.keys() - kernel:
             raise CompatibilityError(f"boundary of a {k}-cell escaped the kernel; provider is broken")
         missing = kernel - image.keys()
-        witness = min(missing, key=lambda t: [f.sort_key() for f in t]) if missing else None
+        witness = min(missing) if missing else None
         records.append(CoskeletalRecord(
             k, count, len(kernel), inj is None, not missing, inj,
             BoundaryTuple(witness) if witness else None,
@@ -283,8 +283,8 @@ def ref_pi(p, n, basepoint):
                 merged = cls[y] | cls[z]
                 for c in merged:
                     cls[c] = merged
-    rep_of = {c: min(cls[c], key=lambda x: x.sort_key()) for c in members}
-    reps = sorted(set(rep_of.values()), key=lambda x: x.sort_key())
+    rep_of = {c: min(cls[c]) for c in members}
+    reps = sorted(set(rep_of.values()))
     index = {r: i for i, r in enumerate(reps)}
 
     def product(y, z):
@@ -375,7 +375,7 @@ def test_level_tables_match_face_and_sort_order(name):
         lv = p.level(n)
         cells = [p.cell_at(n, i) for i in range(len(lv))]
         assert cells == list(p.cells(n))
-        assert [c.sort_key() for c in cells] == sorted(c.sort_key() for c in cells)
+        assert cells == sorted(cells)
         assert [p.rank_of(c) for c in cells] == list(range(len(cells)))
         if n == 0:
             assert all(row == () for row in lv)
