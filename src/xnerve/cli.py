@@ -103,10 +103,10 @@ def cmd_classify(xm, args) -> tuple[int, list[dict]]:
 
 def cmd_enumerate(xm, args) -> tuple[int, list[dict]]:
     lo, hi = _parse_dims(args.dims, (0, 3))
-    nerve = Nerve(xm)
+    nerve = Nerve(xm, args.max_cells)
     checks = []
     for n in range(lo, hi + 1):
-        count = nerve.count_within(n, args.max_cells)
+        count = nerve.count_within(n)
         listing = [c.text() for c in nerve.cells(n)] if count <= 50 else None
         checks.append({"label": f"cells[{n}]", "passed": True, "detail": f"{count} cells", "count": count,
                        "cells": listing})
@@ -115,7 +115,7 @@ def cmd_enumerate(xm, args) -> tuple[int, list[dict]]:
 
 def cmd_audit(xm, args) -> tuple[int, list[dict]]:
     lo, hi = _parse_dims(args.dims, (0, 3))
-    report = S.audit_simplicial(Nerve(xm), hi, cap=args.max_cells)
+    report = S.audit_simplicial(Nerve(xm, args.max_cells), hi)
     checks = [
         {
             "label": f"simplicial-identities<= {hi}",
@@ -130,7 +130,7 @@ def cmd_audit(xm, args) -> tuple[int, list[dict]]:
 
 def cmd_coskeletal(xm, args) -> tuple[int, list[dict]]:
     lo, hi = _parse_dims(args.dims, (4, 5), lowest=1)
-    records = S.check_coskeletal(Nerve(xm), lo - 1, hi, cap=args.max_cells)
+    records = S.check_coskeletal(Nerve(xm, args.max_cells), lo - 1, hi)
     checks = []
     ok = True
     for r in records:
@@ -148,7 +148,7 @@ def cmd_coskeletal(xm, args) -> tuple[int, list[dict]]:
 
 def cmd_kan(xm, args) -> tuple[int, list[dict]]:
     lo, hi = _parse_dims(args.dims, (1, 3), lowest=1)
-    report = S.check_kan(Nerve(xm), upto=hi, from_dim=lo, cap=args.max_cells)
+    report = S.check_kan(Nerve(xm, args.max_cells), upto=hi, from_dim=lo)
     checks = []
     for r in report.records:
         entry = {
@@ -165,8 +165,9 @@ def cmd_kan(xm, args) -> tuple[int, list[dict]]:
 
 def cmd_fill(xm, args) -> tuple[int, list[dict]]:
     lo, hi = _parse_dims(args.dims, (2, 3), lowest=2)
-    filler = HornFiller(xm)
-    nerve = filler.nerve
+    xm.classification.require_module()
+    nerve = Nerve(xm, args.max_cells)
+    filler = HornFiller(nerve)
     rng = random.Random(args.seed)
     checks = []
     for n in range(lo, hi + 1):
@@ -174,11 +175,11 @@ def cmd_fill(xm, args) -> tuple[int, list[dict]]:
         for l in range(n + 1):
             # horns as face ranks: a level's ids are ranks, and a sampled
             # cell's face row drops slot l
-            if count <= args.max_cells:
-                horn_ids = S.horns(nerve, n, l, cap=args.max_cells).ids
+            if count <= nerve.cap:
+                horn_ids = S.horns(nerve, n, l).ids
                 mode = "exhaustive"
             else:
-                sample = min(1000, args.max_cells)
+                sample = min(1000, nerve.cap)
                 rows = [nerve.face_ids(n, rng.randrange(count)) for _ in range(sample)]
                 horn_ids = [row[:l] + row[l + 1:] for row in rows]
                 mode = f"sampled {sample} (seed {args.seed})"
@@ -209,7 +210,7 @@ def cmd_homotopy(xm, args) -> tuple[int, list[dict]]:
         if not 0 <= t < xm.cat.num_objects:
             raise ArgumentError(f"--basepoint {t} is not an object id (0..{xm.cat.num_objects - 1})")
         xm.classification.require_module()
-        nerve = Nerve(xm)
+        nerve = Nerve(xm, args.max_cells)
     checks = []
     ok = True
     for n in wanted:
@@ -224,7 +225,7 @@ def cmd_homotopy(xm, args) -> tuple[int, list[dict]]:
                 }
             )
         elif n in (1, 2):
-            comparison = H.pi_compare(nerve, n, t, cap=args.max_cells)
+            comparison = H.pi_compare(nerve, n, t)
             passed = comparison.isomorphic
             ok = ok and passed
             g = comparison.algebraic
@@ -241,7 +242,7 @@ def cmd_homotopy(xm, args) -> tuple[int, list[dict]]:
                 }
             )
         else:
-            v = H.higher_vanishing(nerve, t, cap=args.max_cells)
+            v = H.higher_vanishing(nerve, t)
             ok = ok and v.trivial
             checks.append(
                 {

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 # Enumerations (cells, kernels, horns) abort once their predicted size
-# exceeds this, instead of thrashing.  Callers may pass their own cap.
+# exceeds this, instead of thrashing.  ``Nerve(xm, cap)`` sets another.
 DEFAULT_CAPACITY = 5_000_000
 
 

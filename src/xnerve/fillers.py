@@ -12,12 +12,14 @@ missing face is itself assembled that way; for n = 3 it is the 2-cell whose
 diagonal is entries 2 and 0 of beta and whose corner solves the
 boundary-image equation.
 
-Nothing is assumed of the input; each check is an int comparison and a
-failure raises CompatibilityError: the horn has n faces and a slot in 0..n,
-the faces match up as a horn, the n = 3 completed tuple satisfies eq:image,
-the first and last faces overlap, and the whole face rows of the filler and,
-for n >= 4, of the missing face are the tuples they were built from (for
-n = 2, the filler's faces at the horn's slots).
+A filler runs on the ``Nerve`` it is given and shares its tables and cell
+budget.  Nothing is assumed of the input; each check is an int comparison
+and a failure raises CompatibilityError: the horn has n faces, ranks of
+(n-1)-cells, and a slot in 0..n, the faces match up as a horn, the n = 3
+completed tuple satisfies eq:image, the first and last faces overlap, and
+the whole face rows of the filler and, for n >= 4, of the missing face are
+the tuples they were built from (for n = 2, the filler's faces at the
+horn's slots).
 
 The boundary-image equation for a compatible 4-tuple (M0, M1, M2, M3) of
 2-cells reads, with g the lower diagonal of M3 and c_j the corner of M_j:
@@ -55,23 +57,19 @@ def _image_rule(xm: CrossedMonoid, g: int, c: Sequence[int]) -> bool:
 
 
 class HornFiller:
-    """Fillers for the nerve of one crossed module.
+    """Fillers on ``nerve``, the nerve of one crossed module.
 
     Refuses at construction, naming the first failed hypothesis, when the
-    input is not a crossed module.  Inverses are read from the cached
-    ``morphism_inverse`` and fiber ``inverse`` tables, so the fill paths
-    never search.
+    nerve's crossed monoid is not a crossed module.  Inverses are read from
+    the cached ``morphism_inverse`` and fiber ``inverse`` tables, so the fill
+    paths never search.
     """
 
-    def __init__(self, xm: CrossedMonoid):
-        self.xm = xm
-        xm.classification.require_module()
-        self.nerve = Nerve(xm)
+    def __init__(self, nerve: Nerve):
+        nerve.xm.classification.require_module()
+        self.nerve, self.xm = nerve, nerve.xm
 
     # -- small helpers -------------------------------------------------
-
-    def _act(self, g: int, a: int) -> int:
-        return self.xm.action[g][a]
 
     def _act_inv(self, g: int, a: int) -> int:
         return self.xm.action[self.xm.cat.morphism_inverse[g]][a]
@@ -99,15 +97,19 @@ class HornFiller:
         """Rank of the filler of the dimension-n horn whose present faces,
         in slot order with slot l omitted, have the ranks ``faces``.
 
-        Refuses with CompatibilityError unless the faces match up as a
-        horn, the filler's faces are the horn's, and for n >= 3 the whole
-        face rows of the filler and (n >= 4) of the missing face are the
+        Refuses with CompatibilityError unless the faces are (n-1)-cells that
+        match up as a horn, the filler's faces are the horn's, and for n >= 3
+        the face rows of the filler and (n >= 4) of the missing face are the
         tuples they were built from, the n = 3 tuple passing eq:image."""
         if n < 2:
             raise CompatibilityError(f"no constructive filler in dimension {n}")
         if not 0 <= l <= n or len(faces) != n:
             raise CompatibilityError(f"a horn of dimension {n} has {n} faces and a slot in 0..{n}, "
                                      f"got {len(faces)} faces and slot {l}")
+        size = self.nerve.count_cells(n - 1)
+        for f in faces:
+            if not 0 <= f < size:
+                raise CompatibilityError(f"face rank {f} is not one of the {size} cells of dimension {n - 1}")
         face_ids = self.nerve.face_ids
         rows = [face_ids(n - 1, f) for f in faces]
         slots = [k for k in range(n + 1) if k != l]
@@ -158,15 +160,15 @@ class HornFiller:
         x1, x2 = self.xm.cat.tgt[g], self.xm.cat.src[g]
         c = [nv.corner_at(2, f) for f in faces]
         c.insert(l, None)
-        mul, act, inv = self._mul, self._act, self._inv
+        mul, act, inv = self._mul, self.xm.action[g], self._inv
         if l == 0:
-            corner = mul(x2, act(g, mul(x1, inv(x1, c[2]), c[3])), c[1])
+            corner = mul(x2, act[mul(x1, inv(x1, c[2]), c[3])], c[1])
         elif l == 1:
-            corner = mul(x2, act(g, mul(x1, inv(x1, c[3]), c[2])), c[0])
+            corner = mul(x2, act[mul(x1, inv(x1, c[3]), c[2])], c[0])
         elif l == 2:
-            corner = self._act_inv(g, mul(x2, act(g, c[3]), c[1], inv(x2, c[0])))
+            corner = self._act_inv(g, mul(x2, act[c[3]], c[1], inv(x2, c[0])))
         else:
-            corner = self._act_inv(g, mul(x2, act(g, c[2]), c[0], inv(x2, c[1])))
+            corner = self._act_inv(g, mul(x2, act[c[2]], c[0], inv(x2, c[1])))
         return nv.assemble_id(2, beta[0], beta[2], corner)
 
     def _cell_with_boundary(self, n: int, faces: Sequence[int]) -> int:

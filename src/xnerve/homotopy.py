@@ -6,8 +6,8 @@ second homotopy group is the kernel of the boundary, a commutative group.
 ``pi_compare`` takes the ``Nerve`` of a crossed module, reads the closed
 forms from its ``xm``, recomputes both groups through the generic simplicial
 brute force on that nerve's face tables, and exhibits an explicit
-isomorphism between the two answers.  Several calls on one nerve share its
-tables, and every check shares the crossed monoid's ``classification``.
+isomorphism between the two answers.  Calls on one nerve share its tables
+and cell budget, and all share the crossed monoid's ``classification``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import CrossedMonoid
-from .errors import CompatibilityError, DEFAULT_CAPACITY, XNerveError
+from .errors import CompatibilityError, XNerveError
 from .groups import GroupPresentation, find_isomorphism, subgroup_presentation
 from .nerve import Nerve
 from .simplicial import UnionFind, based_classes, pi_bruteforce
@@ -114,14 +114,14 @@ class PiComparison:
         return self.isomorphism is not None
 
 
-def pi_compare(nv: Nerve, n: int, t: int, cap: int = DEFAULT_CAPACITY) -> PiComparison:
+def pi_compare(nv: Nerve, n: int, t: int) -> PiComparison:
     """Compute the homotopy group of ``nv`` at object t both ways, in closed
     form from ``nv.xm`` and by brute force on ``nv``'s face tables, and
     search for an isomorphism."""
     if n not in (1, 2):
         raise CompatibilityError("closed forms exist for dimensions 1 and 2 only")
     algebraic = pi1(nv.xm, t) if n == 1 else pi2(nv.xm, t)
-    brute = pi_bruteforce(nv, n, nv.point(t), cap=cap)
+    brute = pi_bruteforce(nv, n, nv.point(t))
     iso = find_isomorphism(algebraic, brute)
     return PiComparison(n=n, basepoint=t, algebraic=algebraic, bruteforce=brute, isomorphism=iso)
 
@@ -138,7 +138,7 @@ class VanishingReport:
         return self.classes == 1
 
 
-def higher_vanishing(nv: Nerve, t: int, n: int = 3, cap: int = DEFAULT_CAPACITY) -> VanishingReport:
+def higher_vanishing(nv: Nerve, t: int, n: int = 3) -> VanishingReport:
     """Check that the homotopy group above dimension 2 is trivial.
 
     Counts the classes of the brute force (``based_classes``) without its
@@ -147,5 +147,5 @@ def higher_vanishing(nv: Nerve, t: int, n: int = 3, cap: int = DEFAULT_CAPACITY)
     large fibers.
     """
     nv.xm.classification.require_module()
-    classes = based_classes(nv, n, nv.point(t), cap=cap)
+    classes = based_classes(nv, n, nv.point(t))
     return VanishingReport(n=n, basepoint=t, based_cells=len(classes.members), classes=len(classes.reps))

@@ -112,16 +112,16 @@ class Nerve(LevelProvider):
     The nerve keeps every face table that ``level`` builds for as long as it
     lives, so the checks run on one ``Nerve`` share them and none builds a
     table twice: a second ``check_kan(nv, 4)`` builds nothing.  Build a fresh
-    ``Nerve`` to let the tables go.
+    ``Nerve`` to let the tables go.  ``cap`` bounds every level and join.
     """
 
-    def __init__(self, xm: CrossedMonoid):
+    def __init__(self, xm: CrossedMonoid, cap: int = DEFAULT_CAPACITY):
         cat = xm.cat
         for x, row in enumerate(xm.boundary):
             a = next((a for a, d in enumerate(row) if cat.src[d] != x or cat.tgt[d] != x), None)
             if a is not None:
                 raise CompatibilityError(f"boundary at (x, a) = ({x}, {a}) is not an endomorphism of object {x}")
-        self.xm = xm
+        self.xm, self.cap = xm, cap
         self._dims: dict[int, tuple[_Block, ...]] = {}
         self._starts: dict[int, list[int]] = {}
         self._block_of: dict[tuple[int, ...], _Block] = {}  # by object sequence, every dimension
@@ -331,10 +331,10 @@ class Nerve(LevelProvider):
         blocks = self._dim(n)
         return blocks[-1].start + blocks[-1].size if blocks else 0
 
-    def cells(self, n: int, cap: int = DEFAULT_CAPACITY) -> Iterator[NerveCell]:
+    def cells(self, n: int) -> Iterator[NerveCell]:
         """All cells of dimension n, object sequences lexicographic, then
-        entries row-major lexicographic."""
-        self.count_within(n, cap)
+        entries row-major lexicographic; refused above ``cap``."""
+        self.count_within(n)
         bounds = self._row_bounds(n)
         for blk in self._dim(n):
             for flat in itertools.product(*blk.domains):

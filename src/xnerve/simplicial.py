@@ -1,11 +1,11 @@
 """Generic machinery over any finite simplicial level provider.
 
-A *level provider* numbers its cells of each dimension by rank and gives
-the face ranks of a whole dimension at once (see ``LevelProvider``);
-``Nerve`` is the main instance.  On top of that this module builds boundary
-tuples, the compatibility kernel of each dimension, horns, the
-horn-to-boundary map, coskeletality and Kan checks, and brute-force
-homotopy groups.
+A *level provider* numbers its cells of each dimension by rank, gives the
+face ranks of a whole dimension at once and holds one cell budget, ``cap``
+(see ``LevelProvider``); ``Nerve`` is the main instance.  On top of that
+this module builds boundary tuples, compatibility kernels, horns, the
+horn-to-boundary map, coskeletality and Kan checks, and brute-force homotopy
+groups; a level, enumeration or join stage larger than ``cap`` is refused.
 
 Whole-level work runs on ranks.  A provider owns its levels: ``level(n)``
 builds dimension n once as its face table, which is all a level is: row
@@ -47,23 +47,25 @@ class LevelProvider:
     and the basepoint; the identity audit and the cell helpers read
     ``cells``, ``face`` and ``degeneracy``.  ``face_rows`` must agree with
     ``face``: a ``Nerve`` subclass that overrides ``face`` must override
-    ``face_rows`` too."""
+    ``face_rows`` too.  ``cap`` is the cell budget; ``Nerve`` sets its own."""
 
-    def count_within(self, n: int, cap: int) -> int:
+    cap = DEFAULT_CAPACITY
+
+    def count_within(self, n: int) -> int:
         """``count_cells(n)``, refused with CapacityError above ``cap``."""
-        count = self.count_cells(n)
+        count, cap = self.count_cells(n), self.cap
         if count > cap:
             raise CapacityError(f"{count} cells of dimension {n} exceed the budget {cap}", predicted=count, cap=cap)
         return count
 
-    def level(self, n: int, cap: int = DEFAULT_CAPACITY) -> list[tuple[int, ...]]:
+    def level(self, n: int) -> list[tuple[int, ...]]:
         """The face table of dimension n: ``level(n)[i][j]`` is the rank of
         d_j of the n-cell of rank ``i`` (rows are empty in dimension 0).
         Each table is built once per provider and then kept.  Refuses with
         CapacityError, before anything is built, whenever ``count_cells``
         predicts more cells than ``cap``, and with CompatibilityError when a
         face is not a cell of the level below."""
-        count = self.count_within(n, cap)
+        count = self.count_within(n)
         # made here, not in __init__, so a subclass need not call it
         built = self.__dict__.setdefault("_levels", {})
         faces = built.get(n)
@@ -71,7 +73,7 @@ class LevelProvider:
             if n == 0:
                 faces = [()] * count
             else:
-                below = self.level(n - 1, cap)
+                below = self.level(n - 1)
                 try:
                     faces = self.face_rows(n, below)
                 except KeyError:
@@ -107,11 +109,9 @@ class HornTuple:
         return tuple(k for k in range(self.dim + 1) if k != self.omitted)
 
 
-def boundary(p: LevelProvider, cell, n: int | None = None) -> BoundaryTuple:
+def boundary(p: LevelProvider, cell) -> BoundaryTuple:
     """The face tuple (d_0 x, ..., d_n x) of a cell of dimension n >= 1."""
-    if n is None:
-        n = cell.dim
-    return BoundaryTuple(tuple(p.face(cell, j) for j in range(n + 1)))
+    return BoundaryTuple(tuple(p.face(cell, j) for j in range(cell.dim + 1)))
 
 
 def is_compatible(p: LevelProvider, t: BoundaryTuple) -> bool:
@@ -140,12 +140,13 @@ def is_compatible_horn(p: LevelProvider, h: HornTuple) -> bool:
     return True
 
 
-def _join(fv: list[tuple[int, ...]], n: int, omitted: int | None, cap: int) -> list[tuple[int, ...]]:
-    """Id tuples (x_0, ..., x_n) over the (n-1)-cells of face table ``fv`` with
+def _join(p: LevelProvider, n: int, omitted: int | None) -> list[tuple[int, ...]]:
+    """Id tuples (x_0, ..., x_n) over the (n-1)-cells of ``p`` with
     d_j x_k == d_{k-1} x_j for every pair of slots j < k, slot ``omitted``
     left out (``None`` keeps all slots, giving the kernel).  Slots are
     added in order, each by a hash join on the faces it shares with the
-    slots already placed."""
+    slots already placed; every stage is refused above ``p.cap``."""
+    fv, cap = p.level(n - 1), p.cap
     everyone = range(len(fv))
     what = "kernel" if omitted is None else f"horns without slot {omitted}"
     partial: list[tuple[int, ...]] = [()]
@@ -204,20 +205,20 @@ class CellTuples(Sequence):
         return map(self.decode, self.ids)
 
 
-def simplicial_kernel(p: LevelProvider, n: int, cap: int = DEFAULT_CAPACITY) -> CellTuples:
+def simplicial_kernel(p: LevelProvider, n: int) -> CellTuples:
     """All compatible face tuples in dimension n, by hash join."""
     if n < 1:
         raise CompatibilityError("kernel needs dimension >= 1")
-    return CellTuples(p, n, None, _join(p.level(n - 1, cap), n, None, cap))
+    return CellTuples(p, n, None, _join(p, n, None))
 
 
-def horns(p: LevelProvider, n: int, l: int, cap: int = DEFAULT_CAPACITY) -> CellTuples:
+def horns(p: LevelProvider, n: int, l: int) -> CellTuples:
     """All horns of dimension n with slot l omitted, by hash join."""
     if not 0 <= l <= n:
         raise CompatibilityError(f"horn position {l} out of range for dimension {n}")
     if n < 1:
         raise CompatibilityError("horns need dimension >= 1")
-    return CellTuples(p, n, l, _join(p.level(n - 1, cap), n, l, cap))
+    return CellTuples(p, n, l, _join(p, n, l))
 
 
 def beta(p: LevelProvider, h: HornTuple) -> BoundaryTuple:
@@ -231,12 +232,10 @@ def beta(p: LevelProvider, h: HornTuple) -> BoundaryTuple:
     return BoundaryTuple(tuple([p.face(x, l - 1 if i < l else l) for i, x in enumerate(h.faces)]))
 
 
-def horn_of_cell(p: LevelProvider, cell, l: int, n: int | None = None) -> HornTuple:
+def horn_of_cell(p: LevelProvider, cell, l: int) -> HornTuple:
     """The horn obtained by forgetting face l of a cell's boundary."""
-    if n is None:
-        n = cell.dim
-    faces = tuple(p.face(cell, j) for j in range(n + 1) if j != l)
-    return HornTuple(n, l, faces)
+    faces = tuple(p.face(cell, j) for j in range(cell.dim + 1) if j != l)
+    return HornTuple(cell.dim, l, faces)
 
 
 # -- identity audit ------------------------------------------------------
@@ -266,7 +265,7 @@ def _identity_families(face, degen) -> tuple:
     )
 
 
-def audit_simplicial(p: LevelProvider, maxdim: int, cap: int = DEFAULT_CAPACITY) -> ValidationReport:
+def audit_simplicial(p: LevelProvider, maxdim: int) -> ValidationReport:
     """Exhaustively check the six face/degeneracy identity families on all
     cells of dimension <= maxdim; first witness per family, families in
     name order.  A witness is (n, j, cell) for simp3/simp4 and
@@ -281,7 +280,7 @@ def audit_simplicial(p: LevelProvider, maxdim: int, cap: int = DEFAULT_CAPACITY)
     found: dict[str, Violation] = {}
     for n in range(maxdim + 1):
         js = range(n + 1)
-        for cell in p.cells(n, cap=cap):
+        for cell in p.cells(n):
             fs = [face(cell, j) for j in js] if n else []
             degs = [degen(cell, j) for j in js]
             for name, lowest, failing, detail in families:
@@ -311,7 +310,7 @@ class CoskeletalRecord:
         return self.injective and self.surjective
 
 
-def check_coskeletal(p: LevelProvider, n: int, upto: int, cap: int = DEFAULT_CAPACITY) -> list[CoskeletalRecord]:
+def check_coskeletal(p: LevelProvider, n: int, upto: int) -> list[CoskeletalRecord]:
     """Decide bijectivity of the boundary map in each dimension n < k <= upto.
 
     The image is the set of face-id rows of the k-cells; the surjectivity
@@ -319,9 +318,9 @@ def check_coskeletal(p: LevelProvider, n: int, upto: int, cap: int = DEFAULT_CAP
     """
     records = []
     for k in range(n + 1, upto + 1):
-        kernel = simplicial_kernel(p, k, cap=cap)
+        kernel = simplicial_kernel(p, k)
         kernel_set = set(kernel.ids)
-        level = p.level(k, cap)
+        level = p.level(k)
         image: dict[tuple[int, ...], int] = {}
         inj_witness = None
         for i, row in enumerate(level):
@@ -375,16 +374,16 @@ class KanReport:
         return None
 
 
-def check_kan(p: LevelProvider, upto: int, from_dim: int = 1, cap: int = DEFAULT_CAPACITY) -> KanReport:
+def check_kan(p: LevelProvider, upto: int, from_dim: int = 1) -> KanReport:
     """Brute-force fillability of every horn in dimensions from_dim..upto:
     a horn fills when it is the face-id row of some n-cell with entry l
     dropped."""
     records = []
     for n in range(from_dim, upto + 1):
-        rows = p.level(n, cap)
+        rows = p.level(n)
         for l in range(n + 1):
             filled = {row[:l] + row[l + 1:] for row in rows}
-            all_horns = horns(p, n, l, cap=cap)
+            all_horns = horns(p, n, l)
             unfilled = [h for h in all_horns.ids if h not in filled]
             witness = all_horns.decode(unfilled[0]) if unfilled else None
             records.append(KanRecord(n, l, horn_count=len(all_horns), unfillable=len(unfilled), witness=witness))
@@ -429,13 +428,13 @@ class BasedClasses(NamedTuple):
         return sorted(set(self.rep_of.values()))
 
 
-def based_classes(p: LevelProvider, n: int, basepoint, cap: int = DEFAULT_CAPACITY) -> BasedClasses:
+def based_classes(p: LevelProvider, n: int, basepoint) -> BasedClasses:
     """Group the based n-cells into classes; assumes the Kan property, which
     makes the relation an equivalence."""
     tower = [basepoint]
     for _ in range(n):
         tower.append(p.degeneracy(tower[-1], 0))
-    level = p.level(n, cap)
+    level = p.level(n)
     based = (p.rank_of(tower[n - 1]),) * (n + 1)
     members = [i for i, row in enumerate(level) if row == based]
     member_set = set(members)
@@ -444,13 +443,13 @@ def based_classes(p: LevelProvider, n: int, basepoint, cap: int = DEFAULT_CAPACI
         raise CompatibilityError("degenerate basepoint cell missing from its own level")
     uf = UnionFind(len(level))
     prefix = (unit,) * n
-    for row in p.level(n + 1, cap):
+    for row in p.level(n + 1):
         if row[:n] == prefix and row[n] in member_set and row[n + 1] in member_set:
             uf.union(row[n], row[n + 1])
     return BasedClasses(members, {c: uf.find(c) for c in members}, unit)
 
 
-def pi_bruteforce(p: LevelProvider, n: int, basepoint, cap: int = DEFAULT_CAPACITY) -> GroupPresentation:
+def pi_bruteforce(p: LevelProvider, n: int, basepoint) -> GroupPresentation:
     """Homotopy group in dimension n >= 1 at a 0-cell, by exhaustive search.
 
     Elements are the classes of ``based_classes``; the product of two
@@ -462,18 +461,17 @@ def pi_bruteforce(p: LevelProvider, n: int, basepoint, cap: int = DEFAULT_CAPACI
     """
     if n < 1:
         raise CompatibilityError("brute-force homotopy groups start at dimension 1")
-    failure = check_kan(p, upto=n + 2, cap=cap).first_failure()
+    failure = check_kan(p, upto=n + 2).first_failure()
     if failure is not None:
         raise NotKanError(failure.dim, failure.omitted, failure.witness)
 
-    classes = based_classes(p, n, basepoint, cap=cap)
-    rep_of = classes.rep_of
-    reps = classes.reps
+    classes = based_classes(p, n, basepoint)
+    rep_of, reps = classes.rep_of, classes.reps
     index_of = {rep: i for i, rep in enumerate(reps)}
 
     prefix = (classes.unit,) * (n - 1)
     product: dict[tuple[int, int], int] = {}
-    for row in p.level(n + 1, cap):
+    for row in p.level(n + 1):
         if row[:n - 1] == prefix:
             product.setdefault((row[n - 1], row[n + 1]), row[n])
 
@@ -489,8 +487,7 @@ def pi_bruteforce(p: LevelProvider, n: int, basepoint, cap: int = DEFAULT_CAPACI
             out.append(index_of[rep_of[d]])
         table.append(tuple(out))
 
-    cells = [p.cell_at(n, r) for r in reps]
-    labels = tuple(c.text() if hasattr(c, "text") else repr(c) for c in cells)
+    labels = tuple(p.cell_at(n, r).text() for r in reps)
     g = GroupPresentation(labels=labels, unit=index_of[rep_of[classes.unit]], table=tuple(table))
     g.verify()
     return g

@@ -124,19 +124,19 @@ def test_criterion_07_constructive_fillers():
     filled = 0
     for build in (F4, F6):
         xm = build()
-        hf = HornFiller(xm)
+        hf = HornFiller(Nerve(xm))
         nv = hf.nerve
         for n in (2, 3):
             for l in range(n + 1):
                 for h in horns(nv, n, l):
                     hf.fill(h)
                     filled += 1
-    hf2 = HornFiller(F2())
+    hf2 = HornFiller(Nerve(F2()))
     for l in range(5):
         for h in horns(hf2.nerve, 4, l):
             hf2.fill(h)
             filled += 1
-    hf4 = HornFiller(F4())
+    hf4 = HornFiller(Nerve(F4()))
     nv4 = hf4.nerve
     total = nv4.count_cells(4)
     rng = random.Random(20240405)
@@ -164,7 +164,7 @@ def test_criterion_08_kan_converse_witness():
     )
     refused = None
     try:
-        HornFiller(F5())
+        HornFiller(Nerve(F5()))
     except NotCrossedModuleError as exc:
         refused = exc.hypothesis
     ok = witness_ok and refused == "fibers_are_groups"

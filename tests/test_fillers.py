@@ -66,7 +66,7 @@ def test_image_b3_necessity_on_the_non_module(nv_idempotent):
 
 def test_fill_dim2_examples(xm_z2):
     nv = Nerve(xm_z2)
-    hf = HornFiller(xm_z2)
+    hf = HornFiller(nv)
     g = nv.morphism_cell(1)
     one = nv.morphism_cell(0)
     c = hf.fill(HornTuple(2, 1, (g, g)))
@@ -80,7 +80,7 @@ def test_fill_dim2_examples(xm_z2):
 
 def test_fill_dim2_multi_object(xm_pair):
     nv = Nerve(xm_pair)
-    hf = HornFiller(xm_pair)
+    hf = HornFiller(nv)
     for l in range(3):
         for h in horns(nv, 2, l):
             assert fills(hf, h)
@@ -89,7 +89,7 @@ def test_fill_dim2_multi_object(xm_pair):
 def test_fill_dims_2_and_3_exhaustive(xm_z2_z3, xm_z2_z3_twisted, xm_pair):
     for xm in (xm_z2_z3, xm_z2_z3_twisted, xm_pair):
         nv = Nerve(xm)
-        hf = HornFiller(xm)
+        hf = HornFiller(nv)
         for n in (2, 3):
             for l in range(n + 1):
                 for h in horns(nv, n, l):
@@ -98,7 +98,7 @@ def test_fill_dims_2_and_3_exhaustive(xm_z2_z3, xm_z2_z3_twisted, xm_pair):
 
 def test_fill_dim3_all_degenerate(xm_z2_z3):
     nv = Nerve(xm_z2_z3)
-    hf = HornFiller(xm_z2_z3)
+    hf = HornFiller(nv)
     deg = nv.degeneracy(nv.degeneracy(nv.morphism_cell(0), 0), 0)
     h = horn_of_cell(nv, deg, 1)
     assert hf.fill(h) == deg
@@ -106,7 +106,7 @@ def test_fill_dim3_all_degenerate(xm_z2_z3):
 
 def test_fill_dim3_returns_the_cell_a_horn_came_from(xm_z2_z3, xm_z2_z3_twisted, xm_pair):
     for xm in (xm_z2_z3, xm_z2_z3_twisted, xm_pair):
-        hf = HornFiller(xm)
+        hf = HornFiller(Nerve(xm))
         nv = hf.nerve
         for c in nv.cells(3):
             for l in range(4):
@@ -115,12 +115,12 @@ def test_fill_dim3_returns_the_cell_a_horn_came_from(xm_z2_z3, xm_z2_z3_twisted,
 
 def test_fill_dim4_exhaustive_small_and_sampled_large(xm_z2, xm_z2_z3):
     nv2 = Nerve(xm_z2)
-    hf2 = HornFiller(xm_z2)
+    hf2 = HornFiller(nv2)
     for l in range(5):
         for h in horns(nv2, 4, l):
             assert fills(hf2, h)
     nv4 = Nerve(xm_z2_z3)
-    hf4 = HornFiller(xm_z2_z3)
+    hf4 = HornFiller(nv4)
     for l in range(5):
         for h in sample_horns(nv4, 4, l, 120, seed=l):
             assert fills(hf4, h)
@@ -131,7 +131,7 @@ def test_fill_dim4_exhaustive_small_and_sampled_large(xm_z2, xm_z2_z3):
 
 
 def test_fill_dim4_multi_object_sampled(xm_pair):
-    hf = HornFiller(xm_pair)
+    hf = HornFiller(Nerve(xm_pair))
     nv = hf.nerve
     for l in range(5):
         for h in sample_horns(nv, 4, l, 80, seed=30 + l):
@@ -140,7 +140,7 @@ def test_fill_dim4_multi_object_sampled(xm_pair):
 
 def test_fill_high_exhaustive_dim5_small(xm_z2):
     nv = Nerve(xm_z2)
-    hf = HornFiller(xm_z2)
+    hf = HornFiller(nv)
     for l in range(6):
         for h in horns(nv, 5, l):
             assert fills(hf, h)
@@ -148,7 +148,7 @@ def test_fill_high_exhaustive_dim5_small(xm_z2):
 
 def test_fill_high_degenerate_and_sampled(xm_z2_z3):
     nv = Nerve(xm_z2_z3)
-    hf = HornFiller(xm_z2_z3)
+    hf = HornFiller(nv)
     deg = nv.morphism_cell(0)
     for _ in range(4):
         deg = nv.degeneracy(deg, 0)
@@ -161,15 +161,15 @@ def test_fill_high_degenerate_and_sampled(xm_z2_z3):
 
 def test_fillers_refuse_non_modules():
     with pytest.raises(NotCrossedModuleError) as err:
-        HornFiller(fixtures.idempotent_fiber())
+        HornFiller(Nerve(fixtures.idempotent_fiber()))
     assert err.value.hypothesis == "fibers_are_groups"
     with pytest.raises(NotCrossedModuleError) as err:
-        HornFiller(fixtures.idempotent_endo_category())
+        HornFiller(Nerve(fixtures.idempotent_endo_category()))
     assert err.value.hypothesis == "category_is_groupoid"
 
 
 def test_fill_refuses_a_horn_of_the_wrong_shape(xm_z2_z3):
-    hf = HornFiller(xm_z2_z3)
+    hf = HornFiller(Nerve(xm_z2_z3))
     nv = hf.nerve
     for faces in ([5, 1], [5, 1, 0, 0]):
         with pytest.raises(CompatibilityError, match=f"has 3 faces and a slot in 0..3, got {len(faces)} faces"):
@@ -177,6 +177,10 @@ def test_fill_refuses_a_horn_of_the_wrong_shape(xm_z2_z3):
     for l in (-1, 4):
         with pytest.raises(CompatibilityError, match=f"got 3 faces and slot {l}$"):
             hf.fill_ids(3, l, [5, 1, 0])
+    # a face rank outside the level of 2-cells is refused, not an IndexError
+    for rank in (10**6, -1):
+        with pytest.raises(CompatibilityError, match=f"^face rank {rank} is not one of the 12 cells of dimension 2$"):
+            hf.fill_ids(3, 1, [rank, 0, 0])
     h = horn_of_cell(nv, nv.cell_at(3, 5), 1)
     with pytest.raises(CompatibilityError, match="got 2 faces"):
         hf.fill(HornTuple(3, 1, h.faces[:2]))
@@ -297,9 +301,10 @@ def test_eq_image_refusal_survives_python_dash_O():
         from xnerve import fixtures
         from xnerve.errors import CompatibilityError
         from xnerve.fillers import HornFiller
+        from xnerve.nerve import Nerve
 
         print("debug", __debug__)
-        hf = HornFiller(fixtures.z2_with_z3_fiber())
+        hf = HornFiller(Nerve(fixtures.z2_with_z3_fiber()))
         mk = lambda c: hf.nerve.rank_of(hf.nerve.cell((0, 0, 0), ((0, c), (0,))))
         try:
             hf._cell_with_boundary(3, (mk(0), mk(1), mk(0), mk(0)))
@@ -329,7 +334,7 @@ def _fill_is_refused(path, tmp_path, capsys, dim):
     report = json.loads(out.read_text())
     assert report["error"]["kind"] == "error" and "checks" not in report
     assert capsys.readouterr().err.startswith("ERROR (error): ")
-    hf = HornFiller(fixtures.z2_with_z3_fiber_twisted())
+    hf = HornFiller(Nerve(fixtures.z2_with_z3_fiber_twisted()))
     with pytest.raises(CompatibilityError):
         hf.fill(horn_of_cell(hf.nerve, hf.nerve.cell_at(dim, 100), 1))
     return report["error"]["message"]

@@ -358,13 +358,8 @@ def test_nerve_commands_on_valid_input_add_no_axioms_check(file_z2_z3, tmp_path,
     [["kan", "--dims", "1..2"], ["audit", "--dims", "0..2"], ["coskeletal", "--dims", "2..3"]],
 )
 def test_boundary_that_is_not_an_endomorphism_is_refused(tmp_path, capsys, argv):
-    union = fixtures.disjoint_union(fixtures.z2_with_z3_fiber_twisted(), fixtures.idempotent_fiber())
-    row0 = (union.cat.identity[1],) + union.boundary[0][1:]  # d(0) is the other object's identity
-    xm = dataclasses.replace(union, boundary=(row0,) + union.boundary[1:])
-    path = tmp_path / "nonendo.json"
-    path.write_text(serialize(from_crossed_monoid(xm)))
     out = tmp_path / "report.json"
-    assert run([argv[0], str(path), *argv[1:], "--json", str(out)]) == 2
+    assert run([argv[0], str(_write_nonendo(tmp_path)), *argv[1:], "--json", str(out)]) == 2
     captured = capsys.readouterr()
     message = "boundary at (x, a) = (0, 0) is not an endomorphism of object 0"
     assert captured.err.splitlines() == [f"ERROR (error): {message}"]
@@ -372,6 +367,26 @@ def test_boundary_that_is_not_an_endomorphism_is_refused(tmp_path, capsys, argv)
     report = json.loads(out.read_text())
     assert report["error"] == {"kind": "error", "message": message} and "checks" not in report
     assert [v["axiom"] for v in report["axioms"]["violations"]][:1] == ["cr1"]
+
+
+def _write_nonendo(tmp_path):
+    """A non-module (its second fiber has an idempotent) whose boundary
+    sends 0 to the other object's identity."""
+    union = fixtures.disjoint_union(fixtures.z2_with_z3_fiber_twisted(), fixtures.idempotent_fiber())
+    row0 = (union.cat.identity[1],) + union.boundary[0][1:]  # d(0) is the other object's identity
+    xm = dataclasses.replace(union, boundary=(row0,) + union.boundary[1:])
+    path = tmp_path / "nonendo.json"
+    path.write_text(serialize(from_crossed_monoid(xm)))
+    return path
+
+
+def test_fill_refuses_a_non_module_before_building_its_nerve(tmp_path, capsys):
+    # the failed hypothesis is reported, not the nerve's refusal of the boundary
+    out = tmp_path / "report.json"
+    assert run(["fill", str(_write_nonendo(tmp_path)), "--json", str(out)]) == 2
+    error = {"kind": "refusal", "hypothesis": "fibers_are_groups", "witness": [1, 1]}
+    assert capsys.readouterr().err.splitlines() == [f"ERROR (refusal): {json.dumps(error)}"]
+    assert json.loads(out.read_text())["error"] == error
 
 
 def _write_pair_with_composite(tmp_path, site, value):

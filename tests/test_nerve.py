@@ -134,7 +134,7 @@ def test_enumeration_against_brute_force(nv_z2, nv_z3_fiber, nv_pair):
 
 def test_enumeration_capacity_error(nv_z2_z3):
     with pytest.raises(CapacityError):
-        list(nv_z2_z3.cells(4, cap=100))
+        list(Nerve(nv_z2_z3.xm, cap=100).cells(4))
 
 
 def test_cell_at_matches_enumeration(nv_z2_z3, nv_pair):

@@ -9,7 +9,8 @@ from conftest import PerCellRanks, pair_groupoid_z3_relabelled
 from test_algebra import _corrupt, permutation_module
 from xnerve import fixtures
 from xnerve.algebra import ValidationReport, Violation
-from xnerve.errors import CapacityError, CompatibilityError, DEFAULT_CAPACITY, NotKanError
+from xnerve.errors import CapacityError, CompatibilityError, NotKanError
+from xnerve.homotopy import higher_vanishing, pi_compare
 from xnerve.nerve import Nerve
 from xnerve.simplicial import (
     BoundaryTuple,
@@ -56,8 +57,8 @@ class CorruptedFace(PerCellRanks):
         self.victim = victim
         self.replacement = replacement
 
-    def cells(self, n, cap=None):
-        return self.base.cells(n) if cap is None else self.base.cells(n, cap=cap)
+    def cells(self, n):
+        return self.base.cells(n)
 
     def face(self, cell, j):
         if cell == self.victim and j == 0:
@@ -109,7 +110,7 @@ def test_horns_are_compatible_and_capacity_guard(nv_z2_z3):
         for h in horns(nv_z2_z3, 3, l):
             assert is_compatible_horn(nv_z2_z3, h)
     with pytest.raises(CapacityError):
-        horns(nv_z2_z3, 4, 0, cap=50)
+        horns(Nerve(nv_z2_z3.xm, cap=50), 4, 0)
 
 
 def test_idempotent_fiber_has_the_expected_witness_horn(nv_idempotent):
@@ -344,8 +345,8 @@ class PerCell(PerCellRanks):
     def __init__(self, base):
         self.base = base
 
-    def cells(self, n, cap=DEFAULT_CAPACITY):
-        return self.base.cells(n, cap=cap)
+    def cells(self, n):
+        return self.base.cells(n)
 
     def face(self, cell, j):
         return self.base.face(cell, j)
@@ -504,10 +505,34 @@ def test_kernel_and_horn_lists_match_reference(nv_z2_z3, nv_pair):
 def test_level_cap_applies_to_built_levels_and_join_stages(nv_z2_z3):
     assert len(nv_z2_z3.level(3)) == 216
     with pytest.raises(CapacityError):
-        nv_z2_z3.level(3, cap=100)
+        Nerve(nv_z2_z3.xm, cap=100).level(3)
     with pytest.raises(CapacityError) as err:
-        horns(nv_z2_z3, 3, 0, cap=100)
+        horns(Nerve(nv_z2_z3.xm, cap=100), 3, 0)
     assert "at slot" in str(err.value)
+
+
+# One budget per nerve: each entry point below runs on Nerve(F4, cap=k) and
+# takes no budget of its own.  F4 has 1, 2, 12, 216 and 11664 cells in
+# dimensions 0..4.
+LEVEL_3 = "216 cells of dimension 3 exceed the budget 100"
+
+
+@pytest.mark.parametrize("cap,entry,message,predicted", [
+    (100, lambda nv: nv.level(3), LEVEL_3, 216),
+    (100, lambda nv: list(nv.cells(3)), LEVEL_3, 216),
+    (100, lambda nv: simplicial_kernel(nv, 3), "kernel of dimension 3 exceed 100 at slot 2", None),
+    (100, lambda nv: horns(nv, 3, 0), "horns without slot 0 of dimension 3 exceed 100 at slot 3", None),
+    (100, lambda nv: check_kan(nv, 3), LEVEL_3, 216),
+    (1000, lambda nv: check_coskeletal(nv, 3, 4), "kernel of dimension 4 exceed 1000 at slot 1", None),
+    (100, lambda nv: audit_simplicial(nv, 3), LEVEL_3, 216),
+    (100, lambda nv: pi_compare(nv, 2, 0), LEVEL_3, 216),
+    (1000, lambda nv: higher_vanishing(nv, 0), "11664 cells of dimension 4 exceed the budget 1000", 11664),
+], ids=["level", "cells", "simplicial_kernel", "horns", "check_kan", "check_coskeletal", "audit_simplicial",
+        "pi_compare", "higher_vanishing"])
+def test_a_nerve_budget_bounds_every_entry_point(xm_z2_z3, cap, entry, message, predicted):
+    with pytest.raises(CapacityError) as err:
+        entry(Nerve(xm_z2_z3, cap=cap))
+    assert (str(err.value), err.value.predicted, err.value.cap) == (message, predicted, cap)
 
 
 # -- identity audit against the pre-table reference --------------------------
@@ -516,7 +541,7 @@ def test_level_cap_applies_to_built_levels_and_join_stages(nv_z2_z3):
 _REF_FAMILIES = ("simp1", "simp2", "simp3", "simp4", "simp5", "simp6")
 
 
-def ref_audit_simplicial(p, maxdim, cap=DEFAULT_CAPACITY):
+def ref_audit_simplicial(p, maxdim):
     """The identity audit as it was before the family table: six inline
     loops, first witness per family.
 
@@ -532,7 +557,7 @@ def ref_audit_simplicial(p, maxdim, cap=DEFAULT_CAPACITY):
             found[family] = Violation(family, witness, detail)
 
     for n in range(maxdim + 1):
-        for cell in p.cells(n, cap=cap):
+        for cell in p.cells(n):
             if n >= 2 and "simp1" not in found:
                 stop = False
                 for k in range(1, n + 1):
@@ -609,8 +634,8 @@ class Scripted:
     def __init__(self, base, table):
         self.base, self.table = base, table
 
-    def cells(self, n, cap=DEFAULT_CAPACITY):
-        return self.base.cells(n, cap=cap)
+    def cells(self, n):
+        return self.base.cells(n)
 
     def _call(self, op, cell, j):
         if (cell, op, j) in self.table:

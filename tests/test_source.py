@@ -15,3 +15,21 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and found == []
+
+
+def test_only_a_nerve_takes_a_cell_budget():
+    # The cell budget belongs to the nerve, ``Nerve(xm, cap)``; a function
+    # with a ``cap`` parameter would thread it by hand again.  CapacityError
+    # only records the budget it was refused under.
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owner = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                if "cap" in {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p}:
+                    cls = owner[node]
+                    prefix = f"{cls.name}." if isinstance(cls, ast.ClassDef) else ""
+                    found.append(f"{path.name}:{prefix}{getattr(node, 'name', '<lambda>')}")
+    assert found == ["errors.py:CapacityError.__init__", "nerve.py:Nerve.__init__"]
