@@ -45,12 +45,9 @@ from .simplicial import (
     KanReport,
     audit_simplicial,
     beta,
-    boundary,
     check_coskeletal,
     check_kan,
-    horn_of_cell,
     horns,
-    is_compatible,
     is_compatible_horn,
     pi_bruteforce,
     simplicial_kernel,

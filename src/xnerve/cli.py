@@ -275,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("file", help="input document (JSON)")
-    parser.add_argument("--dims", help="dimension range A..B (or a single dimension)")
+    parser.add_argument("--dims", help="dimension range A..B (or a single dimension); audit checks every "
+                        "dimension 0..B, and only validates A")
     parser.add_argument("--max-cells", type=int, default=DEFAULT_CAPACITY, help="enumeration budget")
     parser.add_argument("--json", dest="json_out", help="write the machine-readable report here")
     parser.add_argument("--basepoint", type=int, default=0, help="object id for homotopy groups")

@@ -31,9 +31,11 @@ j = 0, the shift for j = n).
 A cell's rank is its position in ``cells(n)``.  ``cell_at`` and ``rank_of``
 convert.  The corner bijection ``M <-> (d_0 M, d_n M, m[1][n])``, n >= 2, and
 its closed inner-face formulas work on ranks alone, in any dimension, with no
-cell built: ``face_ids``, ``assemble_id`` and ``corner_at``.  On cells,
-``face``, ``degeneracy``, ``eta`` and ``corner_assemble`` are the matrix
-definitions the rank forms are tested against.
+cell built: ``face_ids``, ``assemble_id`` and ``corner_at``.  On ranks, s_j
+is digit insertion: s_j c keeps every digit of c's rank and adds fixed
+digits for the identity and the fiber units (``rank_maps``, for the identity
+audit).  On cells, ``face``, ``degeneracy``, ``eta`` and ``corner_assemble``
+are the matrix definitions the rank forms are tested against.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from functools import partial
 from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import CrossedMonoid, XMorphism
+from .columns import RankMaps
 from .errors import CellError, CompatibilityError, DEFAULT_CAPACITY
 from .simplicial import LevelProvider
 
@@ -489,47 +492,58 @@ class Nerve(LevelProvider):
         """Row ``(rank of d_0 c, ..., rank of d_n c)`` of every n-cell c,
         n >= 1, in rank order, with no cell built.  ``below`` is the face
         table of dimension n-1, read for n >= 3.  A 2-cell whose diagonal
-        leaves its hom-set raises KeyError.
-
-        Each block is built column by column with the formulas of
-        ``_face_row``: d_0 and d_n delete rank digits; for n = 2, d_1 is the
-        composite diagonal; for n >= 3, ``_glue`` makes d_j from
-        d_{j-1} d_0 c and d_j d_n c, read from ``below``, and c's corner
-        digit, mapped for j = 1 and j = n-1 as there."""
-        row_ends = {b - 1 for _, b in self._row_bounds(n)}
-        flat = range(n * (n + 1) // 2)
-        keep_first, keep_last = set(flat[n:]), set(flat) - row_ends
+        leaves its hom-set raises KeyError."""
         rows: list[tuple[int, ...]] = []
         for blk in self._dim(n):
-            first_blk, last_start, _, _, extra = self._face_plans.get(blk.seq) or self._face_plan(n, blk)
-            lens = [len(dom) for dom in blk.domains]
-            first = [first_blk.start + r for r in _ranks(lens, keep_first)]
-            last = [last_start + r for r in _ranks(lens, keep_last)]
-            inner = []
-            if n == 2:
-                compose, d_x1, dom11, dom22, f1, diag = extra
-                ups = [compose[u][d_x1[a]] for u in dom11 for a in range(f1)]
-                inner.append([diag[compose[u][v]] for u in ups for v in dom22])
-            elif n >= 3:
-                tail2, f1, f2, mul1, mul2, dom22, d_x2, action, compose, glues = extra
-                # fiber candidates are range(size), so a digit is its element
-                corner = _ranks(lens, {n - 1})
-                # d_1's corner map for every value of row 2, in row 2's own radix
-                twists = []
-                for row2 in range(len(dom22) * f2 ** (n - 2)):
-                    eta, m2n = _row2_twist(n, row2, f2, dom22, d_x2, compose)
-                    twists.append([mul2[a][m2n] for a in action[eta]])
-                corners = [
-                    [twists[r][c] for r, c in zip(_ranks(lens, set(flat[n:2 * n - 1])), corner)],
-                    *[corner] * (n - 3),
-                    [mul1[a][c] for a, c in zip(_ranks(lens, {n - 2}), corner)],
-                ]
-                fa, lb = [below[a] for a in first], [below[b] for b in last]
-                for j, glue, cs in zip(range(1, n), glues, corners):
-                    fs, ls = [r[j - 1] for r in fa], [r[j] for r in lb]
-                    inner.append(list(map(_glue, itertools.repeat(glue), fs, ls, cs)))
-            rows.extend(zip(first, *inner, last))
+            rows.extend(zip(*self._block_faces(n, blk, below, partial(_ranks, [len(dom) for dom in blk.domains]))))
         return rows
+
+    def _block_faces(self, n: int, blk: _Block, below: Sequence[tuple[int, ...]], digits) -> list[list[int]]:
+        """Columns d_0 .. d_n, as ranks, of cells of one block of dimension
+        n >= 1, given ``digits(keep)``: per cell, the number that its rank
+        digits at the positions in ``keep`` spell (``_ranks`` for the whole
+        block, ``columns._pick`` for chosen cells).
+
+        The columns follow the formulas of ``_face_row``: d_0 and d_n delete
+        rank digits; for n = 2, d_1 is the composite diagonal; for n >= 3,
+        ``_glue`` makes d_j from d_{j-1} d_0 c and d_j d_n c, read from
+        ``below``, and c's corner digit, mapped for j = 1 and j = n-1 as
+        there."""
+        row_ends = {b - 1 for _, b in self._row_bounds(n)}
+        flat = range(n * (n + 1) // 2)
+        first_blk, last_start, _, _, extra = self._face_plans.get(blk.seq) or self._face_plan(n, blk)
+        first = [first_blk.start + r for r in digits(set(flat[n:]))]
+        last = [last_start + r for r in digits(set(flat) - row_ends)]
+        inner = []
+        if n == 2:
+            compose, d_x1, dom11, dom22, f1, diag = extra
+            # compose[m11 * d(m12)] for every value of row 1, in row 1's own radix
+            ups = [compose[compose[u][d_x1[a]]] for u in dom11 for a in range(f1)]
+            inner.append([diag[ups[a][dom22[b]]] for a, b in zip(digits({0, 1}), digits({2}))])
+        elif n >= 3:
+            tail2, f1, f2, mul1, mul2, dom22, d_x2, action, compose, glues = extra
+            # fiber candidates are range(size), so a digit is its element
+            corner = digits({n - 1})
+            # d_1's corner map for every value of row 2, in row 2's own radix
+            twists = []
+            for row2 in range(len(dom22) * f2 ** (n - 2)):
+                eta, m2n = _row2_twist(n, row2, f2, dom22, d_x2, compose)
+                twists.append([mul2[a][m2n] for a in action[eta]])
+            corners = [
+                [twists[r][c] for r, c in zip(digits(set(flat[n:2 * n - 1])), corner)],
+                *[corner] * (n - 3),
+                [mul1[a][c] for a, c in zip(digits({n - 2}), corner)],
+            ]
+            fa, lb = [below[a] for a in first], [below[b] for b in last]
+            for j, glue, cs in zip(range(1, n), glues, corners):
+                fs, ls = [r[j - 1] for r in fa], [r[j] for r in lb]
+                inner.append(list(map(_glue, itertools.repeat(glue), fs, ls, cs)))
+        return [first, *inner, last]
+
+    def rank_maps(self, maxdim: int) -> RankMaps:
+        """Face and degeneracy maps on rank columns, for ``audit_simplicial``
+        up to dimension ``maxdim``."""
+        return RankMaps(self, maxdim)
 
 
 def _row2_twist(n: int, row2: int, f2: int, dom22: Sequence[int], d_x2: Sequence[int], compose) -> tuple[int, int]:

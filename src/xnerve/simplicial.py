@@ -3,9 +3,9 @@
 A *level provider* numbers its cells of each dimension by rank, gives the
 face ranks of a whole dimension at once and holds one cell budget, ``cap``
 (see ``LevelProvider``); ``Nerve`` is the main instance.  On top of that
-this module builds boundary tuples, compatibility kernels, horns, the
-horn-to-boundary map, coskeletality and Kan checks, and brute-force homotopy
-groups; a level, enumeration or join stage larger than ``cap`` is refused.
+this module builds compatibility kernels, horns, the horn-to-boundary map,
+coskeletality and Kan checks, brute-force homotopy groups and the identity
+audit; a level, enumeration or join stage larger than ``cap`` is refused.
 
 Whole-level work runs on ranks.  A provider owns its levels: ``level(n)``
 builds dimension n once as its face table, which is all a level is: row
@@ -19,10 +19,11 @@ product.  The Kan and coskeletal checks and brute-force pi compare face
 rows; ranks turn back into cells, through ``cell_at``, only in witnesses,
 group labels and the tuples handed out by ``simplicial_kernel`` and
 ``horns``, so ``horns(...).ids`` go straight to ``HornFiller.fill_ids``.
-The identity audit works on cells, since the degeneracies it checks land in
-dimensions that are never enumerated: it runs one loop over a table of the
-six identity families, computing each cell's face and degeneracy rows once
-and handing them to every family.
+The identity audit evaluates one table of the six identity families, each
+side a word of faces and degeneracies, over columns: on a provider with
+rank maps (``Nerve.rank_maps``) a column holds the ranks of up to a few
+thousand cells of one enumeration block, and on any other provider it holds
+one cell, mapped by ``face`` and ``degeneracy``.
 """
 
 from __future__ import annotations
@@ -44,10 +45,12 @@ class LevelProvider:
     the face table of dimension n-1, raising KeyError for a face that is
     not an (n-1)-cell.  The whole-level checks read ``level``,
     ``count_cells``, and ``cell_at`` and ``rank_of`` for witnesses, labels
-    and the basepoint; the identity audit and the cell helpers read
-    ``cells``, ``face`` and ``degeneracy``.  ``face_rows`` must agree with
-    ``face``: a ``Nerve`` subclass that overrides ``face`` must override
-    ``face_rows`` too.  ``cap`` is the cell budget; ``Nerve`` sets its own."""
+    and the basepoint.  The identity audit reads ``rank_maps`` where a
+    provider has it, and otherwise ``cells``, ``face`` and ``degeneracy``.
+    ``face_rows`` must agree with ``face``: a ``Nerve`` subclass that
+    overrides ``face`` or ``degeneracy`` must override ``face_rows`` and
+    ``rank_maps`` too.  ``cap`` is the cell budget; ``Nerve`` sets its
+    own."""
 
     cap = DEFAULT_CAPACITY
 
@@ -107,24 +110,6 @@ class HornTuple:
 
     def slots(self) -> tuple[int, ...]:
         return tuple(k for k in range(self.dim + 1) if k != self.omitted)
-
-
-def boundary(p: LevelProvider, cell) -> BoundaryTuple:
-    """The face tuple (d_0 x, ..., d_n x) of a cell of dimension n >= 1."""
-    return BoundaryTuple(tuple(p.face(cell, j) for j in range(cell.dim + 1)))
-
-
-def is_compatible(p: LevelProvider, t: BoundaryTuple) -> bool:
-    """Membership test for the dimension-n kernel: d_j x_k == d_{k-1} x_j."""
-    n = t.dim
-    if n < 2:
-        return True
-    f = t.faces
-    for j in range(n):
-        for k in range(j + 1, n + 1):
-            if p.face(f[k], j) != p.face(f[j], k - 1):
-                return False
-    return True
 
 
 def is_compatible_horn(p: LevelProvider, h: HornTuple) -> bool:
@@ -232,65 +217,121 @@ def beta(p: LevelProvider, h: HornTuple) -> BoundaryTuple:
     return BoundaryTuple(tuple([p.face(x, l - 1 if i < l else l) for i, x in enumerate(h.faces)]))
 
 
-def horn_of_cell(p: LevelProvider, cell, l: int) -> HornTuple:
-    """The horn obtained by forgetting face l of a cell's boundary."""
-    faces = tuple(p.face(cell, j) for j in range(cell.dim + 1) if j != l)
-    return HornTuple(cell.dim, l, faces)
-
-
 # -- identity audit ------------------------------------------------------
 
-def _identity_families(face, degen) -> tuple:
-    """(name, lowest dimension, failing instances, detail) per identity
-    family.  ``failing(n, cell, fs, degs)`` yields the index part of each
-    failing instance on one cell, k outer and j inner, given the rows
-    ``fs[j] = d_j cell`` and ``degs[j] = s_j cell``."""
-    return (
-        ("simp1", 2, lambda n, c, fs, degs: ((j, k) for k in range(1, n + 1) for j in range(k)
-                                              if face(fs[k], j) != face(fs[j], k - 1)),
-         "d_j d_k != d_{k-1} d_j"),
-        ("simp2", 1, lambda n, c, fs, degs: ((j, k) for k in range(1, n + 1) for j in range(k)
-                                              if face(degs[k], j) != degen(fs[j], k - 1)),
-         "d_j s_k != s_{k-1} d_j"),
-        ("simp3", 0, lambda n, c, fs, degs: ((j,) for j in range(n + 1) if face(degs[j], j) != c),
-         "d_j s_j != id"),
-        ("simp4", 0, lambda n, c, fs, degs: ((j,) for j in range(n + 1) if face(degs[j], j + 1) != c),
-         "d_{j+1} s_j != id"),
-        ("simp5", 1, lambda n, c, fs, degs: ((j, k) for k in range(2, n + 2) for j in range(k - 1)
-                                              if face(degs[j], k) != degen(fs[k - 1], j)),
-         "d_k s_j != s_j d_{k-1}"),
-        ("simp6", 0, lambda n, c, fs, degs: ((j, k) for k in range(1, n + 2) for j in range(k)
-                                              if degen(degs[k - 1], j) != degen(degs[j], k)),
-         "s_j s_{k-1} != s_k s_j"),
-    )
+# The six identity families: name, lowest dimension, the identity as
+# written, and its index tuples (j,) or (j, k) in dimension n, k outer and
+# j inner.  Each side is a word of faces d_i and degeneracies s_i, applied
+# right to left; "id" is the empty word.
+_IDENTITIES = (
+    ("simp1", 2, "d_j d_k = d_{k-1} d_j", lambda n: [(j, k) for k in range(1, n + 1) for j in range(k)]),
+    ("simp2", 1, "d_j s_k = s_{k-1} d_j", lambda n: [(j, k) for k in range(1, n + 1) for j in range(k)]),
+    ("simp3", 0, "d_j s_j = id", lambda n: [(j,) for j in range(n + 1)]),
+    ("simp4", 0, "d_{j+1} s_j = id", lambda n: [(j,) for j in range(n + 1)]),
+    ("simp5", 1, "d_k s_j = s_j d_{k-1}", lambda n: [(j, k) for k in range(2, n + 2) for j in range(k - 1)]),
+    ("simp6", 0, "s_j s_{k-1} = s_k s_j", lambda n: [(j, k) for k in range(1, n + 2) for j in range(k)]),
+)
+
+
+def _word(side: str, index: tuple[int, ...]) -> tuple[tuple[str, int], ...]:
+    """The operators of one side of an identity, first applied first, at
+    ``index`` = (j,) or (j, k): "d_{k-1} d_j" at (0, 2) is
+    (("d", 0), ("d", 1))."""
+    values = dict(zip("jk", index))
+    word = []
+    for op in reversed(side.split()):
+        if op != "id":
+            sub = op[2:].strip("{}")
+            word.append((op[0], values[sub[0]] + int(sub[1:] or 0)))
+    return tuple(word)
+
+
+class _CellMaps:
+    """The audit's maps through a provider's ``face`` and ``degeneracy``:
+    a column is a list of one cell."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def chunks(self, n: int):
+        return ([cell] for cell in self.p.cells(n))
+
+    def face(self, col: list, i: int) -> list:
+        return [self.p.face(cell, i) for cell in col]
+
+    def degeneracy(self, col: list, j: int) -> list:
+        return [self.p.degeneracy(cell, j) for cell in col]
+
+    @staticmethod
+    def cell(col: list, pos: int):
+        return col[pos]
+
+
+def _apply(maps, col, word: tuple[tuple[str, int], ...]):
+    """The column of ``word`` applied to the column ``col``."""
+    for op, i in word:
+        col = maps.face(col, i) if op == "d" else maps.degeneracy(col, i)
+    return col
+
+
+def _audit(maps, maxdim: int) -> ValidationReport:
+    """The audit over the columns of ``maps``: ``chunks(n)`` cuts dimension
+    n into columns in rank order, ``face`` and ``degeneracy`` map columns,
+    which are lists that compare entry by entry, and ``cell`` gives the cell
+    of one entry.  Per family, the first failing cell of a column is found,
+    and on it the first failing instance."""
+    found: dict[str, Violation] = {}
+    for n in range(maxdim + 1):
+        checks = [(name, identity.replace(" = ", " != "),
+                   [(index, *(_word(side, index) for side in identity.split(" = "))) for index in indices(n)])
+                  for name, lowest, identity, indices in _IDENTITIES if n >= lowest]
+        letters = [("d", j) for j in range(n + 1) if n] + [("s", j) for j in range(n + 1)]
+        for col in maps.chunks(n):
+            # every d_j c and s_j c, as the per-cell loop always made them
+            made = {(): col, **{(letter,): _apply(maps, col, (letter,)) for letter in letters}}
+            for name, detail, instances in checks:
+                if name in found:
+                    continue
+                best = None
+                for index, *sides in instances:
+                    a, b = (_apply(maps, made[word[:1]], word[1:]) for word in sides)
+                    if a != b:
+                        pos = next(p for p, (x, y) in enumerate(zip(a, b)) if x != y)
+                        if best is None or pos < best[0]:
+                            best = (pos, index)
+                            if pos == 0:
+                                break
+                if best is not None:
+                    found[name] = Violation(name, (n, *best[1], maps.cell(col, best[0])), detail)
+        if len(found) == len(_IDENTITIES):
+            break
+    return ValidationReport(tuple(found[name] for name, *_ in _IDENTITIES if name in found))
 
 
 def audit_simplicial(p: LevelProvider, maxdim: int) -> ValidationReport:
     """Exhaustively check the six face/degeneracy identity families on all
     cells of dimension <= maxdim; first witness per family, families in
     name order.  A witness is (n, j, cell) for simp3/simp4 and
-    (n, j, k, cell) otherwise.
+    (n, j, k, cell) otherwise; on one cell the first failing instance is
+    taken with k outer and j inner.
 
     simp1: d_j d_k = d_{k-1} d_j (j < k)        simp2: d_j s_k = s_{k-1} d_j (j < k)
     simp3: d_j s_j = id                          simp4: d_{j+1} s_j = id
     simp5: d_k s_j = s_j d_{k-1} (j < k-1)       simp6: s_j s_{k-1} = s_k s_j (j < k)
+
+    A provider with ``rank_maps`` is audited on rank columns.  When a face
+    there is not a cell of its level, which only input that fails the
+    axioms makes, the audit runs again per cell, so that its report or
+    error is the one that per-cell ``face`` gives.  Any other provider needs
+    only ``cells``, ``face`` and ``degeneracy``, and is audited cell by
+    cell.
     """
-    face, degen = p.face, p.degeneracy
-    families = _identity_families(face, degen)
-    found: dict[str, Violation] = {}
-    for n in range(maxdim + 1):
-        js = range(n + 1)
-        for cell in p.cells(n):
-            fs = [face(cell, j) for j in js] if n else []
-            degs = [degen(cell, j) for j in js]
-            for name, lowest, failing, detail in families:
-                if n >= lowest and name not in found:
-                    bad = next(failing(n, cell, fs, degs), None)
-                    if bad is not None:
-                        found[name] = Violation(name, (n, *bad, cell), detail)
-        if len(found) == len(families):
-            break
-    return ValidationReport(tuple(found[name] for name, *_ in families if name in found))
+    if getattr(p, "rank_maps", None) is not None:
+        try:
+            return _audit(p.rank_maps(maxdim), maxdim)
+        except (KeyError, CompatibilityError):
+            pass
+    return _audit(_CellMaps(p), maxdim)
 
 
 # -- coskeletality ---------------------------------------------------------

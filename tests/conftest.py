@@ -4,7 +4,7 @@ from xnerve import fixtures
 from xnerve.algebra import CrossedMonoid, FiniteMonoid
 from xnerve.errors import CompatibilityError
 from xnerve.nerve import Nerve
-from xnerve.simplicial import LevelProvider
+from xnerve.simplicial import BoundaryTuple, HornTuple, LevelProvider
 
 
 def pair_groupoid_z3_relabelled() -> CrossedMonoid:
@@ -24,6 +24,30 @@ def pair_groupoid_z3_relabelled() -> CrossedMonoid:
         for m in xm.cat.morphisms()
     )
     return CrossedMonoid(cat=xm.cat, fibers=(z3, fiber1), action=action, boundary=xm.boundary)
+
+
+def boundary(p, cell) -> BoundaryTuple:
+    """The face tuple (d_0 x, ..., d_n x) of a cell of dimension n >= 1."""
+    return BoundaryTuple(tuple(p.face(cell, j) for j in range(cell.dim + 1)))
+
+
+def is_compatible(p, t: BoundaryTuple) -> bool:
+    """Membership test for the dimension-n kernel: d_j x_k == d_{k-1} x_j."""
+    n = t.dim
+    if n < 2:
+        return True
+    f = t.faces
+    for j in range(n):
+        for k in range(j + 1, n + 1):
+            if p.face(f[k], j) != p.face(f[j], k - 1):
+                return False
+    return True
+
+
+def horn_of_cell(p, cell, l: int) -> HornTuple:
+    """The horn obtained by forgetting face l of a cell's boundary."""
+    faces = tuple(p.face(cell, j) for j in range(cell.dim + 1) if j != l)
+    return HornTuple(cell.dim, l, faces)
 
 
 class CheckedNerve(Nerve):

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from conftest import corner_triples
+from conftest import boundary, corner_triples, horn_of_cell
 from xnerve import fixtures
 from xnerve.errors import NotCrossedModuleError
 from xnerve.fillers import HornFiller, image_b3
@@ -16,10 +16,8 @@ from xnerve.homotopy import higher_vanishing, pi_compare
 from xnerve.nerve import Nerve
 from xnerve.simplicial import (
     audit_simplicial,
-    boundary,
     check_coskeletal,
     check_kan,
-    horn_of_cell,
     horns,
     simplicial_kernel,
 )

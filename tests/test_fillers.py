@@ -7,6 +7,7 @@ import textwrap
 
 import pytest
 
+from conftest import boundary, horn_of_cell
 from xnerve import fixtures
 from xnerve.cli import run
 from xnerve.errors import CompatibilityError, NotCrossedModuleError
@@ -17,8 +18,6 @@ from xnerve.simplicial import (
     BoundaryTuple,
     HornTuple,
     beta,
-    boundary,
-    horn_of_cell,
     horns,
     simplicial_kernel,
 )

@@ -8,7 +8,8 @@ from conftest import corner_triples, pair_groupoid_z3_relabelled
 from xnerve import fixtures
 from xnerve.algebra import XMorphism, identity_xmorphism
 from xnerve.errors import CapacityError, CellError, CompatibilityError
-from xnerve.nerve import Nerve, NerveCell, induced_cell
+from xnerve.columns import _pick
+from xnerve.nerve import Nerve, NerveCell, _ranks, induced_cell
 
 
 def brute_cells(nv, n):
@@ -290,6 +291,35 @@ def test_face_ids_above_the_built_levels(name):
             assert nv.rank_of(c) == r
             assert nv.face_ids(n, r) == tuple(nv.rank_of(nv.face(c, j)) for j in range(n + 1))
             assert nv.corner_at(n, r) == c.corner
+
+
+@pytest.mark.parametrize("name", sorted(RANK_FIXTURES))
+def test_rank_maps_are_the_rank_forms_of_degeneracy_and_face(name):
+    # rank_maps(n) keeps no table of dimension n+1, so the faces of s_j c
+    # come from the face formulas applied to the column's indices
+    nv = Nerve(RANK_FIXTURES[name]())
+    for n in range(4):
+        maps = nv.rank_maps(n)
+        for col in maps.chunks(n):
+            cells = [nv.cell_at(n, r) for r in col]
+            for j in range(n + 1):
+                degenerate = maps.degeneracy(col, j)
+                assert degenerate == [nv.rank_of(nv.degeneracy(c, j)) for c in cells]
+                for i in range(n + 2):
+                    assert maps.face(degenerate, i) == [nv.face_ids(n + 1, r)[i] for r in degenerate]
+                    assert maps.degeneracy(degenerate, i) == [
+                        nv.rank_of(nv.degeneracy(nv.degeneracy(c, j), i)) for c in cells]
+                for i in range(n + 1 if j < n else 0):  # s_j of a face reads s_j of the whole level below
+                    assert maps.degeneracy(maps.face(col, i), j) == [
+                        nv.rank_of(nv.degeneracy(nv.face(c, i), j)) for c in cells]
+
+
+def test_pick_is_ranks_at_the_given_indices():
+    lens = [2, 3, 1, 4]
+    idxs = [0, 5, 7, 11, 16, 23]
+    for keep in (set(), {0}, {3}, {1, 2}, {0, 2, 3}, {0, 1, 2, 3}):
+        col = _ranks(lens, keep)
+        assert _pick(idxs, lens, keep) == [col[i] for i in idxs]
 
 
 def test_assemble_id_is_the_rank_form_of_corner_assemble(nv_z2_z3_twisted, nv_pair_relabelled):

@@ -1,11 +1,12 @@
 import itertools
+import random
 import re
 from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import PerCellRanks, pair_groupoid_z3_relabelled
+from conftest import PerCellRanks, boundary, is_compatible, pair_groupoid_z3_relabelled
 from test_algebra import _corrupt, permutation_module
 from xnerve import fixtures
 from xnerve.algebra import ValidationReport, Violation
@@ -19,11 +20,9 @@ from xnerve.simplicial import (
     KanRecord,
     audit_simplicial,
     beta,
-    boundary,
     check_coskeletal,
     check_kan,
     horns,
-    is_compatible,
     is_compatible_horn,
     pi_bruteforce,
     simplicial_kernel,
@@ -710,3 +709,45 @@ def test_audit_witness_is_the_first_failure_with_k_outer_and_j_inner():
     assert [(w.axiom, w.witness) for w in report.violations] == [
         ("simp1", (3, 1, 2, v)), ("simp2", (3, 1, 2, v)), ("simp5", (3, 1, 3, v)), ("simp6", (3, 1, 2, v)),
     ]
+
+
+def _audit_outcome(audit, p, maxdim):
+    """The report, or the type and text of the error raised instead."""
+    try:
+        return audit(p, maxdim)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_rank_audit_matches_reference_on_single_entry_corruptions():
+    # a corrupted action or fiber product keeps every face a cell, so these
+    # audits run on rank columns, against the per-cell reference
+    rng = random.Random(2011)
+    outcomes = []
+    for name, count in (("z2_with_z3_fiber", 8), ("idempotent_fiber", 30), ("z2_with_z3_fiber_twisted", 8),
+                        ("pair_groupoid_z3", 4), ("z3_identity_boundary", 4)):
+        sites = LEVEL_SITES[name]
+        for _ in range(count):
+            kind = rng.choice([k for k in ("action", "mul") if k in sites])
+            site, values = rng.choice(sites[kind])
+            xm = _corrupt(CORRUPTIBLE[name], kind, site, rng.choice(values))
+            outcome = _audit_outcome(audit_simplicial, Nerve(xm), 3)
+            assert outcome == _audit_outcome(ref_audit_simplicial, Nerve(xm), 3), (name, kind, site)
+            outcomes.append(outcome)
+    assert 10 <= sum(not getattr(o, "passed", False) for o in outcomes) < len(outcomes)
+
+
+def test_rank_audit_builds_cells_only_for_witnesses(monkeypatch):
+    calls = dict.fromkeys(("face", "degeneracy", "cells", "cell_at"), 0)
+    for name in calls:
+        def counted(self, *args, _real=getattr(Nerve, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Nerve, name, counted)
+    assert audit_simplicial(Nerve(fixtures.z2_with_z3_fiber()), 4).passed
+    assert calls == dict.fromkeys(calls, 0)
+    site, values = LEVEL_SITES["z2_with_z3_fiber"]["action"][-1]
+    report = audit_simplicial(Nerve(_corrupt(CORRUPTIBLE["z2_with_z3_fiber"], "action", site, values[0])), 4)
+    assert not report.passed
+    assert calls == {"face": 0, "degeneracy": 0, "cells": 0, "cell_at": len(report.violations)}
