@@ -1,0 +1,156 @@
+"""The CLI report corpus: argv, exit code, stdout, stderr and the ``--json``
+document of the ``kan``, ``coskeletal``, ``fill`` and ``homotopy`` commands
+on the fixtures at small dimensions, including ``--max-cells`` values that
+trip the level and join-stage budgets.
+
+``tests/test_report_corpus.py`` compares every entry byte for byte.  An
+intended report change is a re-record, whose diff is reviewed:
+
+    PYTHONPATH=src python tests/report_corpus.py
+
+writes the inputs under ``tests/reports/inputs/`` and the entries to
+``tests/reports/corpus.json``.  Commands run in-process, from
+``tests/reports/``, on input paths relative to it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import io
+import json
+import os
+import pathlib
+import tempfile
+
+from xnerve import fixtures
+from xnerve.cli import run
+from xnerve.io import from_crossed_monoid, serialize
+
+REPORTS = pathlib.Path(__file__).resolve().parent / "reports"
+CORPUS = REPORTS / "corpus.json"
+
+
+def _union():
+    return fixtures.disjoint_union(fixtures.z2_with_z3_fiber_twisted(), fixtures.idempotent_fiber())
+
+
+def _union_ill_typed():
+    """The union whose boundary sends 0 to the other object's identity."""
+    union = _union()
+    row0 = (union.cat.identity[1],) + union.boundary[0][1:]
+    return dataclasses.replace(union, boundary=(row0,) + union.boundary[1:])
+
+
+INPUTS = {
+    "trivial": fixtures.trivial_point,
+    "z2": fixtures.group_z2,
+    "z3_fiber": fixtures.z3_fiber_only,
+    "f4": fixtures.z2_with_z3_fiber,
+    "f6": fixtures.z2_with_z3_fiber_twisted,
+    "idempotent": fixtures.idempotent_fiber,
+    "broken_exchange": fixtures.broken_exchange,
+    "z3_identity": fixtures.z3_identity_boundary,
+    "idempotent_endo": fixtures.idempotent_endo_category,
+    "pair": fixtures.pair_groupoid_z3,
+    "empty": fixtures.empty_crossed_monoid,
+    "union": _union,
+    "union_ill_typed": _union_ill_typed,
+}
+
+# Per input: the commands run on every input, then the larger or budgeted
+# runs on a few.
+_EVERY = (
+    ("kan", "--dims", "1..3"),
+    ("coskeletal", "--dims", "2..3"),
+    ("fill", "--dims", "2..3"),
+    ("homotopy", "--pi", "0,1"),
+)
+_MORE = {
+    "z2": [
+        ("kan", "--dims", "4..5"),
+        ("coskeletal", "--dims", "4..5"),
+        ("fill", "--dims", "4..5"),
+        ("homotopy", "--pi", "0,1,2,3"),
+    ],
+    "f4": [
+        ("kan", "--dims", "4..4"),
+        ("coskeletal", "--dims", "4..4"),
+        ("homotopy",),
+        # level(4) has 11,664 cells: refused, and sampled
+        ("kan", "--dims", "1..4", "--max-cells", "5000"),
+        ("coskeletal", "--dims", "3..4", "--max-cells", "5000"),
+        ("fill", "--dims", "2..4", "--max-cells", "5000", "--seed", "3"),
+        ("homotopy", "--pi", "1,2,3", "--max-cells", "5000"),
+        # level(3) fits, the kernel join of dimension 3 does not
+        ("kan", "--dims", "3..3", "--max-cells", "216"),
+        ("coskeletal", "--dims", "3..3", "--max-cells", "216"),
+        ("fill", "--dims", "3..3", "--max-cells", "216"),
+    ],
+    "f6": [
+        ("kan", "--dims", "4..4"),
+        ("fill", "--dims", "4..4", "--max-cells", "10000"),
+        ("fill", "--dims", "2..3", "--max-cells", "100", "--seed", "7"),
+        ("homotopy", "--pi", "0,1,2,3"),
+    ],
+    "idempotent": [
+        ("kan", "--dims", "3..4"),
+        ("coskeletal", "--dims", "4..5"),
+        # level(4) has 64 cells, its kernel 124, its horns up to 180
+        ("coskeletal", "--dims", "4..4", "--max-cells", "100"),
+        ("kan", "--dims", "4..4", "--max-cells", "64"),
+        ("kan", "--dims", "3..3", "--max-cells", "8"),
+    ],
+    "pair": [
+        ("kan", "--dims", "4..4"),
+        ("coskeletal", "--dims", "4..4"),
+        ("homotopy",),
+        ("fill", "--dims", "3..4", "--max-cells", "2000"),
+        ("kan", "--dims", "3..3", "--max-cells", "300"),
+        ("coskeletal", "--dims", "3..3", "--max-cells", "400"),
+        ("homotopy", "--pi", "2", "--max-cells", "1000"),
+    ],
+    "union": [("kan", "--dims", "3..3"), ("coskeletal", "--dims", "3..4"), ("homotopy",)],
+}
+
+
+def cases() -> list[list[str]]:
+    """Every argv of the corpus, the input path relative to ``REPORTS``."""
+    out = []
+    for name in INPUTS:
+        for command, *rest in (*_EVERY, *_MORE.get(name, ())):
+            out.append([command, f"inputs/{name}.json", *rest])
+    return out
+
+
+def run_case(argv: list[str]) -> dict:
+    """One entry: argv, exit code, stdout, stderr and the ``--json`` text,
+    run in-process from ``REPORTS``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "report.json")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(REPORTS)
+        try:
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = run([*argv, "--json", out])
+        finally:
+            os.chdir(cwd)
+        with open(out, encoding="utf-8") as fh:
+            report = fh.read()
+    return {"argv": argv, "exit_code": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue(),
+            "json": report}
+
+
+def record() -> None:
+    inputs = REPORTS / "inputs"
+    inputs.mkdir(parents=True, exist_ok=True)
+    for name, make in INPUTS.items():
+        (inputs / f"{name}.json").write_text(serialize(from_crossed_monoid(make())), encoding="utf-8")
+    entries = [run_case(argv) for argv in cases()]
+    CORPUS.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
+    print(f"{len(entries)} entries written to {CORPUS}")
+
+
+if __name__ == "__main__":
+    record()
