@@ -20,6 +20,7 @@ import argparse
 import json
 import random
 import sys
+from operator import itemgetter
 
 from . import homotopy as H
 from . import simplicial as S
@@ -173,24 +174,22 @@ def cmd_fill(xm, args) -> tuple[int, list[dict]]:
     for n in range(lo, hi + 1):
         count = nerve.count_cells(n)
         for l in range(n + 1):
-            # horns as face ranks: a level's ids are ranks, and a sampled
-            # cell's face row drops slot l
+            # horns as columns of face ranks: the join's columns, or the
+            # face rows of sampled cells without slot l
             if count <= nerve.cap:
-                horn_ids = S.horns(nerve, n, l).ids
+                horn_columns = S.horns(nerve, n, l).columns
                 mode = "exhaustive"
             else:
                 sample = min(1000, nerve.cap)
-                rows = [nerve.face_ids(n, rng.randrange(count)) for _ in range(sample)]
-                horn_ids = [row[:l] + row[l + 1:] for row in rows]
+                rows = nerve.faces_of(n, [rng.randrange(count) for _ in range(sample)])
+                horn_columns = [list(map(itemgetter(j), rows)) for j in range(n + 1) if j != l]
                 mode = f"sampled {sample} (seed {args.seed})"
-            for faces in horn_ids:
-                filler.fill_ids(n, l, faces)
-            nerve.clear_face_ids()
+            filler.fill_columns(n, l, horn_columns)
             checks.append(
                 {
                     "label": f"fill[{n},{l}]",
                     "passed": True,
-                    "detail": f"{len(horn_ids)} horns filled and face-verified ({mode})",
+                    "detail": f"{len(horn_columns[0])} horns filled and face-verified ({mode})",
                 }
             )
     return EXIT_OK, checks

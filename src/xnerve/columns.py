@@ -14,7 +14,7 @@ is a constant plus a few runs of c's index digits moved to new places.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:
@@ -46,7 +46,7 @@ class RankMaps:
     * d_i reads the face table of the column's dimension where the audit
       has it: dimensions n-1 and n, and n+1 below ``maxdim`` when it is
       within the budget.  Otherwise, for degenerate (n+1)-cells, it applies
-      the face formulas of ``Nerve.face_rows`` to the column's indices.
+      the face formulas of ``Nerve._block_faces`` to the column's indices.
     * s_j is digit insertion; on faces of the cells under audit it reads a
       table of s_j on the whole level n-1.
 
@@ -78,9 +78,9 @@ class RankMaps:
             ranks = [table[r][i] for r in col]
         else:
             if col.faces is None:
-                idxs = [r - blk.start for r in col]
-                lens = [len(dom) for dom in blk.domains]
-                col.faces = nv._block_faces(m, blk, self.tables[m - 1], partial(_pick, idxs, lens))
+                plan = nv._plan_of(m, blk)
+                digits = partial(_pick, [r - blk.start for r in col], plan[2])
+                col.faces = nv._block_faces(m, plan, digits, partial(map, self.tables[m - 1].__getitem__))
             ranks = col.faces[i]
         return _Column(m - 1, nv._block_of[blk.seq[:i] + blk.seq[i + 1:]], ranks)
 
@@ -132,12 +132,19 @@ class RankMaps:
         return self.nv.cell_at(col.dim, col[pos])
 
 
-def _pick(idxs: Sequence[int], lens: Sequence[int], keep: set[int]) -> list[int]:
-    """``nerve._ranks`` at the digit tuples numbered ``idxs`` only: the
-    number that the digits at the positions in ``keep`` spell."""
+def _pick(idxs: Sequence[int], lens: Sequence[int], keep: set[int], start: int = 0) -> list[int]:
+    """``nerve._ranks`` at the digit tuples numbered ``idxs`` only:
+    ``start`` plus the number that the digits at the positions in ``keep``
+    spell."""
+    return _spell(idxs, start, _pick_runs(tuple(lens), frozenset(keep)))
+
+
+@lru_cache(maxsize=4096)
+def _pick_runs(lens: tuple[int, ...], keep: frozenset[int]) -> tuple[tuple[int, ...], ...]:
+    """The digit runs of ``_pick``, made once per radix and kept positions."""
     kept = sorted(keep)
     dest = [kept.index(p) if p in keep else None for p in range(len(lens))]
-    return _spell(idxs, 0, _digit_runs(lens, dest, [lens[p] for p in kept]))
+    return tuple(map(tuple, _digit_runs(lens, dest, [lens[p] for p in kept])))
 
 
 def _digit_runs(lens: Sequence[int], dest: Sequence[int | None], new_lens: Sequence[int]) -> list[list[int]]:
@@ -171,6 +178,11 @@ def _weights(lens: Sequence[int]) -> list[int]:
 def _spell(idxs: Sequence[int], const: int, runs: Sequence[Sequence[int]]) -> list[int]:
     """``const`` plus the image of every number in ``idxs`` under the digit
     map ``runs`` of ``_digit_runs``."""
+    if len(idxs) == 1:  # one cell, as ``Nerve.face_ids`` asks
+        value, i = const, idxs[0]
+        for weight, span, new in runs:
+            value += i // weight % span * new
+        return [value]
     if not runs:
         return [const] * len(idxs)
     (weight, span, new), *rest = runs

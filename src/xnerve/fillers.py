@@ -1,25 +1,29 @@
 """Constructive horn fillers for crossed-module nerves, on cell ranks.
 
-``HornFiller.fill_ids`` takes a horn as the ranks of its faces (see
-``Nerve.face_ids``) and returns the filler's rank.  ``fill`` is the cell
-form: ranks carry no dimension, so it refuses faces that are not
-(n-1)-cells, then converts with ``rank_of`` and ``cell_at`` and leaves every
-other check to ``fill_ids``.  Dimension 2 fills by groupoid inverses with a
-unit corner.  Every dimension n >= 3 collapses the horn one level with beta,
-rebuilds the missing face from that boundary, and assembles the filler
-through the corner bijection (``Nerve.assemble_id``).  For n >= 4 the
-missing face is itself assembled that way; for n = 3 it is the 2-cell whose
-diagonal is entries 2 and 0 of beta and whose corner solves the
-boundary-image equation.
+``HornFiller.fill_columns`` fills many horns of one dimension and slot at
+once: a horn is one position of n columns of face ranks, one column per
+present slot, as ``horns(...).columns`` gives them, and the fillers come
+back as a column of ranks.  Every step is a column operation: face rows
+from ``Nerve.faces_of``, corners from ``Nerve.corners``, cells from
+``Nerve.assemble_ids``.  ``fill_ids`` is one horn, a column of one, and
+``fill`` is the cell form: ranks carry no dimension, so it refuses faces
+that are not (n-1)-cells, then converts with ``rank_of`` and ``cell_at``.
+Dimension 2 fills by groupoid inverses with a unit corner.  Every
+dimension n >= 3 collapses the horn one level with beta, rebuilds the
+missing face from that boundary, and assembles the filler through the
+corner bijection.  For n >= 4 the missing face is itself assembled that
+way; for n = 3 it is the 2-cell whose diagonal is entries 2 and 0 of beta
+and whose corner solves the boundary-image equation.
 
 A filler runs on the ``Nerve`` it is given and shares its tables and cell
-budget.  Nothing is assumed of the input; each check is an int comparison
-and a failure raises CompatibilityError: the horn has n faces, ranks of
-(n-1)-cells, and a slot in 0..n, the faces match up as a horn, the n = 3
-completed tuple satisfies eq:image, the first and last faces overlap, and
-the whole face rows of the filler and, for n >= 4, of the missing face are
-the tuples they were built from (for n = 2, the filler's faces at the
-horn's slots).
+budget.  Nothing is assumed of the input; each check compares columns of
+ints and a failure raises CompatibilityError: the horn has n faces, ranks
+of (n-1)-cells, and a slot in 0..n, the faces match up as a horn, the
+n = 3 completed tuple satisfies eq:image, the first and last faces
+overlap, and the whole face rows of the filler and, for n >= 4, of the
+missing face are the tuples they were built from (for n = 2, the filler's
+faces at the horn's slots).  A refused column raises the error of its
+first refused horn, as that horn alone would.
 
 The boundary-image equation for a compatible 4-tuple (M0, M1, M2, M3) of
 2-cells reads, with g the lower diagonal of M3 and c_j the corner of M_j:
@@ -32,7 +36,9 @@ also sufficient over a crossed module.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
+from operator import itemgetter
 
 from .algebra import CrossedMonoid
 from .errors import CompatibilityError, NotCrossedModuleError
@@ -83,6 +89,12 @@ class HornFiller:
             raise NotCrossedModuleError("fibers_are_groups", (obj, a))
         return v
 
+    def _mor_inverse(self, m: int) -> int:
+        v = self.xm.cat.morphism_inverse[m]
+        if v is None:
+            raise NotCrossedModuleError("category_is_groupoid", (m,))
+        return v
+
     # -- dimension dispatch ----------------------------------------------
 
     def fill(self, h: HornTuple) -> NerveCell:
@@ -95,103 +107,128 @@ class HornFiller:
 
     def fill_ids(self, n: int, l: int, faces: Sequence[int]) -> int:
         """Rank of the filler of the dimension-n horn whose present faces,
-        in slot order with slot l omitted, have the ranks ``faces``.
+        in slot order with slot l omitted, have the ranks ``faces``: a
+        column of one of ``fill_columns``."""
+        return self.fill_columns(n, l, [[f] for f in faces])[0]
+
+    def fill_columns(self, n: int, l: int, columns: Sequence[Sequence[int]]) -> list[int]:
+        """Ranks of the fillers of the dimension-n horns with slot l omitted
+        whose present faces, in slot order, have the ranks in ``columns``:
+        horn i is ``[col[i] for col in columns]``.
 
         Refuses with CompatibilityError unless the faces are (n-1)-cells that
         match up as a horn, the filler's faces are the horn's, and for n >= 3
         the face rows of the filler and (n >= 4) of the missing face are the
-        tuples they were built from, the n = 3 tuple passing eq:image."""
+        tuples they were built from, the n = 3 tuple passing eq:image.  The
+        error is that of the first refused horn: a refused column is filled
+        again one horn at a time until that horn raises."""
         if n < 2:
             raise CompatibilityError(f"no constructive filler in dimension {n}")
-        if not 0 <= l <= n or len(faces) != n:
+        if not 0 <= l <= n or len(columns) != n:
             raise CompatibilityError(f"a horn of dimension {n} has {n} faces and a slot in 0..{n}, "
-                                     f"got {len(faces)} faces and slot {l}")
-        size = self.nerve.count_cells(n - 1)
-        for f in faces:
-            if not 0 <= f < size:
-                raise CompatibilityError(f"face rank {f} is not one of the {size} cells of dimension {n - 1}")
-        face_ids = self.nerve.face_ids
-        rows = [face_ids(n - 1, f) for f in faces]
+                                     f"got {len(columns)} faces and slot {l}")
+        columns = [list(col) for col in columns]
+        try:
+            return self._fill(n, l, columns)
+        except (CompatibilityError, NotCrossedModuleError):
+            for i in range(len(columns[0])):
+                self._fill(n, l, [col[i:i + 1] for col in columns])
+            raise
+
+    def _fill(self, n: int, l: int, faces: list[list[int]]) -> list[int]:
+        """``fill_columns`` on one column, refused as a whole; face rows that
+        no built level holds are kept in one memo for the column."""
+        nv, memo = self.nerve, {}
+        count = nv.count_cells(n - 1)
+        for col in faces:
+            if col and not (0 <= min(col) and max(col) < count):
+                f = next(f for f in col if not 0 <= f < count)
+                raise CompatibilityError(f"face rank {f} is not one of the {count} cells of dimension {n - 1}")
+        # the face rows of all n columns in one call, then cut per column
+        every, width = nv.faces_of(n - 1, list(itertools.chain.from_iterable(faces)), memo), len(faces[0])
+        rows = [every[a * width:(a + 1) * width] for a in range(n)]
         slots = [k for k in range(n + 1) if k != l]
         for a, j in enumerate(slots):
             for b in range(a + 1, n):
-                if rows[b][j] != rows[a][slots[b] - 1]:
+                if list(map(itemgetter(j), rows[b])) != list(map(itemgetter(slots[b] - 1), rows[a])):
                     raise CompatibilityError("tuple is not a horn: faces do not match up")
         if n == 2:
-            return self._fill_dim2(l, faces, slots)
-        beta = [row[l - 1 if i < l else l] for i, row in enumerate(rows)]
+            return self._fill_dim2(l, faces, slots, memo)
+        beta = [list(map(itemgetter(l - 1 if i < l else l), r)) for i, r in enumerate(rows)]
         completed = list(faces)
-        completed.insert(l, self._missing_2face(l, faces, rows, beta) if n == 3 else self._cell_with_boundary(n - 1, beta))
-        return self._cell_with_boundary(n, completed)
+        missing = self._missing_2face(l, faces, rows, beta) if n == 3 else self._cell_with_boundary(n - 1, beta, memo)
+        completed.insert(l, missing)
+        return self._cell_with_boundary(n, completed, memo)
 
-    def _fill_dim2(self, l: int, faces: Sequence[int], slots: list[int]) -> int:
-        """The 2-cell with d_0 = lower, d_2 = upper and a unit corner, the
+    def _fill_dim2(self, l: int, faces: list[list[int]], slots: list[int], memo: dict) -> list[int]:
+        """The 2-cells with d_0 = lower, d_2 = upper and a unit corner, the
         missing edge made from groupoid inverses."""
         cat, nv = self.xm.cat, self.nerve
-        f, g = [nv.mor_at[r] for r in faces]
+        f, g = [[nv.mor_at[r] for r in col] for col in faces]
         if l == 1:
             lower, upper = f, g
         elif l == 2:
-            lower, upper = f, cat.compose(g, self._mor_inverse(f))
+            lower, upper = f, [cat.compose(b, self._mor_inverse(a)) for a, b in zip(f, g)]
         else:
-            lower, upper = cat.compose(self._mor_inverse(g), f), g
-        filler = nv.assemble_id(2, nv.mor_rank[lower], nv.mor_rank[upper], self.xm.fibers[cat.src[upper]].unit)
-        row = nv.face_ids(2, filler)
+            lower, upper = [cat.compose(self._mor_inverse(b), a) for a, b in zip(f, g)], g
+        units = [self.xm.fibers[cat.src[u]].unit for u in upper]
+        fillers = nv.assemble_ids(2, [nv.mor_rank[m] for m in lower], [nv.mor_rank[m] for m in upper], units)
+        rows = nv.faces_of(2, fillers, memo)
         for slot, expected in zip(slots, faces):
-            if row[slot] != expected:
+            got = list(map(itemgetter(slot), rows))
+            if got != expected:
+                i = next(i for i, (a, b) in enumerate(zip(got, expected)) if a != b)
                 raise CompatibilityError(
                     f"filler face mismatch at slot {slot}: "
-                    f"expected {nv.cell_at(1, expected).text()}, got {nv.cell_at(1, row[slot]).text()}"
+                    f"expected {nv.cell_at(1, expected[i]).text()}, got {nv.cell_at(1, got[i]).text()}"
                 )
-        return filler
+        return fillers
 
-    def _mor_inverse(self, m: int) -> int:
-        v = self.xm.cat.morphism_inverse[m]
-        if v is None:
-            raise NotCrossedModuleError("category_is_groupoid", (m,))
-        return v
+    def _missing_2face(self, l: int, faces: list[list[int]], rows: list[list[tuple[int, ...]]],
+                       beta: list[list[int]]) -> list[int]:
+        """The omitted 2-faces of dimension-3 horns, with boundaries
+        ``beta``: the diagonal is entries 2 and 0 of beta, and the corner
+        solves rule eq:image, with g the lower diagonal of face 3."""
+        nv, xm = self.nerve, self.xm
+        gs = [nv.mor_at[r] for r in (beta[0] if l == 3 else list(map(itemgetter(0), rows[-1])))]
+        c = [nv.corners(2, col) for col in faces]
+        c.insert(l, itertools.repeat(None))
+        mul, inv, act_inv = self._mul, self._inv, self._act_inv
+        corners = []
+        for g, c0, c1, c2, c3 in zip(gs, *c):
+            x1, x2, act = xm.cat.tgt[g], xm.cat.src[g], xm.action[g]
+            if l == 0:
+                corners.append(mul(x2, act[mul(x1, inv(x1, c2), c3)], c1))
+            elif l == 1:
+                corners.append(mul(x2, act[mul(x1, inv(x1, c3), c2)], c0))
+            elif l == 2:
+                corners.append(act_inv(g, mul(x2, act[c3], c1, inv(x2, c0))))
+            else:
+                corners.append(act_inv(g, mul(x2, act[c2], c0, inv(x2, c1))))
+        return nv.assemble_ids(2, beta[0], beta[2], corners)
 
-    def _missing_2face(self, l: int, faces: Sequence[int], rows: list[tuple[int, ...]], beta: list[int]) -> int:
-        """The omitted 2-face of a dimension-3 horn, with boundary ``beta``:
-        the diagonal is entries 2 and 0 of beta, and the corner solves rule
-        eq:image, with g the lower diagonal of face 3."""
-        nv = self.nerve
-        g = nv.mor_at[beta[0] if l == 3 else rows[-1][0]]
-        x1, x2 = self.xm.cat.tgt[g], self.xm.cat.src[g]
-        c = [nv.corner_at(2, f) for f in faces]
-        c.insert(l, None)
-        mul, act, inv = self._mul, self.xm.action[g], self._inv
-        if l == 0:
-            corner = mul(x2, act[mul(x1, inv(x1, c[2]), c[3])], c[1])
-        elif l == 1:
-            corner = mul(x2, act[mul(x1, inv(x1, c[3]), c[2])], c[0])
-        elif l == 2:
-            corner = self._act_inv(g, mul(x2, act[c[3]], c[1], inv(x2, c[0])))
-        else:
-            corner = self._act_inv(g, mul(x2, act[c[2]], c[0], inv(x2, c[1])))
-        return nv.assemble_id(2, beta[0], beta[2], corner)
-
-    def _cell_with_boundary(self, n: int, faces: Sequence[int]) -> int:
-        """Rank of the n-cell, n >= 3, with the face ranks ``faces``, built
-        through the corner bijection; the corner is that of face 2 for
-        n >= 4 and solves rule eq:image for n = 3.  Refuses a tuple that
-        fails eq:image, whose outer faces do not overlap, or whose cell has
-        another boundary."""
-        nv = self.nerve
-        face_ids = nv.face_ids
+    def _cell_with_boundary(self, n: int, faces: list[list[int]], memo: dict) -> list[int]:
+        """Ranks of the n-cells, n >= 3, with the face ranks ``faces`` (one
+        column per face), built through the corner bijection; the corner is
+        that of face 2 for n >= 4 and solves rule eq:image for n = 3.
+        Refuses tuples that fail eq:image, whose outer faces do not
+        overlap, or whose cells have another boundary."""
+        nv, xm = self.nerve, self.xm
         if n == 3:
-            c = [nv.corner_at(2, f) for f in faces]
-            g = nv.mor_at[face_ids(2, faces[3])[0]]
-            if not _image_rule(self.xm, g, c):
+            c = [nv.corners(2, col) for col in faces]
+            gs = [nv.mor_at[row[0]] for row in nv.faces_of(2, faces[3], memo)]
+            if not all(map(_image_rule, itertools.repeat(xm), gs, zip(*c))):
                 raise CompatibilityError("boundary tuple fails eq:image")
-            x1 = self.xm.cat.tgt[g]
-            corner = self._mul(x1, self._inv(x1, c[3]), c[2])
+            corner = [self._mul(xm.cat.tgt[g], self._inv(xm.cat.tgt[g], c3), c2)
+                      for g, c2, c3 in zip(gs, c[2], c[3])]
         else:
-            corner = nv.corner_at(n - 1, faces[2])
-        if face_ids(n - 1, faces[0])[n - 1] != face_ids(n - 1, faces[-1])[0]:
+            corner = nv.corners(n - 1, faces[2])
+        ends = list(map(itemgetter(n - 1), nv.faces_of(n - 1, faces[0], memo)))
+        if ends != list(map(itemgetter(0), nv.faces_of(n - 1, faces[-1], memo))):
             raise CompatibilityError("faces do not overlap: d_{n-1}(first) != d_0(last)")
-        cell = nv.assemble_id(n, faces[0], faces[-1], corner)
-        for j, (got, expected) in enumerate(zip(face_ids(n, cell), faces)):
-            if got != expected:
+        cells = nv.assemble_ids(n, faces[0], faces[-1], corner)
+        got = nv.faces_of(n, cells, memo)
+        for j, expected in enumerate(faces):
+            if list(map(itemgetter(j), got)) != expected:
                 raise CompatibilityError(f"boundary reconstruction failed at face {j}")
-        return cell
+        return cells

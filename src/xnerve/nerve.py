@@ -30,8 +30,11 @@ j = 0, the shift for j = n).
 
 A cell's rank is its position in ``cells(n)``.  ``cell_at`` and ``rank_of``
 convert.  The corner bijection ``M <-> (d_0 M, d_n M, m[1][n])``, n >= 2, and
-its closed inner-face formulas work on ranks alone, in any dimension, with no
-cell built: ``face_ids``, ``assemble_id`` and ``corner_at``.  On ranks, s_j
+its closed inner-face formulas work on columns of ranks alone, in any
+dimension, with no cell built: ``faces_of``, ``assemble_ids`` and
+``corners``, and one rank at a time ``face_ids``, ``assemble_id`` and
+``corner_at``.  One routine, ``_block_faces``, holds the face formulas for
+whole levels (``face_rows``) and for chosen ranks.  On ranks, s_j
 is digit insertion: s_j c keeps every digit of c's rank and adds fixed
 digits for the identity and the fiber units (``rank_maps``, for the identity
 audit).  On cells, ``face``, ``degeneracy``, ``eta`` and ``corner_assemble``
@@ -43,12 +46,12 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from collections import defaultdict
 from functools import partial
+from operator import getitem, itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import CrossedMonoid, XMorphism
-from .columns import RankMaps
+from .columns import RankMaps, _pick
 from .errors import CellError, CompatibilityError, DEFAULT_CAPACITY
 from .simplicial import LevelProvider
 
@@ -130,7 +133,6 @@ class Nerve(LevelProvider):
         self._block_of: dict[tuple[int, ...], _Block] = {}  # by object sequence, every dimension
         self._glues: dict[tuple[int, ...], tuple[int, ...]] = {}  # by object sequence
         self._face_plans: dict[tuple[int, ...], tuple] = {}  # by object sequence
-        self._face_id_rows: defaultdict[int, dict[int, tuple[int, ...]]] = defaultdict(dict)
         # mor_at[r] is the morphism of the 1-cell of rank r; mor_rank inverts it
         self.mor_at = [g for blk in self._dim(1) for g in blk.domains[0]]
         self.mor_rank = sorted(range(len(self.mor_at)), key=self.mor_at.__getitem__)
@@ -343,17 +345,10 @@ class Nerve(LevelProvider):
             for flat in itertools.product(*blk.domains):
                 yield _cell((n, blk.seq, tuple([flat[a:b] for a, b in bounds])))
 
-    def _locate(self, n: int, r: int) -> tuple[_Block, int]:
-        """(block, index within the block) of rank r in dimension n."""
-        blocks = self._dims.get(n) or self._dim(n)
-        blk = blocks[bisect_right(self._starts[n], r) - 1] if r >= 0 and blocks else None
-        if blk is None or r - blk.start >= blk.size:
-            raise IndexError(r)
-        return blk, r - blk.start
-
     def cell_at(self, n: int, index: int) -> NerveCell:
         """The index-th cell in enumeration order, without materializing."""
-        blk, index = self._locate(n, index)
+        blk = self._dim(n)[self._block_indices(n, [index])[0]]
+        index -= blk.start
         digits = []
         for dom in reversed(blk.domains):
             index, digit = divmod(index, len(dom))
@@ -374,28 +369,59 @@ class Nerve(LevelProvider):
 
     def corner_at(self, n: int, r: int) -> int:
         """Corner, entry (1, n), of the n-cell of rank r, n >= 2."""
+        return self.corners(n, [r])[0]
+
+    def corners(self, n: int, ranks: Sequence[int]) -> list[int]:
+        """``corner_at`` of every rank in ``ranks``."""
         if n < 2:
             raise CompatibilityError("corner splitting needs dimension >= 2")
-        blk, index = self._locate(n, r)
-        glue = self._glue_of(blk)
-        return index // glue[2] % glue[5]
+        blocks, where = self._dim(n), self._block_indices(n, ranks)
+        glues = {b: self._glue_of(blocks[b]) for b in set(where)}
+        return [(r - g[0]) // g[2] % g[5] for r, g in zip(ranks, map(glues.__getitem__, where))]
 
     def assemble_id(self, n: int, first: int, last: int, corner: int) -> int:
         """Rank form of ``corner_assemble``: the rank of the n-cell, n >= 2,
         with first face, last face and corner ``(first, last, corner)``,
         the faces given as ranks.  Their overlap is not compared; only a
         pair with no common object sequence is refused."""
+        return self.assemble_ids(n, [first], [last], [corner])[0]
+
+    def assemble_ids(self, n: int, firsts: Sequence[int], lasts: Sequence[int], corners: Sequence[int]) -> list[int]:
+        """``assemble_id`` of every (first, last, corner) of three equally
+        long columns; the first refused triple raises."""
         if n < 2:
             raise CompatibilityError("corner splitting needs dimension >= 2")
-        lseq, fseq = self._locate(n - 1, last)[0].seq, self._locate(n - 1, first)[0].seq
+        blocks = self._dim(n - 1)
         self._dim(n)
-        blk = self._block_of.get(lseq + fseq[-1:])
-        if blk is None or lseq[1:] != fseq[:-1]:
-            raise CompatibilityError("faces do not overlap: d_{n-1}(first) != d_0(last)")
-        glue = self._glue_of(blk)
-        if not 0 <= corner < glue[5]:
-            raise CompatibilityError(f"corner {corner} outside the fiber over object {lseq[1]}")
-        return _glue(glue, first, last, corner)
+        pairs = list(zip(self._block_indices(n - 1, lasts), self._block_indices(n - 1, firsts)))
+        glues = {}
+        for b_last, b_first in set(pairs):
+            lseq, fseq = blocks[b_last].seq, blocks[b_first].seq
+            blk = self._block_of.get(lseq + fseq[-1:])
+            glues[b_last, b_first] = (lseq[1], None if blk is None or lseq[1:] != fseq[:-1] else self._glue_of(blk))
+        out = []
+        for (x1, glue), first, last, corner in zip(map(glues.__getitem__, pairs), firsts, lasts, corners):
+            if glue is None:
+                raise CompatibilityError("faces do not overlap: d_{n-1}(first) != d_0(last)")
+            if not 0 <= corner < glue[5]:
+                raise CompatibilityError(f"corner {corner} outside the fiber over object {x1}")
+            out.append(_glue(glue, first, last, corner))
+        return out
+
+    def _check_ranks(self, n: int, ranks: Sequence[int]) -> None:
+        """Raise IndexError on the first rank that is not one of the n-cells."""
+        count = self.count_cells(n)
+        if ranks and not (0 <= min(ranks) and max(ranks) < count):
+            raise IndexError(next(r for r in ranks if not 0 <= r < count))
+
+    def _block_indices(self, n: int, ranks: Sequence[int]) -> list[int]:
+        """Position in ``_dim(n)`` of the block of every rank; a rank that is
+        not one of the n-cells raises IndexError."""
+        self._check_ranks(n, ranks)
+        starts = self._starts[n]
+        if len(starts) == 1:
+            return [0] * len(ranks)
+        return [b - 1 for b in map(partial(bisect_right, starts), ranks)]
 
     def _glue_of(self, blk: _Block) -> tuple[int, ...]:
         """The constants of ``_glue`` for a block of dimension >= 2."""
@@ -412,78 +438,80 @@ class Nerve(LevelProvider):
 
     def face_ids(self, n: int, r: int) -> tuple[int, ...]:
         """Ranks of d_0 .. d_n of the n-cell of rank r, n >= 1, in any
-        dimension; rows are cached per rank until ``clear_face_ids``."""
-        rows = self._face_id_rows[n]
-        row = rows.get(r)
-        if row is None:
-            row = rows[r] = self._face_row(n, r)
-        return row
+        dimension: ``faces_of`` on a column of one."""
+        return self.faces_of(n, [r])[0]
 
-    def clear_face_ids(self) -> None:
-        self._face_id_rows.clear()
-
-    def _face_row(self, n: int, r: int) -> tuple[int, ...]:
-        """d_0 deletes row 1, so its rank keeps the low digits of r's index
-        in its block; d_n deletes the last digit of every row.  For n = 2,
-        d_1 is the composite diagonal.  For n >= 3, d_j is the cell with
-        first face d_{j-1} d_0, last face d_j d_n and a corner c' made from
-        r's corner c by the paper's closed formulas: c' = c for
-        2 <= j <= n-2, c' = c^eta(M, 1, n-1) m[2][n] for j = 1, and
-        c' = m[1][n-1] c in the fiber over x1 for j = n-1."""
+    def faces_of(self, n: int, ranks: Sequence[int], memo: dict | None = None) -> list[tuple[int, ...]]:
+        """Face row (rank of d_0 c, ..., rank of d_n c) of the n-cell c of
+        every rank in ``ranks``, n >= 1, in any dimension.  A built level is
+        read.  Otherwise the rows come from ``_block_faces``, block by
+        block, on the rows of the d_0 and d_n faces, found the same way one
+        dimension down; ``memo`` keeps every row so made, by dimension and
+        rank, for the caller's next columns.  A rank that is not one of the
+        n-cells raises IndexError."""
         if n < 1:
             raise CellError("0-cells have no faces")
-        blk, index = self._locate(n, r)
-        first, last_start, last_row, drops, extra = self._face_plans.get(blk.seq) or self._face_plan(n, blk)
-        d0 = first.start + index % first.size
-        q, dn = index // last_row, last_start
-        for size, fiber, weight in drops:
-            q, v = divmod(q, size)
-            dn += v // fiber * weight
-        if n == 1:
-            return (d0, dn)
-        row1, rest = divmod(index, first.size)
-        if n == 2:
-            compose, d_x1, dom11, dom22, f1, diag = extra
-            m11, m12 = divmod(row1, f1)
-            d1 = diag.get(compose[compose[dom11[m11]][d_x1[m12]]][dom22[rest]])
-            if d1 is None:
-                raise CompatibilityError("a face of a 2-cell is not a 1-cell: its diagonal leaves its hom-set")
-            return (d0, d1, dn)
-        tail2, f1, f2, mul1, mul2, dom22, d_x2, action, compose, glues = extra
-        c = row1 % f1
-        eta, m2n = _row2_twist(n, rest // tail2, f2, dom22, d_x2, compose)
-        corners = [mul2[action[eta][c]][m2n], *[c] * (n - 3), mul1[row1 // f1 % f1][c]]
-        f0, fn = self.face_ids(n - 1, d0), self.face_ids(n - 1, dn)
-        return (d0, *map(_glue, glues, f0, fn[1:], corners), dn)
+        self._check_ranks(n, ranks)
+        try:
+            return self._faces(n, ranks, {} if memo is None else memo)
+        except KeyError:
+            raise CompatibilityError("a face of a 2-cell is not a 1-cell: its diagonal leaves its hom-set") from None
 
-    def _face_plan(self, n: int, blk: _Block) -> tuple:
-        """What ``_face_row`` reads for one block of dimension n >= 1: the
-        block of d_0, the start of d_n's block, the size of row n, the (size,
-        fiber size, weight) of rows n-1 .. 1 for d_n, and the tables the
-        inner faces need, with the glue of every d_j's block for n >= 3.
-        Refuses a block whose inner faces have no block."""
+    def _faces(self, n: int, ranks: Sequence[int], memo: dict) -> list[tuple[int, ...]]:
+        """``faces_of`` on ranks known to be n-cells."""
+        table = self.__dict__.get("_levels", {}).get(n)
+        if table is not None:
+            return list(map(table.__getitem__, ranks))
+        known = memo.setdefault(n, {})
+        todo = sorted(set(ranks).difference(known))
+        if todo:
+            blocks, below = self._dim(n), partial(self._faces, n - 1, memo=memo)
+            groups = [(1, todo)] if len(blocks) == 1 else itertools.groupby(
+                todo, key=partial(bisect_right, self._starts[n]))
+            for b, group in groups:
+                blk, group = blocks[b - 1], list(group)
+                plan = self._plan_of(n, blk)
+                faces = self._block_faces(n, plan, partial(_pick, [r - blk.start for r in group], plan[2]), below)
+                known.update(zip(group, zip(*faces)))
+        return list(map(known.__getitem__, ranks))
+
+    def _plan_of(self, n: int, blk: _Block) -> tuple:
+        """What ``_block_faces`` reads for one block of dimension n >= 1,
+        made once: the block of d_0, the start of d_n's block, the radix of
+        the block, the rank digits that d_0 and d_n keep, and the tables
+        and digits the inner faces need: for n = 2 those of the composite
+        diagonal, for n >= 3 the fiber product over x1, d_1's corner maps by
+        row-2 value (each made on first use, then kept) and the glue of
+        every d_j's block.  Refuses a block whose inner faces have no
+        block."""
+        plan = self._face_plans.get(blk.seq)
+        if plan is not None:
+            return plan
         xm = self.xm
         self._dim(n - 1)
         self._dim(n - 2)
         block_of = self._block_of
         seq, domains = blk.seq, blk.domains
-        sizes = [math.prod(map(len, domains[a:b])) for a, b in self._row_bounds(n)]
-        fibers = [xm.fibers[x].size for x in seq[1:]]
-        drops, weight = [], 1
-        for size, fiber in zip(sizes[-2::-1], fibers[-2::-1]):
-            drops.append((size, fiber, weight))
-            weight *= size // fiber
+        flat = range(n * (n + 1) // 2)
+        row_ends = {b - 1 for _, b in self._row_bounds(n)}
         extra = None
         if n == 2:
             diag = {g: self.mor_rank[g] for g in xm.cat.hom(seq[2], seq[0])}
-            extra = (xm.cat.compose_table, xm.boundary[seq[1]], domains[0], domains[2], fibers[0], diag)
+            # compose[m11 * d(m12)] for every value of row 1, in row 1's own radix
+            compose, d_x1 = xm.cat.compose_table, xm.boundary[seq[1]]
+            ups = [compose[compose[u][d_x1[a]]] for u in domains[0] for a in range(len(domains[1]))]
+            extra = (ups, domains[2], diag, frozenset({0, 1}), frozenset({2}))
         elif n >= 3:
             inner = [block_of.get(seq[:j] + seq[j + 1:]) for j in range(1, n)]
             if None in inner:
                 raise CompatibilityError(f"a face of a {n}-cell is not a {n - 1}-cell: no cell has its objects")
-            extra = (block_of[seq[2:]].size, fibers[0], fibers[1], xm.fibers[seq[1]].table, xm.fibers[seq[2]].table,
-                     domains[n], xm.boundary[seq[2]], xm.action, xm.cat.compose_table, [self._glue_of(b) for b in inner])
-        plan = self._face_plans[seq] = (block_of[seq[1:]], block_of[seq[:-1]].start, sizes[-1], drops, extra)
+            fiber2 = xm.fibers[seq[2]]
+            twists = _Twists(n, fiber2.size, domains[n], xm.boundary[seq[2]], xm.action, xm.cat.compose_table,
+                             fiber2.table)
+            extra = (xm.fibers[seq[1]].table, twists, [self._glue_of(b) for b in inner],
+                     frozenset({n - 1}), frozenset(flat[n:2 * n - 1]), frozenset({n - 2}))
+        plan = self._face_plans[seq] = (block_of[seq[1:]], block_of[seq[:-1]].start, tuple(map(len, domains)),
+                                        frozenset(flat[n:]), frozenset(flat).difference(row_ends), extra)
         return plan
 
     # -- whole-level face tables -------------------------------------------
@@ -495,48 +523,46 @@ class Nerve(LevelProvider):
         leaves its hom-set raises KeyError."""
         rows: list[tuple[int, ...]] = []
         for blk in self._dim(n):
-            rows.extend(zip(*self._block_faces(n, blk, below, partial(_ranks, [len(dom) for dom in blk.domains]))))
+            plan = self._plan_of(n, blk)
+            rows.extend(zip(*self._block_faces(n, plan, partial(_ranks, plan[2]), partial(map, below.__getitem__))))
         return rows
 
-    def _block_faces(self, n: int, blk: _Block, below: Sequence[tuple[int, ...]], digits) -> list[list[int]]:
+    @staticmethod
+    def _block_faces(n: int, plan: tuple, digits, below) -> list[list[int]]:
         """Columns d_0 .. d_n, as ranks, of cells of one block of dimension
-        n >= 1, given ``digits(keep)``: per cell, the number that its rank
-        digits at the positions in ``keep`` spell (``_ranks`` for the whole
-        block, ``columns._pick`` for chosen cells).
+        n >= 1, given the block's ``_plan_of``, ``digits(keep, start=0)``:
+        per cell, ``start`` plus the number that its rank digits at the
+        positions in ``keep`` spell (``_ranks`` for the whole block,
+        ``columns._pick`` for chosen cells), and ``below(ranks)``: the face
+        rows of (n-1)-cells, read for n >= 3.
 
-        The columns follow the formulas of ``_face_row``: d_0 and d_n delete
-        rank digits; for n = 2, d_1 is the composite diagonal; for n >= 3,
-        ``_glue`` makes d_j from d_{j-1} d_0 c and d_j d_n c, read from
-        ``below``, and c's corner digit, mapped for j = 1 and j = n-1 as
-        there."""
-        row_ends = {b - 1 for _, b in self._row_bounds(n)}
-        flat = range(n * (n + 1) // 2)
-        first_blk, last_start, _, _, extra = self._face_plans.get(blk.seq) or self._face_plan(n, blk)
-        first = [first_blk.start + r for r in digits(set(flat[n:]))]
-        last = [last_start + r for r in digits(set(flat) - row_ends)]
+        d_0 deletes row 1, so its rank keeps the digits of rows 2 .. n; d_n
+        deletes the last digit of every row.  For n = 2, d_1 is the
+        composite diagonal m11 * d(m12) * m22.  For n >= 3, d_j is the cell
+        with first face d_{j-1} d_0 c, last face d_j d_n c and a corner c'
+        made from c's corner by the paper's closed formulas: c' = c for
+        2 <= j <= n-2, c' = c^eta(M, 1, n-1) m[2][n] for j = 1, and
+        c' = m[1][n-1] c in the fiber over x1 for j = n-1."""
+        first_blk, last_start, _, keep_first, keep_last, extra = plan
+        first, last = digits(keep_first, first_blk.start), digits(keep_last, last_start)
         inner = []
         if n == 2:
-            compose, d_x1, dom11, dom22, f1, diag = extra
-            # compose[m11 * d(m12)] for every value of row 1, in row 1's own radix
-            ups = [compose[compose[u][d_x1[a]]] for u in dom11 for a in range(f1)]
-            inner.append([diag[ups[a][dom22[b]]] for a, b in zip(digits({0, 1}), digits({2}))])
+            ups, dom22, diag, keep_row1, keep_m22 = extra
+            composite = map(getitem, map(ups.__getitem__, digits(keep_row1)), map(dom22.__getitem__, digits(keep_m22)))
+            inner.append(list(map(diag.__getitem__, composite)))
         elif n >= 3:
-            tail2, f1, f2, mul1, mul2, dom22, d_x2, action, compose, glues = extra
+            mul1, twists, glues, keep_corner, keep_row2, keep_m1n1 = extra
             # fiber candidates are range(size), so a digit is its element
-            corner = digits({n - 1})
-            # d_1's corner map for every value of row 2, in row 2's own radix
-            twists = []
-            for row2 in range(len(dom22) * f2 ** (n - 2)):
-                eta, m2n = _row2_twist(n, row2, f2, dom22, d_x2, compose)
-                twists.append([mul2[a][m2n] for a in action[eta]])
+            corner = digits(keep_corner)
             corners = [
-                [twists[r][c] for r, c in zip(digits(set(flat[n:2 * n - 1])), corner)],
+                list(map(getitem, map(twists.__getitem__, digits(keep_row2)), corner)),
                 *[corner] * (n - 3),
-                [mul1[a][c] for a, c in zip(digits({n - 2}), corner)],
+                list(map(getitem, map(mul1.__getitem__, digits(keep_m1n1)), corner)),
             ]
-            fa, lb = [below[a] for a in first], [below[b] for b in last]
+            rows = list(below(first + last))
+            fa, lb = rows[:len(first)], rows[len(first):]
             for j, glue, cs in zip(range(1, n), glues, corners):
-                fs, ls = [r[j - 1] for r in fa], [r[j] for r in lb]
+                fs, ls = map(itemgetter(j - 1), fa), map(itemgetter(j), lb)
                 inner.append(list(map(_glue, itertools.repeat(glue), fs, ls, cs)))
         return [first, *inner, last]
 
@@ -546,26 +572,35 @@ class Nerve(LevelProvider):
         return RankMaps(self, maxdim)
 
 
-def _row2_twist(n: int, row2: int, f2: int, dom22: Sequence[int], d_x2: Sequence[int], compose) -> tuple[int, int]:
-    """(eta, m[2][n]) of an n-cell, n >= 3, whose row 2 has index ``row2``
-    in its own radix: eta = m[2][2] * d(m[2][3] ... m[2][n-1]) twists the
-    corner of d_1, and m[2][n] multiplies it."""
-    v, m2n = divmod(row2, f2)
-    entries = []
-    for _ in range(n - 3):
-        v, e = divmod(v, f2)
-        entries.append(e)
-    eta = dom22[v]
-    for e in reversed(entries):
-        eta = compose[eta][d_x2[e]]
-    return eta, m2n
+class _Twists(dict):
+    """d_1's corner map of the n-cells, n >= 3, of one block, by the index
+    of row 2 in its own radix: entry [row2][c] is c^eta m[2][n] in the
+    fiber over x2, with eta = m[2][2] * d(m[2][3] ... m[2][n-1]).  A row-2
+    value's map is made on its first lookup and then kept."""
+
+    def __init__(self, n, f2, dom22, d_x2, action, compose, mul2):
+        super().__init__()
+        self.plan = (n, f2, dom22, d_x2, action, compose, mul2)
+
+    def __missing__(self, row2: int) -> list[int]:
+        n, f2, dom22, d_x2, action, compose, mul2 = self.plan
+        v, m2n = divmod(row2, f2)
+        entries = []
+        for _ in range(n - 3):
+            v, e = divmod(v, f2)
+            entries.append(e)
+        eta = dom22[v]
+        for e in reversed(entries):
+            eta = compose[eta][d_x2[e]]
+        twist = self[row2] = [mul2[a][m2n] for a in action[eta]]
+        return twist
 
 
-def _ranks(lens: Sequence[int], keep: set[int]) -> list[int]:
+def _ranks(lens: Sequence[int], keep: set[int], start: int = 0) -> list[int]:
     """For every digit tuple of the mixed radix ``lens``, in product order,
-    the number that its digits at the positions in ``keep`` spell in their
-    own mixed radix."""
-    col, weight = [0], 1
+    ``start`` plus the number that its digits at the positions in ``keep``
+    spell in their own mixed radix."""
+    col, weight = [start], 1
     for p in range(len(lens) - 1, -1, -1):
         if p in keep:
             col = [d * weight + r for d in range(lens[p]) for r in col]

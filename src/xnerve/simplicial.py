@@ -13,12 +13,19 @@ builds dimension n once as its face table, which is all a level is: row
 provider's ``face_rows`` makes it from the table of the level below, with no
 cell built, and every later check on the same provider reads the kept
 table.  Kernels and horns are one hash join over the face table of the
-level below: slot k is added by indexing candidate ranks on the faces they
-must share with the slots already placed, never by filtering the full
-product.  The Kan and coskeletal checks and brute-force pi compare face
-rows; ranks turn back into cells, through ``cell_at``, only in witnesses,
+level below, kept as columns: one rank list per placed slot.  Slot k is
+added by indexing candidate ranks on the faces they must share with the
+slots already placed, never by filtering the full product, and every
+stage's keys and copies are made column by column.  The Kan and coskeletal
+checks decide by counting: once a level's rows are known to lie in the
+kernel (``rows_in_kernel``, checked once per level), distinct rows and
+distinct projections are counted against the join's last stage, which
+then only counts its tuples; horns and kernel tuples are enumerated only
+when a count differs, for the witness.  Brute-force pi compares face
+rows.  Ranks turn back into cells, through ``cell_at``, only in witnesses,
 group labels and the tuples handed out by ``simplicial_kernel`` and
-``horns``, so ``horns(...).ids`` go straight to ``HornFiller.fill_ids``.
+``horns``, so ``horns(...).columns`` go straight to
+``HornFiller.fill_columns``.
 The identity audit evaluates one table of the six identity families, each
 side a word of faces and degeneracies, over columns: on a provider with
 rank maps (``Nerve.rank_maps``) a column holds the ranks of up to a few
@@ -30,6 +37,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 from .algebra import ValidationReport, Violation
@@ -84,6 +93,25 @@ class LevelProvider:
             built[n] = faces
         return faces
 
+    def rows_in_kernel(self, n: int) -> bool:
+        """Whether every row of ``level(n)`` lies in the kernel: d_j x_k ==
+        d_{k-1} x_j for j < k on the table of dimension n-1.  Only a broken
+        provider has a row that does not.  Decided once per level, on
+        columns."""
+        decided = self.__dict__.setdefault("_in_kernel", {})
+        ok = decided.get(n)
+        if ok is None:
+            rows = self.level(n)
+            ok = True
+            if n >= 2 and rows:
+                below = self.level(n - 1)
+                x = [list(map(itemgetter(k), rows)) for k in range(n + 1)]
+                d = [list(map(itemgetter(j), below)) for j in range(n)]
+                ok = all(list(map(d[j].__getitem__, x[k])) == list(map(d[k - 1].__getitem__, x[j]))
+                         for k in range(1, n + 1) for j in range(k))
+            decided[n] = ok
+        return ok
+
 
 @dataclass(frozen=True)
 class BoundaryTuple:
@@ -125,54 +153,66 @@ def is_compatible_horn(p: LevelProvider, h: HornTuple) -> bool:
     return True
 
 
-def _join(p: LevelProvider, n: int, omitted: int | None) -> list[tuple[int, ...]]:
-    """Id tuples (x_0, ..., x_n) over the (n-1)-cells of ``p`` with
-    d_j x_k == d_{k-1} x_j for every pair of slots j < k, slot ``omitted``
-    left out (``None`` keeps all slots, giving the kernel).  Slots are
-    added in order, each by a hash join on the faces it shares with the
-    slots already placed; every stage is refused above ``p.cap``."""
+def _join(p: LevelProvider, n: int, omitted: int | None, count: bool = False) -> list[list[int]] | int:
+    """Columns of the id tuples (x_0, ..., x_n) over the (n-1)-cells of
+    ``p`` with d_j x_k == d_{k-1} x_j for every pair of slots j < k, slot
+    ``omitted`` left out (``None`` keeps all slots, giving the kernel): one
+    rank list per present slot, tuples in the order of nested loops over
+    the slots.  Slots are added in order, each by a hash join on the faces
+    it shares with the slots already placed; every stage is refused above
+    ``p.cap``.  With ``count`` the last stage only counts its tuples."""
     fv, cap = p.level(n - 1), p.cap
-    everyone = range(len(fv))
+    # faces[j][c] is the rank of d_j of the (n-1)-cell c; 0-cells have none
+    faces = [list(map(itemgetter(j), fv)) for j in range(n if n >= 2 else 0)]
     what = "kernel" if omitted is None else f"horns without slot {omitted}"
-    partial: list[tuple[int, ...]] = [()]
-    placed: list[int] = []
-    for k in range(n + 1):
-        if k == omitted:
-            continue
-        grown: list[tuple[int, ...]] = []
-        if n < 2 or not placed:
-            for tup in partial:
-                grown.extend([tup + (c,) for c in everyone])
-                if len(grown) > cap:
-                    break
+    slots = [k for k in range(n + 1) if k != omitted]
+    columns: list[list[int]] = []
+    for k in slots:
+        counted = count and k == slots[-1]
+        size = len(columns[0]) if columns else 1
+        if n < 2 or not columns:  # every candidate extends every tuple
+            matches, counts = [range(len(fv))] * size, [len(fv)] * size
+            grown = size * len(fv)
         else:
-            index: dict[tuple[int, ...], list[int]] = {}
-            for c, row in enumerate(fv):
-                index.setdefault(tuple(map(row.__getitem__, placed)), []).append(c)
-            column = [row[k - 1] for row in fv]
-            for tup in partial:
-                for c in index.get(tuple(map(column.__getitem__, tup)), ()):
-                    grown.append(tup + (c,))
-                if len(grown) > cap:
-                    break
-        if len(grown) > cap:
+            # candidates c keyed on (d_j c for every placed j), and every
+            # tuple on (d_{k-1} x_j for every placed j); one placed slot
+            # keys on the bare rank
+            index: dict = {}
+            placed = [faces[j] for j in slots[:len(columns)]]
+            for c, key in enumerate(placed[0] if len(placed) == 1 else zip(*placed)):
+                index.setdefault(key, []).append(c)
+            keys = [map(faces[k - 1].__getitem__, col) for col in columns]
+            keys = keys[0] if len(keys) == 1 else zip(*keys)
+            if counted:
+                sizes = {key: len(found) for key, found in index.items()}
+                grown = sum(map(sizes.get, keys, repeat(0)))
+            else:
+                matches = list(map(index.get, keys, repeat(())))
+                counts = list(map(len, matches))
+                grown = sum(counts)
+        if grown > cap:
             raise CapacityError(f"{what} of dimension {n} exceed {cap} at slot {k}", cap=cap)
-        partial = grown
-        placed.append(k)
-    return partial
+        if counted:
+            return grown
+        if grown != size or min(counts, default=1) != 1:
+            # tuple i is repeated once per candidate it matched
+            picks = list(chain.from_iterable(map(repeat, range(size), counts)))
+            columns = [list(map(col.__getitem__, picks)) for col in columns]
+        columns.append(list(chain.from_iterable(matches)))
+    return columns
 
 
 class CellTuples(Sequence):
     """The id tuples of a join, read as ``BoundaryTuple`` (no omitted slot)
     or ``HornTuple`` values whose faces are the (dim-1)-cells of ``p`` with
-    those ranks; ``ids`` keeps the raw tuples, and decoding happens per item
-    on access."""
+    those ranks; ``columns`` keeps the join's rank lists, one per present
+    slot, and decoding happens per item on access."""
 
-    def __init__(self, p: LevelProvider, dim: int, omitted: int | None, ids: list[tuple[int, ...]]):
+    def __init__(self, p: LevelProvider, dim: int, omitted: int | None, columns: list[list[int]]):
         self.p = p
         self.dim = dim
         self.omitted = omitted
-        self.ids = ids
+        self.columns = columns
 
     def decode(self, tup: tuple[int, ...]):
         faces = tuple([self.p.cell_at(self.dim - 1, i) for i in tup])
@@ -180,14 +220,18 @@ class CellTuples(Sequence):
             return BoundaryTuple(faces)
         return HornTuple(self.dim, self.omitted, faces)
 
+    def ids(self):
+        """The id tuples, in join order."""
+        return zip(*self.columns)
+
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.columns[0])
 
     def __getitem__(self, i: int):
-        return self.decode(self.ids[i])
+        return self.decode(tuple([col[i] for col in self.columns]))
 
     def __iter__(self):
-        return map(self.decode, self.ids)
+        return map(self.decode, self.ids())
 
 
 def simplicial_kernel(p: LevelProvider, n: int) -> CellTuples:
@@ -354,32 +398,38 @@ class CoskeletalRecord:
 def check_coskeletal(p: LevelProvider, n: int, upto: int) -> list[CoskeletalRecord]:
     """Decide bijectivity of the boundary map in each dimension n < k <= upto.
 
-    The image is the set of face-id rows of the k-cells; the surjectivity
-    witness is the smallest missing kernel tuple, ids comparing like cells.
+    The image is the set of face-id rows of the k-cells.  Once every row
+    lies in the kernel (``rows_in_kernel``), the map is injective iff the
+    rows are distinct and surjective iff the distinct rows are as many as
+    the kernel's tuples, which the join counts without storing them.  The
+    injectivity witness is the first repeated row; only a count that
+    differs enumerates the kernel, for the surjectivity witness: the
+    smallest missing kernel tuple, ids comparing like cells.
     """
     records = []
     for k in range(n + 1, upto + 1):
-        kernel = simplicial_kernel(p, k)
-        kernel_set = set(kernel.ids)
+        kernel_size = _join(p, k, None, count=True)
         level = p.level(k)
-        image: dict[tuple[int, ...], int] = {}
-        inj_witness = None
-        for i, row in enumerate(level):
-            first = image.setdefault(row, i)
-            if first != i and inj_witness is None:
-                inj_witness = (p.cell_at(k, first), p.cell_at(k, i))
-        if not image.keys() <= kernel_set:
+        if not p.rows_in_kernel(k):
             raise CompatibilityError(f"boundary of a {k}-cell escaped the kernel; provider is broken")
-        missing = kernel_set - image.keys()
+        image = set(level)
+        inj_witness = surj_witness = None
+        if len(image) != len(level):
+            first: dict[tuple[int, ...], int] = {}
+            i = next(i for i, row in enumerate(level) if first.setdefault(row, i) != i)
+            inj_witness = (p.cell_at(k, first[level[i]]), p.cell_at(k, i))
+        if len(image) != kernel_size:
+            kernel = simplicial_kernel(p, k)
+            surj_witness = kernel.decode(min(t for t in kernel.ids() if t not in image))
         records.append(
             CoskeletalRecord(
                 dim=k,
                 cell_count=len(level),
-                kernel_size=len(kernel_set),
+                kernel_size=kernel_size,
                 injective=inj_witness is None,
-                surjective=not missing,
+                surjective=surj_witness is None,
                 injectivity_witness=inj_witness,
-                surjectivity_witness=kernel.decode(min(missing)) if missing else None,
+                surjectivity_witness=surj_witness,
             )
         )
     return records
@@ -418,14 +468,24 @@ class KanReport:
 def check_kan(p: LevelProvider, upto: int, from_dim: int = 1) -> KanReport:
     """Brute-force fillability of every horn in dimensions from_dim..upto:
     a horn fills when it is the face-id row of some n-cell with entry l
-    dropped."""
+    dropped.  Once every row lies in the kernel (``rows_in_kernel``), those
+    projections are horns, so (n, l) is fillable iff there are as many
+    distinct projections as horns, which the join counts without storing
+    them.  Horns are enumerated only otherwise, for the unfilled count and
+    the witness."""
     records = []
     for n in range(from_dim, upto + 1):
         rows = p.level(n)
+        sound = p.rows_in_kernel(n)
         for l in range(n + 1):
+            if sound:
+                horn_count = _join(p, n, l, count=True)
+                if len(set(map(itemgetter(*[j for j in range(n + 1) if j != l]), rows))) == horn_count:
+                    records.append(KanRecord(n, l, horn_count=horn_count, unfillable=0))
+                    continue
             filled = {row[:l] + row[l + 1:] for row in rows}
             all_horns = horns(p, n, l)
-            unfilled = [h for h in all_horns.ids if h not in filled]
+            unfilled = [h for h in all_horns.ids() if h not in filled]
             witness = all_horns.decode(unfilled[0]) if unfilled else None
             records.append(KanRecord(n, l, horn_count=len(all_horns), unfillable=len(unfilled), witness=witness))
     return KanReport(tuple(records))

@@ -2,7 +2,8 @@ import pytest
 
 from xnerve import fixtures
 from xnerve.algebra import CrossedMonoid, FiniteMonoid
-from xnerve.errors import CompatibilityError
+from xnerve.errors import CompatibilityError, NotCrossedModuleError
+from xnerve.fillers import _image_rule
 from xnerve.nerve import Nerve
 from xnerve.simplicial import BoundaryTuple, HornTuple, LevelProvider
 
@@ -115,6 +116,115 @@ class PerCellRanks(LevelProvider):
             return [tuple([ids[face(c, j)] for j in js]) for c in self._listed(n)[0]]
         except CompatibilityError as exc:
             raise KeyError(str(exc)) from None
+
+
+class ReferenceFiller:
+    """The per-horn filler: one horn at a time, through the nerve's
+    one-rank ``face_ids``, ``corner_at`` and ``assemble_id``.  The reference
+    for ``HornFiller.fill_columns``: the same fillers, and on a refused
+    horn the same error."""
+
+    def __init__(self, nerve):
+        nerve.xm.classification.require_module()
+        self.nerve, self.xm = nerve, nerve.xm
+
+    def _act_inv(self, g, a):
+        return self.xm.action[self.xm.cat.morphism_inverse[g]][a]
+
+    def _mul(self, obj, *items):
+        return self.xm.fibers[obj].product(items)
+
+    def _inv(self, obj, a):
+        v = self.xm.fibers[obj].inverse[a]
+        if v is None:
+            raise NotCrossedModuleError("fibers_are_groups", (obj, a))
+        return v
+
+    def _mor_inverse(self, m):
+        v = self.xm.cat.morphism_inverse[m]
+        if v is None:
+            raise NotCrossedModuleError("category_is_groupoid", (m,))
+        return v
+
+    def fill_ids(self, n, l, faces):
+        if n < 2:
+            raise CompatibilityError(f"no constructive filler in dimension {n}")
+        if not 0 <= l <= n or len(faces) != n:
+            raise CompatibilityError(f"a horn of dimension {n} has {n} faces and a slot in 0..{n}, "
+                                     f"got {len(faces)} faces and slot {l}")
+        size = self.nerve.count_cells(n - 1)
+        for f in faces:
+            if not 0 <= f < size:
+                raise CompatibilityError(f"face rank {f} is not one of the {size} cells of dimension {n - 1}")
+        face_ids = self.nerve.face_ids
+        rows = [face_ids(n - 1, f) for f in faces]
+        slots = [k for k in range(n + 1) if k != l]
+        for a, j in enumerate(slots):
+            for b in range(a + 1, n):
+                if rows[b][j] != rows[a][slots[b] - 1]:
+                    raise CompatibilityError("tuple is not a horn: faces do not match up")
+        if n == 2:
+            return self._fill_dim2(l, faces, slots)
+        beta = [row[l - 1 if i < l else l] for i, row in enumerate(rows)]
+        completed = list(faces)
+        completed.insert(l, self._missing_2face(l, faces, rows, beta) if n == 3 else self._cell_with_boundary(n - 1, beta))
+        return self._cell_with_boundary(n, completed)
+
+    def _fill_dim2(self, l, faces, slots):
+        cat, nv = self.xm.cat, self.nerve
+        f, g = [nv.mor_at[r] for r in faces]
+        if l == 1:
+            lower, upper = f, g
+        elif l == 2:
+            lower, upper = f, cat.compose(g, self._mor_inverse(f))
+        else:
+            lower, upper = cat.compose(self._mor_inverse(g), f), g
+        filler = nv.assemble_id(2, nv.mor_rank[lower], nv.mor_rank[upper], self.xm.fibers[cat.src[upper]].unit)
+        row = nv.face_ids(2, filler)
+        for slot, expected in zip(slots, faces):
+            if row[slot] != expected:
+                raise CompatibilityError(
+                    f"filler face mismatch at slot {slot}: "
+                    f"expected {nv.cell_at(1, expected).text()}, got {nv.cell_at(1, row[slot]).text()}"
+                )
+        return filler
+
+    def _missing_2face(self, l, faces, rows, beta):
+        nv = self.nerve
+        g = nv.mor_at[beta[0] if l == 3 else rows[-1][0]]
+        x1, x2 = self.xm.cat.tgt[g], self.xm.cat.src[g]
+        c = [nv.corner_at(2, f) for f in faces]
+        c.insert(l, None)
+        mul, act, inv = self._mul, self.xm.action[g], self._inv
+        if l == 0:
+            corner = mul(x2, act[mul(x1, inv(x1, c[2]), c[3])], c[1])
+        elif l == 1:
+            corner = mul(x2, act[mul(x1, inv(x1, c[3]), c[2])], c[0])
+        elif l == 2:
+            corner = self._act_inv(g, mul(x2, act[c[3]], c[1], inv(x2, c[0])))
+        else:
+            corner = self._act_inv(g, mul(x2, act[c[2]], c[0], inv(x2, c[1])))
+        return nv.assemble_id(2, beta[0], beta[2], corner)
+
+    def _cell_with_boundary(self, n, faces):
+        nv = self.nerve
+        face_ids = nv.face_ids
+        if n == 3:
+            c = [nv.corner_at(2, f) for f in faces]
+            g = nv.mor_at[face_ids(2, faces[3])[0]]
+            if not _image_rule(self.xm, g, c):
+                raise CompatibilityError("boundary tuple fails eq:image")
+            x1 = self.xm.cat.tgt[g]
+            corner = self._mul(x1, self._inv(x1, c[3]), c[2])
+        else:
+            corner = nv.corner_at(n - 1, faces[2])
+        if face_ids(n - 1, faces[0])[n - 1] != face_ids(n - 1, faces[-1])[0]:
+            raise CompatibilityError("faces do not overlap: d_{n-1}(first) != d_0(last)")
+        cell = nv.assemble_id(n, faces[0], faces[-1], corner)
+        for j, (got, expected) in enumerate(zip(face_ids(n, cell), faces)):
+            if got != expected:
+                raise CompatibilityError(f"boundary reconstruction failed at face {j}")
+        return cell
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ import textwrap
 
 import pytest
 
-from conftest import boundary, horn_of_cell
+from conftest import ReferenceFiller, boundary, horn_of_cell
 from xnerve import fixtures
 from xnerve.cli import run
 from xnerve.errors import CompatibilityError, NotCrossedModuleError
@@ -306,7 +306,7 @@ def test_eq_image_refusal_survives_python_dash_O():
         hf = HornFiller(Nerve(fixtures.z2_with_z3_fiber()))
         mk = lambda c: hf.nerve.rank_of(hf.nerve.cell((0, 0, 0), ((0, c), (0,))))
         try:
-            hf._cell_with_boundary(3, (mk(0), mk(1), mk(0), mk(0)))
+            hf._cell_with_boundary(3, [[mk(0)], [mk(1)], [mk(0)], [mk(0)]], {})
         except CompatibilityError as exc:
             print("refused:", exc)
         """
@@ -340,12 +340,12 @@ def _fill_is_refused(path, tmp_path, capsys, dim):
 
 
 def test_a_wrong_corner_at_dimension_4_and_up_is_refused(monkeypatch, file_f6, tmp_path, capsys):
-    real = Nerve.assemble_id
+    real = Nerve.assemble_ids
 
-    def wrong_corner(self, n, first, last, corner):
-        return real(self, n, first, last, (corner + 1) % 3 if n >= 4 else corner)
+    def wrong_corner(self, n, firsts, lasts, corners):
+        return real(self, n, firsts, lasts, [(corner + 1) % 3 if n >= 4 else corner for corner in corners])
 
-    monkeypatch.setattr(Nerve, "assemble_id", wrong_corner)
+    monkeypatch.setattr(Nerve, "assemble_ids", wrong_corner)
     message = _fill_is_refused(file_f6, tmp_path, capsys, 4)
     assert message.startswith("boundary reconstruction failed at face ")
 
@@ -355,9 +355,10 @@ def test_a_wrong_eq_image_corner_at_dimension_3_is_refused(monkeypatch, file_f6,
 
     def wrong_corner(self, *args):
         # the same outer faces, and the next corner in F6's three-element fiber
-        nv, r = self.nerve, real(self, *args)
-        row = nv.face_ids(2, r)
-        return nv.assemble_id(2, row[0], row[2], (nv.corner_at(2, r) + 1) % 3)
+        nv, rs = self.nerve, real(self, *args)
+        rows = nv.faces_of(2, rs)
+        return nv.assemble_ids(2, [row[0] for row in rows], [row[2] for row in rows],
+                               [(corner + 1) % 3 for corner in nv.corners(2, rs)])
 
     monkeypatch.setattr(HornFiller, "_missing_2face", wrong_corner)
     assert _fill_is_refused(file_f6, tmp_path, capsys, 3) == "boundary tuple fails eq:image"
@@ -376,3 +377,71 @@ def test_cmd_fill_makes_no_face_or_cell_at_calls(monkeypatch, file_f6, capsys):
     nv = Nerve(fixtures.z2_with_z3_fiber_twisted())
     nv.face(nv.cell_at(2, 0), 0)  # shows that both counters are live
     assert calls == {"face": 1, "cell_at": 1}
+
+
+# -- the column fill against the per-horn reference ---------------------------
+
+ORACLE = {
+    "F2": fixtures.group_z2,
+    "F4": fixtures.z2_with_z3_fiber,
+    "F6": fixtures.z2_with_z3_fiber_twisted,
+    "pair": fixtures.pair_groupoid_z3,  # two objects: many blocks per dimension
+}
+
+
+def _sampled_horn_columns(nv, n, l, count, seed):
+    """Columns of the horns of ``count`` sampled n-cells, slot l dropped."""
+    rng = random.Random(seed)
+    rows = nv.faces_of(n, [rng.randrange(nv.count_cells(n)) for _ in range(count)])
+    return [[row[j] for row in rows] for j in range(n + 1) if j != l]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE))
+def test_column_fill_equals_the_reference_filler(name):
+    # every horn up to dimension 3, and of dimension 4 on F2; 200 sampled
+    # horns per slot of dimension 4 elsewhere (F4 has 58,320 dimension-4
+    # horns, at about 85 us each in the reference) and 30 of dimension 5
+    nv = Nerve(ORACLE[name]())
+    hf, ref = HornFiller(nv), ReferenceFiller(nv)
+    for n in (2, 3, 4, 5):
+        for l in range(n + 1):
+            if nv.count_cells(n) <= 1000:
+                columns = horns(nv, n, l).columns
+            else:
+                columns = _sampled_horn_columns(nv, n, l, 200 if n == 4 else 30, seed=10 * n + l)
+            assert hf.fill_columns(n, l, columns) == [ref.fill_ids(n, l, h) for h in zip(*columns)]
+
+
+def _first_refusal(ref, n, l, columns):
+    for h in zip(*columns):
+        try:
+            ref.fill_ids(n, l, h)
+        except CompatibilityError as exc:
+            return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", ["F6", "pair"])
+def test_a_corrupted_column_raises_the_first_refused_horn_s_error(name):
+    nv = Nerve(ORACLE[name]())
+    hf, ref = HornFiller(nv), ReferenceFiller(nv)
+    rng = random.Random(7)
+    messages = set()
+    for n in (2, 3, 4):
+        size = nv.count_cells(n - 1)
+        for l in range(n + 1):
+            for _ in range(4):
+                columns = _sampled_horn_columns(nv, n, l, 60, seed=rng.random())
+                # one face rank swapped, in a few horns, for another rank or
+                # for one that is no (n-1)-cell
+                for i in rng.sample(range(60), 3):
+                    columns[rng.randrange(n)][i] = rng.choice([rng.randrange(size), size + rng.randrange(9), -1])
+                expected = _first_refusal(ref, n, l, columns)
+                if expected is None:
+                    assert hf.fill_columns(n, l, columns) == [ref.fill_ids(n, l, h) for h in zip(*columns)]
+                    continue
+                with pytest.raises(CompatibilityError) as err:
+                    hf.fill_columns(n, l, columns)
+                assert str(err.value) == expected
+                messages.add(" ".join(expected.split()[:2]))
+    assert messages == {"tuple is", "face rank"}

@@ -276,7 +276,6 @@ def test_face_ids_agree_with_levels_and_face(name):
                 row = nv.face_ids(n, i)
                 assert row == lv[i]
                 assert [below[k] for k in row] == [nv.face(c, j) for j in range(n + 1)]
-        nv.clear_face_ids()
     with pytest.raises(IndexError):
         nv.cell_at(4, nv.count_cells(4))
 

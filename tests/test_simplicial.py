@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import PerCellRanks, boundary, is_compatible, pair_groupoid_z3_relabelled
 from test_algebra import _corrupt, permutation_module
-from xnerve import fixtures
+from xnerve import fixtures, simplicial
 from xnerve.algebra import ValidationReport, Violation
 from xnerve.errors import CapacityError, CompatibilityError, NotKanError
+from xnerve.cli import run
 from xnerve.homotopy import higher_vanishing, pi_compare
+from xnerve.io import from_crossed_monoid, serialize
 from xnerve.nerve import Nerve
 from xnerve.simplicial import (
     BoundaryTuple,
@@ -481,6 +483,80 @@ def test_kan_and_coskeletal_dim4_match_reference():
     assert list(check_kan(p, upto=4, from_dim=4).records) == ref_check_kan(p, 4, from_dim=4)
     p = PROVIDERS["F4"]()
     assert check_coskeletal(p, 3, 4) == ref_check_coskeletal(p, 3, 4)
+
+
+def _stored_joins(monkeypatch):
+    """(dimension, omitted slot) of every join that stores its tuples, in
+    call order; a counted join is not listed."""
+    stored, real = [], simplicial._join
+
+    def spy(p, n, omitted, count=False):
+        if not count:
+            stored.append((n, omitted))
+        return real(p, n, omitted, count)
+
+    monkeypatch.setattr(simplicial, "_join", spy)
+    return stored
+
+
+@pytest.mark.parametrize("name,stored", [
+    ("F6", []),  # every count matches
+    ("idempotent", [(3, 0), (3, 1), (3, 2), (3, 3)]),  # not Kan at dimension 3: the counts differ
+    ("corrupted-F4", [(3, 0), (3, 1), (3, 2), (3, 3)]),  # a 3-cell row reads the corrupted 2-cell
+])
+def test_kan_counts_decide_and_horns_are_enumerated_only_on_a_difference(name, stored, monkeypatch):
+    p = PROVIDERS[name]()
+    joins = _stored_joins(monkeypatch)
+    records = list(check_kan(p, upto=3).records)
+    assert joins == stored
+    assert records == ref_check_kan(p, 3)
+
+
+def test_coskeletal_counts_decide_and_the_kernel_is_enumerated_only_on_a_difference(monkeypatch):
+    joins = _stored_joins(monkeypatch)
+    p = PROVIDERS["idempotent"]()
+    (record,) = check_coskeletal(p, 3, 4)
+    # 64 distinct rows against a kernel of 124: a surjectivity witness
+    assert (record.cell_count, record.kernel_size, record.injective, record.surjective) == (64, 124, True, False)
+    assert record.surjectivity_witness is not None and joins == [(4, None)]
+    assert [record] == ref_check_coskeletal(p, 3, 4)
+    joins.clear()
+    f4 = PROVIDERS["F4"]()
+    assert all(r.bijective for r in check_coskeletal(f4, 3, 4)) and joins == []
+
+
+def test_the_row_check_fails_where_a_corrupted_row_is_read():
+    p = _corrupted_f4()
+    # the victim is a 2-cell: its own row passes, the 3-cell rows that read it do not
+    assert [p.rows_in_kernel(n) for n in range(4)] == [True, True, True, False]
+    for name in ("F4", "F6", "pair", "idempotent"):
+        q = PROVIDERS[name]()
+        assert all(q.rows_in_kernel(n) for n in range(5))
+    with pytest.raises(CompatibilityError, match="^boundary of a 3-cell escaped the kernel; provider is broken$"):
+        check_coskeletal(p, 2, 3)
+
+
+@pytest.mark.parametrize("build,cap,check,message", [
+    # level(3) has 216 cells and level(2) 12; only the last stage, 648 tuples, is over
+    (fixtures.z2_with_z3_fiber, 647, lambda nv: check_coskeletal(nv, 2, 3),
+     "kernel of dimension 3 exceed 647 at slot 3"),
+    # level(4) has 64 cells; the last stage without slot 0 has 180 horns
+    (fixtures.idempotent_fiber, 150, lambda nv: check_kan(nv, 4, from_dim=4),
+     "horns without slot 0 of dimension 4 exceed 150 at slot 4"),
+], ids=["coskeletal", "kan"])
+def test_a_counted_last_stage_is_refused_above_the_budget(build, cap, check, message, tmp_path, capsys,
+                                                          monkeypatch):
+    joins = _stored_joins(monkeypatch)
+    with pytest.raises(CapacityError) as err:
+        check(Nerve(build(), cap))
+    # refused by the count itself: no join stored its tuples
+    assert str(err.value) == message and err.value.cap == cap and joins == []
+    check(Nerve(build(), 648 if cap == 647 else 180))
+    path = tmp_path / "input.json"
+    path.write_text(serialize(from_crossed_monoid(build())))
+    command, dims = ("coskeletal", "3..3") if cap == 647 else ("kan", "4..4")
+    assert run([command, str(path), "--dims", dims, "--max-cells", str(cap)]) == 3
+    assert capsys.readouterr().err == f"ERROR (capacity): {message}\n"
 
 
 @pytest.mark.parametrize("name,basepoints", [("F4", (0,)), ("F6", (0,)), ("pair", (0, 1))])
