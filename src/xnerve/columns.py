@@ -14,7 +14,7 @@ is a constant plus a few runs of c's index digits moved to new places.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 if TYPE_CHECKING:
@@ -79,7 +79,7 @@ class RankMaps:
         else:
             if col.faces is None:
                 plan = nv._plan_of(m, blk)
-                digits = partial(_pick, [r - blk.start for r in col], plan[2])
+                digits = partial(_spell, [r - blk.start for r in col])
                 col.faces = nv._block_faces(m, plan, digits, partial(map, self.tables[m - 1].__getitem__))
             ranks = col.faces[i]
         return _Column(m - 1, nv._block_of[blk.seq[:i] + blk.seq[i + 1:]], ranks)
@@ -98,7 +98,7 @@ class RankMaps:
     def _degenerate(self, blk: _Block, idxs: Sequence[int], j: int) -> list[int]:
         """Ranks of s_j of the cells of ``blk`` with indices ``idxs``."""
         new, const, runs = self._plan(blk, j)
-        return _spell(idxs, new.start + const, runs)
+        return _spell(idxs, runs, new.start + const)
 
     def _plan(self, blk: _Block, j: int) -> tuple[_Block, int, list[list[int]]]:
         """(block, constant, digit runs) of s_j on one block of dimension n:
@@ -132,19 +132,13 @@ class RankMaps:
         return self.nv.cell_at(col.dim, col[pos])
 
 
-def _pick(idxs: Sequence[int], lens: Sequence[int], keep: set[int], start: int = 0) -> list[int]:
-    """``nerve._ranks`` at the digit tuples numbered ``idxs`` only:
-    ``start`` plus the number that the digits at the positions in ``keep``
-    spell."""
-    return _spell(idxs, start, _pick_runs(tuple(lens), frozenset(keep)))
-
-
-@lru_cache(maxsize=4096)
-def _pick_runs(lens: tuple[int, ...], keep: frozenset[int]) -> tuple[tuple[int, ...], ...]:
-    """The digit runs of ``_pick``, made once per radix and kept positions."""
+def _keep_runs(lens: Sequence[int], keep: set[int]) -> list[list[int]]:
+    """The digit runs of ``_digit_runs`` that spell, from a number of the
+    mixed radix ``lens``, the number its digits at the positions in
+    ``keep`` make in their own mixed radix."""
     kept = sorted(keep)
     dest = [kept.index(p) if p in keep else None for p in range(len(lens))]
-    return tuple(map(tuple, _digit_runs(lens, dest, [lens[p] for p in kept])))
+    return _digit_runs(lens, dest, [lens[p] for p in kept])
 
 
 def _digit_runs(lens: Sequence[int], dest: Sequence[int | None], new_lens: Sequence[int]) -> list[list[int]]:
@@ -175,18 +169,13 @@ def _weights(lens: Sequence[int]) -> list[int]:
     return out[::-1]
 
 
-def _spell(idxs: Sequence[int], const: int, runs: Sequence[Sequence[int]]) -> list[int]:
+def _spell(idxs: Sequence[int], runs: Sequence[Sequence[int]], const: int = 0) -> list[int]:
     """``const`` plus the image of every number in ``idxs`` under the digit
     map ``runs`` of ``_digit_runs``."""
-    if len(idxs) == 1:  # one cell, as ``Nerve.face_ids`` asks
-        value, i = const, idxs[0]
-        for weight, span, new in runs:
-            value += i // weight % span * new
-        return [value]
     if not runs:
         return [const] * len(idxs)
-    (weight, span, new), *rest = runs
+    weight, span, new = runs[0]
     col = [const + i // weight % span * new for i in idxs]
-    for weight, span, new in rest:
+    for weight, span, new in runs[1:]:
         col = [c + i // weight % span * new for c, i in zip(col, idxs)]
     return col

@@ -139,13 +139,14 @@ class HornFiller:
         """``fill_columns`` on one column, refused as a whole; face rows that
         no built level holds are kept in one memo for the column."""
         nv, memo = self.nerve, {}
-        count = nv.count_cells(n - 1)
-        for col in faces:
-            if col and not (0 <= min(col) and max(col) < count):
-                f = next(f for f in col if not 0 <= f < count)
-                raise CompatibilityError(f"face rank {f} is not one of the {count} cells of dimension {n - 1}")
+        ranks = list(itertools.chain.from_iterable(faces))
+        try:
+            nv._check_ranks(n - 1, ranks)
+        except IndexError as e:
+            raise CompatibilityError(f"face rank {e.args[0]} is not one of the {nv.count_cells(n - 1)} "
+                                     f"cells of dimension {n - 1}") from None
         # the face rows of all n columns in one call, then cut per column
-        every, width = nv.faces_of(n - 1, list(itertools.chain.from_iterable(faces)), memo), len(faces[0])
+        every, width = nv.faces_of(n - 1, ranks, memo), len(faces[0])
         rows = [every[a * width:(a + 1) * width] for a in range(n)]
         slots = [k for k in range(n + 1) if k != l]
         for a, j in enumerate(slots):

@@ -51,7 +51,7 @@ from operator import getitem, itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import CrossedMonoid, XMorphism
-from .columns import RankMaps, _pick
+from .columns import RankMaps, _keep_runs, _spell
 from .errors import CellError, CompatibilityError, DEFAULT_CAPACITY
 from .simplicial import LevelProvider
 
@@ -459,7 +459,7 @@ class Nerve(LevelProvider):
 
     def _faces(self, n: int, ranks: Sequence[int], memo: dict) -> list[tuple[int, ...]]:
         """``faces_of`` on ranks known to be n-cells."""
-        table = self.__dict__.get("_levels", {}).get(n)
+        table = self.built(n)
         if table is not None:
             return list(map(table.__getitem__, ranks))
         known = memo.setdefault(n, {})
@@ -471,19 +471,19 @@ class Nerve(LevelProvider):
             for b, group in groups:
                 blk, group = blocks[b - 1], list(group)
                 plan = self._plan_of(n, blk)
-                faces = self._block_faces(n, plan, partial(_pick, [r - blk.start for r in group], plan[2]), below)
+                faces = self._block_faces(n, plan, partial(_spell, [r - blk.start for r in group]), below)
                 known.update(zip(group, zip(*faces)))
         return list(map(known.__getitem__, ranks))
 
     def _plan_of(self, n: int, blk: _Block) -> tuple:
         """What ``_block_faces`` reads for one block of dimension n >= 1,
-        made once: the block of d_0, the start of d_n's block, the radix of
-        the block, the rank digits that d_0 and d_n keep, and the tables
-        and digits the inner faces need: for n = 2 those of the composite
-        diagonal, for n >= 3 the fiber product over x1, d_1's corner maps by
-        row-2 value (each made on first use, then kept) and the glue of
-        every d_j's block.  Refuses a block whose inner faces have no
-        block."""
+        made once: the block of d_0, the start of d_n's block, the digit
+        runs (``columns._keep_runs``) of the ranks of d_0 and d_n, and the
+        tables and digit runs the inner faces need: for n = 2 those of the
+        composite diagonal, for n >= 3 the fiber product over x1, d_1's
+        corner maps by row-2 value (each made on first use, then kept) and
+        the glue of every d_j's block.  Refuses a block whose inner faces
+        have no block."""
         plan = self._face_plans.get(blk.seq)
         if plan is not None:
             return plan
@@ -493,6 +493,7 @@ class Nerve(LevelProvider):
         block_of = self._block_of
         seq, domains = blk.seq, blk.domains
         flat = range(n * (n + 1) // 2)
+        keep = partial(_keep_runs, tuple(map(len, domains)))
         row_ends = {b - 1 for _, b in self._row_bounds(n)}
         extra = None
         if n == 2:
@@ -500,7 +501,7 @@ class Nerve(LevelProvider):
             # compose[m11 * d(m12)] for every value of row 1, in row 1's own radix
             compose, d_x1 = xm.cat.compose_table, xm.boundary[seq[1]]
             ups = [compose[compose[u][d_x1[a]]] for u in domains[0] for a in range(len(domains[1]))]
-            extra = (ups, domains[2], diag, frozenset({0, 1}), frozenset({2}))
+            extra = (ups, domains[2], diag, keep({0, 1}), keep({2}))
         elif n >= 3:
             inner = [block_of.get(seq[:j] + seq[j + 1:]) for j in range(1, n)]
             if None in inner:
@@ -509,9 +510,9 @@ class Nerve(LevelProvider):
             twists = _Twists(n, fiber2.size, domains[n], xm.boundary[seq[2]], xm.action, xm.cat.compose_table,
                              fiber2.table)
             extra = (xm.fibers[seq[1]].table, twists, [self._glue_of(b) for b in inner],
-                     frozenset({n - 1}), frozenset(flat[n:2 * n - 1]), frozenset({n - 2}))
-        plan = self._face_plans[seq] = (block_of[seq[1:]], block_of[seq[:-1]].start, tuple(map(len, domains)),
-                                        frozenset(flat[n:]), frozenset(flat).difference(row_ends), extra)
+                     keep({n - 1}), keep(set(flat[n:2 * n - 1])), keep({n - 2}))
+        plan = self._face_plans[seq] = (block_of[seq[1:]], block_of[seq[:-1]].start, keep(set(flat[n:])),
+                                        keep(set(flat).difference(row_ends)), extra)
         return plan
 
     # -- whole-level face tables -------------------------------------------
@@ -524,16 +525,16 @@ class Nerve(LevelProvider):
         rows: list[tuple[int, ...]] = []
         for blk in self._dim(n):
             plan = self._plan_of(n, blk)
-            rows.extend(zip(*self._block_faces(n, plan, partial(_ranks, plan[2]), partial(map, below.__getitem__))))
+            rows.extend(zip(*self._block_faces(n, plan, partial(_ranks, blk.size), partial(map, below.__getitem__))))
         return rows
 
     @staticmethod
     def _block_faces(n: int, plan: tuple, digits, below) -> list[list[int]]:
         """Columns d_0 .. d_n, as ranks, of cells of one block of dimension
-        n >= 1, given the block's ``_plan_of``, ``digits(keep, start=0)``:
-        per cell, ``start`` plus the number that its rank digits at the
-        positions in ``keep`` spell (``_ranks`` for the whole block,
-        ``columns._pick`` for chosen cells), and ``below(ranks)``: the face
+        n >= 1, given the block's ``_plan_of``, ``digits(runs, start=0)``:
+        per cell, ``start`` plus the image of its index in the block under
+        the digit runs ``runs`` of the plan (``_ranks`` for the whole block,
+        ``columns._spell`` for chosen cells), and ``below(ranks)``: the face
         rows of (n-1)-cells, read for n >= 3.
 
         d_0 deletes row 1, so its rank keeps the digits of rows 2 .. n; d_n
@@ -543,21 +544,21 @@ class Nerve(LevelProvider):
         made from c's corner by the paper's closed formulas: c' = c for
         2 <= j <= n-2, c' = c^eta(M, 1, n-1) m[2][n] for j = 1, and
         c' = m[1][n-1] c in the fiber over x1 for j = n-1."""
-        first_blk, last_start, _, keep_first, keep_last, extra = plan
-        first, last = digits(keep_first, first_blk.start), digits(keep_last, last_start)
+        first_blk, last_start, runs_first, runs_last, extra = plan
+        first, last = digits(runs_first, first_blk.start), digits(runs_last, last_start)
         inner = []
         if n == 2:
-            ups, dom22, diag, keep_row1, keep_m22 = extra
-            composite = map(getitem, map(ups.__getitem__, digits(keep_row1)), map(dom22.__getitem__, digits(keep_m22)))
+            ups, dom22, diag, runs_row1, runs_m22 = extra
+            composite = map(getitem, map(ups.__getitem__, digits(runs_row1)), map(dom22.__getitem__, digits(runs_m22)))
             inner.append(list(map(diag.__getitem__, composite)))
         elif n >= 3:
-            mul1, twists, glues, keep_corner, keep_row2, keep_m1n1 = extra
+            mul1, twists, glues, runs_corner, runs_row2, runs_m1n1 = extra
             # fiber candidates are range(size), so a digit is its element
-            corner = digits(keep_corner)
+            corner = digits(runs_corner)
             corners = [
-                list(map(getitem, map(twists.__getitem__, digits(keep_row2)), corner)),
+                map(getitem, map(twists.__getitem__, digits(runs_row2)), corner),
                 *[corner] * (n - 3),
-                list(map(getitem, map(mul1.__getitem__, digits(keep_m1n1)), corner)),
+                map(getitem, map(mul1.__getitem__, digits(runs_m1n1)), corner),
             ]
             rows = list(below(first + last))
             fa, lb = rows[:len(first)], rows[len(first):]
@@ -596,17 +597,16 @@ class _Twists(dict):
         return twist
 
 
-def _ranks(lens: Sequence[int], keep: set[int], start: int = 0) -> list[int]:
-    """For every digit tuple of the mixed radix ``lens``, in product order,
-    ``start`` plus the number that its digits at the positions in ``keep``
-    spell in their own mixed radix."""
-    col, weight = [start], 1
-    for p in range(len(lens) - 1, -1, -1):
-        if p in keep:
-            col = [d * weight + r for d in range(lens[p]) for r in col]
-            weight *= lens[p]
-        else:
-            col *= lens[p]
+def _ranks(size: int, runs: Sequence[Sequence[int]], start: int = 0) -> list[int]:
+    """``start`` plus the image of every index 0 .. ``size``-1 of a block
+    under the digit runs ``runs`` of ``columns._digit_runs``, built in
+    index order; the runs must keep their digits in order."""
+    col, below = [start], 1
+    for weight, span, new in runs:
+        col *= weight // below
+        col = [d * new + r for d in range(span) for r in col]
+        below = weight * span
+    col *= size // below
     return col
 
 

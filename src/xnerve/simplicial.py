@@ -78,9 +78,7 @@ class LevelProvider:
         predicts more cells than ``cap``, and with CompatibilityError when a
         face is not a cell of the level below."""
         count = self.count_within(n)
-        # made here, not in __init__, so a subclass need not call it
-        built = self.__dict__.setdefault("_levels", {})
-        faces = built.get(n)
+        faces = self.built(n)
         if faces is None:
             if n == 0:
                 faces = [()] * count
@@ -90,8 +88,14 @@ class LevelProvider:
                     faces = self.face_rows(n, below)
                 except KeyError:
                     raise CompatibilityError(f"a face of a {n}-cell is not a {n - 1}-cell; provider is broken") from None
-            built[n] = faces
+            # made here, not in __init__, so a subclass need not call it
+            self.__dict__.setdefault("_levels", {})[n] = faces
         return faces
+
+    def built(self, n: int) -> list[tuple[int, ...]] | None:
+        """The face table of dimension n if ``level`` has built it, else
+        None; builds nothing."""
+        return self.__dict__.get("_levels", {}).get(n)
 
     def rows_in_kernel(self, n: int) -> bool:
         """Whether every row of ``level(n)`` lies in the kernel: d_j x_k ==

@@ -120,13 +120,20 @@ class PerCellRanks(LevelProvider):
 
 class ReferenceFiller:
     """The per-horn filler: one horn at a time, through the nerve's
-    one-rank ``face_ids``, ``corner_at`` and ``assemble_id``.  The reference
-    for ``HornFiller.fill_columns``: the same fillers, and on a refused
-    horn the same error."""
+    one-rank ``face_ids``, ``corner_at`` and ``assemble_id``, with face rows
+    kept per rank.  The reference for ``HornFiller.fill_columns``: the same
+    fillers, and on a refused horn the same error."""
 
     def __init__(self, nerve):
         nerve.xm.classification.require_module()
         self.nerve, self.xm = nerve, nerve.xm
+        self.rows = {}
+
+    def face_ids(self, n, r):
+        row = self.rows.get((n, r))
+        if row is None:
+            row = self.rows[n, r] = self.nerve.face_ids(n, r)
+        return row
 
     def _act_inv(self, g, a):
         return self.xm.action[self.xm.cat.morphism_inverse[g]][a]
@@ -156,7 +163,7 @@ class ReferenceFiller:
         for f in faces:
             if not 0 <= f < size:
                 raise CompatibilityError(f"face rank {f} is not one of the {size} cells of dimension {n - 1}")
-        face_ids = self.nerve.face_ids
+        face_ids = self.face_ids
         rows = [face_ids(n - 1, f) for f in faces]
         slots = [k for k in range(n + 1) if k != l]
         for a, j in enumerate(slots):
@@ -180,7 +187,7 @@ class ReferenceFiller:
         else:
             lower, upper = cat.compose(self._mor_inverse(g), f), g
         filler = nv.assemble_id(2, nv.mor_rank[lower], nv.mor_rank[upper], self.xm.fibers[cat.src[upper]].unit)
-        row = nv.face_ids(2, filler)
+        row = self.face_ids(2, filler)
         for slot, expected in zip(slots, faces):
             if row[slot] != expected:
                 raise CompatibilityError(
@@ -208,7 +215,7 @@ class ReferenceFiller:
 
     def _cell_with_boundary(self, n, faces):
         nv = self.nerve
-        face_ids = nv.face_ids
+        face_ids = self.face_ids
         if n == 3:
             c = [nv.corner_at(2, f) for f in faces]
             g = nv.mor_at[face_ids(2, faces[3])[0]]

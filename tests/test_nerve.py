@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from conftest import corner_triples, pair_groupoid_z3_relabelled
 from xnerve import fixtures
 from xnerve.algebra import XMorphism, identity_xmorphism
 from xnerve.errors import CapacityError, CellError, CompatibilityError
-from xnerve.columns import _pick
+from xnerve.columns import _keep_runs, _spell
 from xnerve.nerve import Nerve, NerveCell, _ranks, induced_cell
 
 
@@ -316,9 +317,14 @@ def test_rank_maps_are_the_rank_forms_of_degeneracy_and_face(name):
 def test_pick_is_ranks_at_the_given_indices():
     lens = [2, 3, 1, 4]
     idxs = [0, 5, 7, 11, 16, 23]
-    for keep in (set(), {0}, {3}, {1, 2}, {0, 2, 3}, {0, 1, 2, 3}):
-        col = _ranks(lens, keep)
-        assert _pick(idxs, lens, keep) == [col[i] for i in idxs]
+    tuples = list(itertools.product(*map(range, lens)))
+    for keep in (set(), {0}, {3}, {1, 2}, {0, 2, 3}, {0, 1, 2, 3}, {0, 3}):
+        kept = sorted(keep)
+        spelt = [math.prod(lens[q] for q in kept[a + 1:]) for a in range(len(kept))]
+        expected = [7 + sum(t[p] * w for p, w in zip(kept, spelt)) for t in tuples]
+        runs = _keep_runs(lens, keep)
+        assert _ranks(len(tuples), runs, 7) == expected
+        assert _spell(idxs, runs, 7) == [expected[i] for i in idxs]
 
 
 def test_assemble_id_is_the_rank_form_of_corner_assemble(nv_z2_z3_twisted, nv_pair_relabelled):
