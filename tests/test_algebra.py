@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -653,3 +654,179 @@ def ref_validate_raises(xm: CrossedMonoid) -> bool:
         return True
     return False
 
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_fast_scans_match_reference_on_multi_entry_corruptions(data):
+    # two or three entries of one structure: faults in several rules, and in
+    # several fibers of the union, must come back in the reference's order
+    name = data.draw(st.sampled_from(sorted(n for n in SITES if SITES[n])), label="structure")
+    xm = BUILT[name]
+    for _ in range(data.draw(st.integers(2, 3), label="entries")):
+        kind = data.draw(st.sampled_from(sorted(SITES[name])), label="kind")
+        *site, values = data.draw(st.sampled_from(SITES[name][kind]), label="site")
+        xm = _corrupt(xm, kind, tuple(site), data.draw(st.sampled_from(values), label="value"))
+    assert_matches_reference(xm)
+
+
+def test_faults_in_two_fibers_are_reported_fiber_by_fiber():
+    union = BUILT["union_f6_idempotent"]  # fibers Z/3 and the idempotent pair
+    xm = _corrupt(union, "mul", (0, 1, 1), 0)  # fiber 0: 1*1 = 0, not associative
+    xm = _corrupt(xm, "mul", (1, 0, 1), 0)  # fiber 1: the unit times 1 is 0
+    report = validate_crossed_monoid(xm)
+    assert report == ref_validate(xm)
+    assert report.axioms()[:2] == ("mon.assoc", "mon.unit")
+    assert report.find("mon.assoc").witness[0] == 0
+    assert report.find("mon.unit") == Violation("mon.unit", (1, 1), "unit not neutral on 1 in fiber 1")
+
+
+# -- the crossed-monoid morphism check ----------------------------------------
+
+
+def ref_validate_xmorphism(src: CrossedMonoid, dst: CrossedMonoid, m: XMorphism):
+    scat, dcat = src.cat, dst.cat
+    if len(m.obj_map) != scat.num_objects:
+        raise StructureError("object map must cover every source object")
+    if any(not 0 <= v < dcat.num_objects for v in m.obj_map):
+        raise StructureError("object map value out of range")
+    if len(m.mor_map) != scat.num_morphisms:
+        raise StructureError("morphism map must cover every source morphism")
+    if any(not 0 <= v < dcat.num_morphisms for v in m.mor_map):
+        raise StructureError("morphism map value out of range")
+    if len(m.fiber_maps) != scat.num_objects:
+        raise StructureError("need one fiber map per source object")
+    for x, row in enumerate(m.fiber_maps):
+        if len(row) != src.fibers[x].size:
+            raise StructureError(f"fiber map {x} has {len(row)} entries, expected {src.fibers[x].size}")
+        limit = dst.fibers[m.obj_map[x]].size
+        if any(not 0 <= v < limit for v in row):
+            raise StructureError(f"fiber map {x} hits an element outside the target fiber")
+
+    out = _Collector()
+    F, f = m.mor_map, m.fiber_maps
+
+    for a in scat.morphisms():
+        if dcat.src[F[a]] != m.obj_map[scat.src[a]] or dcat.tgt[F[a]] != m.obj_map[scat.tgt[a]]:
+            out.hit("mor.functor", (a,), "functor breaks endpoints")
+            break
+    for x in scat.objects():
+        if F[scat.identity[x]] != dcat.identity[m.obj_map[x]]:
+            out.hit("mor.functor", (x,), "functor breaks an identity")
+            break
+    for a in scat.morphisms():
+        if out.done("mor.functor"):
+            break
+        for b in scat.morphisms():
+            v = scat.compose_table[a][b]
+            if v is None:
+                continue
+            if dcat.compose_table[F[a]][F[b]] != F[v]:
+                out.hit("mor.functor", (a, b), "functor breaks a composite")
+                break
+
+    for x in scat.objects():
+        mon_s = src.fibers[x]
+        mon_d = dst.fibers[m.obj_map[x]]
+        row = f[x]
+        if row[mon_s.unit] != mon_d.unit:
+            out.hit("mor.hom", (x, mon_s.unit), "fiber map breaks the unit")
+        stop = False
+        for a in mon_s.elements():
+            for b in mon_s.elements():
+                if row[mon_s.mul(a, b)] != mon_d.mul(row[a], row[b]):
+                    out.hit("mor.hom", (x, a, b), "fiber map not multiplicative")
+                    stop = True
+                    break
+            if stop:
+                break
+        if stop:
+            break
+
+    for a in scat.morphisms():
+        s, t = scat.src[a], scat.tgt[a]
+        stop = False
+        for v in src.fibers[t].elements():
+            if f[s][src.act(a, v)] != dst.act(F[a], f[t][v]):
+                out.hit("mor1", (a, v), "fiber maps do not commute with the action")
+                stop = True
+                break
+        if stop:
+            break
+
+    for x in scat.objects():
+        stop = False
+        for a in src.fibers[x].elements():
+            if F[src.boundary[x][a]] != dst.boundary[m.obj_map[x]][f[x][a]]:
+                out.hit("mor2", (x, a), "boundaries do not commute with the map")
+                stop = True
+                break
+        if stop:
+            break
+
+    return out.report()
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except (StructureError, IndexError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_morphism_matches_reference(src: CrossedMonoid, dst: CrossedMonoid, m: XMorphism) -> None:
+    assert _outcome(validate_xmorphism, src, dst, m) == _outcome(ref_validate_xmorphism, src, dst, m)
+
+
+def _morphism_sites(xm: CrossedMonoid) -> dict:
+    """Per map of the identity morphism of ``xm``, every entry with the
+    values it may take instead; fiber map values stay in their fiber."""
+    cat = xm.cat
+    sites = {
+        "obj_map": [(x, [v for v in cat.objects() if v != x]) for x in cat.objects()],
+        "mor_map": [(a, [v for v in cat.morphisms() if v != a]) for a in cat.morphisms()],
+        "fiber_maps": [(x, a, [v for v in f.elements() if v != a])
+                       for x, f in enumerate(xm.fibers) for a in f.elements()],
+    }
+    return {kind: [s for s in entries if s[-1]] for kind, entries in sites.items() if any(s[-1] for s in entries)}
+
+
+def _corrupt_morphism(m: XMorphism, kind: str, site: tuple, value: int) -> XMorphism:
+    if kind == "fiber_maps":
+        return XMorphism(m.obj_map, m.mor_map, _replace(m.fiber_maps, *site, value))
+    (i,) = site
+    entries = getattr(m, kind)
+    return dataclasses.replace(m, **{kind: entries[:i] + (value,) + entries[i + 1:]})
+
+
+MORPHISM_SITES = {name: _morphism_sites(xm) for name, xm in BUILT.items()}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_morphism_check_matches_reference_on_corruptions(data):
+    # the identity morphism of a structure, with one to three of its entries
+    # moved, into the structure or into a corruption of it
+    name = data.draw(st.sampled_from(sorted(n for n in MORPHISM_SITES if MORPHISM_SITES[n])), label="structure")
+    xm = BUILT[name]
+    m = identity_xmorphism(xm)
+    for _ in range(data.draw(st.integers(1, 3), label="entries")):
+        kind = data.draw(st.sampled_from(sorted(MORPHISM_SITES[name])), label="kind")
+        *site, values = data.draw(st.sampled_from(MORPHISM_SITES[name][kind]), label="site")
+        m = _corrupt_morphism(m, kind, tuple(site), data.draw(st.sampled_from(values), label="value"))
+    dst = xm
+    if SITES[name] and data.draw(st.booleans(), label="corrupt target"):
+        kind = data.draw(st.sampled_from(sorted(SITES[name])), label="target kind")
+        *site, values = data.draw(st.sampled_from(SITES[name][kind]), label="target site")
+        dst = _corrupt(xm, kind, tuple(site), data.draw(st.sampled_from(values), label="target value"))
+    assert_morphism_matches_reference(xm, dst, m)
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURES))
+def test_morphism_check_matches_reference_on_every_single_entry(name):
+    xm = BUILT[name]
+    for kind, entries in MORPHISM_SITES[name].items():
+        for *site, values in entries:
+            for value in values:
+                assert_morphism_matches_reference(xm, xm, _corrupt_morphism(identity_xmorphism(xm), kind,
+                                                                            tuple(site), value))
