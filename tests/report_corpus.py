@@ -1,7 +1,7 @@
 """The CLI report corpus: argv, exit code, stdout, stderr and the ``--json``
-document of the ``kan``, ``coskeletal``, ``fill`` and ``homotopy`` commands
-on the fixtures at small dimensions, including ``--max-cells`` values that
-trip the level and join-stage budgets.
+document of the ``validate``, ``classify``, ``kan``, ``coskeletal``, ``fill``
+and ``homotopy`` commands on the fixtures at small dimensions, including
+``--max-cells`` values that trip the level and join-stage budgets.
 
 ``tests/test_report_corpus.py`` compares every entry byte for byte.  An
 intended report change is a re-record, whose diff is reviewed:
@@ -24,6 +24,7 @@ import pathlib
 import tempfile
 
 from xnerve import fixtures
+from xnerve.algebra import FiniteMonoid
 from xnerve.cli import run
 from xnerve.io import from_crossed_monoid, serialize
 
@@ -42,6 +43,15 @@ def _union_ill_typed():
     return dataclasses.replace(union, boundary=(row0,) + union.boundary[1:])
 
 
+def _union_two_faults():
+    """The union whose fiber 0 is not associative (1*1 = 0) and whose fiber 1
+    has a unit that is not neutral (0*1 = 0)."""
+    union = _union()
+    z3 = FiniteMonoid(3, 0, ((0, 1, 2), (1, 0, 0), (2, 0, 1)))
+    pair = FiniteMonoid(2, 0, ((0, 0), (1, 1)))
+    return dataclasses.replace(union, fibers=(z3, pair))
+
+
 INPUTS = {
     "trivial": fixtures.trivial_point,
     "z2": fixtures.group_z2,
@@ -56,11 +66,14 @@ INPUTS = {
     "empty": fixtures.empty_crossed_monoid,
     "union": _union,
     "union_ill_typed": _union_ill_typed,
+    "union_two_faults": _union_two_faults,
 }
 
 # Per input: the commands run on every input, then the larger or budgeted
 # runs on a few.
 _EVERY = (
+    ("validate",),
+    ("classify",),
     ("kan", "--dims", "1..3"),
     ("coskeletal", "--dims", "2..3"),
     ("fill", "--dims", "2..3"),
