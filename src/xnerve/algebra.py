@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable
 
@@ -349,186 +350,115 @@ def identity_xmorphism(xm: CrossedMonoid) -> XMorphism:
     )
 
 
-class _Collector:
-    """Gathers at most one (lexicographically first) witness per axiom id."""
+def _report(rows) -> ValidationReport:
+    """The first hit of each rule, in the order the rows find them.
 
-    def __init__(self):
-        self._seen: dict[str, Violation] = {}
-
-    def hit(self, axiom: str, witness: tuple, detail: str = "") -> bool:
-        """Record a violation; returns True if this axiom already had one."""
-        if axiom in self._seen:
-            return True
-        self._seen[axiom] = Violation(axiom, witness, detail)
-        return False
-
-    def done(self, axiom: str) -> bool:
-        return axiom in self._seen
-
-    def report(self) -> ValidationReport:
-        return ValidationReport(tuple(self._seen.values()))
+    ``rows`` are ``(rule, hit)`` pairs in report order, where ``hit`` is
+    ``next(scan, None)`` of an ascending scan of ``(witness, detail)``
+    pairs.  A rule may have several rows (one per fiber, say); its witness
+    is the first hit among them.
+    """
+    found: dict[str, Violation] = {}
+    for rule, hit in rows:
+        if hit is not None and rule not in found:
+            found[rule] = Violation(rule, *hit)
+    return ValidationReport(tuple(found.values()))
 
 
 def validate_crossed_monoid(xm: CrossedMonoid) -> ValidationReport:
     """Decide every axiom; table shapes were enforced at construction.
 
-    Rule ids: mon.assoc, mon.unit, cat.assoc, cat.id, act.id, act.comp,
-    act.hom, cr1 (boundary typing and multiplicativity), cr2 (equivariance),
-    cr3 (the exchange rule ab = b * a^d(b)).  The first witness per rule is
-    reported, scanning ids in ascending order, so runs are reproducible.  An
-    instance that runs past a table, because a boundary or a composite has
-    the wrong endpoints, fails its rule.
+    Rule ids, in report order: mon.unit and mon.assoc (fiber by fiber),
+    cat.id, cat.assoc, cat.endpoints (composites have the right source and
+    target), act.id, act.comp, act.hom, cr1 (boundary typing, unit and
+    multiplicativity), cr2 (equivariance), cr3 (the exchange rule
+    ab = b * a^d(b)).  The witness of a rule is the first failing instance
+    in ascending id order, so runs are reproducible.  An instance that runs
+    past a table, because a boundary or a composite has the wrong
+    endpoints, fails its rule.
 
     The four cubic rules are decided over generating sets (Light's test,
-    and its analogues for the action), each only once the rules it relies
-    on are known to hold; otherwise, and to locate the witness of a
+    and its analogues for the action) where the rules they rely on hold:
+    Light's test decides mon.assoc on every fiber, cat.assoc needs no
+    cat.endpoints hit, act.comp no cat.endpoints or cat.assoc hit, and
+    act.hom no mon.assoc hit.  Otherwise, and to locate the witness of a
     failure, the ascending scan over every instance runs.
     """
-    cat = xm.cat
-    out = _Collector()
-
-    for x, mon in enumerate(xm.fibers):
-        t = mon.table
-        for a in mon.elements():
-            if t[mon.unit][a] != a or t[a][mon.unit] != a:
-                out.hit("mon.unit", (x, a), f"unit not neutral on {a} in fiber {x}")
-                break
-        if not out.done("mon.assoc"):
-            witness = first_nonassociative(t, mon.generators)
-            if witness is not None:
-                out.hit("mon.assoc", (x, *witness), "fiber multiplication not associative")
-
-    comp = cat.compose_table
-    bad_endpoints = next(
-        ((a, b) for a in cat.morphisms() for b, v in enumerate(comp[a])
-         if v is not None and (cat.src[v] != cat.src[b] or cat.tgt[v] != cat.tgt[a])),
-        None,
-    )
-    for a in cat.morphisms():
-        ta, sa = cat.identity[cat.tgt[a]], cat.identity[cat.src[a]]
-        if comp[ta][a] != a or comp[a][sa] != a:
-            out.hit("cat.id", (a,), "identity morphism not neutral")
-            break
-    witness = first_nonassociative(comp, cat.generators if bad_endpoints is None else None)
-    if witness is not None:
-        out.hit("cat.assoc", witness, "composition not associative")
-    if bad_endpoints is not None:
-        out.hit("cat.endpoints", bad_endpoints, "composite has wrong endpoints")
-
-    act = xm.action
-    for x in cat.objects():
-        e = cat.identity[x]
-        for a in xm.fibers[x].elements():
-            if act[e][a] != a:
-                out.hit("act.id", (x, a), "identity morphism must act trivially")
-                break
-        if out.done("act.id"):
-            break
+    cat, fibers, act, bd = xm.cat, xm.fibers, xm.action, xm.boundary
+    comp, src, tgt, ident = cat.compose_table, cat.src, cat.tgt, cat.identity
+    mors = cat.morphisms()
+    nonassoc = [first_nonassociative(f.table, f.generators) for f in fibers]
+    endpoints = next(((a, b) for a in mors for b, v in enumerate(comp[a])
+                      if v is not None and (src[v] != src[b] or tgt[v] != tgt[a])), None)
+    cat_nonassoc = first_nonassociative(comp, cat.generators if endpoints is None else None)
     # With an associative category and well-typed composites, the b for
     # which act(a*b) == act(b) o act(a) holds for every a are closed under
     # composition, so the category generators decide the rule.
-    comp_gate = bad_endpoints is None and not out.done("cat.assoc") and all(
+    comp_holds = endpoints is None and cat_nonassoc is None and all(
         act[v] == tuple(map(act[b].__getitem__, act[a]))
-        for a in cat.morphisms()
-        for b in cat.generators
-        if (v := comp[a][b]) is not None
-    )
-    if not comp_gate:
-        witness = next(
-            ((a, b, m) for a in cat.morphisms() for b, v in enumerate(comp[a]) if v is not None
-             for m in xm.fibers[cat.tgt[a]].elements()
-             # a composite with wrong endpoints may not act on m at all
-             if m >= len(act[v]) or act[v][m] != act[b][act[a][m]]),
-            None,
-        )
-        if witness is not None:
-            out.hit("act.comp", witness, "action not functorial on a composite")
+        for a in mors for b in cat.generators if (v := comp[a][b]) is not None)
     # With associative fibers, the b for which f(a*b) == f(a)*f(b) holds for
     # every a are closed under products, so the fiber generators decide it.
-    hom_gate = not out.done("mon.assoc")
-    columns = [tuple(zip(*f.table)) for f in xm.fibers] if hom_gate else None
-    for m in cat.morphisms():
-        fib_t = xm.fibers[cat.tgt[m]]
-        fib_s = xm.fibers[cat.src[m]]
-        row = act[m]
-        if row[fib_t.unit] != fib_s.unit:
-            out.hit("act.hom", (m, fib_t.unit), "action does not preserve the unit")
-            break
-        if hom_gate:
-            cols_t, cols_s = columns[cat.tgt[m]], columns[cat.src[m]]
-            pick = itemgetter(*row)
-            if all(itemgetter(*cols_t[b])(row) == pick(cols_s[row[b]]) for b in fib_t.generators):
-                continue
-        witness = next(((a, b) for a in fib_t.elements() for b in fib_t.elements()
-                        if row[fib_t.mul(a, b)] != fib_s.mul(row[a], row[b])), None)
-        if witness is not None:
-            out.hit("act.hom", (m, *witness), "action not multiplicative")
-            break
+    columns = None if any(nonassoc) else [tuple(zip(*f.table)) for f in fibers]
 
-    for x in cat.objects():
-        mon = xm.fibers[x]
-        drow = xm.boundary[x]
-        one = cat.identity[x]
-        for a in mon.elements():
-            d = drow[a]
-            if cat.src[d] != x or cat.tgt[d] != x:
-                out.hit("cr1", (x, a), f"boundary of {a} is not an endomorphism of {x}")
-                break
-        if drow[mon.unit] != one and not out.done("cr1"):
-            out.hit("cr1", (x, mon.unit), "boundary of the unit is not the identity")
-        if not out.done("cr1"):
-            stop = False
-            for a in mon.elements():
-                for b in mon.elements():
-                    lhs = drow[mon.mul(a, b)]
-                    rhs = comp[drow[a]][drow[b]]
-                    if rhs is None or lhs != rhs:
-                        out.hit("cr1", (x, a, b), "boundary not multiplicative")
-                        stop = True
-                        break
-                if stop:
-                    break
-        if out.done("cr1"):
-            break
+    def act_hom():
+        for m in mors:
+            ft, fs, row = fibers[tgt[m]], fibers[src[m]], act[m]
+            if row[ft.unit] != fs.unit:
+                yield (m, ft.unit), "action does not preserve the unit"
+            if columns is not None:
+                cols_t, cols_s, pick = columns[tgt[m]], columns[src[m]], itemgetter(*row)
+                if all(itemgetter(*cols_t[b])(row) == pick(cols_s[row[b]]) for b in ft.generators):
+                    continue
+            yield from (((m, a, b), "action not multiplicative") for a in ft.elements() for b in ft.elements()
+                        if row[ft.table[a][b]] != fs.table[row[a]][row[b]])
 
-    for m in cat.morphisms():
-        s, t = cat.src[m], cat.tgt[m]
-        dmrow_s = xm.boundary[s]
-        dmrow_t = xm.boundary[t]
-        stop = False
-        for a in xm.fibers[t].elements():
-            lhs = comp[m][dmrow_s[act[m][a]]]
-            rhs = comp[dmrow_t[a]][m]
-            if lhs is None or rhs is None or lhs != rhs:
-                out.hit("cr2", (m, a), "equivariance fails")
-                stop = True
-                break
-        if stop:
-            break
+    def cr1():
+        for x, f in enumerate(fibers):
+            d = bd[x]
+            yield from (((x, a), f"boundary of {a} is not an endomorphism of {x}")
+                        for a in f.elements() if src[d[a]] != x or tgt[d[a]] != x)
+            if d[f.unit] != ident[x]:
+                yield (x, f.unit), "boundary of the unit is not the identity"
+            yield from (((x, a, b), "boundary not multiplicative") for a in f.elements() for b in f.elements()
+                        if d[f.table[a][b]] != comp[d[a]][d[b]])
 
-    for x in cat.objects():
-        mon = xm.fibers[x]
-        drow = xm.boundary[x]
-        stop = False
-        for a in mon.elements():
-            for b in mon.elements():
-                row = act[drow[b]]
-                if a >= len(row) or row[a] >= mon.size:
-                    # d(b) is not an endomorphism of x (see cr1), and a^d(b) is undefined
-                    out.hit("cr3", (x, a, b), f"exchange rule undefined: {drow[b]} does not act on fiber {x}")
-                    stop = True
-                    break
-                if mon.mul(a, b) != mon.mul(b, row[a]):
-                    lhs, rhs = mon.mul(a, b), mon.mul(b, row[a])
-                    out.hit("cr3", (x, a, b), f"exchange rule fails: {lhs} != {rhs}")
-                    stop = True
-                    break
-            if stop:
-                break
-        if stop:
-            break
+    def cr3():
+        for x, f in enumerate(fibers):
+            t = f.table
+            for a in f.elements():
+                for b, d in enumerate(bd[x]):
+                    if a >= len(act[d]) or act[d][a] >= f.size:
+                        # d(b) is not an endomorphism of x (see cr1), and a^d(b) is undefined
+                        yield (x, a, b), f"exchange rule undefined: {d} does not act on fiber {x}"
+                    elif t[a][b] != t[b][act[d][a]]:
+                        yield (x, a, b), f"exchange rule fails: {t[a][b]} != {t[b][act[d][a]]}"
 
-    return out.report()
+    return _report([
+        *[row for x, f in enumerate(fibers) for row in (
+            ("mon.unit", next((((x, a), f"unit not neutral on {a} in fiber {x}") for a in f.elements()
+                               if f.table[f.unit][a] != a or f.table[a][f.unit] != a), None)),
+            ("mon.assoc", nonassoc[x] and ((x, *nonassoc[x]), "fiber multiplication not associative")),
+        )],
+        ("cat.id", next((((a,), "identity morphism not neutral") for a in mors
+                         if comp[ident[tgt[a]]][a] != a or comp[a][ident[src[a]]] != a), None)),
+        ("cat.assoc", cat_nonassoc and (cat_nonassoc, "composition not associative")),
+        ("cat.endpoints", endpoints and (endpoints, "composite has wrong endpoints")),
+        ("act.id", next((((x, a), "identity morphism must act trivially") for x in cat.objects()
+                         for a in fibers[x].elements() if act[ident[x]][a] != a), None)),
+        ("act.comp", None if comp_holds else next(
+            (((a, b, m), "action not functorial on a composite")
+             for a in mors for b, v in enumerate(comp[a]) if v is not None
+             for m in fibers[tgt[a]].elements()
+             # a composite with wrong endpoints may not act on m at all
+             if m >= len(act[v]) or act[v][m] != act[b][act[a][m]]), None)),
+        ("act.hom", next(act_hom(), None)),
+        ("cr1", next(cr1(), None)),
+        ("cr2", next((((m, a), "equivariance fails") for m in mors for a in fibers[tgt[m]].elements()
+                      if (lhs := comp[m][bd[src[m]][act[m][a]]]) is None or lhs != comp[bd[tgt[m]][a]][m]),
+                     None)),
+        ("cr3", next(cr3(), None)),
+    ])
 
 
 @dataclass(frozen=True)
@@ -572,58 +502,28 @@ class Classification:
 def classify_structure(xm: CrossedMonoid) -> Classification:
     """Flags: groupoid? group fibers? cancellative fibers? injective action?
 
-    Assumes the crossed monoid already validated.  Witnesses are the first
-    counterexamples in ascending id order.
+    Assumes the crossed monoid already validated.  A flag holds when its
+    scan finds no counterexample; the witness of a failed flag is the first
+    counterexample in ascending id order.
     """
-    cat = xm.cat
-    witnesses: list[tuple[str, tuple]] = []
-
-    is_groupoid = True
-    for m, inv in enumerate(cat.morphism_inverse):
-        if inv is None:
-            is_groupoid = False
-            witnesses.append(("category_is_groupoid", (m,)))
-            break
-
-    fibers_are_groups = True
-    for x, mon in enumerate(xm.fibers):
-        bad = next((a for a, i in enumerate(mon.inverse) if i is None), None)
-        if bad is not None:
-            fibers_are_groups = False
-            witnesses.append(("fibers_are_groups", (x, bad)))
-            break
-
-    fibers_cancellative = True
-    for x, mon in enumerate(xm.fibers):
-        t, n = mon.table, mon.size
-        columns = tuple(zip(*t))
-        c = next((c for c in range(n) if len(set(t[c])) < n or len(set(columns[c])) < n), None)
-        if c is not None:
-            a, b = next((a, b) for a in range(n) for b in range(a + 1, n)
-                        if t[c][a] == t[c][b] or t[a][c] == t[b][c])
-            fibers_cancellative = False
-            witnesses.append(("fibers_cancellative", (x, c, a, b)))
-            break
-
-    action_injective = True
-    for m in cat.morphisms():
-        row = xm.action[m]
-        seen: dict[int, int] = {}
-        for a, v in enumerate(row):
-            if v in seen:
-                action_injective = False
-                witnesses.append(("action_injective", (m, seen[v], a)))
-                break
-            seen[v] = a
-        if not action_injective:
-            break
-
-    return Classification(
-        is_groupoid=is_groupoid,
-        fibers_are_groups=fibers_are_groups,
-        fibers_cancellative=fibers_cancellative,
-        action_injective=action_injective,
-        witnesses=tuple(witnesses),
+    fibers = xm.fibers
+    witnesses = {
+        "category_is_groupoid": next(((m,) for m, inv in enumerate(xm.cat.morphism_inverse) if inv is None), None),
+        "fibers_are_groups": next(((x, a) for x, f in enumerate(fibers)
+                                   for a, inv in enumerate(f.inverse) if inv is None), None),
+        # c is cancellable on both sides unless its row or its column repeats
+        "fibers_cancellative": next(
+            ((x, c, a, b) for x, f in enumerate(fibers) for c, row in enumerate(f.table)
+             if len(set(row)) < f.size or len(set(map(itemgetter(c), f.table))) < f.size
+             for a in f.elements() for b in range(a + 1, f.size)
+             if row[a] == row[b] or f.table[a][c] == f.table[b][c]), None),
+        "action_injective": next(((m, row.index(v), a) for m, row in enumerate(xm.action)
+                                  if len(set(row)) < len(row) for a, v in enumerate(row) if row.index(v) < a),
+                                 None),
+    }
+    return Classification(  # the four flags, in field order
+        *(w is None for w in witnesses.values()),
+        witnesses=tuple((name, w) for name, w in witnesses.items() if w is not None),
     )
 
 
@@ -631,8 +531,12 @@ def validate_xmorphism(src: CrossedMonoid, dst: CrossedMonoid, m: XMorphism) -> 
     """Check functoriality, fiber homomorphisms and both compatibility laws.
 
     Out-of-range object/morphism/element maps raise StructureError; genuine
-    equation failures come back as violations (mor.functor, mor.hom, mor1,
-    mor2).
+    equation failures come back as violations, in report order: mor.functor
+    (endpoints, then identities, then composites), mor.hom (per object, the
+    unit first), mor1 (the maps commute with the action) and mor2 (with the
+    boundaries).  The witness of a rule is its first failing instance in
+    ascending id order.  An instance that runs past the target's action
+    table, because the functor breaks endpoints, fails mor1.
     """
     scat, dcat = src.cat, dst.cat
     if len(m.obj_map) != scat.num_objects:
@@ -652,65 +556,37 @@ def validate_xmorphism(src: CrossedMonoid, dst: CrossedMonoid, m: XMorphism) -> 
         if any(not 0 <= v < limit for v in row):
             raise StructureError(f"fiber map {x} hits an element outside the target fiber")
 
-    out = _Collector()
-    F, f = m.mor_map, m.fiber_maps
+    O, F, f = m.obj_map, m.mor_map, m.fiber_maps
 
-    for a in scat.morphisms():
-        if dcat.src[F[a]] != m.obj_map[scat.src[a]] or dcat.tgt[F[a]] != m.obj_map[scat.tgt[a]]:
-            out.hit("mor.functor", (a,), "functor breaks endpoints")
-            break
-    for x in scat.objects():
-        if F[scat.identity[x]] != dcat.identity[m.obj_map[x]]:
-            out.hit("mor.functor", (x,), "functor breaks an identity")
-            break
-    for a in scat.morphisms():
-        if out.done("mor.functor"):
-            break
-        for b in scat.morphisms():
-            v = scat.compose_table[a][b]
-            if v is None:
-                continue
-            if dcat.compose_table[F[a]][F[b]] != F[v]:
-                out.hit("mor.functor", (a, b), "functor breaks a composite")
-                break
+    def hom():
+        for x, row in enumerate(f):
+            ms, md = src.fibers[x], dst.fibers[O[x]]
+            if row[ms.unit] != md.unit:
+                yield (x, ms.unit), "fiber map breaks the unit"
+            yield from (((x, a, b), "fiber map not multiplicative") for a in ms.elements() for b in ms.elements()
+                        if row[ms.table[a][b]] != md.table[row[a]][row[b]])
 
-    for x in scat.objects():
-        mon_s = src.fibers[x]
-        mon_d = dst.fibers[m.obj_map[x]]
-        row = f[x]
-        if row[mon_s.unit] != mon_d.unit:
-            out.hit("mor.hom", (x, mon_s.unit), "fiber map breaks the unit")
-        stop = False
-        for a in mon_s.elements():
-            for b in mon_s.elements():
-                if row[mon_s.mul(a, b)] != mon_d.mul(row[a], row[b]):
-                    out.hit("mor.hom", (x, a, b), "fiber map not multiplicative")
-                    stop = True
-                    break
-            if stop:
-                break
-        if stop:
-            break
+    def mor1():
+        for a in scat.morphisms():
+            s, t, row = scat.src[a], scat.tgt[a], dst.action[F[a]]
+            for v, w in enumerate(f[t]):
+                if w >= len(row):
+                    yield (a, v), f"action undefined: {F[a]} does not act on fiber {O[t]}"
+                elif f[s][src.action[a][v]] != row[w]:
+                    yield (a, v), "fiber maps do not commute with the action"
 
-    for a in scat.morphisms():
-        s, t = scat.src[a], scat.tgt[a]
-        stop = False
-        for v in src.fibers[t].elements():
-            if f[s][src.act(a, v)] != dst.act(F[a], f[t][v]):
-                out.hit("mor1", (a, v), "fiber maps do not commute with the action")
-                stop = True
-                break
-        if stop:
-            break
-
-    for x in scat.objects():
-        stop = False
-        for a in src.fibers[x].elements():
-            if F[src.boundary[x][a]] != dst.boundary[m.obj_map[x]][f[x][a]]:
-                out.hit("mor2", (x, a), "boundaries do not commute with the map")
-                stop = True
-                break
-        if stop:
-            break
-
-    return out.report()
+    functor = chain(
+        (((a,), "functor breaks endpoints") for a in scat.morphisms()
+         if dcat.src[F[a]] != O[scat.src[a]] or dcat.tgt[F[a]] != O[scat.tgt[a]]),
+        (((x,), "functor breaks an identity") for x in scat.objects() if F[scat.identity[x]] != dcat.identity[O[x]]),
+        (((a, b), "functor breaks a composite") for a in scat.morphisms()
+         for b, v in enumerate(scat.compose_table[a]) if v is not None and dcat.compose_table[F[a]][F[b]] != F[v]),
+    )
+    return _report([
+        ("mor.functor", next(functor, None)),
+        ("mor.hom", next(hom(), None)),
+        ("mor1", next(mor1(), None)),
+        ("mor2", next((((x, a), "boundaries do not commute with the map") for x in scat.objects()
+                       for a in src.fibers[x].elements() if F[src.boundary[x][a]] != dst.boundary[O[x]][f[x][a]]),
+                      None)),
+    ])

@@ -10,9 +10,9 @@ from xnerve.algebra import (
     CrossedMonoid,
     FiniteCategory,
     FiniteMonoid,
+    ValidationReport,
     Violation,
     XMorphism,
-    _Collector,
     classify_structure,
     generating_set,
     identity_xmorphism,
@@ -200,6 +200,26 @@ def test_crossed_monoid_shape_errors():
 # The validator, the classifier and GroupPresentation.verify as they were
 # before the generator-reduced scans: every instance of every rule, in
 # ascending order.  The fast versions must agree with them exactly.
+
+
+class _Collector:
+    """Gathers at most one (lexicographically first) witness per axiom id."""
+
+    def __init__(self):
+        self._seen: dict[str, Violation] = {}
+
+    def hit(self, axiom: str, witness: tuple, detail: str = "") -> bool:
+        """Record a violation; returns True if this axiom already had one."""
+        if axiom in self._seen:
+            return True
+        self._seen[axiom] = Violation(axiom, witness, detail)
+        return False
+
+    def done(self, axiom: str) -> bool:
+        return axiom in self._seen
+
+    def report(self) -> ValidationReport:
+        return ValidationReport(tuple(self._seen.values()))
 
 
 def ref_validate(xm: CrossedMonoid):
@@ -770,12 +790,21 @@ def ref_validate_xmorphism(src: CrossedMonoid, dst: CrossedMonoid, m: XMorphism)
 def _outcome(check, *args):
     try:
         return check(*args)
-    except (StructureError, IndexError) as exc:
+    except StructureError as exc:
         return type(exc), str(exc)
 
 
 def assert_morphism_matches_reference(src: CrossedMonoid, dst: CrossedMonoid, m: XMorphism) -> None:
-    assert _outcome(validate_xmorphism, src, dst, m) == _outcome(ref_validate_xmorphism, src, dst, m)
+    try:
+        expected = _outcome(ref_validate_xmorphism, src, dst, m)
+    except IndexError:
+        # The full scan evaluates the target's action on the image of every
+        # element, and crashes where a morphism's image acts on another fiber.
+        # The check must report such a morphism instead.
+        axioms = validate_xmorphism(src, dst, m).axioms()
+        assert "mor.functor" in axioms and "mor1" in axioms, axioms
+    else:
+        assert _outcome(validate_xmorphism, src, dst, m) == expected
 
 
 def _morphism_sites(xm: CrossedMonoid) -> dict:
@@ -830,3 +859,17 @@ def test_morphism_check_matches_reference_on_every_single_entry(name):
             for value in values:
                 assert_morphism_matches_reference(xm, xm, _corrupt_morphism(identity_xmorphism(xm), kind,
                                                                             tuple(site), value))
+
+
+def test_ill_typed_morphism_map_is_reported_not_raised():
+    union = BUILT["union_f6_idempotent"]  # fibers of sizes 3 and 2
+    m = identity_xmorphism(union)
+    m = dataclasses.replace(m, mor_map=(2,) + m.mor_map[1:])  # object 1's identity
+    with pytest.raises(IndexError):
+        ref_validate_xmorphism(union, union, m)
+    report = validate_xmorphism(union, union, m)
+    # the boundary of object 0 is morphism 0 too, so mor2 fails as well
+    assert report.axioms() == ("mor.functor", "mor1", "mor2")
+    assert report.find("mor.functor") == Violation("mor.functor", (0,), "functor breaks endpoints")
+    # 2 acts on the 2-element fiber 1 only, so the instance (0, 2) is undefined
+    assert report.find("mor1") == Violation("mor1", (0, 2), "action undefined: 2 does not act on fiber 0")
