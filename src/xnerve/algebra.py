@@ -350,7 +350,7 @@ def identity_xmorphism(xm: CrossedMonoid) -> XMorphism:
     )
 
 
-def _report(rows) -> ValidationReport:
+def _report(rows: Iterable[tuple[str, tuple[tuple, str] | None]]) -> ValidationReport:
     """The first hit of each rule, in the order the rows find them.
 
     ``rows`` are ``(rule, hit)`` pairs in report order, where ``hit`` is
@@ -513,10 +513,10 @@ def classify_structure(xm: CrossedMonoid) -> Classification:
                                    for a, inv in enumerate(f.inverse) if inv is None), None),
         # c is cancellable on both sides unless its row or its column repeats
         "fibers_cancellative": next(
-            ((x, c, a, b) for x, f in enumerate(fibers) for c, row in enumerate(f.table)
-             if len(set(row)) < f.size or len(set(map(itemgetter(c), f.table))) < f.size
-             for a in f.elements() for b in range(a + 1, f.size)
-             if row[a] == row[b] or f.table[a][c] == f.table[b][c]), None),
+            ((x, c, a, b) for x, f in enumerate(fibers)
+             for c, (row, col) in enumerate(zip(f.table, zip(*f.table)))
+             if len(set(row)) < f.size or len(set(col)) < f.size
+             for a in f.elements() for b in range(a + 1, f.size) if row[a] == row[b] or col[a] == col[b]), None),
         "action_injective": next(((m, row.index(v), a) for m, row in enumerate(xm.action)
                                   if len(set(row)) < len(row) for a, v in enumerate(row) if row.index(v) < a),
                                  None),
