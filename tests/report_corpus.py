@@ -1,7 +1,7 @@
 """The CLI report corpus: argv, exit code, stdout, stderr and the ``--json``
-document of the ``validate``, ``classify``, ``kan``, ``coskeletal``, ``fill``
-and ``homotopy`` commands on the fixtures at small dimensions, including
-``--max-cells`` values that trip the level and join-stage budgets.
+document of every command on the fixtures at small dimensions, including
+``--max-cells`` values that trip the level, join-stage and enumerate
+budgets.
 
 ``tests/test_report_corpus.py`` compares every entry byte for byte.  An
 intended report change is a re-record, whose diff is reviewed:
@@ -52,6 +52,15 @@ def _union_two_faults():
     return dataclasses.replace(union, fibers=(z3, pair))
 
 
+def _pair_composite(i: int, j: int, value: int):
+    """``pair_groupoid_z3`` with ``compose[i][j] = value``."""
+    pair = fixtures.pair_groupoid_z3()
+    table = [list(row) for row in pair.cat.compose_table]
+    table[i][j] = value
+    cat = dataclasses.replace(pair.cat, compose_table=tuple(map(tuple, table)))
+    return dataclasses.replace(pair, cat=cat)
+
+
 INPUTS = {
     "trivial": fixtures.trivial_point,
     "z2": fixtures.group_z2,
@@ -67,6 +76,10 @@ INPUTS = {
     "union": _union,
     "union_ill_typed": _union_ill_typed,
     "union_two_faults": _union_two_faults,
+    # composites that leave their hom-set: the rank audit raises and re-runs
+    # cell by cell
+    "pair_compose_1_2": lambda: _pair_composite(1, 2, 1),
+    "pair_compose_2_0": lambda: _pair_composite(2, 0, 3),
 }
 
 # Per input: the commands run on every input, then the larger or budgeted
@@ -78,6 +91,8 @@ _EVERY = (
     ("coskeletal", "--dims", "2..3"),
     ("fill", "--dims", "2..3"),
     ("homotopy", "--pi", "0,1"),
+    ("audit", "--dims", "0..2"),
+    ("enumerate", "--dims", "0..2"),
 )
 _MORE = {
     "z2": [
@@ -99,6 +114,8 @@ _MORE = {
         ("kan", "--dims", "3..3", "--max-cells", "216"),
         ("coskeletal", "--dims", "3..3", "--max-cells", "216"),
         ("fill", "--dims", "3..3", "--max-cells", "216"),
+        # level(3) has 216 cells: refused
+        ("enumerate", "--dims", "3", "--max-cells", "100"),
     ],
     "f6": [
         ("kan", "--dims", "4..4"),
@@ -125,13 +142,18 @@ _MORE = {
     ],
     "union": [("kan", "--dims", "3..3"), ("coskeletal", "--dims", "3..4"), ("homotopy",)],
 }
+# Inputs run on their own commands only.
+_ONLY = {
+    "pair_compose_1_2": [("audit", "--dims", "0..3")],
+    "pair_compose_2_0": [("audit", "--dims", "0..3")],
+}
 
 
 def cases() -> list[list[str]]:
     """Every argv of the corpus, the input path relative to ``REPORTS``."""
     out = []
     for name in INPUTS:
-        for command, *rest in (*_EVERY, *_MORE.get(name, ())):
+        for command, *rest in _ONLY.get(name) or (*_EVERY, *_MORE.get(name, ())):
             out.append([command, f"inputs/{name}.json", *rest])
     return out
 
