@@ -5,9 +5,9 @@ once: a horn is one position of n columns of face ranks, one column per
 present slot, as ``horns(...).columns`` gives them, and the fillers come
 back as a column of ranks.  Every step is a column operation: face rows
 from ``Nerve.faces_of``, corners from ``Nerve.corners``, cells from
-``Nerve.assemble_ids``.  ``fill_ids`` is one horn, a column of one, and
-``fill`` is the cell form: ranks carry no dimension, so it refuses faces
-that are not (n-1)-cells, then converts with ``rank_of`` and ``cell_at``.
+``Nerve.assemble_ids``.  ``fill`` is one horn given as cells, a column of
+one: ranks carry no dimension, so it refuses faces that are not
+(n-1)-cells, then converts with ``rank_of`` and ``cell_at``.
 Dimension 2 fills by groupoid inverses with a unit corner.  Every
 dimension n >= 3 collapses the horn one level with beta, rebuilds the
 missing face from that boundary, and assembles the filler through the
@@ -99,17 +99,11 @@ class HornFiller:
 
     def fill(self, h: HornTuple) -> NerveCell:
         """The filler of a horn given as cells, which must be of dimension
-        n-1: converted to ranks, filled by ``fill_ids`` and decoded."""
+        n-1: converted to ranks, filled as columns of one and decoded."""
         n, nv = h.dim, self.nerve
         if any(f.dim != n - 1 for f in h.faces):
             raise CompatibilityError(f"a horn of dimension {n} has faces of dimension {n - 1}")
-        return nv.cell_at(n, self.fill_ids(n, h.omitted, [nv.rank_of(f) for f in h.faces]))
-
-    def fill_ids(self, n: int, l: int, faces: Sequence[int]) -> int:
-        """Rank of the filler of the dimension-n horn whose present faces,
-        in slot order with slot l omitted, have the ranks ``faces``: a
-        column of one of ``fill_columns``."""
-        return self.fill_columns(n, l, [[f] for f in faces])[0]
+        return nv.cell_at(n, self.fill_columns(n, h.omitted, [[nv.rank_of(f)] for f in h.faces])[0])
 
     def fill_columns(self, n: int, l: int, columns: Sequence[Sequence[int]]) -> list[int]:
         """Ranks of the fillers of the dimension-n horns with slot l omitted
@@ -139,14 +133,13 @@ class HornFiller:
         """``fill_columns`` on one column, refused as a whole; face rows that
         no built level holds are kept in one memo for the column."""
         nv, memo = self.nerve, {}
-        ranks = list(itertools.chain.from_iterable(faces))
+        # the face rows of all n columns in one call, then cut per column
         try:
-            nv._check_ranks(n - 1, ranks)
+            every = nv.faces_of(n - 1, list(itertools.chain.from_iterable(faces)), memo)
         except IndexError as e:
             raise CompatibilityError(f"face rank {e.args[0]} is not one of the {nv.count_cells(n - 1)} "
                                      f"cells of dimension {n - 1}") from None
-        # the face rows of all n columns in one call, then cut per column
-        every, width = nv.faces_of(n - 1, ranks, memo), len(faces[0])
+        width = len(faces[0])
         rows = [every[a * width:(a + 1) * width] for a in range(n)]
         slots = [k for k in range(n + 1) if k != l]
         for a, j in enumerate(slots):

@@ -28,17 +28,18 @@ unit column at j+1 above row j+1, a fresh row (1_{x_j}, e, ..., e) at j+1,
 and shifts the lower rows one step south-east (the insertion is skipped for
 j = 0, the shift for j = n).
 
-A cell's rank is its position in ``cells(n)``.  ``cell_at`` and ``rank_of``
-convert.  The corner bijection ``M <-> (d_0 M, d_n M, m[1][n])``, n >= 2, and
-its closed inner-face formulas work on columns of ranks alone, in any
-dimension, with no cell built: ``faces_of``, ``assemble_ids`` and
-``corners``, and one rank at a time ``face_ids``, ``assemble_id`` and
-``corner_at``.  One routine, ``_block_faces``, holds the face formulas for
-whole levels (``face_rows``) and for chosen ranks.  On ranks, s_j
-is digit insertion: s_j c keeps every digit of c's rank and adds fixed
-digits for the identity and the fiber units (``rank_maps``, for the identity
-audit).  On cells, ``face``, ``degeneracy``, ``eta`` and ``corner_assemble``
-are the matrix definitions the rank forms are tested against.
+A cell's rank is its position in ``cells(n)``: within its block, the
+mixed-radix number whose digits are its entries.  ``cell_at`` and
+``rank_of`` convert.  Everything else works on columns of ranks, in any
+dimension, with no cell built, by digit arithmetic: the corner bijection
+``M <-> (d_0 M, d_n M, m[1][n])``, n >= 2, and its closed inner-face
+formulas (``faces_of``, ``assemble_ids``, ``corners``), and the identity
+audit's maps (``rank_maps``), where s_j is digit insertion: s_j c keeps
+every digit of c's rank and adds fixed digits for the identity and the
+fiber units.  One routine, ``_block_faces``, holds the face formulas for
+whole levels (``face_rows``) and for chosen ranks.  On cells, ``face``,
+``degeneracy``, ``eta`` and ``corner_assemble`` are the matrix definitions
+the rank forms are tested against.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from operator import getitem, itemgetter
 from typing import Iterator, NamedTuple, Sequence
 
 from .algebra import CrossedMonoid, XMorphism
-from .columns import RankMaps, _keep_runs, _spell
 from .errors import CellError, CompatibilityError, DEFAULT_CAPACITY
 from .simplicial import LevelProvider
 
@@ -367,28 +367,22 @@ class Nerve(LevelProvider):
             r = r * len(dom) + dom.index(v)
         return blk.start + r
 
-    def corner_at(self, n: int, r: int) -> int:
-        """Corner, entry (1, n), of the n-cell of rank r, n >= 2."""
-        return self.corners(n, [r])[0]
-
     def corners(self, n: int, ranks: Sequence[int]) -> list[int]:
-        """``corner_at`` of every rank in ``ranks``."""
+        """Corner, entry (1, n), of the n-cell of every rank in ``ranks``,
+        n >= 2."""
         if n < 2:
             raise CompatibilityError("corner splitting needs dimension >= 2")
         blocks, where = self._dim(n), self._block_indices(n, ranks)
         glues = {b: self._glue_of(blocks[b]) for b in set(where)}
         return [(r - g[0]) // g[2] % g[5] for r, g in zip(ranks, map(glues.__getitem__, where))]
 
-    def assemble_id(self, n: int, first: int, last: int, corner: int) -> int:
-        """Rank form of ``corner_assemble``: the rank of the n-cell, n >= 2,
-        with first face, last face and corner ``(first, last, corner)``,
-        the faces given as ranks.  Their overlap is not compared; only a
-        pair with no common object sequence is refused."""
-        return self.assemble_ids(n, [first], [last], [corner])[0]
-
     def assemble_ids(self, n: int, firsts: Sequence[int], lasts: Sequence[int], corners: Sequence[int]) -> list[int]:
-        """``assemble_id`` of every (first, last, corner) of three equally
-        long columns; the first refused triple raises."""
+        """Rank form of ``corner_assemble``: the rank of the n-cell, n >= 2,
+        with first face, last face and corner ``(first, last, corner)``, for
+        every triple of three equally long columns, the faces given as
+        ranks.  Their overlap is not compared; only a pair with no common
+        object sequence, or a corner outside its fiber, is refused, the
+        first refused triple raising."""
         if n < 2:
             raise CompatibilityError("corner splitting needs dimension >= 2")
         blocks = self._dim(n - 1)
@@ -436,11 +430,6 @@ class Nerve(LevelProvider):
                                        self.xm.fibers[seq[1]].size)
         return glue
 
-    def face_ids(self, n: int, r: int) -> tuple[int, ...]:
-        """Ranks of d_0 .. d_n of the n-cell of rank r, n >= 1, in any
-        dimension: ``faces_of`` on a column of one."""
-        return self.faces_of(n, [r])[0]
-
     def faces_of(self, n: int, ranks: Sequence[int], memo: dict | None = None) -> list[tuple[int, ...]]:
         """Face row (rank of d_0 c, ..., rank of d_n c) of the n-cell c of
         every rank in ``ranks``, n >= 1, in any dimension.  A built level is
@@ -478,7 +467,7 @@ class Nerve(LevelProvider):
     def _plan_of(self, n: int, blk: _Block) -> tuple:
         """What ``_block_faces`` reads for one block of dimension n >= 1,
         made once: the block of d_0, the start of d_n's block, the digit
-        runs (``columns._keep_runs``) of the ranks of d_0 and d_n, and the
+        runs (``_keep_runs``) of the ranks of d_0 and d_n, and the
         tables and digit runs the inner faces need: for n = 2 those of the
         composite diagonal, for n >= 3 the fiber product over x1, d_1's
         corner maps by row-2 value (each made on first use, then kept) and
@@ -534,7 +523,7 @@ class Nerve(LevelProvider):
         n >= 1, given the block's ``_plan_of``, ``digits(runs, start=0)``:
         per cell, ``start`` plus the image of its index in the block under
         the digit runs ``runs`` of the plan (``_ranks`` for the whole block,
-        ``columns._spell`` for chosen cells), and ``below(ranks)``: the face
+        ``_spell`` for chosen cells), and ``below(ranks)``: the face
         rows of (n-1)-cells, read for n >= 3.
 
         d_0 deletes row 1, so its rank keeps the digits of rows 2 .. n; d_n
@@ -567,10 +556,10 @@ class Nerve(LevelProvider):
                 inner.append(list(map(_glue, itertools.repeat(glue), fs, ls, cs)))
         return [first, *inner, last]
 
-    def rank_maps(self, maxdim: int) -> RankMaps:
+    def rank_maps(self, maxdim: int) -> _RankMaps:
         """Face and degeneracy maps on rank columns, for ``audit_simplicial``
         up to dimension ``maxdim``."""
-        return RankMaps(self, maxdim)
+        return _RankMaps(self, maxdim)
 
 
 class _Twists(dict):
@@ -599,7 +588,7 @@ class _Twists(dict):
 
 def _ranks(size: int, runs: Sequence[Sequence[int]], start: int = 0) -> list[int]:
     """``start`` plus the image of every index 0 .. ``size``-1 of a block
-    under the digit runs ``runs`` of ``columns._digit_runs``, built in
+    under the digit runs ``runs`` of ``_digit_runs``, built in
     index order; the runs must keep their digits in order."""
     col, below = [start], 1
     for weight, span, new in runs:
@@ -607,6 +596,173 @@ def _ranks(size: int, runs: Sequence[Sequence[int]], start: int = 0) -> list[int
         col = [d * new + r for d in range(span) for r in col]
         below = weight * span
     col *= size // below
+    return col
+
+
+# Cells per rank column of the identity audit: the audit's memory beyond the
+# level tables grows with this, not with the level.
+AUDIT_CHUNK = 2048
+
+
+class _Column(list):
+    """Ranks of cells of one block of dimension ``dim``, as ``_RankMaps``
+    passes them between maps; ``faces`` keeps the rank lists of all faces
+    once the face formulas have made them."""
+
+    __slots__ = ("dim", "blk", "faces")
+
+    def __init__(self, dim: int, blk: _Block, ranks: Sequence[int]):
+        super().__init__(ranks)
+        self.dim, self.blk = dim, blk
+        self.faces: list[list[int]] | None = None
+
+
+class _RankMaps:
+    """The identity audit's face and degeneracy maps on rank columns of one
+    nerve, up to dimension ``maxdim``.  A column holds cells of one block,
+    and so does each of its faces and degeneracies.  ``chunks(n)`` builds
+    the levels n and below, and n+1 below ``maxdim`` when it is within the
+    budget, and cuts each block of dimension n into columns of at most
+    ``AUDIT_CHUNK`` cells.
+
+    * d_i reads the face table of the column's dimension where the nerve
+      has built it.  Otherwise, for degenerate (n+1)-cells, it applies the
+      face formulas of ``Nerve._block_faces`` to the column's indices.
+    * s_j is digit insertion.  s_j c repeats x_j, adds a row (1_{x_j}, e,
+      ..., e) and a unit column, and every entry of c keeps its digit, as
+      its hom-set or fiber is the same (Duskin, "Simplicial matrices and the
+      nerves of weak n-categories I", TAC 9, 2002).  So the index of s_j c
+      in its block is a constant plus runs of c's index digits moved to new
+      places.  On faces of the cells under audit it reads a table of s_j on
+      the whole level n-1.
+
+    A face that is not a cell raises KeyError or CompatibilityError."""
+
+    def __init__(self, nv: Nerve, maxdim: int):
+        self.nv, self.maxdim = nv, maxdim
+        self.dim = -1
+        self.degeneracy_tables: dict[int, list[int]] = {}
+        self._plans: dict[tuple[tuple[int, ...], int], tuple[_Block, int, list[list[int]]]] = {}
+
+    def chunks(self, n: int) -> Iterator[_Column]:
+        nv = self.nv
+        self.dim = n
+        nv.level(n)
+        if n < self.maxdim and nv.count_cells(n + 1) <= nv.cap:
+            nv.level(n + 1)
+        self.degeneracy_tables = {}
+        for blk in nv._dim(n):
+            end = blk.start + blk.size
+            for lo in range(blk.start, end, AUDIT_CHUNK):
+                yield _Column(n, blk, range(lo, min(lo + AUDIT_CHUNK, end)))
+
+    def face(self, col: _Column, i: int) -> _Column:
+        m, blk, nv = col.dim, col.blk, self.nv
+        table = nv.built(m)
+        if table is not None:
+            ranks = [table[r][i] for r in col]
+        else:
+            if col.faces is None:
+                plan = nv._plan_of(m, blk)
+                digits = partial(_spell, [r - blk.start for r in col])
+                col.faces = nv._block_faces(m, plan, digits, partial(map, nv.built(m - 1).__getitem__))
+            ranks = col.faces[i]
+        return _Column(m - 1, nv._block_of[blk.seq[:i] + blk.seq[i + 1:]], ranks)
+
+    def degeneracy(self, col: _Column, j: int) -> _Column:
+        if col.dim < self.dim:  # faces of the cells under audit: s_j of the whole level below, once
+            table = self.degeneracy_tables.get(j)
+            if table is None:
+                table = self.degeneracy_tables[j] = [
+                    r for blk in self.nv._dim(col.dim) for r in self._degenerate(blk, range(blk.size), j)]
+            ranks = [table[r] for r in col]
+        else:
+            ranks = self._degenerate(col.blk, [r - col.blk.start for r in col], j)
+        return _Column(col.dim + 1, self._plan(col.blk, j)[0], ranks)
+
+    def _degenerate(self, blk: _Block, idxs: Sequence[int], j: int) -> list[int]:
+        """Ranks of s_j of the cells of ``blk`` with indices ``idxs``."""
+        new, const, runs = self._plan(blk, j)
+        return _spell(idxs, runs, new.start + const)
+
+    def _plan(self, blk: _Block, j: int) -> tuple[_Block, int, list[list[int]]]:
+        """(block, constant, digit runs) of s_j on one block of dimension n:
+        s_j c lies in the block of c's object sequence with x_j repeated,
+        and its index there is the constant, the inserted identity and
+        units, plus the image of c's index under the runs."""
+        plan = self._plans.get((blk.seq, j))
+        if plan is None:
+            nv, seq, n = self.nv, blk.seq, len(blk.seq) - 1
+            xm = nv.xm
+            nv._dim(n + 1)
+            new = nv._block_of[seq[:j + 1] + seq[j:]]
+
+            def pos(i: int, c: int) -> int:
+                """Flat position of matrix entry (i, c) in dimension n + 1."""
+                return (i - 1) * (2 * n + 4 - i) // 2 + c - i
+
+            dest = [pos(i, c + (c > j)) if i <= j else pos(i + 1, c + 1)
+                    for i in range(1, n + 1) for c in range(i, n + 1)]
+            fixed = [(pos(i, j + 1), xm.fibers[seq[i]].unit) for i in range(1, j + 1)]
+            fixed.append((pos(j + 1, j + 1), new.domains[pos(j + 1, j + 1)].index(xm.cat.identity[seq[j]])))
+            fixed.extend((pos(j + 1, c), xm.fibers[seq[j]].unit) for c in range(j + 2, n + 2))
+            new_lens = [len(dom) for dom in new.domains]
+            weights = _weights(new_lens)
+            const = sum(digit * weights[q] for q, digit in fixed)
+            runs = _digit_runs([len(dom) for dom in blk.domains], dest, new_lens)
+            plan = self._plans[blk.seq, j] = (new, const, runs)
+        return plan
+
+    def cell(self, col: _Column, pos: int) -> NerveCell:
+        return self.nv.cell_at(col.dim, col[pos])
+
+
+def _keep_runs(lens: Sequence[int], keep: set[int]) -> list[list[int]]:
+    """The digit runs of ``_digit_runs`` that spell, from a number of the
+    mixed radix ``lens``, the number its digits at the positions in
+    ``keep`` make in their own mixed radix."""
+    kept = sorted(keep)
+    dest = [kept.index(p) if p in keep else None for p in range(len(lens))]
+    return _digit_runs(lens, dest, [lens[p] for p in kept])
+
+
+def _digit_runs(lens: Sequence[int], dest: Sequence[int | None], new_lens: Sequence[int]) -> list[list[int]]:
+    """The map that moves digit p of the mixed radix ``lens`` to position
+    ``dest[p]`` of the radix ``new_lens`` (None drops it), as runs
+    [weight, span, new weight] of digits that stay adjacent: a number's
+    image is the sum over runs of number // weight % span * new weight."""
+    weights, new_weights = _weights(lens), _weights(new_lens)
+    runs: list[list[int]] = []
+    prev = None
+    for p in range(len(lens) - 1, -1, -1):
+        q = dest[p]
+        if q is not None:
+            if prev == (p + 1, q + 1):
+                runs[-1][1] *= lens[p]
+            else:
+                runs.append([weights[p], lens[p], new_weights[q]])
+            prev = (p, q)
+    return runs
+
+
+def _weights(lens: Sequence[int]) -> list[int]:
+    """The place value of every digit of the mixed radix ``lens``."""
+    out, weight = [], 1
+    for size in reversed(lens):
+        out.append(weight)
+        weight *= size
+    return out[::-1]
+
+
+def _spell(idxs: Sequence[int], runs: Sequence[Sequence[int]], const: int = 0) -> list[int]:
+    """``const`` plus the image of every number in ``idxs`` under the digit
+    map ``runs`` of ``_digit_runs``."""
+    if not runs:
+        return [const] * len(idxs)
+    weight, span, new = runs[0]
+    col = [const + i // weight % span * new for i in idxs]
+    for weight, span, new in runs[1:]:
+        col = [c + i // weight % span * new for c, i in zip(col, idxs)]
     return col
 
 

@@ -120,8 +120,8 @@ class PerCellRanks(LevelProvider):
 
 class ReferenceFiller:
     """The per-horn filler: one horn at a time, through the nerve's
-    one-rank ``face_ids``, ``corner_at`` and ``assemble_id``, with face rows
-    kept per rank.  The reference for ``HornFiller.fill_columns``: the same
+    ``faces_of``, ``corners`` and ``assemble_ids`` on columns of one, with
+    face rows kept per rank.  The reference for ``HornFiller.fill_columns``: the same
     fillers, and on a refused horn the same error."""
 
     def __init__(self, nerve):
@@ -132,7 +132,7 @@ class ReferenceFiller:
     def face_ids(self, n, r):
         row = self.rows.get((n, r))
         if row is None:
-            row = self.rows[n, r] = self.nerve.face_ids(n, r)
+            row = self.rows[n, r] = self.nerve.faces_of(n, [r])[0]
         return row
 
     def _act_inv(self, g, a):
@@ -186,7 +186,7 @@ class ReferenceFiller:
             lower, upper = f, cat.compose(g, self._mor_inverse(f))
         else:
             lower, upper = cat.compose(self._mor_inverse(g), f), g
-        filler = nv.assemble_id(2, nv.mor_rank[lower], nv.mor_rank[upper], self.xm.fibers[cat.src[upper]].unit)
+        [filler] = nv.assemble_ids(2, [nv.mor_rank[lower]], [nv.mor_rank[upper]], [self.xm.fibers[cat.src[upper]].unit])
         row = self.face_ids(2, filler)
         for slot, expected in zip(slots, faces):
             if row[slot] != expected:
@@ -200,7 +200,7 @@ class ReferenceFiller:
         nv = self.nerve
         g = nv.mor_at[beta[0] if l == 3 else rows[-1][0]]
         x1, x2 = self.xm.cat.tgt[g], self.xm.cat.src[g]
-        c = [nv.corner_at(2, f) for f in faces]
+        c = nv.corners(2, faces)
         c.insert(l, None)
         mul, act, inv = self._mul, self.xm.action[g], self._inv
         if l == 0:
@@ -211,23 +211,23 @@ class ReferenceFiller:
             corner = self._act_inv(g, mul(x2, act[c[3]], c[1], inv(x2, c[0])))
         else:
             corner = self._act_inv(g, mul(x2, act[c[2]], c[0], inv(x2, c[1])))
-        return nv.assemble_id(2, beta[0], beta[2], corner)
+        return nv.assemble_ids(2, [beta[0]], [beta[2]], [corner])[0]
 
     def _cell_with_boundary(self, n, faces):
         nv = self.nerve
         face_ids = self.face_ids
         if n == 3:
-            c = [nv.corner_at(2, f) for f in faces]
+            c = nv.corners(2, faces)
             g = nv.mor_at[face_ids(2, faces[3])[0]]
             if not _image_rule(self.xm, g, c):
                 raise CompatibilityError("boundary tuple fails eq:image")
             x1 = self.xm.cat.tgt[g]
             corner = self._mul(x1, self._inv(x1, c[3]), c[2])
         else:
-            corner = nv.corner_at(n - 1, faces[2])
+            [corner] = nv.corners(n - 1, [faces[2]])
         if face_ids(n - 1, faces[0])[n - 1] != face_ids(n - 1, faces[-1])[0]:
             raise CompatibilityError("faces do not overlap: d_{n-1}(first) != d_0(last)")
-        cell = nv.assemble_id(n, faces[0], faces[-1], corner)
+        [cell] = nv.assemble_ids(n, [faces[0]], [faces[-1]], [corner])
         for j, (got, expected) in enumerate(zip(face_ids(n, cell), faces)):
             if got != expected:
                 raise CompatibilityError(f"boundary reconstruction failed at face {j}")

@@ -53,19 +53,20 @@ def test_criterion_02_corner_bijection_roundtrips():
     for build in (F2, F4, F6):
         nv = Nerve(build())
         for n in (2, 3, 4):
-            for r, cell in enumerate(nv.cells(n)):
-                row = nv.face_ids(n, r)
-                exact = exact and nv.assemble_id(n, row[0], row[n], nv.corner_at(n, r)) == r
+            ranks = range(nv.count_cells(n))
+            rows = nv.faces_of(n, ranks)
+            firsts, lasts = [row[0] for row in rows], [row[n] for row in rows]
+            exact = exact and nv.assemble_ids(n, firsts, lasts, nv.corners(n, ranks)) == list(ranks)
+            for cell in nv.cells(n):
                 exact = exact and nv.corner_assemble(nv.face(cell, 0), nv.face(cell, n), cell.corner) == cell
                 checked += 1
-            triples = 0
-            for first, last, corner in corner_triples(nv, n):
-                r = nv.assemble_id(n, first, last, corner)
-                row = nv.face_ids(n, r)
-                exact = exact and (row[0], row[n], nv.corner_at(n, r)) == (first, last, corner)
-                triples += 1
-            exact = exact and triples == nv.count_cells(n)
-            checked += triples
+            triples = list(corner_triples(nv, n))
+            made = nv.assemble_ids(n, *zip(*triples))
+            rows = nv.faces_of(n, made)
+            firsts, lasts = [row[0] for row in rows], [row[n] for row in rows]
+            exact = exact and list(zip(firsts, lasts, nv.corners(n, made))) == triples
+            exact = exact and len(triples) == nv.count_cells(n)
+            checked += len(triples)
     report(2, exact, f"corner split/assemble round trips exact on {checked} instances across dimensions 2..4")
 
 
@@ -75,10 +76,11 @@ def test_criterion_03_corner_face_closed_formulas():
     for build in (F4, F6):
         nv = Nerve(build())
         table = nv.level(3)
-        for r in range(nv.count_cells(3)):
+        rows = nv.faces_of(3, range(nv.count_cells(3)))
+        for r, row in enumerate(rows):
             cell = nv.cell_at(3, r)
             for j in (1, 2):
-                exact = exact and table[r][j] == nv.face_ids(3, r)[j] == nv.rank_of(nv.face(cell, j))
+                exact = exact and table[r][j] == row[j] == nv.rank_of(nv.face(cell, j))
                 checked += 1
     report(3, exact, f"closed corner-face formulas equal the composed path on {checked} instances")
 

@@ -172,19 +172,19 @@ def test_fill_refuses_a_horn_of_the_wrong_shape(xm_z2_z3):
     nv = hf.nerve
     for faces in ([5, 1], [5, 1, 0, 0]):
         with pytest.raises(CompatibilityError, match=f"has 3 faces and a slot in 0..3, got {len(faces)} faces"):
-            hf.fill_ids(3, 1, faces)
+            hf.fill_columns(3, 1, [[f] for f in faces])
     for l in (-1, 4):
         with pytest.raises(CompatibilityError, match=f"got 3 faces and slot {l}$"):
-            hf.fill_ids(3, l, [5, 1, 0])
+            hf.fill_columns(3, l, [[5], [1], [0]])
     # a face rank outside the level of 2-cells is refused, not an IndexError
     for rank in (10**6, -1):
         with pytest.raises(CompatibilityError, match=f"^face rank {rank} is not one of the 12 cells of dimension 2$"):
-            hf.fill_ids(3, 1, [rank, 0, 0])
+            hf.fill_columns(3, 1, [[rank], [0], [0]])
     h = horn_of_cell(nv, nv.cell_at(3, 5), 1)
     with pytest.raises(CompatibilityError, match="got 2 faces"):
         hf.fill(HornTuple(3, 1, h.faces[:2]))
-    # ranks carry no dimension: on the ranks of three 1-cells fill_ids
-    # would build a 3-cell
+    # ranks carry no dimension: on the ranks of three 1-cells
+    # fill_columns would build a 3-cell
     edge = nv.morphism_cell(0)
     with pytest.raises(CompatibilityError, match="a horn of dimension 3 has faces of dimension 2"):
         hf.fill(HornTuple(3, 1, (edge, edge, edge)))

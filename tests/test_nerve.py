@@ -9,8 +9,7 @@ from conftest import corner_triples, pair_groupoid_z3_relabelled
 from xnerve import fixtures
 from xnerve.algebra import XMorphism, identity_xmorphism
 from xnerve.errors import CapacityError, CellError, CompatibilityError
-from xnerve.columns import _keep_runs, _spell
-from xnerve.nerve import Nerve, NerveCell, _ranks, induced_cell
+from xnerve.nerve import Nerve, NerveCell, _keep_runs, _ranks, _spell, induced_cell
 
 
 def brute_cells(nv, n):
@@ -151,10 +150,10 @@ def test_cell_at_matches_enumeration(nv_z2_z3, nv_pair):
 def test_corner_split_examples(nv_z2_z3, nv_trivial):
     m = nv_z2_z3.cell((0, 0, 0), ((1, 1), (1,)))
     r, g = nv_z2_z3.rank_of(m), nv_z2_z3.rank_of(nv_z2_z3.morphism_cell(1))
-    row = nv_z2_z3.face_ids(2, r)
-    assert (row[0], row[2], nv_z2_z3.corner_at(2, r)) == (g, g, 1)
+    [row] = nv_z2_z3.faces_of(2, [r])
+    assert (row[0], row[2], *nv_z2_z3.corners(2, [r])) == (g, g, 1)
     only = nv_trivial.rank_of(next(iter(nv_trivial.cells(2))))
-    row = nv_trivial.face_ids(2, only)
+    [row] = nv_trivial.faces_of(2, [only])
     assert row[0] == row[2] == nv_trivial.rank_of(nv_trivial.morphism_cell(0))
 
 
@@ -162,28 +161,31 @@ def test_corner_assemble_example(nv_z2):
     g = nv_z2.morphism_cell(1)
     cell = nv_z2.cell((0, 0, 0), ((1, 0), (1,)))
     assert nv_z2.corner_assemble(g, g, 0) == cell
-    assert nv_z2.assemble_id(2, nv_z2.rank_of(g), nv_z2.rank_of(g), 0) == nv_z2.rank_of(cell)
+    assert nv_z2.assemble_ids(2, [nv_z2.rank_of(g)], [nv_z2.rank_of(g)], [0]) == [nv_z2.rank_of(cell)]
 
 
 def test_corner_bijection_roundtrips(nv_z2, nv_z2_z3, nv_z2_z3_twisted, nv_pair):
     for nv in (nv_z2, nv_z2_z3, nv_z2_z3_twisted, nv_pair):
         for n in (2, 3):
-            for r, cell in enumerate(nv.cells(n)):
-                row, corner = nv.face_ids(n, r), nv.corner_at(n, r)
-                assert nv.assemble_id(n, row[0], row[n], corner) == r
+            ranks = range(nv.count_cells(n))
+            rows = nv.faces_of(n, ranks)
+            firsts, lasts = [row[0] for row in rows], [row[n] for row in rows]
+            assert nv.assemble_ids(n, firsts, lasts, nv.corners(n, ranks)) == list(ranks)
+            for cell in nv.cells(n):
                 assert nv.corner_assemble(nv.face(cell, 0), nv.face(cell, n), cell.corner) == cell
             triples = list(corner_triples(nv, n))
             assert len(triples) == nv.count_cells(n)
-            for first, last, corner in triples:
-                r = nv.assemble_id(n, first, last, corner)
-                row = nv.face_ids(n, r)
-                assert (row[0], row[n], nv.corner_at(n, r)) == (first, last, corner)
+            made = nv.assemble_ids(n, *zip(*triples))
+            rows = nv.faces_of(n, made)
+            firsts, lasts = [row[0] for row in rows], [row[n] for row in rows]
+            assert list(zip(firsts, lasts, nv.corners(n, made))) == triples
+            for (first, last, corner), r in zip(triples, made):
                 assert nv.corner_assemble(nv.cell_at(n - 1, first), nv.cell_at(n - 1, last), corner) == nv.cell_at(n, r)
 
 
 def test_corner_split_needs_dim_two(nv_z2_z3):
-    for split in (lambda: nv_z2_z3.corner_at(1, 0), lambda: nv_z2_z3.corner_at(0, 0),
-                  lambda: nv_z2_z3.assemble_id(1, 0, 0, 0)):
+    for split in (lambda: nv_z2_z3.corners(1, [0]), lambda: nv_z2_z3.corners(0, [0]),
+                  lambda: nv_z2_z3.assemble_ids(1, [0], [0], [0])):
         with pytest.raises(CompatibilityError, match="corner splitting needs dimension >= 2"):
             split()
 
@@ -201,9 +203,8 @@ def test_corner_assemble_rejects_incompatible(nv_z2_z3):
 def test_corner_face_units_stay_units(nv_z2_z3):
     nv = nv_z2_z3
     deg = nv.rank_of(nv.degeneracy(nv.degeneracy(nv.morphism_cell(0), 0), 0))
-    row = nv.face_ids(3, deg)
-    for j in range(1, 3):
-        assert nv.corner_at(2, row[j]) == 0
+    [row] = nv.faces_of(3, [deg])
+    assert nv.corners(2, row[1:3]) == [0, 0]
 
 
 def test_induced_map_identity_and_inclusion(nv_z3_fiber, nv_z2_z3, xm_z3_fiber, xm_z2_z3):
@@ -248,7 +249,7 @@ def test_identities_spot_checked_above_the_exhaustive_range(nv_z2_z3_twisted, da
     assert nv.face(nv.degeneracy(cell, j), j + 1) == cell
 
 
-# -- ranks: the oracle for face_ids, assemble_id and corner_at ----------------
+# -- ranks: the oracle for faces_of, assemble_ids and corners -----------------
 
 RANK_FIXTURES = {
     **{name: getattr(fixtures, name) for name in (
@@ -273,9 +274,9 @@ def test_face_ids_agree_with_levels_and_face(name):
         assert all(nv.cell_at(n, i) == c for i, c in enumerate(cells))
         if n:
             below = list(nv.cells(n - 1))
-            for i, c in enumerate(cells):
-                row = nv.face_ids(n, i)
-                assert row == lv[i]
+            # the face rows read from the level, and made before it is built
+            assert nv.faces_of(n, range(len(cells))) == lv == Nerve(nv.xm).faces_of(n, range(len(cells)))
+            for row, c in zip(lv, cells):
                 assert [below[k] for k in row] == [nv.face(c, j) for j in range(n + 1)]
     with pytest.raises(IndexError):
         nv.cell_at(4, nv.count_cells(4))
@@ -286,11 +287,11 @@ def test_face_ids_above_the_built_levels(name):
     nv = Nerve(getattr(fixtures, name)())
     rng = random.Random(11)
     for n in (5, 6):
-        for r in rng.sample(range(nv.count_cells(n)), 200):
-            c = nv.cell_at(n, r)
-            assert nv.rank_of(c) == r
-            assert nv.face_ids(n, r) == tuple(nv.rank_of(nv.face(c, j)) for j in range(n + 1))
-            assert nv.corner_at(n, r) == c.corner
+        ranks = rng.sample(range(nv.count_cells(n)), 200)
+        cells = [nv.cell_at(n, r) for r in ranks]
+        assert [nv.rank_of(c) for c in cells] == ranks
+        assert nv.faces_of(n, ranks) == [tuple(nv.rank_of(nv.face(c, j)) for j in range(n + 1)) for c in cells]
+        assert nv.corners(n, ranks) == [c.corner for c in cells]
 
 
 @pytest.mark.parametrize("name", sorted(RANK_FIXTURES))
@@ -306,7 +307,7 @@ def test_rank_maps_are_the_rank_forms_of_degeneracy_and_face(name):
                 degenerate = maps.degeneracy(col, j)
                 assert degenerate == [nv.rank_of(nv.degeneracy(c, j)) for c in cells]
                 for i in range(n + 2):
-                    assert maps.face(degenerate, i) == [nv.face_ids(n + 1, r)[i] for r in degenerate]
+                    assert maps.face(degenerate, i) == [row[i] for row in nv.faces_of(n + 1, degenerate)]
                     assert maps.degeneracy(degenerate, i) == [
                         nv.rank_of(nv.degeneracy(nv.degeneracy(c, j), i)) for c in cells]
                 for i in range(n + 1 if j < n else 0):  # s_j of a face reads s_j of the whole level below
@@ -331,11 +332,13 @@ def test_assemble_id_is_the_rank_form_of_corner_assemble(nv_z2_z3_twisted, nv_pa
     for nv in (nv_z2_z3_twisted, nv_pair_relabelled):
         rng = random.Random(5)
         for n in (2, 3, 4, 5):
-            for r in rng.sample(range(nv.count_cells(n)), min(100, nv.count_cells(n))):
-                cell = nv.cell_at(n, r)
-                first, last = nv.face(cell, 0), nv.face(cell, n)
-                assert nv.corner_at(n, r) == cell.corner
-                assert nv.assemble_id(n, nv.rank_of(first), nv.rank_of(last), cell.corner) == r
+            ranks = rng.sample(range(nv.count_cells(n)), min(100, nv.count_cells(n)))
+            cells = [nv.cell_at(n, r) for r in ranks]
+            firsts, lasts = [nv.face(c, 0) for c in cells], [nv.face(c, n) for c in cells]
+            corners = [c.corner for c in cells]
+            assert nv.corners(n, ranks) == corners
+            assert nv.assemble_ids(n, list(map(nv.rank_of, firsts)), list(map(nv.rank_of, lasts)), corners) == ranks
+            for first, last, cell in zip(firsts, lasts, cells):
                 assert nv.corner_assemble(first, last, cell.corner) == cell
 
 
@@ -343,9 +346,9 @@ def test_assemble_id_refusals(nv_pair):
     # 1-cells 0 -> 0 and 1 -> 1 share no object, and the fiber has 3 elements
     first, last = nv_pair.rank_of(nv_pair.cell((0, 0), ((0,),))), nv_pair.rank_of(nv_pair.cell((1, 1), ((1,),)))
     with pytest.raises(CompatibilityError, match="faces do not overlap"):
-        nv_pair.assemble_id(2, first, last, 0)
+        nv_pair.assemble_ids(2, [first], [last], [0])
     with pytest.raises(CompatibilityError, match="corner 3 outside the fiber over object 0"):
-        nv_pair.assemble_id(2, first, first, 3)
+        nv_pair.assemble_ids(2, [first], [first], [3])
 
 
 def test_a_high_dimension_is_built_without_the_ones_below():
