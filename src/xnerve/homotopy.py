@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import CrossedMonoid
-from .errors import CompatibilityError, XNerveError
+from .errors import CompatibilityError, StructureError, XNerveError
 from .groups import GroupPresentation, find_isomorphism, subgroup_presentation
 from .nerve import Nerve
 from .simplicial import UnionFind, based_classes, pi_bruteforce
@@ -37,13 +37,18 @@ def pi0(xm: CrossedMonoid) -> tuple[tuple[int, ...], ...]:
 def pi1(xm: CrossedMonoid, t: int) -> GroupPresentation:
     """C(t,t) modulo the image of the boundary, with [g][h] = [g*h].
 
-    Verifies that the image really is normal before forming cosets.
+    Verifies that the image really is a normal subgroup before forming
+    cosets; an input that fails the axioms may have an image that is not.
     """
     xm.classification.require_module()
     cat = xm.cat
-    loops = list(cat.hom(t, t))
+    loops = cat.hom(t, t)
     image = sorted({xm.boundary[t][a] for a in xm.fibers[t].elements()})
     image_set = set(image)
+    for h in image:
+        for k in image:
+            if cat.compose(h, k) not in image_set:
+                raise XNerveError(f"boundary image not a subgroup of C({t},{t}): {h} * {k} escapes")
     inv = cat.morphism_inverse
     for g in loops:
         for h in image:
@@ -53,22 +58,14 @@ def pi1(xm: CrossedMonoid, t: int) -> GroupPresentation:
                     f"boundary image not normal in C({t},{t}): {g}^-1 * {h} * {g} escapes"
                 )
 
+    # loops ascend, so each coset is met first at its least member, its
+    # representative, and class labels follow the representatives
     coset_of: dict[int, int] = {}
     reps: list[int] = []
     for g in loops:
-        if g in coset_of:
-            continue
-        rep = len(reps)
-        members = sorted(cat.compose(g, h) for h in image)
-        lead = members[0]
-        for m in members:
-            coset_of[m] = rep
-        reps.append(lead)
-    # re-index so class labels follow the smallest representative
-    order = sorted(range(len(reps)), key=lambda i: reps[i])
-    relabel = {old: new for new, old in enumerate(order)}
-    coset_of = {g: relabel[c] for g, c in coset_of.items()}
-    reps = [reps[i] for i in order]
+        if g not in coset_of:
+            coset_of.update((cat.compose(g, h), len(reps)) for h in image)
+            reps.append(g)
 
     table = tuple(
         tuple(coset_of[cat.compose(a, b)] for b in reps)
@@ -89,12 +86,10 @@ def pi2(xm: CrossedMonoid, t: int) -> GroupPresentation:
     fiber = xm.fibers[t]
     one = xm.cat.identity[t]
     kernel = [a for a in fiber.elements() if xm.boundary[t][a] == one]
-    g = subgroup_presentation(
-        labels=[str(a) for a in kernel],
-        elements=kernel,
-        mul=fiber.mul,
-        unit=fiber.unit,
-    )
+    try:
+        g = subgroup_presentation(labels=[str(a) for a in kernel], elements=kernel, mul=fiber.mul, unit=fiber.unit)
+    except StructureError as exc:  # only an input that fails the axioms
+        raise XNerveError(f"boundary kernel at object {t} is not a subgroup: {exc}") from None
     g.verify()
     if not g.is_abelian:
         raise XNerveError(f"boundary kernel at object {t} is not commutative; structure invalid")

@@ -80,6 +80,9 @@ INPUTS = {
     # cell by cell
     "pair_compose_1_2": lambda: _pair_composite(1, 2, 1),
     "pair_compose_2_0": lambda: _pair_composite(2, 0, 3),
+    # the boundary sends the unit to the non-identity loop: its image is no
+    # subgroup and its kernel is empty
+    "z2_boundary_misses_identity": lambda: dataclasses.replace(fixtures.group_z2(), boundary=((1,),)),
 }
 
 # Per input: the commands run on every input, then the larger or budgeted
@@ -146,6 +149,7 @@ _MORE = {
 _ONLY = {
     "pair_compose_1_2": [("audit", "--dims", "0..3")],
     "pair_compose_2_0": [("audit", "--dims", "0..3")],
+    "z2_boundary_misses_identity": [("homotopy", "--pi", "1"), ("homotopy", "--pi", "2")],
 }
 
 

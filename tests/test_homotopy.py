@@ -1,9 +1,13 @@
+import dataclasses
+
 import pytest
 
 from xnerve import fixtures
-from xnerve.errors import NotCrossedModuleError
+from xnerve.cli import run
+from xnerve.errors import NotCrossedModuleError, StructureError, XNerveError
 from xnerve.groups import GroupPresentation, find_isomorphism
 from xnerve.homotopy import higher_vanishing, pi0, pi1, pi2, pi_compare
+from xnerve.io import from_crossed_monoid, serialize
 from xnerve.nerve import Nerve
 
 
@@ -97,3 +101,22 @@ def test_find_isomorphism_positive_and_negative():
     for a in range(4):
         for b in range(4):
             assert relabeled.table[iso[a]][iso[b]] == iso[z4.table[a][b]]
+
+
+def test_pi1_and_pi2_refuse_a_boundary_that_misses_the_identity(tmp_path, capsys):
+    # cr1 fails: the unit goes to the loop 1, so the boundary image {1} is
+    # no subgroup of C(0,0) and the kernel is empty; classify still finds a
+    # crossed module
+    xm = dataclasses.replace(fixtures.group_z2(), boundary=((1,),))
+    assert xm.classification.is_crossed_module
+    with pytest.raises(XNerveError, match=r"^boundary image not a subgroup of C\(0,0\): 1 \* 1 escapes$"):
+        pi1(xm, 0)
+    with pytest.raises(XNerveError, match="^boundary kernel at object 0 is not a subgroup") as err:
+        pi2(xm, 0)
+    assert not isinstance(err.value, StructureError)
+    path = tmp_path / "z2.json"
+    path.write_text(serialize(from_crossed_monoid(xm)))
+    for pi in ("1", "2"):
+        assert run(["homotopy", str(path), "--pi", pi]) == 2
+        out, err = capsys.readouterr()
+        assert out.startswith("FAIL axioms: cr1 witness (0, 0)") and err.startswith("ERROR (error): boundary ")
