@@ -133,14 +133,14 @@ class VanishingReport:
         return self.classes == 1
 
 
-def higher_vanishing(nv: Nerve, t: int, n: int = 3) -> VanishingReport:
-    """Check that the homotopy group above dimension 2 is trivial.
+def higher_vanishing(nv: Nerve, t: int) -> VanishingReport:
+    """Check that pi3 is trivial.
 
     Counts the classes of the brute force (``based_classes``) without its
     Kan pre-check: crossed-module nerves are Kan, and enumerating every
-    dimension-(n+2) horn just to re-prove that would blow the budget on
+    dimension-5 horn just to re-prove that would blow the budget on
     large fibers.
     """
     nv.xm.classification.require_module()
-    classes = based_classes(nv, n, nv.point(t))
-    return VanishingReport(n=n, basepoint=t, based_cells=len(classes.members), classes=len(classes.reps))
+    classes = based_classes(nv, 3, nv.point(t))
+    return VanishingReport(n=3, basepoint=t, based_cells=len(classes.members), classes=len(classes.reps))
