@@ -33,3 +33,18 @@ def test_only_a_nerve_takes_a_cell_budget():
                     prefix = f"{cls.name}." if isinstance(cls, ast.ClassDef) else ""
                     found.append(f"{path.name}:{prefix}{getattr(node, 'name', '<lambda>')}")
     assert found == ["errors.py:CapacityError.__init__", "nerve.py:Nerve.__init__"]
+
+
+def test_only_nerve_py_reads_the_privates_of_a_nerve():
+    # The rank calculus is one module: no other module reads an underscore
+    # attribute that ``class Nerve`` defines, as a method or on ``self``.
+    by_name = {path.name: ast.parse(path.read_text(encoding="utf-8"), filename=str(path)) for path in SOURCES}
+    nerve = next(node for node in by_name["nerve.py"].body if isinstance(node, ast.ClassDef) and node.name == "Nerve")
+    private = {node.name for node in nerve.body if isinstance(node, ast.FunctionDef)}
+    private |= {node.attr for node in ast.walk(nerve) if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store) and isinstance(node.value, ast.Name) and node.value.id == "self"}
+    private = {name for name in private if name.startswith("_") and not name.startswith("__")}
+    assert {"_dim", "_starts", "_block_of", "_plan_of", "_block_faces", "_check_ranks"} <= private
+    found = [f"{name}:{node.lineno}" for name, tree in by_name.items() if name != "nerve.py"
+             for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in private]
+    assert found == []
