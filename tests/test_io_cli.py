@@ -6,6 +6,7 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from xnerve import algebra, fixtures
 from xnerve.algebra import validate_crossed_monoid
@@ -422,3 +423,71 @@ def test_audit_refuses_a_diagonal_that_leaves_its_hom_set(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["error"] == {"kind": "error", "message": message} and "checks" not in report
     assert "cat.endpoints" in [v["axiom"] for v in report["axioms"]["violations"]]
+
+
+# -- fuzz: corrupted inputs through every command ------------------------------
+
+FUZZ_BASES = {name: getattr(fixtures, name)() for name in (
+    "group_z2", "z3_identity_boundary", "idempotent_fiber", "pair_groupoid_z3")}
+
+# every command at small dimensions, within a budget that some levels exceed
+FUZZ_COMMANDS = [(*argv, "--max-cells", "2000") for argv in (
+    ("validate",), ("classify",), ("enumerate", "--dims", "0..2"), ("audit", "--dims", "0..3"),
+    ("coskeletal", "--dims", "2..3"), ("kan", "--dims", "1..3"), ("fill", "--dims", "2..3"),
+    ("homotopy", "--pi", "0,1,2,3"), ("homotopy", "--pi", "1"), ("homotopy", "--pi", "2"))]
+
+
+def _with_entry(table, i, j, value):
+    rows = [list(row) for row in table]
+    rows[i][j] = value
+    return tuple(map(tuple, rows))
+
+
+@st.composite
+def corrupted_inputs(draw):
+    """A base fixture with 1-3 entries changed, each to a value in range: a
+    composite of a composable pair, a fiber product, an action or boundary
+    value, or a fiber unit."""
+    xm = FUZZ_BASES[draw(st.sampled_from(sorted(FUZZ_BASES)))]
+    for _ in range(draw(st.integers(1, 3))):
+        cat = xm.cat
+        m = cat.num_morphisms
+
+        def pick(size):
+            return draw(st.integers(0, size - 1))
+
+        kind = draw(st.sampled_from(["compose", "mul", "action", "boundary", "unit"]))
+        if kind == "compose":
+            a, b = draw(st.sampled_from([(a, b) for a in range(m) for b in range(m) if cat.src[a] == cat.tgt[b]]))
+            table = _with_entry(cat.compose_table, a, b, pick(m))
+            xm = dataclasses.replace(xm, cat=dataclasses.replace(cat, compose_table=table))
+        elif kind == "action":
+            g = pick(m)
+            size = len(xm.action[g])
+            xm = dataclasses.replace(xm, action=_with_entry(xm.action, g, pick(size), pick(size)))
+        else:
+            x = pick(cat.num_objects)
+            fiber = xm.fibers[x]
+            if kind == "boundary":
+                xm = dataclasses.replace(xm, boundary=_with_entry(xm.boundary, x, pick(fiber.size), pick(m)))
+                continue
+            if kind == "mul":
+                fiber = dataclasses.replace(fiber, table=_with_entry(fiber.table, pick(fiber.size), pick(fiber.size),
+                                                                     pick(fiber.size)))
+            else:
+                fiber = dataclasses.replace(fiber, unit=pick(fiber.size))
+            xm = dataclasses.replace(xm, fibers=xm.fibers[:x] + (fiber,) + xm.fibers[x + 1:])
+    return xm
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.json"
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@example(xm=dataclasses.replace(fixtures.group_z2(), boundary=((1,),)), argv=FUZZ_COMMANDS[-2])
+@given(xm=corrupted_inputs(), argv=st.sampled_from(FUZZ_COMMANDS))
+def test_every_command_ends_in_an_exit_code_on_corrupted_input(fuzz_path, xm, argv):
+    fuzz_path.write_text(serialize(from_crossed_monoid(xm)))
+    assert run([argv[0], str(fuzz_path), *argv[1:]]) in (0, 1, 2, 3)
