@@ -121,8 +121,8 @@ class PerCellRanks(LevelProvider):
 class ReferenceFiller:
     """The per-horn filler: one horn at a time, through the nerve's
     ``faces_of``, ``corners`` and ``assemble_ids`` on columns of one, with
-    face rows kept per rank.  The reference for ``HornFiller.fill_columns``: the same
-    fillers, and on a refused horn the same error."""
+    face rows kept per rank.  The reference for ``HornFiller.fill_columns``:
+    the same fillers, and on a refused horn the same error."""
 
     def __init__(self, nerve):
         nerve.xm.classification.require_module()
