@@ -124,6 +124,10 @@ _MORE = {
         ("kan", "--dims", "4..4"),
         ("fill", "--dims", "4..4", "--max-cells", "10000"),
         ("fill", "--dims", "2..3", "--max-cells", "100", "--seed", "7"),
+        # the benchmark's fill: sampled dimension-4 and 5 columns, whose face
+        # rows outnumber the budget in dimension 4
+        ("fill", "--dims", "2..5", "--max-cells", "10000", "--seed", "0"),
+        ("fill", "--dims", "4..5", "--max-cells", "300", "--seed", "5"),
         ("homotopy", "--pi", "0,1,2,3"),
     ],
     "idempotent": [
