@@ -15,15 +15,16 @@ corner bijection.  For n >= 4 the missing face is itself assembled that
 way; for n = 3 it is the 2-cell whose diagonal is entries 2 and 0 of beta
 and whose corner solves the boundary-image equation.
 
-A filler runs on the ``Nerve`` it is given and shares its tables and cell
-budget.  Nothing is assumed of the input; each check compares columns of
-ints and a failure raises CompatibilityError: the horn has n faces, ranks
-of (n-1)-cells, and a slot in 0..n, the faces match up as a horn, the
-n = 3 completed tuple satisfies eq:image, the first and last faces
-overlap, and the whole face rows of the filler and, for n >= 4, of the
-missing face are the tuples they were built from (for n = 2, the filler's
-faces at the horn's slots).  A refused column raises the error of its
-first refused horn, as that horn alone would.
+A filler runs on the ``Nerve`` it is given and shares its tables, the face
+rows it keeps of other levels (every slot and column reads them) and its
+cell budget.  Nothing is assumed of the input; each check compares columns
+of ints and a failure raises CompatibilityError: the horn has n faces in
+columns of one length, ranks of (n-1)-cells, and a slot in 0..n, the faces
+match up as a horn, the n = 3 completed tuple satisfies eq:image, the first
+and last faces overlap, and the whole face rows of the filler and, for
+n >= 4, of the missing face are the tuples they were built from (for n = 2,
+the filler's faces at the horn's slots).  A refused column raises the error
+of its first refused horn, as that horn alone would.
 
 The boundary-image equation for a compatible 4-tuple (M0, M1, M2, M3) of
 2-cells reads, with g the lower diagonal of M3 and c_j the corner of M_j:
@@ -110,18 +111,21 @@ class HornFiller:
         whose present faces, in slot order, have the ranks in ``columns``:
         horn i is ``[col[i] for col in columns]``.
 
-        Refuses with CompatibilityError unless the faces are (n-1)-cells that
-        match up as a horn, the filler's faces are the horn's, and for n >= 3
-        the face rows of the filler and (n >= 4) of the missing face are the
-        tuples they were built from, the n = 3 tuple passing eq:image.  The
-        error is that of the first refused horn: a refused column is filled
-        again one horn at a time until that horn raises."""
+        Refuses with CompatibilityError unless the columns are of one length,
+        the faces are (n-1)-cells that match up as a horn, the filler's faces
+        are the horn's, and for n >= 3 the face rows of the filler and
+        (n >= 4) of the missing face are the tuples they were built from, the
+        n = 3 tuple passing eq:image.  The error is that of the first refused
+        horn: a refused column is filled again one horn at a time until that
+        horn raises."""
         if n < 2:
             raise CompatibilityError(f"no constructive filler in dimension {n}")
         if not 0 <= l <= n or len(columns) != n:
             raise CompatibilityError(f"a horn of dimension {n} has {n} faces and a slot in 0..{n}, "
                                      f"got {len(columns)} faces and slot {l}")
         columns = [list(col) for col in columns]
+        if len(set(map(len, columns))) > 1:
+            raise CompatibilityError(f"horn columns of unequal lengths {list(map(len, columns))}")
         try:
             return self._fill(n, l, columns)
         except (CompatibilityError, NotCrossedModuleError):
@@ -130,31 +134,27 @@ class HornFiller:
             raise
 
     def _fill(self, n: int, l: int, faces: list[list[int]]) -> list[int]:
-        """``fill_columns`` on one column, refused as a whole; face rows that
-        no built level holds are kept in one memo for the column."""
-        nv, memo = self.nerve, {}
-        # the face rows of all n columns in one call, then cut per column
+        """``fill_columns`` on one column, refused as a whole; its face rows
+        come from ``faces_of``, kept on the nerve for the next slot too."""
         try:
-            every = nv.faces_of(n - 1, list(itertools.chain.from_iterable(faces)), memo)
+            rows = [self.nerve.faces_of(n - 1, col) for col in faces]
         except IndexError as e:
-            raise CompatibilityError(f"face rank {e.args[0]} is not one of the {nv.count_cells(n - 1)} "
+            raise CompatibilityError(f"face rank {e.args[0]} is not one of the {self.nerve.count_cells(n - 1)} "
                                      f"cells of dimension {n - 1}") from None
-        width = len(faces[0])
-        rows = [every[a * width:(a + 1) * width] for a in range(n)]
         slots = [k for k in range(n + 1) if k != l]
         for a, j in enumerate(slots):
             for b in range(a + 1, n):
                 if list(map(itemgetter(j), rows[b])) != list(map(itemgetter(slots[b] - 1), rows[a])):
                     raise CompatibilityError("tuple is not a horn: faces do not match up")
         if n == 2:
-            return self._fill_dim2(l, faces, slots, memo)
+            return self._fill_dim2(l, faces, slots)
         beta = [list(map(itemgetter(l - 1 if i < l else l), r)) for i, r in enumerate(rows)]
         completed = list(faces)
-        missing = self._missing_2face(l, faces, rows, beta) if n == 3 else self._cell_with_boundary(n - 1, beta, memo)
+        missing = self._missing_2face(l, faces, rows, beta) if n == 3 else self._cell_with_boundary(n - 1, beta)
         completed.insert(l, missing)
-        return self._cell_with_boundary(n, completed, memo)
+        return self._cell_with_boundary(n, completed)
 
-    def _fill_dim2(self, l: int, faces: list[list[int]], slots: list[int], memo: dict) -> list[int]:
+    def _fill_dim2(self, l: int, faces: list[list[int]], slots: list[int]) -> list[int]:
         """The 2-cells with d_0 = lower, d_2 = upper and a unit corner, the
         missing edge made from groupoid inverses."""
         cat, nv = self.xm.cat, self.nerve
@@ -167,7 +167,7 @@ class HornFiller:
             lower, upper = [cat.compose(self._mor_inverse(b), a) for a, b in zip(f, g)], g
         units = [self.xm.fibers[cat.src[u]].unit for u in upper]
         fillers = nv.assemble_ids(2, [nv.mor_rank[m] for m in lower], [nv.mor_rank[m] for m in upper], units)
-        rows = nv.faces_of(2, fillers, memo)
+        rows = nv.faces_of(2, fillers)
         for slot, expected in zip(slots, faces):
             got = list(map(itemgetter(slot), rows))
             if got != expected:
@@ -201,7 +201,7 @@ class HornFiller:
                 corners.append(act_inv(g, mul(x2, act[c2], c0, inv(x2, c1))))
         return nv.assemble_ids(2, beta[0], beta[2], corners)
 
-    def _cell_with_boundary(self, n: int, faces: list[list[int]], memo: dict) -> list[int]:
+    def _cell_with_boundary(self, n: int, faces: list[list[int]]) -> list[int]:
         """Ranks of the n-cells, n >= 3, with the face ranks ``faces`` (one
         column per face), built through the corner bijection; the corner is
         that of face 2 for n >= 4 and solves rule eq:image for n = 3.
@@ -210,18 +210,18 @@ class HornFiller:
         nv, xm = self.nerve, self.xm
         if n == 3:
             c = [nv.corners(2, col) for col in faces]
-            gs = [nv.mor_at[row[0]] for row in nv.faces_of(2, faces[3], memo)]
+            gs = [nv.mor_at[row[0]] for row in nv.faces_of(2, faces[3])]
             if not all(map(_image_rule, itertools.repeat(xm), gs, zip(*c))):
                 raise CompatibilityError("boundary tuple fails eq:image")
             corner = [self._mul(xm.cat.tgt[g], self._inv(xm.cat.tgt[g], c3), c2)
                       for g, c2, c3 in zip(gs, c[2], c[3])]
         else:
             corner = nv.corners(n - 1, faces[2])
-        ends = list(map(itemgetter(n - 1), nv.faces_of(n - 1, faces[0], memo)))
-        if ends != list(map(itemgetter(0), nv.faces_of(n - 1, faces[-1], memo))):
+        ends = list(map(itemgetter(n - 1), nv.faces_of(n - 1, faces[0])))
+        if ends != list(map(itemgetter(0), nv.faces_of(n - 1, faces[-1]))):
             raise CompatibilityError("faces do not overlap: d_{n-1}(first) != d_0(last)")
         cells = nv.assemble_ids(n, faces[0], faces[-1], corner)
-        got = nv.faces_of(n, cells, memo)
+        got = nv.faces_of(n, cells)
         for j, expected in enumerate(faces):
             if list(map(itemgetter(j), got)) != expected:
                 raise CompatibilityError(f"boundary reconstruction failed at face {j}")

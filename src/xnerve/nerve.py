@@ -115,10 +115,10 @@ class Nerve(LevelProvider):
     boundary that is not an endomorphism of its object: the face maps
     compose with boundary values and need them to be.
 
-    The nerve keeps every face table that ``level`` builds for as long as it
-    lives, so the checks run on one ``Nerve`` share them and none builds a
-    table twice: a second ``check_kan(nv, 4)`` builds nothing.  Build a fresh
-    ``Nerve`` to let the tables go.  ``cap`` bounds every level and join.
+    The nerve keeps every face table that ``level`` builds, and up to ``cap``
+    rows per dimension that ``faces_of`` makes of other levels, for as long
+    as it lives: the checks run on one ``Nerve`` share them, and a second
+    ``check_kan(nv, 4)`` builds nothing.  ``cap`` bounds every level and join.
     """
 
     def __init__(self, xm: CrossedMonoid, cap: int = DEFAULT_CAPACITY):
@@ -133,6 +133,7 @@ class Nerve(LevelProvider):
         self._block_of: dict[tuple[int, ...], _Block] = {}  # by object sequence, every dimension
         self._glues: dict[tuple[int, ...], tuple[int, ...]] = {}  # by object sequence
         self._face_plans: dict[tuple[int, ...], tuple] = {}  # by object sequence
+        self._rows: dict[int, dict[int, tuple[int, ...]]] = {}  # faces_of's rows, by dimension and rank
         # mor_at[r] is the morphism of the 1-cell of rank r; mor_rank inverts it
         self.mor_at = [g for blk in self._dim(1) for g in blk.domains[0]]
         self.mor_rank = sorted(range(len(self.mor_at)), key=self.mor_at.__getitem__)
@@ -430,31 +431,31 @@ class Nerve(LevelProvider):
                                        self.xm.fibers[seq[1]].size)
         return glue
 
-    def faces_of(self, n: int, ranks: Sequence[int], memo: dict | None = None) -> list[tuple[int, ...]]:
+    def faces_of(self, n: int, ranks: Sequence[int]) -> list[tuple[int, ...]]:
         """Face row (rank of d_0 c, ..., rank of d_n c) of the n-cell c of
         every rank in ``ranks``, n >= 1, in any dimension.  A built level is
-        read.  Otherwise the rows come from ``_block_faces``, block by
-        block, on the rows of the d_0 and d_n faces, found the same way one
-        dimension down; ``memo`` keeps every row so made, by dimension and
-        rank, for the caller's next columns.  A rank that is not one of the
-        n-cells raises IndexError."""
+        read, then the rows the nerve keeps.  The other rows come from
+        ``_block_faces``, block by block, on the rows of the d_0 and d_n
+        faces, found the same way one dimension down, and are kept while
+        the dimension keeps fewer than ``cap`` rows.  A rank that is not one
+        of the n-cells raises IndexError."""
         if n < 1:
             raise CellError("0-cells have no faces")
         self._check_ranks(n, ranks)
         try:
-            return self._faces(n, ranks, {} if memo is None else memo)
+            return self._faces(n, ranks)
         except KeyError:
             raise CompatibilityError("a face of a 2-cell is not a 1-cell: its diagonal leaves its hom-set") from None
 
-    def _faces(self, n: int, ranks: Sequence[int], memo: dict) -> list[tuple[int, ...]]:
+    def _faces(self, n: int, ranks: Sequence[int]) -> list[tuple[int, ...]]:
         """``faces_of`` on ranks known to be n-cells."""
         table = self.built(n)
         if table is not None:
             return list(map(table.__getitem__, ranks))
-        known = memo.setdefault(n, {})
+        known = self._rows.setdefault(n, {})
         todo = sorted(set(ranks).difference(known))
         if todo:
-            blocks, below = self._dim(n), partial(self._faces, n - 1, memo=memo)
+            blocks, below = self._dim(n), partial(self._faces, n - 1)
             groups = [(1, todo)] if len(blocks) == 1 else itertools.groupby(
                 todo, key=partial(bisect_right, self._starts[n]))
             for b, group in groups:
@@ -462,7 +463,10 @@ class Nerve(LevelProvider):
                 plan = self._plan_of(n, blk)
                 faces = self._block_faces(n, plan, partial(_spell, [r - blk.start for r in group]), below)
                 known.update(zip(group, zip(*faces)))
-        return list(map(known.__getitem__, ranks))
+        rows = list(map(known.__getitem__, ranks))
+        while len(known) > self.cap:  # past the budget: the newest rows are returned, not kept
+            known.popitem()
+        return rows
 
     def _plan_of(self, n: int, blk: _Block) -> tuple:
         """What ``_block_faces`` reads for one block of dimension n >= 1,
@@ -508,9 +512,10 @@ class Nerve(LevelProvider):
 
     def face_rows(self, n: int, below: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
         """Row ``(rank of d_0 c, ..., rank of d_n c)`` of every n-cell c,
-        n >= 1, in rank order, with no cell built.  ``below`` is the face
-        table of dimension n-1, read for n >= 3.  A 2-cell whose diagonal
-        leaves its hom-set raises KeyError."""
+        n >= 1, in rank order, with no cell built, dropping the rows kept of
+        dimension n.  ``below`` is the face table of dimension n-1, read for
+        n >= 3.  A 2-cell whose diagonal leaves its hom-set raises KeyError."""
+        self._rows.pop(n, None)
         rows: list[tuple[int, ...]] = []
         for blk in self._dim(n):
             plan = self._plan_of(n, blk)

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import textwrap
@@ -190,6 +191,19 @@ def test_fill_refuses_a_horn_of_the_wrong_shape(xm_z2_z3):
         hf.fill(HornTuple(3, 1, (edge, edge, edge)))
 
 
+def test_fill_refuses_columns_of_unequal_lengths(xm_z2_z3):
+    # refused up front: cut to the first column's length, these would fail
+    # another check ("faces do not overlap", "tuple is not a horn")
+    hf = HornFiller(Nerve(xm_z2_z3))
+    h = horns(hf.nerve, 3, 1).columns
+    for columns in ([h[0][:1], h[1][:2], h[2][:2]], [h[0][:2], h[1][:1], h[2][:2]], [h[0][:2], h[1][:2], h[2]]):
+        lengths = [len(col) for col in columns]
+        with pytest.raises(CompatibilityError, match=re.escape(f"horn columns of unequal lengths {lengths}")):
+            hf.fill_columns(3, 1, columns)
+    filled = hf.fill_columns(3, 1, [col[:2] for col in h])
+    assert [[row[j] for row in hf.nerve.faces_of(3, filled)] for j in (0, 2, 3)] == [col[:2] for col in h]
+
+
 # -- the cross-diagonal oracle for dimension-4 filling -----------------------
 #
 # For a dimension-4 horn with the face at slot l missing, set
@@ -306,7 +320,7 @@ def test_eq_image_refusal_survives_python_dash_O():
         hf = HornFiller(Nerve(fixtures.z2_with_z3_fiber()))
         mk = lambda c: hf.nerve.rank_of(hf.nerve.cell((0, 0, 0), ((0, c), (0,))))
         try:
-            hf._cell_with_boundary(3, [[mk(0)], [mk(1)], [mk(0)], [mk(0)]], {})
+            hf._cell_with_boundary(3, [[mk(0)], [mk(1)], [mk(0)], [mk(0)]])
         except CompatibilityError as exc:
             print("refused:", exc)
         """

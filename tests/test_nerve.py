@@ -9,6 +9,7 @@ from conftest import corner_triples, pair_groupoid_z3_relabelled
 from xnerve import fixtures
 from xnerve.algebra import XMorphism, identity_xmorphism
 from xnerve.errors import CapacityError, CellError, CompatibilityError
+from xnerve.fillers import HornFiller
 from xnerve.nerve import Nerve, NerveCell, _keep_runs, _ranks, _spell, induced_cell
 
 
@@ -313,6 +314,58 @@ def test_rank_maps_are_the_rank_forms_of_degeneracy_and_face(name):
                 for i in range(n + 1 if j < n else 0):  # s_j of a face reads s_j of the whole level below
                     assert maps.degeneracy(maps.face(col, i), j) == [
                         nv.rank_of(nv.degeneracy(nv.face(c, i), j)) for c in cells]
+
+
+# -- the face rows a nerve keeps of the levels it has not built ---------------
+
+@pytest.mark.parametrize("name", ["z2_with_z3_fiber", "z2_with_z3_fiber_twisted", "pair_groupoid_z3"])
+def test_kept_face_rows_are_the_rows_of_the_level(name):
+    # a budget below the number of 4-cells: past it rows are returned, not kept
+    xm, rng = getattr(fixtures, name)(), random.Random(3)
+    nv, whole = Nerve(xm, 700), Nerve(xm)
+    level = whole.level(4)
+    ranks = rng.sample(range(len(level)), 900)
+    for lo, hi in ((0, 300), (200, 500), (0, 900), (100, 800), (0, 300)):
+        assert nv.faces_of(4, ranks[lo:hi]) == [level[r] for r in ranks[lo:hi]]
+    assert sorted(nv._rows) == [2, 3, 4] and len(nv._rows[4]) == 700 and nv.built(4) is None
+    assert all(whole.level(m)[r] == row for m, rows in nv._rows.items() for r, row in rows.items())
+    # a built level replaces the rows kept of its dimension
+    assert nv.level(3) == whole.level(3) and 3 not in nv._rows
+    assert nv.faces_of(4, ranks) == [level[r] for r in ranks]
+
+
+def test_faces_of_makes_each_kept_row_once(monkeypatch):
+    nv, rng = Nerve(fixtures.z2_with_z3_fiber_twisted()), random.Random(8)
+    ranks = rng.sample(range(nv.count_cells(5)), 400)
+    rows = nv.faces_of(5, ranks[:300])
+    made, real = [], Nerve._block_faces
+
+    def block_faces(n, plan, digits, below):
+        faces = real(n, plan, digits, below)
+        made.append((n, len(faces[0])))
+        return faces
+
+    monkeypatch.setattr(Nerve, "_block_faces", staticmethod(block_faces))
+    assert nv.faces_of(5, ranks[:300]) == rows and nv.faces_of(5, ranks[299::-1]) == rows[::-1]
+    assert made == []
+    # a column that shares ranks with the kept rows makes only the others
+    assert nv.faces_of(5, ranks[200:])[:100] == rows[200:]
+    assert sum(count for n, count in made if n == 5) == 100
+
+
+def test_kept_rows_stay_within_the_budget():
+    # the sampled horns and fillers of ``fill --dims 4..5 --max-cells 300``
+    xm, rng = fixtures.z2_with_z3_fiber_twisted(), random.Random(5)
+    nv = Nerve(xm, 300)
+    hf, reference = HornFiller(nv), HornFiller(Nerve(xm))
+    for n in (4, 5):
+        for l in range(n + 1):
+            rows = nv.faces_of(n, [rng.randrange(nv.count_cells(n)) for _ in range(300)])
+            columns = [[row[j] for row in rows] for j in range(n + 1) if j != l]
+            assert hf.fill_columns(n, l, columns) == reference.fill_columns(n, l, columns)
+            assert max(map(len, nv._rows.values())) <= 300
+    assert len(nv._rows[4]) == len(nv._rows[5]) == 300
+    assert [nv.built(n) for n in (4, 5)] == [None, None]
 
 
 def test_pick_is_ranks_at_the_given_indices():

@@ -17,10 +17,9 @@ def test_package_has_no_assert_statements():
     assert SOURCES and found == []
 
 
-def test_only_a_nerve_takes_a_cell_budget():
-    # The cell budget belongs to the nerve, ``Nerve(xm, cap)``; a function
-    # with a ``cap`` parameter would thread it by hand again.  CapacityError
-    # only records the budget it was refused under.
+def _functions_taking(name):
+    """``module.py:Class.function`` of every function or lambda in the
+    package with a parameter called ``name``."""
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -28,11 +27,25 @@ def test_only_a_nerve_takes_a_cell_budget():
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 a = node.args
-                if "cap" in {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p}:
+                if name in {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p}:
                     cls = owner[node]
                     prefix = f"{cls.name}." if isinstance(cls, ast.ClassDef) else ""
                     found.append(f"{path.name}:{prefix}{getattr(node, 'name', '<lambda>')}")
-    assert found == ["errors.py:CapacityError.__init__", "nerve.py:Nerve.__init__"]
+    return found
+
+
+def test_only_a_nerve_takes_a_cell_budget():
+    # The cell budget belongs to the nerve, ``Nerve(xm, cap)``; a function
+    # with a ``cap`` parameter would thread it by hand again.  CapacityError
+    # only records the budget it was refused under.
+    assert _functions_taking("cap") == ["errors.py:CapacityError.__init__", "nerve.py:Nerve.__init__"]
+
+
+def test_no_function_takes_a_memo():
+    # The face rows of levels not built belong to the nerve, as its budget
+    # does (``Nerve.faces_of`` keeps them); a ``memo`` parameter would pass
+    # them by hand again.
+    assert _functions_taking("memo") == []
 
 
 def test_only_nerve_py_reads_the_privates_of_a_nerve():
