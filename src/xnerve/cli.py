@@ -4,9 +4,10 @@
                              [--basepoint OBJ] [--pi LIST] [--seed S]
 
 Commands: validate, classify, enumerate, audit, coskeletal, kan, fill,
-homotopy.  Exit codes: 0 all requested checks pass, 1 structural error in
-the input, 2 a property fails, an operation refuses (a witness is reported)
-or an argument is out of range, 3 an enumeration exceeded the cell budget.
+homotopy.  Exit codes: 0 all requested checks pass, 1 the input cannot be
+read or has a structural error, 2 a property fails, an operation refuses (a
+witness is reported), an argument is out of range or the ``--json`` path
+cannot be written, 3 an enumeration exceeded the cell budget.
 Every error ends in one ``ERROR (kind): ...`` line on stderr and an
 ``error`` block in the JSON report.  The commands that work on the nerve
 validate their input first: an input that fails the axioms gets the failed
@@ -35,7 +36,7 @@ from .errors import (
     XNerveError,
 )
 from .fillers import HornFiller
-from .io import parse_input, to_crossed_monoid
+from .io import load_path
 from .nerve import Nerve
 
 EXIT_OK = 0
@@ -197,7 +198,7 @@ def cmd_fill(xm, args) -> tuple[int, list[dict]]:
 
 def cmd_homotopy(xm, args) -> tuple[int, list[dict]]:
     try:
-        wanted = [int(v) for v in (args.pi or "1,2").split(",") if v != ""]
+        wanted = [int(v) for v in ("1,2" if args.pi is None else args.pi).split(",")]
     except ValueError:
         raise ArgumentError(f"--pi expects comma-separated integers, got {args.pi!r}") from None
     bad = [n for n in wanted if not 0 <= n <= 3]
@@ -286,14 +287,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    try:  # an unwritable report path ends the run before any work, the file left as it was
+        if args.json_out:
+            open(args.json_out, "a", encoding="utf-8").close()
+    except OSError as exc:
+        print(f"ERROR (io): cannot write the report to {args.json_out}: {exc.strerror}", file=sys.stderr)
+        return EXIT_PROPERTY
     report: dict = {"tool": "xnerve", "command": args.command, "input": args.file}
     failed_axioms = None
     try:
         if args.max_cells < 1:
             raise ArgumentError(f"--max-cells must be at least 1, got {args.max_cells}")
-        with open(args.file, "rb") as fh:
-            doc = parse_input(fh.read())
-        xm = to_crossed_monoid(doc)
+        xm = load_path(args.file)
         if args.command in _NERVE_COMMANDS:
             check = _axioms_check(xm)
             if not check["passed"]:
@@ -301,8 +306,10 @@ def run(argv: list[str] | None = None) -> int:
         code, checks = _COMMANDS[args.command](xm, args)
         if failed_axioms is not None:
             code, checks = EXIT_PROPERTY, [failed_axioms, *checks]
-    except FileNotFoundError:
-        report.update(passed=False, exit_code=EXIT_STRUCTURAL, error={"kind": "io", "message": f"no such file: {args.file}"})
+    except OSError as exc:  # only the input is opened in here
+        message = f"no such file: {args.file}" if isinstance(exc, FileNotFoundError) else \
+            f"cannot read {args.file}: {exc.strerror}"
+        report.update(passed=False, exit_code=EXIT_STRUCTURAL, error={"kind": "io", "message": message})
         code, checks = EXIT_STRUCTURAL, None
     except StructureError as exc:
         report.update(passed=False, exit_code=EXIT_STRUCTURAL, error={"kind": "structural", "message": str(exc)})

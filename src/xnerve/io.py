@@ -143,12 +143,12 @@ def _dense_keyed(d: dict, count: int, path: str) -> list:
 def parse_input(data: bytes | str) -> InputDocument:
     """Parse and shape-check one document; raises StructureError with a
     JSON path on the first problem."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
-        raw = json.loads(data)
-    except json.JSONDecodeError as exc:
+        raw = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise StructureError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise StructureError("not valid JSON: nested too deeply") from None
     root = _expect_dict(raw, "$")
     for key in _REQUIRED_KEYS:
         if key not in root:

@@ -97,15 +97,17 @@ class _Block(NamedTuple):
     start: int
 
 
-def _glue(glue: tuple[int, ...], first: int, last: int, corner: int) -> int:
-    """Rank of the cell with faces d_0 = ``first``, d_n = ``last`` (ranks)
-    and corner ``corner``: row 1 is the last face's row 1 and the corner,
-    the rows below are the first face's rows.  ``glue`` is the block's
-    start, the start and size of the first face's block, the start of the
-    last face's block, the size of the last face's rows below row 1 and the
-    size of the fiber over x1."""
+def _glue(glue: tuple[int, ...], firsts, lasts, corners) -> list[int]:
+    """Ranks of the cells of one block with faces d_0 in ``firsts``, d_n in
+    ``lasts`` (ranks) and corners ``corners``: row 1 is the last face's row
+    1 and the corner, the rows below are the first face's rows.  ``glue``
+    is the block's start, the start and size of the first face's block, the
+    start of the last face's block, the size of the last face's rows below
+    row 1 and the size of the fiber over x1."""
     start, fstart, fsize, lstart, ltail, fiber = glue
-    return start + ((last - lstart) // ltail * fiber + corner) * fsize + first - fstart
+    start -= fstart
+    return [start + ((last - lstart) // ltail * fiber + corner) * fsize + first
+            for first, last, corner in zip(firsts, lasts, corners)]
 
 
 class Nerve(LevelProvider):
@@ -350,11 +352,8 @@ class Nerve(LevelProvider):
         """The index-th cell in enumeration order, without materializing."""
         blk = self._dim(n)[self._block_indices(n, [index])[0]]
         index -= blk.start
-        digits = []
-        for dom in reversed(blk.domains):
-            index, digit = divmod(index, len(dom))
-            digits.append(dom[digit])
-        flat = tuple(reversed(digits))
+        lens = [len(dom) for dom in blk.domains]
+        flat = tuple([dom[index // w % size] for dom, w, size in zip(blk.domains, _weights(lens), lens)])
         return _cell((n, blk.seq, tuple([flat[a:b] for a, b in self._row_bounds(n)])))
 
     def rank_of(self, c: NerveCell) -> int:
@@ -383,25 +382,33 @@ class Nerve(LevelProvider):
         every triple of three equally long columns, the faces given as
         ranks.  Their overlap is not compared; only a pair with no common
         object sequence, or a corner outside its fiber, is refused, the
-        first refused triple raising."""
+        first refused triple raising.  The triples are assembled by pair of
+        face blocks, each pair's refusals checked once."""
         if n < 2:
             raise CompatibilityError("corner splitting needs dimension >= 2")
         blocks = self._dim(n - 1)
         self._dim(n)
-        pairs = list(zip(self._block_indices(n - 1, lasts), self._block_indices(n - 1, firsts)))
+        lbs, fbs = self._block_indices(n - 1, lasts), self._block_indices(n - 1, firsts)
+        # triple indices by pair of face blocks; a level of one block has one pair
+        groups: dict[tuple[int, int], Sequence[int]] = {(0, 0): range(len(lbs))} if len(blocks) == 1 and lbs else {}
+        for i, pair in enumerate(zip(lbs, fbs) if len(blocks) > 1 else ()):
+            groups.setdefault(pair, []).append(i)
         glues = {}
-        for b_last, b_first in set(pairs):
+        for b_last, b_first in groups:
             lseq, fseq = blocks[b_last].seq, blocks[b_first].seq
             blk = self._block_of.get(lseq + fseq[-1:])
-            glues[b_last, b_first] = (lseq[1], None if blk is None or lseq[1:] != fseq[:-1] else self._glue_of(blk))
-        out = []
-        for (x1, glue), first, last, corner in zip(map(glues.__getitem__, pairs), firsts, lasts, corners):
-            if glue is None:
-                raise CompatibilityError("faces do not overlap: d_{n-1}(first) != d_0(last)")
-            if not 0 <= corner < glue[5]:
-                raise CompatibilityError(f"corner {corner} outside the fiber over object {x1}")
-            out.append(_glue(glue, first, last, corner))
-        return out
+            glues[b_last, b_first] = None if blk is None or lseq[1:] != fseq[:-1] else self._glue_of(blk)
+        if None in glues.values() or lbs and not 0 <= min(corners) <= max(corners) < min(g[5] for g in glues.values()):
+            for b_last, b_first, corner in zip(lbs, fbs, corners):  # the first refused triple raises
+                if glues[b_last, b_first] is None:
+                    raise CompatibilityError("faces do not overlap: d_{n-1}(first) != d_0(last)")
+                if not 0 <= corner < glues[b_last, b_first][5]:
+                    raise CompatibilityError(f"corner {corner} outside the fiber over object {blocks[b_last].seq[1]}")
+        if len(glues) == 1:
+            return _glue(next(iter(glues.values())), firsts, lasts, corners)
+        made = {pair: iter(_glue(glues[pair], *[list(map(col.__getitem__, idxs)) for col in (firsts, lasts, corners)]))
+                for pair, idxs in groups.items()}
+        return list(map(next, map(made.__getitem__, zip(lbs, fbs))))
 
     def _check_ranks(self, n: int, ranks: Sequence[int]) -> None:
         """Raise IndexError on the first rank that is not one of the n-cells."""
@@ -557,8 +564,7 @@ class Nerve(LevelProvider):
             rows = list(below(first + last))
             fa, lb = rows[:len(first)], rows[len(first):]
             for j, glue, cs in zip(range(1, n), glues, corners):
-                fs, ls = map(itemgetter(j - 1), fa), map(itemgetter(j), lb)
-                inner.append(list(map(_glue, itertools.repeat(glue), fs, ls, cs)))
+                inner.append(_glue(glue, map(itemgetter(j - 1), fa), map(itemgetter(j), lb), cs))
         return [first, *inner, last]
 
     def rank_maps(self, maxdim: int) -> _RankMaps:
@@ -647,7 +653,8 @@ class _RankMaps:
         self.nv, self.maxdim = nv, maxdim
         self.dim = -1
         self.degeneracy_tables: dict[int, list[int]] = {}
-        self._plans: dict[tuple[tuple[int, ...], int], tuple[_Block, int, list[list[int]]]] = {}
+        self._plans: dict[tuple[tuple[int, ...], int], tuple[_Block, int, list[list[int]], bool]] = {}
+        self._verdicts: dict[tuple, bool] = {}  # agree's, by object sequence and words
 
     def chunks(self, n: int) -> Iterator[_Column]:
         nv = self.nv
@@ -685,16 +692,41 @@ class _RankMaps:
             ranks = self._degenerate(col.blk, [r - col.blk.start for r in col], j)
         return _Column(col.dim + 1, self._plan(col.blk, j)[0], ranks)
 
+    def agree(self, col: _Column, a: tuple, b: tuple) -> bool:
+        """Whether the words ``a`` and ``b`` of degeneracies only, as
+        ``(("s", j), ...)`` first applied first, agree on every cell of the
+        block of ``col``; decided once per block.  When every s_j on the way
+        is a digit insertion (every digit keeps its radix, the moved and the
+        fixed digits fill the new block's digits once each, and every fixed
+        digit is in range), each word is an affine map of the block's digit
+        vector with no carries, so the words agree on the block iff they
+        agree on its basis: the first cell, and the cell with one digit 1
+        and the others 0 for every digit of radix above 1."""
+        key = (col.blk.seq, a, b)
+        if key not in self._verdicts:
+            blk, lens = col.blk, [len(dom) for dom in col.blk.domains]
+            basis = [blk.start] + [blk.start + w for w, size in zip(_weights(lens), lens) if size > 1]
+            ends, insertion = [], True
+            for word in (a, b):
+                end = _Column(col.dim, blk, basis)
+                for _, j in word:
+                    insertion = insertion and self._plan(end.blk, j)[3]
+                    end = self.degeneracy(end, j)
+                ends.append(end)
+            self._verdicts[key] = insertion and ends[0] == ends[1]
+        return self._verdicts[key]
+
     def _degenerate(self, blk: _Block, idxs: Sequence[int], j: int) -> list[int]:
         """Ranks of s_j of the cells of ``blk`` with indices ``idxs``."""
-        new, const, runs = self._plan(blk, j)
+        new, const, runs, _ = self._plan(blk, j)
         return _spell(idxs, runs, new.start + const)
 
-    def _plan(self, blk: _Block, j: int) -> tuple[_Block, int, list[list[int]]]:
-        """(block, constant, digit runs) of s_j on one block of dimension n:
-        s_j c lies in the block of c's object sequence with x_j repeated,
-        and its index there is the constant, the inserted identity and
-        units, plus the image of c's index under the runs."""
+    def _plan(self, blk: _Block, j: int) -> tuple[_Block, int, list[list[int]], bool]:
+        """(block, constant, digit runs, insertion) of s_j on one block of
+        dimension n: s_j c lies in the block of c's object sequence with x_j
+        repeated, and its index there is the constant, the inserted identity
+        and units, plus the image of c's index under the runs.  ``insertion``
+        says it is a digit insertion, as ``agree`` needs."""
         plan = self._plans.get((blk.seq, j))
         if plan is None:
             nv, seq, n = self.nv, blk.seq, len(blk.seq) - 1
@@ -711,11 +743,13 @@ class _RankMaps:
             fixed = [(pos(i, j + 1), xm.fibers[seq[i]].unit) for i in range(1, j + 1)]
             fixed.append((pos(j + 1, j + 1), new.domains[pos(j + 1, j + 1)].index(xm.cat.identity[seq[j]])))
             fixed.extend((pos(j + 1, c), xm.fibers[seq[j]].unit) for c in range(j + 2, n + 2))
-            new_lens = [len(dom) for dom in new.domains]
+            lens, new_lens = [len(dom) for dom in blk.domains], [len(dom) for dom in new.domains]
             weights = _weights(new_lens)
             const = sum(digit * weights[q] for q, digit in fixed)
-            runs = _digit_runs([len(dom) for dom in blk.domains], dest, new_lens)
-            plan = self._plans[blk.seq, j] = (new, const, runs)
+            insertion = (sorted(dest + [q for q, _ in fixed]) == list(range(len(new_lens)))
+                         and all(map(int.__eq__, lens, map(new_lens.__getitem__, dest)))
+                         and all(0 <= digit < new_lens[q] for q, digit in fixed))
+            plan = self._plans[blk.seq, j] = (new, const, _digit_runs(lens, dest, new_lens), insertion)
         return plan
 
     def cell(self, col: _Column, pos: int) -> NerveCell:

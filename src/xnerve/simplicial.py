@@ -327,21 +327,27 @@ def _audit(maps, maxdim: int) -> ValidationReport:
     n into columns in rank order, ``face`` and ``degeneracy`` map columns,
     which are lists that compare entry by entry, and ``cell`` gives the cell
     of one entry.  Per family, the first failing cell of a column is found,
-    and on it the first failing instance."""
+    and on it the first failing instance.  Where ``maps`` has ``agree``, an
+    instance whose sides are degeneracies only is skipped on every column
+    of a block on which ``agree`` finds the sides equal."""
     found: dict[str, Violation] = {}
+    agree = getattr(maps, "agree", None)
     for n in range(maxdim + 1):
         checks = [(name, identity.replace(" = ", " != "),
+                   agree is not None and all(op[0] == "s" for op in identity.replace(" = ", " ").split()),
                    [(index, *(_word(side, index) for side in identity.split(" = "))) for index in indices(n)])
                   for name, lowest, identity, indices in _IDENTITIES if n >= lowest]
         letters = [("d", j) for j in range(n + 1) if n] + [("s", j) for j in range(n + 1)]
         for col in maps.chunks(n):
             # every d_j c and s_j c, as the per-cell loop always made them
             made = {(): col, **{(letter,): _apply(maps, col, (letter,)) for letter in letters}}
-            for name, detail, instances in checks:
+            for name, detail, settle, instances in checks:
                 if name in found:
                     continue
                 best = None
                 for index, *sides in instances:
+                    if settle and agree(col, *sides):
+                        continue
                     a, b = (_apply(maps, made[word[:1]], word[1:]) for word in sides)
                     if a != b:
                         pos = next(p for p, (x, y) in enumerate(zip(a, b)) if x != y)

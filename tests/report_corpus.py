@@ -157,18 +157,33 @@ _ONLY = {
 }
 
 
+# Inputs that are not documents, written as they are.
+RAW_INPUTS = {"utf16_bom": b"\xff\xfe", "deep_nesting": b"[" * 100_000}
+# Each ends in one ERROR line: an input that cannot be read or parsed, a
+# report path in a directory that does not exist, and --pi with an empty item.
+_RAW_CASES = [
+    ["kan", "inputs"],
+    ["kan", "inputs/utf16_bom.json"],
+    ["kan", "inputs/deep_nesting.json"],
+    ["kan", "inputs/f4.json", "--json", "missing/report.json"],
+    ["homotopy", "inputs/z2.json", "--pi", ""],
+    ["homotopy", "inputs/z2.json", "--pi", "0,,1"],
+]
+
+
 def cases() -> list[list[str]]:
     """Every argv of the corpus, the input path relative to ``REPORTS``."""
     out = []
     for name in INPUTS:
         for command, *rest in _ONLY.get(name) or (*_EVERY, *_MORE.get(name, ())):
             out.append([command, f"inputs/{name}.json", *rest])
-    return out
+    return out + _RAW_CASES
 
 
 def run_case(argv: list[str]) -> dict:
-    """One entry: argv, exit code, stdout, stderr and the ``--json`` text,
-    run in-process from ``REPORTS``."""
+    """One entry: argv, exit code, stdout, stderr and the ``--json`` text
+    (None when argv names its own ``--json`` path), run in-process from
+    ``REPORTS``."""
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "report.json")
         stdout, stderr = io.StringIO(), io.StringIO()
@@ -176,11 +191,10 @@ def run_case(argv: list[str]) -> dict:
         os.chdir(REPORTS)
         try:
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = run([*argv, "--json", out])
+                code = run(argv if "--json" in argv else [*argv, "--json", out])
         finally:
             os.chdir(cwd)
-        with open(out, encoding="utf-8") as fh:
-            report = fh.read()
+        report = pathlib.Path(out).read_text(encoding="utf-8") if "--json" not in argv else None
     return {"argv": argv, "exit_code": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue(),
             "json": report}
 
@@ -190,6 +204,8 @@ def record() -> None:
     inputs.mkdir(parents=True, exist_ok=True)
     for name, make in INPUTS.items():
         (inputs / f"{name}.json").write_text(serialize(from_crossed_monoid(make())), encoding="utf-8")
+    for name, data in RAW_INPUTS.items():
+        (inputs / f"{name}.json").write_bytes(data)
     entries = [run_case(argv) for argv in cases()]
     CORPUS.write_text(json.dumps(entries, indent=1) + "\n", encoding="utf-8")
     print(f"{len(entries)} entries written to {CORPUS}")

@@ -87,11 +87,13 @@ def test_criterion_03_corner_face_closed_formulas():
 
 def test_criterion_04_four_coskeletal():
     (r2,) = check_coskeletal(Nerve(F2()), 4, 5)
-    (r5,) = check_coskeletal(Nerve(F5()), 4, 5)
-    ok = r2.bijective and r5.bijective and r2.cell_count == 32 and r5.cell_count == 1024
+    r5, r6 = check_coskeletal(Nerve(F5()), 4, 6)
+    ok = (r2.bijective and r5.bijective and r6.bijective and r2.cell_count == 32 and r5.cell_count == 1024
+          and r6.cell_count == 32768)
     report(4, ok,
            f"boundary map bijective in dimension 5: {r2.cell_count} and {r5.cell_count} cells against "
-           f"kernels of {r2.kernel_size} and {r5.kernel_size}")
+           f"kernels of {r2.kernel_size} and {r5.kernel_size}; in dimension 6: {r6.cell_count} cells against "
+           f"a kernel of {r6.kernel_size}")
 
 
 def test_criterion_05_three_coskeletal():

@@ -14,7 +14,7 @@ from xnerve.errors import CapacityError, CompatibilityError, NotKanError
 from xnerve.cli import run
 from xnerve.homotopy import higher_vanishing, pi_compare
 from xnerve.io import from_crossed_monoid, serialize
-from xnerve.nerve import Nerve
+from xnerve.nerve import Nerve, _RankMaps
 from xnerve.simplicial import (
     BoundaryTuple,
     CoskeletalRecord,
@@ -827,3 +827,78 @@ def test_rank_audit_builds_cells_only_for_witnesses(monkeypatch):
     report = audit_simplicial(Nerve(_corrupt(CORRUPTIBLE["z2_with_z3_fiber"], "action", site, values[0])), 4)
     assert not report.passed
     assert calls == {"face": 0, "degeneracy": 0, "cells": 0, "cell_at": len(report.violations)}
+
+
+# -- words of degeneracies only, decided once per enumeration block -----------
+
+AUDITED = ("trivial_point", "group_z2", "z3_fiber_only", "z2_with_z3_fiber", "z2_with_z3_fiber_twisted",
+           "idempotent_fiber", "broken_exchange", "z3_identity_boundary", "idempotent_endo_category",
+           "pair_groupoid_z3", "empty_crossed_monoid")
+SIMP6 = next(indices for name, _, _, indices in simplicial._IDENTITIES if name == "simp6")
+
+
+def count_lifted_degeneracies(monkeypatch):
+    """Cells of the (n+1)-columns ``_RankMaps.degeneracy`` is given while
+    dimension n is audited, by n: simp6's second degeneracy, on chunks or on
+    a block's basis."""
+    lifted, real = {}, _RankMaps.degeneracy
+
+    def counted(self, col, j):
+        if col.dim == self.dim + 1:
+            lifted[self.dim] = lifted.get(self.dim, 0) + len(col)
+        return real(self, col, j)
+
+    monkeypatch.setattr(_RankMaps, "degeneracy", counted)
+    return lifted
+
+
+@pytest.mark.parametrize("name", AUDITED)
+def test_block_decision_leaves_every_report_unchanged(name, monkeypatch):
+    nv = Nerve(getattr(fixtures, name)())
+    decided = audit_simplicial(nv, 4)
+    monkeypatch.delattr(_RankMaps, "agree")  # every instance on every chunk
+    assert audit_simplicial(nv, 4) == decided
+
+
+def test_a_corrupted_plan_constant_is_caught_by_the_basis(monkeypatch):
+    # s_1 on 3-cells, off by one: met only as simp6's second degeneracy at
+    # n = 2, and still a digit insertion, so only the basis tells the sides
+    # apart
+    real_plan, real_agree, verdicts = _RankMaps._plan, _RankMaps.agree, []
+
+    def corrupted(self, blk, j):
+        new, const, runs, insertion = real_plan(self, blk, j)
+        return new, const + (len(blk.seq) == 4 and j == 1), runs, insertion
+
+    def agree(self, *args):
+        verdicts.append(real_agree(self, *args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(_RankMaps, "_plan", corrupted)
+    monkeypatch.setattr(_RankMaps, "agree", agree)
+    decided = audit_simplicial(Nerve(fixtures.z2_with_z3_fiber()), 2)
+    assert False in verdicts and True in verdicts
+    monkeypatch.delattr(_RankMaps, "agree")
+    assert audit_simplicial(Nerve(fixtures.z2_with_z3_fiber()), 2) == decided
+    assert [(v.axiom, v.witness[:3]) for v in decided.violations] == [("simp6", (2, 0, 1))]
+
+
+def test_a_plan_that_is_no_digit_insertion_is_audited_chunk_by_chunk(monkeypatch):
+    real_plan = _RankMaps._plan
+    monkeypatch.setattr(_RankMaps, "_plan", lambda self, blk, j: (*real_plan(self, blk, j)[:3], False))
+    lifted = count_lifted_degeneracies(monkeypatch)
+    nv = Nerve(fixtures.z2_with_z3_fiber())
+    assert audit_simplicial(nv, 3).passed
+    for n in range(4):  # both sides of every instance on every cell
+        assert lifted[n] >= 2 * len(SIMP6(n)) * nv.count_cells(n)
+
+
+def test_simp6_is_decided_on_each_block_basis(monkeypatch):
+    lifted = count_lifted_degeneracies(monkeypatch)
+    nv = Nerve(fixtures.z2_with_z3_fiber())
+    assert audit_simplicial(nv, 4).passed
+    for n in range(5):  # per block, instance and side: the basis, m + 1 cells for m digits of radix above 1
+        basis = sum(1 + sum(len(dom) > 1 for dom in blk.domains) for blk in nv._dim(n))
+        assert 0 < lifted[n] <= 2 * len(SIMP6(n)) * basis
+    # against both sides of every instance on every 4-cell, chunk by chunk
+    assert lifted[4] * 1000 < 2 * len(SIMP6(4)) * nv.count_cells(4)
