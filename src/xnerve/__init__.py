@@ -32,11 +32,11 @@ from .errors import (
     StructureError,
     XNerveError,
 )
-from .fillers import HornFiller, image_b3
+from .fillers import HornFiller
 from .groups import GroupPresentation, find_isomorphism
 from .homotopy import PiComparison, VanishingReport, higher_vanishing, pi0, pi1, pi2, pi_compare
 from .io import InputDocument, from_crossed_monoid, load_path, parse_input, serialize, to_crossed_monoid
-from .nerve import Nerve, NerveCell, induced_cell
+from .nerve import Nerve, NerveCell
 from .simplicial import (
     BoundaryTuple,
     CoskeletalRecord,

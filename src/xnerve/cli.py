@@ -4,15 +4,16 @@
                              [--basepoint OBJ] [--pi LIST] [--seed S]
 
 Commands: validate, classify, enumerate, audit, coskeletal, kan, fill,
-homotopy.  Exit codes: 0 all requested checks pass, 1 the input cannot be
-read or has a structural error, 2 a property fails, an operation refuses (a
-witness is reported), an argument is out of range or the ``--json`` path
-cannot be written, 3 an enumeration exceeded the cell budget.
-Every error ends in one ``ERROR (kind): ...`` line on stderr and an
-``error`` block in the JSON report.  The commands that work on the nerve
-validate their input first: an input that fails the axioms gets the failed
-``axioms`` check in front of its report (or under ``axioms`` beside an
-error) and exit code 2.
+homotopy.  Exit codes, with the kinds of the errors that end in them: 0 all
+requested checks pass, 1 the input cannot be read (io) or has a structural
+error (structural), 2 a property fails, an operation refuses (refusal,
+not-kan, error; a witness is reported), an argument is out of range
+(argument) or the ``--json`` path cannot be written (io), 3 an enumeration
+exceeds the cell budget or a dimension cannot fit in it (capacity).  Every
+error ends in one ``ERROR (kind): ...`` line on stderr and an ``error``
+block in the JSON report.  The nerve commands validate their input first:
+an input that fails the axioms gets the failed ``axioms`` check in front of
+its report (or under ``axioms`` beside an error) and exit code 2.
 """
 
 from __future__ import annotations
@@ -21,20 +22,11 @@ import argparse
 import json
 import random
 import sys
-from operator import itemgetter
 
 from . import homotopy as H
 from . import simplicial as S
 from .algebra import validate_crossed_monoid
-from .errors import (
-    ArgumentError,
-    CapacityError,
-    DEFAULT_CAPACITY,
-    NotCrossedModuleError,
-    NotKanError,
-    StructureError,
-    XNerveError,
-)
+from .errors import ArgumentError, DEFAULT_CAPACITY, XNerveError
 from .fillers import HornFiller
 from .io import load_path
 from .nerve import Nerve
@@ -42,7 +34,6 @@ from .nerve import Nerve
 EXIT_OK = 0
 EXIT_STRUCTURAL = 1
 EXIT_PROPERTY = 2
-EXIT_CAPACITY = 3
 
 
 def _parse_dims(text: str | None, default: tuple[int, int], lowest: int = 0) -> tuple[int, int]:
@@ -61,11 +52,7 @@ def _parse_dims(text: str | None, default: tuple[int, int], lowest: int = 0) -> 
 
 
 def _report_lines(checks: list[dict]) -> list[str]:
-    lines = []
-    for c in checks:
-        status = "PASS" if c["passed"] else "FAIL"
-        lines.append(f"{status} {c['label']}: {c['detail']}")
-    return lines
+    return [f"{'PASS' if c['passed'] else 'FAIL'} {c['label']}: {c['detail']}" for c in checks]
 
 
 def _axioms_check(xm) -> dict:
@@ -176,14 +163,14 @@ def cmd_fill(xm, args) -> tuple[int, list[dict]]:
         count = nerve.count_cells(n)
         for l in range(n + 1):
             # horns as columns of face ranks: the join's columns, or the
-            # face rows of sampled cells without slot l
+            # face columns of sampled cells without slot l
             if count <= nerve.cap:
                 horn_columns = S.horns(nerve, n, l).columns
                 mode = "exhaustive"
             else:
                 sample = min(1000, nerve.cap)
-                rows = nerve.faces_of(n, [rng.randrange(count) for _ in range(sample)])
-                horn_columns = [list(map(itemgetter(j), rows)) for j in range(n + 1) if j != l]
+                faces = nerve.faces_of(n, [rng.randrange(count) for _ in range(sample)])
+                horn_columns = faces[:l] + faces[l + 1:]
                 mode = f"sampled {sample} (seed {args.seed})"
             filler.fill_columns(n, l, horn_columns)
             checks.append(
@@ -286,12 +273,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help, or a usage error argparse has printed
+        return exc.code
     try:  # an unwritable report path ends the run before any work, the file left as it was
         if args.json_out:
             open(args.json_out, "a", encoding="utf-8").close()
-    except OSError as exc:
-        print(f"ERROR (io): cannot write the report to {args.json_out}: {exc.strerror}", file=sys.stderr)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        print(f"ERROR (io): cannot write the report to {args.json_out}: {getattr(exc, 'strerror', exc)}", file=sys.stderr)
         return EXIT_PROPERTY
     report: dict = {"tool": "xnerve", "command": args.command, "input": args.file}
     failed_axioms = None
@@ -311,25 +301,9 @@ def run(argv: list[str] | None = None) -> int:
             f"cannot read {args.file}: {exc.strerror}"
         report.update(passed=False, exit_code=EXIT_STRUCTURAL, error={"kind": "io", "message": message})
         code, checks = EXIT_STRUCTURAL, None
-    except StructureError as exc:
-        report.update(passed=False, exit_code=EXIT_STRUCTURAL, error={"kind": "structural", "message": str(exc)})
-        code, checks = EXIT_STRUCTURAL, None
-    except CapacityError as exc:
-        report.update(passed=False, exit_code=EXIT_CAPACITY,
-                      error={"kind": "capacity", "message": str(exc), "predicted": exc.predicted, "cap": exc.cap})
-        code, checks = EXIT_CAPACITY, None
-    except NotCrossedModuleError as exc:
-        report.update(passed=False, exit_code=EXIT_PROPERTY,
-                      error={"kind": "refusal", "hypothesis": exc.hypothesis, "witness": list(exc.witness)})
-        code, checks = EXIT_PROPERTY, None
-    except NotKanError as exc:
-        report.update(passed=False, exit_code=EXIT_PROPERTY,
-                      error={"kind": "not-kan", "dim": exc.dim, "omitted": exc.omitted})
-        code, checks = EXIT_PROPERTY, None
     except XNerveError as exc:
-        kind = "argument" if isinstance(exc, ArgumentError) else "error"
-        report.update(passed=False, exit_code=EXIT_PROPERTY, error={"kind": kind, "message": str(exc)})
-        code, checks = EXIT_PROPERTY, None
+        report.update(passed=False, exit_code=exc.exit_code, error=exc.report())
+        code, checks = exc.exit_code, None
     if checks is not None:
         report.update(passed=code == EXIT_OK, exit_code=code, checks=checks)
         for line in _report_lines(checks):

@@ -3,7 +3,7 @@
 ``HornFiller.fill_columns`` fills many horns of one dimension and slot at
 once: a horn is one position of n columns of face ranks, one column per
 present slot, as ``horns(...).columns`` gives them, and the fillers come
-back as a column of ranks.  Every step is a column operation: face rows
+back as a column of ranks.  Every step is a column operation: face columns
 from ``Nerve.faces_of``, corners from ``Nerve.corners``, cells from
 ``Nerve.assemble_ids``.  ``fill`` is one horn given as cells, a column of
 one: ranks carry no dimension, so it refuses faces that are not
@@ -20,11 +20,11 @@ rows it keeps of other levels (every slot and column reads them) and its
 cell budget.  Nothing is assumed of the input; each check compares columns
 of ints and a failure raises CompatibilityError: the horn has n faces in
 columns of one length, ranks of (n-1)-cells, and a slot in 0..n, the faces
-match up as a horn, the n = 3 completed tuple satisfies eq:image, the first
-and last faces overlap, and the whole face rows of the filler and, for
-n >= 4, of the missing face are the tuples they were built from (for n = 2,
-the filler's faces at the horn's slots).  A refused column raises the error
-of its first refused horn, as that horn alone would.
+match up as a horn, the n = 3 completed tuple satisfies eq:image, the
+first and last faces overlap, and every face column of the filler and, for
+n >= 4, of the missing face is the column it was built from (for n = 2, its
+face columns at the horn's slots).  A refused column raises the error of
+its first refused horn, as that horn alone would.
 
 The boundary-image equation for a compatible 4-tuple (M0, M1, M2, M3) of
 2-cells reads, with g the lower diagonal of M3 and c_j the corner of M_j:
@@ -39,21 +39,11 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Sequence
-from operator import itemgetter
 
 from .algebra import CrossedMonoid
 from .errors import CompatibilityError, NotCrossedModuleError
 from .nerve import Nerve, NerveCell
-from .simplicial import BoundaryTuple, HornTuple
-
-
-def image_b3(xm: CrossedMonoid, t: BoundaryTuple) -> bool:
-    """Does a compatible 4-tuple of 2-cells bound a 3-cell? (rule eq:image)
-
-    Necessary over any crossed monoid; necessary and sufficient over a
-    crossed module.
-    """
-    return _image_rule(xm, t.faces[3].rows[1][0], [m.rows[0][1] for m in t.faces])
+from .simplicial import HornTuple
 
 
 def _image_rule(xm: CrossedMonoid, g: int, c: Sequence[int]) -> bool:
@@ -113,11 +103,11 @@ class HornFiller:
 
         Refuses with CompatibilityError unless the columns are of one length,
         the faces are (n-1)-cells that match up as a horn, the filler's faces
-        are the horn's, and for n >= 3 the face rows of the filler and
-        (n >= 4) of the missing face are the tuples they were built from, the
-        n = 3 tuple passing eq:image.  The error is that of the first refused
-        horn: a refused column is filled again one horn at a time until that
-        horn raises."""
+        are the horn's, and for n >= 3 the face columns of the filler and
+        (n >= 4) of the missing face are the columns they were built from,
+        the n = 3 tuple passing eq:image.  The error is that of the first
+        refused horn: a refused column is filled again one horn at a time
+        until that horn raises."""
         if n < 2:
             raise CompatibilityError(f"no constructive filler in dimension {n}")
         if not 0 <= l <= n or len(columns) != n:
@@ -134,8 +124,9 @@ class HornFiller:
             raise
 
     def _fill(self, n: int, l: int, faces: list[list[int]]) -> list[int]:
-        """``fill_columns`` on one column, refused as a whole; its face rows
-        come from ``faces_of``, kept on the nerve for the next slot too."""
+        """``fill_columns`` on one column, refused as a whole: ``rows[b][j]``
+        is the column of d_j of present face b, from ``faces_of``, whose face
+        rows the nerve keeps for the next slot too."""
         try:
             rows = [self.nerve.faces_of(n - 1, col) for col in faces]
         except IndexError as e:
@@ -144,15 +135,15 @@ class HornFiller:
         slots = [k for k in range(n + 1) if k != l]
         for a, j in enumerate(slots):
             for b in range(a + 1, n):
-                if list(map(itemgetter(j), rows[b])) != list(map(itemgetter(slots[b] - 1), rows[a])):
+                if rows[b][j] != rows[a][slots[b] - 1]:
                     raise CompatibilityError("tuple is not a horn: faces do not match up")
         if n == 2:
             return self._fill_dim2(l, faces, slots)
-        beta = [list(map(itemgetter(l - 1 if i < l else l), r)) for i, r in enumerate(rows)]
+        beta = [r[l - 1 if i < l else l] for i, r in enumerate(rows)]
         completed = list(faces)
         missing = self._missing_2face(l, faces, rows, beta) if n == 3 else self._cell_with_boundary(n - 1, beta)
-        completed.insert(l, missing)
-        return self._cell_with_boundary(n, completed)
+        completed.insert(l, missing)  # for 0 < l < n faces 0 and n are present, their ends known
+        return self._cell_with_boundary(n, completed, (rows[0][n - 1], rows[-1][0]) if 0 < l < n else None)
 
     def _fill_dim2(self, l: int, faces: list[list[int]], slots: list[int]) -> list[int]:
         """The 2-cells with d_0 = lower, d_2 = upper and a unit corner, the
@@ -167,9 +158,9 @@ class HornFiller:
             lower, upper = [cat.compose(self._mor_inverse(b), a) for a, b in zip(f, g)], g
         units = [self.xm.fibers[cat.src[u]].unit for u in upper]
         fillers = nv.assemble_ids(2, [nv.mor_rank[m] for m in lower], [nv.mor_rank[m] for m in upper], units)
-        rows = nv.faces_of(2, fillers)
+        got_faces = nv.faces_of(2, fillers)
         for slot, expected in zip(slots, faces):
-            got = list(map(itemgetter(slot), rows))
+            got = got_faces[slot]
             if got != expected:
                 i = next(i for i, (a, b) in enumerate(zip(got, expected)) if a != b)
                 raise CompatibilityError(
@@ -178,13 +169,13 @@ class HornFiller:
                 )
         return fillers
 
-    def _missing_2face(self, l: int, faces: list[list[int]], rows: list[list[tuple[int, ...]]],
+    def _missing_2face(self, l: int, faces: list[list[int]], rows: list[list[list[int]]],
                        beta: list[list[int]]) -> list[int]:
         """The omitted 2-faces of dimension-3 horns, with boundaries
         ``beta``: the diagonal is entries 2 and 0 of beta, and the corner
         solves rule eq:image, with g the lower diagonal of face 3."""
         nv, xm = self.nerve, self.xm
-        gs = [nv.mor_at[r] for r in (beta[0] if l == 3 else list(map(itemgetter(0), rows[-1])))]
+        gs = [nv.mor_at[r] for r in (beta[0] if l == 3 else rows[-1][0])]
         c = [nv.corners(2, col) for col in faces]
         c.insert(l, itertools.repeat(None))
         mul, inv, act_inv = self._mul, self._inv, self._act_inv
@@ -201,28 +192,28 @@ class HornFiller:
                 corners.append(act_inv(g, mul(x2, act[c2], c0, inv(x2, c1))))
         return nv.assemble_ids(2, beta[0], beta[2], corners)
 
-    def _cell_with_boundary(self, n: int, faces: list[list[int]]) -> list[int]:
+    def _cell_with_boundary(self, n: int, faces: list[list[int]], ends=None) -> list[int]:
         """Ranks of the n-cells, n >= 3, with the face ranks ``faces`` (one
         column per face), built through the corner bijection; the corner is
         that of face 2 for n >= 4 and solves rule eq:image for n = 3.
-        Refuses tuples that fail eq:image, whose outer faces do not
-        overlap, or whose cells have another boundary."""
+        Refuses tuples that fail eq:image, whose outer faces do not overlap
+        (``ends``, if given, are d_{n-1} of face 0 and d_0 of face n), or
+        whose cells have another boundary."""
         nv, xm = self.nerve, self.xm
         if n == 3:
             c = [nv.corners(2, col) for col in faces]
-            gs = [nv.mor_at[row[0]] for row in nv.faces_of(2, faces[3])]
+            gs = [nv.mor_at[r] for r in nv.faces_of(2, faces[3])[0]]
             if not all(map(_image_rule, itertools.repeat(xm), gs, zip(*c))):
                 raise CompatibilityError("boundary tuple fails eq:image")
             corner = [self._mul(xm.cat.tgt[g], self._inv(xm.cat.tgt[g], c3), c2)
                       for g, c2, c3 in zip(gs, c[2], c[3])]
         else:
             corner = nv.corners(n - 1, faces[2])
-        ends = list(map(itemgetter(n - 1), nv.faces_of(n - 1, faces[0])))
-        if ends != list(map(itemgetter(0), nv.faces_of(n - 1, faces[-1]))):
+        first, last = ends or (nv.faces_of(n - 1, faces[0])[n - 1], nv.faces_of(n - 1, faces[-1])[0])
+        if first != last:
             raise CompatibilityError("faces do not overlap: d_{n-1}(first) != d_0(last)")
         cells = nv.assemble_ids(n, faces[0], faces[-1], corner)
-        got = nv.faces_of(n, cells)
-        for j, expected in enumerate(faces):
-            if list(map(itemgetter(j), got)) != expected:
+        for j, (got, expected) in enumerate(zip(nv.faces_of(n, cells), faces)):
+            if got != expected:
                 raise CompatibilityError(f"boundary reconstruction failed at face {j}")
         return cells

@@ -22,6 +22,7 @@ Schema::
 
 from __future__ import annotations
 
+import errno
 import json
 from dataclasses import dataclass
 from itertools import chain
@@ -145,7 +146,7 @@ def parse_input(data: bytes | str) -> InputDocument:
     JSON path on the first problem."""
     try:
         raw = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # not JSON, not UTF-8, or an int of more digits than Python converts
         raise StructureError(f"not valid JSON: {exc}") from None
     except RecursionError:
         raise StructureError("not valid JSON: nested too deeply") from None
@@ -299,5 +300,10 @@ def serialize(doc: InputDocument) -> str:
 
 
 def load_path(path) -> CrossedMonoid:
-    with open(path, "rb") as fh:
+    """The document at ``path``; OSError for a path ``open`` refuses, also with ValueError (a NUL byte)."""
+    try:
+        fh = open(path, "rb")
+    except ValueError as exc:
+        raise OSError(errno.EINVAL, str(exc)) from None
+    with fh:
         return to_crossed_monoid(parse_input(fh.read()))

@@ -38,8 +38,8 @@ audit's maps (``rank_maps``), where s_j is digit insertion: s_j c keeps
 every digit of c's rank and adds fixed digits for the identity and the
 fiber units.  One routine, ``_block_faces``, holds the face formulas for
 whole levels (``face_rows``) and for chosen ranks.  On cells, ``face``,
-``degeneracy``, ``eta`` and ``corner_assemble`` are the matrix definitions
-the rank forms are tested against.
+``degeneracy`` and ``corner_assemble`` are the matrix definitions the rank
+forms are tested against.
 """
 
 from __future__ import annotations
@@ -48,11 +48,11 @@ import itertools
 import math
 from bisect import bisect_right
 from functools import partial
-from operator import getitem, itemgetter
+from operator import getitem, itemgetter, mul
 from typing import Iterator, NamedTuple, Sequence
 
-from .algebra import CrossedMonoid, XMorphism
-from .errors import CellError, CompatibilityError, DEFAULT_CAPACITY
+from .algebra import CrossedMonoid
+from .errors import CapacityError, CellError, CompatibilityError, DEFAULT_CAPACITY
 from .simplicial import LevelProvider
 
 
@@ -63,10 +63,6 @@ class NerveCell(NamedTuple):
     dim: int
     objects: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]
-
-    def entry(self, i: int, j: int) -> int:
-        """Matrix entry at 1-based position (i, j), i <= j."""
-        return self.rows[i - 1][j - i]
 
     @property
     def corner(self) -> int:
@@ -86,15 +82,27 @@ class NerveCell(NamedTuple):
 _cell = partial(tuple.__new__, NerveCell)
 
 
+# A count of more digits than the 4300 that Python writes in decimal by
+# default is over any budget: it is refused, never printed.
+_HUGE = 10 ** 4300
+
+
 class _Block(NamedTuple):
-    """One object sequence with a morphism in every C(x_i, x_{i-1}): the
-    row-major candidate list of every matrix position, the block size (their
-    product) and the rank of its first cell."""
+    """One object sequence with a morphism in every C(x_i, x_{i-1}): per
+    matrix row i, C(x_i, x_{i-1}) and the size of the fiber over x_i; the
+    block size and the rank of its first cell."""
 
     seq: tuple[int, ...]
-    domains: tuple[tuple[int, ...], ...]
+    homs: tuple[tuple[int, ...], ...]
+    fibers: tuple[int, ...]
     size: int
     start: int
+
+    @property
+    def domains(self) -> list[Sequence[int]]:
+        """The candidate list of every matrix position, row-major."""
+        n = len(self.homs)
+        return [d for i, (hom, f) in enumerate(zip(self.homs, self.fibers), 1) for d in (hom, *[range(f)] * (n - i))]
 
 
 def _glue(glue: tuple[int, ...], firsts, lasts, corners) -> list[int]:
@@ -136,8 +144,9 @@ class Nerve(LevelProvider):
         self._glues: dict[tuple[int, ...], tuple[int, ...]] = {}  # by object sequence
         self._face_plans: dict[tuple[int, ...], tuple] = {}  # by object sequence
         self._rows: dict[int, dict[int, tuple[int, ...]]] = {}  # faces_of's rows, by dimension and rank
+        self._counts: dict[int, int] = {}  # count_cells, by dimension
         # mor_at[r] is the morphism of the 1-cell of rank r; mor_rank inverts it
-        self.mor_at = [g for blk in self._dim(1) for g in blk.domains[0]]
+        self.mor_at = [g for x0 in cat.objects() for x1 in cat.objects() for g in cat.hom(x1, x0)]
         self.mor_rank = sorted(range(len(self.mor_at)), key=self.mor_at.__getitem__)
 
     # -- construction -------------------------------------------------
@@ -146,13 +155,6 @@ class Nerve(LevelProvider):
         if not 0 <= obj < self.xm.cat.num_objects:
             raise CellError(f"object {obj} out of range")
         return NerveCell(0, (obj,), ())
-
-    def morphism_cell(self, m: int) -> NerveCell:
-        """The dimension-1 cell identified with morphism ``m``."""
-        cat = self.xm.cat
-        if not 0 <= m < cat.num_morphisms:
-            raise CellError(f"morphism {m} out of range")
-        return NerveCell(1, (cat.tgt[m], cat.src[m]), ((m,),))
 
     def cell(self, objects: Sequence[int], rows: Sequence[Sequence[int]]) -> NerveCell:
         """Validated constructor; raises CellError naming the bad entry."""
@@ -189,24 +191,6 @@ class Nerve(LevelProvider):
                     raise CellError(f"entry ({i},{k}) = {v} outside the fiber over object {c.objects[i]}")
 
     # -- structure maps ------------------------------------------------
-
-    def eta(self, M: NerveCell, j: int, k: int) -> int:
-        """Row twist: ``m[j+1][j+1] * d(m[j+1][j+2] ... m[j+1][k])``.
-
-        Runs from ``x_{j+1}`` to ``x_j``; ``k == j+1`` gives the bare
-        diagonal entry.
-        """
-        n = M.dim
-        if not (0 <= j and j + 1 <= k <= n):
-            raise CellError(f"eta indices ({j},{k}) out of range for dimension {n}")
-        xm = self.xm
-        row = M.rows[j]
-        drow = xm.boundary[M.objects[j + 1]]
-        compose = xm.cat.compose_table
-        mor = row[0]
-        for col in range(j + 2, k + 1):
-            mor = compose[mor][drow[row[col - j - 1]]]
-        return mor
 
     def face(self, M: NerveCell, j: int) -> NerveCell:
         n = M.dim
@@ -302,29 +286,56 @@ class Nerve(LevelProvider):
         One block per object sequence, sequences lexicographic.  A cell's
         rank is its block's start plus its index in the block, the
         mixed-radix number whose digits are its entries' positions in the
-        candidate lists; fiber candidates are range(size), so a fiber digit
-        is its element.  In dimension 0 an object's rank is its id; negative
-        dimensions have no blocks.
+        candidate lists (``_Block.domains``); fiber candidates are
+        range(size), so a fiber digit is its element.  In dimension 0 an
+        object's rank is its id; negative dimensions have no blocks.  A cell
+        of more entries than ``cap``, or more object sequences than ``cap``,
+        is refused with CapacityError before any block is made.
         """
         blocks = () if n < 0 else self._dims.get(n)
         if blocks is None:
-            xm = self.xm
-            cat = xm.cat
+            xm, cap, cat = self.xm, self.cap, self.xm.cat
+            if n * (n + 1) // 2 > cap:  # the entries of one cell
+                raise CapacityError(f"a cell of dimension {n} has {n * (n + 1) // 2} entries, over the budget {cap}", cap=cap)
+            sequences = self._count(n, [1] * cat.num_objects, bool)
+            if sequences > cap:
+                raise CapacityError(f"{sequences} object sequences of dimension {n} exceed the budget {cap}", cap=cap)
+            seqs = [(x,) for x in cat.objects()]
+            for _ in range(n):  # lexicographic, one object at a time
+                seqs = [seq + (y,) for seq in seqs for y in cat.objects() if cat.hom(y, seq[-1])]
             blocks, start = [], 0
-            for seq in itertools.product(cat.objects(), repeat=n + 1):
-                if not all(cat.hom(seq[i], seq[i - 1]) for i in range(1, n + 1)):
-                    continue
-                domains: list[tuple[int, ...]] = []
-                for i in range(1, n + 1):
-                    domains.append(cat.hom(seq[i], seq[i - 1]))
-                    domains.extend([tuple(xm.fibers[seq[i]].elements())] * (n - i))
-                size = math.prod(map(len, domains))
-                blocks.append(_Block(seq, tuple(domains), size, start))
+            for seq in seqs:
+                homs = tuple([cat.hom(seq[i], seq[i - 1]) for i in range(1, n + 1)])
+                fibers = tuple([xm.fibers[x].size for x in seq[1:]])
+                size = math.prod([len(hom) * f ** (n - i) for i, (hom, f) in enumerate(zip(homs, fibers), 1)])
+                blocks.append(_Block(seq, homs, fibers, size, start))
                 start += size
             self._block_of.update((blk.seq, blk) for blk in blocks)
             self._starts[n] = [blk.start for blk in blocks]
             blocks = self._dims[n] = tuple(blocks)
         return blocks
+
+    def _count(self, n: int, sizes: Sequence[int], weigh) -> int:
+        """The cells (``len``, fiber sizes) or object sequences (``bool``, sizes
+        1) of dimension n >= 0, at most ``_HUGE``: the products over rows i of
+        weigh(C(x_i, x_{i-1})) sizes[x_i]^(n-i), summed row by row, or with
+        all sizes 1 as 1^T H^n 1 by squaring.  With a larger size, the constant
+        sequence on its object alone has at least 2^(n(n-1)/2) cells."""
+        objs = range(self.xm.cat.num_objects)
+        homs = [[weigh(self.xm.cat.hom(x, y)) for y in objs] for x in objs]
+        v = [1] * len(objs)
+
+        def times(m, v):
+            return [min(sum(map(mul, row, v)), _HUGE) for row in m]
+
+        while n and max(sizes, default=1) == 1:  # leaves n = 0 for the rows below
+            v = times(homs, v) if n & 1 else v
+            homs, n = list(zip(*[times(homs, col) for col in zip(*homs)])), n >> 1
+        if n * (n - 1) // 2 >= _HUGE.bit_length():
+            return _HUGE
+        for i in range(1, n + 1):
+            v = [min(size ** (n - i) * s, _HUGE) for size, s in zip(sizes, times(homs, v))]
+        return min(sum(v), _HUGE)
 
     @staticmethod
     def _row_bounds(n: int) -> list[tuple[int, int]]:
@@ -336,8 +347,19 @@ class Nerve(LevelProvider):
         return bounds
 
     def count_cells(self, n: int) -> int:
-        blocks = self._dim(n)
-        return blocks[-1].start + blocks[-1].size if blocks else 0
+        """The number of n-cells, with no block built; a count of more than
+        4300 digits, over any budget, is refused with CapacityError."""
+        if n not in self._counts:
+            self._counts[n] = self._count(n, [f.size for f in self.xm.fibers], len) if n >= 0 else 0
+        if self._counts[n] == _HUGE:
+            raise CapacityError(f"10^4300 or more cells of dimension {n} exceed the budget {self.cap}", cap=self.cap)
+        return self._counts[n]
+
+    def count_within(self, n: int) -> int:
+        """``count_cells(n)`` refused above ``cap``, then as ``_dim(n)`` refuses."""
+        count = super().count_within(n)
+        self._dim(n)
+        return count
 
     def cells(self, n: int) -> Iterator[NerveCell]:
         """All cells of dimension n, object sequences lexicographic, then
@@ -351,9 +373,9 @@ class Nerve(LevelProvider):
     def cell_at(self, n: int, index: int) -> NerveCell:
         """The index-th cell in enumeration order, without materializing."""
         blk = self._dim(n)[self._block_indices(n, [index])[0]]
-        index -= blk.start
-        lens = [len(dom) for dom in blk.domains]
-        flat = tuple([dom[index // w % size] for dom, w, size in zip(blk.domains, _weights(lens), lens)])
+        index, domains = index - blk.start, blk.domains
+        lens = [len(dom) for dom in domains]
+        flat = tuple([dom[index // w % size] for dom, w, size in zip(domains, _weights(lens), lens)])
         return _cell((n, blk.seq, tuple([flat[a:b] for a, b in self._row_bounds(n)])))
 
     def rank_of(self, c: NerveCell) -> int:
@@ -438,24 +460,27 @@ class Nerve(LevelProvider):
                                        self.xm.fibers[seq[1]].size)
         return glue
 
-    def faces_of(self, n: int, ranks: Sequence[int]) -> list[tuple[int, ...]]:
-        """Face row (rank of d_0 c, ..., rank of d_n c) of the n-cell c of
-        every rank in ``ranks``, n >= 1, in any dimension.  A built level is
-        read, then the rows the nerve keeps.  The other rows come from
-        ``_block_faces``, block by block, on the rows of the d_0 and d_n
-        faces, found the same way one dimension down, and are kept while
-        the dimension keeps fewer than ``cap`` rows.  A rank that is not one
-        of the n-cells raises IndexError."""
+    def faces_of(self, n: int, ranks: Sequence[int]) -> list[list[int]]:
+        """Face columns of the n-cells of ``ranks``, n >= 1, in any
+        dimension: n+1 lists, list j holding the rank of d_j c of every c in
+        input order.  The face rows are read from a built level, then from
+        the rows the nerve keeps.  The other rows come from ``_block_faces``,
+        block by block, on the rows of the d_0 and d_n faces, found the same
+        way one dimension down, and are kept while the dimension keeps fewer
+        than ``cap`` rows.  A rank that is not one of the n-cells raises
+        IndexError."""
         if n < 1:
             raise CellError("0-cells have no faces")
         self._check_ranks(n, ranks)
         try:
-            return self._faces(n, ranks)
+            rows = self._faces(n, ranks)
         except KeyError:
             raise CompatibilityError("a face of a 2-cell is not a 1-cell: its diagonal leaves its hom-set") from None
+        flat = list(itertools.chain.from_iterable(rows))  # sliced by column: no iterator per row, as zip(*rows) makes
+        return [flat[j::n + 1] for j in range(n + 1)]
 
     def _faces(self, n: int, ranks: Sequence[int]) -> list[tuple[int, ...]]:
-        """``faces_of`` on ranks known to be n-cells."""
+        """The face rows of ``faces_of``, on ranks known to be n-cells."""
         table = self.built(n)
         if table is not None:
             return list(map(table.__getitem__, ranks))
@@ -761,8 +786,8 @@ def _keep_runs(lens: Sequence[int], keep: set[int]) -> list[list[int]]:
     mixed radix ``lens``, the number its digits at the positions in
     ``keep`` make in their own mixed radix."""
     kept = sorted(keep)
-    dest = [kept.index(p) if p in keep else None for p in range(len(lens))]
-    return _digit_runs(lens, dest, [lens[p] for p in kept])
+    at = dict(zip(kept, itertools.count()))
+    return _digit_runs(lens, [at.get(p) for p in range(len(lens))], [lens[p] for p in kept])
 
 
 def _digit_runs(lens: Sequence[int], dest: Sequence[int | None], new_lens: Sequence[int]) -> list[list[int]]:
@@ -804,13 +829,3 @@ def _spell(idxs: Sequence[int], runs: Sequence[Sequence[int]], const: int = 0) -
         col = [c + i // weight % span * new for c, i in zip(col, idxs)]
     return col
 
-
-def induced_cell(m: XMorphism, M: NerveCell) -> NerveCell:
-    """Push a cell along a structure map: objects and diagonal through the
-    functor, fiber entries through the matching fiber map."""
-    objs = tuple(m.obj_map[x] for x in M.objects)
-    rows = []
-    for i, row in enumerate(M.rows, start=1):
-        fiber_map = m.fiber_maps[M.objects[i]]
-        rows.append((m.mor_map[row[0]],) + tuple(fiber_map[v] for v in row[1:]))
-    return NerveCell(M.dim, objs, tuple(rows))

@@ -77,20 +77,18 @@ class LevelProvider:
         CapacityError, before anything is built, whenever ``count_cells``
         predicts more cells than ``cap``, and with CompatibilityError when a
         face is not a cell of the level below."""
-        count = self.count_within(n)
-        faces = self.built(n)
-        if faces is None:
-            if n == 0:
-                faces = [()] * count
-            else:
-                below = self.level(n - 1)
+        todo = [(n, self.count_within(n))]
+        while self.built(todo[-1][0]) is None and todo[-1][0] > 0:
+            todo.append((todo[-1][0] - 1, self.count_within(todo[-1][0] - 1)))
+        # made here, not in __init__, so a subclass need not call it
+        levels = self.__dict__.setdefault("_levels", {})
+        for k, count in reversed(todo):
+            if k not in levels:
                 try:
-                    faces = self.face_rows(n, below)
+                    levels[k] = self.face_rows(k, levels[k - 1]) if k else [()] * count
                 except KeyError:
-                    raise CompatibilityError(f"a face of a {n}-cell is not a {n - 1}-cell; provider is broken") from None
-            # made here, not in __init__, so a subclass need not call it
-            self.__dict__.setdefault("_levels", {})[n] = faces
-        return faces
+                    raise CompatibilityError(f"a face of a {k}-cell is not a {k - 1}-cell; provider is broken") from None
+        return levels[n]
 
     def built(self, n: int) -> list[tuple[int, ...]] | None:
         """The face table of dimension n if ``level`` has built it, else
@@ -469,10 +467,7 @@ class KanReport:
         return all(r.fillable for r in self.records)
 
     def first_failure(self) -> KanRecord | None:
-        for r in self.records:
-            if not r.fillable:
-                return r
-        return None
+        return next((r for r in self.records if not r.fillable), None)
 
 
 def check_kan(p: LevelProvider, upto: int, from_dim: int = 1) -> KanReport:

@@ -2,9 +2,9 @@ import pytest
 
 from xnerve import fixtures
 from xnerve.algebra import CrossedMonoid, FiniteMonoid
-from xnerve.errors import CompatibilityError, NotCrossedModuleError
+from xnerve.errors import CellError, CompatibilityError, NotCrossedModuleError
 from xnerve.fillers import _image_rule
-from xnerve.nerve import Nerve
+from xnerve.nerve import Nerve, NerveCell
 from xnerve.simplicial import BoundaryTuple, HornTuple, LevelProvider
 
 
@@ -25,6 +25,67 @@ def pair_groupoid_z3_relabelled() -> CrossedMonoid:
         for m in xm.cat.morphisms()
     )
     return CrossedMonoid(cat=xm.cat, fibers=(z3, fiber1), action=action, boundary=xm.boundary)
+
+
+# -- cell forms with no caller in the package: references for the tests -------
+
+
+def morphism_cell(nv, m):
+    """The dimension-1 cell identified with morphism ``m``."""
+    cat = nv.xm.cat
+    if not 0 <= m < cat.num_morphisms:
+        raise CellError(f"morphism {m} out of range")
+    return NerveCell(1, (cat.tgt[m], cat.src[m]), ((m,),))
+
+
+def eta(nv, M, j, k):
+    """Row twist: ``m[j+1][j+1] * d(m[j+1][j+2] ... m[j+1][k])``.
+
+    Runs from ``x_{j+1}`` to ``x_j``; ``k == j+1`` gives the bare
+    diagonal entry.
+    """
+    n = M.dim
+    if not (0 <= j and j + 1 <= k <= n):
+        raise CellError(f"eta indices ({j},{k}) out of range for dimension {n}")
+    xm = nv.xm
+    row = M.rows[j]
+    drow = xm.boundary[M.objects[j + 1]]
+    compose = xm.cat.compose_table
+    mor = row[0]
+    for col in range(j + 2, k + 1):
+        mor = compose[mor][drow[row[col - j - 1]]]
+    return mor
+
+
+def entry(cell, i, j):
+    """Matrix entry at 1-based position (i, j), i <= j."""
+    return cell.rows[i - 1][j - i]
+
+
+def image_b3(xm, t) -> bool:
+    """Does a compatible 4-tuple of 2-cells bound a 3-cell? (rule eq:image)
+
+    Necessary over any crossed monoid; necessary and sufficient over a
+    crossed module.
+    """
+    return _image_rule(xm, t.faces[3].rows[1][0], [m.rows[0][1] for m in t.faces])
+
+
+def induced_cell(m, M):
+    """Push a cell along a structure map: objects and diagonal through the
+    functor, fiber entries through the matching fiber map."""
+    objs = tuple(m.obj_map[x] for x in M.objects)
+    rows = []
+    for i, row in enumerate(M.rows, start=1):
+        fiber_map = m.fiber_maps[M.objects[i]]
+        rows.append((m.mor_map[row[0]],) + tuple(fiber_map[v] for v in row[1:]))
+    return NerveCell(M.dim, objs, tuple(rows))
+
+
+def rows(columns) -> list[tuple[int, ...]]:
+    """The face rows of the face columns ``Nerve.faces_of`` gives: row i
+    holds entry i of every column, as ``level`` holds them."""
+    return list(zip(*columns))
 
 
 def boundary(p, cell) -> BoundaryTuple:
@@ -132,7 +193,7 @@ class ReferenceFiller:
     def face_ids(self, n, r):
         row = self.rows.get((n, r))
         if row is None:
-            row = self.rows[n, r] = self.nerve.faces_of(n, [r])[0]
+            row = self.rows[n, r] = rows(self.nerve.faces_of(n, [r]))[0]
         return row
 
     def _act_inv(self, g, a):

@@ -160,7 +160,8 @@ _ONLY = {
 # Inputs that are not documents, written as they are.
 RAW_INPUTS = {"utf16_bom": b"\xff\xfe", "deep_nesting": b"[" * 100_000}
 # Each ends in one ERROR line: an input that cannot be read or parsed, a
-# report path in a directory that does not exist, and --pi with an empty item.
+# report path in a directory that does not exist, --pi with an empty item,
+# and a dimension refused before it is built.
 _RAW_CASES = [
     ["kan", "inputs"],
     ["kan", "inputs/utf16_bom.json"],
@@ -168,6 +169,17 @@ _RAW_CASES = [
     ["kan", "inputs/f4.json", "--json", "missing/report.json"],
     ["homotopy", "inputs/z2.json", "--pi", ""],
     ["homotopy", "inputs/z2.json", "--pi", "0,,1"],
+    # paths with a NUL byte, which open() refuses with ValueError
+    ["kan", "inputs/a\x00b.json"],
+    ["kan", "inputs/z2.json", "--json", "missing/a\x00b.json"],
+    # dimensions whose cells cannot fit: a count of more than 4300 digits,
+    # one cell of more entries than the budget, more object sequences
+    ["kan", "inputs/f4.json", "--dims", "150..150"],
+    ["coskeletal", "inputs/f4.json", "--dims", "150..150"],
+    ["enumerate", "inputs/f4.json", "--dims", "200"],
+    ["enumerate", "inputs/f4.json", "--dims", "2000"],
+    ["enumerate", "inputs/trivial.json", "--dims", "100000"],
+    ["fill", "inputs/pair.json", "--dims", "40..40"],
 ]
 
 

@@ -8,10 +8,10 @@ import random
 
 import pytest
 
-from conftest import boundary, corner_triples, horn_of_cell
+from conftest import boundary, corner_triples, horn_of_cell, image_b3
 from xnerve import fixtures
 from xnerve.errors import NotCrossedModuleError
-from xnerve.fillers import HornFiller, image_b3
+from xnerve.fillers import HornFiller
 from xnerve.homotopy import higher_vanishing, pi_compare
 from xnerve.nerve import Nerve
 from xnerve.simplicial import (
@@ -54,16 +54,16 @@ def test_criterion_02_corner_bijection_roundtrips():
         nv = Nerve(build())
         for n in (2, 3, 4):
             ranks = range(nv.count_cells(n))
-            rows = nv.faces_of(n, ranks)
-            firsts, lasts = [row[0] for row in rows], [row[n] for row in rows]
+            faces = nv.faces_of(n, ranks)
+            firsts, lasts = faces[0], faces[n]
             exact = exact and nv.assemble_ids(n, firsts, lasts, nv.corners(n, ranks)) == list(ranks)
             for cell in nv.cells(n):
                 exact = exact and nv.corner_assemble(nv.face(cell, 0), nv.face(cell, n), cell.corner) == cell
                 checked += 1
             triples = list(corner_triples(nv, n))
             made = nv.assemble_ids(n, *zip(*triples))
-            rows = nv.faces_of(n, made)
-            firsts, lasts = [row[0] for row in rows], [row[n] for row in rows]
+            faces = nv.faces_of(n, made)
+            firsts, lasts = faces[0], faces[n]
             exact = exact and list(zip(firsts, lasts, nv.corners(n, made))) == triples
             exact = exact and len(triples) == nv.count_cells(n)
             checked += len(triples)
@@ -76,11 +76,11 @@ def test_criterion_03_corner_face_closed_formulas():
     for build in (F4, F6):
         nv = Nerve(build())
         table = nv.level(3)
-        rows = nv.faces_of(3, range(nv.count_cells(3)))
-        for r, row in enumerate(rows):
+        faces = nv.faces_of(3, range(nv.count_cells(3)))
+        for r in range(len(faces[0])):
             cell = nv.cell_at(3, r)
             for j in (1, 2):
-                exact = exact and table[r][j] == row[j] == nv.rank_of(nv.face(cell, j))
+                exact = exact and table[r][j] == faces[j][r] == nv.rank_of(nv.face(cell, j))
                 checked += 1
     report(3, exact, f"closed corner-face formulas equal the composed path on {checked} instances")
 

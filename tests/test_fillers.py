@@ -8,12 +8,12 @@ import textwrap
 
 import pytest
 
-from conftest import ReferenceFiller, boundary, horn_of_cell
+from conftest import ReferenceFiller, boundary, entry, horn_of_cell, image_b3, morphism_cell
 from xnerve import fixtures
 from xnerve.cli import run
 from xnerve.errors import CompatibilityError, NotCrossedModuleError
 from xnerve.io import from_crossed_monoid, serialize
-from xnerve.fillers import HornFiller, image_b3
+from xnerve.fillers import HornFiller
 from xnerve.nerve import Nerve
 from xnerve.simplicial import (
     BoundaryTuple,
@@ -67,8 +67,8 @@ def test_image_b3_necessity_on_the_non_module(nv_idempotent):
 def test_fill_dim2_examples(xm_z2):
     nv = Nerve(xm_z2)
     hf = HornFiller(nv)
-    g = nv.morphism_cell(1)
-    one = nv.morphism_cell(0)
+    g = morphism_cell(nv, 1)
+    one = morphism_cell(nv, 0)
     c = hf.fill(HornTuple(2, 1, (g, g)))
     assert c == nv.cell((0, 0, 0), ((1, 0), (1,)))
     assert nv.face(c, 1) == one
@@ -99,7 +99,7 @@ def test_fill_dims_2_and_3_exhaustive(xm_z2_z3, xm_z2_z3_twisted, xm_pair):
 def test_fill_dim3_all_degenerate(xm_z2_z3):
     nv = Nerve(xm_z2_z3)
     hf = HornFiller(nv)
-    deg = nv.degeneracy(nv.degeneracy(nv.morphism_cell(0), 0), 0)
+    deg = nv.degeneracy(nv.degeneracy(morphism_cell(nv, 0), 0), 0)
     h = horn_of_cell(nv, deg, 1)
     assert hf.fill(h) == deg
 
@@ -124,7 +124,7 @@ def test_fill_dim4_exhaustive_small_and_sampled_large(xm_z2, xm_z2_z3):
     for l in range(5):
         for h in sample_horns(nv4, 4, l, 120, seed=l):
             assert fills(hf4, h)
-    deg = nv4.morphism_cell(0)
+    deg = morphism_cell(nv4, 0)
     for _ in range(3):
         deg = nv4.degeneracy(deg, 0)
     assert hf4.fill(horn_of_cell(nv4, deg, 2)) == deg
@@ -149,7 +149,7 @@ def test_fill_high_exhaustive_dim5_small(xm_z2):
 def test_fill_high_degenerate_and_sampled(xm_z2_z3):
     nv = Nerve(xm_z2_z3)
     hf = HornFiller(nv)
-    deg = nv.morphism_cell(0)
+    deg = morphism_cell(nv, 0)
     for _ in range(4):
         deg = nv.degeneracy(deg, 0)
     h = horn_of_cell(nv, deg, 2)
@@ -186,7 +186,7 @@ def test_fill_refuses_a_horn_of_the_wrong_shape(xm_z2_z3):
         hf.fill(HornTuple(3, 1, h.faces[:2]))
     # ranks carry no dimension: on the ranks of three 1-cells
     # fill_columns would build a 3-cell
-    edge = nv.morphism_cell(0)
+    edge = morphism_cell(nv, 0)
     with pytest.raises(CompatibilityError, match="a horn of dimension 3 has faces of dimension 2"):
         hf.fill(HornTuple(3, 1, (edge, edge, edge)))
 
@@ -201,7 +201,7 @@ def test_fill_refuses_columns_of_unequal_lengths(xm_z2_z3):
         with pytest.raises(CompatibilityError, match=re.escape(f"horn columns of unequal lengths {lengths}")):
             hf.fill_columns(3, 1, columns)
     filled = hf.fill_columns(3, 1, [col[:2] for col in h])
-    assert [[row[j] for row in hf.nerve.faces_of(3, filled)] for j in (0, 2, 3)] == [col[:2] for col in h]
+    assert [hf.nerve.faces_of(3, filled)[j] for j in (0, 2, 3)] == [col[:2] for col in h]
 
 
 # -- the cross-diagonal oracle for dimension-4 filling -----------------------
@@ -228,9 +228,9 @@ def _w_entries(nv, h):
 
 def _shared_notation(by_slot):
     """(m22, m23, m33) from every available source; all sources must agree."""
-    m22 = {by_slot[s].entry(*pos) for s, pos in ((0, (1, 1)), (3, (2, 2)), (4, (2, 2))) if s in by_slot}
-    m23 = {by_slot[s].entry(*pos) for s, pos in ((0, (1, 2)), (4, (2, 3))) if s in by_slot}
-    m33 = {by_slot[s].entry(*pos) for s, pos in ((0, (2, 2)), (1, (2, 2)), (4, (3, 3))) if s in by_slot}
+    m22 = {entry(by_slot[s], *pos) for s, pos in ((0, (1, 1)), (3, (2, 2)), (4, (2, 2))) if s in by_slot}
+    m23 = {entry(by_slot[s], *pos) for s, pos in ((0, (1, 2)), (4, (2, 3))) if s in by_slot}
+    m33 = {entry(by_slot[s], *pos) for s, pos in ((0, (2, 2)), (1, (2, 2)), (4, (3, 3))) if s in by_slot}
     assert len(m22) == 1 and len(m23) == 1 and len(m33) == 1
     return m22.pop(), m23.pop(), m33.pop()
 
@@ -243,7 +243,7 @@ def _w_closed_forms(xm, by_slot, m22, m23, m33):
     exp2233 = xm.cat.compose(xm.cat.compose(m22, xm.boundary[obj][m23]), m33)
     closed = {}
     for t, cell in by_slot.items():
-        c12, c13, c23 = cell.entry(1, 2), cell.entry(1, 3), cell.entry(2, 3)
+        c12, c13, c23 = entry(cell, 1, 2), entry(cell, 1, 3), entry(cell, 2, 3)
         if t != 0:
             closed[(0, t)] = c23
         else:
@@ -370,8 +370,8 @@ def test_a_wrong_eq_image_corner_at_dimension_3_is_refused(monkeypatch, file_f6,
     def wrong_corner(self, *args):
         # the same outer faces, and the next corner in F6's three-element fiber
         nv, rs = self.nerve, real(self, *args)
-        rows = nv.faces_of(2, rs)
-        return nv.assemble_ids(2, [row[0] for row in rows], [row[2] for row in rows],
+        faces = nv.faces_of(2, rs)
+        return nv.assemble_ids(2, faces[0], faces[2],
                                [(corner + 1) % 3 for corner in nv.corners(2, rs)])
 
     monkeypatch.setattr(HornFiller, "_missing_2face", wrong_corner)
@@ -406,8 +406,8 @@ ORACLE = {
 def _sampled_horn_columns(nv, n, l, count, seed):
     """Columns of the horns of ``count`` sampled n-cells, slot l dropped."""
     rng = random.Random(seed)
-    rows = nv.faces_of(n, [rng.randrange(nv.count_cells(n)) for _ in range(count)])
-    return [[row[j] for row in rows] for j in range(n + 1) if j != l]
+    faces = nv.faces_of(n, [rng.randrange(nv.count_cells(n)) for _ in range(count)])
+    return faces[:l] + faces[l + 1:]
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE))

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import os
@@ -8,11 +9,12 @@ from collections import Counter
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from xnerve import algebra, fixtures
+from xnerve import algebra, cli, fixtures
 from xnerve.algebra import validate_crossed_monoid
 from xnerve.cli import run
-from xnerve.errors import StructureError
-from xnerve.io import from_crossed_monoid, parse_input, serialize, to_crossed_monoid
+from xnerve.errors import (ArgumentError, CapacityError, CellError, CompatibilityError, NotComposableError,
+                           NotCrossedModuleError, NotKanError, StructureError)
+from xnerve.io import from_crossed_monoid, load_path, parse_input, serialize, to_crossed_monoid
 from xnerve.nerve import Nerve
 from xnerve.simplicial import check_kan
 
@@ -425,6 +427,71 @@ def test_audit_refuses_a_diagonal_that_leaves_its_hom_set(tmp_path, capsys):
     assert "cat.endpoints" in [v["axiom"] for v in report["axioms"]["violations"]]
 
 
+def test_a_path_with_a_nul_byte_is_an_io_error(file_z2_z3, tmp_path, capsys):
+    # open() refuses such a path with ValueError, which ends like any path it cannot open
+    out = tmp_path / "report.json"
+    assert run(["kan", "a\x00b", "--json", str(out)]) == 1
+    message = "cannot read a\x00b: embedded null byte"
+    assert capsys.readouterr().err == f"ERROR (io): {message}\n"
+    assert json.loads(out.read_text())["error"] == {"kind": "io", "message": message}
+    assert run(["kan", str(file_z2_z3), "--json", "x\x00y"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "ERROR (io): cannot write the report to x\x00y: embedded null byte\n"
+    with pytest.raises(OSError, match="embedded null byte"):
+        load_path("a\x00b")
+
+
+def test_only_the_value_error_of_opening_a_path_is_an_io_error(file_z2_z3, monkeypatch):
+    def broken(xm, args):
+        raise ValueError("not from open")
+
+    monkeypatch.setitem(cli._COMMANDS, "kan", broken)
+    with pytest.raises(ValueError, match="not from open"):
+        run(["kan", str(file_z2_z3)])
+
+
+@pytest.mark.parametrize("exc,code,report", [
+    (StructureError("bad"), 1, {"kind": "structural", "message": "bad"}),
+    (CellError("bad"), 1, {"kind": "structural", "message": "bad"}),
+    (ArgumentError("bad"), 2, {"kind": "argument", "message": "bad"}),
+    (CompatibilityError("bad"), 2, {"kind": "error", "message": "bad"}),
+    (NotComposableError("bad"), 2, {"kind": "error", "message": "bad"}),
+    (CapacityError("bad", predicted=7, cap=5), 3, {"kind": "capacity", "message": "bad", "predicted": 7, "cap": 5}),
+    (NotCrossedModuleError("fibers_are_groups", (0, 1)), 2,
+     {"kind": "refusal", "hypothesis": "fibers_are_groups", "witness": (0, 1)}),
+    (NotKanError(3, 1), 2, {"kind": "not-kan", "dim": 3, "omitted": 1}),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+def test_each_error_type_carries_its_report(exc, code, report):
+    # kind first: the stderr line of a report with no message is its json.dumps
+    assert exc.exit_code == code and list(exc.report().items()) == list(report.items())
+
+
+INPUT_FIXTURES = {"f4": fixtures.z2_with_z3_fiber, "trivial": fixtures.trivial_point, "pair": fixtures.pair_groupoid_z3}
+
+
+@pytest.mark.parametrize("name,argv,message", [
+    ("f4", ["kan", "--dims", "150..150"], "10^4300 or more cells of dimension 150 exceed the budget 5000000"),
+    ("f4", ["coskeletal", "--dims", "150..150"], "10^4300 or more cells of dimension 149 exceed the budget 5000000"),
+    ("f4", ["enumerate", "--dims", "200"], "10^4300 or more cells of dimension 200 exceed the budget 5000000"),
+    ("f4", ["enumerate", "--dims", "2000"], "10^4300 or more cells of dimension 2000 exceed the budget 5000000"),
+    ("f4", ["fill", "--dims", "2000..2000"], "10^4300 or more cells of dimension 2000 exceed the budget 5000000"),
+    ("trivial", ["enumerate", "--dims", "100000"],
+     "a cell of dimension 100000 has 5000050000 entries, over the budget 5000000"),
+    ("trivial", ["kan", "--dims", "100000..100000"],
+     "a cell of dimension 100000 has 5000050000 entries, over the budget 5000000"),
+    ("pair", ["fill", "--dims", "40..40"], "2199023255552 object sequences of dimension 40 exceed the budget 5000000"),
+])
+def test_a_dimension_whose_cells_cannot_fit_is_refused_before_anything_is_built(tmp_path, capsys, name, argv,
+                                                                                  message):
+    path, out = tmp_path / "input.json", tmp_path / "report.json"
+    path.write_text(serialize(from_crossed_monoid(INPUT_FIXTURES[name]())))
+    assert run([argv[0], str(path), *argv[1:], "--json", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"ERROR (capacity): {message}\n"
+    assert json.loads(out.read_text())["error"] == {"kind": "capacity", "message": message, "predicted": None,
+                                                    "cap": 5_000_000}
+
+
 # -- fuzz: corrupted inputs through every command ------------------------------
 
 FUZZ_BASES = {name: getattr(fixtures, name)() for name in (
@@ -491,3 +558,83 @@ def fuzz_path(tmp_path_factory):
 def test_every_command_ends_in_an_exit_code_on_corrupted_input(fuzz_path, xm, argv):
     fuzz_path.write_text(serialize(from_crossed_monoid(xm)))
     assert run([argv[0], str(fuzz_path), *argv[1:]]) in (0, 1, 2, 3)
+
+
+# -- fuzz: raw documents and argv through every command ------------------------
+
+DOC_BASES = {name: json.loads(serialize(from_crossed_monoid(getattr(fixtures, name)()))) for name in (
+    "trivial_point", "group_z2", "idempotent_fiber", "pair_groupoid_z3")}
+
+# a value of the wrong type, or an int out of every range: huge, negative,
+# past the digits Python converts, or a bool
+ODD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=3), st.integers(-2, 3),
+    st.sampled_from([10 ** 30, -10 ** 30, 2 ** 63, "@@LONG@@", [], {}, [[0]], {"0": []}]))
+
+
+@st.composite
+def mutated_documents(draw):
+    """The bytes of a fixture document with 1-3 values, at any depth,
+    replaced by an odd value, deleted, or nested in up to 100,000 lists,
+    and sometimes cut short."""
+    doc = json.loads(json.dumps(DOC_BASES[draw(st.sampled_from(sorted(DOC_BASES)))]))
+    nests = []
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key, node = None, None, doc
+        while isinstance(node, (dict, list)) and node and (parent is None or draw(st.booleans())):
+            parent, key = node, draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+            node = node[key]
+        if parent is None:
+            break
+        kind = draw(st.sampled_from(["replace", "delete", "nest"]))
+        if kind == "delete":
+            del parent[key]
+        elif kind == "nest":
+            nests.append((f"@@NEST{len(nests)}@@", draw(st.sampled_from([1, 50, 100_000])), json.dumps(node)))
+            parent[key] = nests[-1][0]
+        else:
+            parent[key] = draw(ODD_VALUES)
+    text = json.dumps(doc).replace('"@@LONG@@"', "9" * 5000)
+    for marker, depth, inner in nests:
+        text = text.replace(f'"{marker}"', "[" * depth + inner + "]" * depth)
+    data = text.encode()
+    return data[:draw(st.integers(0, len(data)))] if draw(st.integers(0, 9)) == 0 else data
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=mutated_documents(), argv=st.sampled_from(FUZZ_COMMANDS))
+def test_every_command_ends_in_an_exit_code_on_a_mutated_document(fuzz_path, data, argv):
+    fuzz_path.write_bytes(data)
+    assert run([argv[0], str(fuzz_path), *argv[1:]]) in (0, 1, 2, 3)
+
+
+def _int_text(huge):
+    """Decimal ints: small, negative, and huge, up to the 4300 digits that
+    argparse converts."""
+    return st.one_of(st.integers(-3, 8), st.sampled_from(huge)).map(str)
+
+
+HUGE_INTS = [10 ** 5, 2 ** 63, 10 ** 30, 10 ** 4299]
+FLAG_VALUES = {
+    "--dims": st.one_of(_int_text(HUGE_INTS), st.tuples(_int_text(HUGE_INTS), _int_text(HUGE_INTS)).map("..".join),
+                        st.text("0123456789.-", max_size=6)),
+    "--max-cells": st.one_of(_int_text(HUGE_INTS), st.text("0123456789-x", max_size=4)),
+    "--json": st.sampled_from(["", ".", "missing/report.json", "x\x00y", "report.json"]),
+    "--basepoint": _int_text(HUGE_INTS),
+    "--pi": st.text("0123,-", max_size=5),
+    "--seed": _int_text([-10 ** 30, 10 ** 4299]),
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(argv=st.sampled_from(FUZZ_COMMANDS), flag=st.sampled_from(sorted(FLAG_VALUES)), data=st.data(),
+       path=st.sampled_from(["input.json", "missing.json", ".", "a\x00b"]))
+def test_every_command_ends_in_an_exit_code_on_any_flag_value(fuzz_path, argv, flag, data, path):
+    # z2: one object, 2^n cells in dimension n; the budget of FUZZ_COMMANDS
+    # stays unless it is the flag drawn
+    fuzz_path.write_text(serialize(from_crossed_monoid(fixtures.group_z2())))
+    argv = [argv[0], path, *argv[1:]]
+    if flag in argv:
+        del argv[argv.index(flag):argv.index(flag) + 2]
+    with contextlib.chdir(fuzz_path.parent):
+        assert run([*argv, flag, data.draw(FLAG_VALUES[flag], label=flag)]) in (0, 1, 2, 3)

@@ -5,12 +5,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import corner_triples, pair_groupoid_z3_relabelled
+from conftest import corner_triples, entry, eta, induced_cell, morphism_cell, pair_groupoid_z3_relabelled, rows
 from xnerve import fixtures
 from xnerve.algebra import XMorphism, identity_xmorphism
 from xnerve.errors import CapacityError, CellError, CompatibilityError
 from xnerve.fillers import HornFiller
-from xnerve.nerve import Nerve, NerveCell, _keep_runs, _ranks, _spell, induced_cell
+from xnerve.nerve import Nerve, NerveCell, _keep_runs, _ranks, _spell
 
 
 def brute_cells(nv, n):
@@ -41,9 +41,9 @@ def brute_cells(nv, n):
 def test_cell_new_examples(nv_z2, nv_z2_z3):
     # diagonal (g, g) with unit corner
     c = nv_z2.cell((0, 0, 0), ((1, 0), (1,)))
-    assert c.dim == 2 and c.entry(1, 2) == 0
+    assert c.dim == 2 and entry(c, 1, 2) == 0
     # one-cells are morphisms
-    e = nv_z2_z3.morphism_cell(1)
+    e = morphism_cell(nv_z2_z3, 1)
     assert e.rows == ((1,),)
     assert nv_z2_z3.cell((0, 0), ((1,),)) == e
 
@@ -64,25 +64,25 @@ def test_cell_new_rejects_wrong_endpoints(nv_pair):
 def test_eta_examples(nv_z2_z3_twisted, nv_z2_z3):
     # row 2 diagonal g: empty product gives the bare diagonal
     m = nv_z2_z3_twisted.cell((0, 0, 0, 0), ((0, 0, 0), (1, 1), (0,)))
-    assert nv_z2_z3_twisted.eta(m, 1, 2) == 1
+    assert eta(nv_z2_z3_twisted, m, 1, 2) == 1
     # trivial boundary: appending entries never changes the twist
-    assert nv_z2_z3_twisted.eta(m, 1, 3) == 1
+    assert eta(nv_z2_z3_twisted, m, 1, 3) == 1
     # with a trivial boundary eta always equals the row diagonal
     for cell in nv_z2_z3.cells(3):
         for j in range(3):
             for k in range(j + 1, 4):
-                assert nv_z2_z3.eta(cell, j, k) == cell.rows[j][0]
+                assert eta(nv_z2_z3, cell, j, k) == cell.rows[j][0]
 
 
 def test_face_examples(nv_z2, nv_z2_z3, nv_z2_z3_twisted):
     m = nv_z2.cell((0, 0, 0), ((1, 0), (1,)))
-    assert nv_z2.face(m, 1) == nv_z2.morphism_cell(0)  # g * g = 1
+    assert nv_z2.face(m, 1) == morphism_cell(nv_z2, 0)  # g * g = 1
     m = nv_z2_z3.cell((0, 0, 0), ((1, 2), (1,)))
-    assert nv_z2_z3.face(m, 0) == nv_z2_z3.morphism_cell(1)
+    assert nv_z2_z3.face(m, 0) == morphism_cell(nv_z2_z3, 1)
     # twisted fixture: entry (1,2) of d_1 is 1^(g) + 1 = (-1) + 1 = 0
     m = nv_z2_z3_twisted.cell((0, 0, 0, 0), ((0, 0, 1), (1, 1), (0,)))
     d = nv_z2_z3_twisted.face(m, 1)
-    assert d.entry(1, 2) == 0
+    assert entry(d, 1, 2) == 0
     assert d.rows[0][0] == 1  # merged diagonal 1 * d(0) * g = g
 
 
@@ -93,15 +93,15 @@ def test_face_merged_row_matches_eta_definition(nv_z2_z3_twisted):
         for j in range(1, 4):
             d = nv.face(cell, j)
             for c in range(j + 1, 4):
-                tw = xm.action[nv.eta(cell, j, c)][cell.entry(j, c + 1)]
-                expected = xm.fibers[cell.objects[j + 1]].mul(tw, cell.entry(j + 1, c + 1))
-                assert d.entry(j, c) == expected
+                tw = xm.action[eta(nv, cell, j, c)][entry(cell, j, c + 1)]
+                expected = xm.fibers[cell.objects[j + 1]].mul(tw, entry(cell, j + 1, c + 1))
+                assert entry(d, j, c) == expected
 
 
 def test_degeneracy_examples(nv_trivial, nv_z2_z3):
     p = nv_trivial.point(0)
-    assert nv_trivial.degeneracy(p, 0) == nv_trivial.morphism_cell(0)
-    g = nv_z2_z3.morphism_cell(1)
+    assert nv_trivial.degeneracy(p, 0) == morphism_cell(nv_trivial, 0)
+    g = morphism_cell(nv_z2_z3, 1)
     s0 = nv_z2_z3.degeneracy(g, 0)
     assert s0.rows == ((0, 0), (1,))  # [[1, e], [., g]]
     s1 = nv_z2_z3.degeneracy(g, 1)
@@ -150,16 +150,16 @@ def test_cell_at_matches_enumeration(nv_z2_z3, nv_pair):
 
 def test_corner_split_examples(nv_z2_z3, nv_trivial):
     m = nv_z2_z3.cell((0, 0, 0), ((1, 1), (1,)))
-    r, g = nv_z2_z3.rank_of(m), nv_z2_z3.rank_of(nv_z2_z3.morphism_cell(1))
-    [row] = nv_z2_z3.faces_of(2, [r])
+    r, g = nv_z2_z3.rank_of(m), nv_z2_z3.rank_of(morphism_cell(nv_z2_z3, 1))
+    [row] = rows(nv_z2_z3.faces_of(2, [r]))
     assert (row[0], row[2], *nv_z2_z3.corners(2, [r])) == (g, g, 1)
     only = nv_trivial.rank_of(next(iter(nv_trivial.cells(2))))
-    [row] = nv_trivial.faces_of(2, [only])
-    assert row[0] == row[2] == nv_trivial.rank_of(nv_trivial.morphism_cell(0))
+    [row] = rows(nv_trivial.faces_of(2, [only]))
+    assert row[0] == row[2] == nv_trivial.rank_of(morphism_cell(nv_trivial, 0))
 
 
 def test_corner_assemble_example(nv_z2):
-    g = nv_z2.morphism_cell(1)
+    g = morphism_cell(nv_z2, 1)
     cell = nv_z2.cell((0, 0, 0), ((1, 0), (1,)))
     assert nv_z2.corner_assemble(g, g, 0) == cell
     assert nv_z2.assemble_ids(2, [nv_z2.rank_of(g)], [nv_z2.rank_of(g)], [0]) == [nv_z2.rank_of(cell)]
@@ -169,16 +169,16 @@ def test_corner_bijection_roundtrips(nv_z2, nv_z2_z3, nv_z2_z3_twisted, nv_pair)
     for nv in (nv_z2, nv_z2_z3, nv_z2_z3_twisted, nv_pair):
         for n in (2, 3):
             ranks = range(nv.count_cells(n))
-            rows = nv.faces_of(n, ranks)
-            firsts, lasts = [row[0] for row in rows], [row[n] for row in rows]
+            faces = nv.faces_of(n, ranks)
+            firsts, lasts = faces[0], faces[n]
             assert nv.assemble_ids(n, firsts, lasts, nv.corners(n, ranks)) == list(ranks)
             for cell in nv.cells(n):
                 assert nv.corner_assemble(nv.face(cell, 0), nv.face(cell, n), cell.corner) == cell
             triples = list(corner_triples(nv, n))
             assert len(triples) == nv.count_cells(n)
             made = nv.assemble_ids(n, *zip(*triples))
-            rows = nv.faces_of(n, made)
-            firsts, lasts = [row[0] for row in rows], [row[n] for row in rows]
+            faces = nv.faces_of(n, made)
+            firsts, lasts = faces[0], faces[n]
             assert list(zip(firsts, lasts, nv.corners(n, made))) == triples
             for (first, last, corner), r in zip(triples, made):
                 assert nv.corner_assemble(nv.cell_at(n - 1, first), nv.cell_at(n - 1, last), corner) == nv.cell_at(n, r)
@@ -203,8 +203,8 @@ def test_corner_assemble_rejects_incompatible(nv_z2_z3):
 
 def test_corner_face_units_stay_units(nv_z2_z3):
     nv = nv_z2_z3
-    deg = nv.rank_of(nv.degeneracy(nv.degeneracy(nv.morphism_cell(0), 0), 0))
-    [row] = nv.faces_of(3, [deg])
+    deg = nv.rank_of(nv.degeneracy(nv.degeneracy(morphism_cell(nv, 0), 0), 0))
+    [row] = rows(nv.faces_of(3, [deg]))
     assert nv.corners(2, row[1:3]) == [0, 0]
 
 
@@ -276,7 +276,7 @@ def test_face_ids_agree_with_levels_and_face(name):
         if n:
             below = list(nv.cells(n - 1))
             # the face rows read from the level, and made before it is built
-            assert nv.faces_of(n, range(len(cells))) == lv == Nerve(nv.xm).faces_of(n, range(len(cells)))
+            assert rows(nv.faces_of(n, range(len(cells)))) == lv == rows(Nerve(nv.xm).faces_of(n, range(len(cells))))
             for row, c in zip(lv, cells):
                 assert [below[k] for k in row] == [nv.face(c, j) for j in range(n + 1)]
     with pytest.raises(IndexError):
@@ -291,8 +291,31 @@ def test_face_ids_above_the_built_levels(name):
         ranks = rng.sample(range(nv.count_cells(n)), 200)
         cells = [nv.cell_at(n, r) for r in ranks]
         assert [nv.rank_of(c) for c in cells] == ranks
-        assert nv.faces_of(n, ranks) == [tuple(nv.rank_of(nv.face(c, j)) for j in range(n + 1)) for c in cells]
+        assert rows(nv.faces_of(n, ranks)) == [tuple(nv.rank_of(nv.face(c, j)) for j in range(n + 1)) for c in cells]
         assert nv.corners(n, ranks) == [c.corner for c in cells]
+
+
+def test_faces_of_returns_the_columns_of_the_level():
+    xm = fixtures.z2_with_z3_fiber()
+    nv, whole = Nerve(xm), Nerve(xm)
+    for n in (1, 2, 4):
+        assert nv.faces_of(n, []) == [[] for _ in range(n + 1)]
+    for n in (3, 4):
+        columns = [list(col) for col in zip(*whole.level(n))]
+        ranks = range(len(columns[0]))
+        assert nv.built(n) is None and nv.faces_of(n, ranks) == columns  # a dimension that is not built
+        nv.level(n)
+        assert nv.faces_of(n, ranks) == columns  # a built one
+
+
+def test_a_dimension_whose_cells_cannot_fit_is_refused_before_a_block_is_made():
+    f4, trivial = Nerve(fixtures.z2_with_z3_fiber()), Nerve(fixtures.trivial_point())
+    with pytest.raises(CapacityError, match=r"^10\^4300 or more cells of dimension 1000 exceed the budget 5000000$"):
+        f4.count_cells(1000)
+    with pytest.raises(CapacityError, match="^a cell of dimension 100000 has 5000050000 entries, over the budget"):
+        trivial.level(100000)
+    assert f4._dims == {} == trivial._dims and trivial.built(0) is None
+    assert trivial.count_cells(100000) == 1
 
 
 @pytest.mark.parametrize("name", sorted(RANK_FIXTURES))
@@ -308,7 +331,7 @@ def test_rank_maps_are_the_rank_forms_of_degeneracy_and_face(name):
                 degenerate = maps.degeneracy(col, j)
                 assert degenerate == [nv.rank_of(nv.degeneracy(c, j)) for c in cells]
                 for i in range(n + 2):
-                    assert maps.face(degenerate, i) == [row[i] for row in nv.faces_of(n + 1, degenerate)]
+                    assert maps.face(degenerate, i) == nv.faces_of(n + 1, degenerate)[i]
                     assert maps.degeneracy(degenerate, i) == [
                         nv.rank_of(nv.degeneracy(nv.degeneracy(c, j), i)) for c in cells]
                 for i in range(n + 1 if j < n else 0):  # s_j of a face reads s_j of the whole level below
@@ -326,18 +349,18 @@ def test_kept_face_rows_are_the_rows_of_the_level(name):
     level = whole.level(4)
     ranks = rng.sample(range(len(level)), 900)
     for lo, hi in ((0, 300), (200, 500), (0, 900), (100, 800), (0, 300)):
-        assert nv.faces_of(4, ranks[lo:hi]) == [level[r] for r in ranks[lo:hi]]
+        assert rows(nv.faces_of(4, ranks[lo:hi])) == [level[r] for r in ranks[lo:hi]]
     assert sorted(nv._rows) == [2, 3, 4] and len(nv._rows[4]) == 700 and nv.built(4) is None
     assert all(whole.level(m)[r] == row for m, rows in nv._rows.items() for r, row in rows.items())
     # a built level replaces the rows kept of its dimension
     assert nv.level(3) == whole.level(3) and 3 not in nv._rows
-    assert nv.faces_of(4, ranks) == [level[r] for r in ranks]
+    assert rows(nv.faces_of(4, ranks)) == [level[r] for r in ranks]
 
 
 def test_faces_of_makes_each_kept_row_once(monkeypatch):
     nv, rng = Nerve(fixtures.z2_with_z3_fiber_twisted()), random.Random(8)
     ranks = rng.sample(range(nv.count_cells(5)), 400)
-    rows = nv.faces_of(5, ranks[:300])
+    kept = rows(nv.faces_of(5, ranks[:300]))
     made, real = [], Nerve._block_faces
 
     def block_faces(n, plan, digits, below):
@@ -346,10 +369,10 @@ def test_faces_of_makes_each_kept_row_once(monkeypatch):
         return faces
 
     monkeypatch.setattr(Nerve, "_block_faces", staticmethod(block_faces))
-    assert nv.faces_of(5, ranks[:300]) == rows and nv.faces_of(5, ranks[299::-1]) == rows[::-1]
+    assert rows(nv.faces_of(5, ranks[:300])) == kept and rows(nv.faces_of(5, ranks[299::-1])) == kept[::-1]
     assert made == []
     # a column that shares ranks with the kept rows makes only the others
-    assert nv.faces_of(5, ranks[200:])[:100] == rows[200:]
+    assert rows(nv.faces_of(5, ranks[200:]))[:100] == kept[200:]
     assert sum(count for n, count in made if n == 5) == 100
 
 
@@ -360,8 +383,8 @@ def test_kept_rows_stay_within_the_budget():
     hf, reference = HornFiller(nv), HornFiller(Nerve(xm))
     for n in (4, 5):
         for l in range(n + 1):
-            rows = nv.faces_of(n, [rng.randrange(nv.count_cells(n)) for _ in range(300)])
-            columns = [[row[j] for row in rows] for j in range(n + 1) if j != l]
+            faces = nv.faces_of(n, [rng.randrange(nv.count_cells(n)) for _ in range(300)])
+            columns = faces[:l] + faces[l + 1:]
             assert hf.fill_columns(n, l, columns) == reference.fill_columns(n, l, columns)
             assert max(map(len, nv._rows.values())) <= 300
     assert len(nv._rows[4]) == len(nv._rows[5]) == 300

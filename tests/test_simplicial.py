@@ -6,7 +6,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import PerCellRanks, boundary, is_compatible, pair_groupoid_z3_relabelled
+from conftest import PerCellRanks, boundary, is_compatible, morphism_cell, pair_groupoid_z3_relabelled
 from test_algebra import _corrupt, permutation_module
 from xnerve import fixtures, simplicial
 from xnerve.algebra import ValidationReport, Violation
@@ -73,7 +73,7 @@ class CorruptedFace(PerCellRanks):
 def test_boundary_example(nv_z2):
     m = nv_z2.cell((0, 0, 0), ((1, 0), (1,)))
     bt = boundary(nv_z2, m)
-    assert bt.faces == (nv_z2.morphism_cell(1), nv_z2.morphism_cell(0), nv_z2.morphism_cell(1))
+    assert bt.faces == (morphism_cell(nv_z2, 1), morphism_cell(nv_z2, 0), morphism_cell(nv_z2, 1))
     assert is_compatible(nv_z2, bt)
 
 
@@ -126,7 +126,7 @@ def test_idempotent_fiber_has_the_expected_witness_horn(nv_idempotent):
 def test_beta_example_and_membership(nv_z2, nv_trivial, nv_z2_z3):
     h = next(
         h for h in horns(nv_z2, 2, 1)
-        if h.faces == (nv_z2.morphism_cell(1), nv_z2.morphism_cell(1))
+        if h.faces == (morphism_cell(nv_z2, 1), morphism_cell(nv_z2, 1))
     )
     bt = beta(nv_z2, h)
     assert bt.faces == (nv_z2.point(0), nv_z2.point(0))
@@ -165,7 +165,7 @@ def test_audit_passes_on_all_fixtures():
 def test_audit_catches_fault_injection(nv_z2):
     cells2 = list(nv_z2.cells(2))
     victim = cells2[0]
-    wrong = nv_z2.morphism_cell(1) if nv_z2.face(victim, 0) == nv_z2.morphism_cell(0) else nv_z2.morphism_cell(0)
+    wrong = morphism_cell(nv_z2, 1) if nv_z2.face(victim, 0) == morphism_cell(nv_z2, 0) else morphism_cell(nv_z2, 0)
     corrupted = CorruptedFace(nv_z2, victim, wrong)
     report = audit_simplicial(corrupted, 2)
     assert not report.passed
@@ -302,7 +302,7 @@ def ref_pi(p, n, basepoint):
 def _corrupted_f4():
     nv = Nerve(fixtures.z2_with_z3_fiber())
     victim = list(nv.cells(2))[5]
-    wrong = nv.morphism_cell(1) if nv.face(victim, 0) == nv.morphism_cell(0) else nv.morphism_cell(0)
+    wrong = morphism_cell(nv, 1) if nv.face(victim, 0) == morphism_cell(nv, 0) else morphism_cell(nv, 0)
     return CorruptedFace(nv, victim, wrong)
 
 
