@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, compress, repeat
+from operator import eq, itemgetter
 from typing import Iterable
 
 from .errors import NotComposableError, NotCrossedModuleError, StructureError
@@ -24,8 +24,18 @@ from .errors import NotComposableError, NotCrossedModuleError, StructureError
 Table = tuple[tuple[int, ...], ...]
 
 
-def _as_table(rows) -> Table:
-    return tuple(tuple(int(v) for v in row) for row in rows)
+def _row(row, blank: bool = False) -> tuple:
+    """``row`` as a tuple of ints, or of ints and None with ``blank``: kept
+    when it holds only those, else converted entry by entry with ``int``."""
+    row = row if type(row) is tuple else tuple(row)
+    if set(map(type, row)) <= ({int, type(None)} if blank else {int}):
+        return row
+    return tuple(None if blank and v is None else int(v) for v in row)
+
+
+def _gather(idx):
+    """``itemgetter(*idx)``, which returns a tuple for one index as well."""
+    return itemgetter(*idx) if len(idx) != 1 else lambda row: (row[idx[0]],)
 
 
 def generating_set(table) -> tuple[int, ...]:
@@ -67,8 +77,8 @@ def _assoc_on_generators(table, gens) -> bool:
     for g in gens:
         row_g = table[g]
         cs = [c for c, gc in enumerate(row_g) if gc is not None]
-        pick_c = itemgetter(*cs)
-        pick_gc = itemgetter(*[row_g[c] for c in cs])
+        pick_c = tuple if len(cs) == len(row_g) else _gather(cs)  # a total row needs no gather
+        pick_gc = _gather([row_g[c] for c in cs])
         for row_a in table:
             ag = row_a[g]
             if ag is not None and pick_c(table[ag]) != pick_gc(row_a):
@@ -118,10 +128,7 @@ class ValidationReport:
         return tuple(v.axiom for v in self.violations)
 
     def find(self, axiom: str) -> Violation | None:
-        for v in self.violations:
-            if v.axiom == axiom:
-                return v
-        return None
+        return next((v for v in self.violations if v.axiom == axiom), None)
 
 
 @dataclass(frozen=True)
@@ -133,17 +140,17 @@ class FiniteMonoid:
     table: Table
 
     def __post_init__(self):
-        object.__setattr__(self, "table", _as_table(self.table))
+        object.__setattr__(self, "table", tuple(map(_row, self.table)))
         if self.size <= 0:
             raise StructureError("monoid needs at least one element")
         if not 0 <= self.unit < self.size:
             raise StructureError(f"monoid unit {self.unit} out of range 0..{self.size - 1}")
         if len(self.table) != self.size:
             raise StructureError(f"mul table has {len(self.table)} rows, expected {self.size}")
-        for a, row in enumerate(self.table):
+        for a, row in enumerate(self.table):  # a whole row at once; the entry loop names its first bad entry
             if len(row) != self.size:
                 raise StructureError(f"mul row {a} has {len(row)} entries, expected {self.size}")
-            for b, v in enumerate(row):
+            for b, v in enumerate(row) if not 0 <= min(row) <= max(row) < self.size else ():
                 if not 0 <= v < self.size:
                     raise StructureError(f"mul[{a}][{b}] = {v} out of range")
 
@@ -167,15 +174,9 @@ class FiniteMonoid:
     @cached_property
     def inverse(self) -> tuple[int | None, ...]:
         """Two-sided inverse per element, None where there is none."""
-        out: list[int | None] = []
-        for a in range(self.size):
-            inv = None
-            for b in range(self.size):
-                if self.table[a][b] == self.unit and self.table[b][a] == self.unit:
-                    inv = b
-                    break
-            out.append(inv)
-        return tuple(out)
+        t, e = self.table, self.unit  # the candidates b of a, ascending, are the b with a*b == e
+        return tuple(next((b for b in compress(self.elements(), map(eq, t[a], repeat(e))) if t[b][a] == e), None)
+                     for a in self.elements())
 
 
 @dataclass(frozen=True)
@@ -193,14 +194,9 @@ class FiniteCategory:
     compose_table: tuple[tuple[int | None, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "src", tuple(int(v) for v in self.src))
-        object.__setattr__(self, "tgt", tuple(int(v) for v in self.tgt))
-        object.__setattr__(self, "identity", tuple(int(v) for v in self.identity))
-        object.__setattr__(
-            self,
-            "compose_table",
-            tuple(tuple(None if v is None else int(v) for v in row) for row in self.compose_table),
-        )
+        for name in ("src", "tgt", "identity"):
+            object.__setattr__(self, name, _row(getattr(self, name)))
+        object.__setattr__(self, "compose_table", tuple(_row(row, True) for row in self.compose_table))
         if self.num_objects < 0:
             raise StructureError("negative object count")
         m = len(self.src)
@@ -218,10 +214,14 @@ class FiniteCategory:
                 raise StructureError(f"identity[{x}] = {e} has endpoints {self.src[e]}->{self.tgt[e]}")
         if len(self.compose_table) != m:
             raise StructureError("compose table must have one row per morphism")
+        into = [[t == x for t in self.tgt] for x in self.objects()]  # b with tgt(b) == x, by x
         for a, row in enumerate(self.compose_table):
             if len(row) != m:
                 raise StructureError(f"compose row {a} has {len(row)} entries, expected {m}")
-            for b, v in enumerate(row):
+            defined = list(compress(row, into[self.src[a]]))  # the whole row: ids where composable, else None
+            good = None not in defined and row.count(None) == m - len(defined) and \
+                0 <= min(defined, default=0) and max(defined, default=0) < m
+            for b, v in () if good else enumerate(row):
                 composable = self.src[a] == self.tgt[b]
                 if composable and v is None:
                     raise StructureError(f"compose({a},{b}) missing although endpoints match")
@@ -267,16 +267,10 @@ class FiniteCategory:
     @cached_property
     def morphism_inverse(self) -> tuple[int | None, ...]:
         """Two-sided inverse per morphism, None where there is none."""
-        out: list[int | None] = []
-        for a in range(self.num_morphisms):
-            s, t = self.src[a], self.tgt[a]
-            inv = None
-            for b in self.hom(t, s):
-                if self.compose_table[a][b] == self.identity[t] and self.compose_table[b][a] == self.identity[s]:
-                    inv = b
-                    break
-            out.append(inv)
-        return tuple(out)
+        comp, ident = self.compose_table, self.identity  # the b with a*b == 1_t, ascending, end in s
+        return tuple(next((b for b in compress(self.morphisms(), map(eq, comp[a], repeat(ident[t])))
+                           if self.src[b] == t and comp[b][a] == ident[s]), None)
+                     for a, s, t in zip(self.morphisms(), self.src, self.tgt))
 
 
 @dataclass(frozen=True)
@@ -294,8 +288,8 @@ class CrossedMonoid:
     boundary: Table
 
     def __post_init__(self):
-        object.__setattr__(self, "action", _as_table(self.action))
-        object.__setattr__(self, "boundary", _as_table(self.boundary))
+        object.__setattr__(self, "action", tuple(map(_row, self.action)))
+        object.__setattr__(self, "boundary", tuple(map(_row, self.boundary)))
         cat = self.cat
         if len(self.fibers) != cat.num_objects:
             raise StructureError("need exactly one fiber monoid per object")
@@ -306,7 +300,7 @@ class CrossedMonoid:
             cod = self.fibers[cat.src[m]].size
             if len(row) != dom:
                 raise StructureError(f"action[{m}] has {len(row)} entries, expected {dom}")
-            for a, v in enumerate(row):
+            for a, v in enumerate(row) if row and not 0 <= min(row) <= max(row) < cod else ():
                 if not 0 <= v < cod:
                     raise StructureError(f"action[{m}][{a}] = {v} out of range")
         if len(self.boundary) != cat.num_objects:
@@ -314,7 +308,7 @@ class CrossedMonoid:
         for x, row in enumerate(self.boundary):
             if len(row) != self.fibers[x].size:
                 raise StructureError(f"boundary[{x}] has {len(row)} entries, expected {self.fibers[x].size}")
-            for a, v in enumerate(row):
+            for a, v in enumerate(row) if row and not 0 <= min(row) <= max(row) < cat.num_morphisms else ():
                 if not 0 <= v < cat.num_morphisms:
                     raise StructureError(f"boundary[{x}][{a}] = {v} is not a morphism id")
 
@@ -339,7 +333,7 @@ class XMorphism:
     def __post_init__(self):
         object.__setattr__(self, "obj_map", tuple(int(v) for v in self.obj_map))
         object.__setattr__(self, "mor_map", tuple(int(v) for v in self.mor_map))
-        object.__setattr__(self, "fiber_maps", _as_table(self.fiber_maps))
+        object.__setattr__(self, "fiber_maps", tuple(map(_row, self.fiber_maps)))
 
 
 def identity_xmorphism(xm: CrossedMonoid) -> XMorphism:
@@ -377,26 +371,38 @@ def validate_crossed_monoid(xm: CrossedMonoid) -> ValidationReport:
     past a table, because a boundary or a composite has the wrong
     endpoints, fails its rule.
 
-    The four cubic rules are decided over generating sets (Light's test,
-    and its analogues for the action) where the rules they rely on hold:
-    Light's test decides mon.assoc on every fiber, cat.assoc needs no
-    cat.endpoints hit, act.comp no cat.endpoints or cat.assoc hit, and
-    act.hom no mon.assoc hit.  Otherwise, and to locate the witness of a
-    failure, the ascending scan over every instance runs.
+    Seven rules are decided on generators where the rules that the closure
+    of their passing set needs hold; otherwise, and to locate a witness,
+    the ascending scan over every instance runs.  mon.assoc: Light's test;
+    cat.assoc: no cat.endpoints hit; act.comp: neither; act.hom: no
+    mon.assoc hit.  On fiber x, cr1's multiplicativity: every boundary of x
+    an endomorphism of x, no mon.assoc hit on x, no cat.endpoints or
+    cat.assoc hit (d(a(bc)) = d(ab)d(c) = d(a)d(b)d(c) = d(a)d(bc)); cr3:
+    no mon.assoc or cr1 hit on x, no act.comp hit (a(bc) = b a^d(b) c =
+    bc a^(d(b)d(c)) = bc a^d(bc)).  cr2 on the generators of the fiber each
+    morphism m acts on: no cat.endpoints, cat.assoc, act.hom or cr1 hit
+    (m d((aa')^m) = m d(a^m) d(a'^m) = d(a) m d(a'^m) = d(aa') m).  With
+    one object the cat.endpoints scan, which cannot fail, is skipped.
     """
     cat, fibers, act, bd = xm.cat, xm.fibers, xm.action, xm.boundary
     comp, src, tgt, ident = cat.compose_table, cat.src, cat.tgt, cat.identity
     mors = cat.morphisms()
     nonassoc = [first_nonassociative(f.table, f.generators) for f in fibers]
-    endpoints = next(((a, b) for a in mors for b, v in enumerate(comp[a])
-                      if v is not None and (src[v] != src[b] or tgt[v] != tgt[a])), None)
+    endpoints = None if cat.num_objects < 2 else next(((a, b) for a in mors for b, v in enumerate(comp[a])
+                                                       if v is not None and (src[v] != src[b] or tgt[v] != tgt[a])), None)
     cat_nonassoc = first_nonassociative(comp, cat.generators if endpoints is None else None)
+    cat_holds = endpoints is None and cat_nonassoc is None
     # With an associative category and well-typed composites, the b for
     # which act(a*b) == act(b) o act(a) holds for every a are closed under
     # composition, so the category generators decide the rule.
-    comp_holds = endpoints is None and cat_nonassoc is None and all(
-        act[v] == tuple(map(act[b].__getitem__, act[a]))
-        for a in mors for b in cat.generators if (v := comp[a][b]) is not None)
+    comp_hit = None if cat_holds and all(
+        act[v] == pick(act[b])
+        for a, pick in zip(mors, map(_gather, act)) for b in cat.generators if (v := comp[a][b]) is not None) else next(
+        (((a, b, m), "action not functorial on a composite")
+         for a in mors for b, v in enumerate(comp[a]) if v is not None
+         for m in fibers[tgt[a]].elements()
+         # a composite with wrong endpoints may not act on m at all
+         if m >= len(act[v]) or act[v][m] != act[b][act[a][m]]), None)
     # With associative fibers, the b for which f(a*b) == f(a)*f(b) holds for
     # every a are closed under products, so the fiber generators decide it.
     columns = None if any(nonassoc) else [tuple(zip(*f.table)) for f in fibers]
@@ -413,27 +419,39 @@ def validate_crossed_monoid(xm: CrossedMonoid) -> ValidationReport:
             yield from (((m, a, b), "action not multiplicative") for a in ft.elements() for b in ft.elements()
                         if row[ft.table[a][b]] != fs.table[row[a]][row[b]])
 
-    def cr1():
-        for x, f in enumerate(fibers):
-            d = bd[x]
-            yield from (((x, a), f"boundary of {a} is not an endomorphism of {x}")
-                        for a in f.elements() if src[d[a]] != x or tgt[d[a]] != x)
-            if d[f.unit] != ident[x]:
-                yield (x, f.unit), "boundary of the unit is not the identity"
-            yield from (((x, a, b), "boundary not multiplicative") for a in f.elements() for b in f.elements()
-                        if d[f.table[a][b]] != comp[d[a]][d[b]])
+    def cr1(x, f):
+        d, t, elements = bd[x], f.table, f.elements()
+        yield from (((x, a), f"boundary of {a} is not an endomorphism of {x}")
+                    for a in elements if src[d[a]] != x or tgt[d[a]] != x)
+        if d[f.unit] != ident[x]:
+            yield (x, f.unit), "boundary of the unit is not the identity"
+        decided = nonassoc[x] is None and cat_holds and all(
+            d[t[a][b]] == comp[d[a]][d[b]] for b in f.generators for a in elements)
+        yield from (((x, a, b), "boundary not multiplicative") for a in (() if decided else elements)
+                    for b in elements if d[t[a][b]] != comp[d[a]][d[b]])
 
-    def cr3():
-        for x, f in enumerate(fibers):
-            t = f.table
-            for a in f.elements():
-                for b, d in enumerate(bd[x]):
-                    if a >= len(act[d]) or act[d][a] >= f.size:
-                        # d(b) is not an endomorphism of x (see cr1), and a^d(b) is undefined
-                        yield (x, a, b), f"exchange rule undefined: {d} does not act on fiber {x}"
-                    elif t[a][b] != t[b][act[d][a]]:
-                        yield (x, a, b), f"exchange rule fails: {t[a][b]} != {t[b][act[d][a]]}"
+    def cr2():
+        for m in mors:
+            ds, dt, row, cm, ft = bd[src[m]], bd[tgt[m]], act[m], comp[m], fibers[tgt[m]]
+            if not (cr2_gate and all(cm[ds[row[a]]] == comp[dt[a]][m] for a in ft.generators)):
+                yield from (((m, a), "equivariance fails") for a in ft.elements()
+                            if (lhs := cm[ds[row[a]]]) is None or lhs != comp[dt[a]][m])
 
+    def cr3(x, f):
+        t, d, elements = f.table, bd[x], f.elements()
+        decided = nonassoc[x] is None and cr1_hits[x] is None and comp_hit is None and all(
+            t[a][b] == t[b][act[d[b]][a]] for b in f.generators for a in elements)
+        for a in () if decided else elements:
+            for b, e in enumerate(d):
+                if a >= len(act[e]) or act[e][a] >= f.size:
+                    # d(b) is not an endomorphism of x (see cr1), and a^d(b) is undefined
+                    yield (x, a, b), f"exchange rule undefined: {e} does not act on fiber {x}"
+                elif t[a][b] != t[b][act[e][a]]:
+                    yield (x, a, b), f"exchange rule fails: {t[a][b]} != {t[b][act[e][a]]}"
+
+    act_hom_hit = next(act_hom(), None)
+    cr1_hits = [next(cr1(x, f), None) for x, f in enumerate(fibers)]
+    cr2_gate = cat_holds and act_hom_hit is None and not any(cr1_hits)
     return _report([
         *[row for x, f in enumerate(fibers) for row in (
             ("mon.unit", next((((x, a), f"unit not neutral on {a} in fiber {x}") for a in f.elements()
@@ -446,18 +464,11 @@ def validate_crossed_monoid(xm: CrossedMonoid) -> ValidationReport:
         ("cat.endpoints", endpoints and (endpoints, "composite has wrong endpoints")),
         ("act.id", next((((x, a), "identity morphism must act trivially") for x in cat.objects()
                          for a in fibers[x].elements() if act[ident[x]][a] != a), None)),
-        ("act.comp", None if comp_holds else next(
-            (((a, b, m), "action not functorial on a composite")
-             for a in mors for b, v in enumerate(comp[a]) if v is not None
-             for m in fibers[tgt[a]].elements()
-             # a composite with wrong endpoints may not act on m at all
-             if m >= len(act[v]) or act[v][m] != act[b][act[a][m]]), None)),
-        ("act.hom", next(act_hom(), None)),
-        ("cr1", next(cr1(), None)),
-        ("cr2", next((((m, a), "equivariance fails") for m in mors for a in fibers[tgt[m]].elements()
-                      if (lhs := comp[m][bd[src[m]][act[m][a]]]) is None or lhs != comp[bd[tgt[m]][a]][m]),
-                     None)),
-        ("cr3", next(cr3(), None)),
+        ("act.comp", comp_hit),
+        ("act.hom", act_hom_hit),
+        *[("cr1", hit) for hit in cr1_hits],
+        ("cr2", next(cr2(), None)),
+        *[("cr3", next(cr3(x, f), None)) for x, f in enumerate(fibers)],
     ])
 
 

@@ -52,7 +52,7 @@ class InputDocument:
     objects: tuple[int, ...]
     morphisms: tuple[MorphismEntry, ...]
     identity: tuple[int, ...]
-    compose: tuple[tuple[int, int, int], ...]
+    compose: tuple[tuple[int | None, ...], ...]  # the table: compose[a][b] is a*b, None where not listed
     monoids: tuple[MonoidEntry, ...]
     action: tuple[tuple[int, ...], ...]
     boundary: tuple[tuple[int, ...], ...]
@@ -75,9 +75,12 @@ def _expect_list(v, path: str) -> list:
     return v
 
 
-def _expect_dict(v, path: str) -> dict:
+def _expect_dict(v, path: str, keys: tuple[str, ...] = ()) -> dict:
     if not isinstance(v, dict):
         _fail(path, f"expected an object, found {type(v).__name__}")
+    for k in keys:
+        if k not in v:
+            _fail(path, f"missing key {k!r}")
     return v
 
 
@@ -87,19 +90,16 @@ def _all_ints(values) -> bool:
 
 
 def _int_row(row, prefix: str, r: int) -> tuple[int, ...]:
-    """The array at ``prefix[r]`` as a tuple of integers.
-
-    The whole row is checked at once; JSON paths are formatted only when it
-    fails, by the per-entry check that names the first bad entry.
-    """
+    """The array at ``prefix[r]`` as a tuple of integers, checked whole; the
+    per-entry check, with JSON paths, runs only to name the first bad entry."""
     if type(row) is list and _all_ints(row):
         return tuple(row)
     path = f"{prefix}[{r}]"
     return tuple(_expect_int(v, f"{path}[{c}]") for c, v in enumerate(_expect_list(row, path)))
 
 
-def _compose_triples(entries: list, num_morphisms: int) -> list[tuple[int, int, int]]:
-    """``$.compose`` as checked triples of morphism ids.
+def _compose_triples(entries: list, num_morphisms: int) -> list:
+    """``$.compose``, checked to list triples of morphism ids, as it is.
 
     The whole list is checked at once; only when that fails does the
     per-triple check run, which raises with the path of the first bad one.
@@ -107,19 +107,26 @@ def _compose_triples(entries: list, num_morphisms: int) -> list[tuple[int, int, 
     if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {3}:
         flat = list(chain.from_iterable(entries))
         if _all_ints(flat) and (not flat or 0 <= min(flat) and max(flat) < num_morphisms):
-            return list(map(tuple, entries))
-    compose = []
+            return entries
     for i, entry in enumerate(entries):
         path = f"$.compose[{i}]"
-        trip = _expect_list(entry, path)
-        if len(trip) != 3:
-            _fail(path, f"expected a triple, found {len(trip)} entries")
-        a, b, c = (_expect_int(v, f"{path}[{k}]") for k, v in enumerate(trip))
-        for v in (a, b, c):
+        if len(_expect_list(entry, path)) != 3:
+            _fail(path, f"expected a triple, found {len(entry)} entries")
+        for v in [_expect_int(v, f"{path}[{k}]") for k, v in enumerate(entry)]:
             if not 0 <= v < num_morphisms:
                 _fail(path, f"morphism {v} does not exist")
-        compose.append((a, b, c))
-    return compose
+    return entries
+
+
+def _compose_table(triples, num_morphisms: int) -> tuple[tuple[int | None, ...], ...]:
+    """The table of checked triples, made in one pass; a pair listed twice raises."""
+    table: list[list[int | None]] = [[None] * num_morphisms for _ in range(num_morphisms)]
+    for a, b, c in triples:
+        row = table[a]
+        if row[b] is not None:
+            raise StructureError(f"compose({a},{b}) listed twice")
+        row[b] = c
+    return tuple(map(tuple, table))
 
 
 def _dense_keyed(d: dict, count: int, path: str) -> list:
@@ -142,8 +149,8 @@ def _dense_keyed(d: dict, count: int, path: str) -> list:
 
 
 def parse_input(data: bytes | str) -> InputDocument:
-    """Parse and shape-check one document; raises StructureError with a
-    JSON path on the first problem."""
+    """Parse and shape-check one document, with ``$.compose`` as its table;
+    raises StructureError on the first problem, a pair listed twice last."""
     try:
         raw = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except ValueError as exc:  # not JSON, not UTF-8, or an int of more digits than Python converts
@@ -158,21 +165,16 @@ def parse_input(data: bytes | str) -> InputDocument:
         if key not in _REQUIRED_KEYS and key != "metadata":
             _fail("$", f"unknown key {key!r}")
 
-    objects_raw = _expect_list(root["objects"], "$.objects")
-    objects = tuple(_expect_int(v, f"$.objects[{i}]") for i, v in enumerate(objects_raw))
+    objects = tuple(_expect_int(v, f"$.objects[{i}]") for i, v in enumerate(_expect_list(root["objects"], "$.objects")))
     if list(objects) != list(range(len(objects))):
         _fail("$.objects", "object ids must be exactly 0..n-1 in order")
     num_objects = len(objects)
 
-    morphisms_raw = _expect_list(root["morphisms"], "$.morphisms")
     seen_ids: set[int] = set()
     morphisms: list[MorphismEntry] = []
-    for i, entry in enumerate(morphisms_raw):
+    for i, entry in enumerate(_expect_list(root["morphisms"], "$.morphisms")):
         path = f"$.morphisms[{i}]"
-        e = _expect_dict(entry, path)
-        for k in ("id", "src", "tgt"):
-            if k not in e:
-                _fail(path, f"missing key {k!r}")
+        e = _expect_dict(entry, path, ("id", "src", "tgt"))
         mid = _expect_int(e["id"], path + ".id")
         if mid in seen_ids:
             _fail(path + ".id", f"duplicate morphism id {mid}")
@@ -201,16 +203,12 @@ def parse_input(data: bytes | str) -> InputDocument:
     monoids: list[MonoidEntry] = []
     for x, entry in enumerate(monoid_raw):
         path = f"$.monoids[{x}]"
-        e = _expect_dict(entry, path)
-        for k in ("elements", "unit", "mul"):
-            if k not in e:
-                _fail(path, f"missing key {k!r}")
+        e = _expect_dict(entry, path, ("elements", "unit", "mul"))
         elements = tuple(_expect_int(v, f"{path}.elements[{i}]") for i, v in enumerate(_expect_list(e["elements"], path + ".elements")))
         if list(elements) != list(range(len(elements))):
             _fail(path + ".elements", "element ids must be exactly 0..k-1 in order")
         unit = _expect_int(e["unit"], path + ".unit")
-        mul_rows = _expect_list(e["mul"], path + ".mul")
-        mul = tuple(_int_row(row, path + ".mul", r) for r, row in enumerate(mul_rows))
+        mul = tuple(_int_row(row, path + ".mul", r) for r, row in enumerate(_expect_list(e["mul"], path + ".mul")))
         monoids.append(MonoidEntry(elements, unit, mul))
 
     action_raw = _dense_keyed(_expect_dict(root["action"], "$.action"), num_morphisms, "$.action")
@@ -223,62 +221,31 @@ def parse_input(data: bytes | str) -> InputDocument:
     if metadata is not None:
         _expect_dict(metadata, "$.metadata")
 
-    return InputDocument(
-        objects=objects,
-        morphisms=tuple(morphisms),
-        identity=identity,
-        compose=tuple(compose),
-        monoids=tuple(monoids),
-        action=action,
-        boundary=boundary,
-        metadata=metadata,
-    )
+    # the table last: a pair listed twice is reported after every path check
+    return InputDocument(objects, tuple(morphisms), identity, _compose_table(compose, num_morphisms), tuple(monoids),
+                         action, boundary, metadata)
 
 
 def to_crossed_monoid(doc: InputDocument) -> CrossedMonoid:
     """Build the algebra; remaining shape problems (partiality of the compose
-    list, table sizes) surface here as StructureError."""
-    num_m = len(doc.morphisms)
-    src = tuple(m.src for m in doc.morphisms)
-    tgt = tuple(m.tgt for m in doc.morphisms)
-    table: list[list[int | None]] = [[None] * num_m for _ in range(num_m)]
-    for a, b, c in doc.compose:
-        if table[a][b] is not None:
-            raise StructureError(f"compose({a},{b}) listed twice")
-        table[a][b] = c
-    cat = FiniteCategory(
-        num_objects=len(doc.objects),
-        src=src,
-        tgt=tgt,
-        identity=doc.identity,
-        compose_table=tuple(tuple(row) for row in table),
-    )
+    table, table sizes) surface here as StructureError."""
+    cat = FiniteCategory(len(doc.objects), tuple(m.src for m in doc.morphisms), tuple(m.tgt for m in doc.morphisms),
+                         doc.identity, doc.compose)
     fibers = tuple(FiniteMonoid(len(m.elements), m.unit, m.mul) for m in doc.monoids)
     return CrossedMonoid(cat=cat, fibers=fibers, action=doc.action, boundary=doc.boundary)
 
 
 def from_crossed_monoid(xm: CrossedMonoid, metadata: dict | None = None) -> InputDocument:
     cat = xm.cat
-    compose = tuple(
-        (a, b, cat.compose_table[a][b])
-        for a in cat.morphisms()
-        for b in cat.morphisms()
-        if cat.compose_table[a][b] is not None
-    )
-    return InputDocument(
-        objects=tuple(cat.objects()),
-        morphisms=tuple(MorphismEntry(m, cat.src[m], cat.tgt[m]) for m in cat.morphisms()),
-        identity=cat.identity,
-        compose=compose,
-        monoids=tuple(MonoidEntry(tuple(f.elements()), f.unit, f.table) for f in xm.fibers),
-        action=xm.action,
-        boundary=xm.boundary,
-        metadata=metadata,
-    )
+    return InputDocument(tuple(cat.objects()), tuple(MorphismEntry(m, cat.src[m], cat.tgt[m]) for m in cat.morphisms()),
+                         cat.identity, cat.compose_table,
+                         tuple(MonoidEntry(tuple(f.elements()), f.unit, f.table) for f in xm.fibers),
+                         xm.action, xm.boundary, metadata)
 
 
 def serialize(doc: InputDocument) -> str:
-    """Canonical text: sorted keys, two-space indent, trailing newline.
+    """Canonical text: sorted keys, two-space indent, trailing newline,
+    composites listed by (a, b) ascending.
 
     parse -> serialize is byte-stable, which the golden tests rely on.
     """
@@ -286,7 +253,7 @@ def serialize(doc: InputDocument) -> str:
         "objects": list(doc.objects),
         "morphisms": [{"id": m.id, "src": m.src, "tgt": m.tgt} for m in doc.morphisms],
         "identity": {str(x): m for x, m in enumerate(doc.identity)},
-        "compose": [list(t) for t in doc.compose],
+        "compose": [[a, b, c] for a, row in enumerate(doc.compose) for b, c in enumerate(row) if c is not None],
         "monoids": {
             str(x): {"elements": list(m.elements), "unit": m.unit, "mul": [list(r) for r in m.mul]}
             for x, m in enumerate(doc.monoids)

@@ -466,9 +466,8 @@ class Nerve(LevelProvider):
         input order.  The face rows are read from a built level, then from
         the rows the nerve keeps.  The other rows come from ``_block_faces``,
         block by block, on the rows of the d_0 and d_n faces, found the same
-        way one dimension down, and are kept while the dimension keeps fewer
-        than ``cap`` rows.  A rank that is not one of the n-cells raises
-        IndexError."""
+        way one dimension down, and are kept up to ``cap`` per dimension.  A
+        rank that is not one of the n-cells raises IndexError."""
         if n < 1:
             raise CellError("0-cells have no faces")
         self._check_ranks(n, ranks)
@@ -480,24 +479,42 @@ class Nerve(LevelProvider):
         return [flat[j::n + 1] for j in range(n + 1)]
 
     def _faces(self, n: int, ranks: Sequence[int]) -> list[tuple[int, ...]]:
-        """The face rows of ``faces_of``, on ranks known to be n-cells."""
-        table = self.built(n)
-        if table is not None:
-            return list(map(table.__getitem__, ranks))
-        known = self._rows.setdefault(n, {})
-        todo = sorted(set(ranks).difference(known))
-        if todo:
-            blocks, below = self._dim(n), partial(self._faces, n - 1)
+        """The face rows of ``faces_of``, on ranks known to be n-cells, by a
+        loop: top-down, the ranks each dimension lacks and their d_0 and d_n
+        ranks (spelled once), which the dimension below must make; bottom-up,
+        the rows, each dimension's kept rows cut to ``cap`` once read."""
+        work, want = [], ranks
+        for d in range(n, 0, -1):
+            rows = self.built(d)  # at the loop's end: the rows the bottom-up pass reads first
+            if rows is not None:
+                break
+            rows = known = self._rows.setdefault(d, {})
+            todo = sorted(set(want).difference(known))
+            if not todo:
+                break
+            blocks, jobs = self._dim(d), []
             groups = [(1, todo)] if len(blocks) == 1 else itertools.groupby(
-                todo, key=partial(bisect_right, self._starts[n]))
+                todo, key=partial(bisect_right, self._starts[d]))
             for b, group in groups:
                 blk, group = blocks[b - 1], list(group)
-                plan = self._plan_of(n, blk)
-                faces = self._block_faces(n, plan, partial(_spell, [r - blk.start for r in group]), below)
-                known.update(zip(group, zip(*faces)))
-        rows = list(map(known.__getitem__, ranks))
-        while len(known) > self.cap:  # past the budget: the newest rows are returned, not kept
-            known.popitem()
+                plan, spell = self._plan_of(d, blk), partial(_spell, [r - blk.start for r in group])
+                ends = {id(plan[2]): spell(plan[2], plan[0].start), id(plan[3]): spell(plan[3], plan[1])}
+                jobs.append((group, plan, partial(_spelled, ends, spell), ends))
+            work.append((d, known, jobs))
+            if d < 3:
+                break
+            want = list(itertools.chain.from_iterable(col for *_, ends in jobs for col in ends.values()))
+        done: dict = {}  # the rows last made, cut once read
+        for d, known, jobs in reversed(work):
+            below = partial(map, rows.__getitem__)  # the rows of d-1, read for d >= 3
+            for group, plan, digits, _ in jobs:
+                known.update(zip(group, zip(*self._block_faces(d, plan, digits, below))))
+            while len(done) > self.cap:  # past the budget: the newest rows are read, not kept
+                done.popitem()
+            rows = done = known
+        rows = list(map(rows.__getitem__, ranks))
+        while len(done) > self.cap:
+            done.popitem()
         return rows
 
     def _plan_of(self, n: int, blk: _Block) -> tuple:
@@ -816,6 +833,11 @@ def _weights(lens: Sequence[int]) -> list[int]:
         out.append(weight)
         weight *= size
     return out[::-1]
+
+
+def _spelled(made: dict, spell, runs: Sequence[Sequence[int]], const: int = 0) -> list[int]:
+    """The column ``made`` holds for these runs, else ``spell(runs, const)``."""
+    return made.get(id(runs)) or spell(runs, const)
 
 
 def _spell(idxs: Sequence[int], runs: Sequence[Sequence[int]], const: int = 0) -> list[int]:

@@ -41,6 +41,47 @@ def test_category_rejects_partiality_mismatch():
         FiniteCategory(1, (0,), (0,), (0,), ((None,),))
 
 
+def test_rows_that_are_not_int_tuples_convert_through_int():
+    # the whole-row checks keep int tuples as they are and convert every
+    # other row entry by entry, bools and floats included, as before
+    row = (0, 1)
+    z2 = FiniteMonoid(2, 0, [row, [1.0, False]])
+    assert z2.table == ((0, 1), (1, 0)) and z2.table[0] is row
+    assert [type(v) for r in z2.table for v in r] == [int] * 4
+    cat = FiniteCategory(1, [0.0], (False,), [0], [[0.0]])
+    assert (cat.src, cat.tgt, cat.identity, cat.compose_table) == ((0,), (0,), (0,), ((0,),))
+    assert {type(v) for t in (cat.src, cat.tgt, cat.compose_table[0]) for v in t} == {int}
+    xm = CrossedMonoid(cat, (z2,), [[False, True]], [[0.0, 0]])
+    assert (xm.action, xm.boundary) == (((0, 1),), ((0, 0),))
+    assert {type(v) for t in (xm.action[0], xm.boundary[0]) for v in t} == {int}
+    assert validate_crossed_monoid(xm).passed
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: FiniteMonoid(2, 0, ((0, 1), (1,))), "mul row 1 has 1 entries, expected 2"),
+    (lambda: FiniteMonoid(2, 0, ((0, 1), (5, 7))), "mul[1][0] = 5 out of range"),
+    (lambda: FiniteMonoid(2, 0, ((0, 1), (1, -1))), "mul[1][1] = -1 out of range"),
+    (lambda: FiniteMonoid(2, 0, [[0, 1], [True, 2.0]]), "mul[1][1] = 2 out of range"),
+    # two objects, morphisms 0 and 1 their identities
+    (lambda: FiniteCategory(2, (0, 1), (0, 1), (0, 1), ((0, None), (None,))),
+     "compose row 1 has 1 entries, expected 2"),
+    (lambda: FiniteCategory(2, (0, 1), (0, 1), (0, 1), ((0, None), (1, None))),
+     "compose(1,0) defined although endpoints differ"),
+    (lambda: FiniteCategory(2, (0, 1), (0, 1), (0, 1), ((None, 0), (None, 1))),
+     "compose(0,0) missing although endpoints match"),
+    (lambda: FiniteCategory(2, (0, 1), (0, 1), (0, 1), ((0, None), (None, 2))), "compose(1,1) = 2 out of range"),
+    (lambda: FiniteCategory(1, (0,), (0,), (0,), ((None,),)), "compose(0,0) missing although endpoints match"),
+    (lambda: CrossedMonoid(fixtures.one_object_category(fixtures.cyclic_monoid(2)), (fixtures.cyclic_monoid(3),),
+                           ((0, 1, 2), (0, 3, 1)), ((0, 0, 0),)), "action[1][1] = 3 out of range"),
+    (lambda: CrossedMonoid(fixtures.one_object_category(fixtures.cyclic_monoid(2)), (fixtures.cyclic_monoid(3),),
+                           ((0, 1, 2), (0, 2, 1)), ((0, -1, 2),)), "boundary[0][1] = -1 is not a morphism id"),
+])
+def test_a_bad_row_names_its_first_bad_entry(build, message):
+    with pytest.raises(StructureError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_validate_passes_on_good_fixtures(xm_z2_z3, xm_trivial, xm_z2_z3_twisted, xm_idempotent):
     for xm in (xm_z2_z3, xm_trivial, xm_z2_z3_twisted, xm_idempotent):
         report = validate_crossed_monoid(xm)
@@ -624,10 +665,12 @@ def test_fast_scans_match_reference_on_single_entry_corruptions(data):
     assert_matches_reference(_corrupt(BUILT[name], kind, tuple(site), value))
 
 
-@pytest.mark.parametrize("kind", ["mul", "compose"])
+@pytest.mark.parametrize("kind", ["mul", "compose", "boundary", "action"])
 def test_every_single_entry_corruption_of_s3_matches_reference(kind):
-    # exhaustive on S3 -> S3: most of these break mon.assoc or cat.assoc, so
-    # act.hom and act.comp take their full-scan fallbacks
+    # exhaustive on S3 -> S3: most mul and compose corruptions break
+    # mon.assoc or cat.assoc, so act.hom and act.comp take their full-scan
+    # fallbacks; a boundary corruption leaves cr1's gate open and fails its
+    # generator check, and closes the gates of cr2 and cr3
     s3 = BUILT["s3_s3"]
     seen = set()
     for *site, values in SITES["s3_s3"][kind]:
@@ -635,7 +678,26 @@ def test_every_single_entry_corruption_of_s3_matches_reference(kind):
             xm = _corrupt(s3, kind, tuple(site), value)
             assert_matches_reference(xm)
             seen.update(validate_crossed_monoid(xm).axioms())
-    assert {"mul": "mon.assoc", "compose": "cat.assoc"}[kind] in seen
+    assert {"mul": {"mon.assoc"}, "compose": {"cat.assoc"}, "boundary": {"cr1", "cr2", "cr3"},
+            "action": {"act.hom", "cr2", "cr3"}}[kind] <= seen
+
+
+def test_every_endomorphism_of_s3_as_boundary_matches_reference():
+    # cr1 holds for each, so the gates of cr2 and cr3 are open and their
+    # generator checks decide; where they fail, the full scans find the witness
+    s3 = BUILT["s3_s3"]
+    table = s3.fibers[0].table
+    homs = [d for d in itertools.product(range(6), repeat=6)
+            if all(d[table[a][b]] == s3.cat.compose_table[d[a]][d[b]] for a in range(6) for b in range(6))]
+    assert len(homs) == 10
+    seen = set()
+    for d in homs:
+        xm = CrossedMonoid(s3.cat, s3.fibers, s3.action, (d,))
+        assert_matches_reference(xm)
+        report = validate_crossed_monoid(xm)
+        assert "cr1" not in report.axioms()
+        seen.update(report.axioms())
+    assert seen == {"cr2", "cr3"}
 
 
 @pytest.mark.parametrize("name", ["pair_groupoid_z3", "union_f6_idempotent"])

@@ -89,6 +89,22 @@ def test_partial_compose_list_is_structural(doc_z2_z3):
         to_crossed_monoid(parse_input(json.dumps(raw)))
 
 
+def test_compose_becomes_the_table_and_a_pair_listed_twice_comes_last(doc_z2_z3):
+    raw = json.loads(serialize(doc_z2_z3))
+    raw["compose"].reverse()  # any order: the document holds the table
+    assert parse_input(json.dumps(raw)) == doc_z2_z3
+    assert doc_z2_z3.compose == fixtures.z2_with_z3_fiber().cat.compose_table
+    raw["compose"].append(list(raw["compose"][0]))
+    with pytest.raises(StructureError) as err:
+        parse_input(json.dumps(raw))
+    a, b, _ = raw["compose"][0]
+    assert str(err.value) == f"compose({a},{b}) listed twice"
+    raw["boundary"]["0"][0] = "0"  # every path check comes first, as when to_crossed_monoid found the pair
+    with pytest.raises(StructureError) as err:
+        parse_input(json.dumps(raw))
+    assert str(err.value) == "$.boundary[0][0]: expected an integer, found str"
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [

@@ -1,6 +1,8 @@
+import inspect
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -389,6 +391,19 @@ def test_kept_rows_stay_within_the_budget():
             assert max(map(len, nv._rows.values())) <= 300
     assert len(nv._rows[4]) == len(nv._rows[5]) == 300
     assert [nv.built(n) for n in (4, 5)] == [None, None]
+
+
+def test_faces_far_above_the_built_levels_need_no_deep_stack():
+    # the rows of every dimension down to 2 are made in one loop: a
+    # recursion of about two frames a dimension would need some 160 here
+    nv, limit = Nerve(fixtures.group_z2()), sys.getrecursionlimit()
+    ranks = [0, 1, nv.count_cells(80) // 3]
+    sys.setrecursionlimit(len(inspect.stack()) + 50)
+    try:
+        faces = nv.faces_of(80, ranks)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert faces == [[nv.rank_of(nv.face(nv.cell_at(80, r), j)) for r in ranks] for j in range(81)]
 
 
 def test_pick_is_ranks_at_the_given_indices():
