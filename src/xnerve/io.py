@@ -99,7 +99,7 @@ def _int_row(row, prefix: str, r: int) -> tuple[int, ...]:
 
 
 def _compose_triples(entries: list, num_morphisms: int) -> list:
-    """``$.compose``, checked to list triples of morphism ids, as it is.
+    """``$.compose`` as it is, once checked to list triples of morphism ids.
 
     The whole list is checked at once; only when that fails does the
     per-triple check run, which raises with the path of the first bad one.

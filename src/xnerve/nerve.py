@@ -498,17 +498,16 @@ class Nerve(LevelProvider):
             for b, group in groups:
                 blk, group = blocks[b - 1], list(group)
                 plan, spell = self._plan_of(d, blk), partial(_spell, [r - blk.start for r in group])
-                ends = {id(plan[2]): spell(plan[2], plan[0].start), id(plan[3]): spell(plan[3], plan[1])}
-                jobs.append((group, plan, partial(_spelled, ends, spell), ends))
+                jobs.append((group, plan, spell, (spell(plan[2], plan[0].start), spell(plan[3], plan[1]))))
             work.append((d, known, jobs))
             if d < 3:
                 break
-            want = list(itertools.chain.from_iterable(col for *_, ends in jobs for col in ends.values()))
+            want = [r for *_, ends in jobs for col in ends for r in col]
         done: dict = {}  # the rows last made, cut once read
         for d, known, jobs in reversed(work):
             below = partial(map, rows.__getitem__)  # the rows of d-1, read for d >= 3
-            for group, plan, digits, _ in jobs:
-                known.update(zip(group, zip(*self._block_faces(d, plan, digits, below))))
+            for group, plan, digits, ends in jobs:
+                known.update(zip(group, zip(*self._block_faces(d, plan, digits, below, ends))))
             while len(done) > self.cap:  # past the budget: the newest rows are read, not kept
                 done.popitem()
             rows = done = known
@@ -572,13 +571,14 @@ class Nerve(LevelProvider):
         return rows
 
     @staticmethod
-    def _block_faces(n: int, plan: tuple, digits, below) -> list[list[int]]:
+    def _block_faces(n: int, plan: tuple, digits, below, ends=None) -> list[list[int]]:
         """Columns d_0 .. d_n, as ranks, of cells of one block of dimension
         n >= 1, given the block's ``_plan_of``, ``digits(runs, start=0)``:
         per cell, ``start`` plus the image of its index in the block under
         the digit runs ``runs`` of the plan (``_ranks`` for the whole block,
         ``_spell`` for chosen cells), and ``below(ranks)``: the face
-        rows of (n-1)-cells, read for n >= 3.
+        rows of (n-1)-cells, read for n >= 3; ``ends``, if given, are the
+        d_0 and d_n columns, already spelled.
 
         d_0 deletes row 1, so its rank keeps the digits of rows 2 .. n; d_n
         deletes the last digit of every row.  For n = 2, d_1 is the
@@ -588,7 +588,7 @@ class Nerve(LevelProvider):
         2 <= j <= n-2, c' = c^eta(M, 1, n-1) m[2][n] for j = 1, and
         c' = m[1][n-1] c in the fiber over x1 for j = n-1."""
         first_blk, last_start, runs_first, runs_last, extra = plan
-        first, last = digits(runs_first, first_blk.start), digits(runs_last, last_start)
+        first, last = ends or (digits(runs_first, first_blk.start), digits(runs_last, last_start))
         inner = []
         if n == 2:
             ups, dom22, diag, runs_row1, runs_m22 = extra
@@ -833,11 +833,6 @@ def _weights(lens: Sequence[int]) -> list[int]:
         out.append(weight)
         weight *= size
     return out[::-1]
-
-
-def _spelled(made: dict, spell, runs: Sequence[Sequence[int]], const: int = 0) -> list[int]:
-    """The column ``made`` holds for these runs, else ``spell(runs, const)``."""
-    return made.get(id(runs)) or spell(runs, const)
 
 
 def _spell(idxs: Sequence[int], runs: Sequence[Sequence[int]], const: int = 0) -> list[int]:
