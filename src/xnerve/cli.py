@@ -19,6 +19,7 @@ its report (or under ``axioms`` beside an error) and exit code 2.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import random
 import sys
@@ -173,13 +174,8 @@ def cmd_fill(xm, args) -> tuple[int, list[dict]]:
                 horn_columns = faces[:l] + faces[l + 1:]
                 mode = f"sampled {sample} (seed {args.seed})"
             filler.fill_columns(n, l, horn_columns)
-            checks.append(
-                {
-                    "label": f"fill[{n},{l}]",
-                    "passed": True,
-                    "detail": f"{len(horn_columns[0])} horns filled and face-verified ({mode})",
-                }
-            )
+            checks.append({"label": f"fill[{n},{l}]", "passed": True,
+                           "detail": f"{len(horn_columns[0])} horns filled and face-verified ({mode})"})
     return EXIT_OK, checks
 
 
@@ -203,14 +199,8 @@ def cmd_homotopy(xm, args) -> tuple[int, list[dict]]:
     for n in wanted:
         if n == 0:
             comps = H.pi0(xm)
-            checks.append(
-                {
-                    "label": "pi0",
-                    "passed": True,
-                    "detail": f"{len(comps)} connected component(s)",
-                    "components": [list(c) for c in comps],
-                }
-            )
+            checks.append({"label": "pi0", "passed": True, "detail": f"{len(comps)} connected component(s)",
+                           "components": [list(c) for c in comps]})
         elif n in (1, 2):
             comparison = H.pi_compare(nerve, n, t)
             passed = comparison.isomorphic
@@ -231,13 +221,8 @@ def cmd_homotopy(xm, args) -> tuple[int, list[dict]]:
         else:
             v = H.higher_vanishing(nerve, t)
             ok = ok and v.trivial
-            checks.append(
-                {
-                    "label": f"pi3[basepoint {t}]",
-                    "passed": v.trivial,
-                    "detail": "trivial" if v.trivial else f"{v.classes} classes over {v.based_cells} cells",
-                }
-            )
+            checks.append({"label": f"pi3[basepoint {t}]", "passed": v.trivial,
+                           "detail": "trivial" if v.trivial else f"{v.classes} classes over {v.based_cells} cells"})
     return (EXIT_OK if ok else EXIT_PROPERTY), checks
 
 
@@ -284,7 +269,8 @@ def run(argv: list[str] | None = None) -> int:
         print(f"ERROR (io): cannot write the report to {args.json_out}: {getattr(exc, 'strerror', exc)}", file=sys.stderr)
         return EXIT_PROPERTY
     report: dict = {"tool": "xnerve", "command": args.command, "input": args.file}
-    failed_axioms = None
+    failed_axioms, collecting = None, gc.isenabled()
+    gc.disable()  # the tables are fresh tuples and lists with no cycles: the cyclic collector only walks them
     try:
         if args.max_cells < 1:
             raise ArgumentError(f"--max-cells must be at least 1, got {args.max_cells}")
@@ -304,6 +290,9 @@ def run(argv: list[str] | None = None) -> int:
     except XNerveError as exc:
         report.update(passed=False, exit_code=exc.exit_code, error=exc.report())
         code, checks = exc.exit_code, None
+    finally:
+        if collecting:
+            gc.enable()
     if checks is not None:
         report.update(passed=code == EXIT_OK, exit_code=code, checks=checks)
         for line in _report_lines(checks):

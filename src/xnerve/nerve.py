@@ -340,11 +340,8 @@ class Nerve(LevelProvider):
     @staticmethod
     def _row_bounds(n: int) -> list[tuple[int, int]]:
         """Slice bounds of rows 1..n in a row-major entry list."""
-        bounds, pos = [], 0
-        for ln in range(n, 0, -1):
-            bounds.append((pos, pos + ln))
-            pos += ln
-        return bounds
+        ends = list(itertools.accumulate(range(n, 0, -1)))
+        return list(zip([0] + ends, ends))
 
     def count_cells(self, n: int) -> int:
         """The number of n-cells, with no block built; a count of more than
@@ -415,12 +412,14 @@ class Nerve(LevelProvider):
         groups: dict[tuple[int, int], Sequence[int]] = {(0, 0): range(len(lbs))} if len(blocks) == 1 and lbs else {}
         for i, pair in enumerate(zip(lbs, fbs) if len(blocks) > 1 else ()):
             groups.setdefault(pair, []).append(i)
-        glues = {}
-        for b_last, b_first in groups:
+        glues, ok = {}, True
+        for (b_last, b_first), idxs in groups.items():
             lseq, fseq = blocks[b_last].seq, blocks[b_first].seq
             blk = self._block_of.get(lseq + fseq[-1:])
-            glues[b_last, b_first] = None if blk is None or lseq[1:] != fseq[:-1] else self._glue_of(blk)
-        if None in glues.values() or lbs and not 0 <= min(corners) <= max(corners) < min(g[5] for g in glues.values()):
+            glue = glues[b_last, b_first] = None if blk is None or lseq[1:] != fseq[:-1] else self._glue_of(blk)
+            cs = list(map(corners.__getitem__, idxs))  # checked against this pair's own fiber
+            ok = ok and glue is not None and 0 <= min(cs) <= max(cs) < glue[5]
+        if not ok:
             for b_last, b_first, corner in zip(lbs, fbs, corners):  # the first refused triple raises
                 if glues[b_last, b_first] is None:
                     raise CompatibilityError("faces do not overlap: d_{n-1}(first) != d_0(last)")
@@ -463,26 +462,26 @@ class Nerve(LevelProvider):
     def faces_of(self, n: int, ranks: Sequence[int]) -> list[list[int]]:
         """Face columns of the n-cells of ``ranks``, n >= 1, in any
         dimension: n+1 lists, list j holding the rank of d_j c of every c in
-        input order.  The face rows are read from a built level, then from
-        the rows the nerve keeps.  The other rows come from ``_block_faces``,
-        block by block, on the rows of the d_0 and d_n faces, found the same
-        way one dimension down, and are kept up to ``cap`` per dimension.  A
-        rank that is not one of the n-cells raises IndexError."""
+        input order.  The faces are read from a built level's columns, then
+        from the rows the nerve keeps.  The other rows come from
+        ``_block_faces``, block by block, on the faces of the d_0 and d_n
+        faces, found the same way one dimension down, and are kept up to
+        ``cap`` per dimension.  A rank that is not one of the n-cells raises
+        IndexError."""
         if n < 1:
             raise CellError("0-cells have no faces")
         self._check_ranks(n, ranks)
         try:
-            rows = self._faces(n, ranks)
+            return self._faces(n, ranks)
         except KeyError:
             raise CompatibilityError("a face of a 2-cell is not a 1-cell: its diagonal leaves its hom-set") from None
-        flat = list(itertools.chain.from_iterable(rows))  # sliced by column: no iterator per row, as zip(*rows) makes
-        return [flat[j::n + 1] for j in range(n + 1)]
 
-    def _faces(self, n: int, ranks: Sequence[int]) -> list[tuple[int, ...]]:
-        """The face rows of ``faces_of``, on ranks known to be n-cells, by a
-        loop: top-down, the ranks each dimension lacks and their d_0 and d_n
-        ranks (spelled once), which the dimension below must make; bottom-up,
-        the rows, each dimension's kept rows cut to ``cap`` once read."""
+    def _faces(self, n: int, ranks: Sequence[int]) -> list[list[int]]:
+        """The face columns of ``faces_of``, on ranks known to be n-cells, by
+        a loop: top-down, the ranks each dimension lacks and their d_0 and
+        d_n ranks (spelled once), which the dimension below must make;
+        bottom-up, the rows, each dimension's kept rows cut to ``cap`` once
+        read."""
         work, want = [], ranks
         for d in range(n, 0, -1):
             rows = self.built(d)  # at the loop's end: the rows the bottom-up pass reads first
@@ -505,16 +504,16 @@ class Nerve(LevelProvider):
             want = [r for *_, ends in jobs for col in ends for r in col]
         done: dict = {}  # the rows last made, cut once read
         for d, known, jobs in reversed(work):
-            below = partial(map, rows.__getitem__)  # the rows of d-1, read for d >= 3
-            for group, plan, digits, ends in jobs:
-                known.update(zip(group, zip(*self._block_faces(d, plan, digits, below, ends))))
+            for group, plan, digits, ends in jobs:  # ``rows``: the faces of d-1, read for d >= 3
+                known.update(zip(group, zip(*self._block_faces(d, plan, digits, rows, ends))))
             while len(done) > self.cap:  # past the budget: the newest rows are read, not kept
                 done.popitem()
             rows = done = known
-        rows = list(map(rows.__getitem__, ranks))
+        face = _read(rows, ranks)
+        faces = [list(face(j)) for j in range(n + 1)]
         while len(done) > self.cap:
             done.popitem()
-        return rows
+        return faces
 
     def _plan_of(self, n: int, blk: _Block) -> tuple:
         """What ``_block_faces`` reads for one block of dimension n >= 1,
@@ -558,17 +557,18 @@ class Nerve(LevelProvider):
 
     # -- whole-level face tables -------------------------------------------
 
-    def face_rows(self, n: int, below: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
-        """Row ``(rank of d_0 c, ..., rank of d_n c)`` of every n-cell c,
-        n >= 1, in rank order, with no cell built, dropping the rows kept of
-        dimension n.  ``below`` is the face table of dimension n-1, read for
-        n >= 3.  A 2-cell whose diagonal leaves its hom-set raises KeyError."""
+    def face_rows(self, n: int, below: list[list[int]]) -> list[list[int]]:
+        """Columns d_0 .. d_n, as ranks, of the n-cells, n >= 1, in rank
+        order, with no cell built, dropping the rows kept of dimension n.
+        ``below`` is the face table of dimension n-1, read for n >= 3.  A
+        2-cell whose diagonal leaves its hom-set raises KeyError."""
         self._rows.pop(n, None)
-        rows: list[tuple[int, ...]] = []
+        columns = [[] for _ in range(n + 1)]
         for blk in self._dim(n):
-            plan = self._plan_of(n, blk)
-            rows.extend(zip(*self._block_faces(n, plan, partial(_ranks, blk.size), partial(map, below.__getitem__))))
-        return rows
+            faces = self._block_faces(n, self._plan_of(n, blk), partial(_ranks, blk.size), below)
+            # a level of one block keeps its block's columns: no copy of them
+            columns = faces if not columns[0] else [*map(list.__iadd__, columns, faces)]
+        return columns
 
     @staticmethod
     def _block_faces(n: int, plan: tuple, digits, below, ends=None) -> list[list[int]]:
@@ -576,9 +576,9 @@ class Nerve(LevelProvider):
         n >= 1, given the block's ``_plan_of``, ``digits(runs, start=0)``:
         per cell, ``start`` plus the image of its index in the block under
         the digit runs ``runs`` of the plan (``_ranks`` for the whole block,
-        ``_spell`` for chosen cells), and ``below(ranks)``: the face
-        rows of (n-1)-cells, read for n >= 3; ``ends``, if given, are the
-        d_0 and d_n columns, already spelled.
+        ``_spell`` for chosen cells), and ``below``, the face table of
+        dimension n-1 (``_read``), read for n >= 3; ``ends``, if given, are
+        the d_0 and d_n columns, already spelled.
 
         d_0 deletes row 1, so its rank keeps the digits of rows 2 .. n; d_n
         deletes the last digit of every row.  For n = 2, d_1 is the
@@ -603,10 +603,9 @@ class Nerve(LevelProvider):
                 *[corner] * (n - 3),
                 map(getitem, map(mul1.__getitem__, digits(runs_m1n1)), corner),
             ]
-            rows = list(below(first + last))
-            fa, lb = rows[:len(first)], rows[len(first):]
+            fa, lb = _read(below, first), _read(below, last)
             for j, glue, cs in zip(range(1, n), glues, corners):
-                inner.append(_glue(glue, map(itemgetter(j - 1), fa), map(itemgetter(j), lb), cs))
+                inner.append(_glue(glue, fa(j - 1), lb(j), cs))
         return [first, *inner, last]
 
     def rank_maps(self, maxdim: int) -> _RankMaps:
@@ -622,21 +621,26 @@ class _Twists(dict):
     value's map is made on its first lookup and then kept."""
 
     def __init__(self, n, f2, dom22, d_x2, action, compose, mul2):
-        super().__init__()
         self.plan = (n, f2, dom22, d_x2, action, compose, mul2)
 
     def __missing__(self, row2: int) -> list[int]:
         n, f2, dom22, d_x2, action, compose, mul2 = self.plan
-        v, m2n = divmod(row2, f2)
-        entries = []
-        for _ in range(n - 3):
-            v, e = divmod(v, f2)
-            entries.append(e)
-        eta = dom22[v]
-        for e in reversed(entries):
-            eta = compose[eta][d_x2[e]]
+        v, m2n = divmod(row2, f2)  # v: m[2][2], then m[2][3] .. m[2][n-1] as base-f2 digits
+        eta = dom22[v // f2 ** (n - 3)]
+        for k in range(n - 4, -1, -1):
+            eta = compose[eta][d_x2[v // f2 ** k % f2]]
         twist = self[row2] = [mul2[a][m2n] for a in action[eta]]
         return twist
+
+
+def _read(table, ranks):
+    """The function of j that iterates the rank of d_j of every cell of
+    ``ranks`` in a face table: a built level's columns, or the kept rows by
+    rank of ``Nerve._faces``, each row looked up once."""
+    if isinstance(table, dict):
+        rows = list(map(table.__getitem__, ranks))
+        return lambda j: map(itemgetter(j), rows)
+    return lambda j: map(table[j].__getitem__, ranks)
 
 
 def _ranks(size: int, runs: Sequence[Sequence[int]], start: int = 0) -> list[int]:
@@ -713,14 +717,11 @@ class _RankMaps:
     def face(self, col: _Column, i: int) -> _Column:
         m, blk, nv = col.dim, col.blk, self.nv
         table = nv.built(m)
-        if table is not None:
-            ranks = [table[r][i] for r in col]
-        else:
-            if col.faces is None:
-                plan = nv._plan_of(m, blk)
-                digits = partial(_spell, [r - blk.start for r in col])
-                col.faces = nv._block_faces(m, plan, digits, partial(map, nv.built(m - 1).__getitem__))
-            ranks = col.faces[i]
+        if table is None and col.faces is None:
+            plan = nv._plan_of(m, blk)
+            digits = partial(_spell, [r - blk.start for r in col])
+            col.faces = nv._block_faces(m, plan, digits, nv.built(m - 1))
+        ranks = col.faces[i] if table is None else list(map(table[i].__getitem__, col))
         return _Column(m - 1, nv._block_of[blk.seq[:i] + blk.seq[i + 1:]], ranks)
 
     def degeneracy(self, col: _Column, j: int) -> _Column:

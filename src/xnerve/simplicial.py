@@ -8,24 +8,26 @@ coskeletality and Kan checks, brute-force homotopy groups and the identity
 audit; a level, enumeration or join stage larger than ``cap`` is refused.
 
 Whole-level work runs on ranks.  A provider owns its levels: ``level(n)``
-builds dimension n once as its face table, which is all a level is: row
-``i`` holds the ranks of d_0 .. d_n of the cell of rank ``i``.  The
-provider's ``face_rows`` makes it from the table of the level below, with no
-cell built, and every later check on the same provider reads the kept
-table.  Kernels and horns are one hash join over the face table of the
-level below, kept as columns: one rank list per placed slot.  Slot k is
+builds dimension n once as its face table, which is all a level is: n+1
+columns, column ``j`` holding the rank of d_j of every cell in rank order
+(the matrix description's faces d_0 .. d_n, one face index at a time).  The
+provider's ``face_rows`` makes it from the columns of the level below, with
+no cell built, and every later check on the same provider reads the kept
+columns.  Kernels and horns are one hash join over the face columns of the
+level below, kept as columns too: one rank list per placed slot.  Slot k is
 added by indexing candidate ranks on the faces they must share with the
 slots already placed, never by filtering the full product, and every
 stage's keys and copies are made column by column.  The Kan and coskeletal
-checks decide by counting: once a level's rows are known to lie in the
-kernel (``rows_in_kernel``, checked once per level), distinct rows and
-distinct projections are counted against the join's last stage, which
-then only counts its tuples; horns and kernel tuples are enumerated only
-when a count differs, for the witness.  Brute-force pi compares face
-rows.  Ranks turn back into cells, through ``cell_at``, only in witnesses,
-group labels and the tuples handed out by ``simplicial_kernel`` and
-``horns``, so ``horns(...).columns`` go straight to
-``HornFiller.fill_columns``.
+checks decide by counting: once a level's rows (one entry of every column)
+are known to lie in the kernel (``rows_in_kernel``, checked once per
+level), distinct rows and distinct projections are counted against the
+join's last stage, which then only counts its tuples; rows are counted by
+their hashes, and only a shortfall counts the rows themselves.  Horns and
+kernel tuples are enumerated only when a count differs, for the witness.
+Brute-force pi reads face rows across the columns.  Ranks turn back into
+cells, through ``cell_at``, only in witnesses, group labels and the tuples
+handed out by ``simplicial_kernel`` and ``horns``, so ``horns(...).columns``
+go straight to ``HornFiller.fill_columns``.
 The identity audit evaluates one table of the six identity families, each
 side a word of faces and degeneracies, over columns: on a provider with
 rank maps (``Nerve.rank_maps``) a column holds the ranks of up to a few
@@ -38,7 +40,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import itemgetter
 from typing import NamedTuple
 
 from .algebra import ValidationReport, Violation
@@ -49,10 +50,10 @@ from .groups import GroupPresentation
 class LevelProvider:
     """Base of the providers the generic checks run on.  Cells of dimension
     n are addressed by rank, 0 .. ``count_cells(n)``-1 in ``cells(n)``
-    order.  A subclass gives ``face_rows(n, below)``: the row (rank of d_0
-    c, ..., rank of d_n c) of every n-cell c, in rank order, from ``below``,
-    the face table of dimension n-1, raising KeyError for a face that is
-    not an (n-1)-cell.  The whole-level checks read ``level``,
+    order.  A subclass gives ``face_rows(n, below)``: n+1 columns, column j
+    holding the rank of d_j c of every n-cell c in rank order, from
+    ``below``, the columns of dimension n-1, raising KeyError for a face
+    that is not an (n-1)-cell.  The whole-level checks read ``level``,
     ``count_cells``, and ``cell_at`` and ``rank_of`` for witnesses, labels
     and the basepoint.  The identity audit reads ``rank_maps`` where a
     provider has it, and otherwise ``cells``, ``face`` and ``degeneracy``.
@@ -70,28 +71,29 @@ class LevelProvider:
             raise CapacityError(f"{count} cells of dimension {n} exceed the budget {cap}", predicted=count, cap=cap)
         return count
 
-    def level(self, n: int) -> list[tuple[int, ...]]:
-        """The face table of dimension n: ``level(n)[i][j]`` is the rank of
-        d_j of the n-cell of rank ``i`` (rows are empty in dimension 0).
-        Each table is built once per provider and then kept.  Refuses with
-        CapacityError, before anything is built, whenever ``count_cells``
-        predicts more cells than ``cap``, and with CompatibilityError when a
-        face is not a cell of the level below."""
+    def level(self, n: int) -> list[list[int]]:
+        """The face table of dimension n as columns: ``level(n)[j][i]`` is
+        the rank of d_j of the n-cell of rank ``i``; dimension 0 has no
+        columns, its size is ``count_cells(0)``.  Each table is built once
+        per provider and then kept.  Refuses with CapacityError, before
+        anything is built, whenever ``count_cells`` predicts more cells than
+        ``cap``, and with CompatibilityError when a face is not a cell of the
+        level below."""
         todo = [(n, self.count_within(n))]
         while self.built(todo[-1][0]) is None and todo[-1][0] > 0:
             todo.append((todo[-1][0] - 1, self.count_within(todo[-1][0] - 1)))
         # made here, not in __init__, so a subclass need not call it
         levels = self.__dict__.setdefault("_levels", {})
-        for k, count in reversed(todo):
+        for k, _ in reversed(todo):
             if k not in levels:
                 try:
-                    levels[k] = self.face_rows(k, levels[k - 1]) if k else [()] * count
+                    levels[k] = self.face_rows(k, levels[k - 1]) if k else []
                 except KeyError:
                     raise CompatibilityError(f"a face of a {k}-cell is not a {k - 1}-cell; provider is broken") from None
         return levels[n]
 
-    def built(self, n: int) -> list[tuple[int, ...]] | None:
-        """The face table of dimension n if ``level`` has built it, else
+    def built(self, n: int) -> list[list[int]] | None:
+        """The face columns of dimension n if ``level`` has built them, else
         None; builds nothing."""
         return self.__dict__.get("_levels", {}).get(n)
 
@@ -103,12 +105,10 @@ class LevelProvider:
         decided = self.__dict__.setdefault("_in_kernel", {})
         ok = decided.get(n)
         if ok is None:
-            rows = self.level(n)
+            x = self.level(n)
             ok = True
-            if n >= 2 and rows:
-                below = self.level(n - 1)
-                x = [list(map(itemgetter(k), rows)) for k in range(n + 1)]
-                d = [list(map(itemgetter(j), below)) for j in range(n)]
+            if n >= 2 and x[0]:
+                d = self.level(n - 1)
                 ok = all(list(map(d[j].__getitem__, x[k])) == list(map(d[k - 1].__getitem__, x[j]))
                          for k in range(1, n + 1) for j in range(k))
             decided[n] = ok
@@ -163,9 +163,9 @@ def _join(p: LevelProvider, n: int, omitted: int | None, count: bool = False) ->
     the slots.  Slots are added in order, each by a hash join on the faces
     it shares with the slots already placed; every stage is refused above
     ``p.cap``.  With ``count`` the last stage only counts its tuples."""
-    fv, cap = p.level(n - 1), p.cap
     # faces[j][c] is the rank of d_j of the (n-1)-cell c; 0-cells have none
-    faces = [list(map(itemgetter(j), fv)) for j in range(n if n >= 2 else 0)]
+    faces, cap = p.level(n - 1), p.cap
+    cells = p.count_cells(n - 1)
     what = "kernel" if omitted is None else f"horns without slot {omitted}"
     slots = [k for k in range(n + 1) if k != omitted]
     columns: list[list[int]] = []
@@ -173,8 +173,8 @@ def _join(p: LevelProvider, n: int, omitted: int | None, count: bool = False) ->
         counted = count and k == slots[-1]
         size = len(columns[0]) if columns else 1
         if n < 2 or not columns:  # every candidate extends every tuple
-            matches, counts = [range(len(fv))] * size, [len(fv)] * size
-            grown = size * len(fv)
+            matches, counts = [range(cells)] * size, [cells] * size
+            grown = size * cells
         else:
             # candidates c keyed on (d_j c for every placed j), and every
             # tuple on (d_{k-1} x_j for every placed j); one placed slot
@@ -406,41 +406,44 @@ class CoskeletalRecord:
 def check_coskeletal(p: LevelProvider, n: int, upto: int) -> list[CoskeletalRecord]:
     """Decide bijectivity of the boundary map in each dimension n < k <= upto.
 
-    The image is the set of face-id rows of the k-cells.  Once every row
-    lies in the kernel (``rows_in_kernel``), the map is injective iff the
-    rows are distinct and surjective iff the distinct rows are as many as
-    the kernel's tuples, which the join counts without storing them.  The
-    injectivity witness is the first repeated row; only a count that
-    differs enumerates the kernel, for the surjectivity witness: the
-    smallest missing kernel tuple, ids comparing like cells.
+    The image is the set of face-id rows of the k-cells, read across the
+    level's columns.  Once every row lies in the kernel
+    (``rows_in_kernel``), the map is injective iff the rows are distinct and
+    surjective iff the distinct rows are as many as the kernel's tuples,
+    which the join counts without storing them.  The injectivity witness is
+    the first repeated row; only a count that differs enumerates the
+    kernel, for the surjectivity witness: the smallest missing kernel
+    tuple, ids comparing like cells.
     """
     records = []
     for k in range(n + 1, upto + 1):
         kernel_size = _join(p, k, None, count=True)
-        level = p.level(k)
+        level, cells = p.level(k), p.count_cells(k)
         if not p.rows_in_kernel(k):
             raise CompatibilityError(f"boundary of a {k}-cell escaped the kernel; provider is broken")
-        image = set(level)
+        distinct = _distinct(level, cells)
         inj_witness = surj_witness = None
-        if len(image) != len(level):
+        if distinct != cells:
             first: dict[tuple[int, ...], int] = {}
-            i = next(i for i, row in enumerate(level) if first.setdefault(row, i) != i)
-            inj_witness = (p.cell_at(k, first[level[i]]), p.cell_at(k, i))
-        if len(image) != kernel_size:
-            kernel = simplicial_kernel(p, k)
+            i, row = next((i, row) for i, row in enumerate(zip(*level)) if first.setdefault(row, i) != i)
+            inj_witness = (p.cell_at(k, first[row]), p.cell_at(k, i))
+        if distinct != kernel_size:
+            kernel, image = simplicial_kernel(p, k), set(zip(*level))
             surj_witness = kernel.decode(min(t for t in kernel.ids() if t not in image))
-        records.append(
-            CoskeletalRecord(
-                dim=k,
-                cell_count=len(level),
-                kernel_size=kernel_size,
-                injective=inj_witness is None,
-                surjective=surj_witness is None,
-                injectivity_witness=inj_witness,
-                surjectivity_witness=surj_witness,
-            )
-        )
+        records.append(CoskeletalRecord(dim=k, cell_count=cells, kernel_size=kernel_size,
+                                        injective=inj_witness is None, surjective=surj_witness is None,
+                                        injectivity_witness=inj_witness, surjectivity_witness=surj_witness))
     return records
+
+
+def _distinct(columns: list[list[int]], most: int) -> int:
+    """The number of distinct rows of ``columns`` (row i holds entry i of
+    every column), known to be at most ``most``: counted on the rows'
+    hashes, which decides it when they reach ``most``, with no tuple kept
+    per row; only a shortfall, a repeat or two rows of one hash, counts the
+    rows themselves."""
+    hashes = len(set(map(hash, zip(*columns))))
+    return hashes if hashes == most else len(set(zip(*columns)))
 
 
 # -- Kan -------------------------------------------------------------------
@@ -480,15 +483,16 @@ def check_kan(p: LevelProvider, upto: int, from_dim: int = 1) -> KanReport:
     the witness."""
     records = []
     for n in range(from_dim, upto + 1):
-        rows = p.level(n)
+        columns = p.level(n)
         sound = p.rows_in_kernel(n)
         for l in range(n + 1):
+            kept = columns[:l] + columns[l + 1:]
             if sound:
                 horn_count = _join(p, n, l, count=True)
-                if len(set(map(itemgetter(*[j for j in range(n + 1) if j != l]), rows))) == horn_count:
+                if _distinct(kept, horn_count) == horn_count:
                     records.append(KanRecord(n, l, horn_count=horn_count, unfillable=0))
                     continue
-            filled = {row[:l] + row[l + 1:] for row in rows}
+            filled = set(zip(*kept))
             all_horns = horns(p, n, l)
             unfilled = [h for h in all_horns.ids() if h not in filled]
             witness = all_horns.decode(unfilled[0]) if unfilled else None
@@ -540,16 +544,15 @@ def based_classes(p: LevelProvider, n: int, basepoint) -> BasedClasses:
     tower = [basepoint]
     for _ in range(n):
         tower.append(p.degeneracy(tower[-1], 0))
-    level = p.level(n)
     based = (p.rank_of(tower[n - 1]),) * (n + 1)
-    members = [i for i, row in enumerate(level) if row == based]
+    members = [i for i, row in enumerate(zip(*p.level(n))) if row == based]
     member_set = set(members)
     unit = p.rank_of(tower[n])
     if unit not in member_set:
         raise CompatibilityError("degenerate basepoint cell missing from its own level")
-    uf = UnionFind(len(level))
+    uf = UnionFind(p.count_cells(n))
     prefix = (unit,) * n
-    for row in p.level(n + 1):
+    for row in zip(*p.level(n + 1)):
         if row[:n] == prefix and row[n] in member_set and row[n + 1] in member_set:
             uf.union(row[n], row[n + 1])
     return BasedClasses(members, {c: uf.find(c) for c in members}, unit)
@@ -577,7 +580,7 @@ def pi_bruteforce(p: LevelProvider, n: int, basepoint) -> GroupPresentation:
 
     prefix = (classes.unit,) * (n - 1)
     product: dict[tuple[int, int], int] = {}
-    for row in p.level(n + 1):
+    for row in zip(*p.level(n + 1)):
         if row[:n - 1] == prefix:
             product.setdefault((row[n - 1], row[n + 1]), row[n])
 

@@ -83,8 +83,8 @@ def induced_cell(m, M):
 
 
 def rows(columns) -> list[tuple[int, ...]]:
-    """The face rows of the face columns ``Nerve.faces_of`` gives: row i
-    holds entry i of every column, as ``level`` holds them."""
+    """The face rows of face columns, as ``level`` and ``Nerve.faces_of``
+    give them: row i holds entry i of every column."""
     return list(zip(*columns))
 
 
@@ -134,7 +134,7 @@ def corner_triples(nv, n):
     """Every valid ``(first, last, corner)`` on ranks in dimension n >= 2:
     (n-1)-cells with d_{n-1} first == d_0 last, and a corner in the fiber
     over first's object 0, found from the face table and by decoding first."""
-    below = nv.level(n - 1)
+    below = rows(nv.level(n - 1))
     by_first_face = {}
     for last, row in enumerate(below):
         by_first_face.setdefault(row[0], []).append(last)
@@ -150,7 +150,8 @@ class PerCellRanks(LevelProvider):
     ``face`` and ``degeneracy`` the rank interface of the whole-level checks
     (``count_cells``, ``face_rows``, ``cell_at``, ``rank_of``) by
     materialising each dimension's cell list and ``cell -> rank`` map.
-    ``face_rows`` makes one ``face`` call per face and raises KeyError for
+    ``face_rows`` makes one ``face`` call per face, column by column, and
+    raises KeyError for
     a face that is not a cell of the level below, whether it is missing from
     the level or ``face`` refuses to build it: the reference for
     ``Nerve.face_rows``."""
@@ -174,7 +175,7 @@ class PerCellRanks(LevelProvider):
     def face_rows(self, n, below):
         face, ids, js = self.face, self._listed(n - 1)[1], range(n + 1)
         try:
-            return [tuple([ids[face(c, j)] for j in js]) for c in self._listed(n)[0]]
+            return [[ids[face(c, j)] for c in self._listed(n)[0]] for j in js]
         except CompatibilityError as exc:
             raise KeyError(str(exc)) from None
 

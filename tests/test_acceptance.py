@@ -80,7 +80,7 @@ def test_criterion_03_corner_face_closed_formulas():
         for r in range(len(faces[0])):
             cell = nv.cell_at(3, r)
             for j in (1, 2):
-                exact = exact and table[r][j] == faces[j][r] == nv.rank_of(nv.face(cell, j))
+                exact = exact and table[j][r] == faces[j][r] == nv.rank_of(nv.face(cell, j))
                 checked += 1
     report(3, exact, f"closed corner-face formulas equal the composed path on {checked} instances")
 

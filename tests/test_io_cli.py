@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import gc
 import json
 import os
 import subprocess
@@ -654,3 +655,37 @@ def test_every_command_ends_in_an_exit_code_on_any_flag_value(fuzz_path, argv, f
         del argv[argv.index(flag):argv.index(flag) + 2]
     with contextlib.chdir(fuzz_path.parent):
         assert run([*argv, flag, data.draw(FLAG_VALUES[flag], label=flag)]) in (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_run_leaves_the_cyclic_collector_as_it_found_it(file_z2_z3, tmp_path, capsys, monkeypatch, enabled):
+    # run pauses the collector from reading the input through the command,
+    # and on every way out restores the state it found
+    paused = []
+
+    def load(path, _real=cli.load_path):
+        paused.append(not gc.isenabled())
+        return _real(path)
+
+    monkeypatch.setattr(cli, "load_path", load)
+    cases = [
+        (["kan", str(file_z2_z3), "--dims", "1..2"], 0),  # a report
+        (["kan", str(tmp_path / "missing.json")], 1),  # an io error
+        (["kan", str(file_z2_z3), "--dims", "4..4", "--max-cells", "100"], 3),  # a capacity refusal
+        (["kan", str(file_z2_z3), "--dims"], 2),  # an argparse error, before the collector is touched
+        (["kan", str(file_z2_z3), "--json", str(tmp_path / "no" / "report.json")], 2),  # an unwritable report
+    ]
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for argv, code in cases:
+            assert run(argv) == code, argv
+            assert gc.isenabled() is enabled, argv
+        assert paused == [True, True, True]
+        monkeypatch.setitem(cli._COMMANDS, "kan", lambda xm, args: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            run(["kan", str(file_z2_z3)])
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()

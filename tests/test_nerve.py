@@ -271,15 +271,15 @@ def test_face_ids_agree_with_levels_and_face(name):
     for n in range(5):
         lv = nv.level(n)
         cells = list(nv.cells(n))
-        assert len(lv) == len(cells)
+        assert len(lv) == (n + 1 if n else 0) and all(len(col) == len(cells) for col in lv)
         # level ids are ranks: rank_of inverts cell_at and the level's order
         assert [nv.rank_of(c) for c in cells] == list(range(len(cells)))
         assert all(nv.cell_at(n, i) == c for i, c in enumerate(cells))
         if n:
             below = list(nv.cells(n - 1))
-            # the face rows read from the level, and made before it is built
-            assert rows(nv.faces_of(n, range(len(cells)))) == lv == rows(Nerve(nv.xm).faces_of(n, range(len(cells))))
-            for row, c in zip(lv, cells):
+            # the face columns read from the level, and made before it is built
+            assert nv.faces_of(n, range(len(cells))) == lv == Nerve(nv.xm).faces_of(n, range(len(cells)))
+            for row, c in zip(rows(lv), cells):
                 assert [below[k] for k in row] == [nv.face(c, j) for j in range(n + 1)]
     with pytest.raises(IndexError):
         nv.cell_at(4, nv.count_cells(4))
@@ -303,7 +303,7 @@ def test_faces_of_returns_the_columns_of_the_level():
     for n in (1, 2, 4):
         assert nv.faces_of(n, []) == [[] for _ in range(n + 1)]
     for n in (3, 4):
-        columns = [list(col) for col in zip(*whole.level(n))]
+        columns = whole.level(n)
         ranks = range(len(columns[0]))
         assert nv.built(n) is None and nv.faces_of(n, ranks) == columns  # a dimension that is not built
         nv.level(n)
@@ -348,12 +348,13 @@ def test_kept_face_rows_are_the_rows_of_the_level(name):
     # a budget below the number of 4-cells: past it rows are returned, not kept
     xm, rng = getattr(fixtures, name)(), random.Random(3)
     nv, whole = Nerve(xm, 700), Nerve(xm)
-    level = whole.level(4)
+    level = rows(whole.level(4))
     ranks = rng.sample(range(len(level)), 900)
     for lo, hi in ((0, 300), (200, 500), (0, 900), (100, 800), (0, 300)):
         assert rows(nv.faces_of(4, ranks[lo:hi])) == [level[r] for r in ranks[lo:hi]]
     assert sorted(nv._rows) == [2, 3, 4] and len(nv._rows[4]) == 700 and nv.built(4) is None
-    assert all(whole.level(m)[r] == row for m, rows in nv._rows.items() for r, row in rows.items())
+    tables = {m: rows(whole.level(m)) for m in nv._rows}
+    assert all(tables[m][r] == row for m, kept in nv._rows.items() for r, row in kept.items())
     # a built level replaces the rows kept of its dimension
     assert nv.level(3) == whole.level(3) and 3 not in nv._rows
     assert rows(nv.faces_of(4, ranks)) == [level[r] for r in ranks]
@@ -440,6 +441,36 @@ def test_assemble_id_refusals(nv_pair):
         nv_pair.assemble_ids(2, [first], [last], [0])
     with pytest.raises(CompatibilityError, match="corner 3 outside the fiber over object 0"):
         nv_pair.assemble_ids(2, [first], [first], [3])
+
+
+def test_assemble_ids_checks_each_pair_against_its_own_fiber():
+    # fibers of sizes 3 (object 0) and 2 (object 1): corner 2 is valid only
+    # on the pairs over object 0, past the smallest fiber of the call
+    nv = Nerve(RANK_FIXTURES["f6_and_idempotent"]())
+    for n in (2, 3):
+        ranks = list(range(nv.count_cells(n)))
+        faces, corners = nv.faces_of(n, ranks), nv.corners(n, ranks)
+        assert max(corners) == 2 and {nv.cell_at(n, r).objects[1] for r in ranks} == {0, 1}
+        assert nv.assemble_ids(n, faces[0], faces[n], corners) == ranks
+        # valid corners run no per-triple check: the corners are gathered per pair, never iterated
+        walked = []
+
+        class Corners(list):
+            def __iter__(self):
+                walked.append(1)
+                return super().__iter__()
+
+        assert nv.assemble_ids(n, faces[0], faces[n], Corners(corners)) == ranks and walked == []
+        # the first refused triple raises, whatever its pair
+        bad = [r for r in ranks if nv.cell_at(n, r).objects[1] == 1][-2:]
+        for r in bad:
+            corners[r] = 2
+        with pytest.raises(CompatibilityError, match="^corner 2 outside the fiber over object 1$"):
+            nv.assemble_ids(n, faces[0], faces[n], corners)
+        firsts = list(faces[0])
+        firsts[bad[0]] = ranks[0]  # a first face over object 0 shares no object with the last one
+        with pytest.raises(CompatibilityError, match=r"^faces do not overlap: d_\{n-1\}\(first\) != d_0\(last\)$"):
+            nv.assemble_ids(n, firsts, faces[n], corners)
 
 
 def test_a_high_dimension_is_built_without_the_ones_below():

@@ -6,7 +6,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import PerCellRanks, boundary, is_compatible, morphism_cell, pair_groupoid_z3_relabelled
+from conftest import PerCellRanks, boundary, is_compatible, morphism_cell, pair_groupoid_z3_relabelled, rows
 from test_algebra import _corrupt, permutation_module
 from xnerve import fixtures, simplicial
 from xnerve.algebra import ValidationReport, Violation
@@ -375,15 +375,16 @@ def test_level_tables_match_face_and_sort_order(name):
     p = build()
     for n in range(maxdim + 1):
         lv = p.level(n)
-        cells = [p.cell_at(n, i) for i in range(len(lv))]
+        cells = [p.cell_at(n, i) for i in range(p.count_cells(n))]
         assert cells == list(p.cells(n))
         assert cells == sorted(cells)
         assert [p.rank_of(c) for c in cells] == list(range(len(cells)))
         if n == 0:
-            assert all(row == () for row in lv)
+            assert lv == []  # 0-cells have no faces
             continue
-        for i, c in enumerate(cells):
-            assert lv[i] == tuple(p.rank_of(p.face(c, j)) for j in range(n + 1))
+        assert len(lv) == n + 1 and all(len(col) == len(cells) for col in lv)
+        for row, c in zip(rows(lv), cells):
+            assert row == tuple(p.rank_of(p.face(c, j)) for j in range(n + 1))
     if isinstance(p, Nerve):
         assert face_tables_or_error(p, maxdim) == face_tables_or_error(PerCell(p), maxdim)
 
@@ -460,7 +461,7 @@ def test_nerve_levels_make_no_face_calls(monkeypatch):
 
 def test_corrupted_provider_shows_in_its_table():
     p = _corrupted_f4()
-    row = p.level(2)[p.rank_of(p.victim)]
+    row = rows(p.level(2))[p.rank_of(p.victim)]
     assert p.cell_at(1, row[0]) == p.replacement
     assert row[0] != p.rank_of(p.base.face(p.victim, 0))
 
@@ -578,7 +579,7 @@ def test_kernel_and_horn_lists_match_reference(nv_z2_z3, nv_pair):
 
 
 def test_level_cap_applies_to_built_levels_and_join_stages(nv_z2_z3):
-    assert len(nv_z2_z3.level(3)) == 216
+    assert [len(col) for col in nv_z2_z3.level(3)] == [216] * 4
     with pytest.raises(CapacityError):
         Nerve(nv_z2_z3.xm, cap=100).level(3)
     with pytest.raises(CapacityError) as err:

@@ -68,3 +68,22 @@ def test_sources_stay_within_the_line_budget():
     # them elsewhere, so the budget is checked here and not only reported
     lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in SOURCES)
     assert lines <= 3500, f"src/xnerve/*.py has {lines} lines, over the budget of 3,500"
+
+
+def test_only_cli_run_pauses_the_cyclic_collector():
+    # ``cli.run`` pauses the collector for one command and restores the
+    # state it found; a library call that switched it would leave the
+    # caller's process changed
+    calls = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owner = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in {"disable", "enable", "freeze"} \
+                    and isinstance(node.value, ast.Name) and node.value.id == "gc":
+                scope = owner[node]
+                while not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Module)):
+                    scope = owner[scope]
+                calls.append(f"{path.name}:{getattr(scope, 'name', '<module>')}:gc.{node.attr}")
+        assert not any(isinstance(node, ast.ImportFrom) and node.module == "gc" for node in ast.walk(tree)), path.name
+    assert sorted(calls) == ["cli.py:run:gc.disable", "cli.py:run:gc.enable"]
