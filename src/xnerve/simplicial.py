@@ -77,8 +77,10 @@ class LevelProvider:
         columns, its size is ``count_cells(0)``.  Each table is built once
         per provider and then kept.  Refuses with CapacityError, before
         anything is built, whenever ``count_cells`` predicts more cells than
-        ``cap``, and with CompatibilityError when a face is not a cell of the
-        level below."""
+        ``cap``, and with CompatibilityError for n < 0 or a face that is not
+        a cell of the level below."""
+        if n < 0:
+            raise CompatibilityError(f"levels need dimension >= 0, got {n}")
         todo = [(n, self.count_within(n))]
         while self.built(todo[-1][0]) is None and todo[-1][0] > 0:
             todo.append((todo[-1][0] - 1, self.count_within(todo[-1][0] - 1)))
@@ -415,6 +417,8 @@ def check_coskeletal(p: LevelProvider, n: int, upto: int) -> list[CoskeletalReco
     kernel, for the surjectivity witness: the smallest missing kernel
     tuple, ids comparing like cells.
     """
+    if n < 0:
+        raise CompatibilityError("kernel needs dimension >= 1")
     records = []
     for k in range(n + 1, upto + 1):
         kernel_size = _join(p, k, None, count=True)
@@ -481,6 +485,8 @@ def check_kan(p: LevelProvider, upto: int, from_dim: int = 1) -> KanReport:
     distinct projections as horns, which the join counts without storing
     them.  Horns are enumerated only otherwise, for the unfilled count and
     the witness."""
+    if from_dim < 1:
+        raise CompatibilityError("horns need dimension >= 1")
     records = []
     for n in range(from_dim, upto + 1):
         columns = p.level(n)

@@ -252,10 +252,7 @@ class ReferenceFiller:
         row = self.face_ids(2, filler)
         for slot, expected in zip(slots, faces):
             if row[slot] != expected:
-                raise CompatibilityError(
-                    f"filler face mismatch at slot {slot}: "
-                    f"expected {nv.cell_at(1, expected).text()}, got {nv.cell_at(1, row[slot]).text()}"
-                )
+                raise CompatibilityError(f"boundary reconstruction failed at face {slot}")
         return filler
 
     def _missing_2face(self, l, faces, rows, beta):

@@ -365,17 +365,34 @@ def test_a_wrong_corner_at_dimension_4_and_up_is_refused(monkeypatch, file_f6, t
 
 
 def test_a_wrong_eq_image_corner_at_dimension_3_is_refused(monkeypatch, file_f6, tmp_path, capsys):
-    real = HornFiller._missing_2face
+    real = HornFiller._missing_corner
 
     def wrong_corner(self, *args):
-        # the same outer faces, and the next corner in F6's three-element fiber
-        nv, rs = self.nerve, real(self, *args)
-        faces = nv.faces_of(2, rs)
-        return nv.assemble_ids(2, faces[0], faces[2],
-                               [(corner + 1) % 3 for corner in nv.corners(2, rs)])
+        # the next corner in F6's three-element fiber; F6's boundary is
+        # trivial, so the rebuilt face keeps its faces and passes its check
+        return [(corner + 1) % 3 for corner in real(self, *args)]
 
-    monkeypatch.setattr(HornFiller, "_missing_2face", wrong_corner)
+    monkeypatch.setattr(HornFiller, "_missing_corner", wrong_corner)
     assert _fill_is_refused(file_f6, tmp_path, capsys, 3) == "boundary tuple fails eq:image"
+    hf = HornFiller(Nerve(fixtures.z2_with_z3_fiber_twisted()))
+    for l in range(4):
+        with pytest.raises(CompatibilityError, match="^boundary tuple fails eq:image$"):
+            hf.fill_columns(3, l, _sampled_horn_columns(hf.nerve, 3, l, 20, seed=l))
+
+
+@pytest.mark.parametrize("n, rule", [(2, "_missing_edge"), (3, "_missing_corner")])
+def test_a_wrong_missing_face_is_refused_by_its_face_row(monkeypatch, n, rule):
+    # One object, Z/3 morphisms, and the identity as boundary: the next
+    # edge (n = 2), or the rebuilt 2-face with the next corner (n = 3), has
+    # the horn's ends but another d_1.  A wrong d_1 of dimension 2 is
+    # refused by the filler's face row; a wrong 2-face by its own, before
+    # the filler's eq:image check.
+    real = getattr(HornFiller, rule)
+    monkeypatch.setattr(HornFiller, rule, lambda self, *args: [(r + 1) % 3 for r in real(self, *args)])
+    hf = HornFiller(Nerve(fixtures.z3_identity_boundary()))
+    for l in range(n + 1):
+        with pytest.raises(CompatibilityError, match="^boundary reconstruction failed at face 1$"):
+            hf.fill_columns(n, l, horns(hf.nerve, n, l).columns)
 
 
 def test_cmd_fill_makes_no_face_or_cell_at_calls(monkeypatch, file_f6, capsys):
@@ -400,6 +417,7 @@ ORACLE = {
     "F4": fixtures.z2_with_z3_fiber,
     "F6": fixtures.z2_with_z3_fiber_twisted,
     "pair": fixtures.pair_groupoid_z3,  # two objects: many blocks per dimension
+    "z3_identity": fixtures.z3_identity_boundary,  # a boundary other than the constant identity
 }
 
 

@@ -114,6 +114,17 @@ def test_horns_are_compatible_and_capacity_guard(nv_z2_z3):
         horns(Nerve(nv_z2_z3.xm, cap=50), 4, 0)
 
 
+def test_a_dimension_below_zero_is_refused_by_name(xm_z2):
+    # a dimension below zero is a bad argument, not a broken provider: each
+    # call is refused with a text that names the dimension
+    nv = Nerve(xm_z2)
+    for call, message in ((lambda: check_kan(nv, 2, from_dim=0), "horns need dimension >= 1"),
+                          (lambda: check_coskeletal(nv, -1, 1), "kernel needs dimension >= 1"),
+                          (lambda: nv.level(-1), "levels need dimension >= 0, got -1")):
+        with pytest.raises(CompatibilityError, match=f"^{re.escape(message)}$"):
+            call()
+
+
 def test_idempotent_fiber_has_the_expected_witness_horn(nv_idempotent):
     found = [
         h

@@ -87,3 +87,22 @@ def test_only_cli_run_pauses_the_cyclic_collector():
                 calls.append(f"{path.name}:{getattr(scope, 'name', '<module>')}:gc.{node.attr}")
         assert not any(isinstance(node, ast.ImportFrom) and node.module == "gc" for node in ast.walk(tree)), path.name
     assert sorted(calls) == ["cli.py:run:gc.disable", "cli.py:run:gc.enable"]
+
+
+def test_fillers_assemble_cells_only_where_they_are_checked():
+    # ``HornFiller._cell_with_boundary`` compares every cell it assembles
+    # with the face row it was built from; a filler path that called
+    # ``assemble_ids`` anywhere else could return a cell nobody checked
+    path = next(path for path in SOURCES if path.name == "fillers.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    owner = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "assemble_ids":
+            scope, names = node, []
+            while scope in owner:
+                scope = owner[scope]
+                if isinstance(scope, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    names.insert(0, getattr(scope, "name", "<lambda>"))
+            sites.append(".".join(names))
+    assert sites and set(sites) == {"HornFiller._cell_with_boundary"}
