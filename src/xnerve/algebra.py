@@ -33,9 +33,9 @@ def _row(row, blank: bool = False) -> tuple:
     return tuple(None if blank and v is None else int(v) for v in row)
 
 
-def _gather(idx):
-    """``itemgetter(*idx)``, which returns a tuple for one index as well."""
-    return itemgetter(*idx) if len(idx) != 1 else lambda row: (row[idx[0]],)
+def gather(idx):
+    """``itemgetter(*idx)``, which returns a tuple for 0 or 1 indices as well."""
+    return itemgetter(*idx) if len(idx) > 1 else lambda row: tuple([row[i] for i in idx])
 
 
 def generating_set(table) -> tuple[int, ...]:
@@ -77,8 +77,8 @@ def _assoc_on_generators(table, gens) -> bool:
     for g in gens:
         row_g = table[g]
         cs = [c for c, gc in enumerate(row_g) if gc is not None]
-        pick_c = tuple if len(cs) == len(row_g) else _gather(cs)  # a total row needs no gather
-        pick_gc = _gather([row_g[c] for c in cs])
+        pick_c = tuple if len(cs) == len(row_g) else gather(cs)  # a total row needs no gather
+        pick_gc = gather([row_g[c] for c in cs])
         for row_a in table:
             ag = row_a[g]
             if ag is not None and pick_c(table[ag]) != pick_gc(row_a):
@@ -397,7 +397,7 @@ def validate_crossed_monoid(xm: CrossedMonoid) -> ValidationReport:
     # composition, so the category generators decide the rule.
     comp_hit = None if cat_holds and all(
         act[v] == pick(act[b])
-        for a, pick in zip(mors, map(_gather, act)) for b in cat.generators if (v := comp[a][b]) is not None) else next(
+        for a, pick in zip(mors, map(gather, act)) for b in cat.generators if (v := comp[a][b]) is not None) else next(
         (((a, b, m), "action not functorial on a composite")
          for a in mors for b, v in enumerate(comp[a]) if v is not None
          for m in fibers[tgt[a]].elements()

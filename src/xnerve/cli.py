@@ -23,6 +23,7 @@ import gc
 import json
 import random
 import sys
+from itertools import islice, repeat
 
 from . import homotopy as H
 from . import simplicial as S
@@ -170,7 +171,9 @@ def cmd_fill(xm, args) -> tuple[int, list[dict]]:
                 mode = "exhaustive"
             else:
                 sample = min(1000, nerve.cap)
-                faces = nerve.faces_of(n, [rng.randrange(count) for _ in range(sample)])
+                # randrange(count)'s draws in one pass: bit_length() random bits until they are below count
+                draws = filter(count.__gt__, map(rng.getrandbits, repeat(count.bit_length())))
+                faces = nerve.faces_of(n, list(islice(draws, sample)))
                 horn_columns = faces[:l] + faces[l + 1:]
                 mode = f"sampled {sample} (seed {args.seed})"
             filler.fill_columns(n, l, horn_columns)

@@ -132,8 +132,9 @@ class HornFiller:
         corner = self._missing_corner(l, faces, rows, beta) if n == 3 else None
         missing = self._missing_edge(l, faces) if n == 2 else self._cell_with_boundary(n - 1, beta, corner)
         completed = list(faces)
-        completed.insert(l, missing)  # for 0 < l < n faces 0 and n are present, their ends known
-        return self._cell_with_boundary(n, completed, ends=(rows[0][n - 1], rows[-1][0]) if 0 < l < n else None)
+        completed.insert(l, missing)  # ends of faces 0 and n: from rows, or beta, checked on rebuilt faces (n >= 3)
+        first, last = beta[-1] if l == 0 else rows[0][n - 1], beta[0] if l == n else rows[-1][0]
+        return self._cell_with_boundary(n, completed, ends=(first, last) if n >= 3 or 0 < l < n else None)
 
     def _missing_edge(self, l: int, faces: list[list[int]]) -> list[int]:
         """The omitted 1-faces of dimension-2 horns, from groupoid inverses:

@@ -47,11 +47,11 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from functools import partial
-from operator import getitem, itemgetter, mul
+from functools import cached_property, partial
+from operator import getitem, mul
 from typing import Iterator, NamedTuple, Sequence
 
-from .algebra import CrossedMonoid
+from .algebra import CrossedMonoid, gather
 from .errors import CapacityError, CellError, CompatibilityError, DEFAULT_CAPACITY
 from .simplicial import LevelProvider
 
@@ -87,22 +87,29 @@ _cell = partial(tuple.__new__, NerveCell)
 _HUGE = 10 ** 4300
 
 
-class _Block(NamedTuple):
+class _Block:
     """One object sequence with a morphism in every C(x_i, x_{i-1}): per
     matrix row i, C(x_i, x_{i-1}) and the size of the fiber over x_i; the
-    block size and the rank of its first cell."""
+    block size and the rank of its first cell; the properties are made on first use."""
 
-    seq: tuple[int, ...]
-    homs: tuple[tuple[int, ...], ...]
-    fibers: tuple[int, ...]
-    size: int
-    start: int
+    def __init__(self, seq: tuple[int, ...], homs: tuple[tuple[int, ...], ...], fibers: tuple, size: int, start: int):
+        self.seq, self.homs, self.fibers, self.size, self.start = seq, homs, fibers, size, start
 
-    @property
+    @cached_property
     def domains(self) -> list[Sequence[int]]:
         """The candidate list of every matrix position, row-major."""
         n = len(self.homs)
         return [d for i, (hom, f) in enumerate(zip(self.homs, self.fibers), 1) for d in (hom, *[range(f)] * (n - i))]
+
+    @cached_property
+    def weights(self) -> tuple[int, ...]:
+        """The place value of every position's digit."""
+        return tuple(_weights([len(dom) for dom in self.domains]))
+
+    @cached_property
+    def bounds(self) -> list[tuple[int, int]]:
+        """Slice bounds of rows 1..n in a row-major entry list."""
+        return list(itertools.pairwise(itertools.accumulate(range(len(self.homs), 0, -1), initial=0)))
 
 
 def _glue(glue: tuple[int, ...], firsts, lasts, corners) -> list[int]:
@@ -125,10 +132,11 @@ class Nerve(LevelProvider):
     boundary that is not an endomorphism of its object: the face maps
     compose with boundary values and need them to be.
 
-    The nerve keeps every face table that ``level`` builds, and up to ``cap``
-    rows per dimension that ``faces_of`` makes of other levels, for as long
-    as it lives: the checks run on one ``Nerve`` share them, and a second
-    ``check_kan(nv, 4)`` builds nothing.  ``cap`` bounds every level and join.
+    The nerve keeps every face table that ``level`` builds, and the first
+    ``cap`` rows per dimension that ``faces_of`` makes of other levels, both
+    as face columns (``_read``), for as long as it lives: the checks run on
+    one ``Nerve`` share them, and a second ``check_kan(nv, 4)`` builds
+    nothing.  ``cap`` bounds every level and join.
     """
 
     def __init__(self, xm: CrossedMonoid, cap: int = DEFAULT_CAPACITY):
@@ -143,7 +151,7 @@ class Nerve(LevelProvider):
         self._block_of: dict[tuple[int, ...], _Block] = {}  # by object sequence, every dimension
         self._glues: dict[tuple[int, ...], tuple[int, ...]] = {}  # by object sequence
         self._face_plans: dict[tuple[int, ...], tuple] = {}  # by object sequence
-        self._rows: dict[int, dict[int, tuple[int, ...]]] = {}  # faces_of's rows, by dimension and rank
+        self._rows: dict[int, tuple[list[list[int]], dict[int, int]]] = {}  # faces_of's rows: columns, positions
         self._counts: dict[int, int] = {}  # count_cells, by dimension
         # mor_at[r] is the morphism of the 1-cell of rank r; mor_rank inverts it
         self.mor_at = [g for x0 in cat.objects() for x1 in cat.objects() for g in cat.hom(x1, x0)]
@@ -337,12 +345,6 @@ class Nerve(LevelProvider):
             v = [min(size ** (n - i) * s, _HUGE) for size, s in zip(sizes, times(homs, v))]
         return min(sum(v), _HUGE)
 
-    @staticmethod
-    def _row_bounds(n: int) -> list[tuple[int, int]]:
-        """Slice bounds of rows 1..n in a row-major entry list."""
-        ends = list(itertools.accumulate(range(n, 0, -1)))
-        return list(zip([0] + ends, ends))
-
     def count_cells(self, n: int) -> int:
         """The number of n-cells, with no block built; a count of more than
         4300 digits, over any budget, is refused with CapacityError."""
@@ -362,18 +364,16 @@ class Nerve(LevelProvider):
         """All cells of dimension n, object sequences lexicographic, then
         entries row-major lexicographic; refused above ``cap``."""
         self.count_within(n)
-        bounds = self._row_bounds(n)
         for blk in self._dim(n):
             for flat in itertools.product(*blk.domains):
-                yield _cell((n, blk.seq, tuple([flat[a:b] for a, b in bounds])))
+                yield _cell((n, blk.seq, tuple([flat[a:b] for a, b in blk.bounds])))
 
     def cell_at(self, n: int, index: int) -> NerveCell:
         """The index-th cell in enumeration order, without materializing."""
         blk = self._dim(n)[self._block_indices(n, [index])[0]]
-        index, domains = index - blk.start, blk.domains
-        lens = [len(dom) for dom in domains]
-        flat = tuple([dom[index // w % size] for dom, w, size in zip(domains, _weights(lens), lens)])
-        return _cell((n, blk.seq, tuple([flat[a:b] for a, b in self._row_bounds(n)])))
+        index -= blk.start
+        flat = tuple([dom[index // w % len(dom)] for dom, w in zip(blk.domains, blk.weights)])
+        return _cell((n, blk.seq, tuple([flat[a:b] for a, b in blk.bounds])))
 
     def rank_of(self, c: NerveCell) -> int:
         """Position of a cell in ``cells(c.dim)`` order; the inverse of
@@ -381,10 +381,8 @@ class Nerve(LevelProvider):
         self.validate_cell(c)
         self._dim(c.dim)
         blk = self._block_of[c.objects]
-        r = 0
-        for dom, v in zip(blk.domains, itertools.chain.from_iterable(c.rows)):
-            r = r * len(dom) + dom.index(v)
-        return blk.start + r
+        entries = itertools.chain.from_iterable(c.rows)
+        return blk.start + sum(w * dom.index(v) for w, dom, v in zip(blk.weights, blk.domains, entries))
 
     def corners(self, n: int, ranks: Sequence[int]) -> list[int]:
         """Corner, entry (1, n), of the n-cell of every rank in ``ranks``,
@@ -427,7 +425,7 @@ class Nerve(LevelProvider):
                     raise CompatibilityError(f"corner {corner} outside the fiber over object {blocks[b_last].seq[1]}")
         if len(glues) == 1:
             return _glue(next(iter(glues.values())), firsts, lasts, corners)
-        made = {pair: iter(_glue(glues[pair], *[list(map(col.__getitem__, idxs)) for col in (firsts, lasts, corners)]))
+        made = {pair: iter(_glue(glues[pair], *map(gather(idxs), (firsts, lasts, corners))))
                 for pair, idxs in groups.items()}
         return list(map(next, map(made.__getitem__, zip(lbs, fbs))))
 
@@ -462,33 +460,23 @@ class Nerve(LevelProvider):
     def faces_of(self, n: int, ranks: Sequence[int]) -> list[list[int]]:
         """Face columns of the n-cells of ``ranks``, n >= 1, in any
         dimension: n+1 lists, list j holding the rank of d_j c of every c in
-        input order.  The faces are read from a built level's columns, then
-        from the rows the nerve keeps.  The other rows come from
-        ``_block_faces``, block by block, on the faces of the d_0 and d_n
-        faces, found the same way one dimension down, and are kept up to
-        ``cap`` per dimension.  A rank that is not one of the n-cells raises
-        IndexError."""
+        input order; a rank that is not one of the n-cells raises
+        IndexError.  The faces are read from a built level's columns, or
+        from the columns of rows the nerve keeps.  The rows it lacks are
+        made by a loop: top-down, the ranks each dimension lacks and their
+        d_0 and d_n ranks (spelled once), which the dimension below makes;
+        bottom-up, their rows, by ``_block_faces``, appended to the kept
+        columns, of which each dimension keeps the first ``cap`` rows."""
         if n < 1:
             raise CellError("0-cells have no faces")
         self._check_ranks(n, ranks)
-        try:
-            return self._faces(n, ranks)
-        except KeyError:
-            raise CompatibilityError("a face of a 2-cell is not a 1-cell: its diagonal leaves its hom-set") from None
-
-    def _faces(self, n: int, ranks: Sequence[int]) -> list[list[int]]:
-        """The face columns of ``faces_of``, on ranks known to be n-cells, by
-        a loop: top-down, the ranks each dimension lacks and their d_0 and
-        d_n ranks (spelled once), which the dimension below must make;
-        bottom-up, the rows, each dimension's kept rows cut to ``cap`` once
-        read."""
         work, want = [], ranks
         for d in range(n, 0, -1):
-            rows = self.built(d)  # at the loop's end: the rows the bottom-up pass reads first
-            if rows is not None:
+            table, at = self.built(d), None  # at the loop's end: the table the bottom-up pass reads first
+            if table is not None:
                 break
-            rows = known = self._rows.setdefault(d, {})
-            todo = sorted(set(want).difference(known))
+            table, at = self._rows.setdefault(d, ([[] for _ in range(d + 1)], {}))
+            todo = sorted(set(want).difference(at))
             if not todo:
                 break
             blocks, jobs = self._dim(d), []
@@ -498,21 +486,27 @@ class Nerve(LevelProvider):
                 blk, group = blocks[b - 1], list(group)
                 plan, spell = self._plan_of(d, blk), partial(_spell, [r - blk.start for r in group])
                 jobs.append((group, plan, spell, (spell(plan[2], plan[0].start), spell(plan[3], plan[1]))))
-            work.append((d, known, jobs))
+            work.append((d, table, at, jobs))
             if d < 3:
                 break
             want = [r for *_, ends in jobs for col in ends for r in col]
-        done: dict = {}  # the rows last made, cut once read
-        for d, known, jobs in reversed(work):
-            for group, plan, digits, ends in jobs:  # ``rows``: the faces of d-1, read for d >= 3
-                known.update(zip(group, zip(*self._block_faces(d, plan, digits, rows, ends))))
-            while len(done) > self.cap:  # past the budget: the newest rows are read, not kept
-                done.popitem()
-            rows = done = known
-        face = _read(rows, ranks)
+        try:
+            for d, columns, made, jobs in reversed(work):
+                for group, plan, digits, ends in jobs:  # ``table``: the faces of d-1, read for d >= 3
+                    for col, faces in zip(columns, self._block_faces(d, plan, digits, table, ends, at)):
+                        col.extend(faces)
+                    made.update(zip(group, itertools.count(len(made))))
+                table, at = columns, made
+        except KeyError:
+            raise CompatibilityError("a face of a 2-cell is not a 1-cell: its diagonal leaves its hom-set") from None
+        face = _read(table, ranks, at)
         faces = [list(face(j)) for j in range(n + 1)]
-        while len(done) > self.cap:
-            done.popitem()
+        # past the budget the newest rows are read, not kept; ``made`` holds ranks in position order
+        for _, columns, made, _ in work:
+            for r in list(itertools.islice(reversed(made), max(len(made) - self.cap, 0))):
+                del made[r]
+            for col in columns:
+                del col[self.cap:]
         return faces
 
     def _plan_of(self, n: int, blk: _Block) -> tuple:
@@ -534,7 +528,7 @@ class Nerve(LevelProvider):
         seq, domains = blk.seq, blk.domains
         flat = range(n * (n + 1) // 2)
         keep = partial(_keep_runs, tuple(map(len, domains)))
-        row_ends = {b - 1 for _, b in self._row_bounds(n)}
+        row_ends = {b - 1 for _, b in blk.bounds}
         extra = None
         if n == 2:
             diag = {g: self.mor_rank[g] for g in xm.cat.hom(seq[2], seq[0])}
@@ -571,14 +565,14 @@ class Nerve(LevelProvider):
         return columns
 
     @staticmethod
-    def _block_faces(n: int, plan: tuple, digits, below, ends=None) -> list[list[int]]:
+    def _block_faces(n: int, plan: tuple, digits, below, ends=None, at=None) -> list[list[int]]:
         """Columns d_0 .. d_n, as ranks, of cells of one block of dimension
         n >= 1, given the block's ``_plan_of``, ``digits(runs, start=0)``:
         per cell, ``start`` plus the image of its index in the block under
         the digit runs ``runs`` of the plan (``_ranks`` for the whole block,
         ``_spell`` for chosen cells), and ``below``, the face table of
-        dimension n-1 (``_read``), read for n >= 3; ``ends``, if given, are
-        the d_0 and d_n columns, already spelled.
+        dimension n-1 (``_read``, at positions ``at``), read for n >= 3;
+        ``ends``, if given, are the d_0 and d_n columns, already spelled.
 
         d_0 deletes row 1, so its rank keeps the digits of rows 2 .. n; d_n
         deletes the last digit of every row.  For n = 2, d_1 is the
@@ -603,7 +597,7 @@ class Nerve(LevelProvider):
                 *[corner] * (n - 3),
                 map(getitem, map(mul1.__getitem__, digits(runs_m1n1)), corner),
             ]
-            fa, lb = _read(below, first), _read(below, last)
+            fa, lb = _read(below, first, at), _read(below, last, at)
             for j, glue, cs in zip(range(1, n), glues, corners):
                 inner.append(_glue(glue, fa(j - 1), lb(j), cs))
         return [first, *inner, last]
@@ -633,14 +627,16 @@ class _Twists(dict):
         return twist
 
 
-def _read(table, ranks):
-    """The function of j that iterates the rank of d_j of every cell of
-    ``ranks`` in a face table: a built level's columns, or the kept rows by
-    rank of ``Nerve._faces``, each row looked up once."""
-    if isinstance(table, dict):
-        rows = list(map(table.__getitem__, ranks))
-        return lambda j: map(itemgetter(j), rows)
-    return lambda j: map(table[j].__getitem__, ranks)
+def _read(table, ranks, at=None):
+    """The function of j that gives the rank of d_j of every cell of
+    ``ranks`` in face columns: a level's, mapped lazily by rank (whole
+    blocks are read there, and an itemgetter holds a copy of its indices),
+    or kept ones, read at the positions ``at`` maps the ranks to, found
+    once, through one itemgetter for every column."""
+    if at is None:
+        return lambda j: map(table[j].__getitem__, ranks)
+    pick = gather(gather(ranks)(at))
+    return lambda j: pick(table[j])
 
 
 def _ranks(size: int, runs: Sequence[Sequence[int]], start: int = 0) -> list[int]:
@@ -663,8 +659,8 @@ AUDIT_CHUNK = 2048
 
 class _Column(list):
     """Ranks of cells of one block of dimension ``dim``, as ``_RankMaps``
-    passes them between maps; ``faces`` keeps the rank lists of all faces
-    once the face formulas have made them."""
+    passes them between maps; ``faces`` keeps the ranks of all faces once
+    they are read or made."""
 
     __slots__ = ("dim", "blk", "faces")
 
@@ -682,9 +678,10 @@ class _RankMaps:
     budget, and cuts each block of dimension n into columns of at most
     ``AUDIT_CHUNK`` cells.
 
-    * d_i reads the face table of the column's dimension where the nerve
-      has built it.  Otherwise, for degenerate (n+1)-cells, it applies the
-      face formulas of ``Nerve._block_faces`` to the column's indices.
+    * d_i makes all faces of a column at once (the audit reads them all),
+      from the face table of the column's dimension where the nerve has
+      built it, else, for degenerate (n+1)-cells, by the face formulas of
+      ``Nerve._block_faces`` on the column's indices.
     * s_j is digit insertion.  s_j c repeats x_j, adds a row (1_{x_j}, e,
       ..., e) and a unit column, and every entry of c keeps its digit, as
       its hom-set or fiber is the same (Duskin, "Simplicial matrices and the
@@ -717,12 +714,12 @@ class _RankMaps:
     def face(self, col: _Column, i: int) -> _Column:
         m, blk, nv = col.dim, col.blk, self.nv
         table = nv.built(m)
-        if table is None and col.faces is None:
-            plan = nv._plan_of(m, blk)
+        if col.faces is None and table is not None:
+            col.faces = list(map(gather(col), table))
+        elif col.faces is None:
             digits = partial(_spell, [r - blk.start for r in col])
-            col.faces = nv._block_faces(m, plan, digits, nv.built(m - 1))
-        ranks = col.faces[i] if table is None else list(map(table[i].__getitem__, col))
-        return _Column(m - 1, nv._block_of[blk.seq[:i] + blk.seq[i + 1:]], ranks)
+            col.faces = nv._block_faces(m, nv._plan_of(m, blk), digits, nv.built(m - 1))
+        return _Column(m - 1, nv._block_of[blk.seq[:i] + blk.seq[i + 1:]], col.faces[i])
 
     def degeneracy(self, col: _Column, j: int) -> _Column:
         if col.dim < self.dim:  # faces of the cells under audit: s_j of the whole level below, once
@@ -747,8 +744,8 @@ class _RankMaps:
         and the others 0 for every digit of radix above 1."""
         key = (col.blk.seq, a, b)
         if key not in self._verdicts:
-            blk, lens = col.blk, [len(dom) for dom in col.blk.domains]
-            basis = [blk.start] + [blk.start + w for w, size in zip(_weights(lens), lens) if size > 1]
+            blk = col.blk
+            basis = [blk.start] + [blk.start + w for w, dom in zip(blk.weights, blk.domains) if len(dom) > 1]
             ends, insertion = [], True
             for word in (a, b):
                 end = _Column(col.dim, blk, basis)
@@ -787,8 +784,7 @@ class _RankMaps:
             fixed.append((pos(j + 1, j + 1), new.domains[pos(j + 1, j + 1)].index(xm.cat.identity[seq[j]])))
             fixed.extend((pos(j + 1, c), xm.fibers[seq[j]].unit) for c in range(j + 2, n + 2))
             lens, new_lens = [len(dom) for dom in blk.domains], [len(dom) for dom in new.domains]
-            weights = _weights(new_lens)
-            const = sum(digit * weights[q] for q, digit in fixed)
+            const = sum(digit * new.weights[q] for q, digit in fixed)
             insertion = (sorted(dest + [q for q, _ in fixed]) == list(range(len(new_lens)))
                          and all(map(int.__eq__, lens, map(new_lens.__getitem__, dest)))
                          and all(0 <= digit < new_lens[q] for q, digit in fixed))

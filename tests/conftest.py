@@ -88,6 +88,19 @@ def rows(columns) -> list[tuple[int, ...]]:
     return list(zip(*columns))
 
 
+def kept_rows(nv) -> dict[int, dict[int, tuple[int, ...]]]:
+    """The face rows a nerve keeps of the levels it has not built, as
+    {dimension: {rank: row}}, ranks in the order their rows were made: the
+    one place the tests read the format of ``Nerve._rows``, face columns
+    and the position of every kept rank in them."""
+    kept = {}
+    for d, (columns, at) in nv._rows.items():
+        assert len(columns) == d + 1 and all(len(col) == len(at) for col in columns)
+        assert sorted(at.values()) == list(range(len(at)))
+        kept[d] = {r: tuple(col[p] for col in columns) for r, p in sorted(at.items(), key=lambda item: item[1])}
+    return kept
+
+
 def boundary(p, cell) -> BoundaryTuple:
     """The face tuple (d_0 x, ..., d_n x) of a cell of dimension n >= 1."""
     return BoundaryTuple(tuple(p.face(cell, j) for j in range(cell.dim + 1)))

@@ -444,6 +444,24 @@ def test_column_fill_equals_the_reference_filler(name):
             assert hf.fill_columns(n, l, columns) == [ref.fill_ids(n, l, h) for h in zip(*columns)]
 
 
+def test_a_filler_takes_the_ends_of_faces_0_and_n_from_the_horn_and_beta(monkeypatch):
+    # Per slot of dimension n >= 3: n faces_of calls for the horn's rows,
+    # 3 for the rebuilt face (its two ends and its check), 1 for the
+    # filler's check, and one for the diagonal of the eq:image check of
+    # the filler (n = 3) or of the rebuilt face (n = 4).  The filler's ends
+    # are read from the rows and from beta, in every slot.
+    nv = Nerve(fixtures.z2_with_z3_fiber_twisted())
+    hf, ref, calls, real = HornFiller(nv), ReferenceFiller(nv), [], Nerve.faces_of
+    monkeypatch.setattr(Nerve, "faces_of", lambda self, n, ranks: calls.append(n) or real(self, n, ranks))
+    for n in (3, 4, 5):
+        for l in range(n + 1):
+            columns = _sampled_horn_columns(nv, n, l, 20, seed=n + l)
+            calls.clear()
+            filled = hf.fill_columns(n, l, columns)
+            assert len(calls) == n + 4 + (n in (3, 4))
+            assert filled == [ref.fill_ids(n, l, h) for h in zip(*columns)]
+
+
 def _first_refusal(ref, n, l, columns):
     for h in zip(*columns):
         try:

@@ -1,8 +1,10 @@
 import contextlib
 import dataclasses
 import gc
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -206,6 +208,30 @@ def test_cli_fill_command(file_z2_z3, capsys):
     assert run(["fill", str(file_z2_z3), "--dims", "2..3"]) == 0
     out = capsys.readouterr().out
     assert "fill[3,3]" in out
+
+
+@pytest.mark.parametrize("count", [1, 2, 11_664, 1_889_568, 10 ** 100 + 7, 3 ** 200])
+def test_randrange_draws_bits_until_they_are_below_the_count(count):
+    # what ``fill`` relies on to take randrange's draws in one pass: the
+    # same values, and the generator left in the same state
+    ours, theirs = random.Random(count), random.Random(count)
+    draws = filter(count.__gt__, map(ours.getrandbits, itertools.repeat(count.bit_length())))
+    assert list(itertools.islice(draws, 1000)) == [theirs.randrange(count) for _ in range(1000)]
+    assert ours.getstate() == theirs.getstate()
+
+
+def test_fill_samples_the_ranks_randrange_draws(monkeypatch, tmp_path):
+    # F6 has 11,664 cells of dimension 4 and 1,889,568 of dimension 5, both
+    # over the budget, so every slot samples 1,000 ranks
+    path = tmp_path / "f6.json"
+    path.write_text(serialize(from_crossed_monoid(fixtures.z2_with_z3_fiber_twisted())))
+    seen, real = [], Nerve.faces_of
+    monkeypatch.setattr(Nerve, "faces_of", lambda self, n, ranks: seen.append((n, list(ranks))) or real(self, n, ranks))
+    assert run(["fill", str(path), "--dims", "4..5", "--max-cells", "10000", "--seed", "3"]) == 0
+    rng, counts = random.Random(3), {4: 11_664, 5: 1_889_568}
+    sampled = [(n, [rng.randrange(counts[n]) for _ in range(1000)]) for n in (4, 5) for _ in range(n + 1)]
+    calls = iter(seen)
+    assert all(call in calls for call in sampled)  # in order, among the filler's own calls
 
 
 def test_cli_json_report_is_deterministic(file_z2_z3, tmp_path):

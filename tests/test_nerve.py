@@ -7,12 +7,13 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import corner_triples, entry, eta, induced_cell, morphism_cell, pair_groupoid_z3_relabelled, rows
+from conftest import (corner_triples, entry, eta, induced_cell, kept_rows, morphism_cell, pair_groupoid_z3_relabelled,
+                      rows)
 from xnerve import fixtures
-from xnerve.algebra import XMorphism, identity_xmorphism
+from xnerve.algebra import XMorphism, gather, identity_xmorphism
 from xnerve.errors import CapacityError, CellError, CompatibilityError
 from xnerve.fillers import HornFiller
-from xnerve.nerve import Nerve, NerveCell, _keep_runs, _ranks, _spell
+from xnerve.nerve import Nerve, NerveCell, _keep_runs, _ranks, _read, _spell
 
 
 def brute_cells(nv, n):
@@ -352,18 +353,17 @@ def test_kept_face_rows_are_the_rows_of_the_level(name):
     ranks = rng.sample(range(len(level)), 900)
     for lo, hi in ((0, 300), (200, 500), (0, 900), (100, 800), (0, 300)):
         assert rows(nv.faces_of(4, ranks[lo:hi])) == [level[r] for r in ranks[lo:hi]]
-    assert sorted(nv._rows) == [2, 3, 4] and len(nv._rows[4]) == 700 and nv.built(4) is None
-    tables = {m: rows(whole.level(m)) for m in nv._rows}
-    assert all(tables[m][r] == row for m, kept in nv._rows.items() for r, row in kept.items())
+    kept = kept_rows(nv)
+    assert sorted(kept) == [2, 3, 4] and len(kept[4]) == 700 and nv.built(4) is None
+    tables = {m: rows(whole.level(m)) for m in kept}
+    assert all(tables[m][r] == row for m, by_rank in kept.items() for r, row in by_rank.items())
     # a built level replaces the rows kept of its dimension
-    assert nv.level(3) == whole.level(3) and 3 not in nv._rows
+    assert nv.level(3) == whole.level(3) and 3 not in kept_rows(nv)
     assert rows(nv.faces_of(4, ranks)) == [level[r] for r in ranks]
 
 
-def test_faces_of_makes_each_kept_row_once(monkeypatch):
-    nv, rng = Nerve(fixtures.z2_with_z3_fiber_twisted()), random.Random(8)
-    ranks = rng.sample(range(nv.count_cells(5)), 400)
-    kept = rows(nv.faces_of(5, ranks[:300]))
+def _count_made_rows(monkeypatch):
+    """From now on, (dimension, rows) of every block of face rows made."""
     made, real = [], Nerve._block_faces
 
     def block_faces(n, *args):
@@ -372,6 +372,15 @@ def test_faces_of_makes_each_kept_row_once(monkeypatch):
         return faces
 
     monkeypatch.setattr(Nerve, "_block_faces", staticmethod(block_faces))
+    return made
+
+
+def test_faces_of_makes_each_kept_row_once(monkeypatch):
+    nv, rng = Nerve(fixtures.z2_with_z3_fiber_twisted()), random.Random(8)
+    ranks = rng.sample(range(nv.count_cells(5)), 400)
+    kept = rows(nv.faces_of(5, ranks[:300]))
+    assert kept_rows(nv)[5] == dict(sorted(zip(ranks[:300], kept)))
+    made = _count_made_rows(monkeypatch)
     assert rows(nv.faces_of(5, ranks[:300])) == kept and rows(nv.faces_of(5, ranks[299::-1])) == kept[::-1]
     assert made == []
     # a column that shares ranks with the kept rows makes only the others
@@ -389,9 +398,38 @@ def test_kept_rows_stay_within_the_budget():
             faces = nv.faces_of(n, [rng.randrange(nv.count_cells(n)) for _ in range(300)])
             columns = faces[:l] + faces[l + 1:]
             assert hf.fill_columns(n, l, columns) == reference.fill_columns(n, l, columns)
-            assert max(map(len, nv._rows.values())) <= 300
-    assert len(nv._rows[4]) == len(nv._rows[5]) == 300
+            assert max(map(len, kept_rows(nv).values())) <= 300
+    kept = kept_rows(nv)
+    assert len(kept[4]) == len(kept[5]) == 300
     assert [nv.built(n) for n in (4, 5)] == [None, None]
+
+
+def test_the_budget_keeps_the_first_rows_made_in_the_order_made(monkeypatch):
+    xm, rng = fixtures.z2_with_z3_fiber_twisted(), random.Random(11)
+    nv, whole = Nerve(xm, 300), Nerve(xm)
+    level = rows(whole.level(4))
+    ranks = rng.sample(range(len(level)), 500)
+    for part in (ranks[:200], ranks[200:]):  # each call makes its new rows in rank order
+        assert rows(nv.faces_of(4, part)) == [level[r] for r in part]
+    made_order = sorted(ranks[:200]) + sorted(ranks[200:])
+    kept = kept_rows(nv)[4]
+    assert list(kept) == made_order[:300] and all(row == level[r] for r, row in kept.items())
+    # a rank the cut dropped is made again, and the kept rows stay as they were
+    made = _count_made_rows(monkeypatch)
+    again = [made_order[-1], *made_order[:3]]
+    assert rows(nv.faces_of(4, again)) == [level[r] for r in again]
+    assert [count for n, count in made if n == 4] == [1] and list(kept_rows(nv)[4].items()) == list(kept.items())
+
+
+@pytest.mark.parametrize("positions", [[], [3], [5, 0, 5, 2]])
+def test_a_face_table_is_read_at_positions_by_one_helper(positions):
+    columns = [list(range(10 * j, 10 * j + 6)) for j in range(3)]
+    expected = [[col[p] for p in positions] for col in columns]
+    assert [list(gather(positions)(col)) for col in columns] == expected
+    # a level is read at its ranks, kept columns at the positions of theirs
+    at = {100 + p: p for p in range(6)}
+    for face in (_read(columns, positions), _read(columns, [100 + p for p in positions], at)):
+        assert [list(face(j)) for j in range(3)] == expected
 
 
 def test_faces_far_above_the_built_levels_need_no_deep_stack():
