@@ -4,16 +4,18 @@
                              [--basepoint OBJ] [--pi LIST] [--seed S]
 
 Commands: validate, classify, enumerate, audit, coskeletal, kan, fill,
-homotopy.  Exit codes, with the kinds of the errors that end in them: 0 all
-requested checks pass, 1 the input cannot be read (io) or has a structural
-error (structural), 2 a property fails, an operation refuses (refusal,
-not-kan, error; a witness is reported), an argument is out of range
-(argument) or the ``--json`` path cannot be written (io), 3 an enumeration
-exceeds the cell budget or a dimension cannot fit in it (capacity).  Every
-error ends in one ``ERROR (kind): ...`` line on stderr and an ``error``
-block in the JSON report.  The nerve commands validate their input first:
-an input that fails the axioms gets the failed ``axioms`` check in front of
-its report (or under ``axioms`` beside an error) and exit code 2.
+homotopy.  A command returns its checks and ``run`` alone picks the exit
+code: 0 when every check passes, else 2 (a property fails); ``classify``
+reports structural flags, not verdicts, and always exits 0.  The nerve
+commands validate their input first, so an input that fails the axioms gets
+the failed ``axioms`` check in front of its report and exits 2 (beside an
+error, the check is stored under ``axioms``).  An error exits with its
+kind's code: 1 the input cannot be read (io) or has a structural error
+(structural), 2 an operation refuses (refusal, not-kan, error; a witness is
+reported), an argument is out of range (argument) or the ``--json`` path
+cannot be written (io), 3 an enumeration exceeds the cell budget or a
+dimension cannot fit in it (capacity).  Every error ends in one
+``ERROR (kind): ...`` line on stderr and an ``error`` block in the JSON report.
 """
 
 from __future__ import annotations
@@ -71,12 +73,11 @@ def _axioms_check(xm) -> dict:
     }
 
 
-def cmd_validate(xm, args) -> tuple[int, list[dict]]:
-    check = _axioms_check(xm)
-    return (EXIT_OK if check["passed"] else EXIT_PROPERTY), [check]
+def cmd_validate(xm, args) -> list[dict]:
+    return [_axioms_check(xm)]
 
 
-def cmd_classify(xm, args) -> tuple[int, list[dict]]:
+def cmd_classify(xm, args) -> list[dict]:
     cls = xm.classification
     flags = {
         "category_is_groupoid": cls.is_groupoid,
@@ -85,14 +86,13 @@ def cmd_classify(xm, args) -> tuple[int, list[dict]]:
         "action_injective": cls.action_injective,
         "is_crossed_module": cls.is_crossed_module,
     }
-    checks = [
+    return [
         {"label": name, "passed": value, "detail": str(value), "witness": list(dict(cls.witnesses).get(name, ()))}
         for name, value in flags.items()
     ]
-    return EXIT_OK, checks
 
 
-def cmd_enumerate(xm, args) -> tuple[int, list[dict]]:
+def cmd_enumerate(xm, args) -> list[dict]:
     lo, hi = _parse_dims(args.dims, (0, 3))
     nerve = Nerve(xm, args.max_cells)
     checks = []
@@ -101,13 +101,13 @@ def cmd_enumerate(xm, args) -> tuple[int, list[dict]]:
         listing = [c.text() for c in nerve.cells(n)] if count <= 50 else None
         checks.append({"label": f"cells[{n}]", "passed": True, "detail": f"{count} cells", "count": count,
                        "cells": listing})
-    return EXIT_OK, checks
+    return checks
 
 
-def cmd_audit(xm, args) -> tuple[int, list[dict]]:
+def cmd_audit(xm, args) -> list[dict]:
     lo, hi = _parse_dims(args.dims, (0, 3))
     report = S.audit_simplicial(Nerve(xm, args.max_cells), hi)
-    checks = [
+    return [
         {
             "label": f"simplicial-identities<= {hi}",
             "passed": report.passed,
@@ -116,28 +116,24 @@ def cmd_audit(xm, args) -> tuple[int, list[dict]]:
             else "; ".join(f"{v.axiom} at {v.witness[:-1]} on {v.witness[-1].text()}" for v in report.violations),
         }
     ]
-    return (EXIT_OK if report.passed else EXIT_PROPERTY), checks
 
 
-def cmd_coskeletal(xm, args) -> tuple[int, list[dict]]:
+def cmd_coskeletal(xm, args) -> list[dict]:
     lo, hi = _parse_dims(args.dims, (4, 5), lowest=1)
     records = S.check_coskeletal(Nerve(xm, args.max_cells), lo - 1, hi)
     checks = []
-    ok = True
     for r in records:
-        passed = r.bijective
-        ok = ok and passed
         detail = f"cells={r.cell_count} kernel={r.kernel_size} injective={r.injective} surjective={r.surjective}"
-        entry = {"label": f"boundary-bijective[{r.dim}]", "passed": passed, "detail": detail}
+        entry = {"label": f"boundary-bijective[{r.dim}]", "passed": r.bijective, "detail": detail}
         if r.surjectivity_witness is not None:
             entry["witness"] = [f.text() for f in r.surjectivity_witness.faces]
         if r.injectivity_witness is not None:
             entry["witness_cells"] = [c.text() for c in r.injectivity_witness]
         checks.append(entry)
-    return (EXIT_OK if ok else EXIT_PROPERTY), checks
+    return checks
 
 
-def cmd_kan(xm, args) -> tuple[int, list[dict]]:
+def cmd_kan(xm, args) -> list[dict]:
     lo, hi = _parse_dims(args.dims, (1, 3), lowest=1)
     report = S.check_kan(Nerve(xm, args.max_cells), upto=hi, from_dim=lo)
     checks = []
@@ -151,10 +147,10 @@ def cmd_kan(xm, args) -> tuple[int, list[dict]]:
             entry["witness"] = [f.text() for f in r.witness.faces]
             entry["witness_omitted"] = r.witness.omitted
         checks.append(entry)
-    return (EXIT_OK if report.is_kan else EXIT_PROPERTY), checks
+    return checks
 
 
-def cmd_fill(xm, args) -> tuple[int, list[dict]]:
+def cmd_fill(xm, args) -> list[dict]:
     lo, hi = _parse_dims(args.dims, (2, 3), lowest=2)
     xm.classification.require_module()
     nerve = Nerve(xm, args.max_cells)
@@ -179,10 +175,11 @@ def cmd_fill(xm, args) -> tuple[int, list[dict]]:
             filler.fill_columns(n, l, horn_columns)
             checks.append({"label": f"fill[{n},{l}]", "passed": True,
                            "detail": f"{len(horn_columns[0])} horns filled and face-verified ({mode})"})
-    return EXIT_OK, checks
+            del horn_columns  # before the next slot's join builds its own
+    return checks
 
 
-def cmd_homotopy(xm, args) -> tuple[int, list[dict]]:
+def cmd_homotopy(xm, args) -> list[dict]:
     try:
         wanted = [int(v) for v in ("1,2" if args.pi is None else args.pi).split(",")]
     except ValueError:
@@ -198,7 +195,6 @@ def cmd_homotopy(xm, args) -> tuple[int, list[dict]]:
         xm.classification.require_module()
         nerve = Nerve(xm, args.max_cells)
     checks = []
-    ok = True
     for n in wanted:
         if n == 0:
             comps = H.pi0(xm)
@@ -207,7 +203,6 @@ def cmd_homotopy(xm, args) -> tuple[int, list[dict]]:
         elif n in (1, 2):
             comparison = H.pi_compare(nerve, n, t)
             passed = comparison.isomorphic
-            ok = ok and passed
             g = comparison.algebraic
             checks.append(
                 {
@@ -223,14 +218,12 @@ def cmd_homotopy(xm, args) -> tuple[int, list[dict]]:
             )
         else:
             v = H.higher_vanishing(nerve, t)
-            ok = ok and v.trivial
             checks.append({"label": f"pi3[basepoint {t}]", "passed": v.trivial,
                            "detail": "trivial" if v.trivial else f"{v.classes} classes over {v.based_cells} cells"})
-    return (EXIT_OK if ok else EXIT_PROPERTY), checks
+    return checks
 
 
-# Commands that run on the nerve: each validates its input first, and on an
-# input that fails the axioms reports the failed ``axioms`` check up front.
+# Commands that run on the nerve: ``run`` validates their input first.
 _NERVE_COMMANDS = frozenset({"enumerate", "audit", "coskeletal", "kan", "fill", "homotopy"})
 
 _COMMANDS = {
@@ -272,7 +265,7 @@ def run(argv: list[str] | None = None) -> int:
         print(f"ERROR (io): cannot write the report to {args.json_out}: {getattr(exc, 'strerror', exc)}", file=sys.stderr)
         return EXIT_PROPERTY
     report: dict = {"tool": "xnerve", "command": args.command, "input": args.file}
-    failed_axioms, collecting = None, gc.isenabled()
+    failed_axioms, checks, collecting = None, None, gc.isenabled()
     gc.disable()  # the tables are fresh tuples and lists with no cycles: the cyclic collector only walks them
     try:
         if args.max_cells < 1:
@@ -282,30 +275,29 @@ def run(argv: list[str] | None = None) -> int:
             check = _axioms_check(xm)
             if not check["passed"]:
                 failed_axioms = check
-        code, checks = _COMMANDS[args.command](xm, args)
+        checks = _COMMANDS[args.command](xm, args)
         if failed_axioms is not None:
-            code, checks = EXIT_PROPERTY, [failed_axioms, *checks]
+            checks = [failed_axioms, *checks]
     except OSError as exc:  # only the input is opened in here
         message = f"no such file: {args.file}" if isinstance(exc, FileNotFoundError) else \
             f"cannot read {args.file}: {exc.strerror}"
-        report.update(passed=False, exit_code=EXIT_STRUCTURAL, error={"kind": "io", "message": message})
-        code, checks = EXIT_STRUCTURAL, None
+        code, error = EXIT_STRUCTURAL, {"kind": "io", "message": message}
     except XNerveError as exc:
-        report.update(passed=False, exit_code=exc.exit_code, error=exc.report())
-        code, checks = exc.exit_code, None
+        code, error = exc.exit_code, exc.report()
     finally:
         if collecting:
             gc.enable()
-    if checks is not None:
+    if checks is not None:  # classify reports structural flags, not verdicts
+        code = EXIT_OK if args.command == "classify" or all(c["passed"] for c in checks) else EXIT_PROPERTY
         report.update(passed=code == EXIT_OK, exit_code=code, checks=checks)
         for line in _report_lines(checks):
             print(line)
     else:
+        report.update(passed=False, exit_code=code, error=error)
         if failed_axioms is not None:
             report["axioms"] = failed_axioms
             print(_report_lines([failed_axioms])[0])
-        err = report["error"]
-        print(f"ERROR ({err['kind']}): " + err.get("message", json.dumps(err)), file=sys.stderr)
+        print(f"ERROR ({error['kind']}): " + error.get("message", json.dumps(error)), file=sys.stderr)
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)

@@ -67,19 +67,6 @@ class HornFiller:
         nerve.xm.classification.require_module()
         self.nerve, self.xm = nerve, nerve.xm
 
-    # -- small helpers -------------------------------------------------
-
-    def _act_inv(self, g: int, a: int) -> int:
-        return self.xm.action[self.xm.cat.morphism_inverse[g]][a]
-
-    def _mul(self, obj: int, *items: int) -> int:
-        return self.xm.fibers[obj].product(items)
-
-    def _inv(self, obj: int, a: int) -> int:
-        return self.xm.fibers[obj].inverse[a]
-
-    # -- the fill path -----------------------------------------------------
-
     def fill(self, h: HornTuple) -> NerveCell:
         """The filler of a horn given as cells, which must be of dimension
         n-1: converted to ranks, filled as columns of one and decoded."""
@@ -104,7 +91,7 @@ class HornFiller:
         if not 0 <= l <= n or len(columns) != n:
             raise CompatibilityError(f"a horn of dimension {n} has {n} faces and a slot in 0..{n}, "
                                      f"got {len(columns)} faces and slot {l}")
-        columns = [list(col) for col in columns]
+        columns = [col if isinstance(col, list) else list(col) for col in columns]  # the face checks compare lists
         if len(set(map(len, columns))) > 1:
             raise CompatibilityError(f"horn columns of unequal lengths {list(map(len, columns))}")
         try:
@@ -159,17 +146,17 @@ class HornFiller:
         gs = [nv.mor_at[r] for r in (beta[0] if l == 3 else rows[-1][0])]
         c = [nv.corners(2, col) for col in faces]
         c.insert(l, itertools.repeat(None))
-        mul, inv, act_inv = self._mul, self._inv, self._act_inv
 
         def corner(g: int, c0: int, c1: int, c2: int, c3: int) -> int:
-            x1, x2, act = xm.cat.tgt[g], xm.cat.src[g], xm.action[g]
+            f1, f2, act = xm.fibers[xm.cat.tgt[g]], xm.fibers[xm.cat.src[g]], xm.action[g]
             if l == 0:
-                return mul(x2, act[mul(x1, inv(x1, c2), c3)], c1)
+                return f2.product((act[f1.product((f1.inverse[c2], c3))], c1))
             if l == 1:
-                return mul(x2, act[mul(x1, inv(x1, c3), c2)], c0)
+                return f2.product((act[f1.product((f1.inverse[c3], c2))], c0))
+            act_inv = xm.action[xm.cat.morphism_inverse[g]]
             if l == 2:
-                return act_inv(g, mul(x2, act[c3], c1, inv(x2, c0)))
-            return act_inv(g, mul(x2, act[c2], c0, inv(x2, c1)))
+                return act_inv[f2.product((act[c3], c1, f2.inverse[c0]))]
+            return act_inv[f2.product((act[c2], c0, f2.inverse[c1]))]
         return list(map(corner, gs, *c))
 
     def _cell_with_boundary(self, n: int, faces: list[list[int]], corner=None, ends=None) -> list[int]:
@@ -189,8 +176,8 @@ class HornFiller:
             gs = [nv.mor_at[r] for r in nv.faces_of(2, faces[3])[0]]
             if not all(map(_image_rule, itertools.repeat(xm), gs, zip(*c))):
                 raise CompatibilityError("boundary tuple fails eq:image")
-            corner = [self._mul(xm.cat.tgt[g], self._inv(xm.cat.tgt[g], c3), c2)
-                      for g, c2, c3 in zip(gs, c[2], c[3])]
+            fibers = (xm.fibers[xm.cat.tgt[g]] for g in gs)
+            corner = [f.product((f.inverse[c3], c2)) for f, c2, c3 in zip(fibers, c[2], c[3])]
         elif corner is None:
             corner = nv.corners(n - 1, faces[2])
         if first != last:

@@ -652,8 +652,11 @@ def _ranks(size: int, runs: Sequence[Sequence[int]], start: int = 0) -> list[int
     return col
 
 
-# Cells per rank column of the identity audit: the audit's memory beyond the
-# level tables grows with this, not with the level.
+# Cells per rank column of the identity audit.  Beyond the level tables the
+# audit keeps s_j of the whole level below, one table per j
+# (``_RankMaps.degeneracy_tables``), which grows with that level; the rest
+# grows with this chunk.  The tables stay: without them S4 ``audit --dims
+# 0..2`` ran 10-20% and F4 ``audit --dims 0..4`` about 40% slower.
 AUDIT_CHUNK = 2048
 
 

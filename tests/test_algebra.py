@@ -1,5 +1,8 @@
 import dataclasses
+import importlib.util
 import itertools
+import pathlib
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +24,8 @@ from xnerve.algebra import (
 )
 from xnerve.errors import NotComposableError, StructureError
 from xnerve.groups import GroupPresentation
+
+WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 
 def test_monoid_shape_errors():
@@ -504,30 +509,18 @@ def ref_group_verify(g: GroupPresentation) -> None:
 # -- structures beyond the fixtures -------------------------------------------
 
 
-def permutation_module(n: int, even_fiber: bool) -> CrossedMonoid:
-    """N -> S_n with the conjugation action a^g = g^-1 a g and the inclusion
-    as boundary; N is S_n itself or the alternating group A_n."""
-    group = list(itertools.permutations(range(n)))
-    g_index = {p: i for i, p in enumerate(group)}
+def _bench_workloads():
+    """``bench/workloads.py``, loaded by path as the tracer test loads the
+    tracer: its ``permutation_module`` (N -> S_n with the conjugation action
+    and the inclusion as boundary, N being S_n or A_n) builds the
+    benchmark's inputs and these tests' alike."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclass() looks the module up
+    spec.loader.exec_module(module)
+    return module
 
-    def compose(p, q):
-        return tuple(p[i] for i in q)
 
-    def inverse(p):
-        return tuple(sorted(range(n), key=p.__getitem__))
-
-    def even(p):
-        return sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n)) % 2 == 0
-
-    normal = [p for p in group if even(p)] if even_fiber else group
-    n_index = {p: i for i, p in enumerate(normal)}
-    unit = tuple(range(n))
-    cat = FiniteCategory(1, (0,) * len(group), (0,) * len(group), (g_index[unit],),
-                         tuple(tuple(g_index[compose(a, b)] for b in group) for a in group))
-    fiber = FiniteMonoid(len(normal), n_index[unit],
-                         tuple(tuple(n_index[compose(a, b)] for b in normal) for a in normal))
-    action = tuple(tuple(n_index[compose(compose(inverse(g), a), g)] for a in normal) for g in group)
-    return CrossedMonoid(cat, (fiber,), action, (tuple(g_index[a] for a in normal),))
+permutation_module = _bench_workloads().permutation_module
 
 
 def null_monoid_with_unit(n: int) -> FiniteMonoid:

@@ -106,3 +106,19 @@ def test_fillers_assemble_cells_only_where_they_are_checked():
                     names.insert(0, getattr(scope, "name", "<lambda>"))
             sites.append(".".join(names))
     assert sites and set(sites) == {"HornFiller._cell_with_boundary"}
+
+
+def test_only_cli_run_picks_an_exit_code():
+    # A command returns its checks and ``run`` applies one rule to them; a
+    # command that named an exit code would work the rule out again
+    path = next(path for path in SOURCES if path.name == "cli.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    owner = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    scopes = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in {"EXIT_OK", "EXIT_STRUCTURAL", "EXIT_PROPERTY"}:
+            scope = owner[node]
+            while not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.Module)):
+                scope = owner[scope]
+            scopes.add("<module>" if scope is tree else getattr(scope, "name", "<lambda>"))
+    assert scopes == {"<module>", "run"}
