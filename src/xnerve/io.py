@@ -3,8 +3,10 @@
 A document lists everything explicitly: objects, morphisms with endpoints,
 identity morphisms, the full composition table as triples, one monoid per
 object, one action table per morphism and one boundary table per object.
-Nothing is generated implicitly, so the parser only owns shape errors
-(reported with a JSON path); the mathematics stays with the validator.
+Nothing is generated implicitly. ``parse_input`` builds the crossed monoid
+and raises every shape error: the JSON-path checks first, then a pair of
+``$.compose`` listed twice, then the constructors' table shapes (a partial
+compose table, table sizes); the mathematics stays with the validator.
 
 Schema::
 
@@ -34,28 +36,8 @@ _REQUIRED_KEYS = ("objects", "morphisms", "identity", "compose", "monoids", "act
 
 
 @dataclass(frozen=True)
-class MorphismEntry:
-    id: int
-    src: int
-    tgt: int
-
-
-@dataclass(frozen=True)
-class MonoidEntry:
-    elements: tuple[int, ...]
-    unit: int
-    mul: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
 class InputDocument:
-    objects: tuple[int, ...]
-    morphisms: tuple[MorphismEntry, ...]
-    identity: tuple[int, ...]
-    compose: tuple[tuple[int | None, ...], ...]  # the table: compose[a][b] is a*b, None where not listed
-    monoids: tuple[MonoidEntry, ...]
-    action: tuple[tuple[int, ...], ...]
-    boundary: tuple[tuple[int, ...], ...]
+    xm: CrossedMonoid
     metadata: dict | None = None
 
 
@@ -130,17 +112,18 @@ def _compose_table(triples, num_morphisms: int) -> tuple[tuple[int | None, ...],
 
 
 def _dense_keyed(d: dict, count: int, path: str) -> list:
-    """Values of a string-keyed map that must cover exactly 0..count-1."""
+    """Values of a string-keyed map that must cover exactly 0..count-1, each
+    key written as ``str`` writes its id (no padding, ``+`` or other digits)."""
     out = [None] * count
     for key, value in d.items():
         try:
             k = int(key)
         except ValueError:
+            k = None
+        if k is None or str(k) != key:
             _fail(path, f"key {key!r} is not an integer id")
         if not 0 <= k < count:
             _fail(path, f"key {key} out of range 0..{count - 1}")
-        if out[k] is not None:
-            _fail(path, f"duplicate key {key}")
         out[k] = value
     for k, value in enumerate(out):
         if value is None:
@@ -149,8 +132,9 @@ def _dense_keyed(d: dict, count: int, path: str) -> list:
 
 
 def parse_input(data: bytes | str) -> InputDocument:
-    """Parse and shape-check one document, with ``$.compose`` as its table;
-    raises StructureError on the first problem, a pair listed twice last."""
+    """Parse one document into its crossed monoid; raises StructureError on
+    the first shape problem: every JSON-path check first, then a pair of
+    ``$.compose`` listed twice, then the constructors' table shapes."""
     try:
         raw = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     except ValueError as exc:  # not JSON, not UTF-8, or an int of more digits than Python converts
@@ -165,31 +149,28 @@ def parse_input(data: bytes | str) -> InputDocument:
         if key not in _REQUIRED_KEYS and key != "metadata":
             _fail("$", f"unknown key {key!r}")
 
-    objects = tuple(_expect_int(v, f"$.objects[{i}]") for i, v in enumerate(_expect_list(root["objects"], "$.objects")))
-    if list(objects) != list(range(len(objects))):
+    objects = [_expect_int(v, f"$.objects[{i}]") for i, v in enumerate(_expect_list(root["objects"], "$.objects"))]
+    if objects != list(range(len(objects))):
         _fail("$.objects", "object ids must be exactly 0..n-1 in order")
     num_objects = len(objects)
 
-    seen_ids: set[int] = set()
-    morphisms: list[MorphismEntry] = []
+    ends: dict[int, tuple[int, int]] = {}  # morphism id -> (src, tgt)
     for i, entry in enumerate(_expect_list(root["morphisms"], "$.morphisms")):
         path = f"$.morphisms[{i}]"
         e = _expect_dict(entry, path, ("id", "src", "tgt"))
         mid = _expect_int(e["id"], path + ".id")
-        if mid in seen_ids:
+        if mid in ends:
             _fail(path + ".id", f"duplicate morphism id {mid}")
-        seen_ids.add(mid)
         src = _expect_int(e["src"], path + ".src")
         tgt = _expect_int(e["tgt"], path + ".tgt")
         if not 0 <= src < num_objects:
             _fail(path + ".src", f"object {src} does not exist")
         if not 0 <= tgt < num_objects:
             _fail(path + ".tgt", f"object {tgt} does not exist")
-        morphisms.append(MorphismEntry(mid, src, tgt))
-    num_morphisms = len(morphisms)
-    if seen_ids != set(range(num_morphisms)):
+        ends[mid] = src, tgt
+    num_morphisms = len(ends)
+    if set(ends) != set(range(num_morphisms)):
         _fail("$.morphisms", "morphism ids must be exactly 0..m-1")
-    morphisms.sort(key=lambda m: m.id)
 
     identity_raw = _dense_keyed(_expect_dict(root["identity"], "$.identity"), num_objects, "$.identity")
     identity = tuple(_expect_int(v, f"$.identity[{x}]") for x, v in enumerate(identity_raw))
@@ -200,16 +181,16 @@ def parse_input(data: bytes | str) -> InputDocument:
     compose = _compose_triples(_expect_list(root["compose"], "$.compose"), num_morphisms)
 
     monoid_raw = _dense_keyed(_expect_dict(root["monoids"], "$.monoids"), num_objects, "$.monoids")
-    monoids: list[MonoidEntry] = []
+    monoids = []  # (size, unit, mul) of each fiber
     for x, entry in enumerate(monoid_raw):
         path = f"$.monoids[{x}]"
         e = _expect_dict(entry, path, ("elements", "unit", "mul"))
-        elements = tuple(_expect_int(v, f"{path}.elements[{i}]") for i, v in enumerate(_expect_list(e["elements"], path + ".elements")))
-        if list(elements) != list(range(len(elements))):
+        elements = [_expect_int(v, f"{path}.elements[{i}]") for i, v in enumerate(_expect_list(e["elements"], path + ".elements"))]
+        if elements != list(range(len(elements))):
             _fail(path + ".elements", "element ids must be exactly 0..k-1 in order")
         unit = _expect_int(e["unit"], path + ".unit")
         mul = tuple(_int_row(row, path + ".mul", r) for r, row in enumerate(_expect_list(e["mul"], path + ".mul")))
-        monoids.append(MonoidEntry(elements, unit, mul))
+        monoids.append((len(elements), unit, mul))
 
     action_raw = _dense_keyed(_expect_dict(root["action"], "$.action"), num_morphisms, "$.action")
     action = tuple(_int_row(row, "$.action", m) for m, row in enumerate(action_raw))
@@ -221,26 +202,21 @@ def parse_input(data: bytes | str) -> InputDocument:
     if metadata is not None:
         _expect_dict(metadata, "$.metadata")
 
-    # the table last: a pair listed twice is reported after every path check
-    return InputDocument(objects, tuple(morphisms), identity, _compose_table(compose, num_morphisms), tuple(monoids),
-                         action, boundary, metadata)
+    # the table after every path check, and the constructors after the table
+    table = _compose_table(compose, num_morphisms)
+    srcs = [ends[m][0] for m in range(num_morphisms)]
+    tgts = [ends[m][1] for m in range(num_morphisms)]
+    cat = FiniteCategory(num_objects, srcs, tgts, identity, table)
+    fibers = tuple(FiniteMonoid(*m) for m in monoids)
+    return InputDocument(CrossedMonoid(cat=cat, fibers=fibers, action=action, boundary=boundary), metadata)
 
 
 def to_crossed_monoid(doc: InputDocument) -> CrossedMonoid:
-    """Build the algebra; remaining shape problems (partiality of the compose
-    table, table sizes) surface here as StructureError."""
-    cat = FiniteCategory(len(doc.objects), tuple(m.src for m in doc.morphisms), tuple(m.tgt for m in doc.morphisms),
-                         doc.identity, doc.compose)
-    fibers = tuple(FiniteMonoid(len(m.elements), m.unit, m.mul) for m in doc.monoids)
-    return CrossedMonoid(cat=cat, fibers=fibers, action=doc.action, boundary=doc.boundary)
+    return doc.xm
 
 
 def from_crossed_monoid(xm: CrossedMonoid, metadata: dict | None = None) -> InputDocument:
-    cat = xm.cat
-    return InputDocument(tuple(cat.objects()), tuple(MorphismEntry(m, cat.src[m], cat.tgt[m]) for m in cat.morphisms()),
-                         cat.identity, cat.compose_table,
-                         tuple(MonoidEntry(tuple(f.elements()), f.unit, f.table) for f in xm.fibers),
-                         xm.action, xm.boundary, metadata)
+    return InputDocument(xm, metadata)
 
 
 def serialize(doc: InputDocument) -> str:
@@ -249,17 +225,19 @@ def serialize(doc: InputDocument) -> str:
 
     parse -> serialize is byte-stable, which the golden tests rely on.
     """
+    xm = doc.xm
+    cat = xm.cat
     payload: dict = {
-        "objects": list(doc.objects),
-        "morphisms": [{"id": m.id, "src": m.src, "tgt": m.tgt} for m in doc.morphisms],
-        "identity": {str(x): m for x, m in enumerate(doc.identity)},
-        "compose": [[a, b, c] for a, row in enumerate(doc.compose) for b, c in enumerate(row) if c is not None],
+        "objects": list(cat.objects()),
+        "morphisms": [{"id": m, "src": s, "tgt": t} for m, (s, t) in enumerate(zip(cat.src, cat.tgt))],
+        "identity": {str(x): m for x, m in enumerate(cat.identity)},
+        "compose": [[a, b, c] for a, row in enumerate(cat.compose_table) for b, c in enumerate(row) if c is not None],
         "monoids": {
-            str(x): {"elements": list(m.elements), "unit": m.unit, "mul": [list(r) for r in m.mul]}
-            for x, m in enumerate(doc.monoids)
+            str(x): {"elements": list(f.elements()), "unit": f.unit, "mul": [list(r) for r in f.table]}
+            for x, f in enumerate(xm.fibers)
         },
-        "action": {str(m): list(row) for m, row in enumerate(doc.action)},
-        "boundary": {str(x): list(row) for x, row in enumerate(doc.boundary)},
+        "action": {str(m): list(row) for m, row in enumerate(xm.action)},
+        "boundary": {str(x): list(row) for x, row in enumerate(xm.boundary)},
     }
     if doc.metadata is not None:
         payload["metadata"] = doc.metadata

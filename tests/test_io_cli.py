@@ -85,18 +85,32 @@ def test_dangling_ids_are_structural(doc_z2_z3):
     assert "$.identity[0]" in str(err.value)
 
 
+@pytest.mark.parametrize("key", ["01", " 1", "1 ", "+1", "\u0661", "1_0", "-0", "None"])
+def test_id_keys_are_canonical_decimals(doc_z2_z3, key):
+    raw = json.loads(serialize(doc_z2_z3))
+    raw["action"][key] = raw["action"].pop("1")
+    with pytest.raises(StructureError) as err:
+        parse_input(json.dumps(raw))
+    assert str(err.value) == f"$.action: key {key!r} is not an integer id"
+
+
 def test_partial_compose_list_is_structural(doc_z2_z3):
     raw = json.loads(serialize(doc_z2_z3))
     raw["compose"] = raw["compose"][:-1]
-    with pytest.raises(StructureError):
-        to_crossed_monoid(parse_input(json.dumps(raw)))
+    with pytest.raises(StructureError) as err:
+        parse_input(json.dumps(raw))  # the parser raises the constructors' shape errors
+    assert str(err.value) == "compose(1,1) missing although endpoints match"
+    raw["boundary"]["0"][0] = "0"  # every path check comes first
+    with pytest.raises(StructureError) as err:
+        parse_input(json.dumps(raw))
+    assert str(err.value) == "$.boundary[0][0]: expected an integer, found str"
 
 
 def test_compose_becomes_the_table_and_a_pair_listed_twice_comes_last(doc_z2_z3):
     raw = json.loads(serialize(doc_z2_z3))
     raw["compose"].reverse()  # any order: the document holds the table
     assert parse_input(json.dumps(raw)) == doc_z2_z3
-    assert doc_z2_z3.compose == fixtures.z2_with_z3_fiber().cat.compose_table
+    assert doc_z2_z3.xm.cat.compose_table == fixtures.z2_with_z3_fiber().cat.compose_table
     raw["compose"].append(list(raw["compose"][0]))
     with pytest.raises(StructureError) as err:
         parse_input(json.dumps(raw))
@@ -242,6 +256,13 @@ def test_cli_json_report_is_deterministic(file_z2_z3, tmp_path):
     assert out1.read_text() == out2.read_text()
     payload = json.loads(out1.read_text())
     assert payload["passed"] is True and payload["exit_code"] == 0
+
+
+def test_help_states_the_exit_code_rule_and_no_arguments_is_a_usage_error(capsys):
+    assert run(["--help"]) == 0
+    assert "0 when every check passes, else 2" in capsys.readouterr().out
+    assert run([]) == 2
+    assert "usage: xnerve" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
