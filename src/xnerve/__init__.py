@@ -14,11 +14,8 @@ from .algebra import (
     FiniteMonoid,
     ValidationReport,
     Violation,
-    XMorphism,
     classify_structure,
-    identity_xmorphism,
     validate_crossed_monoid,
-    validate_xmorphism,
 )
 from .errors import (
     ArgumentError,

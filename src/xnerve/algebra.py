@@ -4,7 +4,7 @@ Everything uses dense integer ids (objects 0..o-1, morphisms 0..m-1, fiber
 elements 0..k-1 per object) and explicit lookup tables, so iteration order
 and reported witnesses are deterministic.  Constructors enforce table shape
 (totality, id ranges) and raise StructureError; the equational axioms are
-checked by the validators, which return reports instead of raising.
+checked by the validator, which returns a report instead of raising.
 
 Composition convention: the product ``a*b`` of morphisms requires
 ``src(a) == tgt(b)`` and has ``src(a*b) == src(b)``, ``tgt(a*b) == tgt(a)``.
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from operator import eq, itemgetter
 from typing import Iterable
 
@@ -24,13 +24,24 @@ from .errors import NotComposableError, NotCrossedModuleError, StructureError
 Table = tuple[tuple[int, ...], ...]
 
 
-def _row(row, blank: bool = False) -> tuple:
+def _int(v, where: str) -> int:
+    """``int(v)``, refused with StructureError when that fails or changes the
+    value: 1.0 and True convert, 1.9 and "1" are refused, nothing rounds."""
+    try:
+        if (i := int(v)) == v:
+            return i
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise StructureError(f"{where} = {v!r} is not an integer")
+
+
+def _row(row, where: str, blank: bool = False) -> tuple:
     """``row`` as a tuple of ints, or of ints and None with ``blank``: kept
-    when it holds only those, else converted entry by entry with ``int``."""
+    when it holds only those, else entry c converted by ``_int`` as where[c]."""
     row = row if type(row) is tuple else tuple(row)
     if set(map(type, row)) <= ({int, type(None)} if blank else {int}):
         return row
-    return tuple(None if blank and v is None else int(v) for v in row)
+    return tuple(None if blank and v is None else _int(v, f"{where}[{c}]") for c, v in enumerate(row))
 
 
 def gather(idx):
@@ -140,7 +151,9 @@ class FiniteMonoid:
     table: Table
 
     def __post_init__(self):
-        object.__setattr__(self, "table", tuple(map(_row, self.table)))
+        object.__setattr__(self, "size", _int(self.size, "monoid size"))
+        object.__setattr__(self, "unit", _int(self.unit, "monoid unit"))
+        object.__setattr__(self, "table", tuple(_row(row, f"mul[{a}]") for a, row in enumerate(self.table)))
         if self.size <= 0:
             raise StructureError("monoid needs at least one element")
         if not 0 <= self.unit < self.size:
@@ -194,9 +207,11 @@ class FiniteCategory:
     compose_table: tuple[tuple[int | None, ...], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "num_objects", _int(self.num_objects, "object count"))
         for name in ("src", "tgt", "identity"):
-            object.__setattr__(self, name, _row(getattr(self, name)))
-        object.__setattr__(self, "compose_table", tuple(_row(row, True) for row in self.compose_table))
+            object.__setattr__(self, name, _row(getattr(self, name), name))
+        object.__setattr__(self, "compose_table",
+                           tuple(_row(row, f"compose[{a}]", True) for a, row in enumerate(self.compose_table)))
         if self.num_objects < 0:
             raise StructureError("negative object count")
         m = len(self.src)
@@ -288,8 +303,8 @@ class CrossedMonoid:
     boundary: Table
 
     def __post_init__(self):
-        object.__setattr__(self, "action", tuple(map(_row, self.action)))
-        object.__setattr__(self, "boundary", tuple(map(_row, self.boundary)))
+        object.__setattr__(self, "action", tuple(_row(row, f"action[{m}]") for m, row in enumerate(self.action)))
+        object.__setattr__(self, "boundary", tuple(_row(row, f"boundary[{x}]") for x, row in enumerate(self.boundary)))
         cat = self.cat
         if len(self.fibers) != cat.num_objects:
             raise StructureError("need exactly one fiber monoid per object")
@@ -320,28 +335,6 @@ class CrossedMonoid:
     def classification(self) -> "Classification":
         """``classify_structure(self)``, computed once."""
         return classify_structure(self)
-
-
-@dataclass(frozen=True)
-class XMorphism:
-    """Structure map between two crossed monoids: a functor plus fiber maps."""
-
-    obj_map: tuple[int, ...]
-    mor_map: tuple[int, ...]
-    fiber_maps: Table
-
-    def __post_init__(self):
-        object.__setattr__(self, "obj_map", tuple(int(v) for v in self.obj_map))
-        object.__setattr__(self, "mor_map", tuple(int(v) for v in self.mor_map))
-        object.__setattr__(self, "fiber_maps", tuple(map(_row, self.fiber_maps)))
-
-
-def identity_xmorphism(xm: CrossedMonoid) -> XMorphism:
-    return XMorphism(
-        obj_map=tuple(xm.cat.objects()),
-        mor_map=tuple(xm.cat.morphisms()),
-        fiber_maps=tuple(tuple(f.elements()) for f in xm.fibers),
-    )
 
 
 def _report(rows: Iterable[tuple[str, tuple[tuple, str] | None]]) -> ValidationReport:
@@ -536,68 +529,3 @@ def classify_structure(xm: CrossedMonoid) -> Classification:
         *(w is None for w in witnesses.values()),
         witnesses=tuple((name, w) for name, w in witnesses.items() if w is not None),
     )
-
-
-def validate_xmorphism(src: CrossedMonoid, dst: CrossedMonoid, m: XMorphism) -> ValidationReport:
-    """Check functoriality, fiber homomorphisms and both compatibility laws.
-
-    Out-of-range object/morphism/element maps raise StructureError; genuine
-    equation failures come back as violations, in report order: mor.functor
-    (endpoints, then identities, then composites), mor.hom (per object, the
-    unit first), mor1 (the maps commute with the action) and mor2 (with the
-    boundaries).  The witness of a rule is its first failing instance in
-    ascending id order.  An instance that runs past the target's action
-    table, because the functor breaks endpoints, fails mor1.
-    """
-    scat, dcat = src.cat, dst.cat
-    if len(m.obj_map) != scat.num_objects:
-        raise StructureError("object map must cover every source object")
-    if any(not 0 <= v < dcat.num_objects for v in m.obj_map):
-        raise StructureError("object map value out of range")
-    if len(m.mor_map) != scat.num_morphisms:
-        raise StructureError("morphism map must cover every source morphism")
-    if any(not 0 <= v < dcat.num_morphisms for v in m.mor_map):
-        raise StructureError("morphism map value out of range")
-    if len(m.fiber_maps) != scat.num_objects:
-        raise StructureError("need one fiber map per source object")
-    for x, row in enumerate(m.fiber_maps):
-        if len(row) != src.fibers[x].size:
-            raise StructureError(f"fiber map {x} has {len(row)} entries, expected {src.fibers[x].size}")
-        limit = dst.fibers[m.obj_map[x]].size
-        if any(not 0 <= v < limit for v in row):
-            raise StructureError(f"fiber map {x} hits an element outside the target fiber")
-
-    O, F, f = m.obj_map, m.mor_map, m.fiber_maps
-
-    def hom():
-        for x, row in enumerate(f):
-            ms, md = src.fibers[x], dst.fibers[O[x]]
-            if row[ms.unit] != md.unit:
-                yield (x, ms.unit), "fiber map breaks the unit"
-            yield from (((x, a, b), "fiber map not multiplicative") for a in ms.elements() for b in ms.elements()
-                        if row[ms.table[a][b]] != md.table[row[a]][row[b]])
-
-    def mor1():
-        for a in scat.morphisms():
-            s, t, row = scat.src[a], scat.tgt[a], dst.action[F[a]]
-            for v, w in enumerate(f[t]):
-                if w >= len(row):
-                    yield (a, v), f"action undefined: {F[a]} does not act on fiber {O[t]}"
-                elif f[s][src.action[a][v]] != row[w]:
-                    yield (a, v), "fiber maps do not commute with the action"
-
-    functor = chain(
-        (((a,), "functor breaks endpoints") for a in scat.morphisms()
-         if dcat.src[F[a]] != O[scat.src[a]] or dcat.tgt[F[a]] != O[scat.tgt[a]]),
-        (((x,), "functor breaks an identity") for x in scat.objects() if F[scat.identity[x]] != dcat.identity[O[x]]),
-        (((a, b), "functor breaks a composite") for a in scat.morphisms()
-         for b, v in enumerate(scat.compose_table[a]) if v is not None and dcat.compose_table[F[a]][F[b]] != F[v]),
-    )
-    return _report([
-        ("mor.functor", next(functor, None)),
-        ("mor.hom", next(hom(), None)),
-        ("mor1", next(mor1(), None)),
-        ("mor2", next((((x, a), "boundaries do not commute with the map") for x in scat.objects()
-                       for a in src.fibers[x].elements() if F[src.boundary[x][a]] != dst.boundary[O[x]][f[x][a]]),
-                      None)),
-    ])

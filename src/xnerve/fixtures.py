@@ -1,4 +1,4 @@
-"""Ready-made crossed monoids used by the docs, the test suite and the CLI.
+"""Ready-made crossed monoids used by the docs, the tests and the benchmark.
 
 All of them are one- or two-object structures small enough for exhaustive
 checks, built from cyclic tables or tiny hand-written monoids.

@@ -1,9 +1,9 @@
 """The JSON input format and its canonical serialization.
 
-A document lists everything explicitly: objects, morphisms with endpoints,
-identity morphisms, the full composition table as triples, one monoid per
-object, one action table per morphism and one boundary table per object.
-Nothing is generated implicitly. ``parse_input`` builds the crossed monoid
+A document lists everything explicitly, and no key of an object twice:
+objects, morphisms with endpoints, identity morphisms, the full composition
+table as triples, one monoid per object, one action table per morphism and
+one boundary table per object. ``parse_input`` builds the crossed monoid
 and raises every shape error: the JSON-path checks first, then a pair of
 ``$.compose`` listed twice, then the constructors' table shapes (a partial
 compose table, table sizes); the mathematics stays with the validator.
@@ -64,6 +64,15 @@ def _expect_dict(v, path: str, keys: tuple[str, ...] = ()) -> dict:
         if k not in v:
             _fail(path, f"missing key {k!r}")
     return v
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a key listed twice raises ValueError (``json.loads`` keeps the last)."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        seen: set = set()
+        raise ValueError(f"key {next(k for k, _ in pairs if k in seen or seen.add(k))!r} listed twice")
+    return out
 
 
 def _all_ints(values) -> bool:
@@ -136,8 +145,8 @@ def parse_input(data: bytes | str) -> InputDocument:
     the first shape problem: every JSON-path check first, then a pair of
     ``$.compose`` listed twice, then the constructors' table shapes."""
     try:
-        raw = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
-    except ValueError as exc:  # not JSON, not UTF-8, or an int of more digits than Python converts
+        raw = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data, object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # not JSON, not UTF-8, a key listed twice, or an int of more digits than Python converts
         raise StructureError(f"not valid JSON: {exc}") from None
     except RecursionError:
         raise StructureError("not valid JSON: nested too deeply") from None

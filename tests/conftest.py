@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import pytest
 
 from xnerve import fixtures
@@ -69,6 +71,24 @@ def image_b3(xm, t) -> bool:
     crossed module.
     """
     return _image_rule(xm, t.faces[3].rows[1][0], [m.rows[0][1] for m in t.faces])
+
+
+class XMorphism(NamedTuple):
+    """Structure map between two crossed monoids: a functor (``obj_map``,
+    ``mor_map``) plus one fiber map per source object, checked by
+    ``ref_validate_xmorphism`` in ``test_algebra.py``."""
+
+    obj_map: tuple[int, ...]
+    mor_map: tuple[int, ...]
+    fiber_maps: tuple[tuple[int, ...], ...]
+
+
+def identity_xmorphism(xm) -> XMorphism:
+    return XMorphism(
+        obj_map=tuple(xm.cat.objects()),
+        mor_map=tuple(xm.cat.morphisms()),
+        fiber_maps=tuple(tuple(f.elements()) for f in xm.fibers),
+    )
 
 
 def induced_cell(m, M):

@@ -158,7 +158,14 @@ _ONLY = {
 
 
 # Inputs that are not documents, written as they are.
-RAW_INPUTS = {"utf16_bom": b"\xff\xfe", "deep_nesting": b"[" * 100_000}
+RAW_INPUTS = {
+    "utf16_bom": b"\xff\xfe",
+    "deep_nesting": b"[" * 100_000,
+    # the trivial point with its fiber listed twice, the first copy malformed
+    "duplicate_key": b'{"objects": [0], "morphisms": [{"id": 0, "src": 0, "tgt": 0}], "identity": {"0": 0}, '
+                     b'"compose": [[0, 0, 0]], "monoids": {"0": {"elements": [0], "unit": 5, "mul": "junk"}, '
+                     b'"0": {"elements": [0], "unit": 0, "mul": [[0]]}}, "action": {"0": [0]}, "boundary": {"0": [0]}}',
+}
 # Each ends in one ERROR line: an input that cannot be read or parsed, a
 # report path in a directory that does not exist, --pi with an empty item,
 # and a dimension refused before it is built.
@@ -166,6 +173,7 @@ _RAW_CASES = [
     ["kan", "inputs"],
     ["kan", "inputs/utf16_bom.json"],
     ["kan", "inputs/deep_nesting.json"],
+    ["kan", "inputs/duplicate_key.json"],
     ["kan", "inputs/f4.json", "--json", "missing/report.json"],
     ["homotopy", "inputs/z2.json", "--pi", ""],
     ["homotopy", "inputs/z2.json", "--pi", "0,,1"],

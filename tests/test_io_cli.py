@@ -156,6 +156,20 @@ def test_invalid_json_is_structural():
         parse_input(b"{not json")
 
 
+def test_a_key_listed_twice_is_refused(tmp_path, capsys):
+    # json.loads alone keeps the last copy, so the malformed first one would pass unseen
+    text = serialize(from_crossed_monoid(fixtures.group_z2()))
+    at = text.index('"monoids": {') + len('"monoids": {')
+    text = text[:at] + '"0": {"elements": [0], "unit": 5, "mul": "junk"},' + text[at:]
+    with pytest.raises(StructureError) as err:
+        parse_input(text)
+    assert str(err.value) == "not valid JSON: key '0' listed twice"
+    path = tmp_path / "twice.json"
+    path.write_text(text)
+    assert run(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == "ERROR (structural): not valid JSON: key '0' listed twice\n"
+
+
 def test_cli_validate_and_classify(file_z2_z3, capsys):
     assert run(["validate", str(file_z2_z3)]) == 0
     out = capsys.readouterr().out

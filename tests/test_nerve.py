@@ -7,10 +7,10 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (corner_triples, entry, eta, induced_cell, kept_rows, morphism_cell, pair_groupoid_z3_relabelled,
-                      rows)
+from conftest import (XMorphism, corner_triples, entry, eta, identity_xmorphism, induced_cell, kept_rows, morphism_cell,
+                      pair_groupoid_z3_relabelled, rows)
 from xnerve import fixtures
-from xnerve.algebra import XMorphism, gather, identity_xmorphism
+from xnerve.algebra import gather
 from xnerve.errors import CapacityError, CellError, CompatibilityError
 from xnerve.fillers import HornFiller
 from xnerve.nerve import Nerve, NerveCell, _keep_runs, _ranks, _read, _spell
