@@ -35,13 +35,26 @@ def _int(v, where: str) -> int:
     raise StructureError(f"{where} = {v!r} is not an integer")
 
 
+def _tuple(v, where: str) -> tuple:
+    """``v`` as a tuple, refused with StructureError when it is no sequence."""
+    try:
+        return v if type(v) is tuple else tuple(v)
+    except TypeError:
+        raise StructureError(f"{where} = {v!r} is not a list") from None
+
+
 def _row(row, where: str, blank: bool = False) -> tuple:
     """``row`` as a tuple of ints, or of ints and None with ``blank``: kept
     when it holds only those, else entry c converted by ``_int`` as where[c]."""
-    row = row if type(row) is tuple else tuple(row)
+    row = _tuple(row, where)
     if set(map(type, row)) <= ({int, type(None)} if blank else {int}):
         return row
     return tuple(None if blank and v is None else _int(v, f"{where}[{c}]") for c, v in enumerate(row))
+
+
+def _table(rows, where: str, blank: bool = False) -> tuple:
+    """``rows`` as a tuple of ``_row``s, row r named where[r]."""
+    return tuple(_row(row, f"{where}[{r}]", blank) for r, row in enumerate(_tuple(rows, where)))
 
 
 def gather(idx):
@@ -153,7 +166,7 @@ class FiniteMonoid:
     def __post_init__(self):
         object.__setattr__(self, "size", _int(self.size, "monoid size"))
         object.__setattr__(self, "unit", _int(self.unit, "monoid unit"))
-        object.__setattr__(self, "table", tuple(_row(row, f"mul[{a}]") for a, row in enumerate(self.table)))
+        object.__setattr__(self, "table", _table(self.table, "mul"))
         if self.size <= 0:
             raise StructureError("monoid needs at least one element")
         if not 0 <= self.unit < self.size:
@@ -210,8 +223,7 @@ class FiniteCategory:
         object.__setattr__(self, "num_objects", _int(self.num_objects, "object count"))
         for name in ("src", "tgt", "identity"):
             object.__setattr__(self, name, _row(getattr(self, name), name))
-        object.__setattr__(self, "compose_table",
-                           tuple(_row(row, f"compose[{a}]", True) for a, row in enumerate(self.compose_table)))
+        object.__setattr__(self, "compose_table", _table(self.compose_table, "compose", True))
         if self.num_objects < 0:
             raise StructureError("negative object count")
         m = len(self.src)
@@ -303,8 +315,8 @@ class CrossedMonoid:
     boundary: Table
 
     def __post_init__(self):
-        object.__setattr__(self, "action", tuple(_row(row, f"action[{m}]") for m, row in enumerate(self.action)))
-        object.__setattr__(self, "boundary", tuple(_row(row, f"boundary[{x}]") for x, row in enumerate(self.boundary)))
+        object.__setattr__(self, "action", _table(self.action, "action"))
+        object.__setattr__(self, "boundary", _table(self.boundary, "boundary"))
         cat = self.cat
         if len(self.fibers) != cat.num_objects:
             raise StructureError("need exactly one fiber monoid per object")
@@ -326,10 +338,6 @@ class CrossedMonoid:
             for a, v in enumerate(row) if row and not 0 <= min(row) <= max(row) < cat.num_morphisms else ():
                 if not 0 <= v < cat.num_morphisms:
                     raise StructureError(f"boundary[{x}][{a}] = {v} is not a morphism id")
-
-    def act(self, m: int, a: int) -> int:
-        """Image of fiber element a under the map induced by morphism m."""
-        return self.action[m][a]
 
     @cached_property
     def classification(self) -> "Classification":

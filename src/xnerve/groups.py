@@ -1,4 +1,6 @@
-"""Finite groups as labelled multiplication tables, plus isomorphism search."""
+"""Finite groups as labelled multiplication tables, plus isomorphism search
+depth first over the images of greedy generators, which finds the
+lexicographically first isomorphism (why: ``find_isomorphism``)."""
 
 from __future__ import annotations
 
@@ -21,9 +23,6 @@ class GroupPresentation:
     def order(self) -> int:
         return len(self.labels)
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def verify(self) -> None:
         n = self.order
         if len(self.table) != n or any(len(r) != n for r in self.table):
@@ -44,19 +43,20 @@ class GroupPresentation:
     @cached_property
     def is_abelian(self) -> bool:
         t = self.table
-        n = self.order
-        return all(t[a][b] == t[b][a] for a in range(n) for b in range(a + 1, n))
+        return all(t[a][b] == t[b][a] for a in range(self.order) for b in range(a + 1, self.order))
 
-    def element_order(self, a: int) -> int:
-        x, k = a, 1
-        while x != self.unit:
-            x = self.table[x][a]
-            k += 1
-        return k
+    @cached_property
+    def element_orders(self) -> tuple[int, ...]:
+        def order(a: int) -> int:
+            x, k = a, 1
+            while x != self.unit:
+                x, k = self.table[x][a], k + 1
+            return k
+        return tuple(map(order, range(self.order)))
 
     @cached_property
     def order_profile(self) -> tuple[int, ...]:
-        return tuple(sorted(self.element_order(a) for a in range(self.order)))
+        return tuple(sorted(self.element_orders))
 
     def structure_tag(self) -> str:
         """Cosmetic name guessed from the order profile; never asserted on."""
@@ -71,63 +71,44 @@ class GroupPresentation:
 
 
 def find_isomorphism(g: GroupPresentation, h: GroupPresentation) -> tuple[int, ...] | None:
-    """A table-preserving bijection g -> h, or None.
+    """The table-preserving bijection g -> h with the lexicographically first
+    images ``(f(0), ..., f(n-1))``, or None.
 
-    Backtracking over elements with candidates restricted by element order;
-    fine for the small groups this package produces.
+    Depth first over the images of g's greedy generators
+    (``algebra.generating_set``), each among the elements of h of its order,
+    ascending.  Each element below a greedy generator lies in the subgroup the
+    generators before it make, so two maps first differ at a generator: the
+    first map found is the lexicographically first.
     """
     n = g.order
     if n != h.order or g.order_profile != h.order_profile:
         return None
-    g_ord = [g.element_order(a) for a in range(n)]
-    h_by_order: dict[int, list[int]] = {}
-    for b in range(n):
-        h_by_order.setdefault(h.element_order(b), []).append(b)
+    gens = generating_set(g.table)
 
-    mapping: list[int | None] = [None] * n
-    used = [False] * n
-    mapping[g.unit] = h.unit
-    used[h.unit] = True
+    def search(images: list[int]) -> tuple[int, ...] | None:
+        """The first isomorphism sending gens[k] to images[k] for k < len(images), or None."""
+        f: list = [None] * n
+        f[g.unit], hit, todo = h.unit, {h.unit}, [g.unit]
+        while todo:  # spread from the unit along right products by the chosen generators
+            a = todo.pop()
+            for x, c in zip(gens, images):
+                b, v = g.table[a][x], h.table[f[a]][c]
+                if f[b] is None and v not in hit:
+                    f[b] = v
+                    hit.add(v)
+                    todo.append(b)
+                elif f[b] != v:  # a product on two images, or two elements on one
+                    return None
+        if len(images) == len(gens):
+            ok = all(h.table[f[a]][f[b]] == f[g.table[a][b]] for a in range(n) for b in range(n))
+            return tuple(f) if ok else None
+        order = g.element_orders[gens[len(images)]]
+        for c in range(n):
+            if h.element_orders[c] == order and (iso := search(images + [c])) is not None:
+                return iso
+        return None
 
-    def consistent(a: int) -> bool:
-        fa = mapping[a]
-        for b in range(n):
-            fb = mapping[b]
-            if fb is None:
-                continue
-            ab, ba = g.table[a][b], g.table[b][a]
-            if mapping[ab] is not None and h.table[fa][fb] != mapping[ab]:
-                return False
-            if mapping[ba] is not None and h.table[fb][fa] != mapping[ba]:
-                return False
-        return True
-
-    order_of_assignment = sorted(range(n), key=lambda a: (a != g.unit, a))
-
-    def extend(pos: int) -> bool:
-        if pos == n:
-            return all(
-                h.table[mapping[a]][mapping[b]] == mapping[g.table[a][b]]
-                for a in range(n)
-                for b in range(n)
-            )
-        a = order_of_assignment[pos]
-        if mapping[a] is not None:
-            return extend(pos + 1)
-        for b in h_by_order.get(g_ord[a], ()):
-            if used[b]:
-                continue
-            mapping[a] = b
-            used[b] = True
-            if consistent(a) and extend(pos + 1):
-                return True
-            mapping[a] = None
-            used[b] = False
-        return False
-
-    if extend(0):
-        return tuple(mapping)  # type: ignore[arg-type]
-    return None
+    return search([])
 
 
 def subgroup_presentation(labels: list[str], elements: list[int], mul, unit: int) -> GroupPresentation:
@@ -137,11 +118,8 @@ def subgroup_presentation(labels: list[str], elements: list[int], mul, unit: int
         raise StructureError("unit missing from the subset")
     table = []
     for a in elements:
-        row = []
-        for b in elements:
-            v = mul(a, b)
-            if v not in index:
-                raise StructureError(f"subset not closed: {a}*{b} escapes")
-            row.append(index[v])
-        table.append(tuple(row))
+        row = tuple(index.get(mul(a, b)) for b in elements)
+        if None in row:
+            raise StructureError(f"subset not closed: {a}*{elements[row.index(None)]} escapes")
+        table.append(row)
     return GroupPresentation(labels=tuple(labels), unit=index[unit], table=tuple(table))

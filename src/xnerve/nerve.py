@@ -699,7 +699,7 @@ class _RankMaps:
         self.nv, self.maxdim = nv, maxdim
         self.dim = -1
         self.degeneracy_tables: dict[int, list[int]] = {}
-        self._plans: dict[tuple[tuple[int, ...], int], tuple[_Block, int, list[list[int]], bool]] = {}
+        self._plans: dict[tuple[tuple[int, ...], int], tuple[_Block, int, list[list[int]]]] = {}
         self._verdicts: dict[tuple, bool] = {}  # agree's, by object sequence and words
 
     def chunks(self, n: int) -> Iterator[_Column]:
@@ -738,38 +738,34 @@ class _RankMaps:
     def agree(self, col: _Column, a: tuple, b: tuple) -> bool:
         """Whether the words ``a`` and ``b`` of degeneracies only, as
         ``(("s", j), ...)`` first applied first, agree on every cell of the
-        block of ``col``; decided once per block.  When every s_j on the way
-        is a digit insertion (every digit keeps its radix, the moved and the
-        fixed digits fill the new block's digits once each, and every fixed
-        digit is in range), each word is an affine map of the block's digit
-        vector with no carries, so the words agree on the block iff they
-        agree on its basis: the first cell, and the cell with one digit 1
-        and the others 0 for every digit of radix above 1."""
+        block of ``col``; decided once per block.  Every s_j is a digit
+        insertion, so each word is an affine map of the block's digit vector
+        with no carries, and the words agree on the block iff they agree on
+        its basis: the first cell, and the cell with one digit 1 and the
+        others 0 for every digit of radix above 1."""
         key = (col.blk.seq, a, b)
         if key not in self._verdicts:
             blk = col.blk
             basis = [blk.start] + [blk.start + w for w, dom in zip(blk.weights, blk.domains) if len(dom) > 1]
-            ends, insertion = [], True
+            ends = []
             for word in (a, b):
                 end = _Column(col.dim, blk, basis)
                 for _, j in word:
-                    insertion = insertion and self._plan(end.blk, j)[3]
                     end = self.degeneracy(end, j)
                 ends.append(end)
-            self._verdicts[key] = insertion and ends[0] == ends[1]
+            self._verdicts[key] = ends[0] == ends[1]
         return self._verdicts[key]
 
     def _degenerate(self, blk: _Block, idxs: Sequence[int], j: int) -> list[int]:
         """Ranks of s_j of the cells of ``blk`` with indices ``idxs``."""
-        new, const, runs, _ = self._plan(blk, j)
+        new, const, runs = self._plan(blk, j)
         return _spell(idxs, runs, new.start + const)
 
-    def _plan(self, blk: _Block, j: int) -> tuple[_Block, int, list[list[int]], bool]:
-        """(block, constant, digit runs, insertion) of s_j on one block of
-        dimension n: s_j c lies in the block of c's object sequence with x_j
-        repeated, and its index there is the constant, the inserted identity
-        and units, plus the image of c's index under the runs.  ``insertion``
-        says it is a digit insertion, as ``agree`` needs."""
+    def _plan(self, blk: _Block, j: int) -> tuple[_Block, int, list[list[int]]]:
+        """(block, constant, digit runs) of s_j on one block of dimension n:
+        s_j c lies in the block of c's object sequence with x_j repeated, and
+        its index there is the constant, the inserted identity and units,
+        plus the image of c's index under the runs."""
         plan = self._plans.get((blk.seq, j))
         if plan is None:
             nv, seq, n = self.nv, blk.seq, len(blk.seq) - 1
@@ -788,10 +784,7 @@ class _RankMaps:
             fixed.extend((pos(j + 1, c), xm.fibers[seq[j]].unit) for c in range(j + 2, n + 2))
             lens, new_lens = [len(dom) for dom in blk.domains], [len(dom) for dom in new.domains]
             const = sum(digit * new.weights[q] for q, digit in fixed)
-            insertion = (sorted(dest + [q for q, _ in fixed]) == list(range(len(new_lens)))
-                         and all(map(int.__eq__, lens, map(new_lens.__getitem__, dest)))
-                         and all(0 <= digit < new_lens[q] for q, digit in fixed))
-            plan = self._plans[blk.seq, j] = (new, const, _digit_runs(lens, dest, new_lens), insertion)
+            plan = self._plans[blk.seq, j] = (new, const, _digit_runs(lens, dest, new_lens))
         return plan
 
     def cell(self, col: _Column, pos: int) -> NerveCell:

@@ -220,16 +220,16 @@ def test_criterion_10_cross_diagonal_oracle():
                 )
                 mul = xm.fibers[0].mul
                 inv = xm.fibers[0].inverse
-                act = xm.act
+                act = xm.action
                 if l in (0, 1):
                     lhs = mul(w[(l, 2)], inv[w[(l, 1 - l)]])
-                    rhs = act(m33, mul(inv[w[(l, 4)]], w[(l, 3)]))
+                    rhs = act[m33][mul(inv[w[(l, 4)]], w[(l, 3)])]
                 elif l == 2:
                     lhs = mul(w[(2, 1)], inv[w[(2, 0)]])
-                    rhs = act(exp2233, mul(inv[w[(2, 4)]], w[(2, 3)]))
+                    rhs = act[exp2233][mul(inv[w[(2, 4)]], w[(2, 3)])]
                 else:
                     lhs = mul(w[(l, 1)], inv[w[(l, 0)]])
-                    rhs = act(m22, mul(inv[w[(l, 4 if l == 3 else 3)]], w[(l, 2)]))
+                    rhs = act[m22][mul(inv[w[(l, 4 if l == 3 else 3)]], w[(l, 2)])]
                 exact = exact and lhs == rhs
                 exact = exact and image_b3(xm, beta(nv, h))
                 checked += 1

@@ -97,6 +97,15 @@ def test_integral_sizes_and_units_convert_through_int():
                            ((0, 1, 2), (0, 3, 1)), ((0, 0, 0),)), "action[1][1] = 3 out of range"),
     (lambda: CrossedMonoid(fixtures.one_object_category(fixtures.cyclic_monoid(2)), (fixtures.cyclic_monoid(3),),
                            ((0, 1, 2), (0, 2, 1)), ((0, -1, 2),)), "boundary[0][1] = -1 is not a morphism id"),
+    # a table, row or src/tgt that is no sequence is refused, not a TypeError
+    (lambda: FiniteMonoid(2, 0, [5, 6]), "mul[0] = 5 is not a list"),
+    (lambda: FiniteMonoid(2, 0, None), "mul = None is not a list"),
+    (lambda: FiniteCategory(1, 0, (0,), (0,), ((0,),)), "src = 0 is not a list"),
+    (lambda: FiniteCategory(1, (0,), (0,), (0,), None), "compose = None is not a list"),
+    (lambda: CrossedMonoid(fixtures.one_object_category(fixtures.cyclic_monoid(2)), (fixtures.cyclic_monoid(3),),
+                           None, ((0, 0, 0),)), "action = None is not a list"),
+    (lambda: CrossedMonoid(fixtures.one_object_category(fixtures.cyclic_monoid(2)), (fixtures.cyclic_monoid(3),),
+                           ((0, 1, 2), (0, 2, 1)), (5,)), "boundary[0] = 5 is not a list"),
 ])
 def test_a_bad_row_names_its_first_bad_entry(build, message):
     with pytest.raises(StructureError) as err:
@@ -245,7 +254,7 @@ def test_cr3_restated_for_every_module_fixture():
             mon = xm.fibers[x]
             for a in mon.elements():
                 for b in mon.elements():
-                    assert mon.mul(a, b) == mon.mul(b, xm.act(xm.boundary[x][b], a))
+                    assert mon.mul(a, b) == mon.mul(b, xm.action[xm.boundary[x][b]][a])
 
 
 def test_crossed_monoid_shape_errors():
@@ -849,7 +858,7 @@ def ref_validate_xmorphism(src: CrossedMonoid, dst: CrossedMonoid, m: XMorphism)
         s, t = scat.src[a], scat.tgt[a]
         stop = False
         for v in src.fibers[t].elements():
-            if f[s][src.act(a, v)] != dst.act(F[a], f[t][v]):
+            if f[s][src.action[a][v]] != dst.action[F[a]][f[t][v]]:
                 out.hit("mor1", (a, v), "fiber maps do not commute with the action")
                 stop = True
                 break

@@ -239,7 +239,7 @@ def _w_closed_forms(xm, by_slot, m22, m23, m33):
     """Every defined w entry from raw face entries and the shared notation."""
     obj = next(iter(by_slot.values())).objects[1]  # one-object fixtures here
     mul = xm.fibers[obj].mul
-    act = xm.act
+    act = xm.action
     exp2233 = xm.cat.compose(xm.cat.compose(m22, xm.boundary[obj][m23]), m33)
     closed = {}
     for t, cell in by_slot.items():
@@ -249,9 +249,9 @@ def _w_closed_forms(xm, by_slot, m22, m23, m33):
         else:
             closed[(1, 0)] = c23
         if t >= 2:
-            closed[(1, t)] = mul(act(exp2233 if t == 2 else m22, c13), c23)
+            closed[(1, t)] = mul(act[exp2233 if t == 2 else m22][c13], c23)
         if t <= 1:
-            closed[(2, t)] = mul(act(m33, c13), c23)
+            closed[(2, t)] = mul(act[m33][c13], c23)
         if t >= 3:
             closed[(2, t)] = mul(c12, c13)
         if t <= 2:
@@ -268,7 +268,7 @@ def test_w_matrix_oracle(xm_z2_z3, xm_z2_z3_twisted):
         nv = Nerve(xm)
         mul = xm.fibers[0].mul
         inv = xm.fibers[0].inverse
-        act = xm.act
+        act = xm.action
         for l in range(5):
             for h in sample_horns(nv, 4, l, 200, seed=100 + l):
                 by_slot = {s: c for s, c in zip(h.slots(), h.faces)}
@@ -288,19 +288,19 @@ def test_w_matrix_oracle(xm_z2_z3, xm_z2_z3_twisted):
 
                 if l == 0:
                     lhs = mul(w[(0, 2)], inv[w[(0, 1)]])
-                    rhs = act(m33, mul(inv[w[(0, 4)]], w[(0, 3)]))
+                    rhs = act[m33][mul(inv[w[(0, 4)]], w[(0, 3)])]
                 elif l == 1:
                     lhs = mul(w[(1, 2)], inv[w[(1, 0)]])
-                    rhs = act(m33, mul(inv[w[(1, 4)]], w[(1, 3)]))
+                    rhs = act[m33][mul(inv[w[(1, 4)]], w[(1, 3)])]
                 elif l == 2:
                     lhs = mul(w[(2, 1)], inv[w[(2, 0)]])
-                    rhs = act(exp2233, mul(inv[w[(2, 4)]], w[(2, 3)]))
+                    rhs = act[exp2233][mul(inv[w[(2, 4)]], w[(2, 3)])]
                 elif l == 3:
                     lhs = mul(w[(3, 1)], inv[w[(3, 0)]])
-                    rhs = act(m22, mul(inv[w[(3, 4)]], w[(3, 2)]))
+                    rhs = act[m22][mul(inv[w[(3, 4)]], w[(3, 2)])]
                 else:
                     lhs = mul(w[(4, 1)], inv[w[(4, 0)]])
-                    rhs = act(m22, mul(inv[w[(4, 3)]], w[(4, 2)]))
+                    rhs = act[m22][mul(inv[w[(4, 3)]], w[(4, 2)])]
                 assert lhs == rhs, (l,)
 
                 assert image_b3(xm, beta(nv, h))

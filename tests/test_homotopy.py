@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import random
 
 import pytest
 
@@ -101,6 +103,91 @@ def test_find_isomorphism_positive_and_negative():
     for a in range(4):
         for b in range(4):
             assert relabeled.table[iso[a]][iso[b]] == iso[z4.table[a][b]]
+
+
+def _group(elements, mul) -> GroupPresentation:
+    """The group on ``elements``, the unit first, under ``mul``; ids in list order."""
+    index = {e: i for i, e in enumerate(elements)}
+    g = GroupPresentation(tuple(map(str, elements)), 0,
+                          tuple(tuple(index[mul(a, b)] for b in elements) for a in elements))
+    g.verify()
+    return g
+
+
+def _cyclic(n: int) -> GroupPresentation:
+    return _group(list(range(n)), lambda a, b: (a + b) % n)
+
+
+def _symmetric(n: int, even: bool = False) -> GroupPresentation:
+    def parity(p):
+        return sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n)) % 2
+    return _group([p for p in itertools.permutations(range(n)) if not (even and parity(p))],
+                  lambda p, q: tuple(p[i] for i in q))
+
+
+def _z2_power(k: int) -> GroupPresentation:
+    return _group(list(itertools.product(range(2), repeat=k)), lambda a, b: tuple(x ^ y for x, y in zip(a, b)))
+
+
+def _relabel(g: GroupPresentation, seed: int) -> GroupPresentation:
+    """An isomorphic copy of ``g`` under a random permutation of its ids."""
+    new = list(range(g.order))
+    random.Random(seed).shuffle(new)
+    old = sorted(range(g.order), key=new.__getitem__)
+    return GroupPresentation(tuple(g.labels[a] for a in old), new[g.unit],
+                             tuple(tuple(new[g.table[a][b]] for b in old) for a in old))
+
+
+def _preserves_table(f, g: GroupPresentation, h: GroupPresentation) -> bool:
+    return all(h.table[f[a]][f[b]] == f[g.table[a][b]] for a in range(g.order) for b in range(g.order))
+
+
+def _first_isomorphism(g: GroupPresentation, h: GroupPresentation):
+    """Reference: the first table-preserving bijection in lexicographic
+    order, over every permutation, or None."""
+    if g.order != h.order:
+        return None
+    return next((f for f in itertools.permutations(range(g.order)) if _preserves_table(f, g, h)), None)
+
+
+def test_find_isomorphism_is_the_first_in_lexicographic_order():
+    small = [_cyclic(n) for n in range(1, 7)] + [_z2_power(2), _symmetric(3)]
+    copies = [_relabel(g, seed) for g in small for seed in range(3)]
+    isomorphic = 0
+    for g, h in itertools.product(copies, repeat=2):
+        expected = _first_isomorphism(g, h)
+        assert find_isomorphism(g, h) == expected
+        isomorphic += expected is not None
+    assert isomorphic == len(small) * 3 * 3  # the pairs of copies of one group, and no other
+
+
+def test_find_isomorphism_refuses_groups_with_one_order_profile():
+    # Z4 x Z4 and Z4 x| Z4, the second factor acting by inversion: both have
+    # one unit, three involutions and twelve elements of order 4
+    direct = _group(list(itertools.product(range(4), repeat=2)), lambda a, b: ((a[0] + b[0]) % 4, (a[1] + b[1]) % 4))
+    semi = _group(list(itertools.product(range(4), repeat=2)),
+                  lambda a, b: ((a[0] + (-1) ** a[1] * b[0]) % 4, (a[1] + b[1]) % 4))
+    assert direct.order_profile == semi.order_profile == (1, 2, 2, 2) + (4,) * 12
+    assert direct.is_abelian and not semi.is_abelian
+    for g, h in ((direct, semi), (semi, direct), (_relabel(direct, 1), _relabel(semi, 2))):
+        assert find_isomorphism(g, h) is None
+
+
+@pytest.mark.parametrize("build", [lambda: _symmetric(5), lambda: _symmetric(5, even=True), lambda: _z2_power(6)],
+                         ids=["S5", "A5", "Z2^6"])
+def test_find_isomorphism_between_relabelled_copies_of_larger_groups(build):
+    g = build()
+    a, b = _relabel(g, 1), _relabel(g, 2)
+    f = find_isomorphism(a, b)
+    assert f is not None and sorted(f) == list(range(g.order)) and _preserves_table(f, a, b)
+
+
+def test_a_failed_pi_comparison_is_reported_and_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("xnerve.homotopy.find_isomorphism", lambda g, h: None)
+    path = tmp_path / "z2.json"
+    path.write_text(serialize(from_crossed_monoid(fixtures.group_z2())))
+    assert run(["homotopy", str(path), "--pi", "1"]) == 2
+    assert "FAIL pi1[basepoint 0]: algebraic order 2 but brute force gives 2" in capsys.readouterr().out.splitlines()
 
 
 def test_pi1_and_pi2_refuse_a_boundary_that_misses_the_identity(tmp_path, capsys):
