@@ -292,6 +292,15 @@ class FiniteCategory:
         return {k: tuple(v) for k, v in out.items()}
 
     @cached_property
+    def ill_typed_composite(self) -> tuple[int, int] | None:
+        """The first ``(a, b)``, ascending, whose composite does not run
+        ``src(b) -> tgt(a)``, or None; with one object there is none."""
+        src, tgt = self.src, self.tgt
+        return None if self.num_objects < 2 else next(
+            ((a, b) for a, row in enumerate(self.compose_table) for b, v in enumerate(row)
+             if v is not None and (src[v] != src[b] or tgt[v] != tgt[a])), None)
+
+    @cached_property
     def morphism_inverse(self) -> tuple[int | None, ...]:
         """Two-sided inverse per morphism, None where there is none."""
         comp, ident = self.compose_table, self.identity  # the b with a*b == 1_t, ascending, end in s
@@ -315,9 +324,14 @@ class CrossedMonoid:
     boundary: Table
 
     def __post_init__(self):
+        cat, fibers = self.cat, _tuple(self.fibers, "fibers")
+        for where, v, kind in (("cat", cat, FiniteCategory),
+                               *((f"fibers[{x}]", f, FiniteMonoid) for x, f in enumerate(fibers))):
+            if not isinstance(v, kind):
+                raise StructureError(f"{where} = {v!r} is not a {kind.__name__}")
+        object.__setattr__(self, "fibers", fibers)
         object.__setattr__(self, "action", _table(self.action, "action"))
         object.__setattr__(self, "boundary", _table(self.boundary, "boundary"))
-        cat = self.cat
         if len(self.fibers) != cat.num_objects:
             raise StructureError("need exactly one fiber monoid per object")
         if len(self.action) != cat.num_morphisms:
@@ -382,15 +396,14 @@ def validate_crossed_monoid(xm: CrossedMonoid) -> ValidationReport:
     no mon.assoc or cr1 hit on x, no act.comp hit (a(bc) = b a^d(b) c =
     bc a^(d(b)d(c)) = bc a^d(bc)).  cr2 on the generators of the fiber each
     morphism m acts on: no cat.endpoints, cat.assoc, act.hom or cr1 hit
-    (m d((aa')^m) = m d(a^m) d(a'^m) = d(a) m d(a'^m) = d(aa') m).  With
-    one object the cat.endpoints scan, which cannot fail, is skipped.
+    (m d((aa')^m) = m d(a^m) d(a'^m) = d(a) m d(a'^m) = d(aa') m).  The
+    cat.endpoints witness is ``FiniteCategory.ill_typed_composite``.
     """
     cat, fibers, act, bd = xm.cat, xm.fibers, xm.action, xm.boundary
     comp, src, tgt, ident = cat.compose_table, cat.src, cat.tgt, cat.identity
     mors = cat.morphisms()
     nonassoc = [first_nonassociative(f.table, f.generators) for f in fibers]
-    endpoints = None if cat.num_objects < 2 else next(((a, b) for a in mors for b, v in enumerate(comp[a])
-                                                       if v is not None and (src[v] != src[b] or tgt[v] != tgt[a])), None)
+    endpoints = cat.ill_typed_composite
     cat_nonassoc = first_nonassociative(comp, cat.generators if endpoints is None else None)
     cat_holds = endpoints is None and cat_nonassoc is None
     # With an associative category and well-typed composites, the b for

@@ -128,9 +128,11 @@ def _glue(glue: tuple[int, ...], firsts, lasts, corners) -> list[int]:
 class Nerve(LevelProvider):
     """Level provider for the nerve of one crossed monoid.
 
-    Refuses at construction, with CompatibilityError naming ``(x, a)``, a
-    boundary that is not an endomorphism of its object: the face maps
-    compose with boundary values and need them to be.
+    Refuses at construction, with CompatibilityError, a boundary that is
+    not an endomorphism of its object, naming ``(x, a)``, and a composite
+    that leaves its hom-set, naming ``(a, b)``: the face maps compose with
+    boundary values, and an inner face is a composite, so every face of a
+    cell is a cell.
 
     The nerve keeps every face table that ``level`` builds, and the first
     ``cap`` rows per dimension that ``faces_of`` makes of other levels, both
@@ -145,6 +147,9 @@ class Nerve(LevelProvider):
             a = next((a for a, d in enumerate(row) if cat.src[d] != x or cat.tgt[d] != x), None)
             if a is not None:
                 raise CompatibilityError(f"boundary at (x, a) = ({x}, {a}) is not an endomorphism of object {x}")
+        if cat.ill_typed_composite is not None:
+            a, b = cat.ill_typed_composite
+            raise CompatibilityError(f"composite at (a, b) = ({a}, {b}) does not run {cat.src[b]}->{cat.tgt[a]}")
         self.xm, self.cap = xm, cap
         self._dims: dict[int, tuple[_Block, ...]] = {}
         self._starts: dict[int, list[int]] = {}
@@ -232,10 +237,7 @@ class Nerve(LevelProvider):
         d_lower = xm.boundary[objs[j + 1]]
         mul_low = xm.fibers[objs[j + 1]].table
         action = xm.action
-        diag = compose[compose[upper[0]][d_upper[upper[1]]]][lower[0]]
-        if diag is None:
-            raise CompatibilityError(f"a face of a {n}-cell is not a {n - 1}-cell: its diagonal leaves its hom-set")
-        merged = [diag]
+        merged = [compose[compose[upper[0]][d_upper[upper[1]]]][lower[0]]]
         eta = lower[0]
         for c in range(j + 1, n):
             if c > j + 1:
@@ -490,15 +492,12 @@ class Nerve(LevelProvider):
             if d < 3:
                 break
             want = [r for *_, ends in jobs for col in ends for r in col]
-        try:
-            for d, columns, made, jobs in reversed(work):
-                for group, plan, digits, ends in jobs:  # ``table``: the faces of d-1, read for d >= 3
-                    for col, faces in zip(columns, self._block_faces(d, plan, digits, table, ends, at)):
-                        col.extend(faces)
-                    made.update(zip(group, itertools.count(len(made))))
-                table, at = columns, made
-        except KeyError:
-            raise CompatibilityError("a face of a 2-cell is not a 1-cell: its diagonal leaves its hom-set") from None
+        for d, columns, made, jobs in reversed(work):
+            for group, plan, digits, ends in jobs:  # ``table``: the faces of d-1, read for d >= 3
+                for col, faces in zip(columns, self._block_faces(d, plan, digits, table, ends, at)):
+                    col.extend(faces)
+                made.update(zip(group, itertools.count(len(made))))
+            table, at = columns, made
         face = _read(table, ranks, at)
         faces = [list(face(j)) for j in range(n + 1)]
         # past the budget the newest rows are read, not kept; ``made`` holds ranks in position order
@@ -516,8 +515,7 @@ class Nerve(LevelProvider):
         tables and digit runs the inner faces need: for n = 2 those of the
         composite diagonal, for n >= 3 the fiber product over x1, d_1's
         corner maps by row-2 value (each made on first use, then kept) and
-        the glue of every d_j's block.  Refuses a block whose inner faces
-        have no block."""
+        the glue of every d_j's block."""
         plan = self._face_plans.get(blk.seq)
         if plan is not None:
             return plan
@@ -531,15 +529,12 @@ class Nerve(LevelProvider):
         row_ends = {b - 1 for _, b in blk.bounds}
         extra = None
         if n == 2:
-            diag = {g: self.mor_rank[g] for g in xm.cat.hom(seq[2], seq[0])}
             # compose[m11 * d(m12)] for every value of row 1, in row 1's own radix
             compose, d_x1 = xm.cat.compose_table, xm.boundary[seq[1]]
             ups = [compose[compose[u][d_x1[a]]] for u in domains[0] for a in range(len(domains[1]))]
-            extra = (ups, domains[2], diag, keep({0, 1}), keep({2}))
+            extra = (ups, domains[2], self.mor_rank, keep({0, 1}), keep({2}))
         elif n >= 3:
-            inner = [block_of.get(seq[:j] + seq[j + 1:]) for j in range(1, n)]
-            if None in inner:
-                raise CompatibilityError(f"a face of a {n}-cell is not a {n - 1}-cell: no cell has its objects")
+            inner = [block_of[seq[:j] + seq[j + 1:]] for j in range(1, n)]
             fiber2 = xm.fibers[seq[2]]
             twists = _Twists(n, fiber2.size, domains[n], xm.boundary[seq[2]], xm.action, xm.cat.compose_table,
                              fiber2.table)
@@ -554,8 +549,7 @@ class Nerve(LevelProvider):
     def face_rows(self, n: int, below: list[list[int]]) -> list[list[int]]:
         """Columns d_0 .. d_n, as ranks, of the n-cells, n >= 1, in rank
         order, with no cell built, dropping the rows kept of dimension n.
-        ``below`` is the face table of dimension n-1, read for n >= 3.  A
-        2-cell whose diagonal leaves its hom-set raises KeyError."""
+        ``below`` is the face table of dimension n-1, read for n >= 3."""
         self._rows.pop(n, None)
         columns = [[] for _ in range(n + 1)]
         for blk in self._dim(n):
@@ -585,9 +579,9 @@ class Nerve(LevelProvider):
         first, last = ends or (digits(runs_first, first_blk.start), digits(runs_last, last_start))
         inner = []
         if n == 2:
-            ups, dom22, diag, runs_row1, runs_m22 = extra
+            ups, dom22, mor_rank, runs_row1, runs_m22 = extra
             composite = map(getitem, map(ups.__getitem__, digits(runs_row1)), map(dom22.__getitem__, digits(runs_m22)))
-            inner.append(list(map(diag.__getitem__, composite)))
+            inner.append(list(map(mor_rank.__getitem__, composite)))
         elif n >= 3:
             mul1, twists, glues, runs_corner, runs_row2, runs_m1n1 = extra
             # fiber candidates are range(size), so a digit is its element
@@ -691,9 +685,7 @@ class _RankMaps:
       nerves of weak n-categories I", TAC 9, 2002).  So the index of s_j c
       in its block is a constant plus runs of c's index digits moved to new
       places.  On faces of the cells under audit it reads a table of s_j on
-      the whole level n-1.
-
-    A face that is not a cell raises KeyError or CompatibilityError."""
+      the whole level n-1."""
 
     def __init__(self, nv: Nerve, maxdim: int):
         self.nv, self.maxdim = nv, maxdim

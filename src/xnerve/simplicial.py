@@ -29,10 +29,9 @@ cells, through ``cell_at``, only in witnesses, group labels and the tuples
 handed out by ``simplicial_kernel`` and ``horns``, so ``horns(...).columns``
 go straight to ``HornFiller.fill_columns``.
 The identity audit evaluates one table of the six identity families, each
-side a word of faces and degeneracies, over columns: on a provider with
-rank maps (``Nerve.rank_maps``) a column holds the ranks of up to a few
-thousand cells of one enumeration block, and on any other provider it holds
-one cell, mapped by ``face`` and ``degeneracy``.
+side a word of faces and degeneracies, over the columns of the provider's
+rank maps (``Nerve.rank_maps``): the ranks of up to a few thousand cells of
+one enumeration block.
 """
 
 from __future__ import annotations
@@ -52,15 +51,14 @@ class LevelProvider:
     n are addressed by rank, 0 .. ``count_cells(n)``-1 in ``cells(n)``
     order.  A subclass gives ``face_rows(n, below)``: n+1 columns, column j
     holding the rank of d_j c of every n-cell c in rank order, from
-    ``below``, the columns of dimension n-1, raising KeyError for a face
-    that is not an (n-1)-cell.  The whole-level checks read ``level``,
-    ``count_cells``, and ``cell_at`` and ``rank_of`` for witnesses, labels
-    and the basepoint.  The identity audit reads ``rank_maps`` where a
-    provider has it, and otherwise ``cells``, ``face`` and ``degeneracy``.
-    ``face_rows`` must agree with ``face``: a ``Nerve`` subclass that
-    overrides ``face`` or ``degeneracy`` must override ``face_rows`` and
-    ``rank_maps`` too.  ``cap`` is the cell budget; ``Nerve`` sets its
-    own."""
+    ``below``, the columns of dimension n-1, raising CompatibilityError for
+    a face that is not an (n-1)-cell.  The whole-level checks read
+    ``level``, ``count_cells``, and ``cell_at`` and ``rank_of`` for
+    witnesses, labels and the basepoint; the identity audit reads
+    ``rank_maps``.  ``face_rows`` must agree with ``face``: a ``Nerve``
+    subclass that overrides ``face`` or ``degeneracy`` must override
+    ``face_rows`` and ``rank_maps`` too.  ``cap`` is the cell budget;
+    ``Nerve`` sets its own."""
 
     cap = DEFAULT_CAPACITY
 
@@ -77,8 +75,8 @@ class LevelProvider:
         columns, its size is ``count_cells(0)``.  Each table is built once
         per provider and then kept.  Refuses with CapacityError, before
         anything is built, whenever ``count_cells`` predicts more cells than
-        ``cap``, and with CompatibilityError for n < 0 or a face that is not
-        a cell of the level below."""
+        ``cap``, with CompatibilityError for n < 0, and as ``face_rows``
+        refuses."""
         if n < 0:
             raise CompatibilityError(f"levels need dimension >= 0, got {n}")
         todo = [(n, self.count_within(n))]
@@ -88,10 +86,7 @@ class LevelProvider:
         levels = self.__dict__.setdefault("_levels", {})
         for k, _ in reversed(todo):
             if k not in levels:
-                try:
-                    levels[k] = self.face_rows(k, levels[k - 1]) if k else []
-                except KeyError:
-                    raise CompatibilityError(f"a face of a {k}-cell is not a {k - 1}-cell; provider is broken") from None
+                levels[k] = self.face_rows(k, levels[k - 1]) if k else []
         return levels[n]
 
     def built(self, n: int) -> list[list[int]] | None:
@@ -101,9 +96,9 @@ class LevelProvider:
 
     def rows_in_kernel(self, n: int) -> bool:
         """Whether every row of ``level(n)`` lies in the kernel: d_j x_k ==
-        d_{k-1} x_j for j < k on the table of dimension n-1.  Only a broken
-        provider has a row that does not.  Decided once per level, on
-        columns."""
+        d_{k-1} x_j for j < k on the table of dimension n-1, simp1 on the
+        n-cells, which input that fails the axioms can break.  Decided once
+        per level, on columns."""
         decided = self.__dict__.setdefault("_in_kernel", {})
         ok = decided.get(n)
         if ok is None:
@@ -294,27 +289,6 @@ def _word(side: str, index: tuple[int, ...]) -> tuple[tuple[str, int], ...]:
     return tuple(word)
 
 
-class _CellMaps:
-    """The audit's maps through a provider's ``face`` and ``degeneracy``:
-    a column is a list of one cell."""
-
-    def __init__(self, p):
-        self.p = p
-
-    def chunks(self, n: int):
-        return ([cell] for cell in self.p.cells(n))
-
-    def face(self, col: list, i: int) -> list:
-        return [self.p.face(cell, i) for cell in col]
-
-    def degeneracy(self, col: list, j: int) -> list:
-        return [self.p.degeneracy(cell, j) for cell in col]
-
-    @staticmethod
-    def cell(col: list, pos: int):
-        return col[pos]
-
-
 def _apply(maps, col, word: tuple[tuple[str, int], ...]):
     """The column of ``word`` applied to the column ``col``."""
     for op, i in word:
@@ -373,19 +347,9 @@ def audit_simplicial(p: LevelProvider, maxdim: int) -> ValidationReport:
     simp3: d_j s_j = id                          simp4: d_{j+1} s_j = id
     simp5: d_k s_j = s_j d_{k-1} (j < k-1)       simp6: s_j s_{k-1} = s_k s_j (j < k)
 
-    A provider with ``rank_maps`` is audited on rank columns.  When a face
-    there is not a cell of its level, which only input that fails the
-    axioms makes, the audit runs again per cell, so that its report or
-    error is the one that per-cell ``face`` gives.  Any other provider needs
-    only ``cells``, ``face`` and ``degeneracy``, and is audited cell by
-    cell.
+    The audit runs on the provider's rank columns, ``p.rank_maps(maxdim)``.
     """
-    if getattr(p, "rank_maps", None) is not None:
-        try:
-            return _audit(p.rank_maps(maxdim), maxdim)
-        except (KeyError, CompatibilityError):
-            pass
-    return _audit(_CellMaps(p), maxdim)
+    return _audit(p.rank_maps(maxdim), maxdim)
 
 
 # -- coskeletality ---------------------------------------------------------
@@ -424,7 +388,8 @@ def check_coskeletal(p: LevelProvider, n: int, upto: int) -> list[CoskeletalReco
         kernel_size = _join(p, k, None, count=True)
         level, cells = p.level(k), p.count_cells(k)
         if not p.rows_in_kernel(k):
-            raise CompatibilityError(f"boundary of a {k}-cell escaped the kernel; provider is broken")
+            raise CompatibilityError(
+                f"boundary of a {k}-cell escaped the kernel: d_j d_k != d_{{k-1}} d_j on its faces")
         distinct = _distinct(level, cells)
         inj_witness = surj_witness = None
         if distinct != cells:

@@ -184,10 +184,9 @@ class PerCellRanks(LevelProvider):
     (``count_cells``, ``face_rows``, ``cell_at``, ``rank_of``) by
     materialising each dimension's cell list and ``cell -> rank`` map.
     ``face_rows`` makes one ``face`` call per face, column by column, and
-    raises KeyError for
-    a face that is not a cell of the level below, whether it is missing from
-    the level or ``face`` refuses to build it: the reference for
-    ``Nerve.face_rows``."""
+    raises CompatibilityError for a face that is not a cell of the level
+    below, whether it is missing from the level or ``face`` refuses to build
+    it: the reference for ``Nerve.face_rows``."""
 
     def _listed(self, n):
         listing = self.__dict__.setdefault("_listing", {})
@@ -206,11 +205,11 @@ class PerCellRanks(LevelProvider):
         return self._listed(cell.dim)[1][cell]
 
     def face_rows(self, n, below):
-        face, ids, js = self.face, self._listed(n - 1)[1], range(n + 1)
-        try:
-            return [[ids[face(c, j)] for c in self._listed(n)[0]] for j in js]
-        except CompatibilityError as exc:
-            raise KeyError(str(exc)) from None
+        ids = self._listed(n - 1)[1]
+        columns = [[ids.get(self.face(c, j)) for c in self._listed(n)[0]] for j in range(n + 1)]
+        if any(None in col for col in columns):
+            raise CompatibilityError(f"a face of a {n}-cell is not a {n - 1}-cell")
+        return columns
 
 
 class ReferenceFiller:

@@ -76,8 +76,8 @@ INPUTS = {
     "union": _union,
     "union_ill_typed": _union_ill_typed,
     "union_two_faults": _union_two_faults,
-    # composites that leave their hom-set: the rank audit raises and re-runs
-    # cell by cell
+    # composites that leave their hom-set: every command that builds the
+    # nerve refuses it
     "pair_compose_1_2": lambda: _pair_composite(1, 2, 1),
     "pair_compose_2_0": lambda: _pair_composite(2, 0, 3),
     # the boundary sends the unit to the non-identity loop: its image is no
@@ -151,8 +151,8 @@ _MORE = {
 }
 # Inputs run on their own commands only.
 _ONLY = {
-    "pair_compose_1_2": [("audit", "--dims", "0..3")],
-    "pair_compose_2_0": [("audit", "--dims", "0..3")],
+    **{name: [("audit", "--dims", "0..3"), ("kan", "--dims", "1..3"), ("enumerate", "--dims", "0..2")]
+       for name in ("pair_compose_1_2", "pair_compose_2_0")},
     "z2_boundary_misses_identity": [("homotopy", "--pi", "1"), ("homotopy", "--pi", "2")],
 }
 

@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import pathlib
+import re
 import sys
 
 import pytest
@@ -266,6 +267,14 @@ def test_crossed_monoid_shape_errors():
         CrossedMonoid(cat=cat, fibers=(z3,), action=((0, 1, 2), (0, 1)), boundary=((0, 0, 0),))  # action row short
     with pytest.raises(StructureError):
         CrossedMonoid(cat=cat, fibers=(z3,), action=((0, 1, 2), (0, 1, 2)), boundary=((0, 0, 7),))  # dangling morphism
+    # a field of the wrong kind is named, not left to fail on first use
+    good = dict(cat=cat, fibers=(z3,), action=((0, 1, 2), (0, 1, 2)), boundary=((0, 0, 0),))
+    for field, value, message in (("fibers", None, "fibers = None is not a list"),
+                                  ("fibers", (5,), "fibers[0] = 5 is not a FiniteMonoid"),
+                                  ("cat", None, "cat = None is not a FiniteCategory")):
+        with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
+            CrossedMonoid(**{**good, field: value})
+    assert CrossedMonoid(**{**good, "fibers": [z3]}).fibers == (z3,)
 
 
 # -- full-scan references ---------------------------------------------------

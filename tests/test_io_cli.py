@@ -371,7 +371,7 @@ def test_cli_reports_package_errors_without_traceback(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run(["coskeletal", str(path), "--dims", "4..4", "--json", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert err == ["ERROR (error): boundary of a 4-cell escaped the kernel; provider is broken"]
+    assert err == ["ERROR (error): boundary of a 4-cell escaped the kernel: d_j d_k != d_{k-1} d_j on its faces"]
     report = json.loads(out.read_text())
     assert report["exit_code"] == 2 and report["error"]["kind"] == "error"
 
@@ -480,29 +480,35 @@ def _write_pair_with_composite(tmp_path, site, value):
 
 def test_audit_reports_three_entry_witnesses(tmp_path, capsys):
     # simp3/simp4 witnesses are (n, j, cell); the others are (n, j, k, cell)
-    path = _write_pair_with_composite(tmp_path, (1, 2), 1)
+    from test_algebra import _corrupt
+
+    path = tmp_path / "f4.json"
+    path.write_text(serialize(from_crossed_monoid(_corrupt(fixtures.z2_with_z3_fiber(), "mul", (0, 0, 0), 1))))
     out = tmp_path / "report.json"
     assert run(["audit", str(path), "--dims", "0..3", "--json", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err == ""
     lines = captured.out.splitlines()
     assert lines[0].startswith("FAIL axioms: ") and len(lines) == 2
-    assert lines[1] == "FAIL simplicial-identities<= 3: simp1 at (2, 0, 1) on 2|1,1,0|1,0;2; simp4 at (1, 0) on 1|1,0|2"
+    assert lines[1] == ("FAIL simplicial-identities<= 3: simp2 at (2, 1, 2) on 2|0,0,0|0,0;0; "
+                        "simp3 at (2, 1) on 2|0,0,0|0,0;0; simp4 at (2, 0) on 2|0,0,0|0,0;0; "
+                        "simp5 at (2, 0, 2) on 2|0,0,0|0,0;0")
     report = json.loads(out.read_text())
     assert report["exit_code"] == 2 and report["checks"][1]["detail"] == lines[1].split(": ", 1)[1]
 
 
-def test_audit_refuses_a_diagonal_that_leaves_its_hom_set(tmp_path, capsys):
+def test_audit_refuses_a_composite_that_leaves_its_hom_set(tmp_path, capsys):
     path = _write_pair_with_composite(tmp_path, (2, 0), 3)
     out = tmp_path / "report.json"
     assert run(["audit", str(path), "--dims", "0..3", "--json", str(out)]) == 2
     captured = capsys.readouterr()
-    message = "a face of a 2-cell is not a 1-cell: its diagonal leaves its hom-set"
+    message = "composite at (a, b) = (2, 0) does not run 0->1"
     assert captured.err.splitlines() == [f"ERROR (error): {message}"]
     assert captured.out.startswith("FAIL axioms: ") and len(captured.out.splitlines()) == 1
     report = json.loads(out.read_text())
     assert report["error"] == {"kind": "error", "message": message} and "checks" not in report
-    assert "cat.endpoints" in [v["axiom"] for v in report["axioms"]["violations"]]
+    assert {"axiom": "cat.endpoints", "witness": [2, 0], "detail": "composite has wrong endpoints"} \
+        in report["axioms"]["violations"]
 
 
 def test_a_path_with_a_nul_byte_is_an_io_error(file_z2_z3, tmp_path, capsys):

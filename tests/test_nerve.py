@@ -2,6 +2,7 @@ import inspect
 import itertools
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import (XMorphism, corner_triples, entry, eta, identity_xmorphism, induced_cell, kept_rows, morphism_cell,
                       pair_groupoid_z3_relabelled, rows)
 from xnerve import fixtures
-from xnerve.algebra import gather
+from xnerve.algebra import gather, validate_crossed_monoid
 from xnerve.errors import CapacityError, CellError, CompatibilityError
 from xnerve.fillers import HornFiller
 from xnerve.nerve import Nerve, NerveCell, _keep_runs, _ranks, _read, _spell
@@ -515,3 +516,27 @@ def test_a_high_dimension_is_built_without_the_ones_below():
     # deeper than the default recursion limit: a dimension needs no lower one
     nv = Nerve(fixtures.trivial_point())
     assert nv.count_cells(1200) == 1 and nv.cell_at(1200, 0).dim == 1200
+
+
+def test_every_composite_moved_outside_its_hom_set_is_refused_naming_the_validators_witness():
+    # an inner face is a composite, so a nerve is refused before any cell
+    # has a face outside its level; the refusal names cat.endpoints' witness
+    from test_algebra import _corrupt
+
+    refused = {}
+    for name, build in sorted(RANK_FIXTURES.items()):
+        xm = build()
+        cat = xm.cat
+        for a, b in itertools.product(cat.morphisms(), repeat=2):
+            c = cat.compose_table[a][b]
+            for value in () if c is None else sorted(set(cat.morphisms()) - set(cat.hom(cat.src[b], cat.tgt[a]))):
+                bad = _corrupt(xm, "compose", (a, b), value)
+                with pytest.raises(CompatibilityError) as err:
+                    Nerve(bad)
+                named = re.fullmatch(r"composite at \(a, b\) = \((\d+), (\d+)\) does not run (\d+)->(\d+)",
+                                     str(err.value))
+                assert named is not None, str(err.value)
+                assert tuple(map(int, named.groups())) == (a, b, cat.src[b], cat.tgt[a])
+                assert validate_crossed_monoid(bad).find("cat.endpoints").witness == (a, b)
+                refused[name] = refused.get(name, 0) + 1
+    assert refused == {"f6_and_idempotent": 6, "pair_groupoid_z3": 24, "pair_groupoid_z3_relabelled": 24}

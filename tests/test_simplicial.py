@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import PerCellRanks, boundary, is_compatible, morphism_cell, pair_groupoid_z3_relabelled, rows
 from test_algebra import _corrupt, permutation_module
 from xnerve import fixtures, simplicial
-from xnerve.algebra import ValidationReport, Violation
+from xnerve.algebra import FiniteMonoid, ValidationReport, Violation, validate_crossed_monoid
 from xnerve.errors import CapacityError, CompatibilityError, NotKanError
 from xnerve.cli import run
 from xnerve.homotopy import higher_vanishing, pi_compare
@@ -178,7 +178,7 @@ def test_audit_catches_fault_injection(nv_z2):
     victim = cells2[0]
     wrong = morphism_cell(nv_z2, 1) if nv_z2.face(victim, 0) == morphism_cell(nv_z2, 0) else morphism_cell(nv_z2, 0)
     corrupted = CorruptedFace(nv_z2, victim, wrong)
-    report = audit_simplicial(corrupted, 2)
+    report = simplicial._audit(CellMaps(corrupted), 2)
     assert not report.passed
     assert any(v.axiom in {"simp1", "simp2", "simp3", "simp4"} for v in report.violations)
 
@@ -269,7 +269,8 @@ def ref_check_coskeletal(p, n, upto):
             if other != cell and inj is None:
                 inj = (other, cell)
         if image.keys() - kernel:
-            raise CompatibilityError(f"boundary of a {k}-cell escaped the kernel; provider is broken")
+            raise CompatibilityError(
+                f"boundary of a {k}-cell escaped the kernel: d_j d_k != d_{{k-1}} d_j on its faces")
         missing = kernel - image.keys()
         witness = min(missing) if missing else None
         records.append(CoskeletalRecord(
@@ -400,23 +401,24 @@ def test_level_tables_match_face_and_sort_order(name):
         assert face_tables_or_error(p, maxdim) == face_tables_or_error(PerCell(p), maxdim)
 
 
-def test_level_tables_refuse_an_ill_typed_composite_like_the_reference():
-    # g*g lands on the other object, so a 2-cell's diagonal has no 1-cell
-    nv = Nerve(_corrupt(_union_f6_idempotent(), "compose", (1, 1), 2))
-    expected = face_tables_or_error(PerCell(nv), 3)
-    assert expected[-1] == "a face of a 2-cell is not a 1-cell; provider is broken"
-    assert face_tables_or_error(nv, 3) == expected
+def test_an_ill_typed_composite_is_refused_when_the_nerve_is_built():
+    # g*g lands on the other object, so a 2-cell's inner face would have no
+    # 1-cell: the nerve is refused, naming the validator's witness
+    xm = _corrupt(_union_f6_idempotent(), "compose", (1, 1), 2)
+    assert validate_crossed_monoid(xm).find("cat.endpoints").witness == (1, 1)
+    with pytest.raises(CompatibilityError, match=r"^composite at \(a, b\) = \(1, 1\) does not run 0->0$"):
+        Nerve(xm)
 
 
 def _level_corruption_sites(xm):
     """Per table kind, (site, other values) for every entry of the tables
     the nerve reads, restricted to the values ``Nerve(xm)`` accepts:
-    composites may leave their hom-set, boundary values stay endomorphisms."""
+    composites stay in their hom-set, boundary values stay endomorphisms."""
     cat = xm.cat
     sites = {
         "mul": [((x, a, b), [v for v in f.elements() if v != f.table[a][b]])
                 for x, f in enumerate(xm.fibers) for a in f.elements() for b in f.elements()],
-        "compose": [((a, b), [v for v in cat.morphisms() if v != c])
+        "compose": [((a, b), [v for v in cat.hom(cat.src[b], cat.tgt[a]) if v != c])
                     for a in cat.morphisms() for b, c in enumerate(cat.compose_table[a]) if c is not None],
         "action": [((m, a), [v for v in xm.fibers[cat.src[m]].elements() if v != xm.action[m][a]])
                    for m in cat.morphisms() for a in range(len(xm.action[m]))],
@@ -544,8 +546,22 @@ def test_the_row_check_fails_where_a_corrupted_row_is_read():
     for name in ("F4", "F6", "pair", "idempotent"):
         q = PROVIDERS[name]()
         assert all(q.rows_in_kernel(n) for n in range(5))
-    with pytest.raises(CompatibilityError, match="^boundary of a 3-cell escaped the kernel; provider is broken$"):
+    message = "boundary of a 3-cell escaped the kernel: d_j d_k != d_{k-1} d_j on its faces"
+    with pytest.raises(CompatibilityError, match=f"^{re.escape(message)}$"):
         check_coskeletal(p, 2, 3)
+
+
+def test_a_non_associative_category_escapes_the_kernel_by_simp1():
+    # an order-5 loop as a one-object category: only cat.assoc fails, every
+    # face is a cell, and the faces of some 3-cell break simp1
+    loop = FiniteMonoid(5, 0, ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0)))
+    xm = fixtures.one_object_crossed_monoid(loop, fixtures.cyclic_monoid(1))
+    assert validate_crossed_monoid(xm).axioms() == ("cat.assoc",)
+    nv = Nerve(xm)
+    assert audit_simplicial(nv, 3).find("simp1").witness[0] == 3 and not nv.rows_in_kernel(3)
+    message = "boundary of a 3-cell escaped the kernel: d_j d_k != d_{k-1} d_j on its faces"
+    with pytest.raises(CompatibilityError, match=f"^{re.escape(message)}$"):
+        check_coskeletal(nv, 1, 3)
 
 
 @pytest.mark.parametrize("build,cap,check,message", [
@@ -702,6 +718,27 @@ def ref_audit_simplicial(p, maxdim):
     return ValidationReport(ordered)
 
 
+class CellMaps:
+    """The audit's maps through a provider's ``face`` and ``degeneracy``,
+    for providers with no rank maps: a column is a list of one cell."""
+
+    def __init__(self, p):
+        self.p = p
+
+    def chunks(self, n):
+        return ([cell] for cell in self.p.cells(n))
+
+    def face(self, col, i):
+        return [self.p.face(cell, i) for cell in col]
+
+    def degeneracy(self, col, j):
+        return [self.p.degeneracy(cell, j) for cell in col]
+
+    @staticmethod
+    def cell(col, pos):
+        return col[pos]
+
+
 class Alias(NamedTuple):
     """Stands in for ``real``; a ``Scripted`` provider can give it its own
     faces and degeneracies."""
@@ -766,7 +803,7 @@ def test_audit_matches_reference_on_corrupted_providers(build):
     nv = Nerve(build())
     providers = list(corrupted_providers(nv, 3))
     for p in providers:
-        report = audit_simplicial(p, 3)
+        report = simplicial._audit(CellMaps(p), 3)
         assert report == ref_audit_simplicial(p, 3), p.table
         assert not report.passed
     assert audit_simplicial(nv, 3) == ref_audit_simplicial(nv, 3)
@@ -792,7 +829,7 @@ def test_audit_witness_is_the_first_failure_with_k_outer_and_j_inner():
         (s0, "degeneracy", 3): JUNK,  # simp6 at (0, 3)
     }
     p = Scripted(nv, table)
-    report = audit_simplicial(p, 3)
+    report = simplicial._audit(CellMaps(p), 3)
     assert report == ref_audit_simplicial(p, 3)
     assert [(w.axiom, w.witness) for w in report.violations] == [
         ("simp1", (3, 1, 2, v)), ("simp2", (3, 1, 2, v)), ("simp5", (3, 1, 3, v)), ("simp6", (3, 1, 2, v)),

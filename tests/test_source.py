@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import re
 
 import xnerve
 
@@ -122,3 +123,23 @@ def test_only_cli_run_picks_an_exit_code():
                 scope = owner[scope]
             scopes.add("<module>" if scope is tree else getattr(scope, "name", "<lambda>"))
     assert scopes == {"<module>", "run"}
+
+
+def test_no_module_catches_key_error():
+    # A face outside its level is refused where the nerve is built, so no
+    # KeyError is a signal to catch: a handler for one would hide a fault
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                found += [f"{path.name}:{node.lineno}" for t in types if isinstance(t, ast.Name) and t.id == "KeyError"]
+    assert SOURCES and found == []
+
+
+def test_readme_python_blocks_run():
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme.read_text(encoding="utf-8"), flags=re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), {})
