@@ -6,16 +6,16 @@
 Commands: validate, classify, enumerate, audit, coskeletal, kan, fill,
 homotopy.  A command returns its checks and ``run`` alone picks the exit
 code: 0 when every check passes, else 2 (a property fails); ``classify``
-reports structural flags, not verdicts, and always exits 0.  The nerve
-commands validate their input first, so an input that fails the axioms gets
-the failed ``axioms`` check in front of its report and exits 2 (beside an
-error, the check is stored under ``axioms``).  An error exits with its
-kind's code: 1 the input cannot be read (io) or has a structural error
-(structural), 2 an operation refuses (refusal, not-kan, error; a witness is
-reported), an argument is out of range (argument) or the ``--json`` path
-cannot be written (io), 3 an enumeration exceeds the cell budget or a
-dimension cannot fit in it (capacity).  Every error ends in one
-``ERROR (kind): ...`` line on stderr and an ``error`` block in the JSON report.
+reports structural flags, not verdicts, which never set its exit code.
+Every command but ``validate`` validates its input first: an input that
+fails the axioms gets the failed ``axioms`` check in front of its report
+and exits 2 (beside an error, the check is stored under ``axioms``).  An
+error exits with its kind's code: 1 the input cannot be read (io) or has a
+structural error (structural), 2 an operation refuses (refusal, not-kan,
+error; a witness is reported), an argument is out of range (argument) or
+the ``--json`` path cannot be written (io), 3 an enumeration exceeds the
+cell budget or a dimension cannot fit in it (capacity).  Every error ends in
+one ``ERROR (kind): ...`` line on stderr and an ``error`` block in the JSON report.
 """
 
 from __future__ import annotations
@@ -223,9 +223,6 @@ def cmd_homotopy(xm, args) -> list[dict]:
     return checks
 
 
-# Commands that run on the nerve: ``run`` validates their input first.
-_NERVE_COMMANDS = frozenset({"enumerate", "audit", "coskeletal", "kan", "fill", "homotopy"})
-
 _COMMANDS = {
     "validate": cmd_validate,
     "classify": cmd_classify,
@@ -271,7 +268,7 @@ def run(argv: list[str] | None = None) -> int:
         if args.max_cells < 1:
             raise ArgumentError(f"--max-cells must be at least 1, got {args.max_cells}")
         xm = load_path(args.file)
-        if args.command in _NERVE_COMMANDS:
+        if args.command != "validate":
             check = _axioms_check(xm)
             if not check["passed"]:
                 failed_axioms = check
@@ -287,8 +284,9 @@ def run(argv: list[str] | None = None) -> int:
     finally:
         if collecting:
             gc.enable()
-    if checks is not None:  # classify reports structural flags, not verdicts
-        code = EXIT_OK if args.command == "classify" or all(c["passed"] for c in checks) else EXIT_PROPERTY
+    if checks is not None:  # classify reports structural flags, not verdicts: only its axioms check counts
+        verdicts = [c for c in checks if args.command != "classify" or c is failed_axioms]
+        code = EXIT_OK if all(c["passed"] for c in verdicts) else EXIT_PROPERTY
         report.update(passed=code == EXIT_OK, exit_code=code, checks=checks)
         for line in _report_lines(checks):
             print(line)

@@ -21,11 +21,11 @@ rows it keeps of other levels (every slot and column reads them) and its
 cell budget.  Nothing is assumed of the input; each check compares columns
 of ints and a failure raises CompatibilityError: the horn has n faces in
 columns of one length, ranks of (n-1)-cells, and a slot in 0..n, the faces
-match up as a horn, every completed 3-tuple satisfies eq:image, the first
-and last faces of every cell built overlap, and every face column of the
-filler and, for n >= 3, of the missing face is the column it was built
-from.  A refused column raises the error of its first refused horn, as that
-horn alone would.
+match up as a horn, every completed 3-tuple satisfies eq:image, and every
+face column of the filler and, for n >= 3, of the missing face is the
+column it was built from, which is also the one check that its outer faces
+overlap.  A refused column raises the error of its first refused horn, as
+that horn alone would.
 
 The boundary-image equation for a compatible 4-tuple (M0, M1, M2, M3) of
 2-cells reads, with g the lower diagonal of M3 and c_j the corner of M_j:
@@ -119,9 +119,8 @@ class HornFiller:
         corner = self._missing_corner(l, faces, rows, beta) if n == 3 else None
         missing = self._missing_edge(l, faces) if n == 2 else self._cell_with_boundary(n - 1, beta, corner)
         completed = list(faces)
-        completed.insert(l, missing)  # ends of faces 0 and n: from rows, or beta, checked on rebuilt faces (n >= 3)
-        first, last = beta[-1] if l == 0 else rows[0][n - 1], beta[0] if l == n else rows[-1][0]
-        return self._cell_with_boundary(n, completed, ends=(first, last) if n >= 3 or 0 < l < n else None)
+        completed.insert(l, missing)
+        return self._cell_with_boundary(n, completed)
 
     def _missing_edge(self, l: int, faces: list[list[int]]) -> list[int]:
         """The omitted 1-faces of dimension-2 horns, from groupoid inverses:
@@ -159,18 +158,17 @@ class HornFiller:
             return act_inv[f2.product((act[c2], c0, f2.inverse[c1]))]
         return list(map(corner, gs, *c))
 
-    def _cell_with_boundary(self, n: int, faces: list[list[int]], corner=None, ends=None) -> list[int]:
+    def _cell_with_boundary(self, n: int, faces: list[list[int]], corner=None) -> list[int]:
         """Ranks of the n-cells, n >= 2, with the face ranks ``faces`` (one
-        column per face), built through the corner bijection.  The corner
-        is ``corner`` if given, else a unit for n = 2, the solution of rule
-        eq:image for n = 3 and that of face 2 for n >= 4.  Refuses tuples
-        that fail eq:image, whose outer faces do not overlap (``ends``, if
-        given, are d_{n-1} of face 0 and d_0 of face n), or whose cells have
-        another boundary.  The only place a filler assembles cells."""
+        column per face), built through the corner bijection from faces 0
+        and n.  The corner is ``corner`` if given, else a unit for n = 2,
+        the solution of rule eq:image for n = 3 and that of face 2 for
+        n >= 4.  Refuses tuples that fail eq:image, or whose cells have
+        another face row, as when d_{n-1} of face 0 is not d_0 of face n.
+        The only place a filler assembles cells."""
         nv, xm = self.nerve, self.xm
-        first, last = ends or (nv.faces_of(n - 1, faces[0])[n - 1], nv.faces_of(n - 1, faces[-1])[0])
         if corner is None and n == 2:
-            corner = [xm.fibers[x].unit for x in last]  # a 0-cell's rank is its object
+            corner = [xm.fibers[xm.cat.src[nv.mor_at[r]]].unit for r in faces[-1]]  # over d_0 of face 2
         elif corner is None and n == 3:
             c = [nv.corners(2, col) for col in faces]
             gs = [nv.mor_at[r] for r in nv.faces_of(2, faces[3])[0]]
@@ -180,8 +178,6 @@ class HornFiller:
             corner = [f.product((f.inverse[c3], c2)) for f, c2, c3 in zip(fibers, c[2], c[3])]
         elif corner is None:
             corner = nv.corners(n - 1, faces[2])
-        if first != last:
-            raise CompatibilityError("faces do not overlap: d_{n-1}(first) != d_0(last)")
         cells = nv.assemble_ids(n, faces[0], faces[-1], corner)
         for j, (got, expected) in enumerate(zip(nv.faces_of(n, cells), faces)):
             if got != expected:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .algebra import first_nonassociative, generating_set
-from .errors import StructureError
+from .errors import XNerveError
 
 
 @dataclass(frozen=True)
@@ -26,19 +26,19 @@ class GroupPresentation:
     def verify(self) -> None:
         n = self.order
         if len(self.table) != n or any(len(r) != n for r in self.table):
-            raise StructureError("group table is not square")
+            raise XNerveError("group table is not square")
         if any(not 0 <= v < n for r in self.table for v in r):
-            raise StructureError("group table entry out of range")
+            raise XNerveError("group table entry out of range")
         t = self.table
         for a in range(n):
             if t[self.unit][a] != a or t[a][self.unit] != a:
-                raise StructureError(f"unit not neutral on {a}")
+                raise XNerveError(f"unit not neutral on {a}")
         bad = first_nonassociative(t, generating_set(t))
         if bad is not None:
-            raise StructureError("not associative at ({},{},{})".format(*bad))
+            raise XNerveError("not associative at ({},{},{})".format(*bad))
         for a in range(n):
             if all(t[a][b] != self.unit or t[b][a] != self.unit for b in range(n)):
-                raise StructureError(f"element {a} has no inverse")
+                raise XNerveError(f"element {a} has no inverse")
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -115,11 +115,11 @@ def subgroup_presentation(labels: list[str], elements: list[int], mul, unit: int
     """Table for a subset closed under ``mul``; raises if it is not closed."""
     index = {e: i for i, e in enumerate(elements)}
     if unit not in index:
-        raise StructureError("unit missing from the subset")
+        raise XNerveError("unit missing from the subset")
     table = []
     for a in elements:
         row = tuple(index.get(mul(a, b)) for b in elements)
         if None in row:
-            raise StructureError(f"subset not closed: {a}*{elements[row.index(None)]} escapes")
+            raise XNerveError(f"subset not closed: {a}*{elements[row.index(None)]} escapes")
         table.append(row)
     return GroupPresentation(labels=tuple(labels), unit=index[unit], table=tuple(table))

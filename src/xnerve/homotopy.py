@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import CrossedMonoid
-from .errors import CompatibilityError, StructureError, XNerveError
+from .errors import CompatibilityError, XNerveError
 from .groups import GroupPresentation, find_isomorphism, subgroup_presentation
 from .nerve import Nerve
 from .simplicial import UnionFind, based_classes, pi_bruteforce
@@ -88,7 +88,7 @@ def pi2(xm: CrossedMonoid, t: int) -> GroupPresentation:
     kernel = [a for a in fiber.elements() if xm.boundary[t][a] == one]
     try:
         g = subgroup_presentation(labels=[str(a) for a in kernel], elements=kernel, mul=fiber.mul, unit=fiber.unit)
-    except StructureError as exc:  # only an input that fails the axioms
+    except XNerveError as exc:  # only an input that fails the axioms
         raise XNerveError(f"boundary kernel at object {t} is not a subgroup: {exc}") from None
     g.verify()
     if not g.is_abelian:

@@ -401,35 +401,34 @@ class Nerve(LevelProvider):
         every triple of three equally long columns, the faces given as
         ranks.  Their overlap is not compared; only a pair with no common
         object sequence, or a corner outside its fiber, is refused, the
-        first refused triple raising.  The triples are assembled by pair of
-        face blocks, each pair's refusals checked once."""
+        first refused triple raising.  Columns of one pair of face blocks,
+        as on every one-block level, are assembled whole once their corners
+        are in range; others in one pass, each triple reading the glue of
+        its pair."""
         if n < 2:
             raise CompatibilityError("corner splitting needs dimension >= 2")
         blocks = self._dim(n - 1)
         self._dim(n)
         lbs, fbs = self._block_indices(n - 1, lasts), self._block_indices(n - 1, firsts)
-        # triple indices by pair of face blocks; a level of one block has one pair
-        groups: dict[tuple[int, int], Sequence[int]] = {(0, 0): range(len(lbs))} if len(blocks) == 1 and lbs else {}
-        for i, pair in enumerate(zip(lbs, fbs) if len(blocks) > 1 else ()):
-            groups.setdefault(pair, []).append(i)
-        glues, ok = {}, True
-        for (b_last, b_first), idxs in groups.items():
+        glues = {}
+        for b_last, b_first in {(0, 0)} if len(blocks) == 1 and lbs else set(zip(lbs, fbs)):
             lseq, fseq = blocks[b_last].seq, blocks[b_first].seq
             blk = self._block_of.get(lseq + fseq[-1:])
-            glue = glues[b_last, b_first] = None if blk is None or lseq[1:] != fseq[:-1] else self._glue_of(blk)
-            cs = list(map(corners.__getitem__, idxs))  # checked against this pair's own fiber
-            ok = ok and glue is not None and 0 <= min(cs) <= max(cs) < glue[5]
-        if not ok:
-            for b_last, b_first, corner in zip(lbs, fbs, corners):  # the first refused triple raises
-                if glues[b_last, b_first] is None:
-                    raise CompatibilityError("faces do not overlap: d_{n-1}(first) != d_0(last)")
-                if not 0 <= corner < glues[b_last, b_first][5]:
-                    raise CompatibilityError(f"corner {corner} outside the fiber over object {blocks[b_last].seq[1]}")
+            glues[b_last, b_first] = None if blk is None or lseq[1:] != fseq[:-1] else self._glue_of(blk)
         if len(glues) == 1:
-            return _glue(next(iter(glues.values())), firsts, lasts, corners)
-        made = {pair: iter(_glue(glues[pair], *map(gather(idxs), (firsts, lasts, corners))))
-                for pair, idxs in groups.items()}
-        return list(map(next, map(made.__getitem__, zip(lbs, fbs))))
+            (glue,) = glues.values()
+            if glue is not None and 0 <= min(corners) <= max(corners) < glue[5]:
+                return _glue(glue, firsts, lasts, corners)
+        cells = []
+        for b_last, b_first, first, last, corner in zip(lbs, fbs, firsts, lasts, corners):
+            glue = glues[b_last, b_first]
+            if glue is None:
+                raise CompatibilityError("faces do not overlap: d_{n-1}(first) != d_0(last)")
+            start, fstart, fsize, lstart, ltail, fiber = glue  # as in _glue
+            if not 0 <= corner < fiber:
+                raise CompatibilityError(f"corner {corner} outside the fiber over object {blocks[b_last].seq[1]}")
+            cells.append(start - fstart + ((last - lstart) // ltail * fiber + corner) * fsize + first)
+        return cells
 
     def _check_ranks(self, n: int, ranks: Sequence[int]) -> None:
         """Raise IndexError on the first rank that is not one of the n-cells."""

@@ -61,6 +61,13 @@ def _pair_composite(i: int, j: int, value: int):
     return dataclasses.replace(pair, cat=cat)
 
 
+def _loop5():
+    """An order-5 loop that is not associative, as a one-object category
+    with a trivial fiber: it fails ``cat.assoc`` only."""
+    table = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
+    return fixtures.one_object_crossed_monoid(FiniteMonoid(5, 0, table), fixtures.trivial_monoid())
+
+
 INPUTS = {
     "trivial": fixtures.trivial_point,
     "z2": fixtures.group_z2,
@@ -83,6 +90,7 @@ INPUTS = {
     # the boundary sends the unit to the non-identity loop: its image is no
     # subgroup and its kernel is empty
     "z2_boundary_misses_identity": lambda: dataclasses.replace(fixtures.group_z2(), boundary=((1,),)),
+    "loop5": _loop5,
 }
 
 # Per input: the commands run on every input, then the larger or budgeted
@@ -154,6 +162,8 @@ _ONLY = {
     **{name: [("audit", "--dims", "0..3"), ("kan", "--dims", "1..3"), ("enumerate", "--dims", "0..2")]
        for name in ("pair_compose_1_2", "pair_compose_2_0")},
     "z2_boundary_misses_identity": [("homotopy", "--pi", "1"), ("homotopy", "--pi", "2")],
+    # pi1's group table is not associative: an error, not a structural one
+    "loop5": [("validate",), ("classify",), ("homotopy", "--pi", "0,1,2")],
 }
 
 

@@ -20,7 +20,7 @@ from xnerve.algebra import (
     generating_set,
     validate_crossed_monoid,
 )
-from xnerve.errors import NotComposableError, StructureError
+from xnerve.errors import NotComposableError, StructureError, XNerveError
 from xnerve.groups import GroupPresentation
 
 WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -524,21 +524,21 @@ def ref_classify(xm: CrossedMonoid) -> Classification:
 def ref_group_verify(g: GroupPresentation) -> None:
     n = g.order
     if len(g.table) != n or any(len(r) != n for r in g.table):
-        raise StructureError("group table is not square")
+        raise XNerveError("group table is not square")
     if any(not 0 <= v < n for r in g.table for v in r):
-        raise StructureError("group table entry out of range")
+        raise XNerveError("group table entry out of range")
     t = g.table
     for a in range(n):
         if t[g.unit][a] != a or t[a][g.unit] != a:
-            raise StructureError(f"unit not neutral on {a}")
+            raise XNerveError(f"unit not neutral on {a}")
     for a in range(n):
         for b in range(n):
             for c in range(n):
                 if t[t[a][b]][c] != t[a][t[b][c]]:
-                    raise StructureError(f"not associative at ({a},{b},{c})")
+                    raise XNerveError(f"not associative at ({a},{b},{c})")
     for a in range(n):
         if all(t[a][b] != g.unit or t[b][a] != g.unit for b in range(n)):
-            raise StructureError(f"element {a} has no inverse")
+            raise XNerveError(f"element {a} has no inverse")
 
 
 # -- structures beyond the fixtures -------------------------------------------
@@ -587,7 +587,7 @@ BUILT = {name: build() for name, build in STRUCTURES.items()}
 def _group_verdict(g: GroupPresentation, verify) -> str | None:
     try:
         verify(g)
-    except StructureError as exc:
+    except XNerveError as exc:
         return str(exc)
     return None
 

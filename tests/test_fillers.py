@@ -444,12 +444,27 @@ def test_column_fill_equals_the_reference_filler(name):
             assert hf.fill_columns(n, l, columns) == [ref.fill_ids(n, l, h) for h in zip(*columns)]
 
 
-def test_a_filler_takes_the_ends_of_faces_0_and_n_from_the_horn_and_beta(monkeypatch):
+def test_outer_faces_that_do_not_overlap_fail_the_face_row_check():
+    # d_4 of the assembled cell is face 4 exactly when d_3 of face 0 is d_0
+    # of face 4, so the face-row check refuses a face 4 from another cell
+    nv = Nerve(fixtures.z2_with_z3_fiber_twisted())
+    ranks = list(range(0, nv.count_cells(4), 97))
+    rows = nv.faces_of(4, ranks)
+    starts = nv.faces_of(3, rows[4])[0]  # d_0 of every face 4
+    other = next(i for i, s in enumerate(starts) if s != starts[0])
+    faces = [col[:1] for col in rows]
+    faces[4] = [rows[4][other]]
+    assert nv.faces_of(3, faces[0])[3] != nv.faces_of(3, faces[4])[0]
+    with pytest.raises(CompatibilityError, match=r"^boundary reconstruction failed at face \d$"):
+        HornFiller(nv)._cell_with_boundary(4, faces)
+
+
+def test_a_filler_reads_face_rows_only_for_the_horn_and_its_checks(monkeypatch):
     # Per slot of dimension n >= 3: n faces_of calls for the horn's rows,
-    # 3 for the rebuilt face (its two ends and its check), 1 for the
-    # filler's check, and one for the diagonal of the eq:image check of
-    # the filler (n = 3) or of the rebuilt face (n = 4).  The filler's ends
-    # are read from the rows and from beta, in every slot.
+    # 1 for the rebuilt face's check, 1 for the filler's check, and one for
+    # the diagonal of the eq:image check of the filler (n = 3) or of the
+    # rebuilt face (n = 4).  No cell's outer faces are read for an overlap
+    # test: its face-row check covers it.
     nv = Nerve(fixtures.z2_with_z3_fiber_twisted())
     hf, ref, calls, real = HornFiller(nv), ReferenceFiller(nv), [], Nerve.faces_of
     monkeypatch.setattr(Nerve, "faces_of", lambda self, n, ranks: calls.append(n) or real(self, n, ranks))
@@ -458,7 +473,7 @@ def test_a_filler_takes_the_ends_of_faces_0_and_n_from_the_horn_and_beta(monkeyp
             columns = _sampled_horn_columns(nv, n, l, 20, seed=n + l)
             calls.clear()
             filled = hf.fill_columns(n, l, columns)
-            assert len(calls) == n + 4 + (n in (3, 4))
+            assert len(calls) == n + 2 + (n in (3, 4))
             assert filled == [ref.fill_ids(n, l, h) for h in zip(*columns)]
 
 

@@ -413,6 +413,18 @@ def test_nerve_commands_flag_inputs_that_fail_the_axioms(tmp_path, capsys, argv)
     assert len(report["checks"]) == len(lines)
 
 
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_every_command_puts_the_failed_axioms_first(tmp_path, capsys, command):
+    # validate's one check is the axioms check; every other command puts it
+    # in front of its report or error, and exits 2, classify too
+    path = tmp_path / "broken.json"
+    path.write_text(serialize(from_crossed_monoid(fixtures.broken_exchange())))
+    assert run([command, str(path)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "FAIL axioms: cr3 witness (0, 1, 1) (exchange rule fails: 2 != 0)"
+    assert sum(line.startswith("FAIL axioms") for line in lines) == 1
+
+
 def test_failing_axioms_are_reported_beside_a_command_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text(serialize(from_crossed_monoid(fixtures.broken_exchange())))

@@ -491,15 +491,6 @@ def test_assemble_ids_checks_each_pair_against_its_own_fiber():
         faces, corners = nv.faces_of(n, ranks), nv.corners(n, ranks)
         assert max(corners) == 2 and {nv.cell_at(n, r).objects[1] for r in ranks} == {0, 1}
         assert nv.assemble_ids(n, faces[0], faces[n], corners) == ranks
-        # valid corners run no per-triple check: the corners are gathered per pair, never iterated
-        walked = []
-
-        class Corners(list):
-            def __iter__(self):
-                walked.append(1)
-                return super().__iter__()
-
-        assert nv.assemble_ids(n, faces[0], faces[n], Corners(corners)) == ranks and walked == []
         # the first refused triple raises, whatever its pair
         bad = [r for r in ranks if nv.cell_at(n, r).objects[1] == 1][-2:]
         for r in bad:

@@ -23,11 +23,13 @@ def test_report_is_byte_identical(entry):
 def test_exit_code_is_zero_exactly_when_every_check_passes():
     # ``cli.run`` alone picks the exit code of a report: 0 when every check
     # passes, else 2; classify reports structural flags, not verdicts, and
-    # always exits 0
+    # exits 2 only when its report carries the failed axioms check
     reports = [(e["argv"], e["exit_code"], json.loads(e["json"])) for e in ENTRIES if e["json"] is not None]
-    ruled = [(argv, code, [c["passed"] for c in doc["checks"]]) for argv, code, doc in reports if "checks" in doc]
-    wrong = [argv for argv, code, passed in ruled
-             if code != (0 if argv[0] == "classify" or all(passed) else 2)]
+    ruled = [(argv, code, [c["passed"] for c in doc["checks"] if argv[0] != "classify" or c["label"] == "axioms"])
+             for argv, code, doc in reports if "checks" in doc]
+    wrong = [argv for argv, code, passed in ruled if code != (0 if all(passed) else 2)]
     assert wrong == []
     assert {code for _, code, _ in ruled} == {0, 2}
-    assert any(argv[0] == "classify" and not all(passed) for argv, _, passed in ruled)
+    classify = [(code, doc["checks"]) for argv, code, doc in reports if argv[0] == "classify"]
+    assert any(code == 0 and not all(c["passed"] for c in checks) for code, checks in classify)
+    assert any(code == 2 and checks[0]["label"] == "axioms" for code, checks in classify)

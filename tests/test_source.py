@@ -125,6 +125,21 @@ def test_only_cli_run_picks_an_exit_code():
     assert scopes == {"<module>", "run"}
 
 
+def test_only_the_readers_of_a_document_raise_a_structural_error():
+    # The ``structural`` kind (exit 1) is for a document that cannot be used:
+    # ``io`` and the ``algebra`` constructors raise StructureError on its
+    # shape, and the nerve raises CellError on a cell's.  A fault that the
+    # axioms report, met later by a command, is an ``error`` (exit 2).
+    found = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id in {"StructureError", "CellError"}:
+                    found.add((path.name, exc.id))
+    assert found == {("algebra.py", "StructureError"), ("io.py", "StructureError"), ("nerve.py", "CellError")}
+
+
 def test_no_module_catches_key_error():
     # A face outside its level is refused where the nerve is built, so no
     # KeyError is a signal to catch: a handler for one would hide a fault
