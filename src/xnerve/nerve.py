@@ -38,8 +38,10 @@ audit's maps (``rank_maps``), where s_j is digit insertion: s_j c keeps
 every digit of c's rank and adds fixed digits for the identity and the
 fiber units.  One routine, ``_block_faces``, holds the face formulas for
 whole levels (``face_rows``) and for chosen ranks.  On cells, ``face``,
-``degeneracy`` and ``corner_assemble`` are the matrix definitions the rank
-forms are tested against.
+``degeneracy`` and ``corner_assemble`` run the same rank forms: a cell goes
+in through ``rank_of``, which refuses an invalid one with CellError, and
+comes out through ``cell_at``.  The matrix arithmetic above is the tests'
+oracle for them (``MatrixNerve`` in ``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -156,6 +158,7 @@ class Nerve(LevelProvider):
         self._block_of: dict[tuple[int, ...], _Block] = {}  # by object sequence, every dimension
         self._glues: dict[tuple[int, ...], tuple[int, ...]] = {}  # by object sequence
         self._face_plans: dict[tuple[int, ...], tuple] = {}  # by object sequence
+        self._degeneracy_plans: dict[tuple[tuple[int, ...], int], tuple] = {}  # by object sequence and j
         self._rows: dict[int, tuple[list[list[int]], dict[int, int]]] = {}  # faces_of's rows: columns, positions
         self._counts: dict[int, int] = {}  # count_cells, by dimension
         # mor_at[r] is the morphism of the 1-cell of rank r; mor_rank inverts it
@@ -211,64 +214,44 @@ class Nerve(LevelProvider):
             raise CellError("0-cells have no faces")
         if not 0 <= j <= n:
             raise CellError(f"face index {j} out of range for dimension {n}")
-        xm = self.xm
-        if n == 1:
-            mor = M.rows[0][0]
-            obj = xm.cat.src[mor] if j == 0 else xm.cat.tgt[mor]
-            return _cell((0, (obj,), ()))
-        objs = M.objects
-        rows = M.rows
-        if j == 0:
-            return _cell((n - 1, objs[1:], rows[1:]))
-        if j == n:
-            return _cell((n - 1, objs[:-1], tuple([r[:-1] for r in rows[:-1]])))
-
-        new_rows: list[tuple[int, ...]] = []
-        for i in range(1, j):
-            t = rows[i - 1]
-            p = j - i
-            mul = xm.fibers[objs[i]].table
-            new_rows.append(t[:p] + (mul[t[p]][t[p + 1]],) + t[p + 2:])
-
-        upper = rows[j - 1]
-        lower = rows[j]
-        compose = xm.cat.compose_table
-        d_upper = xm.boundary[objs[j]]
-        d_lower = xm.boundary[objs[j + 1]]
-        mul_low = xm.fibers[objs[j + 1]].table
-        action = xm.action
-        merged = [compose[compose[upper[0]][d_upper[upper[1]]]][lower[0]]]
-        eta = lower[0]
-        for c in range(j + 1, n):
-            if c > j + 1:
-                eta = compose[eta][d_lower[lower[c - j - 1]]]
-            twisted = action[eta][upper[c + 1 - j]]
-            merged.append(mul_low[twisted][lower[c - j]])
-        new_rows.append(tuple(merged))
-        new_rows.extend(rows[j + 1:])
-        return _cell((n - 1, objs[:j] + objs[j + 1:], tuple(new_rows)))
+        return self.cell_at(n - 1, self.faces_of(n, [self.rank_of(M)])[j][0])
 
     def degeneracy(self, M: NerveCell, j: int) -> NerveCell:
         n = M.dim
         if not 0 <= j <= n:
             raise CellError(f"degeneracy index {j} out of range for dimension {n}")
-        xm = self.xm
-        if n == 0:
-            p = M.objects[0]
-            return _cell((1, (p, p), ((xm.cat.identity[p],),)))
-        objs = M.objects
-        rows = M.rows
-        new_rows: list[tuple[int, ...]] = []
-        for i in range(1, j + 1):
-            t = rows[i - 1]
-            p = j + 1 - i
-            unit = xm.fibers[objs[i]].unit
-            new_rows.append(t[:p] + (unit,) + t[p:])
-        unit = xm.fibers[objs[j]].unit
-        new_rows.append((xm.cat.identity[objs[j]],) + (unit,) * (n - j))
-        new_rows.extend(rows[j:])
-        new_objs = objs[: j + 1] + (objs[j],) + objs[j + 1:]
-        return _cell((n + 1, new_objs, tuple(new_rows)))
+        rank, blk = self.rank_of(M), self._block_of[M.objects]
+        return self.cell_at(n + 1, self._degenerate(blk, [rank - blk.start], j)[0])
+
+    def _degenerate(self, blk: _Block, idxs: Sequence[int], j: int) -> list[int]:
+        """Ranks of s_j of the cells of ``blk`` with indices ``idxs``."""
+        new, const, runs = self._degeneracy_plan(blk, j)
+        return _spell(idxs, runs, new.start + const)
+
+    def _degeneracy_plan(self, blk: _Block, j: int) -> tuple[_Block, int, list[list[int]]]:
+        """(block, constant, digit runs) of s_j on one block of dimension n:
+        s_j c lies in the block of c's object sequence with x_j repeated, and
+        its index there is the constant, the inserted identity and units,
+        plus the image of c's index under the runs."""
+        plan = self._degeneracy_plans.get((blk.seq, j))
+        if plan is None:
+            xm, seq, n = self.xm, blk.seq, len(blk.seq) - 1
+            self._dim(n + 1)
+            new = self._block_of[seq[:j + 1] + seq[j:]]
+
+            def pos(i: int, c: int) -> int:
+                """Flat position of matrix entry (i, c) in dimension n + 1."""
+                return (i - 1) * (2 * n + 4 - i) // 2 + c - i
+
+            dest = [pos(i, c + (c > j)) if i <= j else pos(i + 1, c + 1)
+                    for i in range(1, n + 1) for c in range(i, n + 1)]
+            fixed = [(pos(i, j + 1), xm.fibers[seq[i]].unit) for i in range(1, j + 1)]
+            fixed.append((pos(j + 1, j + 1), new.domains[pos(j + 1, j + 1)].index(xm.cat.identity[seq[j]])))
+            fixed.extend((pos(j + 1, c), xm.fibers[seq[j]].unit) for c in range(j + 2, n + 2))
+            lens, new_lens = [len(dom) for dom in blk.domains], [len(dom) for dom in new.domains]
+            const = sum(digit * new.weights[q] for q, digit in fixed)
+            plan = self._degeneracy_plans[blk.seq, j] = (new, const, _digit_runs(lens, dest, new_lens))
+        return plan
 
     # -- corner bijection ----------------------------------------------
 
@@ -278,15 +261,11 @@ class Nerve(LevelProvider):
         below are the first face's rows."""
         if first.dim != last.dim or first.dim < 1:
             raise CompatibilityError("corner faces must share a dimension >= 1")
-        n = first.dim + 1
-        if self.face(first, n - 1) != self.face(last, 0):
+        n, ends = first.dim + 1, [self.rank_of(first), self.rank_of(last)]
+        faces = self.faces_of(n - 1, ends)
+        if faces[n - 1][0] != faces[0][1]:
             raise CompatibilityError("faces do not overlap: d_{n-1}(first) != d_0(last)")
-        fiber = self.xm.fibers[first.objects[0]]
-        if not 0 <= corner < fiber.size:
-            raise CompatibilityError(f"corner {corner} outside the fiber over object {first.objects[0]}")
-        objs = last.objects + (first.objects[-1],)
-        rows = (last.rows[0] + (corner,),) + first.rows
-        return _cell((n, objs, rows))
+        return self.cell_at(n, self.assemble_ids(n, ends[:1], ends[1:], [corner])[0])
 
     # -- enumeration -----------------------------------------------------
 
@@ -683,14 +662,14 @@ class _RankMaps:
       its hom-set or fiber is the same (Duskin, "Simplicial matrices and the
       nerves of weak n-categories I", TAC 9, 2002).  So the index of s_j c
       in its block is a constant plus runs of c's index digits moved to new
-      places.  On faces of the cells under audit it reads a table of s_j on
+      places (``Nerve._degeneracy_plan``, which ``Nerve.degeneracy`` reads
+      too).  On faces of the cells under audit it reads a table of s_j on
       the whole level n-1."""
 
     def __init__(self, nv: Nerve, maxdim: int):
         self.nv, self.maxdim = nv, maxdim
         self.dim = -1
         self.degeneracy_tables: dict[int, list[int]] = {}
-        self._plans: dict[tuple[tuple[int, ...], int], tuple[_Block, int, list[list[int]]]] = {}
         self._verdicts: dict[tuple, bool] = {}  # agree's, by object sequence and words
 
     def chunks(self, n: int) -> Iterator[_Column]:
@@ -720,11 +699,11 @@ class _RankMaps:
             table = self.degeneracy_tables.get(j)
             if table is None:
                 table = self.degeneracy_tables[j] = [
-                    r for blk in self.nv._dim(col.dim) for r in self._degenerate(blk, range(blk.size), j)]
+                    r for blk in self.nv._dim(col.dim) for r in self.nv._degenerate(blk, range(blk.size), j)]
             ranks = [table[r] for r in col]
         else:
-            ranks = self._degenerate(col.blk, [r - col.blk.start for r in col], j)
-        return _Column(col.dim + 1, self._plan(col.blk, j)[0], ranks)
+            ranks = self.nv._degenerate(col.blk, [r - col.blk.start for r in col], j)
+        return _Column(col.dim + 1, self.nv._degeneracy_plan(col.blk, j)[0], ranks)
 
     def agree(self, col: _Column, a: tuple, b: tuple) -> bool:
         """Whether the words ``a`` and ``b`` of degeneracies only, as
@@ -746,37 +725,6 @@ class _RankMaps:
                 ends.append(end)
             self._verdicts[key] = ends[0] == ends[1]
         return self._verdicts[key]
-
-    def _degenerate(self, blk: _Block, idxs: Sequence[int], j: int) -> list[int]:
-        """Ranks of s_j of the cells of ``blk`` with indices ``idxs``."""
-        new, const, runs = self._plan(blk, j)
-        return _spell(idxs, runs, new.start + const)
-
-    def _plan(self, blk: _Block, j: int) -> tuple[_Block, int, list[list[int]]]:
-        """(block, constant, digit runs) of s_j on one block of dimension n:
-        s_j c lies in the block of c's object sequence with x_j repeated, and
-        its index there is the constant, the inserted identity and units,
-        plus the image of c's index under the runs."""
-        plan = self._plans.get((blk.seq, j))
-        if plan is None:
-            nv, seq, n = self.nv, blk.seq, len(blk.seq) - 1
-            xm = nv.xm
-            nv._dim(n + 1)
-            new = nv._block_of[seq[:j + 1] + seq[j:]]
-
-            def pos(i: int, c: int) -> int:
-                """Flat position of matrix entry (i, c) in dimension n + 1."""
-                return (i - 1) * (2 * n + 4 - i) // 2 + c - i
-
-            dest = [pos(i, c + (c > j)) if i <= j else pos(i + 1, c + 1)
-                    for i in range(1, n + 1) for c in range(i, n + 1)]
-            fixed = [(pos(i, j + 1), xm.fibers[seq[i]].unit) for i in range(1, j + 1)]
-            fixed.append((pos(j + 1, j + 1), new.domains[pos(j + 1, j + 1)].index(xm.cat.identity[seq[j]])))
-            fixed.extend((pos(j + 1, c), xm.fibers[seq[j]].unit) for c in range(j + 2, n + 2))
-            lens, new_lens = [len(dom) for dom in blk.domains], [len(dom) for dom in new.domains]
-            const = sum(digit * new.weights[q] for q, digit in fixed)
-            plan = self._plans[blk.seq, j] = (new, const, _digit_runs(lens, dest, new_lens))
-        return plan
 
     def cell(self, col: _Column, pos: int) -> NerveCell:
         return self.nv.cell_at(col.dim, col[pos])

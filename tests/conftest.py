@@ -6,7 +6,7 @@ from xnerve import fixtures
 from xnerve.algebra import CrossedMonoid, FiniteMonoid
 from xnerve.errors import CellError, CompatibilityError, NotCrossedModuleError
 from xnerve.fillers import _image_rule
-from xnerve.nerve import Nerve, NerveCell
+from xnerve.nerve import Nerve, NerveCell, _cell
 from xnerve.simplicial import BoundaryTuple, HornTuple, LevelProvider
 
 
@@ -145,9 +145,104 @@ def horn_of_cell(p, cell, l: int) -> HornTuple:
     return HornTuple(cell.dim, l, faces)
 
 
-class CheckedNerve(Nerve):
-    """A nerve that re-checks every face, degeneracy and corner_assemble
-    result against the cell typing invariants."""
+class MatrixNerve(Nerve):
+    """The matrix definitions of ``face``, ``degeneracy`` and
+    ``corner_assemble``: the oracle the package's rank forms are tested
+    against.  d_j multiplies, twists and merges the entries of the matrix
+    as the ``nerve`` module docstring states, s_j inserts a unit column and
+    a row (1_{x_j}, e, ..., e), and the corner bijection glues rows.  The
+    overrides equal the inherited rank forms on every cell
+    (``test_nerve.py::test_the_rank_forms_equal_the_matrix_definitions``),
+    so ``LevelProvider``'s rule for a subclass that overrides ``face`` or
+    ``degeneracy`` holds with the inherited ``face_rows`` and ``rank_maps``.
+    They index the tables at a cell's entries unchecked, so they are for
+    valid cells only."""
+
+    def face(self, M: NerveCell, j: int) -> NerveCell:
+        n = M.dim
+        if n < 1:
+            raise CellError("0-cells have no faces")
+        if not 0 <= j <= n:
+            raise CellError(f"face index {j} out of range for dimension {n}")
+        xm = self.xm
+        if n == 1:
+            mor = M.rows[0][0]
+            obj = xm.cat.src[mor] if j == 0 else xm.cat.tgt[mor]
+            return _cell((0, (obj,), ()))
+        objs = M.objects
+        rows = M.rows
+        if j == 0:
+            return _cell((n - 1, objs[1:], rows[1:]))
+        if j == n:
+            return _cell((n - 1, objs[:-1], tuple([r[:-1] for r in rows[:-1]])))
+
+        new_rows: list[tuple[int, ...]] = []
+        for i in range(1, j):
+            t = rows[i - 1]
+            p = j - i
+            mul = xm.fibers[objs[i]].table
+            new_rows.append(t[:p] + (mul[t[p]][t[p + 1]],) + t[p + 2:])
+
+        upper = rows[j - 1]
+        lower = rows[j]
+        compose = xm.cat.compose_table
+        d_upper = xm.boundary[objs[j]]
+        d_lower = xm.boundary[objs[j + 1]]
+        mul_low = xm.fibers[objs[j + 1]].table
+        action = xm.action
+        merged = [compose[compose[upper[0]][d_upper[upper[1]]]][lower[0]]]
+        eta = lower[0]
+        for c in range(j + 1, n):
+            if c > j + 1:
+                eta = compose[eta][d_lower[lower[c - j - 1]]]
+            twisted = action[eta][upper[c + 1 - j]]
+            merged.append(mul_low[twisted][lower[c - j]])
+        new_rows.append(tuple(merged))
+        new_rows.extend(rows[j + 1:])
+        return _cell((n - 1, objs[:j] + objs[j + 1:], tuple(new_rows)))
+
+    def degeneracy(self, M: NerveCell, j: int) -> NerveCell:
+        n = M.dim
+        if not 0 <= j <= n:
+            raise CellError(f"degeneracy index {j} out of range for dimension {n}")
+        xm = self.xm
+        if n == 0:
+            p = M.objects[0]
+            return _cell((1, (p, p), ((xm.cat.identity[p],),)))
+        objs = M.objects
+        rows = M.rows
+        new_rows: list[tuple[int, ...]] = []
+        for i in range(1, j + 1):
+            t = rows[i - 1]
+            p = j + 1 - i
+            unit = xm.fibers[objs[i]].unit
+            new_rows.append(t[:p] + (unit,) + t[p:])
+        unit = xm.fibers[objs[j]].unit
+        new_rows.append((xm.cat.identity[objs[j]],) + (unit,) * (n - j))
+        new_rows.extend(rows[j:])
+        new_objs = objs[: j + 1] + (objs[j],) + objs[j + 1:]
+        return _cell((n + 1, new_objs, tuple(new_rows)))
+
+    def corner_assemble(self, first: NerveCell, last: NerveCell, corner: int) -> NerveCell:
+        """The cell with d_0 = ``first``, d_n = ``last`` and corner
+        ``corner``: row 1 is the last face's row 1 and the corner, the rows
+        below are the first face's rows."""
+        if first.dim != last.dim or first.dim < 1:
+            raise CompatibilityError("corner faces must share a dimension >= 1")
+        n = first.dim + 1
+        if self.face(first, n - 1) != self.face(last, 0):
+            raise CompatibilityError("faces do not overlap: d_{n-1}(first) != d_0(last)")
+        fiber = self.xm.fibers[first.objects[0]]
+        if not 0 <= corner < fiber.size:
+            raise CompatibilityError(f"corner {corner} outside the fiber over object {first.objects[0]}")
+        objs = last.objects + (first.objects[-1],)
+        rows = (last.rows[0] + (corner,),) + first.rows
+        return _cell((n, objs, rows))
+
+
+class CheckedNerve(MatrixNerve):
+    """A ``MatrixNerve`` that re-checks every face, degeneracy and
+    corner_assemble result against the cell typing invariants."""
 
     def face(self, M, j):
         return self._checked(super().face(M, j))
@@ -360,8 +455,9 @@ def xm_pair():
     return fixtures.pair_groupoid_z3()
 
 
-# Checked nerves: every face/degeneracy/corner_assemble result is
-# checked against the cell typing invariants while the suite runs.
+# Checked nerves on the matrix definitions: every face/degeneracy/
+# corner_assemble result is checked against the cell typing invariants
+# while the suite runs.
 @pytest.fixture(scope="session")
 def nv_trivial(xm_trivial):
     return CheckedNerve(xm_trivial)

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from conftest import boundary, corner_triples, horn_of_cell, image_b3
+from conftest import MatrixNerve, boundary, corner_triples, horn_of_cell, image_b3
 from xnerve import fixtures
 from xnerve.errors import NotCrossedModuleError
 from xnerve.fillers import HornFiller
@@ -51,7 +51,7 @@ def test_criterion_02_corner_bijection_roundtrips():
     checked = 0
     exact = True
     for build in (F2, F4, F6):
-        nv = Nerve(build())
+        nv = MatrixNerve(build())
         for n in (2, 3, 4):
             ranks = range(nv.count_cells(n))
             faces = nv.faces_of(n, ranks)
@@ -74,7 +74,7 @@ def test_criterion_03_corner_face_closed_formulas():
     checked = 0
     exact = True
     for build in (F4, F6):
-        nv = Nerve(build())
+        nv = MatrixNerve(build())
         table = nv.level(3)
         faces = nv.faces_of(3, range(nv.count_cells(3)))
         for r in range(len(faces[0])):
@@ -108,13 +108,13 @@ def test_criterion_06_boundary_image_rule():
     checked = 0
     for build in (F2, F4, F6):
         xm = build()
-        nv = Nerve(xm)
+        nv = MatrixNerve(xm)
         image = {boundary(nv, cell) for cell in nv.cells(3)}
         for t in simplicial_kernel(nv, 3):
             exact = exact and image_b3(xm, t) == (t in image)
             checked += 1
     xm5 = F5()
-    nv5 = Nerve(xm5)
+    nv5 = MatrixNerve(xm5)
     for cell in nv5.cells(3):
         exact = exact and image_b3(xm5, boundary(nv5, cell))
         checked += 1
@@ -138,7 +138,7 @@ def test_criterion_07_constructive_fillers():
         for h in horns(hf2.nerve, 4, l):
             hf2.fill(h)
             filled += 1
-    hf4 = HornFiller(Nerve(F4()))
+    hf4 = HornFiller(MatrixNerve(F4()))
     nv4 = hf4.nerve
     total = nv4.count_cells(4)
     rng = random.Random(20240405)
@@ -200,7 +200,7 @@ def test_criterion_10_cross_diagonal_oracle():
     exact = True
     for build in (F4, F6):
         xm = build()
-        nv = Nerve(xm)
+        nv = MatrixNerve(xm)
         total = nv.count_cells(4)
         for l in range(5):
             rng = random.Random(1000 + l)

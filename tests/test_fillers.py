@@ -8,7 +8,7 @@ import textwrap
 
 import pytest
 
-from conftest import ReferenceFiller, boundary, entry, horn_of_cell, image_b3, morphism_cell
+from conftest import MatrixNerve, ReferenceFiller, boundary, entry, horn_of_cell, image_b3, morphism_cell
 from xnerve import fixtures
 from xnerve.cli import run
 from xnerve.errors import CompatibilityError, NotCrossedModuleError
@@ -65,7 +65,7 @@ def test_image_b3_necessity_on_the_non_module(nv_idempotent):
 
 
 def test_fill_dim2_examples(xm_z2):
-    nv = Nerve(xm_z2)
+    nv = MatrixNerve(xm_z2)
     hf = HornFiller(nv)
     g = morphism_cell(nv, 1)
     one = morphism_cell(nv, 0)
@@ -79,7 +79,7 @@ def test_fill_dim2_examples(xm_z2):
 
 
 def test_fill_dim2_multi_object(xm_pair):
-    nv = Nerve(xm_pair)
+    nv = MatrixNerve(xm_pair)
     hf = HornFiller(nv)
     for l in range(3):
         for h in horns(nv, 2, l):
@@ -88,7 +88,7 @@ def test_fill_dim2_multi_object(xm_pair):
 
 def test_fill_dims_2_and_3_exhaustive(xm_z2_z3, xm_z2_z3_twisted, xm_pair):
     for xm in (xm_z2_z3, xm_z2_z3_twisted, xm_pair):
-        nv = Nerve(xm)
+        nv = MatrixNerve(xm)
         hf = HornFiller(nv)
         for n in (2, 3):
             for l in range(n + 1):
@@ -97,7 +97,7 @@ def test_fill_dims_2_and_3_exhaustive(xm_z2_z3, xm_z2_z3_twisted, xm_pair):
 
 
 def test_fill_dim3_all_degenerate(xm_z2_z3):
-    nv = Nerve(xm_z2_z3)
+    nv = MatrixNerve(xm_z2_z3)
     hf = HornFiller(nv)
     deg = nv.degeneracy(nv.degeneracy(morphism_cell(nv, 0), 0), 0)
     h = horn_of_cell(nv, deg, 1)
@@ -106,7 +106,7 @@ def test_fill_dim3_all_degenerate(xm_z2_z3):
 
 def test_fill_dim3_returns_the_cell_a_horn_came_from(xm_z2_z3, xm_z2_z3_twisted, xm_pair):
     for xm in (xm_z2_z3, xm_z2_z3_twisted, xm_pair):
-        hf = HornFiller(Nerve(xm))
+        hf = HornFiller(MatrixNerve(xm))
         nv = hf.nerve
         for c in nv.cells(3):
             for l in range(4):
@@ -114,12 +114,12 @@ def test_fill_dim3_returns_the_cell_a_horn_came_from(xm_z2_z3, xm_z2_z3_twisted,
 
 
 def test_fill_dim4_exhaustive_small_and_sampled_large(xm_z2, xm_z2_z3):
-    nv2 = Nerve(xm_z2)
+    nv2 = MatrixNerve(xm_z2)
     hf2 = HornFiller(nv2)
     for l in range(5):
         for h in horns(nv2, 4, l):
             assert fills(hf2, h)
-    nv4 = Nerve(xm_z2_z3)
+    nv4 = MatrixNerve(xm_z2_z3)
     hf4 = HornFiller(nv4)
     for l in range(5):
         for h in sample_horns(nv4, 4, l, 120, seed=l):
@@ -131,7 +131,7 @@ def test_fill_dim4_exhaustive_small_and_sampled_large(xm_z2, xm_z2_z3):
 
 
 def test_fill_dim4_multi_object_sampled(xm_pair):
-    hf = HornFiller(Nerve(xm_pair))
+    hf = HornFiller(MatrixNerve(xm_pair))
     nv = hf.nerve
     for l in range(5):
         for h in sample_horns(nv, 4, l, 80, seed=30 + l):
@@ -139,7 +139,7 @@ def test_fill_dim4_multi_object_sampled(xm_pair):
 
 
 def test_fill_high_exhaustive_dim5_small(xm_z2):
-    nv = Nerve(xm_z2)
+    nv = MatrixNerve(xm_z2)
     hf = HornFiller(nv)
     for l in range(6):
         for h in horns(nv, 5, l):
@@ -147,7 +147,7 @@ def test_fill_high_exhaustive_dim5_small(xm_z2):
 
 
 def test_fill_high_degenerate_and_sampled(xm_z2_z3):
-    nv = Nerve(xm_z2_z3)
+    nv = MatrixNerve(xm_z2_z3)
     hf = HornFiller(nv)
     deg = morphism_cell(nv, 0)
     for _ in range(4):
@@ -169,7 +169,7 @@ def test_fillers_refuse_non_modules():
 
 
 def test_fill_refuses_a_horn_of_the_wrong_shape(xm_z2_z3):
-    hf = HornFiller(Nerve(xm_z2_z3))
+    hf = HornFiller(MatrixNerve(xm_z2_z3))
     nv = hf.nerve
     for faces in ([5, 1], [5, 1, 0, 0]):
         with pytest.raises(CompatibilityError, match=f"has 3 faces and a slot in 0..3, got {len(faces)} faces"):
@@ -265,7 +265,7 @@ def _w_closed_forms(xm, by_slot, m22, m23, m33):
 
 def test_w_matrix_oracle(xm_z2_z3, xm_z2_z3_twisted):
     for xm in (xm_z2_z3, xm_z2_z3_twisted):
-        nv = Nerve(xm)
+        nv = MatrixNerve(xm)
         mul = xm.fibers[0].mul
         inv = xm.fibers[0].inverse
         act = xm.action
@@ -347,7 +347,7 @@ def _fill_is_refused(path, tmp_path, capsys, dim):
     report = json.loads(out.read_text())
     assert report["error"]["kind"] == "error" and "checks" not in report
     assert capsys.readouterr().err.startswith("ERROR (error): ")
-    hf = HornFiller(Nerve(fixtures.z2_with_z3_fiber_twisted()))
+    hf = HornFiller(MatrixNerve(fixtures.z2_with_z3_fiber_twisted()))
     with pytest.raises(CompatibilityError):
         hf.fill(horn_of_cell(hf.nerve, hf.nerve.cell_at(dim, 100), 1))
     return report["error"]["message"]
@@ -406,7 +406,7 @@ def test_cmd_fill_makes_no_face_or_cell_at_calls(monkeypatch, file_f6, capsys):
     assert run(["fill", str(file_f6), "--dims", "2..5", "--max-cells", "10000"]) == 0
     assert capsys.readouterr().out.count("face-verified") == 18
     nv = Nerve(fixtures.z2_with_z3_fiber_twisted())
-    nv.face(nv.cell_at(2, 0), 0)  # shows that both counters are live
+    nv.face(nv.cell((0, 0), ((0,),)), 0)  # reads its face back through cell_at: both counters are live
     assert calls == {"face": 1, "cell_at": 1}
 
 

@@ -8,8 +8,9 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (XMorphism, corner_triples, entry, eta, identity_xmorphism, induced_cell, kept_rows, morphism_cell,
-                      pair_groupoid_z3_relabelled, rows)
+from conftest import (MatrixNerve, XMorphism, corner_triples, entry, eta, identity_xmorphism, induced_cell, kept_rows,
+                      morphism_cell, pair_groupoid_z3_relabelled, rows)
+from test_algebra import permutation_module
 from xnerve import fixtures
 from xnerve.algebra import gather, validate_crossed_monoid
 from xnerve.errors import CapacityError, CellError, CompatibilityError
@@ -269,7 +270,7 @@ RANK_FIXTURES = {
 
 @pytest.mark.parametrize("name", sorted(RANK_FIXTURES))
 def test_face_ids_agree_with_levels_and_face(name):
-    nv = Nerve(RANK_FIXTURES[name]())
+    nv = MatrixNerve(RANK_FIXTURES[name]())
     for n in range(5):
         lv = nv.level(n)
         cells = list(nv.cells(n))
@@ -289,7 +290,7 @@ def test_face_ids_agree_with_levels_and_face(name):
 
 @pytest.mark.parametrize("name", ["z2_with_z3_fiber", "z2_with_z3_fiber_twisted", "pair_groupoid_z3"])
 def test_face_ids_above_the_built_levels(name):
-    nv = Nerve(getattr(fixtures, name)())
+    nv = MatrixNerve(getattr(fixtures, name)())
     rng = random.Random(11)
     for n in (5, 6):
         ranks = rng.sample(range(nv.count_cells(n)), 200)
@@ -326,7 +327,7 @@ def test_a_dimension_whose_cells_cannot_fit_is_refused_before_a_block_is_made():
 def test_rank_maps_are_the_rank_forms_of_degeneracy_and_face(name):
     # rank_maps(n) keeps no table of dimension n+1, so the faces of s_j c
     # come from the face formulas applied to the column's indices
-    nv = Nerve(RANK_FIXTURES[name]())
+    nv = MatrixNerve(RANK_FIXTURES[name]())
     for n in range(4):
         maps = nv.rank_maps(n)
         for col in maps.chunks(n):
@@ -341,6 +342,100 @@ def test_rank_maps_are_the_rank_forms_of_degeneracy_and_face(name):
                 for i in range(n + 1 if j < n else 0):  # s_j of a face reads s_j of the whole level below
                     assert maps.degeneracy(maps.face(col, i), j) == [
                         nv.rank_of(nv.degeneracy(nv.face(c, i), j)) for c in cells]
+
+
+# -- the package's cell maps against their matrix definitions ----------------
+
+# name -> (crossed monoid, highest dimension, faces, degeneracies and corner
+# assemblies compared): every face and degeneracy of every cell up to that
+# dimension, and the corner assembly of every cell of dimension >= 2
+MATRIX_CASES = {
+    "F6": (fixtures.z2_with_z3_fiber_twisted, 3, 904, 905, 228),
+    "pair_groupoid_z3": (fixtures.pair_groupoid_z3, 3, 1808, 1810, 456),  # several blocks per dimension
+    "f6_and_idempotent": (RANK_FIXTURES["f6_and_idempotent"], 3, 944, 946, 238),  # fibers of sizes 3 and 2
+    "S3_identity": (lambda: permutation_module(3, even_fiber=False), 2, 660, 661, 216),
+    "group_z2": (fixtures.group_z2, 4, 128, 129, 28),
+    "idempotent_fiber": (fixtures.idempotent_fiber, 4, 360, 361, 74),
+    "z3_identity_boundary": (fixtures.z3_identity_boundary, 3, 3003, 3004, 756),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_CASES))
+def test_the_rank_forms_equal_the_matrix_definitions(name):
+    build, maxdim, *expected = MATRIX_CASES[name]
+    xm = build()
+    nv, matrix = Nerve(xm), MatrixNerve(xm)
+    counts = [0, 0, 0]
+    for n in range(maxdim + 1):
+        for c in matrix.cells(n):
+            for j in range(n + 1):
+                if n:
+                    assert nv.face(c, j) == matrix.face(c, j)
+                    counts[0] += 1
+                assert nv.degeneracy(c, j) == matrix.degeneracy(c, j)
+                counts[1] += 1
+            if n >= 2:
+                first, last = matrix.face(c, 0), matrix.face(c, n)
+                assert nv.corner_assemble(first, last, c.corner) == matrix.corner_assemble(first, last, c.corner) == c
+                counts[2] += 1
+    assert counts == expected
+
+
+def _refusal(call):
+    """The type and text of the error ``call`` raises."""
+    with pytest.raises((CellError, CompatibilityError)) as err:
+        call()
+    return type(err.value).__name__, str(err.value)
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_CASES))
+def test_the_rank_forms_refuse_as_the_matrix_definitions_do(name):
+    xm = MATRIX_CASES[name][0]()
+    nv, matrix = Nerve(xm), MatrixNerve(xm)
+    calls = [("face", nv.point(0), 0)]
+    for n in (0, 1, 2):
+        c = nv.cell_at(n, nv.count_cells(n) - 1)
+        calls += [("face", c, -1), ("face", c, n + 1)] if n else []
+        calls += [("degeneracy", c, -1), ("degeneracy", c, n + 2)]
+    calls += [("corner_assemble", nv.point(0), nv.point(0), 0),
+              ("corner_assemble", nv.cell_at(1, 0), nv.cell_at(2, 0), 0)]
+    for n in (2, 3):
+        below = list(matrix.cells(n - 1))
+        pairs = [(first, last) for first in below[:8] for last in below]
+        meets = [matrix.face(first, n - 1) == matrix.face(last, 0) for first, last in pairs]
+        first, last = pairs[meets.index(True)]
+        size = xm.fibers[first.objects[0]].size
+        calls += [("corner_assemble", first, last, size), ("corner_assemble", first, last, -1)]
+        if False in meets:
+            calls.append(("corner_assemble", *pairs[meets.index(False)], 0))
+    texts = []
+    for op, *args in calls:
+        refusal = _refusal(lambda: getattr(nv, op)(*args))
+        assert refusal == _refusal(lambda: getattr(matrix, op)(*args)), (op, args)
+        texts.append(refusal[1])
+    # the trivial category of idempotent_fiber has one 1-cell: every pair of faces overlaps
+    starts = ["0-cells", "face index", "degeneracy index", "corner faces", "corner -1 outside",
+              *["faces do not overlap"] * (name != "idempotent_fiber")]
+    assert sorted({start for start in starts for text in texts if text.startswith(start)}) == sorted(starts)
+
+
+def test_an_invalid_cell_is_refused_naming_its_bad_entry():
+    # the matrix definitions read a table at an entry outside the fiber:
+    # they raise a bare IndexError, copy the entry into the result, or, for
+    # a negative entry, read the table from its end
+    nv = Nerve(fixtures.z2_with_z3_fiber_twisted())
+    seven = NerveCell(2, (0, 0, 0), ((0, 7), (1,)))  # corner 7 outside Z/3
+    negative = NerveCell(3, (0, 0, 0, 0), ((0, -1, 2), (0, 0), (0,)))
+    for cell, value in ((seven, 7), (negative, -1)):
+        message = f"^entry \\(1,2\\) = {value} outside the fiber over object 0$"
+        for j in range(cell.dim + 1):
+            for op in (nv.face, nv.degeneracy):
+                with pytest.raises(CellError, match=message):
+                    op(cell, j)
+        good = nv.cell_at(cell.dim, 0)
+        for first, last in ((cell, good), (good, cell)):
+            with pytest.raises(CellError, match=message):
+                nv.corner_assemble(first, last, 0)
 
 
 # -- the face rows a nerve keeps of the levels it has not built ---------------
@@ -436,7 +531,7 @@ def test_a_face_table_is_read_at_positions_by_one_helper(positions):
 def test_faces_far_above_the_built_levels_need_no_deep_stack():
     # the rows of every dimension down to 2 are made in one loop: a
     # recursion of about two frames a dimension would need some 160 here
-    nv, limit = Nerve(fixtures.group_z2()), sys.getrecursionlimit()
+    nv, limit = MatrixNerve(fixtures.group_z2()), sys.getrecursionlimit()
     ranks = [0, 1, nv.count_cells(80) // 3]
     sys.setrecursionlimit(len(inspect.stack()) + 50)
     try:

@@ -6,7 +6,7 @@ from typing import NamedTuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import PerCellRanks, boundary, is_compatible, morphism_cell, pair_groupoid_z3_relabelled, rows
+from conftest import MatrixNerve, PerCellRanks, boundary, is_compatible, morphism_cell, pair_groupoid_z3_relabelled, rows
 from test_algebra import _corrupt, permutation_module
 from xnerve import fixtures, simplicial
 from xnerve.algebra import FiniteMonoid, ValidationReport, Violation, validate_crossed_monoid
@@ -312,17 +312,17 @@ def ref_pi(p, n, basepoint):
 
 
 def _corrupted_f4():
-    nv = Nerve(fixtures.z2_with_z3_fiber())
+    nv = MatrixNerve(fixtures.z2_with_z3_fiber())
     victim = list(nv.cells(2))[5]
     wrong = morphism_cell(nv, 1) if nv.face(victim, 0) == morphism_cell(nv, 0) else morphism_cell(nv, 0)
     return CorruptedFace(nv, victim, wrong)
 
 
 PROVIDERS = {
-    "F4": lambda: Nerve(fixtures.z2_with_z3_fiber()),
-    "F6": lambda: Nerve(fixtures.z2_with_z3_fiber_twisted()),
-    "pair": lambda: Nerve(fixtures.pair_groupoid_z3()),
-    "idempotent": lambda: Nerve(fixtures.idempotent_fiber()),
+    "F4": lambda: MatrixNerve(fixtures.z2_with_z3_fiber()),
+    "F6": lambda: MatrixNerve(fixtures.z2_with_z3_fiber_twisted()),
+    "pair": lambda: MatrixNerve(fixtures.pair_groupoid_z3()),
+    "idempotent": lambda: MatrixNerve(fixtures.idempotent_fiber()),
     "corrupted-F4": _corrupted_f4,
 }
 
@@ -343,10 +343,10 @@ def _union_f6_idempotent():
 # name -> (provider builder, highest dimension checked)
 LEVEL_CASES = {
     **{name: (build, 3) for name, build in PROVIDERS.items()},
-    **{f"fixture-{b.__name__}": (lambda b=b: Nerve(b()), 3) for b in FIXTURES},
-    "union-F6-idempotent": (lambda: Nerve(_union_f6_idempotent()), 3),
-    "S4": (lambda: Nerve(permutation_module(4, even_fiber=False)), 2),
-    "pair-relabelled": (lambda: Nerve(pair_groupoid_z3_relabelled()), 4),
+    **{f"fixture-{b.__name__}": (lambda b=b: MatrixNerve(b()), 3) for b in FIXTURES},
+    "union-F6-idempotent": (lambda: MatrixNerve(_union_f6_idempotent()), 3),
+    "S4": (lambda: MatrixNerve(permutation_module(4, even_fiber=False)), 2),
+    "pair-relabelled": (lambda: MatrixNerve(pair_groupoid_z3_relabelled()), 4),
 }
 
 
@@ -443,7 +443,7 @@ def test_level_tables_match_reference_on_single_entry_corruptions(data):
     kind = data.draw(st.sampled_from(sorted(LEVEL_SITES[name])), label="kind")
     site, values = data.draw(st.sampled_from(LEVEL_SITES[name][kind]), label="site")
     value = data.draw(st.sampled_from(values), label="value")
-    nv = Nerve(_corrupt(CORRUPTIBLE[name], kind, site, value))
+    nv = MatrixNerve(_corrupt(CORRUPTIBLE[name], kind, site, value))
     maxdim = 4 if nv.count_cells(4) <= 2000 else 3
     assert face_tables_or_error(nv, maxdim) == face_tables_or_error(PerCell(nv), maxdim)
 
@@ -467,8 +467,7 @@ def test_nerve_levels_make_no_face_calls(monkeypatch):
     assert all(r.bijective for r in check_coskeletal(pair, 3, 4))
     assert calls == {"face": 0, "cells": 0, "cell_at": 0}
     # the probe shows that the counters are live
-    f6.face(next(f6.cells(4)), 0)
-    f6.cell_at(4, 0)
+    f6.face(next(f6.cells(4)), 0)  # reads its face back through cell_at
     assert calls == {"face": 1, "cells": 1, "cell_at": 1}
 
 
@@ -800,7 +799,7 @@ def corrupted_providers(nv, maxdim):
 
 @pytest.mark.parametrize("build", [fixtures.group_z2, fixtures.z2_with_z3_fiber, fixtures.idempotent_fiber])
 def test_audit_matches_reference_on_corrupted_providers(build):
-    nv = Nerve(build())
+    nv = MatrixNerve(build())
     providers = list(corrupted_providers(nv, 3))
     for p in providers:
         report = simplicial._audit(CellMaps(p), 3)
@@ -814,7 +813,7 @@ def test_audit_witness_is_the_first_failure_with_k_outer_and_j_inner():
     # Each family below fails exactly at (j, k) = (1, 2) or (1, 3) and at
     # (0, 3) or (0, 4) on one 3-cell: k outer reports the first, j outer
     # would report the second.
-    nv = Nerve(fixtures.z2_with_z3_fiber())
+    nv = MatrixNerve(fixtures.z2_with_z3_fiber())
     v = list(nv.cells(3))[-1]
     d2, d3 = (Alias(nv.face(v, j), f"d{j}") for j in (2, 3))
     s0, s1, s2, s3 = (Alias(nv.degeneracy(v, j), f"s{j}") for j in range(4))
@@ -857,7 +856,7 @@ def test_rank_audit_matches_reference_on_single_entry_corruptions():
             site, values = rng.choice(sites[kind])
             xm = _corrupt(CORRUPTIBLE[name], kind, site, rng.choice(values))
             outcome = _audit_outcome(audit_simplicial, Nerve(xm), 3)
-            assert outcome == _audit_outcome(ref_audit_simplicial, Nerve(xm), 3), (name, kind, site)
+            assert outcome == _audit_outcome(ref_audit_simplicial, MatrixNerve(xm), 3), (name, kind, site)
             outcomes.append(outcome)
     assert 10 <= sum(not getattr(o, "passed", False) for o in outcomes) < len(outcomes)
 
@@ -912,7 +911,7 @@ def test_block_decision_leaves_every_report_unchanged(name, monkeypatch):
 def test_a_corrupted_plan_constant_is_caught_by_the_basis(monkeypatch):
     # s_1 on 3-cells, off by one: met only as simp6's second degeneracy at
     # n = 2, so only the basis tells the sides apart
-    real_plan, real_agree, verdicts = _RankMaps._plan, _RankMaps.agree, []
+    real_plan, real_agree, verdicts = Nerve._degeneracy_plan, _RankMaps.agree, []
 
     def corrupted(self, blk, j):
         new, const, runs = real_plan(self, blk, j)
@@ -922,7 +921,7 @@ def test_a_corrupted_plan_constant_is_caught_by_the_basis(monkeypatch):
         verdicts.append(real_agree(self, *args))
         return verdicts[-1]
 
-    monkeypatch.setattr(_RankMaps, "_plan", corrupted)
+    monkeypatch.setattr(Nerve, "_degeneracy_plan", corrupted)
     monkeypatch.setattr(_RankMaps, "agree", agree)
     decided = audit_simplicial(Nerve(fixtures.z2_with_z3_fiber()), 2)
     assert False in verdicts and True in verdicts

@@ -109,6 +109,23 @@ def test_fillers_assemble_cells_only_where_they_are_checked():
     assert sites and set(sites) == {"HornFiller._cell_with_boundary"}
 
 
+def test_only_the_nerves_constructors_make_cells():
+    # Ranks in, cells only out: every map of the nerve works on ranks, and a
+    # cell is made only where an object id, entries or a rank become one
+    sites = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        owner = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            func = node.func if isinstance(node, ast.Call) else None
+            if getattr(func, "id", getattr(func, "attr", None)) in {"NerveCell", "_cell"}:
+                scope = owner[node]
+                while not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Module)):
+                    scope = owner[scope]
+                sites.add(f"{path.name}:{getattr(scope, 'name', '<module>')}")
+    assert sites == {"nerve.py:point", "nerve.py:cell", "nerve.py:cells", "nerve.py:cell_at"}
+
+
 def test_only_cli_run_picks_an_exit_code():
     # A command returns its checks and ``run`` applies one rule to them; a
     # command that named an exit code would work the rule out again
@@ -119,7 +136,7 @@ def test_only_cli_run_picks_an_exit_code():
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and node.id in {"EXIT_OK", "EXIT_STRUCTURAL", "EXIT_PROPERTY"}:
             scope = owner[node]
-            while not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.Module)):
+            while not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Module)):
                 scope = owner[scope]
             scopes.add("<module>" if scope is tree else getattr(scope, "name", "<lambda>"))
     assert scopes == {"<module>", "run"}
