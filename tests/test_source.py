@@ -136,7 +136,7 @@ def test_only_cli_run_picks_an_exit_code():
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and node.id in {"EXIT_OK", "EXIT_STRUCTURAL", "EXIT_PROPERTY"}:
             scope = owner[node]
-            while not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Module)):
+            while not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.Module)):
                 scope = owner[scope]
             scopes.add("<module>" if scope is tree else getattr(scope, "name", "<lambda>"))
     assert scopes == {"<module>", "run"}
