@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import CrossedMonoid
-from .errors import CompatibilityError, XNerveError
+from .errors import ArgumentError, CompatibilityError, XNerveError
 from .groups import GroupPresentation, find_isomorphism, subgroup_presentation
 from .nerve import Nerve
 from .simplicial import UnionFind, based_classes, pi_bruteforce
@@ -40,6 +40,8 @@ def pi1(xm: CrossedMonoid, t: int) -> GroupPresentation:
     Verifies that the image really is a normal subgroup before forming
     cosets; an input that fails the axioms may have an image that is not.
     """
+    if not 0 <= t < xm.cat.num_objects:
+        raise ArgumentError(f"basepoint {t} is not an object id (0..{xm.cat.num_objects - 1})")
     xm.classification.require_module()
     cat = xm.cat
     loops = cat.hom(t, t)
@@ -82,6 +84,8 @@ def pi1(xm: CrossedMonoid, t: int) -> GroupPresentation:
 
 def pi2(xm: CrossedMonoid, t: int) -> GroupPresentation:
     """Kernel of the boundary at t, as a group; commutativity is asserted."""
+    if not 0 <= t < xm.cat.num_objects:
+        raise ArgumentError(f"basepoint {t} is not an object id (0..{xm.cat.num_objects - 1})")
     xm.classification.require_module()
     fiber = xm.fibers[t]
     one = xm.cat.identity[t]

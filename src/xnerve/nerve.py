@@ -29,19 +29,20 @@ and shifts the lower rows one step south-east (the insertion is skipped for
 j = 0, the shift for j = n).
 
 A cell's rank is its position in ``cells(n)``: within its block, the
-mixed-radix number whose digits are its entries.  ``cell_at`` and
-``rank_of`` convert.  Everything else works on columns of ranks, in any
-dimension, with no cell built, by digit arithmetic: the corner bijection
-``M <-> (d_0 M, d_n M, m[1][n])``, n >= 2, and its closed inner-face
-formulas (``faces_of``, ``assemble_ids``, ``corners``), and the identity
-audit's maps (``rank_maps``), where s_j is digit insertion: s_j c keeps
-every digit of c's rank and adds fixed digits for the identity and the
-fiber units.  One routine, ``_block_faces``, holds the face formulas for
-whole levels (``face_rows``) and for chosen ranks.  On cells, ``face``,
-``degeneracy`` and ``corner_assemble`` run the same rank forms: a cell goes
-in through ``rank_of``, which refuses an invalid one with CellError, and
-comes out through ``cell_at``.  The matrix arithmetic above is the tests'
-oracle for them (``MatrixNerve`` in ``tests/conftest.py``).
+mixed-radix number whose digits are its entries.  ``_block(seq)`` is the one
+lookup of a block, which keeps the face, glue and s_j plans its object
+sequence fixes.  ``cell_at`` and ``rank_of`` convert.  Everything else works
+on columns of ranks, in any dimension, with no cell built, by digit
+arithmetic: the corner bijection ``M <-> (d_0 M, d_n M, m[1][n])``, n >= 2,
+and its closed inner-face formulas (``faces_of``, ``assemble_ids``,
+``corners``), and the identity audit's maps (``rank_maps``), where s_j is
+digit insertion: s_j c keeps every digit of c's rank and adds fixed digits
+for the identity and the fiber units.  One routine, ``_block_faces``, holds
+the face formulas for whole levels (``face_rows``) and for chosen ranks.  On
+cells, ``face``, ``degeneracy`` and ``corner_assemble`` run the same rank
+forms: a cell goes in through ``rank_of``, which refuses an invalid one with
+CellError, and comes out through ``cell_at``.  The matrix arithmetic above is
+the tests' oracle for them (``MatrixNerve`` in ``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -92,10 +93,12 @@ _HUGE = 10 ** 4300
 class _Block:
     """One object sequence with a morphism in every C(x_i, x_{i-1}): per
     matrix row i, C(x_i, x_{i-1}) and the size of the fiber over x_i; the
-    block size and the rank of its first cell; the properties are made on first use."""
+    block size and the rank of its first cell.  The properties and the plans
+    the sequence fixes (``plan``, ``glue``, ``degeneracies`` by j) are made on first use."""
 
     def __init__(self, seq: tuple[int, ...], homs: tuple[tuple[int, ...], ...], fibers: tuple, size: int, start: int):
         self.seq, self.homs, self.fibers, self.size, self.start = seq, homs, fibers, size, start
+        self.plan, self.glue, self.degeneracies = None, None, {}
 
     @cached_property
     def domains(self) -> list[Sequence[int]]:
@@ -155,10 +158,7 @@ class Nerve(LevelProvider):
         self.xm, self.cap = xm, cap
         self._dims: dict[int, tuple[_Block, ...]] = {}
         self._starts: dict[int, list[int]] = {}
-        self._block_of: dict[tuple[int, ...], _Block] = {}  # by object sequence, every dimension
-        self._glues: dict[tuple[int, ...], tuple[int, ...]] = {}  # by object sequence
-        self._face_plans: dict[tuple[int, ...], tuple] = {}  # by object sequence
-        self._degeneracy_plans: dict[tuple[tuple[int, ...], int], tuple] = {}  # by object sequence and j
+        self._block_of: dict[tuple[int, ...], _Block] = {}  # by object sequence, every dimension; read by _block
         self._rows: dict[int, tuple[list[list[int]], dict[int, int]]] = {}  # faces_of's rows: columns, positions
         self._counts: dict[int, int] = {}  # count_cells, by dimension
         # mor_at[r] is the morphism of the 1-cell of rank r; mor_rank inverts it
@@ -220,7 +220,7 @@ class Nerve(LevelProvider):
         n = M.dim
         if not 0 <= j <= n:
             raise CellError(f"degeneracy index {j} out of range for dimension {n}")
-        rank, blk = self.rank_of(M), self._block_of[M.objects]
+        rank, blk = self.rank_of(M), self._block(M.objects)
         return self.cell_at(n + 1, self._degenerate(blk, [rank - blk.start], j)[0])
 
     def _degenerate(self, blk: _Block, idxs: Sequence[int], j: int) -> list[int]:
@@ -233,11 +233,10 @@ class Nerve(LevelProvider):
         s_j c lies in the block of c's object sequence with x_j repeated, and
         its index there is the constant, the inserted identity and units,
         plus the image of c's index under the runs."""
-        plan = self._degeneracy_plans.get((blk.seq, j))
+        plan = blk.degeneracies.get(j)
         if plan is None:
             xm, seq, n = self.xm, blk.seq, len(blk.seq) - 1
-            self._dim(n + 1)
-            new = self._block_of[seq[:j + 1] + seq[j:]]
+            new = self._block(seq[:j + 1] + seq[j:])
 
             def pos(i: int, c: int) -> int:
                 """Flat position of matrix entry (i, c) in dimension n + 1."""
@@ -250,7 +249,7 @@ class Nerve(LevelProvider):
             fixed.extend((pos(j + 1, c), xm.fibers[seq[j]].unit) for c in range(j + 2, n + 2))
             lens, new_lens = [len(dom) for dom in blk.domains], [len(dom) for dom in new.domains]
             const = sum(digit * new.weights[q] for q, digit in fixed)
-            plan = self._degeneracy_plans[blk.seq, j] = (new, const, _digit_runs(lens, dest, new_lens))
+            plan = blk.degeneracies[j] = (new, const, _digit_runs(lens, dest, new_lens))
         return plan
 
     # -- corner bijection ----------------------------------------------
@@ -303,6 +302,11 @@ class Nerve(LevelProvider):
             self._starts[n] = [blk.start for blk in blocks]
             blocks = self._dims[n] = tuple(blocks)
         return blocks
+
+    def _block(self, seq: tuple[int, ...]) -> _Block | None:
+        """The block of an object sequence, its dimension built first; None
+        for a sequence with an empty hom-set."""
+        return self._block_of.get(seq) if self._dim(len(seq) - 1) else None
 
     def _count(self, n: int, sizes: Sequence[int], weigh) -> int:
         """The cells (``len``, fiber sizes) or object sequences (``bool``, sizes
@@ -360,8 +364,7 @@ class Nerve(LevelProvider):
         """Position of a cell in ``cells(c.dim)`` order; the inverse of
         ``cell_at``.  Refuses an invalid cell with CellError."""
         self.validate_cell(c)
-        self._dim(c.dim)
-        blk = self._block_of[c.objects]
+        blk = self._block(c.objects)
         entries = itertools.chain.from_iterable(c.rows)
         return blk.start + sum(w * dom.index(v) for w, dom, v in zip(blk.weights, blk.domains, entries))
 
@@ -377,22 +380,23 @@ class Nerve(LevelProvider):
     def assemble_ids(self, n: int, firsts: Sequence[int], lasts: Sequence[int], corners: Sequence[int]) -> list[int]:
         """Rank form of ``corner_assemble``: the rank of the n-cell, n >= 2,
         with first face, last face and corner ``(first, last, corner)``, for
-        every triple of three equally long columns, the faces given as
-        ranks.  Their overlap is not compared; only a pair with no common
-        object sequence, or a corner outside its fiber, is refused, the
-        first refused triple raising.  Columns of one pair of face blocks,
-        as on every one-block level, are assembled whole once their corners
-        are in range; others in one pass, each triple reading the glue of
-        its pair."""
+        every triple of three columns, the faces given as ranks.  Their
+        overlap is not compared; only columns of unequal lengths, a pair
+        with no common object sequence, or a corner outside its fiber, is
+        refused, the first refused triple raising.  Columns of one pair of
+        face blocks, as on every one-block level, are assembled whole once
+        their corners are in range; others in one pass, each triple reading
+        the glue of its pair."""
         if n < 2:
             raise CompatibilityError("corner splitting needs dimension >= 2")
+        if len({len(firsts), len(lasts), len(corners)}) > 1:
+            raise CompatibilityError(f"corner columns of unequal lengths {[len(firsts), len(lasts), len(corners)]}")
         blocks = self._dim(n - 1)
-        self._dim(n)
         lbs, fbs = self._block_indices(n - 1, lasts), self._block_indices(n - 1, firsts)
         glues = {}
         for b_last, b_first in {(0, 0)} if len(blocks) == 1 and lbs else set(zip(lbs, fbs)):
             lseq, fseq = blocks[b_last].seq, blocks[b_first].seq
-            blk = self._block_of.get(lseq + fseq[-1:])
+            blk = self._block(lseq + fseq[-1:])
             glues[b_last, b_first] = None if blk is None or lseq[1:] != fseq[:-1] else self._glue_of(blk)
         if len(glues) == 1:
             (glue,) = glues.values()
@@ -426,16 +430,12 @@ class Nerve(LevelProvider):
 
     def _glue_of(self, blk: _Block) -> tuple[int, ...]:
         """The constants of ``_glue`` for a block of dimension >= 2."""
-        glue = self._glues.get(blk.seq)
-        if glue is None:
+        if blk.glue is None:
             seq = blk.seq
-            self._dim(len(seq) - 2)
-            self._dim(len(seq) - 3)
-            block_of = self._block_of
-            first, last = block_of[seq[1:]], block_of[seq[:-1]]
-            glue = self._glues[seq] = (blk.start, first.start, first.size, last.start, block_of[seq[1:-1]].size,
-                                       self.xm.fibers[seq[1]].size)
-        return glue
+            first, last = self._block(seq[1:]), self._block(seq[:-1])
+            blk.glue = (blk.start, first.start, first.size, last.start, self._block(seq[1:-1]).size,
+                        self.xm.fibers[seq[1]].size)
+        return blk.glue
 
     def faces_of(self, n: int, ranks: Sequence[int]) -> list[list[int]]:
         """Face columns of the n-cells of ``ranks``, n >= 1, in any
@@ -494,13 +494,9 @@ class Nerve(LevelProvider):
         composite diagonal, for n >= 3 the fiber product over x1, d_1's
         corner maps by row-2 value (each made on first use, then kept) and
         the glue of every d_j's block."""
-        plan = self._face_plans.get(blk.seq)
-        if plan is not None:
-            return plan
+        if blk.plan is not None:
+            return blk.plan
         xm = self.xm
-        self._dim(n - 1)
-        self._dim(n - 2)
-        block_of = self._block_of
         seq, domains = blk.seq, blk.domains
         flat = range(n * (n + 1) // 2)
         keep = partial(_keep_runs, tuple(map(len, domains)))
@@ -512,15 +508,15 @@ class Nerve(LevelProvider):
             ups = [compose[compose[u][d_x1[a]]] for u in domains[0] for a in range(len(domains[1]))]
             extra = (ups, domains[2], self.mor_rank, keep({0, 1}), keep({2}))
         elif n >= 3:
-            inner = [block_of[seq[:j] + seq[j + 1:]] for j in range(1, n)]
+            inner = [self._block(seq[:j] + seq[j + 1:]) for j in range(1, n)]
             fiber2 = xm.fibers[seq[2]]
             twists = _Twists(n, fiber2.size, domains[n], xm.boundary[seq[2]], xm.action, xm.cat.compose_table,
                              fiber2.table)
             extra = (xm.fibers[seq[1]].table, twists, [self._glue_of(b) for b in inner],
                      keep({n - 1}), keep(set(flat[n:2 * n - 1])), keep({n - 2}))
-        plan = self._face_plans[seq] = (block_of[seq[1:]], block_of[seq[:-1]].start, keep(set(flat[n:])),
-                                        keep(set(flat).difference(row_ends)), extra)
-        return plan
+        blk.plan = (self._block(seq[1:]), self._block(seq[:-1]).start, keep(set(flat[n:])),
+                    keep(set(flat).difference(row_ends)), extra)
+        return blk.plan
 
     # -- whole-level face tables -------------------------------------------
 
@@ -692,7 +688,7 @@ class _RankMaps:
         elif col.faces is None:
             digits = partial(_spell, [r - blk.start for r in col])
             col.faces = nv._block_faces(m, nv._plan_of(m, blk), digits, nv.built(m - 1))
-        return _Column(m - 1, nv._block_of[blk.seq[:i] + blk.seq[i + 1:]], col.faces[i])
+        return _Column(m - 1, nv._block(blk.seq[:i] + blk.seq[i + 1:]), col.faces[i])
 
     def degeneracy(self, col: _Column, j: int) -> _Column:
         if col.dim < self.dim:  # faces of the cells under audit: s_j of the whole level below, once

@@ -511,7 +511,10 @@ class BasedClasses(NamedTuple):
 
 def based_classes(p: LevelProvider, n: int, basepoint) -> BasedClasses:
     """Group the based n-cells into classes; assumes the Kan property, which
-    makes the relation an equivalence."""
+    makes the relation an equivalence.  A basepoint that is not a 0-cell is
+    refused with CompatibilityError."""
+    if basepoint.dim != 0:
+        raise CompatibilityError(f"the basepoint must be a 0-cell, got a cell of dimension {basepoint.dim}")
     tower = [basepoint]
     for _ in range(n):
         tower.append(p.degeneracy(tower[-1], 0))

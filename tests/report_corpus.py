@@ -175,10 +175,15 @@ RAW_INPUTS = {
     "duplicate_key": b'{"objects": [0], "morphisms": [{"id": 0, "src": 0, "tgt": 0}], "identity": {"0": 0}, '
                      b'"compose": [[0, 0, 0]], "monoids": {"0": {"elements": [0], "unit": 5, "mul": "junk"}, '
                      b'"0": {"elements": [0], "unit": 0, "mul": [[0]]}}, "action": {"0": [0]}, "boundary": {"0": [0]}}',
+    # the trivial point whose one morphism starts at object 1, which does not exist
+    "src_not_an_object": b'{"objects": [0], "morphisms": [{"id": 0, "src": 1, "tgt": 0}], "identity": {"0": 0}, '
+                         b'"compose": [[0, 0, 0]], "monoids": {"0": {"elements": [0], "unit": 0, "mul": [[0]]}}, '
+                         b'"action": {"0": [0]}, "boundary": {"0": [0]}}',
 }
 # Each ends in one ERROR line: an input that cannot be read or parsed, a
 # report path in a directory that does not exist, --pi with an empty item,
-# and a dimension refused before it is built.
+# a dimension refused before it is built, and a document whose shape fails a
+# JSON-path check.
 _RAW_CASES = [
     ["kan", "inputs"],
     ["kan", "inputs/utf16_bom.json"],
@@ -198,6 +203,7 @@ _RAW_CASES = [
     ["enumerate", "inputs/f4.json", "--dims", "2000"],
     ["enumerate", "inputs/trivial.json", "--dims", "100000"],
     ["fill", "inputs/pair.json", "--dims", "40..40"],
+    ["validate", "inputs/src_not_an_object.json"],
 ]
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from xnerve import fixtures
 from xnerve.cli import run
-from xnerve.errors import NotCrossedModuleError, StructureError, XNerveError
+from xnerve.errors import ArgumentError, NotCrossedModuleError, StructureError, XNerveError
 from xnerve.groups import GroupPresentation, find_isomorphism
 from xnerve.homotopy import higher_vanishing, pi0, pi1, pi2, pi_compare
 from xnerve.io import from_crossed_monoid, serialize
@@ -50,6 +50,19 @@ def test_pi_refuses_non_modules(xm_idempotent):
         pi_compare(Nerve(xm_idempotent), 1, 0)
     with pytest.raises(NotCrossedModuleError):
         higher_vanishing(Nerve(xm_idempotent), 0)
+
+
+def test_pi1_and_pi2_refuse_a_basepoint_that_is_not_an_object(xm_z2_z3_twisted, xm_pair):
+    # unchecked, t indexes the tables: an IndexError, a KeyError, or, for
+    # t = -1 on the pair, pi2 at object 1
+    for xm, t in ((xm_z2_z3_twisted, 5), (xm_z2_z3_twisted, -1), (xm_pair, -1), (xm_pair, 2)):
+        text = rf"^basepoint {t} is not an object id \(0\.\.{xm.cat.num_objects - 1}\)$"
+        for pi in (pi1, pi2):
+            with pytest.raises(ArgumentError, match=text):
+                pi(xm, t)
+        for n in (1, 2):
+            with pytest.raises(ArgumentError, match=text):
+                pi_compare(Nerve(xm), n, t)
 
 
 def test_pi_compare_fixtures(xm_z2, xm_z3_fiber, xm_z2_z3, xm_z2_z3_twisted, xm_trivial):

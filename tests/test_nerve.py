@@ -577,6 +577,17 @@ def test_assemble_id_refusals(nv_pair):
         nv_pair.assemble_ids(2, [first], [first], [3])
 
 
+def test_assemble_ids_refuses_columns_of_unequal_lengths():
+    # unchecked, zip drops the triples past the shortest column: on F6 (one
+    # block) ``([0, 1], [0], [0])`` gave ``[0]``; the pair groupoid has many
+    for nv in (Nerve(fixtures.z2_with_z3_fiber_twisted()), Nerve(fixtures.pair_groupoid_z3())):
+        for columns, lengths in ((([0, 1], [0], [0]), "[2, 1, 1]"), (([0], [0, 0], [0]), "[1, 2, 1]"),
+                                 (([0], [0], []), "[1, 1, 0]")):
+            with pytest.raises(CompatibilityError, match=rf"^corner columns of unequal lengths {re.escape(lengths)}$"):
+                nv.assemble_ids(3, *columns)
+        assert nv.assemble_ids(3, [], [], []) == []
+
+
 def test_assemble_ids_checks_each_pair_against_its_own_fiber():
     # fibers of sizes 3 (object 0) and 2 (object 1): corner 2 is valid only
     # on the pairs over object 0, past the smallest fiber of the call

@@ -21,6 +21,7 @@ from xnerve.simplicial import (
     HornTuple,
     KanRecord,
     audit_simplicial,
+    based_classes,
     beta,
     check_coskeletal,
     check_kan,
@@ -215,6 +216,19 @@ def test_pi_bruteforce_examples(nv_z2, nv_z2_z3, nv_trivial):
     assert g.order == 3 and g.is_abelian
     for n in (1, 2):
         assert pi_bruteforce(nv_trivial, n, nv_trivial.point(0)).order == 1
+
+
+def test_a_basepoint_that_is_not_a_0_cell_is_refused():
+    # unchecked, a 1-cell's ranks are read as 0-cell ranks: F6 got a
+    # "group" of order 2 at the 1-cell of rank 0
+    nv = Nerve(fixtures.z2_with_z3_fiber_twisted())
+    for n, rank in ((1, 0), (1, 1), (2, 0)):
+        text = rf"^the basepoint must be a 0-cell, got a cell of dimension {n}$"
+        with pytest.raises(CompatibilityError, match=text):
+            pi_bruteforce(nv, 1, nv.cell_at(n, rank))
+        with pytest.raises(CompatibilityError, match=text):
+            based_classes(nv, 2, nv.cell_at(n, rank))
+    assert pi_bruteforce(nv, 1, nv.cell_at(0, 0)).order == 2
 
 
 def test_pi_bruteforce_refuses_non_kan(nv_idempotent):

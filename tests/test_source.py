@@ -1,8 +1,10 @@
 import ast
 import pathlib
 import re
+import sys
 
 import xnerve
+from report_corpus import cases, run_case
 
 SOURCES = sorted(pathlib.Path(xnerve.__file__).parent.glob("*.py"))
 
@@ -169,9 +171,85 @@ def test_no_module_catches_key_error():
     assert SOURCES and found == []
 
 
-def test_readme_python_blocks_run():
-    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
-    blocks = re.findall(r"^```python\n(.*?)^```$", readme.read_text(encoding="utf-8"), flags=re.M | re.S)
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _run_readme_blocks():
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), flags=re.M | re.S)
     assert blocks
     for block in blocks:
-        exec(compile(block, str(readme), "exec"), {})
+        exec(compile(block, str(README), "exec"), {})
+
+
+def test_readme_python_blocks_run():
+    _run_readme_blocks()
+
+
+def _definitions():
+    """``module.py:Qualified.name`` of every ``def`` in the package, by
+    (file, first line of its code object: its first decorator's or its own)."""
+    found = {}
+
+    def visit(path, node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                line = min([child.lineno, *(d.lineno for d in child.decorator_list)])
+                found[str(path), line] = f"{path.name}:{prefix}{child.name}"
+                visit(path, child, f"{prefix}{child.name}.<locals>.")
+            else:
+                visit(path, child, f"{prefix}{child.name}." if isinstance(child, ast.ClassDef) else prefix)
+
+    for path in SOURCES:
+        visit(path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), "")
+    return found
+
+
+_TRACED = "bench/tracer.py patches it, or a function it patches calls it"
+_BENCH = "bench/ calls it"
+_API = "library API that only the tests call"
+# The definitions that no corpus command and no README block calls, each
+# with the one reason it stays; a module name covers every def in it.
+UNCALLED = {
+    "fixtures.py": "bench/workloads.py, tests/report_corpus.py and README build their inputs from it",
+    "cli.py:main": "the console script",
+    "fillers.py:HornFiller.fill": _TRACED,
+    "nerve.py:Nerve.corner_assemble": _TRACED,
+    "simplicial.py:beta": _TRACED,
+    "simplicial.py:is_compatible_horn": _TRACED,
+    "simplicial.py:HornTuple.slots": _TRACED,
+    "io.py:serialize": _BENCH,
+    "io.py:from_crossed_monoid": _BENCH,
+    "algebra.py:ValidationReport.axioms": _BENCH,
+    "algebra.py:ValidationReport.find": _API,
+    "simplicial.py:KanReport.is_kan": _API,
+    "nerve.py:NerveCell.corner": _API,
+    "simplicial.py:BoundaryTuple.dim": _API,
+    "simplicial.py:CellTuples.__getitem__": _API,
+    "simplicial.py:CellTuples.__iter__": _API,
+    "nerve.py:Nerve.cell": _API,
+    "errors.py:NotKanError.__init__": "no corpus input fails a Kan check under pi",
+}
+
+
+def test_every_definition_is_reached_by_the_corpus_or_the_readme():
+    # Code that nothing needs is deleted: every ``def`` of the package runs
+    # under some report-corpus command or README block, or ``UNCALLED``
+    # says why it stays.  A call-only trace hook records the code objects.
+    definitions, called = _definitions(), set()
+
+    def hook(frame, event, arg):
+        called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+    previous = sys.gettrace()
+    sys.settrace(hook)
+    try:
+        for argv in cases():
+            run_case(argv)
+        _run_readme_blocks()
+    finally:
+        sys.settrace(previous)
+    named = set(definitions.values())
+    reached = {definitions[key] for key in called if key in definitions}
+    assert {name for name in UNCALLED if ":" in name} <= named
+    assert reached.isdisjoint(UNCALLED), "reached now: drop them from UNCALLED"
+    assert sorted(n for n in named - reached if n not in UNCALLED and n.split(":")[0] not in UNCALLED) == []
